@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import NotExpectedDimension, NotStronglyConnected
-from .exact import PRIME_MODE, field_for_mode, jet_space
+from .exact import PRIME_MODE, field_for_mode
 from .graphs import (
     CompartmentGraph,
     Cycle,
@@ -97,50 +97,70 @@ def symbolic_coefficients(
     return cs, ds
 
 
-def _sparse_rows(graph: CompartmentGraph, values: Sequence, ring, skip_vertex_one: bool):
-    """Matrix of the model as sparse rows [(col, value), ...], 0-indexed."""
+def _entry_positions(graph: CompartmentGraph, skip_vertex_one: bool):
+    """(parameter index, row, column) of each model entry, 0-indexed in A,
+    or in A_1 (row and column 1 deleted) when `skip_vertex_one`."""
     offset = 1 if skip_vertex_one else 0
-    size = graph.n - offset
-    rows = [[] for _ in range(size)]
-    for v in range(1 + offset, graph.n + 1):
-        rows[v - 1 - offset].append((v - 1 - offset, values[diagonal_slot(v)]))
+    positions = [
+        (diagonal_slot(v), v - 1 - offset, v - 1 - offset)
+        for v in range(1 + offset, graph.n + 1)
+    ]
     for k, (j, i) in enumerate(graph.edges):
-        if skip_vertex_one and (j == 1 or i == 1):
-            continue
-        rows[i - 1 - offset].append((j - 1 - offset, values[edge_slot(graph, k)]))
-    return rows
+        if not (skip_vertex_one and (j == 1 or i == 1)):
+            positions.append((edge_slot(graph, k), i - 1 - offset, j - 1 - offset))
+    return positions
 
 
-def char_poly_coefficients(sparse_rows, size: int, ring) -> list:
-    """Coefficients c_1..c_n of det(lambda*I - A) by the Faddeev-LeVerrier
-    recurrence, valid over any ring where dividing by 1..n is exact."""
-    exact.check_characteristic(ring, size)
-    if size == 0:
-        return []
-    zero = ring.zero
-    # M_1 = I; at step k: c_k = -tr(A M_k)/k, M_{k+1} = A M_k + c_k I.
-    M = [[ring.one if r == c else zero for c in range(size)] for r in range(size)]
-    coeffs = []
+def faddeev_leverrier(sparse_rows, size: int, p: int = 0) -> tuple[list, list]:
+    """Coefficients c_1..c_n of det(lambda*I - A) and the matrices
+    B_0..B_{n-1} of adj(lambda*I - A) = sum_k lambda^(n-1-k) * B_k.
+
+    The recurrence is B_0 = I, c_k = -tr(A B_{k-1}) / k, B_k = A B_{k-1} +
+    c_k I. `sparse_rows` holds A as [(col, value), ...] per row. With p = 0
+    the entries are integers or Fractions and every division by k is exact
+    over Q (at integer points it stays in Z); with p > 0 everything is
+    reduced mod p.
+    """
+    exact.check_characteristic(p, size)
+    B = [[int(r == c) for c in range(size)] for r in range(size)]
+    coeffs, adjugate = [], []
     for k in range(1, size + 1):
-        AM = [[zero] * size for _ in range(size)]
-        for r in range(size):
-            out = AM[r]
-            for col, a in sparse_rows[r]:
-                mrow = M[col]
-                for c in range(size):
-                    x = mrow[c]
-                    if x is not zero:
-                        out[c] = ring.add(out[c], ring.mul(a, x))
-        trace = zero
-        for r in range(size):
-            trace = ring.add(trace, AM[r][r])
-        ck = ring.neg(ring.div_int(trace, k))
+        adjugate.append(B)
+        AB = []
+        for row in sparse_rows:
+            out = [0] * size
+            for col, a in row:
+                out = [x + a * y for x, y in zip(out, B[col])]
+            AB.append([x % p for x in out] if p else out)
+        trace = sum(AB[r][r] for r in range(size))
+        if p:
+            ck = -trace * pow(k, -1, p) % p
+        elif isinstance(trace, int):
+            ck = -trace // k
+        else:
+            ck = -trace / k
         coeffs.append(ck)
-        if k < size:
-            for r in range(size):
-                AM[r][r] = ring.add(AM[r][r], ck)
-            M = AM
-    return coeffs
+        for r in range(size):
+            AB[r][r] = (AB[r][r] + ck) % p if p else AB[r][r] + ck
+        B = AB
+    return coeffs, adjugate
+
+
+def _double_recurrence(graph: CompartmentGraph, values: Sequence, p: int) -> list:
+    """Run the recurrence on A and on A_1: two (positions, coeffs, B's)."""
+    if len(values) != parameter_count(graph):
+        raise ValueError(
+            f"expected {parameter_count(graph)} parameter values, got {len(values)}"
+        )
+    out = []
+    for skip_vertex_one in (False, True):
+        positions = _entry_positions(graph, skip_vertex_one)
+        size = graph.n - 1 if skip_vertex_one else graph.n
+        rows = [[] for _ in range(size)]
+        for idx, r, c in positions:
+            rows[r].append((c, values[idx]))
+        out.append((positions, *faddeev_leverrier(rows, size, p)))
+    return out
 
 
 def numeric_coefficients(
@@ -148,37 +168,32 @@ def numeric_coefficients(
 ) -> tuple[list, list]:
     """Evaluate (c_1..c_n, d_1..d_{n-1}) at a point.
 
-    `values` holds one ring element per parameter in canonical order
-    (diagonals first, then edges); jets are fine, in which case the
-    coefficients come back as jets carrying exact gradients.
+    `values` holds one element of `ring` (PRIME_FIELD, RATIONAL_FIELD or
+    another PrimeField) per parameter in canonical order: diagonals first,
+    then edges.
     """
-    if len(values) != parameter_count(graph):
-        raise ValueError(
-            f"expected {parameter_count(graph)} parameter values, got {len(values)}"
-        )
-    cs = char_poly_coefficients(
-        _sparse_rows(graph, values, ring, skip_vertex_one=False), graph.n, ring
-    )
-    ds = char_poly_coefficients(
-        _sparse_rows(graph, values, ring, skip_vertex_one=True), graph.n - 1, ring
-    )
+    (_, cs, _), (_, ds, _) = _double_recurrence(graph, values, ring.characteristic)
     return cs, ds
 
 
 def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
     """Exact (2n-1) x (n+m) Jacobian of the coefficient map at `point`.
 
-    One jet-valued evaluation produces every gradient; row k is the gradient
-    of the k-th coordinate (c's then d's).
+    Row k is the gradient of the k-th coordinate (c's then d's), read off
+    the adjugate terms the recurrence already builds: d c_k / d A[r][c] =
+    -B_{k-1}[c][r], and likewise for the d's on A_1. Rational mode stays in
+    the integers; prime-field mode reduces mod 2^61 - 1.
     """
+    p = field_for_mode(mode).characteristic
     nvars = parameter_count(graph)
-    jets = jet_space(mode, nvars)
-    base = jets.base
-    values = [
-        jets.variable(base.from_int(x), idx) for idx, x in enumerate(point)
-    ]
-    cs, ds = numeric_coefficients(graph, values, jets)
-    return [list(jets.gradient(c)) for c in cs] + [list(jets.gradient(d)) for d in ds]
+    rows = []
+    for positions, _coeffs, adjugate in _double_recurrence(graph, point, p):
+        for B in adjugate:
+            row = [0] * nvars
+            for idx, r, c in positions:
+                row[idx] = -B[c][r] % p if p else -B[c][r]
+            rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

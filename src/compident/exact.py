@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: prime field, rationals, first-order jets,
-fraction-free rank, and unimodular integer matrix inversion.
+"""Exact arithmetic kernels: prime field, rationals, fraction-free rank,
+and unimodular integer matrix inversion.
 
 No floating point is used anywhere; ranks and inverses are exact. The prime
 field uses p = 2^61 - 1, large enough that a random evaluation point
@@ -9,6 +9,7 @@ underestimates a generic Jacobian rank only with negligible probability.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -40,12 +41,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -56,12 +51,6 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    def div_int(self, a, k: int):
-        return self.div(a, k % self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
 
 class RationalField:
@@ -77,12 +66,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
 
@@ -96,12 +79,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero")
         return Fraction(a) / Fraction(b)
 
-    def div_int(self, a, k: int):
-        return self.div(a, k)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
 
 PRIME_FIELD = PrimeField()
 RATIONAL_FIELD = RationalField()
@@ -113,110 +90,6 @@ def field_for_mode(mode: str):
     if mode == RATIONAL_MODE:
         return RATIONAL_FIELD
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
-
-
-class JetSpace:
-    """First-order jets (value, gradient) over a base field.
-
-    Elements are pairs (value, partials) with `partials` a tuple of length
-    `nvars`. Arithmetic follows the Leibniz rule, so evaluating a polynomial
-    map on variable jets yields its exact gradient alongside its value.
-    """
-
-    def __init__(self, base, nvars: int):
-        self.base = base
-        self.nvars = nvars
-        self.characteristic = base.characteristic
-        zeros = (base.zero,) * nvars
-        self.zero = (base.zero, zeros)
-        self.one = (base.one, zeros)
-        self._zeros = zeros
-
-    def constant(self, value):
-        return (value, self._zeros)
-
-    def from_int(self, k: int):
-        return (self.base.from_int(k), self._zeros)
-
-    def variable(self, value, index: int):
-        partials = [self.base.zero] * self.nvars
-        partials[index] = self.base.one
-        return (value, tuple(partials))
-
-    def value(self, jet):
-        return jet[0]
-
-    def gradient(self, jet):
-        return jet[1]
-
-    def add(self, a, b):
-        f = self.base.add
-        return (f(a[0], b[0]), tuple(map(f, a[1], b[1])))
-
-    def sub(self, a, b):
-        f = self.base.sub
-        return (f(a[0], b[0]), tuple(map(f, a[1], b[1])))
-
-    def neg(self, a):
-        f = self.base.neg
-        return (f(a[0]), tuple(map(f, a[1])))
-
-    def mul(self, a, b):
-        base = self.base
-        va, pa = a
-        vb, pb = b
-        return (
-            base.mul(va, vb),
-            tuple(
-                base.add(base.mul(va, y), base.mul(vb, x)) for x, y in zip(pa, pb)
-            ),
-        )
-
-    def inv(self, a):
-        base = self.base
-        v, partials = a
-        iv = base.inv(v)
-        s = base.neg(base.mul(iv, iv))
-        return (iv, tuple(base.mul(s, x) for x in partials))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def div_int(self, a, k: int):
-        base = self.base
-        ik = base.inv(base.from_int(k))
-        return (base.mul(a[0], ik), tuple(base.mul(x, ik) for x in a[1]))
-
-    def is_zero(self, a) -> bool:
-        return self.base.is_zero(a[0]) and all(self.base.is_zero(x) for x in a[1])
-
-
-class PrimeJetSpace(JetSpace):
-    """Jets over GF(p) with arithmetic inlined on raw ints (hot path)."""
-
-    def __init__(self, nvars: int, p: int = MERSENNE61):
-        super().__init__(PrimeField(p), nvars)
-        self.p = p
-
-    def add(self, a, b):
-        p = self.p
-        return ((a[0] + b[0]) % p, tuple((x + y) % p for x, y in zip(a[1], b[1])))
-
-    def sub(self, a, b):
-        p = self.p
-        return ((a[0] - b[0]) % p, tuple((x - y) % p for x, y in zip(a[1], b[1])))
-
-    def mul(self, a, b):
-        p = self.p
-        va, pa = a
-        vb, pb = b
-        return (va * vb % p, tuple((va * y + vb * x) % p for x, y in zip(pa, pb)))
-
-
-def jet_space(mode: str, nvars: int) -> JetSpace:
-    if mode == PRIME_MODE:
-        return PrimeJetSpace(nvars)
-    return JetSpace(field_for_mode(mode), nvars)
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
@@ -249,21 +122,9 @@ def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Clear denominators row-by-row; rank is unchanged."""
     out = []
     for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // _gcd(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
-        else:
-            out.append([int(x) for x in row])
+        denom = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        out.append([int(x * denom) for x in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -382,10 +243,9 @@ def integer_solve_in_lattice(
     return z
 
 
-def check_characteristic(ring, n: int) -> None:
+def check_characteristic(characteristic: int, n: int) -> None:
     """The coefficient recurrence divides by 1..n."""
-    char = getattr(ring, "characteristic", 0)
-    if 0 < char <= n:
+    if 0 < characteristic <= n:
         raise FieldCharacteristicTooSmall(
-            f"characteristic {char} <= matrix size {n}"
+            f"characteristic {characteristic} <= matrix size {n}"
         )

@@ -30,12 +30,11 @@ from .errors import (
     NotStronglyConnected,
     TooManyEdges,
 )
-from .exact import PRIME_MODE, PrimeField, det_int, inverse_unimodular, rank_bareiss
+from .exact import PRIME_MODE, PrimeField, det_int, rank_bareiss
 from .graphs import (
     CompartmentGraph,
     Cycle,
     elementary_cycles,
-    incidence_matrix,
     is_strongly_connected,
 )
 from .monomial import format_monomial, unit_vector
@@ -152,8 +151,7 @@ def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple
     a_ij away from the root adds the edge's exponent when the child is the
     source j, and subtracts it when the child is the target i; this realizes
     the columns of the inverse of the tree block of the incidence matrix
-    without inverting anything. The inverse is still computed as a
-    cross-check.
+    without inverting anything.
     """
     m = graph.m
     f: list[Optional[tuple[int, ...]]] = [None] * (graph.n + 1)
@@ -165,27 +163,7 @@ def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple
             f[child] = tuple(a + b for a, b in zip(f[parent], step))
         else:
             f[child] = tuple(a - b for a, b in zip(f[parent], step))
-    result = [f[v] for v in range(1, graph.n + 1)]
-    _check_against_tree_inverse(graph, tree, result)
-    return result
-
-
-def _check_against_tree_inverse(graph, tree, f_exponents) -> None:
-    if graph.n == 1:
-        return
-    full = incidence_matrix(graph)
-    tree_block = [
-        [full[r][c] for c in tree.edge_indices] for r in range(1, graph.n)
-    ]
-    inverse = inverse_unimodular(tree_block)
-    for v in range(2, graph.n + 1):
-        column = [inverse[r][v - 2] for r in range(graph.n - 1)]
-        expanded = [0] * graph.m
-        for r, k in enumerate(tree.edge_indices):
-            expanded[k] = column[r]
-        assert tuple(expanded) == tuple(f_exponents[v - 1]), (
-            f"tree propagation disagrees with inverse tree block at vertex {v}"
-        )
+    return [f[v] for v in range(1, graph.n + 1)]
 
 
 def rescaled_exponent_matrix(

@@ -27,7 +27,12 @@ from compident.exact import (
 from compident.errors import FieldCharacteristicTooSmall
 from compident.monomial import MonomialPolynomial
 
-from conftest import directed_cycle_graph, oracle_rank, sympy_double_charpoly
+from conftest import (
+    directed_cycle_graph,
+    oracle_rank,
+    oracle_strongly_connected,
+    sympy_double_charpoly,
+)
 
 
 def poly_from_names(graph, term_map):
@@ -168,6 +173,51 @@ class TestJacobian:
         assert rows[0] == [-1, -1, 0, 0]
         assert rows[1] == [a22, a11, -a12, -a21]
         assert rows[2] == [0, -1, 0, 0]
+
+
+def random_sc_graphs(count: int, seed: int, max_n: int = 5):
+    """Distinct strongly connected graphs on 3..max_n vertices; every other
+    one draws from one orientation per vertex pair, so it has no two-cycle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(3, max_n + 1)
+        pool = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
+        if len(out) % 2:
+            pool = [e if rng.random() < 0.5 else e[::-1] for e in pool if e[0] < e[1]]
+        m = rng.randrange(n, min(len(pool), 2 * n) + 1)
+        g = CompartmentGraph(n, tuple(rng.sample(pool, m)))
+        if oracle_strongly_connected(g) and g not in out:
+            out.append(g)
+    return out
+
+
+class TestJacobianAgainstSympy:
+    """The adjugate-read Jacobian equals sympy's derivative of the
+    determinant coefficients. Graphs with one-way edges make a transposed
+    B_k index visible."""
+
+    FIXTURES = ["single", "exchange2", "cycle3", "chain4", "broken4", "wheel5"]
+
+    def test_fixtures_and_random_graphs(self, request):
+        sympy = pytest.importorskip("sympy")
+        graphs = [request.getfixturevalue(name) for name in self.FIXTURES]
+        graphs += random_sc_graphs(10, seed=12)
+        one_way = [g for g in graphs if all((i, j) not in g.edges for j, i in g.edges)]
+        assert len(one_way) >= 5
+        rng = random.Random(13)
+        for g in graphs:
+            cs, ds = sympy_double_charpoly(g)
+            params = [sympy.Symbol(name) for name in g.param_names()]
+            symbolic = sympy.Matrix(cs + ds).jacobian(params)
+            for _ in range(2):
+                point = [rng.randrange(-50, 51) for _ in params]
+                expected = symbolic.subs(dict(zip(params, point)))
+                expected = [[int(x) for x in expected.row(r)] for r in range(expected.rows)]
+                assert jacobian(g, point, RATIONAL_MODE) == expected
+                assert jacobian(g, point, PRIME_MODE) == [
+                    [x % MERSENNE61 for x in row] for row in expected
+                ]
 
 
 class TestImageDimension:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compident import (
@@ -12,13 +12,8 @@ from compident import (
     incidence_matrix,
 )
 from compident.exact import (
-    MERSENNE61,
-    PRIME_FIELD,
     PRIME_MODE,
-    RATIONAL_FIELD,
     RATIONAL_MODE,
-    JetSpace,
-    PrimeJetSpace,
     det_int,
     integer_solve_in_lattice,
     inverse_unimodular,
@@ -134,114 +129,3 @@ class TestLatticeSolve:
         M = [[1, 0], [0, 1], [1, 1]]
         with pytest.raises(InconsistentSystem):
             integer_solve_in_lattice(M, [1, 0, 7], (0, 1))
-
-
-def _sympy_gradient(expr, symbols, point):
-    import sympy
-
-    subs = dict(zip(symbols, point))
-    value = expr.subs(subs)
-    grads = [sympy.diff(expr, s).subs(subs) for s in symbols]
-    return value, grads
-
-
-@st.composite
-def rational_expressions(draw):
-    """A random arithmetic expression tree over x0, x1, x2."""
-    import sympy
-
-    symbols = sympy.symbols("x0 x1 x2")
-
-    def build(depth):
-        if depth == 0 or draw(st.booleans()):
-            choice = draw(st.integers(min_value=0, max_value=3))
-            if choice == 3:
-                return sympy.Integer(draw(st.integers(min_value=-5, max_value=5)))
-            return symbols[choice]
-        op = draw(st.sampled_from(["+", "-", "*", "/"]))
-        left = build(depth - 1)
-        right = build(depth - 1)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        return left / right
-
-    return symbols, build(3)
-
-
-class TestJets:
-    @given(rational_expressions(), st.tuples(*[st.integers(min_value=1, max_value=9)] * 3))
-    @settings(max_examples=80, deadline=None)
-    def test_partials_match_symbolic_differentiation(self, sym_expr, point):
-        import sympy
-
-        symbols, expr = sym_expr
-        assume(not expr.has(sympy.zoo, sympy.nan, sympy.oo))
-        jets = JetSpace(RATIONAL_FIELD, 3)
-        values = [jets.variable(Fraction(x), i) for i, x in enumerate(point)]
-        env = dict(zip((str(s) for s in symbols), values))
-
-        def evaluate(node):
-            if node.is_Rational:
-                return jets.constant(Fraction(node.p, node.q))
-            if node.is_Symbol:
-                return env[str(node)]
-            if node.is_Add:
-                acc = jets.zero
-                for arg in node.args:
-                    acc = jets.add(acc, evaluate(arg))
-                return acc
-            if node.is_Mul:
-                acc = jets.one
-                for arg in node.args:
-                    acc = jets.mul(acc, evaluate(arg))
-                return acc
-            if node.is_Pow:
-                base, expo = node.args
-                assert expo.is_Integer
-                e = int(expo)
-                b = evaluate(base)
-                if e < 0:
-                    b = jets.inv(b)
-                    e = -e
-                acc = jets.one
-                for _ in range(e):
-                    acc = jets.mul(acc, b)
-                return acc
-            raise AssertionError(f"unexpected node {node}")
-
-        try:
-            got = evaluate(expr)
-        except ZeroDivisionError:
-            # expression has a pole at the sample point; sympy would too
-            return
-        value, grads = _sympy_gradient(expr, symbols, point)
-        assert Fraction(got[0]) == Fraction(value.p, value.q)
-        for g, s in zip(got[1], grads):
-            assert Fraction(g) == Fraction(s.p, s.q)
-
-    def test_prime_jets_match_generic_jets(self):
-        rng = random.Random(8)
-        generic = JetSpace(PRIME_FIELD, 4)
-        fast = PrimeJetSpace(4)
-        for _ in range(100):
-            a = (rng.randrange(MERSENNE61), tuple(rng.randrange(MERSENNE61) for _ in range(4)))
-            b = (rng.randrange(MERSENNE61), tuple(rng.randrange(MERSENNE61) for _ in range(4)))
-            assert generic.add(a, b) == fast.add(a, b)
-            assert generic.sub(a, b) == fast.sub(a, b)
-            assert generic.mul(a, b) == fast.mul(a, b)
-
-    def test_constants_have_zero_partials(self):
-        jets = PrimeJetSpace(3)
-        c = jets.from_int(42)
-        assert c[1] == (0, 0, 0)
-
-    def test_inverse_of_variable(self):
-        jets = JetSpace(RATIONAL_FIELD, 1)
-        x = jets.variable(Fraction(5), 0)
-        inv = jets.inv(x)
-        assert inv[0] == Fraction(1, 5)
-        assert inv[1][0] == Fraction(-1, 25)  # d(1/x)/dx = -1/x^2

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,12 +9,19 @@ from compident import (
     NotStronglyConnected,
     TooManyEdges,
     incidence_matrix,
+    jacobian,
     numeric_coefficients,
     reparametrization_from_json,
     reparametrize,
     verify_reparametrization,
 )
-from compident.exact import MERSENNE61, PRIME_FIELD, PRIME_MODE, jet_space, rank_mod_p
+from compident.exact import (
+    MERSENNE61,
+    PRIME_FIELD,
+    PRIME_MODE,
+    inverse_unimodular,
+    rank_mod_p,
+)
 from compident.reparam import (
     ScalingReparametrization,
     alternate_spanning_tree,
@@ -65,6 +73,21 @@ class TestSpanningTree:
         assert second is not None and second.edge_indices != first.edge_indices
 
 
+def tree_inverse_exponents(graph, tree):
+    """f_1 = 1 and, for v >= 2, the column of vertex v in the inverse of the
+    tree block (rows 2..n) of the incidence matrix, spread over the edges."""
+    full = incidence_matrix(graph)
+    block = [[full[r][c] for c in tree.edge_indices] for r in range(1, graph.n)]
+    inverse = inverse_unimodular(block)
+    out = [(0,) * graph.m]
+    for v in range(2, graph.n + 1):
+        expanded = [0] * graph.m
+        for r, k in enumerate(tree.edge_indices):
+            expanded[k] = inverse[r][v - 2]
+        out.append(tuple(expanded))
+    return out
+
+
 class TestScalingExponents:
     def test_chain4(self, chain4):
         tree = spanning_tree(chain4)
@@ -92,6 +115,21 @@ class TestScalingExponents:
 
     def test_single_vertex(self, single):
         assert scaling_exponents(single, spanning_tree(single)) == [()]
+
+    def test_matches_inverse_tree_block(self, chain4, wheel5):
+        from compident.census import enumerate_sc_graphs
+
+        graphs = [chain4, wheel5]
+        graphs += list(islice(enumerate_sc_graphs(4, 6), 0, None, 7))
+        graphs += list(islice(enumerate_sc_graphs(5, 8), 0, 4000, 200))
+        checked = 0
+        for g in graphs:
+            first = spanning_tree(g)
+            for tree in (first, alternate_spanning_tree(g, first)):
+                f = scaling_exponents(g, tree)
+                assert f == tree_inverse_exponents(g, tree)
+                checked += 1
+        assert checked >= 60
 
     def test_inverted_tree_edge_gives_negative_exponents(self):
         g = directed_cycle_graph(3)
@@ -314,24 +352,15 @@ class TestVerification:
 
 def b_model_rank(graph, result):
     """Jacobian rank of the coefficient map of the reparametrized model,
-    with one parameter per diagonal and per non-tree entry."""
+    with one parameter per diagonal and per non-tree entry: the full
+    Jacobian at a point whose tree entries are 1, on those columns."""
     tree_set = set(result.tree.edge_indices)
-    nontree = [k for k in range(graph.m) if k not in tree_set]
-    nvars = graph.n + len(nontree)
-    jets = jet_space(PRIME_MODE, nvars)
     rng = random.Random(99)
-    values = []
-    for v in range(graph.n):
-        values.append(jets.variable(rng.randrange(1, MERSENNE61), v))
-    slot = {k: graph.n + t for t, k in enumerate(nontree)}
-    for k in range(graph.m):
-        if k in tree_set:
-            values.append(jets.one)
-        else:
-            values.append(jets.variable(rng.randrange(1, MERSENNE61), slot[k]))
-    cs, ds = numeric_coefficients(graph, values, jets)
-    rows = [list(jets.gradient(x)) for x in cs + ds]
-    return rank_mod_p(rows)
+    point = [rng.randrange(1, MERSENNE61) for _ in range(graph.n)]
+    point += [1 if k in tree_set else rng.randrange(1, MERSENNE61) for k in range(graph.m)]
+    keep = list(range(graph.n)) + [graph.n + k for k in range(graph.m) if k not in tree_set]
+    rows = jacobian(graph, point, PRIME_MODE)
+    return rank_mod_p([[row[c] for c in keep] for row in rows])
 
 
 class TestStructuralProperties:
