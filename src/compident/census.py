@@ -81,55 +81,54 @@ def enumerate_sc_graphs(
             yield CompartmentGraph(n, subset)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensusClass:
     """One symmetry class (vertex permutations fixing 1) of SC graphs."""
 
     representative: CompartmentGraph
     size: int
-    expected: bool = False
-    exchange: bool = False
-    isc: bool = False
+    expected: bool
+    exchange: bool
+    isc: bool
 
 
 @lru_cache(maxsize=None)
 def _grouped_classes(n: int, m: int, limit: int):
     """Group labeled SC graphs into symmetry classes.
 
-    Returns (classes, total, samples) where `classes` maps canonical form to
-    a CensusClass without verdicts filled in, and `samples` holds every
+    Returns (representatives, sizes, total, samples): the first member and
+    the member count of each class, both keyed by canonical form in
+    enumeration order, the number of labeled graphs, and every
     SPOT_CHECK_STRIDE-th labeled graph for later re-verification.
     """
-    classes: dict[bytes, CensusClass] = {}
+    representatives: dict[bytes, CompartmentGraph] = {}
+    sizes: dict[bytes, int] = {}
     samples: list[tuple[CompartmentGraph, bytes]] = []
     total = 0
     for graph in enumerate_sc_graphs(n, m, limit=limit):
         key = canonical_form(graph)
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = CensusClass(representative=graph, size=1)
-        else:
-            entry.size += 1
+        representatives.setdefault(key, graph)
+        sizes[key] = sizes.get(key, 0) + 1
         if total % SPOT_CHECK_STRIDE == 0:
             samples.append((graph, key))
         total += 1
-    return classes, total, samples
+    return representatives, sizes, total, samples
 
 
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     """Classes with verdicts computed once per representative."""
-    grouped, total, samples = _grouped_classes(n, m, limit)
-    classes: dict[bytes, CensusClass] = {}
-    for key, entry in grouped.items():
-        rep = entry.representative
-        classes[key] = CensusClass(
+    representatives, sizes, total, samples = _grouped_classes(n, m, limit)
+    classes = {
+        key: CensusClass(
             representative=rep,
-            size=entry.size,
+            size=sizes[key],
             expected=has_expected_dimension(rep, trials=trials, seed=seed, mode=mode),
             exchange=has_exchange(rep) is not None,
             isc=is_inductively_strongly_connected(rep) is not None,
         )
+        for key, rep in representatives.items()
+    }
     # Verdict reuse across a class leans on relabeling equivariance;
     # re-derive a sample of members from scratch to keep that honest.
     for graph, key in samples:
@@ -221,9 +220,11 @@ def class_verdicts(
     mode: str = PRIME_MODE,
     limit: int = DEFAULT_LIMIT,
 ) -> dict[bytes, CensusClass]:
-    """Canonical form -> class record, for callers sweeping labeled graphs."""
+    """Canonical form -> class record, for callers sweeping labeled graphs.
+
+    The dict is a fresh copy, so callers cannot alter the cached census."""
     classes, _total = _census_data(n, m, seed, trials, mode, limit)
-    return classes
+    return dict(classes)
 
 
 def non_isc_identifiable_classes(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import NotExpectedDimension, NotStronglyConnected
-from .exact import PRIME_MODE, field_for_mode
+from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     Cycle,
@@ -164,15 +164,16 @@ def _double_recurrence(graph: CompartmentGraph, values: Sequence, p: int) -> lis
 
 
 def numeric_coefficients(
-    graph: CompartmentGraph, values: Sequence, ring
+    graph: CompartmentGraph, values: Sequence, mode: str = PRIME_MODE
 ) -> tuple[list, list]:
     """Evaluate (c_1..c_n, d_1..d_{n-1}) at a point.
 
-    `values` holds one element of `ring` (PRIME_FIELD, RATIONAL_FIELD or
-    another PrimeField) per parameter in canonical order: diagonals first,
-    then edges.
+    `values` holds one number per parameter in canonical order: diagonals
+    first, then edges. Prime-field mode reduces mod 2^61 - 1; rational mode
+    is exact, in Z at integer points and in Q for Fraction values.
     """
-    (_, cs, _), (_, ds, _) = _double_recurrence(graph, values, ring.characteristic)
+    p = exact.modulus(mode)
+    (_, cs, _), (_, ds, _) = _double_recurrence(graph, values, p)
     return cs, ds
 
 
@@ -184,7 +185,7 @@ def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MO
     -B_{k-1}[c][r], and likewise for the d's on A_1. Rational mode stays in
     the integers; prime-field mode reduces mod 2^61 - 1.
     """
-    p = field_for_mode(mode).characteristic
+    p = exact.modulus(mode)
     nvars = parameter_count(graph)
     rows = []
     for positions, _coeffs, adjugate in _double_recurrence(graph, point, p):
@@ -355,10 +356,6 @@ def evaluate_symbolic(
 ) -> tuple[list, list]:
     """Evaluate the symbolic expansion at a point (oracle counterpart of
     numeric_coefficients)."""
-    field = field_for_mode(mode)
+    p = exact.modulus(mode)
     cs, ds = symbolic_coefficients(graph)
-    vals = [field.from_int(v) for v in values]
-    return (
-        [c.evaluate(vals, field) for c in cs],
-        [d.evaluate(vals, field) for d in ds],
-    )
+    return [c.evaluate(values, p) for c in cs], [d.evaluate(values, p) for d in ds]

@@ -1,9 +1,11 @@
-"""Exact arithmetic kernels: prime field, rationals, fraction-free rank,
-and unimodular integer matrix inversion.
+"""Exact arithmetic kernels on plain ints: rank mod p, fraction-free
+integer rank and determinant, and unimodular integer matrix inversion.
 
-No floating point is used anywhere; ranks and inverses are exact. The prime
-field uses p = 2^61 - 1, large enough that a random evaluation point
-underestimates a generic Jacobian rank only with negligible probability.
+No floating point is used anywhere; ranks and inverses are exact. An
+arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
+enough that a random evaluation point underestimates a generic Jacobian
+rank only with negligible probability, and 0 (no reduction: exact over Z,
+or over Q where Fractions come in) in rational mode.
 """
 
 from __future__ import annotations
@@ -26,69 +28,13 @@ PRIME_MODE = "prime-field"
 MODES = (PRIME_MODE, RATIONAL_MODE)
 
 
-class PrimeField:
-    """GF(p) arithmetic on plain ints in [0, p)."""
-
-    def __init__(self, p: int = MERSENNE61):
-        self.p = p
-        self.characteristic = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-
-class RationalField:
-    """Exact rational arithmetic; elements are ints or Fractions."""
-
-    characteristic = 0
-    zero = 0
-    one = 1
-
-    def from_int(self, k: int):
-        return k
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, 1) / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / Fraction(b)
-
-
-PRIME_FIELD = PrimeField()
-RATIONAL_FIELD = RationalField()
-
-
-def field_for_mode(mode: str):
+def modulus(mode: str) -> int:
+    """The modulus p of an arithmetic mode: 2^61 - 1 for the prime field,
+    0 for exact integer/rational arithmetic."""
     if mode == PRIME_MODE:
-        return PRIME_FIELD
+        return MERSENNE61
     if mode == RATIONAL_MODE:
-        return RATIONAL_FIELD
+        return 0
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
 
 
@@ -193,32 +139,41 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def inverse_unimodular(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    Fraction-free Gauss-Jordan on [M | I]: every division by the previous
+    pivot is exact, and the row operations multiply the augmented matrix by
+    d * M^-1, where d, the last pivot, is +-det(M). So the left half ends
+    as d * I, the right half as d * M^-1, and M^-1 = d * (right half) when
+    d = +-1.
+    """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise NotSquare("inverse needs a square matrix")
-    d = det_int(matrix)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not +-1")
-    if size == 0:
-        return []
     aug = [
-        [Fraction(matrix[r][c]) for c in range(size)]
-        + [Fraction(1 if c == r else 0) for c in range(size)]
+        [int(x) for x in matrix[r]] + [int(c == r) for c in range(size)]
         for r in range(size)
     ]
+    sign = 1
+    prev = 1
     for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        pivot = next((r for r in range(col, size) if aug[r][col]), None)
+        if pivot is None:
+            raise NotUnimodular("determinant is 0, not +-1")
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            sign = -sign
+        prow = aug[col]
+        pv = prow[col]
         for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[r][size + c] for c in range(size)] for r in range(size)]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
+            if r != col:
+                row = aug[r]
+                factor = row[col]
+                aug[r] = [(pv * x - factor * y) // prev for x, y in zip(row, prow)]
+        prev = pv
+    if prev not in (1, -1):
+        raise NotUnimodular(f"determinant is {sign * prev}, not +-1")
+    return [[prev * x for x in row[size:]] for row in aug]
 
 
 def matvec_int(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
@@ -227,20 +182,26 @@ def matvec_int(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]
 
 def integer_solve_in_lattice(
     matrix: Sequence[Sequence[int]],
-    target: Sequence[int],
+    targets: Sequence[Sequence[int]],
     square_rows: Sequence[int],
-) -> list[int]:
-    """Solve matrix @ z = target exactly using a unimodular row subset.
+) -> list[list[int]]:
+    """Solve matrix @ z = target exactly for each target, using a
+    unimodular row subset.
 
-    `square_rows` picks rows forming a square unimodular block; z is read off
-    from that block and then verified against every row of the full system.
+    `square_rows` picks rows forming a square unimodular block, which is
+    inverted once; each z is read off from that block and then verified
+    against every row of the full system.
     """
-    block = [list(matrix[r]) for r in square_rows]
-    inv = inverse_unimodular(block)
-    z = matvec_int(inv, [target[r] for r in square_rows])
-    if matvec_int(matrix, z) != list(target):
-        raise InconsistentSystem("solution of the square block fails on the full system")
-    return z
+    inv = inverse_unimodular([matrix[r] for r in square_rows])
+    solutions = []
+    for target in targets:
+        z = matvec_int(inv, [target[r] for r in square_rows])
+        if matvec_int(matrix, z) != list(target):
+            raise InconsistentSystem(
+                "solution of the square block fails on the full system"
+            )
+        solutions.append(z)
+    return solutions
 
 
 def check_characteristic(characteristic: int, n: int) -> None:

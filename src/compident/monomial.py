@@ -9,6 +9,7 @@ exponents written ``^e`` and ``1`` for the empty monomial, e.g.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 
@@ -39,14 +40,6 @@ def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
             raise ValueError(f"unknown parameter {name!r} in monomial {text!r}")
         expo[slots[name]] += int(power) if power else 1
     return tuple(expo)
-
-
-def add_vectors(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_vectors(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:
@@ -87,22 +80,22 @@ class MonomialPolynomial:
     def total_degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}
 
-    def evaluate(self, values: Sequence[object], ring) -> object:
-        """Evaluate at a point; `values` indexed by parameter order."""
-        acc = ring.zero
+    def evaluate(self, values: Sequence[int], p: int = 0):
+        """Evaluate at a point; `values` indexed by parameter order.
+
+        With p > 0 the result is reduced mod p; with p = 0 it is exact, a
+        Fraction only where a negative exponent needs one.
+        """
+        acc = 0
         for expo, coeff in self.terms.items():
-            term = ring.from_int(coeff)
-            for idx, e in enumerate(expo):
-                if e == 0:
-                    continue
-                v = values[idx]
-                if e < 0:
-                    v = ring.inv(v)
-                    e = -e
-                for _ in range(e):
-                    term = ring.mul(term, v)
-            acc = ring.add(acc, term)
-        return acc
+            term = coeff
+            for v, e in zip(values, expo):
+                if e and p:
+                    term = term * pow(v, e, p) % p
+                elif e:
+                    term *= v**e if e > 0 else Fraction(1, v) ** -e
+            acc += term
+        return acc % p if p else acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialPolynomial):

@@ -14,14 +14,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import (
-    DimensionReport,
-    derived_rng,
-    image_dimension,
-    numeric_coefficients,
-    parameter_count,
-    sample_point,
-)
+from .charpoly import DimensionReport, image_dimension
 from .errors import (
     BasisNotFound,
     Disconnected,
@@ -30,7 +23,7 @@ from .errors import (
     NotStronglyConnected,
     TooManyEdges,
 )
-from .exact import PRIME_MODE, PrimeField, det_int, rank_bareiss
+from .exact import PRIME_MODE, det_int, rank_bareiss
 from .graphs import (
     CompartmentGraph,
     Cycle,
@@ -253,16 +246,16 @@ def express_in_cycles(
     rescaled_rows: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> dict[int, tuple[int, ...]]:
     """Write each non-tree rescaled rate as an integer combination of basis
-    cycles: the columns of the inverse of the non-tree block, verified
-    against the full system including the tree rows."""
+    cycles: the columns of the inverse of the non-tree block, inverted once
+    and verified against the full system including the tree rows."""
     if rescaled_rows is None:
         rescaled_rows = rescaled_exponent_matrix(graph, scaling_exponents(graph, tree))
-    matrix = [list(row) for row in basis.matrix]
-    out: dict[int, tuple[int, ...]] = {}
-    for k in basis.nontree_rows:
-        z = exact.integer_solve_in_lattice(matrix, list(rescaled_rows[k]), basis.nontree_rows)
-        out[k] = tuple(z)
-    return out
+    solutions = exact.integer_solve_in_lattice(
+        basis.matrix,
+        [rescaled_rows[k] for k in basis.nontree_rows],
+        basis.nontree_rows,
+    )
+    return {k: tuple(z) for k, z in zip(basis.nontree_rows, solutions)}
 
 
 @dataclass(frozen=True)
@@ -357,19 +350,25 @@ def reparametrize(
         cycle_expressions=expressions,
         report=report,
     )
-    failures = reparametrization_failures(graph, result, seed=seed)
+    failures = reparametrization_failures(graph, result)
     if failures:
         raise InconsistentSystem(f"verification failed: {', '.join(failures)}")
     return result
 
 
 def reparametrization_failures(
-    graph: CompartmentGraph,
-    result: ScalingReparametrization,
-    seed: int = 0,
-    points: int = 3,
+    graph: CompartmentGraph, result: ScalingReparametrization
 ) -> list[str]:
-    """Names of the verification checks that fail (empty list when sound)."""
+    """Names of the verification checks that fail (empty list when sound).
+
+    scaling-support: f_1 = 1 and every f_i is a monomial in tree rates.
+    tree-rows: every tree entry is rescaled to 1.
+    cycle-expressions: each non-tree row is its stated combination of the
+    basis cycles.
+    rescaled-rows: every rescaled entry is exactly a_ij * f_i / f_j, so the
+    new matrix is D A D^-1 with D = diag(f). All checks are exact and
+    deterministic.
+    """
     failures = []
     tree_set = set(result.tree.edge_indices)
     m = graph.m
@@ -386,52 +385,21 @@ def reparametrization_failures(
     if any(any(result.rescaled_exponents[k]) for k in tree_set):
         failures.append("tree-rows")
 
-    matrix = [list(row) for row in result.basis.matrix]
     for k in range(m):
         if k in tree_set:
             continue
         z = result.cycle_expressions.get(k)
-        if z is None or tuple(exact.matvec_int(matrix, list(z))) != tuple(
+        if z is None or tuple(exact.matvec_int(result.basis.matrix, z)) != tuple(
             result.rescaled_exponents[k]
         ):
             failures.append("cycle-expressions")
             break
 
-    if _similarity_check_fails(graph, result, seed, points):
-        failures.append("numeric-similarity")
+    if [tuple(row) for row in result.rescaled_exponents] != rescaled_exponent_matrix(
+        graph, result.f_exponents
+    ):
+        failures.append("rescaled-rows")
     return failures
-
-
-def _similarity_check_fails(graph, result, seed, points) -> bool:
-    """Evaluate the coefficient map before and after conjugating by
-    D = diag(f_i) at random points; the two must agree exactly."""
-    field = PrimeField()
-    rng = derived_rng(seed, graph, label="verify")
-    nparams = parameter_count(graph)
-    for _ in range(points):
-        values = sample_point(rng, nparams)
-        values = [field.from_int(v) for v in values]
-        edge_values = values[graph.n :]
-        scale = []
-        for v in range(1, graph.n + 1):
-            acc = field.one
-            for k, e in enumerate(result.f_exponents[v - 1]):
-                if e == 0:
-                    continue
-                factor = edge_values[k] if e > 0 else field.inv(edge_values[k])
-                for _ in range(abs(e)):
-                    acc = field.mul(acc, factor)
-            scale.append(acc)
-        conjugated = list(values)
-        for k, (j, i) in enumerate(graph.edges):
-            conjugated[graph.n + k] = field.mul(
-                values[graph.n + k], field.div(scale[i - 1], scale[j - 1])
-            )
-        if numeric_coefficients(graph, values, field) != numeric_coefficients(
-            graph, conjugated, field
-        ):
-            return True
-    return False
 
 
 def verify_reparametrization(
@@ -439,8 +407,9 @@ def verify_reparametrization(
     result: ScalingReparametrization,
     seed: int = 0,
 ) -> bool:
-    """True iff all structural and numeric verification checks pass."""
-    return not reparametrization_failures(graph, result, seed=seed)
+    """True iff all verification checks pass. Verification is exact and
+    deterministic; `seed` is accepted for compatibility and ignored."""
+    return not reparametrization_failures(graph, result)
 
 
 def reparametrization_from_json(

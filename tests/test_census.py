@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, permutations
 
@@ -83,6 +84,15 @@ class TestCensusRow:
         for g in enumerate_sc_graphs(3, 4):
             direct = has_expected_dimension(g)
             assert direct == verdicts[canonical_form(g)].expected
+
+    def test_cached_census_cannot_be_altered(self):
+        before = census_row(3, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            census_classes(3, 4)[0].size += 100
+        class_verdicts(3, 4).clear()
+        assert census_row(3, 4) == before
+        assert before.B == 7
+        assert len(class_verdicts(3, 4)) == before.C
 
     def test_csv_shape(self):
         row = census_row(3, 3)

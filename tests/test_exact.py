@@ -97,6 +97,22 @@ class TestInverseUnimodular:
         with pytest.raises(NotSquare):
             inverse_unimodular([[1, 0]])
 
+    def test_rejects_singular(self):
+        with pytest.raises(NotUnimodular):
+            inverse_unimodular([[1, 2], [2, 4]])
+
+    def test_row_swap_is_its_own_inverse(self):
+        swap = [[0, 1], [1, 0]]
+        assert inverse_unimodular(swap) == swap
+
+    def test_determinant_minus_one(self):
+        mat = [[2, 3], [1, 1]]
+        assert det_int(mat) == -1
+        assert inverse_unimodular(mat) == [[-1, 3], [1, -2]]
+
+    def test_empty(self):
+        assert inverse_unimodular([]) == []
+
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
     @settings(max_examples=60, deadline=None)
     def test_inverse_times_matrix_is_identity(self, seed, size):
@@ -114,18 +130,22 @@ class TestInverseUnimodular:
 class TestLatticeSolve:
     def test_identity_block(self):
         M = [[1, 0], [0, 1], [1, 1]]
-        z = integer_solve_in_lattice(M, [1, 0, 1], (0, 1))
-        assert z == [1, 0]
+        assert integer_solve_in_lattice(M, [[1, 0, 1]], (0, 1)) == [[1, 0]]
 
     def test_zero_target(self):
         M = [[1, 0], [0, 1], [1, 1]]
-        assert integer_solve_in_lattice(M, [0, 0, 0], (0, 1)) == [0, 0]
+        assert integer_solve_in_lattice(M, [[0, 0, 0]], (0, 1)) == [[0, 0]]
 
     def test_non_unimodular_block(self):
         with pytest.raises(NotUnimodular):
-            integer_solve_in_lattice([[2]], [2], (0,))
+            integer_solve_in_lattice([[2]], [[2]], (0,))
+
+    def test_several_targets_share_the_block(self):
+        M = [[1, 0], [0, 1], [1, 1]]
+        targets = [[1, 0, 1], [0, 1, 1], [2, -3, -1]]
+        assert integer_solve_in_lattice(M, targets, (0, 1)) == [[1, 0], [0, 1], [2, -3]]
 
     def test_inconsistent_target(self):
         M = [[1, 0], [0, 1], [1, 1]]
         with pytest.raises(InconsistentSystem):
-            integer_solve_in_lattice(M, [1, 0, 7], (0, 1))
+            integer_solve_in_lattice(M, [[1, 0, 7]], (0, 1))

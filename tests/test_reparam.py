@@ -15,13 +15,8 @@ from compident import (
     reparametrize,
     verify_reparametrization,
 )
-from compident.exact import (
-    MERSENNE61,
-    PRIME_FIELD,
-    PRIME_MODE,
-    inverse_unimodular,
-    rank_mod_p,
-)
+from compident import exact
+from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_mod_p
 from compident.reparam import (
     ScalingReparametrization,
     alternate_spanning_tree,
@@ -295,6 +290,21 @@ class TestReparametrize:
         assert result.matrix_strings() == [["a11"]]
         assert verify_reparametrization(single, result)
 
+    def test_cycle_block_inverted_once_per_call(self, monkeypatch, chain4, wheel5):
+        calls = []
+        original = exact.inverse_unimodular
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(exact, "inverse_unimodular", counting)
+        for graph in (wheel5, chain4):
+            assert graph.m - graph.n + 1 >= 3
+            calls.clear()
+            reparametrize(graph)
+            assert calls == [graph.m - graph.n + 1]
+
 
 class TestVerification:
     def test_corruption_is_detected(self, chain4):
@@ -316,11 +326,33 @@ class TestVerification:
         assert "cycle-expressions" in failures
         assert not verify_reparametrization(chain4, bad)
 
+    def test_row_shifted_by_a_basis_cycle_is_detected(self, wheel5):
+        # Shifting a non-tree row by a basis cycle and its expression by the
+        # same cycle keeps every structural check consistent; only the
+        # exact comparison with a_ij * f_i / f_j sees that the entry changed.
+        result = reparametrize(wheel5)
+        k = result.basis.nontree_rows[0]
+        rows = list(result.rescaled_exponents)
+        rows[k] = tuple(e + col[0] for e, col in zip(rows[k], result.basis.matrix))
+        expressions = dict(result.cycle_expressions)
+        expressions[k] = (expressions[k][0] + 1,) + expressions[k][1:]
+        bad = ScalingReparametrization(
+            graph=result.graph,
+            tree=result.tree,
+            f_exponents=result.f_exponents,
+            rescaled_exponents=tuple(rows),
+            basis=result.basis,
+            cycle_expressions=expressions,
+            report=result.report,
+        )
+        assert reparametrization_failures(wheel5, bad) == ["rescaled-rows"]
+        assert not verify_reparametrization(wheel5, bad)
+
     def test_similarity_holds_for_arbitrary_scalings(self):
         # conjugating by any diagonal with first entry 1 fixes both
         # characteristic polynomials, identifiable or not
         rng = random.Random(31)
-        field = PRIME_FIELD
+        p = MERSENNE61
         tried = 0
         while tried < 60:
             n = rng.randrange(1, 6)
@@ -332,11 +364,9 @@ class TestVerification:
             scale = [1] + [rng.randrange(1, MERSENNE61) for _ in range(n - 1)]
             conjugated = list(values)
             for k, (j, i) in enumerate(g.edges):
-                conjugated[n + k] = field.mul(
-                    values[n + k], field.div(scale[i - 1], scale[j - 1])
-                )
-            assert numeric_coefficients(g, values, field) == numeric_coefficients(
-                g, conjugated, field
+                conjugated[n + k] = values[n + k] * scale[i - 1] * pow(scale[j - 1], -1, p) % p
+            assert numeric_coefficients(g, values, PRIME_MODE) == numeric_coefficients(
+                g, conjugated, PRIME_MODE
             )
 
     def test_round_trip_through_json(self, chain4, wheel5):
