@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .charpoly import has_expected_dimension
@@ -97,16 +97,27 @@ def _grouped_classes(n: int, m: int, limit: int):
     """Group labeled SC graphs into symmetry classes.
 
     Returns (representatives, sizes, total, samples): the first member and
-    the member count of each class, both keyed by canonical form in
-    enumeration order, the number of labeled graphs, and every
-    SPOT_CHECK_STRIDE-th labeled graph for later re-verification.
+    the member count of each class, both keyed in enumeration order by the
+    orbit key (the largest edge bitmask among the class's relabelings),
+    the number of labeled graphs, and every SPOT_CHECK_STRIDE-th labeled
+    graph for later re-verification.
     """
-    representatives: dict[bytes, CompartmentGraph] = {}
-    sizes: dict[bytes, int] = {}
-    samples: list[tuple[CompartmentGraph, bytes]] = []
+    pool = all_possible_edges(n)
+    bit = {e: b for b, e in enumerate(pool)}
+    # One bit-permutation table per relabeling of 2..n: entry b is the bit of
+    # the image of pool[b]; a graph's entries sum to its relabeled bitmask.
+    others = range(2, n + 1)
+    moves = []
+    for perm in permutations(others):
+        image = {1: 1, **dict(zip(others, perm))}
+        moves.append([1 << bit[(image[j], image[i])] for j, i in pool].__getitem__)
+    representatives: dict[int, CompartmentGraph] = {}
+    sizes: dict[int, int] = {}
+    samples: list[tuple[CompartmentGraph, int]] = []
     total = 0
     for graph in enumerate_sc_graphs(n, m, limit=limit):
-        key = canonical_form(graph)
+        bits = [bit[e] for e in graph.edges]
+        key = max([sum(map(move, bits)) for move in moves])
         representatives.setdefault(key, graph)
         sizes[key] = sizes.get(key, 0) + 1
         if total % SPOT_CHECK_STRIDE == 0:
@@ -117,7 +128,8 @@ def _grouped_classes(n: int, m: int, limit: int):
 
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
-    """Classes with verdicts computed once per representative."""
+    """Classes keyed by orbit key, with verdicts computed once per
+    representative."""
     representatives, sizes, total, samples = _grouped_classes(n, m, limit)
     classes = {
         key: CensusClass(
@@ -222,9 +234,9 @@ def class_verdicts(
 ) -> dict[bytes, CensusClass]:
     """Canonical form -> class record, for callers sweeping labeled graphs.
 
-    The dict is a fresh copy, so callers cannot alter the cached census."""
+    The dict is fresh, so callers cannot alter the cached census."""
     classes, _total = _census_data(n, m, seed, trials, mode, limit)
-    return dict(classes)
+    return {canonical_form(c.representative): c for c in classes.values()}
 
 
 def non_isc_identifiable_classes(
@@ -439,6 +451,6 @@ def stability_gate(
     """Re-verify a row's per-class verdicts under more trials at a second
     seed; randomized rank may only resolve upward, so any change means the
     cheap configuration under-reported."""
-    first = class_verdicts(n, m, seed=seed_a, trials=trials_a, mode=mode, limit=limit)
-    second = class_verdicts(n, m, seed=seed_b, trials=trials_b, mode=mode, limit=limit)
+    first, _total = _census_data(n, m, seed_a, trials_a, mode, limit)
+    second, _total = _census_data(n, m, seed_b, trials_b, mode, limit)
     return all(first[key].expected == second[key].expected for key in first)

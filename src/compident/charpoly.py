@@ -11,7 +11,6 @@ monomial cycles.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +21,6 @@ from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     Cycle,
-    canonical_form,
     elementary_cycles,
     is_strongly_connected,
 )
@@ -223,13 +221,11 @@ class DimensionReport:
         }
 
 
-def derived_rng(seed: int, graph: CompartmentGraph, label: str = "") -> random.Random:
-    """RNG stream derived from (seed, canonical form), so results do not
-    depend on evaluation order and relabeled graphs share a stream."""
-    digest = hashlib.sha256(
-        f"{label}|{seed}|".encode("ascii") + canonical_form(graph)
-    ).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+def derived_rng(seed: int, graph: CompartmentGraph) -> random.Random:
+    """RNG stream derived from (seed, n, edge list), so results depend on
+    neither evaluation order nor PYTHONHASHSEED (a str seed goes through
+    SHA-512)."""
+    return random.Random(f"{seed}|{graph.n}|{graph.edges}")
 
 
 def sample_point(rng: random.Random, count: int, p: int = exact.MERSENNE61) -> list[int]:

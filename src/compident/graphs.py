@@ -192,28 +192,32 @@ def is_inductively_strongly_connected(
 
     Backtracks over extensions of the prefix (1, ...), testing each prefix
     for strong connectivity; greedy extension alone is not known to be
-    complete. Returns the lexicographically smallest certificate, or None.
+    complete. Whether a prefix extends depends only on its vertex set, so
+    sets that failed once are skipped: at most 2^(n-1) prefix checks.
+    Returns the lexicographically smallest certificate, or None.
     """
     n = graph.n
     if n == 1:
         return (1,)
 
     prefix = [1]
-    remaining = set(range(2, n + 1))
+    failed: set[int] = set()  # vertex-set bitmasks of dead prefixes
 
-    def extend() -> bool:
-        if not remaining:
+    def extend(vertex_set: int) -> bool:
+        if len(prefix) == n:
             return True
-        for v in sorted(remaining):
+        for v in range(2, n + 1):
+            grown = vertex_set | 1 << v
+            if grown == vertex_set or grown in failed:
+                continue
             prefix.append(v)
-            remaining.discard(v)
-            if _induced_strongly_connected(graph, prefix) and extend():
+            if _induced_strongly_connected(graph, prefix) and extend(grown):
                 return True
             prefix.pop()
-            remaining.add(v)
+            failed.add(grown)
         return False
 
-    return tuple(prefix) if extend() else None
+    return tuple(prefix) if extend(1 << 1) else None
 
 
 def collapse_exchange(
@@ -350,42 +354,14 @@ def incidence_matrix(graph: CompartmentGraph) -> list[list[int]]:
     return rows
 
 
-def undirected_component_count(graph: CompartmentGraph) -> int:
-    """Number of connected components of the underlying undirected graph."""
-    adj: list[list[int]] = [[] for _ in range(graph.n + 1)]
-    for j, i in graph.edges:
-        adj[j].append(i)
-        adj[i].append(j)
-    seen: set[int] = set()
-    count = 0
-    for v in range(1, graph.n + 1):
-        if v in seen:
-            continue
-        count += 1
-        seen.update(_reachable(adj, v))
-    return count
-
-
-def canonical_edges(graph: CompartmentGraph) -> tuple[tuple[int, int], ...]:
-    """Lexicographically minimal sorted edge list over relabelings of 2..n."""
-    if graph.n <= 2 or not graph.edges:
-        return tuple(sorted(graph.edges))
-    best = None
-    others = list(range(2, graph.n + 1))
-    for perm in permutations(others):
-        mapping = dict(zip(others, perm))
-        mapping[1] = 1
-        relabeled = sorted((mapping[j], mapping[i]) for j, i in graph.edges)
-        if best is None or relabeled < best:
-            best = relabeled
-    return tuple(best)
-
-
 def canonical_form(graph: CompartmentGraph) -> bytes:
-    """Canonical byte encoding, equal iff graphs agree up to relabeling 2..n.
+    """Canonical byte encoding, equal iff graphs agree up to relabeling 2..n:
+    the lexicographically minimal sorted edge list over those relabelings.
 
     Brute-forces the (n-1)! permutations fixing vertex 1; fine for n <= 6.
     """
-    edges = canonical_edges(graph)
+    others = list(range(2, graph.n + 1))
+    relabelings = ({1: 1, **dict(zip(others, perm))} for perm in permutations(others))
+    edges = min(sorted((p[j], p[i]) for j, i in graph.edges) for p in relabelings)
     body = ";".join(f"{j},{i}" for j, i in edges)
     return f"{graph.n}|{body}".encode("ascii")

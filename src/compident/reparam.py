@@ -10,7 +10,7 @@ as products of cycle monomials through the inverse of a unimodular block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import exact
@@ -21,9 +21,10 @@ from .errors import (
     InconsistentSystem,
     NoReparametrization,
     NotStronglyConnected,
+    NotUnimodular,
     TooManyEdges,
 )
-from .exact import PRIME_MODE, det_int, rank_bareiss
+from .exact import PRIME_MODE, rank_bareiss
 from .graphs import (
     CompartmentGraph,
     Cycle,
@@ -177,18 +178,26 @@ def rescaled_exponent_matrix(
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """m-n+1 independent cycles whose non-tree block is unimodular."""
+    """m-n+1 independent cycles whose non-tree block is unimodular, with
+    the inverse of that block."""
 
     cycles: tuple[Cycle, ...]
     matrix: tuple[tuple[int, ...], ...]  # m rows (edges), one column per cycle
     nontree_rows: tuple[int, ...]
+    block_inverse: tuple[tuple[int, ...], ...]
 
     def square_block(self) -> list[list[int]]:
         return [list(self.matrix[r]) for r in self.nontree_rows]
 
 
-def _cycle_matrix(cycles: Sequence[Cycle], m: int) -> list[tuple[int, ...]]:
-    return [tuple(c.exponent_vector[r] for c in cycles) for r in range(m)]
+def _unimodular_basis(
+    cycles: Sequence[Cycle], m: int, nontree: tuple[int, ...]
+) -> CycleBasis:
+    """The basis of `cycles`; raises NotUnimodular unless its non-tree
+    block has determinant +-1."""
+    matrix = tuple(tuple(c.exponent_vector[r] for c in cycles) for r in range(m))
+    inverse = exact.inverse_unimodular([matrix[r] for r in nontree])
+    return CycleBasis(tuple(cycles), matrix, nontree, tuple(map(tuple, inverse)))
 
 
 def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
@@ -198,15 +207,14 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     it raises the rational rank. If the block on non-tree edges happens not
     to be unimodular for this tree, every subset of the right size is tried
     in order until one has determinant +-1; a unimodular choice exists for
-    every strongly connected graph, but nothing singles one out.
+    every strongly connected graph, but nothing singles one out. The one
+    elimination that inverts the block also decides unimodularity.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("cycle basis requires a strongly connected graph")
     need = graph.m - graph.n + 1
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
     candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
-    if need == 0:
-        return CycleBasis((), tuple(() for _ in range(graph.m)), nontree)
 
     chosen: list[Cycle] = []
     vectors: list[tuple[int, ...]] = []
@@ -222,18 +230,11 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
             f"found only {len(chosen)} independent cycles, need {need}"
         )
 
-    basis = CycleBasis(tuple(chosen), tuple(_cycle_matrix(chosen, graph.m)), nontree)
-    if abs(det_int(basis.square_block())) == 1:
-        return basis
-
-    for subset in combinations(candidates, need):
-        block = [
-            [c.exponent_vector[r] for c in subset] for r in nontree
-        ]
-        if abs(det_int(block)) == 1:
-            return CycleBasis(
-                tuple(subset), tuple(_cycle_matrix(subset, graph.m)), nontree
-            )
+    for subset in chain([chosen], combinations(candidates, need)):
+        try:
+            return _unimodular_basis(subset, graph.m, nontree)
+        except NotUnimodular:
+            continue
     raise InconsistentSystem(
         "no cycle basis with a unimodular non-tree block exists for this tree"
     )
@@ -246,12 +247,13 @@ def express_in_cycles(
     rescaled_rows: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> dict[int, tuple[int, ...]]:
     """Write each non-tree rescaled rate as an integer combination of basis
-    cycles: the columns of the inverse of the non-tree block, inverted once
-    and verified against the full system including the tree rows."""
+    cycles: the basis's inverse non-tree block applied to the row, verified
+    against the full system including the tree rows."""
     if rescaled_rows is None:
         rescaled_rows = rescaled_exponent_matrix(graph, scaling_exponents(graph, tree))
-    solutions = exact.integer_solve_in_lattice(
+    solutions = exact.solve_with_block_inverse(
         basis.matrix,
+        basis.block_inverse,
         [rescaled_rows[k] for k in basis.nontree_rows],
         basis.nontree_rows,
     )
@@ -430,7 +432,7 @@ def reparametrization_from_json(
     by_monomial = {c.monomial: c for c in elementary_cycles(graph)}
     cycles = tuple(by_monomial[text] for text in doc["cycle_basis"])
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
-    basis = CycleBasis(cycles, tuple(_cycle_matrix(cycles, graph.m)), nontree)
+    basis = _unimodular_basis(cycles, graph.m, nontree)
     qnames = [f"q{t + 1}" for t in range(len(cycles))]
     index = graph.edge_index()
     expressions = {

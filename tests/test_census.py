@@ -85,6 +85,16 @@ class TestCensusRow:
             direct = has_expected_dimension(g)
             assert direct == verdicts[canonical_form(g)].expected
 
+    @pytest.mark.parametrize(
+        "n, m", [(1, 0), (2, 2), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6), (5, 7)]
+    )
+    def test_classes_match_canonical_form_grouping(self, n, m):
+        groups = {}
+        for g in enumerate_sc_graphs(n, m):
+            groups.setdefault(canonical_form(g), []).append(g)
+        expected = [(members[0], len(members)) for members in groups.values()]
+        assert [(c.representative, c.size) for c in census_classes(n, m)] == expected
+
     def test_cached_census_cannot_be_altered(self):
         before = census_row(3, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):

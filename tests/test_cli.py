@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import compident
 from compident import reparametrization_from_json, verify_reparametrization
 from compident.cli import main
 
@@ -24,6 +29,17 @@ def broken4_file(tmp_path, broken4):
 def wheel5_file(tmp_path, wheel5):
     path = tmp_path / "wheel5.json"
     path.write_text(wheel5.to_json())
+    return str(path)
+
+
+@pytest.fixture
+def path10_file(tmp_path):
+    """The bidirected path on ten vertices, where (n-1)! = 362880."""
+    edges = []
+    for v in range(1, 10):
+        edges += [[v, v + 1], [v + 1, v]]
+    path = tmp_path / "path10.json"
+    path.write_text(json.dumps({"n": 10, "edges": edges}))
     return str(path)
 
 
@@ -160,3 +176,39 @@ class TestDeterminism:
         _, third, _ = run(capsys, "reparam", chain4_file, "--json")
         _, fourth, _ = run(capsys, "reparam", chain4_file, "--json")
         assert third == fourth
+
+    def test_single_graph_queries_never_canonicalize(self, capsys, monkeypatch, path10_file):
+        def refuse(graph):
+            raise AssertionError("canonical_form called outside the census")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "compident" and hasattr(module, "canonical_form"):
+                monkeypatch.setattr(module, "canonical_form", refuse)
+        for argv in (
+            ["analyze", path10_file, "--json"],
+            ["analyze", path10_file, "--json", "--exact"],
+            ["reparam", path10_file, "--json"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)
+
+    def test_bytes_independent_of_hash_seed(self, wheel5_file, path10_file):
+        src = str(Path(compident.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            outputs.append(
+                [
+                    subprocess.run(
+                        [sys.executable, "-m", "compident.cli", "analyze", path, "--json"],
+                        env=env,
+                        capture_output=True,
+                        check=True,
+                    ).stdout
+                    for path in (wheel5_file, path10_file)
+                ]
+            )
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0])

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,14 +21,65 @@ from compident import (
     is_strongly_connected,
     parse_graph,
 )
-from compident.graphs import undirected_component_count
+from compident import graphs as graphs_mod
+from compident.census import census_classes
 
-from conftest import directed_cycle_graph, oracle_rank, oracle_strongly_connected
+from conftest import (
+    directed_cycle_graph,
+    oracle_rank,
+    oracle_reachable,
+    oracle_strongly_connected,
+)
 
 
 def random_graph(rng, n, m):
     pool = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
     return CompartmentGraph(n, tuple(rng.sample(pool, m)))
+
+
+def undirected_component_count(graph: CompartmentGraph) -> int:
+    """Number of connected components of the underlying undirected graph."""
+    both_ways = CompartmentGraph(
+        graph.n, tuple(set(graph.edges) | {(i, j) for j, i in graph.edges})
+    )
+    seen: set[int] = set()
+    count = 0
+    for v in range(1, graph.n + 1):
+        if v not in seen:
+            count += 1
+            seen |= oracle_reachable(both_ways, v)
+    return count
+
+
+def induced(graph: CompartmentGraph, keep) -> CompartmentGraph:
+    """Subgraph induced on `keep`, relabeled 1..k in increasing order."""
+    relabel = {v: r + 1 for r, v in enumerate(sorted(keep))}
+    return CompartmentGraph(
+        len(keep),
+        tuple((relabel[j], relabel[i]) for j, i in graph.edges if j in keep and i in keep),
+    )
+
+
+def oracle_isc_certificate(graph: CompartmentGraph):
+    """First ordering (1, ...) in lexicographic order whose every prefix
+    induces a strongly connected subgraph, by trying them all."""
+    for rest in permutations(range(2, graph.n + 1)):
+        order = (1, *rest)
+        if all(
+            oracle_strongly_connected(induced(graph, order[:k]))
+            for k in range(2, graph.n + 1)
+        ):
+            return order
+    return None
+
+
+def isc_adversary(n: int) -> CompartmentGraph:
+    """Complete bidirected K_{n-2} with a directed 3-cycle hung off vertex
+    n-2: strongly connected and never inductively so."""
+    k = n - 2
+    edges = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1) if a != b]
+    edges += [(k, k + 1), (k + 1, k + 2), (k + 2, k)]
+    return CompartmentGraph(n, tuple(edges))
 
 
 class TestParse:
@@ -147,6 +198,27 @@ class TestInductivelyStronglyConnected:
                 ),
             )
             assert oracle_strongly_connected(sub)
+
+    def test_prefix_checks_bounded_on_adversary(self, monkeypatch):
+        calls = []
+        original = graphs_mod._induced_strongly_connected
+
+        def counting(graph, vertices):
+            calls.append(len(vertices))
+            return original(graph, vertices)
+
+        monkeypatch.setattr(graphs_mod, "_induced_strongly_connected", counting)
+        n = 11
+        g = isc_adversary(n)
+        assert is_strongly_connected(g)
+        assert is_inductively_strongly_connected(g) is None
+        assert 0 < len(calls) <= 2 ** (n - 1) * (n - 1)
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (5, 8)])
+    def test_certificates_match_brute_force_on_census_classes(self, n, m):
+        for entry in census_classes(n, m):
+            graph = entry.representative
+            assert is_inductively_strongly_connected(graph) == oracle_isc_certificate(graph)
 
     def test_implies_strongly_connected_and_edge_bound(self):
         rng = random.Random(11)
