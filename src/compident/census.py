@@ -8,9 +8,11 @@ and the proven structural statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 from typing import Iterator, Optional
 
 from .charpoly import has_expected_dimension
@@ -33,6 +35,16 @@ SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
 def all_possible_edges(n: int) -> list[tuple[int, int]]:
     """The n(n-1) candidate edges in lexicographic (source, target) order."""
     return [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
+
+
+def _check_limit(n: int, limit: int) -> None:
+    if n < 1:
+        raise LimitExceeded("need at least one vertex")
+    if n > limit:
+        raise LimitExceeded(
+            f"n={n} exceeds the enumeration guardrail {limit}; "
+            "pass limit=n to override"
+        )
 
 
 def _subset_strongly_connected(n: int, edges) -> bool:
@@ -64,15 +76,10 @@ def enumerate_sc_graphs(
 
     Edge subsets are visited in lexicographic order over the candidate edge
     list, so output order is reproducible. The vertex-count guardrail keeps
-    accidental huge sweeps out; pass a larger `limit` deliberately.
+    accidental huge sweeps out; pass a larger `limit` deliberately. The
+    census never calls this labeled scan; tests and sweeps use it.
     """
-    if n < 1:
-        raise LimitExceeded("need at least one vertex")
-    if n > limit:
-        raise LimitExceeded(
-            f"n={n} exceeds the enumeration guardrail {limit}; "
-            "pass limit=n to override"
-        )
+    _check_limit(n, limit)
     pool = all_possible_edges(n)
     if m < 0 or m > len(pool):
         return
@@ -94,62 +101,93 @@ class CensusClass:
 
 @lru_cache(maxsize=None)
 def _grouped_classes(n: int, m: int, limit: int):
-    """Group labeled SC graphs into symmetry classes.
+    """Symmetry classes of the SC (n, m) graphs by orderly generation (Read
+    1978; McKay, J. Algorithms 1998), visiting no labeled graph.
 
-    Returns (representatives, sizes, total, samples): the first member and
-    the member count of each class, both keyed in enumeration order by the
-    orbit key (the largest edge bitmask among the class's relabelings),
-    the number of labeled graphs, and every SPOT_CHECK_STRIDE-th labeled
-    graph for later re-verification.
+    Pool index i is edge bit P-1-i, so an orbit's largest bitmask under the
+    relabelings of 2..n, its canonical set, is its first member in
+    enumeration order. Dropping the lowest bit of a canonical set leaves a
+    canonical set, so a DFS that adds bits below the lowest one and keeps
+    canonical children meets each class once. Returns (pool, images,
+    classes): images[b][k] is the image of bit b under relabeling k, and
+    classes lists (mask, representative, size) by descending mask.
     """
+    _check_limit(n, limit)
     pool = all_possible_edges(n)
-    bit = {e: b for b, e in enumerate(pool)}
-    # One bit-permutation table per relabeling of 2..n: entry b is the bit of
-    # the image of pool[b]; a graph's entries sum to its relabeled bitmask.
+    P = len(pool)
+    if m < 0 or m > P:
+        return pool, [], []
+    index = {e: i for i, e in enumerate(pool)}
     others = range(2, n + 1)
-    moves = []
-    for perm in permutations(others):
-        image = {1: 1, **dict(zip(others, perm))}
-        moves.append([1 << bit[(image[j], image[i])] for j, i in pool].__getitem__)
-    representatives: dict[int, CompartmentGraph] = {}
-    sizes: dict[int, int] = {}
-    samples: list[tuple[CompartmentGraph, int]] = []
-    total = 0
-    for graph in enumerate_sc_graphs(n, m, limit=limit):
-        bits = [bit[e] for e in graph.edges]
-        key = max([sum(map(move, bits)) for move in moves])
-        representatives.setdefault(key, graph)
-        sizes[key] = sizes.get(key, 0) + 1
-        if total % SPOT_CHECK_STRIDE == 0:
-            samples.append((graph, key))
-        total += 1
-    return representatives, sizes, total, samples
+    relabelings = [{1: 1, **dict(zip(others, perm))} for perm in permutations(others)]
+    images = [[1 << (P - 1 - index[(s[j], s[i])]) for s in relabelings]
+              for j, i in reversed(pool)]
+    classes = []
+
+    def grow(mask: int, sums: list[int], chosen: tuple[int, ...], low: int) -> None:
+        # `chosen`: the pool indices of `mask`, ascending; `low`: its lowest
+        # bit (P when empty). Each child costs one addition per relabeling;
+        # a branch dies when even all of pool[P-low:] added leaves it not SC.
+        need = m - len(chosen)
+        reach = chosen + tuple(range(P - low, P)) if need else chosen
+        if not _subset_strongly_connected(n, [pool[i] for i in reach]):
+            return
+        if not need:  # orbit-stabilizer gives the class size
+            graph = CompartmentGraph(n, tuple(pool[i] for i in chosen))
+            classes.append((mask, graph, len(sums) // sums.count(mask)))
+            return
+        for b in range(low - 1, need - 2, -1):
+            child_sums = list(map(add, sums, images[b]))
+            if max(child_sums) == mask | 1 << b:
+                grow(mask | 1 << b, child_sums, chosen + (P - 1 - b,), b)
+
+    grow(0, [0] * len(relabelings), (), P)
+    return pool, images, classes
+
+
+def _spot_samples(n: int, m: int, seed: int, limit: int) -> list[tuple[CompartmentGraph, int]]:
+    """ceil(A / SPOT_CHECK_STRIDE) (member, orbit key) pairs, each member
+    uniform among the labeled graphs that are not representatives: a class
+    drawn with weight size-1, then a relabeling that moves it. Rows of
+    singleton classes draw none. The RNG is seeded by (n, m, seed)."""
+    pool, images, classes = _grouped_classes(n, m, limit)
+    weights = [size - 1 for _mask, _rep, size in classes]
+    if not any(weights):
+        return []
+    rng = random.Random(f"{n}|{m}|{seed}")
+    count = -(-(sum(weights) + len(classes)) // SPOT_CHECK_STRIDE)  # ceil(A / stride)
+    P = len(pool)
+    samples = []
+    for mask, _rep, _size in rng.choices(classes, weights, k=count):
+        sums = [sum(col) for col in zip(*(images[b] for b in range(P) if mask >> b & 1))]
+        image = rng.choice([s for s in sums if s != mask])
+        edges = tuple(e for i, e in enumerate(pool) if image >> (P - 1 - i) & 1)
+        samples.append((CompartmentGraph(n, edges), mask))
+    return samples
 
 
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     """Classes keyed by orbit key, with verdicts computed once per
-    representative."""
-    representatives, sizes, total, samples = _grouped_classes(n, m, limit)
+    representative, and the number of labeled graphs."""
+    _pool, _images, found = _grouped_classes(n, m, limit)
     classes = {
-        key: CensusClass(
+        mask: CensusClass(
             representative=rep,
-            size=sizes[key],
+            size=size,
             expected=has_expected_dimension(rep, trials=trials, seed=seed, mode=mode),
             exchange=has_exchange(rep) is not None,
             isc=is_inductively_strongly_connected(rep) is not None,
         )
-        for key, rep in representatives.items()
+        for mask, rep, size in found
     }
     # Verdict reuse across a class leans on relabeling equivariance;
-    # re-derive a sample of members from scratch to keep that honest.
-    for graph, key in samples:
+    # re-derive a sample of other members from scratch to keep that honest.
+    for graph, key in _spot_samples(n, m, seed, limit):
         direct = has_expected_dimension(graph, trials=trials, seed=seed, mode=mode)
         if direct != classes[key].expected:
-            raise AssertionError(
-                f"class verdict mismatch for member {graph.to_json()}"
-            )
-    return classes, total
+            raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
+    return classes, sum(c.size for c in classes.values())
 
 
 @dataclass(frozen=True)
@@ -176,16 +214,7 @@ class CensusRow:
         return f"{self.n},{self.m},{self.A},{self.B},{self.C},{d},{self.E},{f}"
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "D": self.D,
-            "E": self.E,
-            "F": self.F,
-        }
+        return asdict(self)
 
 
 def census_row(

@@ -243,7 +243,10 @@ def image_dimension(
 
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed.
+    answer for a fixed seed. The rank is at most m+1: the n-1 diagonal
+    scalings diag(1, t_2, .., t_n) give kernel vectors, independent at any
+    point with nonzero entries. So the loop stops at the first point that
+    reaches m+1; `d`, `verdict` and `trials` are what all trials would give.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -259,6 +262,8 @@ def image_dimension(
         point = sample_point(rng, nvars)
         jac = jacobian(graph, point, mode)
         best = max(best, exact.rank(jac, mode))
+        if best == graph.m + 1:
+            break
     return DimensionReport(
         n=graph.n,
         m=graph.m,

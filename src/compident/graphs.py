@@ -35,7 +35,12 @@ class CompartmentGraph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidEdge(f"vertex count must be positive, got {self.n}")
-        object.__setattr__(self, "edges", tuple((int(j), int(i)) for j, i in self.edges))
+        edges = self.edges
+        plain = type(edges) is tuple and all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges
+        )
+        if not plain:  # plain int pairs are kept, so graphs can share one pool's tuples
+            object.__setattr__(self, "edges", tuple((int(j), int(i)) for j, i in edges))
         seen = set()
         for j, i in self.edges:
             if not (1 <= j <= self.n and 1 <= i <= self.n):

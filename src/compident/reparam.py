@@ -186,9 +186,6 @@ class CycleBasis:
     nontree_rows: tuple[int, ...]
     block_inverse: tuple[tuple[int, ...], ...]
 
-    def square_block(self) -> list[list[int]]:
-        return [list(self.matrix[r]) for r in self.nontree_rows]
-
 
 def _unimodular_basis(
     cycles: Sequence[Cycle], m: int, nontree: tuple[int, ...]

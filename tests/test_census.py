@@ -11,6 +11,7 @@ from compident import (
     enumerate_sc_graphs,
     has_expected_dimension,
 )
+from compident import census
 from compident.census import (
     CONJ_COLLAPSE_CYCLE,
     CONJ_COLLAPSE_MAXIMAL,
@@ -109,6 +110,69 @@ class TestCensusRow:
         assert row.csv_header() == "n,m,A,B,C,D,E,F"
         assert row.csv_line() == "3,3,2,2,1,,1,"
         assert census_row(3, 4).csv_line() == "3,4,9,7,5,4,4,4"
+
+
+@pytest.fixture
+def cold_census():
+    """Empty the census caches before and after, so the test sees a cold
+    row and leaves no patched result behind."""
+    census._grouped_classes.cache_clear()
+    census._census_data.cache_clear()
+    yield
+    census._grouped_classes.cache_clear()
+    census._census_data.cache_clear()
+
+
+class TestOrderlyCensus:
+    def test_strong_connectivity_calls_bounded(self, monkeypatch, cold_census):
+        calls = []
+        real = census._subset_strongly_connected
+
+        def counting(n, edges):
+            calls.append(1)
+            return real(n, edges)
+
+        monkeypatch.setattr(census, "_subset_strongly_connected", counting)
+        row = census_row(5, 8)
+        assert (row.A, row.C) == (26875, 1158)
+        # The labeled scan made C(20, 8) = 125,970 calls here.
+        assert len(calls) <= 10_000
+
+    def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch, cold_census):
+        _pool, _images, found = census._grouped_classes(4, 6, census.DEFAULT_LIMIT)
+        representatives = {rep for _mask, rep, _size in found}
+
+        def labeled_verdict(graph, **kwargs):
+            return graph in representatives
+
+        monkeypatch.setattr(census, "has_expected_dimension", labeled_verdict)
+        with pytest.raises(AssertionError, match="class verdict mismatch"):
+            census_row(4, 6)
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (4, 6), (5, 7), (5, 8)])
+    def test_spot_samples_are_other_members(self, n, m):
+        samples = census._spot_samples(n, m, 0, census.DEFAULT_LIMIT)
+        assert len(samples) == -(-census_row(n, m).A // census.SPOT_CHECK_STRIDE)
+        _pool, _images, found = census._grouped_classes(n, m, census.DEFAULT_LIMIT)
+        representatives = {mask: rep for mask, rep, _size in found}
+        for graph, key in samples:
+            rep = representatives[key]
+            assert graph != rep and graph.m == m
+            assert canonical_form(graph) == canonical_form(rep)
+        assert samples == census._spot_samples(n, m, 0, census.DEFAULT_LIMIT)
+
+    def test_six_vertices_behind_the_limit(self):
+        row = census_row(6, 6, limit=6)
+        assert (row.A, row.C) == (120, 1)
+        assert row.A == sum(1 for _ in enumerate_sc_graphs(6, 6, limit=6))
+        with pytest.raises(LimitExceeded):
+            census_row(6, 6)
+
+    def test_empty_rows(self):
+        for m in (-1, 7):
+            row = census_row(3, m)
+            assert (row.A, row.B, row.C, row.E) == (0, 0, 0, 0)
+            assert census_classes(3, m) == []
 
 
 class TestFourFiveRowProof:

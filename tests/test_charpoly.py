@@ -256,6 +256,49 @@ class TestImageDimension:
         b = image_dimension(chain4, trials=3, seed=42)
         assert a == b
 
+    @staticmethod
+    def scaling_generators(graph, point):
+        """Tangent vectors of the diagonal scalings diag(1, t_2, .., t_n) at
+        `point`: edge (j, i) carrying a_ij moves by a_ij * ([i == k] - [j == k])."""
+        n = graph.n
+        return [
+            [0] * n
+            + [point[n + e] * ((i == k) - (j == k)) for e, (j, i) in enumerate(graph.edges)]
+            for k in range(2, n + 1)
+        ]
+
+    def test_scalings_span_the_kernel_ceiling(self):
+        from compident.census import census_classes
+        from compident.exact import rank_mod_p
+
+        graphs = [c.representative for c in census_classes(4, 6)]
+        graphs += [c.representative for c in census_classes(5, 8)[::40]]
+        rng = random.Random(61)
+        for g in graphs:
+            point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
+            jac = jacobian(g, point, PRIME_MODE)
+            generators = self.scaling_generators(g, point)
+            for v in generators:
+                for row in jac:
+                    assert sum(a * b for a, b in zip(row, v)) % MERSENNE61 == 0
+            assert rank_mod_p(generators) == g.n - 1
+            assert rank_mod_p(jac) <= g.m + 1
+
+    def test_stops_at_the_ceiling(self, monkeypatch, chain4, broken4):
+        calls = []
+        real = cp.jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cp, "jacobian", counting)
+        report = image_dimension(chain4, trials=2)
+        assert (len(calls), report.d, report.verdict, report.trials) == (1, 7, True, 2)
+        calls.clear()
+        report = image_dimension(broken4, trials=2)
+        assert (len(calls), report.d, report.verdict, report.trials) == (2, 6, False, 2)
+
 
 class TestExpectedDimension:
     def test_fixtures(self, chain4, broken4):

@@ -115,6 +115,22 @@ class TestParse:
         assert parse_graph(wheel5.to_json()) == wheel5
 
 
+class TestEdgeStorage:
+    def test_int_tuples_kept_as_given(self):
+        pool = ((1, 2), (2, 1), (2, 3), (3, 1))
+        g = CompartmentGraph(3, pool)
+        assert g.edges is pool
+        assert all(a is b for a, b in zip(g.edges, pool))
+
+    def test_other_inputs_normalized(self):
+        g = CompartmentGraph(3, [[1, 2], [2, 1], [2, 3], [3, 1]])
+        assert g.edges == ((1, 2), (2, 1), (2, 3), (3, 1))
+        assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+        flagged = CompartmentGraph(2, ((True, 2), (2, 1)))
+        assert type(flagged.edges[0][0]) is int
+        assert flagged == CompartmentGraph(2, ((1, 2), (2, 1)))
+
+
 class TestStrongConnectivity:
     def test_chain4(self, chain4):
         assert is_strongly_connected(chain4)
