@@ -4,15 +4,25 @@ For a graph G the map sends the n+m model parameters to the coefficients
 (c_1..c_n) of det(lambda*I - A) and (d_1..d_{n-1}) of det(lambda*I - A_1),
 where A_1 deletes row and column 1. These are exactly the coefficients of the
 input-output equation when G is strongly connected. The image dimension is
-computed as the rank of the exact Jacobian at random points; the graph "has
-the expected dimension" when that rank is m+1, the number of independent
-monomial cycles.
+the exact rank of the Jacobian at random points; the graph "has the expected
+dimension" when that rank is m+1, the number of independent monomial cycles.
+
+One kernel builds the entries (A^i)[c][r] of the powers of A and A_1 at the
+parameter positions. Newton's identities give the coefficients, and two
+reductions give the Jacobian's rank at every point:
+- rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
+  is a unit lower triangular matrix times the power rows [R; S];
+- columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
+  entries) times the reduced tree incidence matrix on the spanning-tree
+  edges, invertible while the tree entries are nonzero (`sample_point`
+  draws from [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are
+  kept, so elimination stops after at most m+1 pivots.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import exact
@@ -95,69 +105,81 @@ def symbolic_coefficients(
     return cs, ds
 
 
-def _entry_positions(graph: CompartmentGraph, skip_vertex_one: bool):
-    """(parameter index, row, column) of each model entry, 0-indexed in A,
-    or in A_1 (row and column 1 deleted) when `skip_vertex_one`."""
-    offset = 1 if skip_vertex_one else 0
-    positions = [
-        (diagonal_slot(v), v - 1 - offset, v - 1 - offset)
-        for v in range(1 + offset, graph.n + 1)
-    ]
-    for k, (j, i) in enumerate(graph.edges):
-        if not (skip_vertex_one and (j == 1 or i == 1)):
-            positions.append((edge_slot(graph, k), i - 1 - offset, j - 1 - offset))
-    return positions
+def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tuple[list, list]:
+    """Entries of the powers of A and of A_1 at the parameters `params`.
 
-
-def faddeev_leverrier(sparse_rows, size: int, p: int = 0) -> tuple[list, list]:
-    """Coefficients c_1..c_n of det(lambda*I - A) and the matrices
-    B_0..B_{n-1} of adj(lambda*I - A) = sum_k lambda^(n-1-k) * B_k.
-
-    The recurrence is B_0 = I, c_k = -tr(A B_{k-1}) / k, B_k = A B_{k-1} +
-    c_k I. `sparse_rows` holds A as [(col, value), ...] per row. With p = 0
-    the entries are integers or Fractions and every division by k is exact
-    over Q (at integer points it stays in Z); with p > 0 everything is
-    reduced mod p.
+    For the parameter at A[r][c], row i of the first list holds
+    (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
+    with 0 for parameters outside A_1. Rows 0 and 1 are the identity and
+    the values; A^2, A^3, .. are sparse-times-dense products reduced mod p
+    once per row; the last power is computed only at the requested cells.
     """
-    exact.check_characteristic(p, size)
-    B = [[int(r == c) for c in range(size)] for r in range(size)]
-    coeffs, adjugate = [], []
-    for k in range(1, size + 1):
-        adjugate.append(B)
-        AB = []
-        for row in sparse_rows:
-            out = [0] * size
-            for col, a in row:
-                out = [x + a * y for x, y in zip(out, B[col])]
-            AB.append([x % p for x in out] if p else out)
-        trace = sum(AB[r][r] for r in range(size))
-        if p:
-            ck = -trace * pow(k, -1, p) % p
-        elif isinstance(trace, int):
-            ck = -trace // k
-        else:
-            ck = -trace / k
-        coeffs.append(ck)
-        for r in range(size):
-            AB[r][r] = (AB[r][r] + ck) % p if p else AB[r][r] + ck
-        B = AB
-    return coeffs, adjugate
-
-
-def _double_recurrence(graph: CompartmentGraph, values: Sequence, p: int) -> list:
-    """Run the recurrence on A and on A_1: two (positions, coeffs, B's)."""
     if len(values) != parameter_count(graph):
         raise ValueError(
             f"expected {parameter_count(graph)} parameter values, got {len(values)}"
         )
+    # (row, column) of each parameter in A, 0-indexed: diagonals, then edges
+    entries = [(v, v) for v in range(graph.n)] + [(i - 1, j - 1) for j, i in graph.edges]
     out = []
-    for skip_vertex_one in (False, True):
-        positions = _entry_positions(graph, skip_vertex_one)
-        size = graph.n - 1 if skip_vertex_one else graph.n
-        rows = [[] for _ in range(size)]
-        for idx, r, c in positions:
-            rows[r].append((c, values[idx]))
-        out.append((positions, *faddeev_leverrier(rows, size, p)))
+    for offset in (0, 1):  # A, then A_1 (row and column 1 deleted)
+        size = graph.n - offset
+        sparse = [[] for _ in range(size)]
+        dense = [[0] * size for _ in range(size)]
+        cells = [None] * len(values)
+        for idx, (r, c) in enumerate(entries):
+            if r >= offset and c >= offset:
+                r, c, a = r - offset, c - offset, values[idx] % p if p else values[idx]
+                sparse[r].append((c, a))
+                dense[r][c] = a
+                cells[idx] = (c, r)  # transposed: the row reads (A^i)[c][r]
+        at = [cells[idx] for idx in params]
+        powers = [[[int(r == c) for c in range(size)] for r in range(size)], dense][:size]
+        while len(powers) < size - 1:
+            prev, nxt = powers[-1], []
+            for srow in sparse:
+                acc = [0] * size
+                for k, a in srow:
+                    acc = [x + a * y for x, y in zip(acc, prev[k])]
+                nxt.append([x % p for x in acc] if p else acc)
+            powers.append(nxt)
+        rows = [[P[cell[0]][cell[1]] if cell else 0 for cell in at] for P in powers]
+        if len(rows) < size:  # A^(size-1)[c][r] = sum_k A[c][k] * A^(size-2)[k][r]
+            prev = powers[-1]
+            last = [sum(a * prev[k][cell[1]] for k, a in sparse[cell[0]]) if cell else 0 for cell in at]
+            rows.append([x % p for x in last] if p else last)
+        out.append(rows)
+    return out[0], out[1]
+
+
+def newton_coefficients(power_sums: Sequence, p: int = 0) -> list:
+    """Coefficients c_1..c_k of det(lambda*I - A) from s_i = tr(A^i), i = 1..k.
+
+    Newton's identities: j * c_j = -(s_j + c_1 s_(j-1) + .. + c_(j-1) s_1).
+    With p = 0 each division by j is exact over Q (in Z at integer points);
+    with p > 0 everything is reduced mod p.
+    """
+    exact.check_characteristic(p, len(power_sums))
+    coeffs = []
+    for j, s in enumerate(power_sums, start=1):
+        total = s + sum(c * power_sums[j - 2 - i] for i, c in enumerate(coeffs))
+        if p:
+            coeffs.append(-total * pow(j, -1, p) % p)
+        elif isinstance(total, int):
+            coeffs.append(-total // j)
+        else:
+            coeffs.append(-total / j)
+    return coeffs
+
+
+def _coefficients(graph: CompartmentGraph, values: Sequence, p: int):
+    """(power rows, coefficients) of A and of A_1 at every parameter. tr(A^i)
+    sums row i over the diagonal slots; the top one, tr(A^size), is
+    sum a_rc * (A^(size-1))[c][r], one dot product with the last row."""
+    out = []
+    for rows in _power_rows(graph, values, p, range(parameter_count(graph))):
+        sums = [sum(row[: graph.n]) for row in rows[1:]]
+        sums += [sum(a * x for a, x in zip(values, rows[-1]))] if rows else []
+        out.append((rows, newton_coefficients(sums, p)))
     return out
 
 
@@ -170,29 +192,39 @@ def numeric_coefficients(
     first, then edges. Prime-field mode reduces mod 2^61 - 1; rational mode
     is exact, in Z at integer points and in Q for Fraction values.
     """
-    p = exact.modulus(mode)
-    (_, cs, _), (_, ds, _) = _double_recurrence(graph, values, p)
+    (_, cs), (_, ds) = _coefficients(graph, values, exact.modulus(mode))
     return cs, ds
 
 
 def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
     """Exact (2n-1) x (n+m) Jacobian of the coefficient map at `point`.
 
-    Row k is the gradient of the k-th coordinate (c's then d's), read off
-    the adjugate terms the recurrence already builds: d c_k / d A[r][c] =
-    -B_{k-1}[c][r], and likewise for the d's on A_1. Rational mode stays in
-    the integers; prime-field mode reduces mod 2^61 - 1.
+    Row k is the gradient of the k-th coordinate (c's then d's): with
+    c_0 = 1, d c_k / d A[r][c] = -sum_(j<k) c_j * (A^(k-1-j))[c][r], and
+    likewise for the d's on A_1. Rational mode stays in the integers;
+    prime-field mode reduces mod 2^61 - 1.
     """
     p = exact.modulus(mode)
-    nvars = parameter_count(graph)
-    rows = []
-    for positions, _coeffs, adjugate in _double_recurrence(graph, point, p):
-        for B in adjugate:
-            row = [0] * nvars
-            for idx, r, c in positions:
-                row[idx] = -B[c][r] % p if p else -B[c][r]
-            rows.append(row)
-    return rows
+    out = []
+    for rows, coeffs in _coefficients(graph, point, p):
+        coeffs = [1] + coeffs
+        for k in range(1, len(rows) + 1):
+            row = [-sum(coeffs[j] * rows[k - 1 - j][i] for j in range(k)) for i in range(len(point))]
+            out.append([x % p for x in row] if p else row)
+    return out
+
+
+def verdict_matrix(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
+    """The (2n-1) x (m+1) matrix whose rank equals the Jacobian's at `point`:
+    the power rows of A and A_1 at the n diagonal and the m-n+1 non-tree
+    parameters of `reparam.spanning_tree` (see the module docstring)."""
+    from .reparam import spanning_tree  # the tree choice lives there
+
+    tree = set(spanning_tree(graph).edge_indices)
+    params = list(range(graph.n))
+    params += [edge_slot(graph, k) for k in range(graph.m) if k not in tree]
+    rows, sub_rows = _power_rows(graph, point, exact.modulus(mode), params)
+    return rows + sub_rows
 
 
 @dataclass(frozen=True)
@@ -209,16 +241,7 @@ class DimensionReport:
     mode: str
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "d": self.d,
-            "expected": self.expected,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def derived_rng(seed: int, graph: CompartmentGraph) -> random.Random:
@@ -247,6 +270,12 @@ def image_dimension(
     scalings diag(1, t_2, .., t_n) give kernel vectors, independent at any
     point with nonzero entries. So the loop stops at the first point that
     reaches m+1; `d`, `verdict` and `trials` are what all trials would give.
+
+    Each rank is of the (2n-1) x (m+1) `verdict_matrix`: power rows, of
+    which the Jacobian rows are unit triangular combinations, at the
+    diagonal and non-tree columns, of which the tree columns are
+    combinations through the scaling kernel. Both keep the rank exactly
+    at points with nonzero tree entries, as every sampled point has.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -260,8 +289,7 @@ def image_dimension(
     best = 0
     for _ in range(trials):
         point = sample_point(rng, nvars)
-        jac = jacobian(graph, point, mode)
-        best = max(best, exact.rank(jac, mode))
+        best = max(best, exact.rank(verdict_matrix(graph, point, mode), mode))
         if best == graph.m + 1:
             break
     return DimensionReport(

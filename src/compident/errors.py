@@ -38,7 +38,7 @@ class InconsistentSystem(CompidentError):
 
 
 class FieldCharacteristicTooSmall(CompidentError):
-    """Coefficient recurrence divides by 1..n; needs characteristic 0 or > n."""
+    """Newton's identities divide by 1..n; need characteristic 0 or > n."""
 
 
 class NotExpectedDimension(CompidentError):

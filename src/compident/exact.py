@@ -1,5 +1,6 @@
-"""Exact arithmetic kernels on plain ints: rank mod p, fraction-free
-integer rank and determinant, and unimodular integer matrix inversion.
+"""Exact arithmetic kernels on plain ints: division-free rank mod p,
+fraction-free integer rank and determinant, and unimodular integer matrix
+inversion.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -39,7 +40,12 @@ def modulus(mode: str) -> int:
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
-    """Rank over GF(p) by ordinary Gaussian elimination."""
+    """Rank over GF(p) by division-free Gaussian elimination.
+
+    Each row below the pivot row becomes pv * row - f * prow (pv the pivot,
+    f the row's entry in its column) on the columns right of the pivot.
+    pv is a unit mod p, so the rank is kept without a modular inverse.
+    """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -49,15 +55,14 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
         prow = mat[rank]
+        pv = prow[col]
         for r in range(rank + 1, nrows):
-            factor = mat[r][col]
-            if factor:
-                factor = factor * inv % p
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - factor * prow[c]) % p
+            row = mat[r]
+            f = row[col]
+            if f:
+                for c in range(col + 1, ncols):
+                    row[c] = (pv * row[c] - f * prow[c]) % p
         rank += 1
         if rank == nrows:
             break
@@ -216,7 +221,7 @@ def solve_with_block_inverse(
 
 
 def check_characteristic(characteristic: int, n: int) -> None:
-    """The coefficient recurrence divides by 1..n."""
+    """Newton's identities for the coefficients divide by 1..n."""
     if 0 < characteristic <= n:
         raise FieldCharacteristicTooSmall(
             f"characteristic {characteristic} <= matrix size {n}"

@@ -140,7 +140,7 @@ class TestNumericCoefficients:
 
     def test_small_characteristic_rejected(self):
         with pytest.raises(FieldCharacteristicTooSmall):
-            cp.faddeev_leverrier([[(c, 1) for c in range(4)]] * 4, 4, p=3)
+            cp.newton_coefficients([1, 1, 1, 1], p=3)
 
 
 class TestJacobian:
@@ -286,18 +286,69 @@ class TestImageDimension:
 
     def test_stops_at_the_ceiling(self, monkeypatch, chain4, broken4):
         calls = []
-        real = cp.jacobian
+        real = cp.verdict_matrix
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cp, "jacobian", counting)
+        monkeypatch.setattr(cp, "verdict_matrix", counting)
         report = image_dimension(chain4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (1, 7, True, 2)
         calls.clear()
         report = image_dimension(broken4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (2, 6, False, 2)
+
+
+class TestVerdictMatrix:
+    """The (2n-1) x (m+1) matrix of power rows at the diagonal and
+    non-tree parameters has the Jacobian's rank wherever the tree entries
+    are nonzero, in both modes."""
+
+    @staticmethod
+    def points(graph, rng):
+        """A point in [1, p) and a small-integer point in [0, 3] whose
+        tree entries are >= 1 (other entries may be 0)."""
+        from compident.reparam import spanning_tree
+
+        count = graph.n + graph.m
+        small = [rng.randrange(0, 4) for _ in range(count)]
+        for k in spanning_tree(graph).edge_indices:
+            small[graph.n + k] = rng.randrange(1, 4)
+        return [[rng.randrange(1, MERSENNE61) for _ in range(count)], small]
+
+    def check(self, graphs, seed):
+        from compident import exact
+
+        rng = random.Random(seed)
+        deficient = full = 0
+        for g in graphs:
+            for point in self.points(g, rng):
+                for mode in (PRIME_MODE, RATIONAL_MODE):
+                    mat = cp.verdict_matrix(g, point, mode)
+                    assert len(mat) == 2 * g.n - 1
+                    assert all(len(row) == g.m + 1 for row in mat)
+                    r = exact.rank(mat, mode)
+                    assert r == exact.rank(jacobian(g, point, mode), mode), (g, point, mode)
+                    deficient += r < g.m + 1
+                    full += r == g.m + 1
+        return deficient, full
+
+    def test_census_classes(self):
+        from compident.census import census_classes
+
+        graphs = []
+        for n, m in ((3, 4), (4, 5), (4, 6)):
+            graphs += [c.representative for c in census_classes(n, m)]
+        for n, m in ((5, 7), (5, 8)):
+            graphs += [c.representative for c in census_classes(n, m)[::23]]
+        deficient, full = self.check(graphs, seed=71)
+        assert deficient > 50 and full > 50
+
+    def test_fixtures(self, chain4, broken4, wheel5, cycle3, exchange2, single):
+        deficient, full = self.check([chain4, broken4, wheel5, cycle3, exchange2, single], seed=72)
+        assert deficient and full
+        assert cp.verdict_matrix(single, [5]) == [[1]]
 
 
 class TestExpectedDimension:

@@ -63,6 +63,44 @@ class TestRank:
             assert rank_bareiss(rows) == rank_mod_p(rows)
 
 
+def rank_gf_p_with_inverses(rows, p: int) -> int:
+    """Textbook Gauss-Jordan over GF(p): normalize each pivot row by the
+    pivot's inverse, then clear the pivot column in every other row."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankModSmallPrime:
+    @pytest.mark.parametrize("p", [7, 101])
+    def test_matches_elimination_with_inverses(self, p):
+        rng = random.Random(p)
+        ranks = set()
+        for _ in range(400):
+            nr, nc = rng.randrange(1, 9), rng.randrange(1, 9)  # tall, wide, square
+            rows = [
+                [rng.choice([rng.randrange(-3 * p, 3 * p), p * rng.randrange(-3, 4), 0])
+                 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+            expected = rank_gf_p_with_inverses(rows, p)
+            assert rank_mod_p(rows, p) == expected
+            ranks.add((expected, min(nr, nc)))
+        assert any(r < full for r, full in ranks) and any(r == full for r, full in ranks)
+
+
 def random_unimodular(rng: random.Random, size: int, steps: int = 12):
     """Product of elementary row operations applied to the identity."""
     mat = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
