@@ -21,7 +21,6 @@ from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     add_exchange_vertex,
-    canonical_form,
     collapse_exchange,
     exchange_vertices,
     has_exchange,
@@ -77,7 +76,8 @@ def enumerate_sc_graphs(
     Edge subsets are visited in lexicographic order over the candidate edge
     list, so output order is reproducible. The vertex-count guardrail keeps
     accidental huge sweeps out; pass a larger `limit` deliberately. The
-    census never calls this labeled scan; tests and sweeps use it.
+    census and the sweeps run on symmetry classes; tests use this labeled
+    scan, and `property_suite` takes its first over-full graph from it.
     """
     _check_limit(n, limit)
     pool = all_possible_edges(n)
@@ -253,21 +253,6 @@ def census_classes(
     return list(classes.values())
 
 
-def class_verdicts(
-    n: int,
-    m: int,
-    seed: int = 0,
-    trials: int = 2,
-    mode: str = PRIME_MODE,
-    limit: int = DEFAULT_LIMIT,
-) -> dict[bytes, CensusClass]:
-    """Canonical form -> class record, for callers sweeping labeled graphs.
-
-    The dict is fresh, so callers cannot alter the cached census."""
-    classes, _total = _census_data(n, m, seed, trials, mode, limit)
-    return {canonical_form(c.representative): c for c in classes.values()}
-
-
 def non_isc_identifiable_classes(
     n: int,
     m: int,
@@ -320,18 +305,18 @@ def test_conjectures(
 
     Every exchange vertex is collapsed in turn (the source does not single
     one out). Mismatches are reported, never raised: these are conjectures.
+    It runs on census classes (relabelings fixing 1 commute with collapse):
+    each exchange vertex of a representative adds the class size to `tested`,
+    and a mismatch is listed once per class, with its `class_size`.
     """
     reports = {
         CONJ_COLLAPSE_MAXIMAL: ConjectureReport(CONJ_COLLAPSE_MAXIMAL),
         CONJ_COLLAPSE_CYCLE: ConjectureReport(CONJ_COLLAPSE_CYCLE),
     }
     for m in range(n, max(2 * n - 1, n + 1)):
-        for graph in enumerate_sc_graphs(n, m, limit=limit):
-            exchanges = exchange_vertices(graph)
-            if not exchanges:
-                continue
-            g_expected = None
-            for v in exchanges:
+        for entry in census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit):
+            graph = entry.representative
+            for v in exchange_vertices(graph):
                 collapsed = collapse_exchange(graph, at=v)
                 applicable = []
                 if (
@@ -344,16 +329,12 @@ def test_conjectures(
                     applicable.append(CONJ_COLLAPSE_CYCLE)
                 if not applicable:
                     continue
-                if g_expected is None:
-                    g_expected = has_expected_dimension(
-                        graph, trials=trials, seed=seed, mode=mode
-                    )
                 c_expected = has_expected_dimension(
                     collapsed, trials=trials, seed=seed, mode=mode
                 )
                 for name in applicable:
-                    reports[name].tested += 1
-                    if g_expected != c_expected:
+                    reports[name].tested += entry.size
+                    if entry.expected != c_expected:
                         reports[name].counterexamples.append(
                             {
                                 "graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
@@ -362,8 +343,9 @@ def test_conjectures(
                                     "n": collapsed.n,
                                     "edges": [list(e) for e in collapsed.edges],
                                 },
-                                "graph_expected": g_expected,
+                                "graph_expected": entry.expected,
                                 "collapsed_expected": c_expected,
+                                "class_size": entry.size,
                             }
                         )
     return [reports[CONJ_COLLAPSE_MAXIMAL], reports[CONJ_COLLAPSE_CYCLE]]
@@ -404,6 +386,8 @@ def property_suite(
 
     Any violation here falsifies a theorem (or reveals a bug) and should
     fail the build; conjecture sweeps live in test_conjectures instead.
+    The exchange, ISC and add-exchange checks run on census classes: each
+    class counts `size` times in `tested`, and violations name representatives.
     """
     if limit is None:
         limit = max(n_max, DEFAULT_LIMIT)
@@ -440,18 +424,18 @@ def property_suite(
             checks["directed-cycle-expected"].violations.append(cycle.to_json())
 
     # Attaching a fresh exchange vertex preserves the expected dimension
-    # (the proven direction), swept over every small graph that has it.
-    for n in range(1, min(4, n_max) + 1):
+    # (the proven direction), swept over every class that has it. A
+    # relabeling of 2..n becomes one of the grown graph fixing 1 and 2.
+    for n in range(1, n_max + 1):
         m_values = [0] if n == 1 else range(n, 2 * n - 1)
         for m in m_values:
-            verdicts = class_verdicts(n, m, seed=seed, trials=trials, mode=mode, limit=limit)
-            for graph in enumerate_sc_graphs(n, m, limit=limit):
-                if not verdicts[canonical_form(graph)].expected:
+            for entry in census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit):
+                if not entry.expected:
                     continue
-                grown = add_exchange_vertex(graph)
-                checks["add-exchange-preserved"].tested += 1
+                grown = add_exchange_vertex(entry.representative)
+                checks["add-exchange-preserved"].tested += entry.size
                 if not has_expected_dimension(grown, trials=trials, seed=seed, mode=mode):
-                    checks["add-exchange-preserved"].violations.append(graph.to_json())
+                    checks["add-exchange-preserved"].violations.append(entry.representative.to_json())
 
     # Beyond 2n-2 edges the verdict must be False with no rank computed.
     for n in range(3, n_max + 1):

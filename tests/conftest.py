@@ -3,13 +3,16 @@
 The oracles here deliberately avoid the library's own algorithms: strong
 connectivity via all-pairs reachability, ranks via plain Gaussian
 elimination over Fractions, characteristic polynomials via sympy.
+`class_verdicts` is the census lookup for tests that sweep labeled graphs.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from compident import CompartmentGraph
+from compident import CompartmentGraph, canonical_form, census_classes
+from compident.census import DEFAULT_LIMIT
+from compident.exact import PRIME_MODE
 
 
 @pytest.fixture
@@ -90,6 +93,20 @@ def oracle_rank(rows) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def class_verdicts(
+    n: int,
+    m: int,
+    seed: int = 0,
+    trials: int = 2,
+    mode: str = PRIME_MODE,
+    limit: int = DEFAULT_LIMIT,
+) -> dict:
+    """Canonical form -> census class record, for tests sweeping labeled
+    graphs. The dict is fresh, so callers cannot alter the cached census."""
+    classes = census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit)
+    return {canonical_form(c.representative): c for c in classes}
 
 
 def sympy_double_charpoly(graph: CompartmentGraph):

@@ -26,7 +26,6 @@ from compident import (
 from compident import charpoly as cp
 from compident.census import (
     census_row,
-    class_verdicts,
     enumerate_sc_graphs,
     property_suite,
     stability_gate,
@@ -34,6 +33,7 @@ from compident.census import (
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.graphs import canonical_form
 from compident.reparam import alternate_spanning_tree, spanning_tree
+from conftest import class_verdicts
 
 CHAIN4 = CompartmentGraph(4, ((2, 1), (1, 2), (3, 2), (2, 3), (4, 3), (2, 4)))
 BROKEN4 = CompartmentGraph(4, ((2, 1), (1, 2), (3, 2), (4, 3), (2, 4), (3, 4)))

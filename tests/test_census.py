@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -8,7 +9,10 @@ from compident import (
     CompartmentGraph,
     LimitExceeded,
     canonical_form,
+    collapse_exchange,
     enumerate_sc_graphs,
+    exchange_vertices,
+    has_exchange,
     has_expected_dimension,
 )
 from compident import census
@@ -17,13 +21,12 @@ from compident.census import (
     CONJ_COLLAPSE_MAXIMAL,
     census_classes,
     census_row,
-    class_verdicts,
     non_isc_identifiable_classes,
     property_suite,
     test_conjectures as run_conjectures,
 )
 
-from conftest import oracle_rank, oracle_strongly_connected, sympy_double_charpoly
+from conftest import class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
 
 class TestEnumeration:
@@ -295,3 +298,92 @@ class TestPropertySuite:
         assert checks["directed-cycle-expected"].tested == 4
         assert checks["add-exchange-preserved"].tested > 0
         assert checks["edge-bound"].tested > 0
+
+
+def labeled_conjectures(n, seed=0, trials=2, limit=census.DEFAULT_LIMIT):
+    """The collapse sweep over every labeled graph, one verdict per labeled
+    graph: the reference for the class sweep. Verdicts are looked up on the
+    census module so that a patched verdict reaches both sweeps."""
+    reports = {
+        CONJ_COLLAPSE_MAXIMAL: census.ConjectureReport(CONJ_COLLAPSE_MAXIMAL),
+        CONJ_COLLAPSE_CYCLE: census.ConjectureReport(CONJ_COLLAPSE_CYCLE),
+    }
+    for m in range(n, max(2 * n - 1, n + 1)):
+        for graph in enumerate_sc_graphs(n, m, limit=limit):
+            for v in exchange_vertices(graph):
+                collapsed = collapse_exchange(graph, at=v)
+                applicable = []
+                if (
+                    m == 2 * n - 2
+                    and collapsed.m == 2 * n - 4
+                    and has_exchange(collapsed) is not None
+                ):
+                    applicable.append(CONJ_COLLAPSE_MAXIMAL)
+                if collapsed.m == n - 1 and collapsed.n >= 2:
+                    applicable.append(CONJ_COLLAPSE_CYCLE)
+                if not applicable:
+                    continue
+                g_expected = census.has_expected_dimension(graph, trials=trials, seed=seed)
+                c_expected = census.has_expected_dimension(collapsed, trials=trials, seed=seed)
+                for name in applicable:
+                    reports[name].tested += 1
+                    if g_expected != c_expected:
+                        reports[name].counterexamples.append(
+                            {
+                                "graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
+                                "exchange_vertex": v,
+                                "collapsed": {
+                                    "n": collapsed.n,
+                                    "edges": [list(e) for e in collapsed.edges],
+                                },
+                                "graph_expected": g_expected,
+                                "collapsed_expected": c_expected,
+                            }
+                        )
+    return [reports[CONJ_COLLAPSE_MAXIMAL], reports[CONJ_COLLAPSE_CYCLE]]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("labeled graph canonicalized or enumerated in a sweep")
+
+
+def refuse_canonical_form(monkeypatch):
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "compident" and hasattr(module, "canonical_form"):
+            monkeypatch.setattr(module, "canonical_form", refuse)
+
+
+class TestClassSweeps:
+    """The conjecture sweep and the add-exchange check run on census classes
+    and count each class by its size."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conjectures_match_labeled_sweep(self, n):
+        got = [r.as_dict() for r in run_conjectures(n)]
+        assert got == [r.as_dict() for r in labeled_conjectures(n)]
+
+    def test_conjectures_never_touch_labeled_graphs(self, monkeypatch, cold_census):
+        refuse_canonical_form(monkeypatch)
+        monkeypatch.setattr(census, "enumerate_sc_graphs", refuse)
+        assert all(r.tested > 0 and r.holds for r in run_conjectures(4))
+
+    def test_property_suite_never_canonicalizes(self, monkeypatch, cold_census):
+        refuse_canonical_form(monkeypatch)
+        checks = property_suite(n_max=3)
+        assert all(check.passed for check in checks.values())
+
+    def test_counterexamples_listed_once_per_class(self, monkeypatch, cold_census):
+        # Relabeling invariant, so the census spot check accepts it; every
+        # collapse (n = 3) then disagrees with its graph (n = 4).
+        monkeypatch.setattr(census, "has_expected_dimension", lambda graph, **kw: graph.n == 4)
+        reports = run_conjectures(4)
+        labeled = labeled_conjectures(4)
+        for report, reference in zip(reports, labeled):
+            assert report.tested == reference.tested > 0
+            assert len(reference.counterexamples) == reference.tested
+            sizes = [example.pop("class_size") for example in report.counterexamples]
+            assert sum(sizes) == report.tested
+            assert len(sizes) < report.tested
+            for example in report.counterexamples:
+                assert example in reference.counterexamples
+                assert (example["graph_expected"], example["collapsed_expected"]) == (True, False)

@@ -186,7 +186,7 @@ def random_sc_graphs(count: int, seed: int, max_n: int = 5):
 
 
 class TestJacobianAgainstSympy:
-    """The adjugate-read Jacobian equals sympy's derivative of the
+    """The power-row Jacobian equals sympy's derivative of the
     determinant coefficients. Graphs with one-way edges make a transposed
     B_k index visible."""
 

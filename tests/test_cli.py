@@ -167,6 +167,18 @@ class TestConjectures:
         assert {r["conjecture"] for r in doc} == {"collapse-2n-4", "collapse-n-1"}
         assert all(r["holds"] for r in doc)
 
+    def test_n5_document(self, capsys):
+        code, out, _ = run(capsys, "conjectures", "5", "--json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"conjecture": "collapse-2n-4", "tested": 9136, "holds": True, "counterexamples": []},
+            {"conjecture": "collapse-n-1", "tested": 216, "holds": True, "counterexamples": []},
+        ]
+
+    def test_guardrail_maps_to_exit_2(self, capsys):
+        code, _, err = run(capsys, "conjectures", "7")
+        assert code == 2 and "guardrail" in err
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys, chain4_file):
