@@ -20,7 +20,6 @@ from .census import (
 from .charpoly import (
     DimensionReport,
     has_expected_dimension,
-    identifiable_cycle_functions,
     image_dimension,
     io_equation_text,
     jacobian,
@@ -65,6 +64,7 @@ from .reparam import (
     SpanningTree,
     cycle_basis,
     express_in_cycles,
+    identifiable_cycle_functions,
     reparametrization_from_json,
     reparametrize,
     rescaled_exponent_matrix,

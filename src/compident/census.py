@@ -20,6 +20,7 @@ from .errors import LimitExceeded
 from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
+    _subset_strongly_connected,
     add_exchange_vertex,
     collapse_exchange,
     exchange_vertices,
@@ -44,28 +45,6 @@ def _check_limit(n: int, limit: int) -> None:
             f"n={n} exceeds the enumeration guardrail {limit}; "
             "pass limit=n to override"
         )
-
-
-def _subset_strongly_connected(n: int, edges) -> bool:
-    succ = [[] for _ in range(n + 1)]
-    pred = [[] for _ in range(n + 1)]
-    for j, i in edges:
-        succ[j].append(i)
-        pred[i].append(j)
-    for adj in (succ, pred):
-        seen = 2  # bit 1 set
-        count = 1
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                bit = 1 << w
-                if not seen & bit:
-                    seen |= bit
-                    count += 1
-                    stack.append(w)
-        if count != n:
-            return False
-    return True
 
 
 def enumerate_sc_graphs(

@@ -13,10 +13,10 @@ reductions give the Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
   is a unit lower triangular matrix times the power rows [R; S];
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
-  entries) times the reduced tree incidence matrix on the spanning-tree
-  edges, invertible while the tree entries are nonzero (`sample_point`
-  draws from [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are
-  kept, so elimination stops after at most m+1 pivots.
+  entries) times the reduced incidence matrix of `graphs.spanning_tree`,
+  invertible while the tree entries are nonzero (`sample_point` draws from
+  [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are kept, so
+  elimination stops after at most m+1 pivots.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import exact
-from .errors import NotExpectedDimension, NotStronglyConnected
+from .errors import NotStronglyConnected
 from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     Cycle,
     elementary_cycles,
     is_strongly_connected,
+    spanning_tree,
 )
 from .monomial import MonomialPolynomial, signed_parts
 
@@ -217,9 +218,7 @@ def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MO
 def verdict_matrix(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
     """The (2n-1) x (m+1) matrix whose rank equals the Jacobian's at `point`:
     the power rows of A and A_1 at the n diagonal and the m-n+1 non-tree
-    parameters of `reparam.spanning_tree` (see the module docstring)."""
-    from .reparam import spanning_tree  # the tree choice lives there
-
+    parameters of `graphs.spanning_tree` (see the module docstring)."""
     tree = set(spanning_tree(graph).edge_indices)
     params = list(range(graph.n))
     params += [edge_slot(graph, k) for k in range(graph.m) if k not in tree]
@@ -353,31 +352,6 @@ def io_equation_text(graph: CompartmentGraph) -> str:
         return text
 
     return side("y", graph.n, cs) + " = " + side("u1", graph.n - 1, ds)
-
-
-def identifiable_cycle_functions(
-    graph: CompartmentGraph,
-    trials: int = 2,
-    seed: int = 0,
-    mode: str = PRIME_MODE,
-) -> list[Cycle]:
-    """m+1 algebraically independent identifiable cycle monomials.
-
-    The n diagonal one-cycles plus the m-n+1 basis cycles used by the
-    reparametrization. Only defined for graphs with the expected dimension.
-    """
-    if not has_expected_dimension(graph, trials=trials, seed=seed, mode=mode):
-        raise NotExpectedDimension(
-            "graph does not have the expected dimension; no independent "
-            "identifiable cycle set of size m+1 exists"
-        )
-    from .reparam import cycle_basis, spanning_tree  # cycle selection lives there
-
-    ones = [c for c in elementary_cycles(graph) if c.length == 1]
-    if graph.n == 1:
-        return ones
-    basis = cycle_basis(graph, spanning_tree(graph))
-    return ones + list(basis.cycles)
 
 
 def evaluate_symbolic(

@@ -194,21 +194,10 @@ def integer_solve_in_lattice(
     unimodular row subset.
 
     `square_rows` picks rows forming a square unimodular block, which is
-    inverted once; see solve_with_block_inverse.
+    inverted once; each z is read off from that block and then verified
+    against every row of the full system.
     """
     inverse = inverse_unimodular([matrix[r] for r in square_rows])
-    return solve_with_block_inverse(matrix, inverse, targets, square_rows)
-
-
-def solve_with_block_inverse(
-    matrix: Sequence[Sequence[int]],
-    inverse: Sequence[Sequence[int]],
-    targets: Sequence[Sequence[int]],
-    square_rows: Sequence[int],
-) -> list[list[int]]:
-    """Solve matrix @ z = target for each target, given the inverse of the
-    square block on `square_rows`: each z is read off from that block and
-    then verified against every row of the full system."""
     solutions = []
     for target in targets:
         z = matvec_int(inverse, [target[r] for r in square_rows])

@@ -1,4 +1,4 @@
-"""Directed compartment graphs: structure, predicates, cycles, and surgery.
+"""Directed compartment graphs: structure, predicates, spanning trees, cycles, and surgery.
 
 Vertices are labeled 1..n and vertex 1 is always the input-output
 compartment. An edge (j, i) means material flows j -> i and carries the rate
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import InvalidEdge, MalformedInput, NoExchange
+from .errors import Disconnected, InvalidEdge, MalformedInput, NoExchange
 
 #: An ISC certificate is a vertex ordering starting at 1 whose every prefix
 #: induces a strongly connected subgraph.
@@ -123,14 +123,33 @@ def _reachable(adj: Sequence[Sequence[int]], start: int) -> set[int]:
     return seen
 
 
+def _subset_strongly_connected(n: int, edges) -> bool:
+    """True iff the edges on vertices 1..n are strongly connected: vertex 1
+    reaches every vertex along them and against them (bitset DFS)."""
+    succ = [[] for _ in range(n + 1)]
+    pred = [[] for _ in range(n + 1)]
+    for j, i in edges:
+        succ[j].append(i)
+        pred[i].append(j)
+    for adj in (succ, pred):
+        seen = 2  # bit 1 set
+        count = 1
+        stack = [1]
+        while stack:
+            for w in adj[stack.pop()]:
+                bit = 1 << w
+                if not seen & bit:
+                    seen |= bit
+                    count += 1
+                    stack.append(w)
+        if count != n:
+            return False
+    return True
+
+
 def is_strongly_connected(graph: CompartmentGraph) -> bool:
     """True iff every vertex is reachable from 1 and reaches 1."""
-    if graph.n == 1:
-        return True
-    fwd = _reachable(graph.successors(), 1)
-    if len(fwd) != graph.n:
-        return False
-    return len(_reachable(graph.predecessors(), 1)) == graph.n
+    return _subset_strongly_connected(graph.n, graph.edges)
 
 
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
@@ -167,27 +186,11 @@ def exchange_vertices(graph: CompartmentGraph) -> list[int]:
 
 
 def _induced_strongly_connected(graph: CompartmentGraph, vertices: Sequence[int]) -> bool:
-    vset = set(vertices)
-    succ = {v: [] for v in vset}
-    pred = {v: [] for v in vset}
-    for j, i in graph.edges:
-        if j in vset and i in vset:
-            succ[j].append(i)
-            pred[i].append(j)
-
-    def covers(adj):
-        start = vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vset)
-
-    return covers(succ) and covers(pred)
+    """Whether `vertices`, a prefix starting at 1, induce a strongly
+    connected subgraph; the prefix is relabeled 1..k in its order."""
+    label = {v: r for r, v in enumerate(vertices, start=1)}
+    edges = [(label[j], label[i]) for j, i in graph.edges if j in label and i in label]
+    return _subset_strongly_connected(len(vertices), edges)
 
 
 def is_inductively_strongly_connected(
@@ -269,6 +272,49 @@ def add_exchange_vertex(graph: CompartmentGraph) -> CompartmentGraph:
     """
     shifted = tuple((j + 1, i + 1) for j, i in graph.edges)
     return CompartmentGraph(graph.n + 1, ((1, 2), (2, 1)) + shifted)
+
+
+@dataclass(frozen=True)
+class SpanningTree:
+    """Edge indices (in graph edge order) of a spanning tree of the
+    underlying undirected graph."""
+
+    edge_indices: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.edge_indices)
+
+
+def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Grow a tree from vertex 1 through the given edges, viewed as undirected.
+
+    Scans `edge_indices` in order, repeatedly, taking any edge that joins a
+    reached vertex to a new one. Returns (child, parent, edge index) for
+    every vertex but 1, in the order reached; raises Disconnected when a
+    scan reaches nothing new before every vertex is reached.
+    """
+    reached = {1}
+    walk = []
+    while len(reached) < graph.n:
+        grew = False
+        for k in edge_indices:
+            j, i = graph.edges[k]
+            if (j in reached) != (i in reached):
+                child, parent = (i, j) if j in reached else (j, i)
+                reached.add(child)
+                walk.append((child, parent, k))
+                grew = True
+        if not grew:
+            raise Disconnected("the edges do not connect every vertex to vertex 1")
+    return walk
+
+
+def spanning_tree(graph: CompartmentGraph) -> SpanningTree:
+    """Deterministic spanning tree grown from vertex 1 by `tree_walk` over
+    the whole edge list. The scan order makes the result reproducible and
+    matches the trees used in the worked fixtures."""
+    walk = tree_walk(graph, range(graph.m))
+    return SpanningTree(tuple(sorted(k for _child, _parent, k in walk)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Monomial scaling reparametrizations.
+"""Monomial scaling reparametrizations and identifiable cycle functions.
 
 When the coefficient map has its expected dimension m+1, setting the n-1
 rate parameters of a spanning tree to 1 by rescaling the state variables
@@ -14,12 +14,13 @@ from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, image_dimension
+from .charpoly import DimensionReport, has_expected_dimension, image_dimension
 from .errors import (
     BasisNotFound,
     Disconnected,
     InconsistentSystem,
     NoReparametrization,
+    NotExpectedDimension,
     NotStronglyConnected,
     NotUnimodular,
     TooManyEdges,
@@ -28,50 +29,22 @@ from .exact import PRIME_MODE, rank_bareiss
 from .graphs import (
     CompartmentGraph,
     Cycle,
+    SpanningTree,
+    _make_cycle,
     elementary_cycles,
     is_strongly_connected,
+    spanning_tree,
+    tree_walk,
 )
-from .monomial import format_monomial, unit_vector
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """Edge indices (in graph edge order) of a spanning tree of the
-    underlying undirected graph."""
-
-    edge_indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edge_indices)
-
-
-def spanning_tree(graph: CompartmentGraph) -> SpanningTree:
-    """Deterministic spanning tree grown from vertex 1.
-
-    Repeatedly scans the edge list in graph order, taking any edge (viewed
-    as undirected) that joins a visited vertex to a new one. The scan order
-    makes the result reproducible and matches the trees used in the worked
-    fixtures.
-    """
-    visited = {1}
-    chosen: list[int] = []
-    while len(visited) < graph.n:
-        grew = False
-        for k, (j, i) in enumerate(graph.edges):
-            if (j in visited) != (i in visited):
-                visited.add(i if j in visited else j)
-                chosen.append(k)
-                grew = True
-        if not grew:
-            raise Disconnected("underlying undirected graph is not connected")
-    return SpanningTree(tuple(sorted(chosen)))
+from .monomial import format_monomial, parse_monomial, unit_vector
 
 
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
     """Turn explicit (source, target) pairs into a checked SpanningTree.
 
     n-1 distinct edges form a spanning tree of the underlying undirected
-    graph exactly when they are acyclic, which union-find detects.
+    graph exactly when they reach every vertex from 1, which is when they
+    are acyclic; a repeated edge counts as a cycle.
     """
     index = graph.edge_index()
     indices = []
@@ -82,21 +55,12 @@ def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> 
         indices.append(index[e])
     if len(set(indices)) != graph.n - 1:
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
-
-    parent = list(range(graph.n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for k in indices:
-        j, i = graph.edges[k]
-        rj, ri = find(j), find(i)
-        if rj == ri:
-            raise ValueError("tree edges contain a cycle")
-        parent[rj] = ri
+    try:
+        reached = len(tree_walk(graph, indices))
+    except Disconnected:
+        reached = 0
+    if reached != len(indices):
+        raise ValueError("tree edges contain a cycle")
     return SpanningTree(tuple(sorted(indices)))
 
 
@@ -116,28 +80,6 @@ def alternate_spanning_tree(
     return None
 
 
-def _tree_traversal(graph: CompartmentGraph, tree: SpanningTree):
-    """Yield (child, parent, edge_index) walking the tree outward from 1."""
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, graph.n + 1)}
-    for k in tree.edge_indices:
-        j, i = graph.edges[k]
-        adjacency[j].append((i, k))
-        adjacency[i].append((j, k))
-    seen = {1}
-    queue = [1]
-    order = []
-    while queue:
-        u = queue.pop(0)
-        for w, k in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                order.append((w, u, k))
-                queue.append(w)
-    if len(seen) != graph.n:
-        raise Disconnected("tree does not reach every vertex")
-    return order
-
-
 def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple[int, ...]]:
     """Per-vertex monomial exponents of the scaling functions f_i.
 
@@ -150,7 +92,7 @@ def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple
     m = graph.m
     f: list[Optional[tuple[int, ...]]] = [None] * (graph.n + 1)
     f[1] = (0,) * m
-    for child, parent, k in _tree_traversal(graph, tree):
+    for child, parent, k in tree_walk(graph, tree.edge_indices):
         j, _i = graph.edges[k]
         step = unit_vector(m, k)
         if child == j:
@@ -238,23 +180,44 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
 
 
 def express_in_cycles(
-    graph: CompartmentGraph,
-    tree: SpanningTree,
-    basis: CycleBasis,
-    rescaled_rows: Optional[Sequence[tuple[int, ...]]] = None,
+    graph: CompartmentGraph, tree: SpanningTree, basis: CycleBasis
 ) -> dict[int, tuple[int, ...]]:
     """Write each non-tree rescaled rate as an integer combination of basis
-    cycles: the basis's inverse non-tree block applied to the row, verified
-    against the full system including the tree rows."""
-    if rescaled_rows is None:
-        rescaled_rows = rescaled_exponent_matrix(graph, scaling_exponents(graph, tree))
-    solutions = exact.solve_with_block_inverse(
-        basis.matrix,
-        basis.block_inverse,
-        [rescaled_rows[k] for k in basis.nontree_rows],
-        basis.nontree_rows,
-    )
-    return {k: tuple(z) for k, z in zip(basis.nontree_rows, solutions)}
+    cycles.
+
+    The rescaled row of non-tree edge k = nontree_rows[t] is an integer cycle
+    vector that reads e_t on the non-tree edges, since every f_i lives on
+    the tree. A cycle vector is fixed by its non-tree entries, so the
+    combination is column t of the inverse non-tree block;
+    `reparametrization_failures` checks it against every row.
+    """
+    return {
+        k: tuple(row[t] for row in basis.block_inverse)
+        for t, k in enumerate(basis.nontree_rows)
+    }
+
+
+def identifiable_cycle_functions(
+    graph: CompartmentGraph,
+    trials: int = 2,
+    seed: int = 0,
+    mode: str = PRIME_MODE,
+) -> list[Cycle]:
+    """m+1 algebraically independent identifiable cycle monomials.
+
+    The n diagonal one-cycles plus the m-n+1 basis cycles used by the
+    reparametrization. Only defined for graphs with the expected dimension.
+    """
+    if not has_expected_dimension(graph, trials=trials, seed=seed, mode=mode):
+        raise NotExpectedDimension(
+            "graph does not have the expected dimension; no independent "
+            "identifiable cycle set of size m+1 exists"
+        )
+    ones = [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)]
+    if graph.n == 1:
+        return ones
+    basis = cycle_basis(graph, spanning_tree(graph))
+    return ones + list(basis.cycles)
 
 
 @dataclass(frozen=True)
@@ -339,7 +302,7 @@ def reparametrize(
     f_exponents = scaling_exponents(graph, tree)
     rescaled = rescaled_exponent_matrix(graph, f_exponents)
     basis = cycle_basis(graph, tree)
-    expressions = express_in_cycles(graph, tree, basis, rescaled)
+    expressions = express_in_cycles(graph, tree, basis)
     result = ScalingReparametrization(
         graph=graph,
         tree=tree,
@@ -411,12 +374,24 @@ def verify_reparametrization(
     return not reparametrization_failures(graph, result)
 
 
+def _cycle_from_monomial(graph: CompartmentGraph, edge_names: Sequence[str], text: str) -> Cycle:
+    """The directed cycle whose edges are the factors of `text`, followed
+    from its smallest vertex; ValueError unless they form one cycle."""
+    expo = parse_monomial(edge_names, text)
+    succ = dict(graph.edges[k] for k, e in enumerate(expo) if e)
+    vertices = [min(succ, default=0)]
+    for _ in range(len(succ) - 1):
+        vertices.append(succ.get(vertices[-1], 0))  # 0: no vertex, stuck
+    simple = set(expo) <= {0, 1} and len(succ) == sum(expo) == len(set(vertices))
+    if not simple or succ.get(vertices[-1]) != vertices[0]:
+        raise ValueError(f"cycle basis entry {text!r} is not a directed cycle")
+    return _make_cycle(graph, tuple(vertices))
+
+
 def reparametrization_from_json(
     graph: CompartmentGraph, doc: dict
 ) -> ScalingReparametrization:
     """Rebuild a reparametrization from its JSON form for re-verification."""
-    from .monomial import parse_monomial
-
     tree = validate_tree(graph, [tuple(e) for e in doc["tree_edges"]])
     edge_names = [graph.edge_param_name(k) for k in range(graph.m)]
     f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
@@ -426,8 +401,7 @@ def reparametrization_from_json(
     rescaled = []
     for k, (j, i) in enumerate(graph.edges):
         rescaled.append(parse_monomial(edge_names, doc["matrix"][i - 1][j - 1]))
-    by_monomial = {c.monomial: c for c in elementary_cycles(graph)}
-    cycles = tuple(by_monomial[text] for text in doc["cycle_basis"])
+    cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in doc["cycle_basis"])
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
     basis = _unimodular_basis(cycles, graph.m, nontree)
     qnames = [f"q{t + 1}" for t in range(len(cycles))]

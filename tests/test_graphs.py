@@ -149,6 +149,29 @@ class TestStrongConnectivity:
             g = random_graph(rng, n, m)
             assert is_strongly_connected(g) == oracle_strongly_connected(g)
 
+    def test_prefixes_match_oracle_on_census_classes(self, single):
+        # Every prefix (1, ...) of every (5,8) class, certificate prefixes
+        # among them: the prefix check relabels in prefix order, the
+        # whole-graph predicate sees the induced subgraph in sorted order.
+        assert graphs_mod._induced_strongly_connected(single, (1,))
+        checked = 0
+        for entry in census_classes(5, 8):
+            graph = entry.representative
+            cert = is_inductively_strongly_connected(graph)
+            others = range(2, graph.n + 1)
+            prefixes = [(1,) + rest for k in range(graph.n) for rest in permutations(others, k)]
+            assert cert is None or cert in prefixes
+            wants = {}  # vertex set -> oracle verdict on its induced subgraph
+            for prefix in prefixes:
+                key = frozenset(prefix)
+                if key not in wants:
+                    sub = induced(graph, prefix)
+                    wants[key] = oracle_strongly_connected(sub)
+                    assert is_strongly_connected(sub) == wants[key]
+                assert graphs_mod._induced_strongly_connected(graph, prefix) == wants[key]
+                checked += 1
+        assert checked == 1158 * 65
+
 
 class TestIoStrongComponent:
     def test_identity_on_strongly_connected(self, chain4):

@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -15,7 +15,7 @@ from compident import (
     reparametrize,
     verify_reparametrization,
 )
-from compident import exact
+from compident import census_classes, exact
 from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_mod_p
 from compident.reparam import (
     ScalingReparametrization,
@@ -57,6 +57,23 @@ class TestSpanningTree:
         with pytest.raises(ValueError):
             validate_tree(chain4, [(2, 1), (3, 2), (4, 1)])  # not an edge
 
+    def test_validate_matches_union_find(self, wheel5):
+        graphs = [entry.representative for entry in census_classes(4, 6)] + [wheel5]
+        accepted = 0
+        for g in graphs:
+            for subset in combinations(range(g.m), g.n - 1):
+                try:
+                    tree = validate_tree(g, [g.edges[k] for k in subset])
+                except ValueError:
+                    assert not union_find_acyclic(g, subset)
+                    continue
+                assert union_find_acyclic(g, subset) and tree.edge_indices == subset
+                assert scaling_exponents(g, tree) == tree_inverse_exponents(g, tree)
+                accepted += 1
+        assert accepted > 500
+        with pytest.raises(ValueError, match="cycle"):
+            validate_tree(wheel5, WHEEL5_TREE + WHEEL5_TREE[:1])  # a repeated edge
+
     def test_alternate_tree_differs(self, chain4):
         first = spanning_tree(chain4)
         second = alternate_spanning_tree(chain4, first)
@@ -66,6 +83,23 @@ class TestSpanningTree:
         first = spanning_tree(exchange2)
         second = alternate_spanning_tree(exchange2, first)
         assert second is not None and second.edge_indices != first.edge_indices
+
+
+def union_find_acyclic(graph, subset):
+    """True iff the edges `subset`, viewed as undirected, contain no cycle."""
+    parent = list(range(graph.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for k in subset:
+        roots = find(graph.edges[k][0]), find(graph.edges[k][1])
+        if roots[0] == roots[1]:
+            return False
+        parent[roots[0]] = roots[1]
+    return True
 
 
 def tree_inverse_exponents(graph, tree):
@@ -251,6 +285,26 @@ class TestExpressInCycles:
         expr = express_in_cycles(g, tree, basis)
         assert list(expr.values()) == [(1,)]
 
+    @pytest.mark.parametrize("n, m", [(4, 6), (5, 7), (5, 8)])
+    def test_matches_lattice_solve_on_census_classes(self, n, m):
+        checked = 0
+        for entry in census_classes(n, m):
+            if not entry.expected:
+                continue
+            g = entry.representative
+            first = spanning_tree(g)
+            for tree in (first, alternate_spanning_tree(g, first)):
+                basis = cycle_basis(g, tree)
+                rows = rescaled_exponent_matrix(g, scaling_exponents(g, tree))
+                solved = exact.integer_solve_in_lattice(
+                    basis.matrix, [rows[k] for k in basis.nontree_rows], basis.nontree_rows
+                )
+                assert express_in_cycles(g, tree, basis) == {
+                    k: tuple(z) for k, z in zip(basis.nontree_rows, solved)
+                }
+                checked += 1
+        assert checked == 2 * {(4, 6): 30, (5, 7): 180, (5, 8): 421}[(n, m)]
+
 
 class TestReparametrize:
     def test_chain4_matrix(self, chain4):
@@ -383,6 +437,28 @@ class TestVerification:
             assert rebuilt.f_exponents == result.f_exponents
             assert rebuilt.rescaled_exponents == result.rescaled_exponents
             assert rebuilt.cycle_expressions == result.cycle_expressions
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (5, 8)])
+    def test_round_trip_on_census_classes(self, n, m):
+        for entry in census_classes(n, m):
+            if entry.expected:
+                graph = entry.representative
+                result = reparametrize(graph)
+                rebuilt = reparametrization_from_json(graph, result.to_json_dict())
+                assert verify_reparametrization(graph, rebuilt)
+                assert rebuilt.basis == result.basis
+                assert rebuilt.cycle_expressions == result.cycle_expressions
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["a12*a23", "a12", "a12^2*a21", "a12^3*a21^-1", "a12*a21*a23*a32", "a12^-1*a21", "1"],
+    )
+    def test_json_basis_entry_must_be_one_cycle(self, entry):
+        path3 = CompartmentGraph(3, ((1, 2), (2, 1), (2, 3), (3, 2)))
+        doc = reparametrize(path3).to_json_dict()
+        doc["cycle_basis"][0] = entry
+        with pytest.raises(ValueError, match="not a directed cycle"):
+            reparametrization_from_json(path3, doc)
 
 
 def b_model_rank(graph, result):
