@@ -215,14 +215,20 @@ def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MO
     return out
 
 
+def _verdict_params(graph: CompartmentGraph) -> list[int]:
+    """The n diagonal and the m-n+1 non-tree parameters of
+    `graphs.spanning_tree`: the verdict matrix's columns."""
+    tree = set(spanning_tree(graph).edge_indices)
+    return list(range(graph.n)) + [
+        edge_slot(graph, k) for k in range(graph.m) if k not in tree
+    ]
+
+
 def verdict_matrix(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
     """The (2n-1) x (m+1) matrix whose rank equals the Jacobian's at `point`:
     the power rows of A and A_1 at the n diagonal and the m-n+1 non-tree
     parameters of `graphs.spanning_tree` (see the module docstring)."""
-    tree = set(spanning_tree(graph).edge_indices)
-    params = list(range(graph.n))
-    params += [edge_slot(graph, k) for k in range(graph.m) if k not in tree]
-    rows, sub_rows = _power_rows(graph, point, exact.modulus(mode), params)
+    rows, sub_rows = _power_rows(graph, point, exact.modulus(mode), _verdict_params(graph))
     return rows + sub_rows
 
 
@@ -265,16 +271,20 @@ def image_dimension(
 
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed. The rank is at most m+1: the n-1 diagonal
-    scalings diag(1, t_2, .., t_n) give kernel vectors, independent at any
-    point with nonzero entries. So the loop stops at the first point that
-    reaches m+1; `d`, `verdict` and `trials` are what all trials would give.
+    answer for a fixed seed. The rank is at most min(2n-1, m+1): the image
+    lives in dimension 2n-1, and the n-1 diagonal scalings
+    diag(1, t_2, .., t_n) give kernel vectors, independent at any point
+    with nonzero entries. So the loop stops at the first point that reaches
+    that ceiling; `d`, `verdict` and `trials` are what all trials would
+    give.
 
     Each rank is of the (2n-1) x (m+1) `verdict_matrix`: power rows, of
     which the Jacobian rows are unit triangular combinations, at the
     diagonal and non-tree columns, of which the tree columns are
     combinations through the scaling kernel. Both keep the rank exactly
-    at points with nonzero tree entries, as every sampled point has.
+    at points with nonzero tree entries, as every sampled point has. The
+    columns, and so the tree, are picked once per call. In rational mode a
+    rank at the ceiling is certified mod p (`exact.rank`).
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -285,11 +295,14 @@ def image_dimension(
         raise ValueError("trials must be >= 1")
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
+    params = _verdict_params(graph)
+    p = exact.modulus(mode)
+    ceiling = min(2 * graph.n - 1, graph.m + 1)
     best = 0
     for _ in range(trials):
-        point = sample_point(rng, nvars)
-        best = max(best, exact.rank(verdict_matrix(graph, point, mode), mode))
-        if best == graph.m + 1:
+        rows, sub_rows = _power_rows(graph, sample_point(rng, nvars), p, params)
+        best = max(best, exact.rank(rows + sub_rows, mode))
+        if best == ceiling:
             break
     return DimensionReport(
         n=graph.n,
@@ -309,10 +322,11 @@ def has_expected_dimension(
     seed: int = 0,
     mode: str = PRIME_MODE,
 ) -> bool:
-    """True iff the image dimension attains its maximum m+1.
+    """True iff the image dimension attains the expected m+1.
 
-    Short-circuits to False when m > 2n-2, since the image lives in
-    dimension 2n-1; no rank computation happens in that case.
+    The dimension is at most min(2n-1, m+1), since the image lives in
+    dimension 2n-1. So this short-circuits to False when m > 2n-2; no rank
+    computation happens in that case.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("expected dimension needs a strongly connected graph")

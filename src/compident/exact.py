@@ -7,6 +7,11 @@ arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
 enough that a random evaluation point underestimates a generic Jacobian
 rank only with negligible probability, and 0 (no reduction: exact over Z,
 or over Q where Fractions come in) in rational mode.
+
+The rational rank is certified mod p where it can be: a minor that is
+nonzero mod p is a nonzero integer, so a rank mod p equal to min(rows,
+cols) is already the rank over Q. Only a matrix whose rank mod p falls
+short of that ceiling goes through Bareiss elimination over Z.
 """
 
 from __future__ import annotations
@@ -110,12 +115,24 @@ def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank(rows: Sequence[Sequence], mode: str = RATIONAL_MODE) -> int:
-    """Exact matrix rank; Bareiss over the rationals, elimination over GF(p)."""
+    """Exact matrix rank: elimination over GF(p) in prime-field mode; over
+    the rationals, the rank mod p of the integer rows when it reaches
+    min(rows, cols), and Bareiss otherwise.
+
+    Clearing denominators keeps the rank over Q. Reduction mod p can only
+    lower the rank of an integer matrix, since a minor that is nonzero mod
+    p is a nonzero integer; and no rank exceeds min(rows, cols). So a rank
+    mod p at that ceiling is a proof of the rank over Q.
+    """
     if not rows or not rows[0]:
         return 0
     if mode == PRIME_MODE:
         return rank_mod_p(rows)
-    return rank_bareiss(_to_integer_rows(rows))
+    integer_rows = _to_integer_rows(rows)
+    mod_p = rank_mod_p(integer_rows)
+    if mod_p == min(len(rows), len(rows[0])):
+        return mod_p
+    return rank_bareiss(integer_rows)
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:

@@ -54,6 +54,15 @@ def cycle3() -> CompartmentGraph:
     return directed_cycle_graph(3)
 
 
+def isc_adversary(n: int) -> CompartmentGraph:
+    """Complete bidirected K_{n-2} with a directed 3-cycle hung off vertex
+    n-2: strongly connected and never inductively so."""
+    k = n - 2
+    edges = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1) if a != b]
+    edges += [(k, k + 1), (k + 1, k + 2), (k + 2, k)]
+    return CompartmentGraph(n, tuple(edges))
+
+
 def oracle_reachable(graph: CompartmentGraph, start: int) -> set:
     """Reachability by repeated relaxation (no DFS machinery shared with
     the implementation)."""

@@ -16,16 +16,31 @@ from compident import (
     symbolic_coefficients,
 )
 from compident import charpoly as cp
+from compident import exact
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.errors import FieldCharacteristicTooSmall
 from compident.monomial import MonomialPolynomial
 
 from conftest import (
     directed_cycle_graph,
+    isc_adversary,
     oracle_rank,
     oracle_strongly_connected,
     sympy_double_charpoly,
 )
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch module.name to record one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def poly_from_names(graph, term_map):
@@ -226,9 +241,26 @@ class TestImageDimension:
         report = image_dimension(directed_cycle_graph(4))
         assert report.d == 5 == report.expected
 
-    def test_modes_agree(self, chain4, broken4):
-        for g in (chain4, broken4):
-            assert image_dimension(g, mode=RATIONAL_MODE).d == image_dimension(g).d
+    def test_modes_agree(self, monkeypatch, request):
+        """The rational report equals the prime-field one apart from `mode`,
+        on a sample where both the mod-p certificate and Bareiss decide."""
+        from compident.census import census_classes
+
+        graphs = [c.representative for c in census_classes(4, 6)]
+        graphs += [c.representative for c in census_classes(5, 8)[::23]]
+        graphs += [request.getfixturevalue(name) for name in TestJacobianAgainstSympy.FIXTURES]
+        ranks = count_calls(monkeypatch, exact, "rank")
+        bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
+        rational_ranks = 0
+        for g in graphs:
+            prime = image_dimension(g).as_dict()
+            before = len(ranks)
+            rational = image_dimension(g, mode=RATIONAL_MODE).as_dict()
+            rational_ranks += len(ranks) - before
+            assert rational.pop("mode") == RATIONAL_MODE and prime.pop("mode") == PRIME_MODE
+            assert rational == prime, g
+        certified = rational_ranks - len(bareiss)
+        assert certified > 0 and len(bareiss) > 0
 
     def test_rejects_non_strongly_connected(self):
         g = CompartmentGraph(2, ((1, 2),))
@@ -285,19 +317,30 @@ class TestImageDimension:
             assert rank_mod_p(jac) <= g.m + 1
 
     def test_stops_at_the_ceiling(self, monkeypatch, chain4, broken4):
-        calls = []
-        real = cp.verdict_matrix
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cp, "verdict_matrix", counting)
+        calls = count_calls(monkeypatch, cp, "_power_rows")
         report = image_dimension(chain4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (1, 7, True, 2)
         calls.clear()
         report = image_dimension(broken4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (2, 6, False, 2)
+
+    @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
+    def test_stops_at_2n_minus_1(self, monkeypatch, mode):
+        """m+1 = 46 > 2n-1 = 17: the first trial reaching 17 is the last."""
+        calls = count_calls(monkeypatch, cp, "_power_rows")
+        report = image_dimension(isc_adversary(9), trials=2, mode=mode)
+        assert len(calls) == 1
+        assert (report.d, report.expected, report.verdict, report.trials) == (17, 46, False, 2)
+
+    def test_picks_the_tree_once(self, monkeypatch, broken4):
+        calls = count_calls(monkeypatch, cp, "spanning_tree")
+        report = image_dimension(broken4, trials=2)
+        assert (len(calls), report.trials, report.d) == (1, 2, 6)
+
+    def test_rational_deficient_rank_reaches_bareiss(self, monkeypatch, broken4):
+        calls = count_calls(monkeypatch, exact, "rank_bareiss")
+        assert image_dimension(broken4, trials=2, mode=RATIONAL_MODE).d == 6
+        assert len(calls) == 2
 
 
 class TestVerdictMatrix:

@@ -10,6 +10,8 @@ import compident
 from compident import reparametrization_from_json, verify_reparametrization
 from compident.cli import main
 
+from conftest import isc_adversary
+
 
 @pytest.fixture
 def chain4_file(tmp_path, chain4):
@@ -68,6 +70,26 @@ class TestAnalyze:
         assert doc["strongly_connected"] is False
         assert doc["reduced"] == {"n": 2, "edges": [[1, 2], [2, 1]]}
         assert doc["dimension"]["n"] == 2
+
+    def test_exact_full_rank_skips_bareiss(self, capsys, monkeypatch, tmp_path, path10_file):
+        """At the min(2n-1, m+1) ceiling the rank mod p is the proof, so
+        `--exact` answers without Bareiss and agrees with prime-field mode."""
+        adversary = tmp_path / "adversary9.json"
+        adversary.write_text(isc_adversary(9).to_json())
+
+        def boom(rows):
+            raise AssertionError("a full-rank verdict matrix reached Bareiss")
+
+        monkeypatch.setattr(compident.exact, "rank_bareiss", boom)
+        for path, d, verdict in ((path10_file, 19, True), (str(adversary), 17, False)):
+            code, out, _ = run(capsys, "analyze", path, "--json", "--exact")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["dimension"]["mode"] == "rational"
+            assert (doc["dimension"]["d"], doc["dimension"]["verdict"]) == (d, verdict)
+            _, prime_out, _ = run(capsys, "analyze", path, "--json")
+            doc["dimension"]["mode"] = "prime-field"
+            assert doc == json.loads(prime_out)
 
     def test_human_readable(self, capsys, chain4_file):
         code, out, _ = run(capsys, "analyze", chain4_file)

@@ -12,6 +12,7 @@ from compident import (
     incidence_matrix,
 )
 from compident.exact import (
+    MERSENNE61,
     PRIME_MODE,
     RATIONAL_MODE,
     det_int,
@@ -61,6 +62,40 @@ class TestRank:
         for _ in range(100):
             rows = [[rng.randrange(0, 1000) for _ in range(4)] for _ in range(4)]
             assert rank_bareiss(rows) == rank_mod_p(rows)
+
+
+class TestRationalRankCertificate:
+    """Rational rank is the rank mod p when that reaches min(rows, cols),
+    and Bareiss otherwise: matrices whose rank drops mod p must still get
+    their rank over Q."""
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[MERSENNE61, 0], [0, 1]], 2),
+            ([[Fraction(MERSENNE61, 2), 0], [0, 1]], 2),
+            ([[MERSENNE61, 1], [2 * MERSENNE61, 2]], 1),
+        ],
+    )
+    def test_rank_drops_mod_p(self, rows, expected):
+        assert oracle_rank(rows) == expected
+        assert rank(rows, RATIONAL_MODE) == expected
+
+    def test_random_multiples_of_p(self):
+        rng = random.Random(61)
+        drops = full = 0
+        for _ in range(200):
+            nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)  # tall, wide, square
+            rows = [
+                [rng.choice([MERSENNE61 * rng.randrange(-3, 4), rng.randrange(-3, 4)])
+                 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+            expected = oracle_rank(rows)
+            assert rank(rows, RATIONAL_MODE) == expected, rows
+            drops += rank_mod_p(rows) < expected
+            full += expected == min(nr, nc)
+        assert drops > 20 and full > 20
 
 
 def rank_gf_p_with_inverses(rows, p: int) -> int:

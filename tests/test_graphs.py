@@ -26,6 +26,7 @@ from compident.census import census_classes
 
 from conftest import (
     directed_cycle_graph,
+    isc_adversary,
     oracle_rank,
     oracle_reachable,
     oracle_strongly_connected,
@@ -71,15 +72,6 @@ def oracle_isc_certificate(graph: CompartmentGraph):
         ):
             return order
     return None
-
-
-def isc_adversary(n: int) -> CompartmentGraph:
-    """Complete bidirected K_{n-2} with a directed 3-cycle hung off vertex
-    n-2: strongly connected and never inductively so."""
-    k = n - 2
-    edges = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1) if a != b]
-    edges += [(k, k + 1), (k + 1, k + 2), (k + 2, k)]
-    return CompartmentGraph(n, tuple(edges))
 
 
 class TestParse:
