@@ -52,7 +52,6 @@ from .graphs import (
     elementary_cycles,
     exchange_vertices,
     has_exchange,
-    incidence_matrix,
     io_strong_component,
     is_inductively_strongly_connected,
     is_strongly_connected,

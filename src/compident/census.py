@@ -429,20 +429,3 @@ def property_suite(
 
     return checks
 
-
-def stability_gate(
-    n: int,
-    m: int,
-    seed_a: int = 0,
-    trials_a: int = 2,
-    seed_b: int = 1,
-    trials_b: int = 4,
-    mode: str = PRIME_MODE,
-    limit: int = DEFAULT_LIMIT,
-) -> bool:
-    """Re-verify a row's per-class verdicts under more trials at a second
-    seed; randomized rank may only resolve upward, so any change means the
-    cheap configuration under-reported."""
-    first, _total = _census_data(n, m, seed_a, trials_a, mode, limit)
-    second, _total = _census_data(n, m, seed_b, trials_b, mode, limit)
-    return all(first[key].expected == second[key].expected for key in first)

@@ -15,7 +15,8 @@ reductions give the Jacobian's rank at every point:
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
   entries) times the reduced incidence matrix of `graphs.spanning_tree`,
   invertible while the tree entries are nonzero (`sample_point` draws from
-  [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are kept, so
+  [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are kept: the
+  (2n-1) x (m+1) verdict matrix that `image_dimension` ranks, on which
   elimination stops after at most m+1 pivots.
 """
 
@@ -224,14 +225,6 @@ def _verdict_params(graph: CompartmentGraph) -> list[int]:
     ]
 
 
-def verdict_matrix(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
-    """The (2n-1) x (m+1) matrix whose rank equals the Jacobian's at `point`:
-    the power rows of A and A_1 at the n diagonal and the m-n+1 non-tree
-    parameters of `graphs.spanning_tree` (see the module docstring)."""
-    rows, sub_rows = _power_rows(graph, point, exact.modulus(mode), _verdict_params(graph))
-    return rows + sub_rows
-
-
 @dataclass(frozen=True)
 class DimensionReport:
     """Computed generic dimension of the coefficient map image."""
@@ -278,13 +271,13 @@ def image_dimension(
     that ceiling; `d`, `verdict` and `trials` are what all trials would
     give.
 
-    Each rank is of the (2n-1) x (m+1) `verdict_matrix`: power rows, of
+    Each rank is of the (2n-1) x (m+1) verdict matrix: the power rows, of
     which the Jacobian rows are unit triangular combinations, at the
-    diagonal and non-tree columns, of which the tree columns are
-    combinations through the scaling kernel. Both keep the rank exactly
-    at points with nonzero tree entries, as every sampled point has. The
-    columns, and so the tree, are picked once per call. In rational mode a
-    rank at the ceiling is certified mod p (`exact.rank`).
+    diagonal and non-tree columns (`_verdict_params`), of which the tree
+    columns are combinations through the scaling kernel. Both keep the
+    rank exactly at points with nonzero tree entries, as every sampled
+    point has. The columns, and so the tree, are picked once per call. In
+    rational mode a rank at the ceiling is certified mod p (`exact.rank`).
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -366,13 +359,3 @@ def io_equation_text(graph: CompartmentGraph) -> str:
         return text
 
     return side("y", graph.n, cs) + " = " + side("u1", graph.n - 1, ds)
-
-
-def evaluate_symbolic(
-    graph: CompartmentGraph, values: Sequence[int], mode: str = PRIME_MODE
-) -> tuple[list, list]:
-    """Evaluate the symbolic expansion at a point (oracle counterpart of
-    numeric_coefficients)."""
-    p = exact.modulus(mode)
-    cs, ds = symbolic_coefficients(graph)
-    return [c.evaluate(values, p) for c in cs], [d.evaluate(values, p) for d in ds]

@@ -168,21 +168,17 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
     return CompartmentGraph(len(comp), edges)
 
 
-def has_exchange(graph: CompartmentGraph) -> Optional[int]:
-    """Smallest vertex i > 1 with both 1->i and i->1 present, if any."""
-    present = set(graph.edges)
-    for i in range(2, graph.n + 1):
-        if (1, i) in present and (i, 1) in present:
-            return i
-    return None
-
-
 def exchange_vertices(graph: CompartmentGraph) -> list[int]:
     """All vertices forming a 2-cycle with vertex 1, in increasing order."""
     present = set(graph.edges)
     return [
         i for i in range(2, graph.n + 1) if (1, i) in present and (i, 1) in present
     ]
+
+
+def has_exchange(graph: CompartmentGraph) -> Optional[int]:
+    """Smallest vertex i > 1 with both 1->i and i->1 present, if any."""
+    return next(iter(exchange_vertices(graph)), None)
 
 
 def _induced_strongly_connected(graph: CompartmentGraph, vertices: Sequence[int]) -> bool:
@@ -198,34 +194,22 @@ def is_inductively_strongly_connected(
 ) -> Optional[IscCertificate]:
     """Search for a vertex ordering witnessing inductive strong connectivity.
 
-    Backtracks over extensions of the prefix (1, ...), testing each prefix
-    for strong connectivity; greedy extension alone is not known to be
-    complete. Whether a prefix extends depends only on its vertex set, so
-    sets that failed once are skipped: at most 2^(n-1) prefix checks.
-    Returns the lexicographically smallest certificate, or None.
+    Greedy extension: append the smallest vertex whose addition keeps the
+    prefix strongly connected. It is complete, so it never backtracks: if S
+    (containing 1) is strongly connected, S + {v} is exactly when v has an
+    edge from S and an edge to S, which only gets easier as S grows. So at
+    most n(n-1)/2 prefix checks. Returns the lexicographically smallest
+    certificate, or None.
     """
-    n = graph.n
-    if n == 1:
-        return (1,)
-
     prefix = [1]
-    failed: set[int] = set()  # vertex-set bitmasks of dead prefixes
-
-    def extend(vertex_set: int) -> bool:
-        if len(prefix) == n:
-            return True
-        for v in range(2, n + 1):
-            grown = vertex_set | 1 << v
-            if grown == vertex_set or grown in failed:
-                continue
-            prefix.append(v)
-            if _induced_strongly_connected(graph, prefix) and extend(grown):
-                return True
-            prefix.pop()
-            failed.add(grown)
-        return False
-
-    return tuple(prefix) if extend(1 << 1) else None
+    rest = list(range(2, graph.n + 1))
+    while rest:
+        v = next((v for v in rest if _induced_strongly_connected(graph, prefix + [v])), None)
+        if v is None:
+            return None
+        prefix.append(v)
+        rest.remove(v)
+    return tuple(prefix)
 
 
 def collapse_exchange(
@@ -238,14 +222,13 @@ def collapse_exchange(
     dropped and duplicate edges keep their first occurrence. By default the
     smallest exchange vertex is collapsed; `at` selects another one.
     """
+    exchanges = exchange_vertices(graph)
     if at is None:
-        at = has_exchange(graph)
-        if at is None:
+        if not exchanges:
             raise NoExchange("graph has no exchange")
-    else:
-        present = set(graph.edges)
-        if not ((1, at) in present and (at, 1) in present):
-            raise NoExchange(f"no exchange at vertex {at}")
+        at = exchanges[0]
+    elif at not in exchanges:
+        raise NoExchange(f"no exchange at vertex {at}")
 
     def relabel(v: int) -> int:
         if v in (1, at):
@@ -390,19 +373,6 @@ def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
     cycles = [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)]
     cycles.extend(_make_cycle(graph, vs) for vs in found)
     return cycles
-
-
-def incidence_matrix(graph: CompartmentGraph) -> list[list[int]]:
-    """The n-by-m directed incidence matrix.
-
-    The column for edge j -> i has +1 in row j and -1 in row i; columns
-    follow graph edge order.
-    """
-    rows = [[0] * graph.m for _ in range(graph.n)]
-    for k, (j, i) in enumerate(graph.edges):
-        rows[j - 1][k] += 1
-        rows[i - 1][k] -= 1
-    return rows
 
 
 def canonical_form(graph: CompartmentGraph) -> bytes:

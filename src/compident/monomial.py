@@ -9,7 +9,6 @@ exponents written ``^e`` and ``1`` for the empty monomial, e.g.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 
@@ -76,26 +75,6 @@ class MonomialPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
-
-    def evaluate(self, values: Sequence[int], p: int = 0):
-        """Evaluate at a point; `values` indexed by parameter order.
-
-        With p > 0 the result is reduced mod p; with p = 0 it is exact, a
-        Fraction only where a negative exponent needs one.
-        """
-        acc = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                if e and p:
-                    term = term * pow(v, e, p) % p
-                elif e:
-                    term *= v**e if e > 0 else Fraction(1, v) ** -e
-            acc += term
-        return acc % p if p else acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialPolynomial):

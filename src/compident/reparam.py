@@ -179,9 +179,7 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     )
 
 
-def express_in_cycles(
-    graph: CompartmentGraph, tree: SpanningTree, basis: CycleBasis
-) -> dict[int, tuple[int, ...]]:
+def express_in_cycles(basis: CycleBasis) -> dict[int, tuple[int, ...]]:
     """Write each non-tree rescaled rate as an integer combination of basis
     cycles.
 
@@ -302,7 +300,7 @@ def reparametrize(
     f_exponents = scaling_exponents(graph, tree)
     rescaled = rescaled_exponent_matrix(graph, f_exponents)
     basis = cycle_basis(graph, tree)
-    expressions = express_in_cycles(graph, tree, basis)
+    expressions = express_in_cycles(basis)
     result = ScalingReparametrization(
         graph=graph,
         tree=tree,

@@ -3,16 +3,19 @@
 The oracles here deliberately avoid the library's own algorithms: strong
 connectivity via all-pairs reachability, ranks via plain Gaussian
 elimination over Fractions, characteristic polynomials via sympy.
-`class_verdicts` is the census lookup for tests that sweep labeled graphs.
+`evaluate_symbolic` evaluates the library's cycle expansion
+(`symbolic_coefficients`), the symbolic counterpart of
+`numeric_coefficients`. `class_verdicts` is the census lookup for tests that
+sweep labeled graphs.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from compident import CompartmentGraph, canonical_form, census_classes
+from compident import CompartmentGraph, canonical_form, census_classes, symbolic_coefficients
 from compident.census import DEFAULT_LIMIT
-from compident.exact import PRIME_MODE
+from compident.exact import PRIME_MODE, modulus
 
 
 @pytest.fixture
@@ -82,6 +85,19 @@ def oracle_strongly_connected(graph: CompartmentGraph) -> bool:
     return all(oracle_reachable(graph, v) == set(vertices) for v in vertices)
 
 
+def incidence_matrix(graph: CompartmentGraph) -> list[list[int]]:
+    """The n-by-m directed incidence matrix.
+
+    The column for edge j -> i has +1 in row j and -1 in row i; columns
+    follow graph edge order.
+    """
+    rows = [[0] * graph.m for _ in range(graph.n)]
+    for k, (j, i) in enumerate(graph.edges):
+        rows[j - 1][k] += 1
+        rows[i - 1][k] -= 1
+    return rows
+
+
 def oracle_rank(rows) -> int:
     """Gaussian elimination over Fractions."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -116,6 +132,35 @@ def class_verdicts(
     graphs. The dict is fresh, so callers cannot alter the cached census."""
     classes = census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit)
     return {canonical_form(c.representative): c for c in classes}
+
+
+def evaluate_polynomial(poly, values, p: int = 0):
+    """Evaluate a MonomialPolynomial at a point; `values` indexed by
+    parameter order.
+
+    With p > 0 the result is reduced mod p; with p = 0 it is exact, a
+    Fraction only where a negative exponent needs one.
+    """
+    acc = 0
+    for expo, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            if e and p:
+                term = term * pow(v, e, p) % p
+            elif e:
+                term *= v**e if e > 0 else Fraction(1, v) ** -e
+        acc += term
+    return acc % p if p else acc
+
+
+def evaluate_symbolic(graph: CompartmentGraph, values, mode: str = PRIME_MODE) -> tuple[list, list]:
+    """Evaluate the symbolic expansion at a point (oracle counterpart of
+    numeric_coefficients)."""
+    p = modulus(mode)
+    cs, ds = symbolic_coefficients(graph)
+    return [evaluate_polynomial(c, values, p) for c in cs], [
+        evaluate_polynomial(d, values, p) for d in ds
+    ]
 
 
 def sympy_double_charpoly(graph: CompartmentGraph):

@@ -9,7 +9,6 @@ from compident import (
     InconsistentSystem,
     NotSquare,
     NotUnimodular,
-    incidence_matrix,
 )
 from compident.exact import (
     MERSENNE61,
@@ -23,7 +22,7 @@ from compident.exact import (
     rank_mod_p,
 )
 
-from conftest import oracle_rank
+from conftest import incidence_matrix, oracle_rank
 
 
 class TestRank:

@@ -15,7 +15,6 @@ from compident import (
     elementary_cycles,
     exchange_vertices,
     has_exchange,
-    incidence_matrix,
     io_strong_component,
     is_inductively_strongly_connected,
     is_strongly_connected,
@@ -26,6 +25,7 @@ from compident.census import census_classes
 
 from conftest import (
     directed_cycle_graph,
+    incidence_matrix,
     isc_adversary,
     oracle_rank,
     oracle_reachable,
@@ -245,7 +245,22 @@ class TestInductivelyStronglyConnected:
         assert is_inductively_strongly_connected(g) is None
         assert 0 < len(calls) <= 2 ** (n - 1) * (n - 1)
 
-    @pytest.mark.parametrize("n, m", [(4, 6), (5, 8)])
+    def test_greedy_prefix_checks_on_adversary(self, monkeypatch):
+        # Greedy extension tries each remaining vertex at most once per
+        # step: (n-1) + (n-2) + .. + 1 prefix checks at most.
+        calls = []
+        original = graphs_mod._induced_strongly_connected
+
+        def counting(graph, vertices):
+            calls.append(len(vertices))
+            return original(graph, vertices)
+
+        monkeypatch.setattr(graphs_mod, "_induced_strongly_connected", counting)
+        n = 11
+        assert is_inductively_strongly_connected(isc_adversary(n)) is None
+        assert 0 < len(calls) <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n, m", [(3, 4), (4, 6), (5, 7), (5, 8)])
     def test_certificates_match_brute_force_on_census_classes(self, n, m):
         for entry in census_classes(n, m):
             graph = entry.representative

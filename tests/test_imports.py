@@ -35,3 +35,48 @@ def test_charpoly_does_not_import_reparam():
         if isinstance(node, ast.ImportFrom):
             imported |= {node.module} if node.module else {a.name for a in node.names}
     assert "reparam" not in imported
+
+
+# Paper-facing API that no library module or bench script calls.
+PUBLIC_ONLY = {
+    "property_suite",
+    "non_isc_identifiable_classes",
+    "identifiable_cycle_functions",
+    "reparametrization_from_json",
+}
+
+
+def referenced(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Names and attribute names used in `tree`, and string constants too
+    when `strings` is set (bench scripts name traced functions by string)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_library_function_has_a_caller():
+    """Code whose only callers are tests belongs in the tests: every
+    top-level def or class is used by the library, by `bench/`, or is
+    listed in PUBLIC_ONLY."""
+    modules = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    assert "graphs.py" in modules and bench
+    used = set(PUBLIC_ONLY)
+    for name in modules:
+        used |= referenced(parsed(name))
+    for path in bench:
+        used |= referenced(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    unused = [
+        f"{name}:{node.name}"
+        for name in modules
+        for node in parsed(name).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
