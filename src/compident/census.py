@@ -359,7 +359,6 @@ def property_suite(
     seed: int = 0,
     trials: int = 2,
     mode: str = PRIME_MODE,
-    limit: Optional[int] = None,
 ) -> dict[str, PropertyCheck]:
     """Exhaustive checks of the proven structural statements.
 
@@ -368,8 +367,7 @@ def property_suite(
     The exchange, ISC and add-exchange checks run on census classes: each
     class counts `size` times in `tested`, and violations name representatives.
     """
-    if limit is None:
-        limit = max(n_max, DEFAULT_LIMIT)
+    limit = max(n_max, DEFAULT_LIMIT)
     checks = {
         "exchange-necessity": PropertyCheck(),
         "directed-cycle-expected": PropertyCheck(),

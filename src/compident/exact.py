@@ -83,24 +83,29 @@ def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer rank by fraction-free (Bareiss) elimination.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix.
 
-    Divisions in the update are exact; row and column pivoting only skips
-    over zero blocks, which keeps the minor structure intact.
+    Returns the rank and the last pivot, negated once per row swap. Divisions
+    in the update are exact; row and column pivoting only skips over zero
+    blocks, which keeps the minor structure intact. For a square matrix of
+    full rank the signed pivot is the determinant.
     """
     mat = [list(map(int, row)) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
     prev = 1
+    sign = 1
     col = 0
     while rank < nrows and col < ncols:
         pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if pivot is None:
             col += 1
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            sign = -sign
         pv = mat[rank][col]
         for r in range(rank + 1, nrows):
             row = mat[r]
@@ -111,7 +116,12 @@ def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
         prev = pv
         rank += 1
         col += 1
-    return rank
+    return rank, sign * prev
+
+
+def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer rank by fraction-free (Bareiss) elimination."""
+    return _bareiss(rows)[0]
 
 
 def rank(rows: Sequence[Sequence], mode: str = RATIONAL_MODE) -> int:
@@ -140,24 +150,8 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise NotSquare("determinant needs a square matrix")
-    if size == 0:
-        return 1
-    mat = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            pivot = next((r for r in range(k + 1, size) if mat[r][k]), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                mat[r][c] = (mat[k][k] * mat[r][c] - mat[r][k] * mat[k][c]) // prev
-            mat[r][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+    rank, pivot = _bareiss(matrix)
+    return pivot if rank == size else 0
 
 
 def inverse_unimodular(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -15,6 +15,7 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import Disconnected, InvalidEdge, MalformedInput, NoExchange
+from .monomial import format_monomial
 
 #: An ISC certificate is a vertex ordering starting at 1 whose every prefix
 #: induces a strongly connected subgraph.
@@ -111,14 +112,15 @@ def parse_graph(text: str) -> CompartmentGraph:
     return CompartmentGraph(n, tuple(pairs))
 
 
-def _reachable(adj: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
+def _reach(adj: Sequence[Sequence[int]]) -> int:
+    """Bitmask (bit v for vertex v) of the vertices vertex 1 reaches along `adj`."""
+    seen = 2  # bit 1 set
+    stack = [1]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
+        for w in adj[stack.pop()]:
+            bit = 1 << w
+            if not seen & bit:
+                seen |= bit
                 stack.append(w)
     return seen
 
@@ -131,20 +133,8 @@ def _subset_strongly_connected(n: int, edges) -> bool:
     for j, i in edges:
         succ[j].append(i)
         pred[i].append(j)
-    for adj in (succ, pred):
-        seen = 2  # bit 1 set
-        count = 1
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                bit = 1 << w
-                if not seen & bit:
-                    seen |= bit
-                    count += 1
-                    stack.append(w)
-        if count != n:
-            return False
-    return True
+    full = (1 << (n + 1)) - 2
+    return _reach(succ) == full and _reach(pred) == full
 
 
 def is_strongly_connected(graph: CompartmentGraph) -> bool:
@@ -158,12 +148,13 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
     Vertices are relabeled to 1..n' preserving relative order (vertex 1
     stays fixed); edge order is inherited from the input.
     """
-    comp = _reachable(graph.successors(), 1) & _reachable(graph.predecessors(), 1)
+    mask = _reach(graph.successors()) & _reach(graph.predecessors())
+    comp = [v for v in range(1, graph.n + 1) if mask >> v & 1]
     if len(comp) == graph.n:
         return graph
-    relabel = {v: k + 1 for k, v in enumerate(sorted(comp))}
+    relabel = {v: k + 1 for k, v in enumerate(comp)}
     edges = tuple(
-        (relabel[j], relabel[i]) for j, i in graph.edges if j in comp and i in comp
+        (relabel[j], relabel[i]) for j, i in graph.edges if j in relabel and i in relabel
     )
     return CompartmentGraph(len(comp), edges)
 
@@ -181,33 +172,32 @@ def has_exchange(graph: CompartmentGraph) -> Optional[int]:
     return next(iter(exchange_vertices(graph)), None)
 
 
-def _induced_strongly_connected(graph: CompartmentGraph, vertices: Sequence[int]) -> bool:
-    """Whether `vertices`, a prefix starting at 1, induce a strongly
-    connected subgraph; the prefix is relabeled 1..k in its order."""
-    label = {v: r for r, v in enumerate(vertices, start=1)}
-    edges = [(label[j], label[i]) for j, i in graph.edges if j in label and i in label]
-    return _subset_strongly_connected(len(vertices), edges)
-
-
 def is_inductively_strongly_connected(
     graph: CompartmentGraph,
 ) -> Optional[IscCertificate]:
     """Search for a vertex ordering witnessing inductive strong connectivity.
 
     Greedy extension: append the smallest vertex whose addition keeps the
-    prefix strongly connected. It is complete, so it never backtracks: if S
-    (containing 1) is strongly connected, S + {v} is exactly when v has an
-    edge from S and an edge to S, which only gets easier as S grows. So at
-    most n(n-1)/2 prefix checks. Returns the lexicographically smallest
-    certificate, or None.
+    prefix strongly connected. If S (containing 1) is strongly connected,
+    S + {v} is exactly when v has an edge from S and an edge to S, so each
+    step is one bitmask test per remaining vertex and runs no connectivity
+    walk. The test only gets easier as S grows, so the search never
+    backtracks. Returns the lexicographically smallest certificate, or None.
     """
+    sources = [0] * (graph.n + 1)  # bit u of sources[v]: edge u -> v
+    targets = [0] * (graph.n + 1)  # bit w of targets[v]: edge v -> w
+    for j, i in graph.edges:
+        sources[i] |= 1 << j
+        targets[j] |= 1 << i
     prefix = [1]
+    inside = 2  # bit 1 set
     rest = list(range(2, graph.n + 1))
     while rest:
-        v = next((v for v in rest if _induced_strongly_connected(graph, prefix + [v])), None)
+        v = next((v for v in rest if sources[v] & inside and targets[v] & inside), None)
         if v is None:
             return None
         prefix.append(v)
+        inside |= 1 << v
         rest.remove(v)
     return tuple(prefix)
 
@@ -339,8 +329,8 @@ def _make_cycle(graph: CompartmentGraph, vertices: tuple[int, ...]) -> Cycle:
     expo = [0] * graph.m
     for e in edge_ids:
         expo[e] = 1
-    names = sorted(graph.edge_param_name(e) for e in edge_ids)
-    return Cycle(vertices, tuple(edge_ids), tuple(expo), "*".join(names))
+    names = [graph.edge_param_name(e) for e in edge_ids]
+    return Cycle(vertices, tuple(edge_ids), tuple(expo), format_monomial(names, [1] * len(names)))
 
 
 def elementary_cycles(graph: CompartmentGraph) -> CycleSet:

@@ -41,10 +41,6 @@ def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
     return tuple(expo)
 
 
-def unit_vector(length: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if k == index else 0 for k in range(length))
-
-
 class MonomialPolynomial:
     """Multivariate polynomial with integer coefficients, stored sparsely.
 

@@ -36,7 +36,7 @@ from .graphs import (
     spanning_tree,
     tree_walk,
 )
-from .monomial import format_monomial, parse_monomial, unit_vector
+from .monomial import format_monomial, parse_monomial
 
 
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
@@ -89,16 +89,13 @@ def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple
     the columns of the inverse of the tree block of the incidence matrix
     without inverting anything.
     """
-    m = graph.m
     f: list[Optional[tuple[int, ...]]] = [None] * (graph.n + 1)
-    f[1] = (0,) * m
+    f[1] = (0,) * graph.m
     for child, parent, k in tree_walk(graph, tree.edge_indices):
         j, _i = graph.edges[k]
-        step = unit_vector(m, k)
-        if child == j:
-            f[child] = tuple(a + b for a, b in zip(f[parent], step))
-        else:
-            f[child] = tuple(a - b for a, b in zip(f[parent], step))
+        expo = list(f[parent])
+        expo[k] += 1 if child == j else -1
+        f[child] = tuple(expo)
     return [f[v] for v in range(1, graph.n + 1)]
 
 
@@ -109,12 +106,9 @@ def rescaled_exponent_matrix(
     edge; spanning-tree rows come out identically zero."""
     rows = []
     for k, (j, i) in enumerate(graph.edges):
-        base = unit_vector(graph.m, k)
-        row = tuple(
-            b + fi - fj
-            for b, fi, fj in zip(base, f_exponents[i - 1], f_exponents[j - 1])
-        )
-        rows.append(row)
+        row = [fi - fj for fi, fj in zip(f_exponents[i - 1], f_exponents[j - 1])]
+        row[k] += 1
+        rows.append(tuple(row))
     return rows
 
 

@@ -141,11 +141,9 @@ class TestStrongConnectivity:
             g = random_graph(rng, n, m)
             assert is_strongly_connected(g) == oracle_strongly_connected(g)
 
-    def test_prefixes_match_oracle_on_census_classes(self, single):
+    def test_prefixes_match_oracle_on_census_classes(self):
         # Every prefix (1, ...) of every (5,8) class, certificate prefixes
-        # among them: the prefix check relabels in prefix order, the
-        # whole-graph predicate sees the induced subgraph in sorted order.
-        assert graphs_mod._induced_strongly_connected(single, (1,))
+        # among them; the predicate sees the induced subgraph in sorted order.
         checked = 0
         for entry in census_classes(5, 8):
             graph = entry.representative
@@ -160,7 +158,6 @@ class TestStrongConnectivity:
                     sub = induced(graph, prefix)
                     wants[key] = oracle_strongly_connected(sub)
                     assert is_strongly_connected(sub) == wants[key]
-                assert graphs_mod._induced_strongly_connected(graph, prefix) == wants[key]
                 checked += 1
         assert checked == 1158 * 65
 
@@ -183,6 +180,17 @@ class TestIoStrongComponent:
         reduced = io_strong_component(g)
         assert reduced == CompartmentGraph(3, ((1, 2), (2, 3), (3, 1)))
         assert is_strongly_connected(reduced)
+
+    def test_matches_reachability_oracle(self):
+        # Random graphs, about half of them not strongly connected: the oracle
+        # keeps the vertices that 1 reaches and that reach 1, relabeled in
+        # increasing order with the inherited edge order.
+        rng = random.Random(12)
+        for _ in range(400):
+            n = rng.randrange(1, 8)
+            g = random_graph(rng, n, rng.randrange(0, n * (n - 1) + 1))
+            comp = {v for v in oracle_reachable(g, 1) if 1 in oracle_reachable(g, v)}
+            assert io_strong_component(g) == induced(g, comp)
 
 
 class TestExchange:
@@ -230,41 +238,59 @@ class TestInductivelyStronglyConnected:
             )
             assert oracle_strongly_connected(sub)
 
-    def test_prefix_checks_bounded_on_adversary(self, monkeypatch):
-        calls = []
-        original = graphs_mod._induced_strongly_connected
-
-        def counting(graph, vertices):
-            calls.append(len(vertices))
-            return original(graph, vertices)
-
-        monkeypatch.setattr(graphs_mod, "_induced_strongly_connected", counting)
-        n = 11
-        g = isc_adversary(n)
+    def test_prefix_checks_bounded_on_adversary(self, monkeypatch, chain4):
+        # Each step is one bitmask test per remaining vertex: neither the
+        # strong-connectivity predicate nor the reachability walk is called.
+        g = isc_adversary(11)
         assert is_strongly_connected(g)
+
+        def boom(*args):
+            raise AssertionError("ISC ran a connectivity walk")
+
+        monkeypatch.setattr(graphs_mod, "_subset_strongly_connected", boom)
+        monkeypatch.setattr(graphs_mod, "_reach", boom)
         assert is_inductively_strongly_connected(g) is None
-        assert 0 < len(calls) <= 2 ** (n - 1) * (n - 1)
+        assert is_inductively_strongly_connected(chain4) == (1, 2, 3, 4)
 
-    def test_greedy_prefix_checks_on_adversary(self, monkeypatch):
-        # Greedy extension tries each remaining vertex at most once per
-        # step: (n-1) + (n-2) + .. + 1 prefix checks at most.
-        calls = []
-        original = graphs_mod._induced_strongly_connected
-
-        def counting(graph, vertices):
-            calls.append(len(vertices))
-            return original(graph, vertices)
-
-        monkeypatch.setattr(graphs_mod, "_induced_strongly_connected", counting)
-        n = 11
-        assert is_inductively_strongly_connected(isc_adversary(n)) is None
-        assert 0 < len(calls) <= n * (n - 1) // 2
+    def test_greedy_prefix_checks_on_adversary(self):
+        # Smallest-first greedy extension with an oracle prefix check tries
+        # each remaining vertex at most once per step, (n-1) + .. + 1 checks
+        # at most. On the adversary it takes 2..n-2 in turn and then neither
+        # vertex of the hanging 3-cycle extends the prefix: n-1 checks.
+        for n in range(4, 12):
+            g = isc_adversary(n)
+            prefix, rest, checks = [1], list(range(2, n + 1)), 0
+            while rest:
+                for v in rest:
+                    checks += 1
+                    if oracle_strongly_connected(induced(g, prefix + [v])):
+                        prefix.append(v)
+                        rest.remove(v)
+                        break
+                else:
+                    break
+            assert prefix == list(range(1, n - 1))
+            assert checks == n - 1 <= n * (n - 1) // 2
+            assert is_inductively_strongly_connected(g) is None
 
     @pytest.mark.parametrize("n, m", [(3, 4), (4, 6), (5, 7), (5, 8)])
     def test_certificates_match_brute_force_on_census_classes(self, n, m):
         for entry in census_classes(n, m):
             graph = entry.representative
             assert is_inductively_strongly_connected(graph) == oracle_isc_certificate(graph)
+
+    def test_certificates_match_brute_force_on_random_graphs(self):
+        # At most 2n edges, so that about one in six is not ISC.
+        rng = random.Random(13)
+        outcomes = []
+        while len(outcomes) < 600:
+            n = rng.randrange(2, 7)
+            g = random_graph(rng, n, rng.randrange(n, min(2 * n, n * (n - 1)) + 1))
+            if oracle_strongly_connected(g):
+                cert = oracle_isc_certificate(g)
+                assert is_inductively_strongly_connected(g) == cert
+                outcomes.append(cert is None)
+        assert 50 < sum(outcomes) < 550
 
     def test_implies_strongly_connected_and_edge_bound(self):
         rng = random.Random(11)

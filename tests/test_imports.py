@@ -60,10 +60,24 @@ def referenced(tree: ast.AST, strings: bool = False) -> set[str]:
     return found
 
 
+def definitions(tree: ast.Module):
+    """Top-level defs and classes, and the non-dunder methods of each class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
 def test_every_library_function_has_a_caller():
     """Code whose only callers are tests belongs in the tests: every
-    top-level def or class is used by the library, by `bench/`, or is
-    listed in PUBLIC_ONLY."""
+    top-level def or class, and every non-dunder method, is used by the
+    library, by `bench/`, or is listed in PUBLIC_ONLY."""
     modules = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
     assert "graphs.py" in modules and bench
@@ -75,8 +89,7 @@ def test_every_library_function_has_a_caller():
     unused = [
         f"{name}:{node.name}"
         for name in modules
-        for node in parsed(name).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used
+        for node in definitions(parsed(name))
+        if node.name not in used
     ]
     assert unused == []
