@@ -8,22 +8,27 @@ the exact rank of the Jacobian at random points; the graph "has the expected
 dimension" when that rank is m+1, the number of independent monomial cycles.
 
 One kernel builds the entries (A^i)[c][r] of the powers of A and A_1 at the
-parameter positions. Newton's identities give the coefficients, and two
-reductions give the Jacobian's rank at every point:
+parameter positions: the powers up to about half the size whole, the higher
+ones only at the requested cells. Newton's identities give the
+coefficients, and three reductions give the Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
   is a unit lower triangular matrix times the power rows [R; S];
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
   entries) times the reduced incidence matrix of `graphs.spanning_tree`,
   invertible while the tree entries are nonzero (`sample_point` draws from
   [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are kept: the
-  (2n-1) x (m+1) verdict matrix that `image_dimension` ranks, on which
-  elimination stops after at most m+1 pivots.
+  (2n-1) x (m+1) verdict matrix M;
+- identity rows: row 0 of both power blocks is 0/1, and exact row and
+  column operations on them leave rank(M) = 2 + rank(M'), with M' the
+  (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
+  stops after at most m-1 pivots.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -32,6 +37,7 @@ from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     Cycle,
+    SpanningTree,
     elementary_cycles,
     is_strongly_connected,
     spanning_tree,
@@ -112,9 +118,12 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
 
     For the parameter at A[r][c], row i of the first list holds
     (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
-    with 0 for parameters outside A_1. Rows 0 and 1 are the identity and
-    the values; A^2, A^3, .. are sparse-times-dense products reduced mod p
-    once per row; the last power is computed only at the requested cells.
+    with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells and
+    row 1 holds the values. Only the powers up to h = ceil((size-1)/2) are
+    built whole, as sparse-times-dense products reduced mod p once per row;
+    each higher row i is read at the requested cells as the row
+    (A^h)[c] times the column (A^(i-h))[.][r], the baby-step/giant-step
+    split of Paterson and Stockmeyer (SIAM J. Comput. 2, 1973).
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
@@ -135,8 +144,9 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
                 dense[r][c] = a
                 cells[idx] = (c, r)  # transposed: the row reads (A^i)[c][r]
         at = [cells[idx] for idx in params]
-        powers = [[[int(r == c) for c in range(size)] for r in range(size)], dense][:size]
-        while len(powers) < size - 1:
+        half = size // 2  # ceil((size - 1) / 2)
+        powers = [None, dense]  # powers[i] = A^i; A^0 is never built
+        while len(powers) <= half:
             prev, nxt = powers[-1], []
             for srow in sparse:
                 acc = [0] * size
@@ -144,11 +154,13 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
                     acc = [x + a * y for x, y in zip(acc, prev[k])]
                 nxt.append([x % p for x in acc] if p else acc)
             powers.append(nxt)
-        rows = [[P[cell[0]][cell[1]] if cell else 0 for cell in at] for P in powers]
-        if len(rows) < size:  # A^(size-1)[c][r] = sum_k A[c][k] * A^(size-2)[k][r]
-            prev = powers[-1]
-            last = [sum(a * prev[k][cell[1]] for k, a in sparse[cell[0]]) if cell else 0 for cell in at]
-            rows.append([x % p for x in last] if p else last)
+        rows = [[int(cell[0] == cell[1]) if cell else 0 for cell in at]][:size]
+        rows += [[P[cell[0]][cell[1]] if cell else 0 for cell in at] for P in powers[1 : half + 1]]
+        top = powers[half]
+        for i in range(half + 1, size):
+            columns = list(zip(*powers[i - half]))
+            high = [sum(map(mul, top[cell[0]], columns[cell[1]])) if cell else 0 for cell in at]
+            rows.append([x % p for x in high] if p else high)
         out.append(rows)
     return out[0], out[1]
 
@@ -216,13 +228,28 @@ def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MO
     return out
 
 
-def _verdict_params(graph: CompartmentGraph) -> list[int]:
-    """The n diagonal and the m-n+1 non-tree parameters of
-    `graphs.spanning_tree`: the verdict matrix's columns."""
-    tree = set(spanning_tree(graph).edge_indices)
+def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
+    """The n diagonal and the m-n+1 non-tree parameters of `tree`: the
+    verdict matrix's columns."""
+    in_tree = set(tree.edge_indices)
     return list(range(graph.n)) + [
-        edge_slot(graph, k) for k in range(graph.m) if k not in tree
+        edge_slot(graph, k) for k in range(graph.m) if k not in in_tree
     ]
+
+
+def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
+    """M', the verdict matrix less its two identity rows, of rank
+    rank(M) - min(n, 2).
+
+    Row 0 of the A part is 1 at the n diagonal columns, row 0 of the A_1
+    part is 1 at a22..ann, and every other entry of both rows is 0. Their
+    difference is the unit row at a11, which clears column a11; subtracting
+    column a22 from each a_vv, v >= 3, turns row 0 of A_1 into the unit
+    row at a22, which clears column a22. What is left is rows 1.. of both
+    parts on the columns a_vv - a22 (v >= 3) and the non-tree edges: a
+    (2n-3) x (m-1) matrix, empty when n = 1.
+    """
+    return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
 
 
 @dataclass(frozen=True)
@@ -271,30 +298,43 @@ def image_dimension(
     that ceiling; `d`, `verdict` and `trials` are what all trials would
     give.
 
-    Each rank is of the (2n-1) x (m+1) verdict matrix: the power rows, of
-    which the Jacobian rows are unit triangular combinations, at the
-    diagonal and non-tree columns (`_verdict_params`), of which the tree
-    columns are combinations through the scaling kernel. Both keep the
-    rank exactly at points with nonzero tree entries, as every sampled
-    point has. The columns, and so the tree, are picked once per call. In
-    rational mode a rank at the ceiling is certified mod p (`exact.rank`).
+    Each rank is that of the (2n-1) x (m+1) verdict matrix M: the power
+    rows, of which the Jacobian rows are unit triangular combinations, at
+    the diagonal and non-tree columns (`_verdict_params`), of which the
+    tree columns are combinations through the scaling kernel. Both keep
+    the rank exactly at points with nonzero tree entries, as every sampled
+    point has. Exact row and column operations on M's two identity rows
+    give rank(M) = 2 + rank(M') (1 when n = 1), so only the
+    (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked. The
+    columns, and so the tree, are picked once per call. In rational mode a
+    rank at the ceiling is certified mod p (`exact.rank`).
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
             "image dimension is defined for strongly connected graphs; "
             "reduce with io_strong_component first"
         )
+    return _sampled_dimension(graph, spanning_tree(graph), trials, seed, mode)
+
+
+def _sampled_dimension(
+    graph: CompartmentGraph, tree: SpanningTree, trials: int, seed: int, mode: str
+) -> DimensionReport:
+    """`image_dimension` of a graph already known to be strongly connected,
+    with the verdict columns of its spanning tree `tree`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
-    params = _verdict_params(graph)
+    params = _verdict_params(graph, tree)
     p = exact.modulus(mode)
     ceiling = min(2 * graph.n - 1, graph.m + 1)
+    eliminated = min(graph.n, 2)
     best = 0
     for _ in range(trials):
         rows, sub_rows = _power_rows(graph, sample_point(rng, nvars), p, params)
-        best = max(best, exact.rank(rows + sub_rows, mode))
+        reduced = _reduced_verdict_rows(graph.n, rows, sub_rows)
+        best = max(best, eliminated + exact.rank(reduced, mode))
         if best == ceiling:
             break
     return DimensionReport(
@@ -319,11 +359,12 @@ def has_expected_dimension(
 
     The dimension is at most min(2n-1, m+1), since the image lives in
     dimension 2n-1. So this short-circuits to False when m > 2n-2; no rank
-    computation happens in that case.
+    computation happens in that case. Strong connectivity is checked once
+    per verdict: here when the edge bound decides, by `image_dimension`
+    otherwise, which also raises NotStronglyConnected for a graph that
+    fails the check here.
     """
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected("expected dimension needs a strongly connected graph")
-    if graph.m > 2 * graph.n - 2:
+    if graph.m > 2 * graph.n - 2 and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict
 

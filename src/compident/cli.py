@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from . import census as census_mod
@@ -217,7 +218,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and every in-process `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="compident",
         description="Identifiable scaling reparametrizations of linear compartment models",

@@ -14,7 +14,7 @@ from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, has_expected_dimension, image_dimension
+from .charpoly import DimensionReport, _sampled_dimension, has_expected_dimension
 from .errors import (
     BasisNotFound,
     Disconnected,
@@ -145,6 +145,11 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("cycle basis requires a strongly connected graph")
+    return _cycle_basis(graph, tree)
+
+
+def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
+    """`cycle_basis` of a graph already known to be strongly connected."""
     need = graph.m - graph.n + 1
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
     candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
@@ -275,7 +280,9 @@ def reparametrize(
 
     Raises NoReparametrization (carrying the dimension report) when the
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
-    one out up front.
+    one out up front. Strong connectivity is checked once and the default
+    spanning tree built once: the dimension report (`image_dimension`'s
+    columns) and the cycle basis reuse both.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -286,14 +293,15 @@ def reparametrize(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
             "no identifiable scaling reparametrization exists"
         )
-    report = image_dimension(graph, trials=trials, seed=seed, mode=mode)
+    default = spanning_tree(graph)
+    report = _sampled_dimension(graph, default, trials, seed, mode)
     if not report.verdict:
         raise NoReparametrization(report)
 
-    tree = spanning_tree(graph) if tree_edges is None else validate_tree(graph, tree_edges)
+    tree = default if tree_edges is None else validate_tree(graph, tree_edges)
     f_exponents = scaling_exponents(graph, tree)
     rescaled = rescaled_exponent_matrix(graph, f_exponents)
-    basis = cycle_basis(graph, tree)
+    basis = _cycle_basis(graph, tree)
     expressions = express_in_cycles(basis)
     result = ScalingReparametrization(
         graph=graph,

@@ -16,7 +16,7 @@ from compident import (
     symbolic_coefficients,
 )
 from compident import charpoly as cp
-from compident import exact
+from compident import exact, graphs
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.errors import FieldCharacteristicTooSmall
 from compident.monomial import MonomialPolynomial
@@ -51,7 +51,8 @@ def total_degrees(poly) -> set[int]:
 def verdict_matrix(graph, point, mode=PRIME_MODE):
     """The (2n-1) x (m+1) matrix `image_dimension` ranks: the power rows of
     A and A_1 at the n diagonal and the m-n+1 non-tree parameters."""
-    rows, sub_rows = cp._power_rows(graph, point, exact.modulus(mode), cp._verdict_params(graph))
+    params = cp._verdict_params(graph, cp.spanning_tree(graph))
+    rows, sub_rows = cp._power_rows(graph, point, exact.modulus(mode), params)
     return rows + sub_rows
 
 
@@ -355,6 +356,128 @@ class TestImageDimension:
         assert len(calls) == 2
 
 
+def bidirected_path(n: int) -> CompartmentGraph:
+    return CompartmentGraph(n, tuple(e for v in range(1, n) for e in ((v, v + 1), (v + 1, v))))
+
+
+def dense_powers(graph, values, offset: int) -> list:
+    """A^0 .. A^size by plain triple loops, for A (offset 0, size n) or A_1
+    (offset 1, size n-1), on the parameters in canonical order."""
+    size = graph.n - offset
+    a = [[0] * size for _ in range(size)]
+    entries = [(v, v) for v in range(1, graph.n + 1)] + [(i, j) for j, i in graph.edges]
+    for (r, c), x in zip(entries, values):
+        if r > offset and c > offset:
+            a[r - 1 - offset][c - 1 - offset] = x
+    powers = [[[int(r == c) for c in range(size)] for r in range(size)]]
+    while len(powers) <= size:
+        prev = powers[-1]
+        powers.append(
+            [[sum(prev[r][k] * a[k][c] for k in range(size)) for c in range(size)] for r in range(size)]
+        )
+    return powers
+
+
+def reference_power_rows(graph, values, p: int, params) -> tuple[list, list]:
+    """The `_power_rows` contract from whole dense powers: row i holds
+    (A^i)[c][r] for the parameter at A[r][c], 0 outside A_1."""
+    entries = [(v, v) for v in range(1, graph.n + 1)] + [(i, j) for j, i in graph.edges]
+    out = []
+    for offset in (0, 1):
+        rows = []
+        for power in dense_powers(graph, values, offset)[:-1]:
+            row = []
+            for k in params:
+                r, c = entries[k]
+                x = power[c - 1 - offset][r - 1 - offset] if min(r, c) > offset else 0
+                row.append(x % p if p else x)
+            rows.append(row)
+        out.append(rows)
+    return out[0], out[1]
+
+
+def reference_coefficients(graph, values) -> tuple[list, list]:
+    """(c_1..c_n, d_1..d_(n-1)) by Newton's identities on the traces of the
+    dense powers, in exact arithmetic."""
+    out = []
+    for offset in (0, 1):
+        powers = dense_powers(graph, values, offset)
+        traces = [sum(P[v][v] for v in range(len(P))) for P in powers[1:]]
+        coeffs = []
+        for j in range(1, len(traces) + 1):
+            total = traces[j - 1] + sum(coeffs[i] * traces[j - 2 - i] for i in range(j - 1))
+            coeffs.append(-Fraction(total) / j)
+        out.append(coeffs)
+    return out[0], out[1]
+
+
+class TestPowerRows:
+    """`_power_rows` builds the powers up to about half the size whole and
+    reads the higher rows at the requested cells; the result equals whole
+    dense powers in both modes and for Fraction values."""
+
+    @staticmethod
+    def graphs():
+        graphs = [bidirected_path(n) for n in range(1, 11)]
+        graphs += [isc_adversary(n) for n in range(3, 10)]
+        return graphs + random_sc_graphs(200, seed=81, max_n=8)
+
+    def test_matches_dense_powers(self):
+        rng = random.Random(82)
+        graphs = self.graphs()
+        assert {g.n for g in graphs} == set(range(1, 11))
+        for g in graphs:
+            count = g.n + g.m
+            point = [rng.randrange(1, MERSENNE61) for _ in range(count)]
+            subsets = [list(range(count)), cp._verdict_params(g, cp.spanning_tree(g))]
+            for p in (MERSENNE61, 0):
+                for params in subsets:
+                    assert cp._power_rows(g, point, p, params) == reference_power_rows(
+                        g, point, p, params
+                    ), (g, p)
+
+    def test_fraction_values(self):
+        rng = random.Random(83)
+        for g in self.graphs()[::4]:
+            point = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(g.n + g.m)]
+            everything = list(range(g.n + g.m))
+            assert cp._power_rows(g, point, 0, everything) == reference_power_rows(g, point, 0, everything)
+            assert numeric_coefficients(g, point, RATIONAL_MODE) == reference_coefficients(g, point), g
+
+
+class TestReducedVerdictMatrix:
+    """rank(M) = min(n, 2) + rank(M'): the two identity rows of the
+    verdict matrix eliminated in closed form."""
+
+    @staticmethod
+    def check(graphs, seed) -> int:
+        rng = random.Random(seed)
+        for g in graphs:
+            params = cp._verdict_params(g, cp.spanning_tree(g))
+            point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
+            for mode in (PRIME_MODE, RATIONAL_MODE):
+                rows, sub_rows = cp._power_rows(g, point, exact.modulus(mode), params)
+                reduced = cp._reduced_verdict_rows(g.n, rows, sub_rows)
+                if g.n > 1:
+                    assert len(reduced) == 2 * g.n - 3
+                    assert all(len(row) == g.m - 1 for row in reduced)
+                full = exact.rank(rows + sub_rows, mode)
+                assert min(g.n, 2) + exact.rank(reduced, mode) == full, (g, mode)
+        return len(graphs)
+
+    def test_census_classes(self):
+        from compident.census import census_classes
+
+        graphs = []
+        for n, m in ((3, 4), (4, 6), (5, 7), (5, 8)):
+            graphs += [c.representative for c in census_classes(n, m)]
+        assert self.check(graphs, seed=91) > 1000
+
+    def test_small_and_long(self, single, exchange2):
+        self.check([single, exchange2, bidirected_path(2), bidirected_path(10)], seed=92)
+        assert cp._reduced_verdict_rows(1, [[1]], []) == []
+
+
 class TestVerdictMatrix:
     """The (2n-1) x (m+1) matrix of power rows at the diagonal and
     non-tree parameters has the Jacobian's rank wherever the tree entries
@@ -421,6 +544,23 @@ class TestExpectedDimension:
 
         monkeypatch.setattr(cp, "image_dimension", boom)
         assert cp.has_expected_dimension(complete3) is False
+
+
+    def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
+        """One strong connectivity check per verdict, below and past the
+        edge bound; a graph that is not strongly connected still raises."""
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        for g, verdict in ((chain4, True), (broken4, False), (complete3, False)):
+            checks.clear()
+            assert has_expected_dimension(g) is verdict
+            assert len(checks) == 1
+        sink4 = CompartmentGraph(4, complete3.edges + ((1, 4),))  # m = 7 > 2n-2
+        for g in (CompartmentGraph(2, ((1, 2),)), sink4):
+            with pytest.raises(NotStronglyConnected):
+                has_expected_dimension(g)
 
 
 class TestIoEquation:

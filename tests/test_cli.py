@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import compident
-from compident import reparametrization_from_json, verify_reparametrization
+from compident import cli, reparametrization_from_json, verify_reparametrization
 from compident.cli import main
 
 from conftest import isc_adversary
@@ -210,6 +210,22 @@ class TestDeterminism:
         _, third, _ = run(capsys, "reparam", chain4_file, "--json")
         _, fourth, _ = run(capsys, "reparam", chain4_file, "--json")
         assert third == fourth
+
+    def test_calls_share_one_parser(self, capsys, wheel5_file):
+        """In-process calls reuse one parser; a usage error exits with 2
+        and leaves it working for the next call."""
+        cli.build_parser.cache_clear()
+        outputs = [run(capsys, "reparam", wheel5_file, "--json") for _ in range(2)]
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][1]
+        for argv in (["analyze"], ["frobnicate", wheel5_file], ["census", "3", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: compident" in capsys.readouterr().err
+        assert run(capsys, "reparam", wheel5_file, "--json") == outputs[0]
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_single_graph_queries_never_canonicalize(self, capsys, monkeypatch, path10_file):
         def refuse(graph):

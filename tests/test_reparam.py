@@ -14,7 +14,7 @@ from compident import (
     reparametrize,
     verify_reparametrization,
 )
-from compident import census_classes, exact
+from compident import census_classes, charpoly, exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_mod_p
 from compident.reparam import (
     ScalingReparametrization,
@@ -362,6 +362,31 @@ class TestReparametrize:
             calls.clear()
             reparametrize(graph)
             assert calls == [graph.m - graph.n + 1]
+
+
+    def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, wheel5):
+        """The dimension report and the cycle basis reuse the call's strong
+        connectivity check and its default spanning tree, whichever tree
+        the reparametrization uses."""
+        checks, trees = [], []
+        real_check, real_tree = graphs._subset_strongly_connected, graphs.spanning_tree
+
+        def check(*args):
+            checks.append(1)
+            return real_check(*args)
+
+        def tree(graph):
+            trees.append(1)
+            return real_tree(graph)
+
+        monkeypatch.setattr(graphs, "_subset_strongly_connected", check)
+        for module in (charpoly, reparam):
+            monkeypatch.setattr(module, "spanning_tree", tree)
+        for tree_edges in (None, WHEEL5_TREE):
+            checks.clear()
+            trees.clear()
+            result = reparametrize(wheel5, tree_edges=tree_edges)
+            assert (len(checks), len(trees), result.report.d) == (1, 1, 9)
 
 
 class TestVerification:
