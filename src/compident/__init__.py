@@ -27,7 +27,6 @@ from .charpoly import (
     symbolic_coefficients,
 )
 from .errors import (
-    BasisNotFound,
     CompidentError,
     Disconnected,
     FieldCharacteristicTooSmall,

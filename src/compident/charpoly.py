@@ -364,6 +364,8 @@ def has_expected_dimension(
     otherwise, which also raises NotStronglyConnected for a graph that
     fails the check here.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if graph.m > 2 * graph.n - 2 and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict

@@ -49,10 +49,6 @@ class TooManyEdges(CompidentError):
     """More than 2n-2 edges: no scaling reparametrization can exist."""
 
 
-class BasisNotFound(CompidentError):
-    """Could not assemble m-n+1 linearly independent cycles."""
-
-
 class LimitExceeded(CompidentError):
     """Enumeration guardrail tripped; raise the limit explicitly to proceed."""
 

@@ -1,6 +1,6 @@
-"""Exact arithmetic kernels on plain ints: division-free rank mod p,
-fraction-free integer rank and determinant, and unimodular integer matrix
-inversion.
+"""Exact arithmetic kernels on plain ints: division-free rank mod p, and
+one fraction-free elimination behind the integer rank, the determinant and
+the choice and inversion of a unimodular column block.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -83,45 +83,49 @@ def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) forward elimination of an integer matrix.
+def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Returns the rank and the last pivot, negated once per row swap. Divisions
-    in the update are exact; row and column pivoting only skips over zero
-    blocks, which keeps the minor structure intact. For a square matrix of
-    full rank the signed pivot is the determinant.
+    Returns the pivot columns and the last pivot, negated once per row swap.
+    A column with no pivot left is skipped, so the pivot columns are the
+    matrix's first independent columns; divisions by the previous pivot
+    are exact, since every entry stays a minor. For a square matrix of full
+    rank the signed pivot is the determinant. With `jordan` the rows above
+    each pivot are cleared too (fraction-free Gauss-Jordan): the columns
+    right of the last pivot column end as d * B^-1 times what they were,
+    B the block of pivot columns and d the last pivot, unsigned.
     """
-    mat = [list(map(int, row)) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    sign = 1
-    col = 0
-    while rank < nrows and col < ncols:
+    pivots: list[int] = []
+    prev = sign = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         if pivot != rank:
             mat[rank], mat[pivot] = mat[pivot], mat[rank]
             sign = -sign
-        pv = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            factor = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (pv * row[c] - factor * mat[rank][c]) // prev
-            row[col] = 0
+        prow = mat[rank]
+        pv = prow[col]
+        for r in range(0 if jordan else rank + 1, nrows):
+            if r != rank:
+                row = mat[r]
+                factor = row[col]
+                for c in range(col + 1, ncols):
+                    row[c] = (pv * row[c] - factor * prow[c]) // prev
+                row[col] = 0
         prev = pv
-        rank += 1
-        col += 1
-    return rank, sign * prev
+        pivots.append(col)
+    return pivots, sign * prev
 
 
 def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer rank by fraction-free (Bareiss) elimination."""
-    return _bareiss(rows)[0]
+    return len(_bareiss([list(map(int, row)) for row in rows])[0])
 
 
 def rank(rows: Sequence[Sequence], mode: str = RATIONAL_MODE) -> int:
@@ -150,46 +154,39 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise NotSquare("determinant needs a square matrix")
-    rank, pivot = _bareiss(matrix)
-    return pivot if rank == size else 0
+    pivots, det = _bareiss([list(map(int, row)) for row in matrix])
+    return det if len(pivots) == size else 0
+
+
+def unimodular_columns(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The first independent columns of an integer matrix and the inverse
+    of their square block B, which must have determinant +-1.
+
+    One Gauss-Jordan pass of `_bareiss` over [M | I]. Raises NotUnimodular
+    when the rank of M is below its row count (a pivot then falls in I) or
+    det B is not +-1. The right half ends as d * B^-1, d = +-det B the last
+    pivot, so B^-1 = d * (right half) when d = +-1.
+    """
+    size = len(matrix)
+    width = len(matrix[0]) if matrix else 0
+    aug = [
+        list(map(int, row)) + [int(c == r) for c in range(size)]
+        for r, row in enumerate(matrix)
+    ]
+    pivots, det = _bareiss(aug, jordan=True)
+    if pivots and pivots[-1] >= width:
+        raise NotUnimodular(f"rank below the row count {size}")
+    if det not in (1, -1):
+        raise NotUnimodular(f"determinant is {det}, not +-1")
+    d = aug[-1][pivots[-1]] if aug else 1
+    return pivots, [[d * x for x in row[width:]] for row in aug]
 
 
 def inverse_unimodular(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Fraction-free Gauss-Jordan on [M | I]: every division by the previous
-    pivot is exact, and the row operations multiply the augmented matrix by
-    d * M^-1, where d, the last pivot, is +-det(M). So the left half ends
-    as d * I, the right half as d * M^-1, and M^-1 = d * (right half) when
-    d = +-1.
-    """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
+    """Exact inverse of an integer matrix with determinant +-1."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise NotSquare("inverse needs a square matrix")
-    aug = [
-        [int(x) for x in matrix[r]] + [int(c == r) for c in range(size)]
-        for r in range(size)
-    ]
-    sign = 1
-    prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise NotUnimodular("determinant is 0, not +-1")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            sign = -sign
-        prow = aug[col]
-        pv = prow[col]
-        for r in range(size):
-            if r != col:
-                row = aug[r]
-                factor = row[col]
-                aug[r] = [(pv * x - factor * y) // prev for x, y in zip(row, prow)]
-        prev = pv
-    if prev not in (1, -1):
-        raise NotUnimodular(f"determinant is {sign * prev}, not +-1")
-    return [[prev * x for x in row[size:]] for row in aug]
+    return unimodular_columns(matrix)[1]
 
 
 def matvec_int(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:

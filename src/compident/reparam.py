@@ -14,18 +14,18 @@ from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, _sampled_dimension, has_expected_dimension
+from .charpoly import DimensionReport, _sampled_dimension
 from .errors import (
-    BasisNotFound,
     Disconnected,
     InconsistentSystem,
     NoReparametrization,
     NotExpectedDimension,
+    NotSquare,
     NotStronglyConnected,
     NotUnimodular,
     TooManyEdges,
 )
-from .exact import PRIME_MODE, rank_bareiss
+from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     Cycle,
@@ -126,22 +126,28 @@ class CycleBasis:
 def _unimodular_basis(
     cycles: Sequence[Cycle], m: int, nontree: tuple[int, ...]
 ) -> CycleBasis:
-    """The basis of `cycles`; raises NotUnimodular unless its non-tree
-    block has determinant +-1."""
-    matrix = tuple(tuple(c.exponent_vector[r] for c in cycles) for r in range(m))
-    inverse = exact.inverse_unimodular([matrix[r] for r in nontree])
-    return CycleBasis(tuple(cycles), matrix, nontree, tuple(map(tuple, inverse)))
+    """The basis of the first cycles of `cycles` independent on the
+    non-tree edges; raises NotUnimodular unless there are len(nontree) of
+    them and their non-tree block has determinant +-1."""
+    pivots, inverse = exact.unimodular_columns(
+        [[c.exponent_vector[r] for c in cycles] for r in nontree]
+    )
+    chosen = tuple(cycles[t] for t in pivots)
+    matrix = tuple(tuple(c.exponent_vector[r] for c in chosen) for r in range(m))
+    return CycleBasis(chosen, matrix, nontree, tuple(map(tuple, inverse)))
 
 
 def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     """Select independent cycles suitable for expressing the rescaling.
 
-    Greedy scan in canonical cycle order (shortest first) keeps a cycle when
-    it raises the rational rank. If the block on non-tree edges happens not
-    to be unimodular for this tree, every subset of the right size is tried
-    in order until one has determinant +-1; a unimodular choice exists for
-    every strongly connected graph, but nothing singles one out. The one
-    elimination that inverts the block also decides unimodularity.
+    A cycle vector is fixed by its non-tree entries, so the greedy basis in
+    canonical cycle order (shortest first), each cycle kept when it raises
+    the rank, is the pivot columns of one fraction-free Gauss-Jordan pass
+    over the candidates' non-tree block, and the same pass decides
+    unimodularity and inverts the chosen block. If that block is not
+    unimodular for this tree, every subset of the right size is tried in
+    order until one has determinant +-1; a unimodular choice exists for
+    every strongly connected graph, but nothing singles one out.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("cycle basis requires a strongly connected graph")
@@ -153,22 +159,7 @@ def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     need = graph.m - graph.n + 1
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
     candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
-
-    chosen: list[Cycle] = []
-    vectors: list[tuple[int, ...]] = []
-    for c in candidates:
-        if len(chosen) == need:
-            break
-        trial = vectors + [c.exponent_vector]
-        if rank_bareiss(trial) == len(trial):
-            chosen.append(c)
-            vectors.append(c.exponent_vector)
-    if len(chosen) < need:
-        raise BasisNotFound(
-            f"found only {len(chosen)} independent cycles, need {need}"
-        )
-
-    for subset in chain([chosen], combinations(candidates, need)):
+    for subset in chain([candidates], combinations(candidates, need)):
         try:
             return _unimodular_basis(subset, graph.m, nontree)
         except NotUnimodular:
@@ -202,19 +193,17 @@ def identifiable_cycle_functions(
 ) -> list[Cycle]:
     """m+1 algebraically independent identifiable cycle monomials.
 
-    The n diagonal one-cycles plus the m-n+1 basis cycles used by the
+    The n diagonal one-cycles plus the m-n+1 basis cycles of the default
     reparametrization. Only defined for graphs with the expected dimension.
     """
-    if not has_expected_dimension(graph, trials=trials, seed=seed, mode=mode):
+    try:
+        basis = reparametrize(graph, trials=trials, seed=seed, mode=mode).basis
+    except (TooManyEdges, NoReparametrization) as exc:
         raise NotExpectedDimension(
             "graph does not have the expected dimension; no independent "
             "identifiable cycle set of size m+1 exists"
-        )
-    ones = [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)]
-    if graph.n == 1:
-        return ones
-    basis = cycle_basis(graph, spanning_tree(graph))
-    return ones + list(basis.cycles)
+        ) from exc
+    return [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)] + list(basis.cycles)
 
 
 @dataclass(frozen=True)
@@ -288,6 +277,8 @@ def reparametrize(
         raise NotStronglyConnected(
             "reparametrization requires a strongly connected graph"
         )
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
@@ -403,6 +394,8 @@ def reparametrization_from_json(
         rescaled.append(parse_monomial(edge_names, doc["matrix"][i - 1][j - 1]))
     cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in doc["cycle_basis"])
     nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
+    if len(cycles) != len(nontree):
+        raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
     basis = _unimodular_basis(cycles, graph.m, nontree)
     qnames = [f"q{t + 1}" for t in range(len(cycles))]
     index = graph.edge_index()

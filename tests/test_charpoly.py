@@ -16,7 +16,7 @@ from compident import (
     symbolic_coefficients,
 )
 from compident import charpoly as cp
-from compident import exact, graphs
+from compident import exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.errors import FieldCharacteristicTooSmall
 from compident.monomial import MonomialPolynomial
@@ -546,6 +546,15 @@ class TestExpectedDimension:
         assert cp.has_expected_dimension(complete3) is False
 
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials):
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        for graph in (chain4, complete3):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                has_expected_dimension(graph, trials=trials)
+
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
         """One strong connectivity check per verdict, below and past the
         edge bound; a graph that is not strongly connected still raises."""
@@ -611,6 +620,30 @@ class TestIdentifiableCycleFunctions:
     def test_rejects_deficient_graph(self, broken4):
         with pytest.raises(NotExpectedDimension):
             identifiable_cycle_functions(broken4)
+
+    def test_rejects_graph_past_the_edge_bound(self):
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        with pytest.raises(NotExpectedDimension):
+            identifiable_cycle_functions(complete3)
+
+    def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, chain4, wheel5):
+        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        trees = []
+        real_tree = graphs.spanning_tree
+
+        def tree(graph):
+            trees.append(1)
+            return real_tree(graph)
+
+        for module in (cp, reparam):
+            monkeypatch.setattr(module, "spanning_tree", tree)
+        for graph in (chain4, wheel5):
+            checks.clear()
+            trees.clear()
+            assert len(identifiable_cycle_functions(graph)) == graph.m + 1
+            assert (len(checks), len(trees)) == (1, 1)
 
 
 class TestCoefficientIdentities:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -127,6 +128,13 @@ class TestReparam:
         assert code == 1
         assert json.loads(out)["reason"] == "edge-bound"
 
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, capsys, tmp_path, chain4_file):
+        path = tmp_path / "k3.json"
+        path.write_text('{"n":3,"edges":[[1,2],[1,3],[2,1],[2,3],[3,1],[3,2]]}')
+        for graph in (chain4_file, str(path)):
+            code, out, err = run(capsys, "reparam", graph, "--trials", "0")
+            assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
+
     def test_explicit_tree(self, capsys, wheel5_file):
         code, out, _ = run(
             capsys, "reparam", wheel5_file, "--tree", "a32,a43,a54,a15", "--json"
@@ -145,6 +153,99 @@ class TestReparam:
         assert code == 0
         rebuilt = reparametrization_from_json(wheel5, json.loads(out))
         assert verify_reparametrization(wheel5, rebuilt)
+
+
+CHAIN4_TEXT = """\
+spanning tree: a12, a23, a34
+f_1 = 1
+f_2 = a12
+f_3 = a12*a23
+f_4 = a12*a23*a34
+reparametrized matrix:
+  [a11, 1, 0, 0]
+  [a12*a21, a22, 1, 0]
+  [0, a23*a32, a33, 1]
+  [0, a23*a34*a42, 0, a44]
+cycle basis: q1 = a12*a21, q2 = a23*a32, q3 = a23*a34*a42
+a21 -> q1
+a32 -> q2
+a42 -> q3
+"""
+
+WHEEL5_TEXT = """\
+spanning tree: a13, a15, a21, a34
+f_1 = 1
+f_2 = a21^-1
+f_3 = a13
+f_4 = a13*a34
+f_5 = a15
+reparametrized matrix:
+  [a11, 0, 1, 0, 1]
+  [1, a22, 0, 0, 0]
+  [a13*a31, a13*a21*a32, a33, 1, 0]
+  [0, 0, a34*a43, a44, 0]
+  [0, 0, 0, a13^-1*a15*a34^-1*a54, a55]
+cycle basis: q1 = a13*a31, q2 = a34*a43, q3 = a13*a21*a32, q4 = a15*a31*a43*a54
+a31 -> q1
+a32 -> q3
+a43 -> q2
+a54 -> q1^-1*q2^-1*q4
+"""
+
+
+class TestTextOutput:
+    """Exact stdout bytes of the human-readable forms."""
+
+    def test_reparam(self, capsys, chain4_file, wheel5_file):
+        assert run(capsys, "reparam", chain4_file) == (0, CHAIN4_TEXT, "")
+        assert run(capsys, "reparam", wheel5_file) == (0, WHEEL5_TEXT, "")
+
+    def test_reparam_failures(self, capsys, tmp_path, broken4_file):
+        path = tmp_path / "k3.json"
+        path.write_text('{"n":3,"edges":[[1,2],[1,3],[2,1],[2,3],[3,1],[3,2]]}')
+        assert run(capsys, "reparam", str(path)) == (
+            1,
+            "no identifiable scaling reparametrization exists: m=6 exceeds 2n-2=4; "
+            "no identifiable scaling reparametrization exists\n",
+            "",
+        )
+        assert run(capsys, "reparam", broken4_file) == (
+            1,
+            "no identifiable scaling reparametrization exists: d=6, expected m+1=7\n",
+            "",
+        )
+
+    def test_conjectures(self, capsys):
+        assert run(capsys, "conjectures", "4") == (
+            0,
+            "collapse-2n-4: tested 168, holds\ncollapse-n-1: tested 48, holds\n",
+            "",
+        )
+
+    def test_io_equation_json(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"n":2,"edges":[[1,2],[2,1]]}')
+        assert run(capsys, "io-equation", str(path), "--json") == (
+            0,
+            '{\n  "equation": "y\'\' - (a11 + a22)*y\' + (a11*a22 - a12*a21)*y'
+            ' = u1\' - a22*u1"\n}\n',
+            "",
+        )
+
+    def test_graph_from_stdin(self, capsys, monkeypatch, chain4, wheel5):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(wheel5.to_json()))
+        assert run(capsys, "reparam", "-") == (0, WHEEL5_TEXT, "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(chain4.to_json()))
+        assert run(capsys, "analyze", "-") == (
+            0,
+            "graph: n=4, m=6\n"
+            "strongly connected: yes\n"
+            "exchange vertex: 2\n"
+            "inductively strongly connected: yes, ordering 1,2,3,4\n"
+            "image dimension: d=7 of expected m+1=7 "
+            "(expected; trials=2, seed=0, mode=prime-field)\n",
+            "",
+        )
 
 
 class TestIoEquation:
@@ -179,6 +280,15 @@ class TestCensus:
     def test_guardrail_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, "census", "7", "7")
         assert code == 2 and "guardrail" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, capsys, trials):
+        for m in ("4", "5"):  # 2n-2 = 4
+            assert run(capsys, "census", "3", m, "--trials", trials) == (
+                2,
+                "",
+                "error: trials must be >= 1\n",
+            )
 
 
 class TestConjectures:

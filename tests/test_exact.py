@@ -20,6 +20,7 @@ from compident.exact import (
     rank,
     rank_bareiss,
     rank_mod_p,
+    unimodular_columns,
 )
 
 from conftest import incidence_matrix, oracle_rank
@@ -197,6 +198,52 @@ class TestInverseUnimodular:
             for r in range(size)
         ]
         assert prod == [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+
+
+class TestUnimodularColumns:
+    def test_wide_matrix_keeps_first_independent_columns(self):
+        # column 1 is twice column 0, column 3 is column 0 plus column 2
+        pivots, inverse = unimodular_columns([[2, 4, 1, 3], [1, 2, 1, 2]])
+        assert pivots == [0, 2]
+        assert inverse == [[1, -1], [-1, 2]]
+
+    def test_rejects_det_two(self):
+        with pytest.raises(NotUnimodular, match="determinant is 2"):
+            unimodular_columns([[2, 0, 1], [0, 1, 0]])
+
+    def test_rejects_rank_below_row_count(self):
+        with pytest.raises(NotUnimodular, match="rank"):
+            unimodular_columns([[1, 2, 3], [2, 4, 6]])
+
+    def test_empty(self):
+        assert unimodular_columns([]) == ([], [])
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_wide_matrices(self, seed, size):
+        """Unimodular columns with integer combinations of earlier ones
+        spliced in and any columns after: the pivots are the unimodular
+        columns and the inverse is that of their block."""
+        rng = random.Random(seed)
+        block = random_unimodular(rng, size)
+        columns, pivots = [], []
+        for c in range(size):
+            while columns and rng.random() < 0.5:
+                coeffs = [rng.randrange(-2, 3) for _ in pivots]
+                columns.append(
+                    [sum(k * block[r][j] for j, k in enumerate(coeffs)) for r in range(size)]
+                )
+            pivots.append(len(columns))
+            columns.append([block[r][c] for r in range(size)])
+        columns += [[rng.randrange(-5, 6) for _ in range(size)] for _ in range(rng.randrange(3))]
+        matrix = [[col[r] for col in columns] for r in range(size)]
+        found, inv = unimodular_columns(matrix)
+        assert found == pivots
+        prod = [
+            [sum(inv[r][k] * block[k][c] for k in range(size)) for c in range(size)]
+            for r in range(size)
+        ]
+        assert prod == [[int(r == c) for c in range(size)] for r in range(size)]
 
 
 class TestLatticeSolve:

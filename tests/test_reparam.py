@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, islice
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from compident import (
     CompartmentGraph,
     NoReparametrization,
+    NotSquare,
     NotStronglyConnected,
+    NotUnimodular,
     TooManyEdges,
     jacobian,
     numeric_coefficients,
@@ -15,7 +18,8 @@ from compident import (
     verify_reparametrization,
 )
 from compident import census_classes, charpoly, exact, graphs, reparam
-from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_mod_p
+from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_bareiss, rank_mod_p
+from compident.graphs import elementary_cycles
 from compident.reparam import (
     ScalingReparametrization,
     alternate_spanning_tree,
@@ -257,6 +261,31 @@ class TestCycleBasis:
         assert len(basis.cycles) == 1 and basis.cycles[0].length == 4
 
 
+def greedy_cycles(graph, need):
+    """Reference scan: keep each cycle of length >= 2, in canonical order,
+    that raises the integer rank of the full exponent vectors kept so far."""
+    chosen, vectors = [], []
+    for c in elementary_cycles(graph):
+        if c.length >= 2 and len(chosen) < need:
+            if rank_bareiss(vectors + [c.exponent_vector]) == len(vectors) + 1:
+                chosen.append(c)
+                vectors.append(c.exponent_vector)
+    return tuple(chosen)
+
+
+class TestGreedyReference:
+    def test_same_cycles_on_every_expected_class(self):
+        checked = 0
+        for n, m in [(3, 4), (4, 5), (4, 6), (5, 6), (5, 7), (5, 8)]:
+            for entry in census_classes(n, m):
+                if entry.expected:
+                    g = entry.representative
+                    basis = cycle_basis(g, spanning_tree(g))
+                    assert basis.cycles == greedy_cycles(g, m - n + 1), g
+                    checked += 1
+        assert checked == 673
+
+
 class TestExpressInCycles:
     def test_chain4_is_the_identity(self, chain4):
         tree = spanning_tree(chain4)
@@ -329,6 +358,15 @@ class TestReparametrize:
         with pytest.raises(TooManyEdges):
             reparametrize(complete3)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials):
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        for graph in (chain4, complete3):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                reparametrize(graph, trials=trials)
+
     def test_requires_strong_connectivity(self):
         with pytest.raises(NotStronglyConnected):
             reparametrize(CompartmentGraph(2, ((1, 2),)))
@@ -349,20 +387,21 @@ class TestReparametrize:
         assert verify_reparametrization(single, result)
 
     def test_cycle_block_inverted_once_per_call(self, monkeypatch, chain4, wheel5):
+        """One fraction-free elimination, on the `need` non-tree rows, picks
+        the cycle basis, certifies it and inverts its block."""
         calls = []
-        original = exact.inverse_unimodular
+        original = exact._bareiss
 
-        def counting(matrix):
-            calls.append(len(matrix))
-            return original(matrix)
+        def counting(mat, jordan=False):
+            calls.append((len(mat), jordan))
+            return original(mat, jordan)
 
-        monkeypatch.setattr(exact, "inverse_unimodular", counting)
+        monkeypatch.setattr(exact, "_bareiss", counting)
         for graph in (wheel5, chain4):
             assert graph.m - graph.n + 1 >= 3
             calls.clear()
             reparametrize(graph)
-            assert calls == [graph.m - graph.n + 1]
-
+            assert calls == [(graph.m - graph.n + 1, True)]
 
     def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, wheel5):
         """The dimension report and the cycle basis reuse the call's strong
@@ -431,6 +470,23 @@ class TestVerification:
         assert reparametrization_failures(wheel5, bad) == ["rescaled-rows"]
         assert not verify_reparametrization(wheel5, bad)
 
+    def test_scaling_support_and_tree_rows_are_detected(self, chain4):
+        result = reparametrize(chain4)
+        tree_row = result.tree.edge_indices[0]
+        nontree = result.basis.nontree_rows[0]
+        f_first = list(result.f_exponents)
+        f_first[0] = tuple(int(k == tree_row) for k in range(chain4.m))
+        f_off_tree = list(result.f_exponents)
+        f_off_tree[1] = tuple(e + (k == nontree) for k, e in enumerate(f_off_tree[1]))
+        rows = list(result.rescaled_exponents)
+        rows[tree_row] = tuple(int(k == tree_row) for k in range(chain4.m))
+        for changes, failures in (
+            ({"f_exponents": tuple(f_first)}, ["scaling-support", "rescaled-rows"]),
+            ({"f_exponents": tuple(f_off_tree)}, ["scaling-support", "rescaled-rows"]),
+            ({"rescaled_exponents": tuple(rows)}, ["tree-rows", "rescaled-rows"]),
+        ):
+            assert reparametrization_failures(chain4, replace(result, **changes)) == failures
+
     def test_similarity_holds_for_arbitrary_scalings(self):
         # conjugating by any diagonal with first entry 1 fixes both
         # characteristic polynomials, identifiable or not
@@ -483,6 +539,23 @@ class TestVerification:
         doc["cycle_basis"][0] = entry
         with pytest.raises(ValueError, match="not a directed cycle"):
             reparametrization_from_json(path3, doc)
+
+
+    def test_json_basis_needs_independent_cycles_of_the_right_count(self, wheel5):
+        doc = reparametrize(wheel5).to_json_dict()
+        stated = doc["cycle_basis"]
+        spare = next(
+            c.monomial
+            for c in elementary_cycles(wheel5)
+            if c.length >= 2 and c.monomial not in stated
+        )
+        for basis, error in (
+            (stated[:-1], NotSquare),
+            (stated + [spare], NotSquare),
+            (stated[:1] + stated[:1] + stated[2:], NotUnimodular),
+        ):
+            with pytest.raises(error):
+                reparametrization_from_json(wheel5, dict(doc, cycle_basis=basis))
 
 
 def b_model_rank(graph, result):
