@@ -148,7 +148,10 @@ def _spot_samples(n: int, m: int, seed: int, limit: int) -> list[tuple[Compartme
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     """Classes keyed by orbit key, with verdicts computed once per
-    representative, and the number of labeled graphs."""
+    representative, and the number of labeled graphs. `trials` is checked
+    first, so a row with no classes rejects it as every other row does."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     _pool, _images, found = _grouped_classes(n, m, limit)
     classes = {
         mask: CensusClass(
@@ -366,6 +369,10 @@ def property_suite(
     fail the build; conjecture sweeps live in test_conjectures instead.
     The exchange, ISC and add-exchange checks run on census classes: each
     class counts `size` times in `tested`, and violations name representatives.
+    Exchange-necessity holds by construction, since `has_expected_dimension`
+    answers False on a maximal graph with no exchange by the 2n-2 bound; its
+    independent evidence is the relation c_2 = d_2 + d_1 (c_1 - d_1) checked
+    on sympy's determinants (`TestNoExchangeBound` in tests/test_charpoly.py).
     """
     limit = max(n_max, DEFAULT_LIMIT)
     checks = {

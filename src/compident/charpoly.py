@@ -22,6 +22,16 @@ coefficients, and three reductions give the Jacobian's rank at every point:
   column operations on them leave rank(M) = 2 + rank(M'), with M' the
   (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
   stops after at most m-1 pivots.
+
+The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
+vertex 1 has no exchange (`_dimension_bound`). Then every product
+a_1j * a_j1 is identically 0, and c_2 - d_2 = a_11 tr(A_1) - sum_j a_1j a_j1
+gives c_2 = d_2 + d_1 (c_1 - d_1), since c_1 - d_1 = -a_11 and
+d_1 = -tr(A_1): the image lies in a hypersurface. In M' the same fact is a
+repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
+reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
+non-tree edge of vertex 1 whose reverse edge is present, that is, at an
+exchange.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .graphs import (
     Cycle,
     SpanningTree,
     elementary_cycles,
+    has_exchange,
     is_strongly_connected,
     spanning_tree,
 )
@@ -252,6 +263,13 @@ def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
     return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
 
 
+def _dimension_bound(graph: CompartmentGraph) -> int:
+    """A proven ceiling on the image dimension: 2n-1, the number of
+    coefficients, less the relation c_2 = d_2 + d_1 (c_1 - d_1) that holds
+    when n >= 3 and vertex 1 has no exchange (module docstring)."""
+    return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     """Computed generic dimension of the coefficient map image."""
@@ -296,7 +314,10 @@ def image_dimension(
     diag(1, t_2, .., t_n) give kernel vectors, independent at any point
     with nonzero entries. So the loop stops at the first point that reaches
     that ceiling; `d`, `verdict` and `trials` are what all trials would
-    give.
+    give. With no exchange at vertex 1 (n >= 3) the ceiling is
+    min(2n-2, m+1) (`_dimension_bound`), and the repeated row of M' that
+    proves it is dropped before ranking, so in rational mode a rank at the
+    ceiling is min(rows, cols) of the smaller matrix and certified mod p.
 
     Each rank is that of the (2n-1) x (m+1) verdict matrix M: the power
     rows, of which the Jacobian rows are unit triangular combinations, at
@@ -328,12 +349,15 @@ def _sampled_dimension(
     nvars = parameter_count(graph)
     params = _verdict_params(graph, tree)
     p = exact.modulus(mode)
-    ceiling = min(2 * graph.n - 1, graph.m + 1)
+    bound = _dimension_bound(graph)
+    ceiling = min(bound, graph.m + 1)
     eliminated = min(graph.n, 2)
     best = 0
     for _ in range(trials):
         rows, sub_rows = _power_rows(graph, sample_point(rng, nvars), p, params)
         reduced = _reduced_verdict_rows(graph.n, rows, sub_rows)
+        if bound < 2 * graph.n - 1:
+            del reduced[graph.n - 1]  # row 1 of A_1, the twin of row 1 of A
         best = max(best, eliminated + exact.rank(reduced, mode))
         if best == ceiling:
             break
@@ -358,15 +382,21 @@ def has_expected_dimension(
     """True iff the image dimension attains the expected m+1.
 
     The dimension is at most min(2n-1, m+1), since the image lives in
-    dimension 2n-1. So this short-circuits to False when m > 2n-2; no rank
-    computation happens in that case. Strong connectivity is checked once
-    per verdict: here when the edge bound decides, by `image_dimension`
-    otherwise, which also raises NotStronglyConnected for a graph that
-    fails the check here.
+    dimension 2n-1. When n >= 3 and vertex 1 has no exchange it is at most
+    2n-2: every product a_1j * a_j1 is then identically 0, so
+    c_2 - d_2 = a_11 tr(A_1) - sum_j a_1j a_j1 gives the relation
+    c_2 = d_2 + d_1 (c_1 - d_1), and the image lies in a hypersurface. So
+    this short-circuits to False when m+1 exceeds that bound
+    (`_dimension_bound`): past the edge bound m > 2n-2, and on a maximal
+    graph (m = 2n-2) with no exchange, where the False verdict is a proof.
+    No rank computation happens in that case. Strong connectivity is
+    checked once per verdict: here when the bound decides, by
+    `image_dimension` otherwise, which also raises NotStronglyConnected for
+    a graph that fails the check here.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if graph.m > 2 * graph.n - 2 and is_strongly_connected(graph):
+    if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict
 

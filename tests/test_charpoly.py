@@ -56,6 +56,12 @@ def verdict_matrix(graph, point, mode=PRIME_MODE):
     return rows + sub_rows
 
 
+# Maximal (m = 2n-2) with no exchange at vertex 1: d = 2n-2 = 8 < m+1.
+NO_EXCHANGE5 = CompartmentGraph(
+    5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 2), (4, 5), (5, 1))
+)
+
+
 def poly_from_names(graph, term_map):
     names = graph.param_names()
     poly = MonomialPolynomial(len(names))
@@ -345,6 +351,20 @@ class TestImageDimension:
         assert len(calls) == 1
         assert (report.d, report.expected, report.verdict, report.trials) == (17, 46, False, 2)
 
+    @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
+    def test_stops_at_2n_minus_2_without_an_exchange(self, monkeypatch, mode):
+        """With no exchange the ceiling is 2n-2 = 8: one trial, and in
+        rational mode the 7 x 7 M' less its twin row, 6 x 7, is certified
+        mod p with no Bareiss. The report is the one the 2n-1 ceiling gave."""
+        calls = count_calls(monkeypatch, cp, "_power_rows")
+        bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
+        report = image_dimension(NO_EXCHANGE5, trials=2, mode=mode)
+        assert (len(calls), len(bareiss)) == (1, 0)
+        assert report.as_dict() == {
+            "n": 5, "m": 8, "d": 8, "expected": 9, "verdict": False,
+            "trials": 2, "seed": 0, "mode": mode,
+        }
+
     def test_picks_the_tree_once(self, monkeypatch, broken4):
         calls = count_calls(monkeypatch, cp, "spanning_tree")
         report = image_dimension(broken4, trials=2)
@@ -478,6 +498,52 @@ class TestReducedVerdictMatrix:
         assert cp._reduced_verdict_rows(1, [[1]], []) == []
 
 
+class TestNoExchangeBound:
+    """With no exchange at vertex 1 the coefficients satisfy
+    c_2 = d_2 + d_1 (c_1 - d_1), which caps the image dimension at 2n-2."""
+
+    ROWS = ((3, 4), (4, 6), (5, 7), (5, 8))
+
+    def test_relation_from_sympy_determinants(self):
+        """Checked on sympy's determinants, with no library rank or
+        coefficient: the relation holds exactly when there is no exchange."""
+        sympy = pytest.importorskip("sympy")
+        from compident.census import census_classes
+
+        rng = random.Random(29)
+        seen = {True: 0, False: 0}
+        for n, m in self.ROWS:
+            classes = census_classes(n, m)
+            for entry in rng.sample(classes, min(len(classes), 8)):
+                g = entry.representative
+                cs, ds = sympy_double_charpoly(g)
+                gap = sympy.expand(cs[1] - ds[1] - ds[0] * (cs[0] - ds[0]))
+                no_exchange = graphs.has_exchange(g) is None
+                assert (gap == 0) is no_exchange, g
+                seen[no_exchange] += 1
+        assert min(seen.values()) >= 8
+
+    def test_twin_rows_of_the_reduced_matrix(self):
+        """Row 1 of the A_1 part of M' repeats row 1 of its A part exactly
+        when vertex 1 has no exchange, on every class of the rows."""
+        from compident.census import census_classes
+
+        rng = random.Random(31)
+        twins = 0
+        for n, m in self.ROWS:
+            for entry in census_classes(n, m):
+                g = entry.representative
+                params = cp._verdict_params(g, cp.spanning_tree(g))
+                point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
+                rows, sub_rows = cp._power_rows(g, point, MERSENNE61, params)
+                reduced = cp._reduced_verdict_rows(g.n, rows, sub_rows)
+                twin = reduced[0] == reduced[g.n - 1]
+                assert twin is (graphs.has_exchange(g) is None), g
+                assert cp._dimension_bound(g) == 2 * g.n - 1 - twin
+                twins += twin
+        assert twins > 500
+
+
 class TestVerdictMatrix:
     """The (2n-1) x (m+1) matrix of power rows at the diagonal and
     non-tree parameters has the Jacobian's rank wherever the tree entries
@@ -545,6 +611,20 @@ class TestExpectedDimension:
         monkeypatch.setattr(cp, "image_dimension", boom)
         assert cp.has_expected_dimension(complete3) is False
 
+
+    def test_no_exchange_bound_short_circuits(self, monkeypatch):
+        """A maximal graph with no exchange is False with no power rows;
+        the trials and strong connectivity checks still come first."""
+        calls = count_calls(monkeypatch, cp, "_power_rows")
+        for mode in (PRIME_MODE, RATIONAL_MODE):
+            assert has_expected_dimension(NO_EXCHANGE5, mode=mode) is False
+        assert calls == []
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            has_expected_dimension(NO_EXCHANGE5, trials=0)
+        source1 = CompartmentGraph(3, ((1, 2), (1, 3), (2, 3), (3, 2)))  # m = 2n-2
+        with pytest.raises(NotStronglyConnected):
+            has_expected_dimension(source1)
+        assert calls == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials):

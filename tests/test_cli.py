@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -43,6 +44,14 @@ def path10_file(tmp_path):
         edges += [[v, v + 1], [v + 1, v]]
     path = tmp_path / "path10.json"
     path.write_text(json.dumps({"n": 10, "edges": edges}))
+    return str(path)
+
+
+@pytest.fixture
+def no_exchange5_file(tmp_path):
+    """Maximal (m = 2n-2) with no exchange at vertex 1, so d <= 2n-2 < m+1."""
+    path = tmp_path / "no_exchange5.json"
+    path.write_text('{"n": 5, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 2], [4, 5], [5, 1]]}')
     return str(path)
 
 
@@ -291,6 +300,15 @@ class TestCensus:
             )
 
 
+    @pytest.mark.parametrize("n, m, trials", [("3", "7", "0"), ("4", "3", "-3")])
+    def test_trials_checked_on_rows_with_no_classes(self, capsys, n, m, trials):
+        assert run(capsys, "census", n, m, "--trials", trials) == (
+            2,
+            "",
+            "error: trials must be >= 1\n",
+        )
+
+
 class TestConjectures:
     def test_n3(self, capsys):
         code, out, _ = run(capsys, "conjectures", "3", "--json")
@@ -310,6 +328,27 @@ class TestConjectures:
     def test_guardrail_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, "conjectures", "7")
         assert code == 2 and "guardrail" in err
+
+
+class TestPinnedBytes:
+    """SHA-256 of stdout, pinned from the output before maximal graphs with
+    no exchange were decided by the 2n-2 bound instead of by a rank."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["analyze", "G", "--json"], 0, "32ce548f45f8d8332dd6003995ff38b032fa392f988f5798ad583cc8b49928d4"),
+            (["analyze", "G", "--json", "--exact"], 0, "0ad3c64701d8d78d50d886f773756e76e8c51bcfa828a3eefdb7fbb67bc338b8"),
+            (["reparam", "G", "--json"], 1, "7851b2301e584e92bc1de54d7e9d19114ef3b4f8acbdfa060deceb85071405ce"),
+            (["census", "5", "8"], 0, "e08bfc0bae5f13a0eefe1db20f15f91ae7480bdf65ecc0963dc4456ee1b52a4f"),
+            (["conjectures", "5", "--json"], 0, "b0b6f9cc057536b2a68f1ba690bd68778504ab7a4758bd9e00b03f97b6fc973f"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, no_exchange5_file, argv, code, digest):
+        argv = [no_exchange5_file if a == "G" else a for a in argv]
+        got_code, out, _ = run(capsys, *argv)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
