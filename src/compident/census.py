@@ -8,7 +8,10 @@ and the proven structural statements.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -30,6 +33,9 @@ from .graphs import (
 
 DEFAULT_LIMIT = 5
 SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
+# Fewest verdicts worth a forked process: a fork, pipe and reap cost about
+# 2-3 ms, a verdict 0.2-0.4 ms at n = 5, so 64 of them outweigh the fork.
+MIN_FORK_SHARE = 64
 
 
 def all_possible_edges(n: int) -> list[tuple[int, int]]:
@@ -145,6 +151,81 @@ def _spot_samples(n: int, m: int, seed: int, limit: int) -> list[tuple[Compartme
     return samples
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str) -> list[bool]:
+    """`has_expected_dimension` of each graph, in order, split over the CPUs.
+
+    With k = min(CPUs, len(graphs) // MIN_FORK_SHARE), child r of k-1 forked
+    children computes graphs[r::k] and writes it back over a pipe, one byte
+    per verdict, while the parent computes share 0. `derived_rng` makes each
+    verdict a function of (seed, graph) alone, so the split changes no
+    result. It runs serially when k < 2, without `os.fork`, or while another
+    thread is alive (forking a threaded process is unsafe). A child leaves
+    only through `os._exit`, flushing no inherited buffer. The share of a
+    child that fails, or that could not be forked, is recomputed here, so an
+    error a verdict raises in a child is raised again in the caller.
+    """
+    k = min(_usable_cpus(), len(graphs) // MIN_FORK_SHARE)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        k = 1
+
+    def share(r: int) -> list[bool]:
+        return [
+            has_expected_dimension(g, trials=trials, seed=seed, mode=mode)
+            for g in graphs[r::k]
+        ]
+
+    if k == 1:
+        return share(0)
+    shares = [None] * k
+    children = {}  # share index -> (pid, read end of its pipe)
+    try:
+        for r in range(1, k):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent computes this share
+                os.close(read_fd)
+                os.close(write_fd)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(bytes(share(r)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[r] = (pid, open(read_fd, "rb"))
+        shares[0] = share(0)
+        for r in range(1, k):
+            status = 1
+            if r in children:
+                pid, pipe = children[r]
+                data = pipe.read()
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del children[r]
+            shares[r] = list(map(bool, data)) if status == 0 else share(r)
+    finally:  # on an error here, stop and reap the children still running
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    merged = [None] * len(graphs)
+    for r, verdicts in enumerate(shares):
+        merged[r::k] = verdicts
+    return merged
+
+
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     """Classes keyed by orbit key, with verdicts computed once per
@@ -153,20 +234,22 @@ def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _pool, _images, found = _grouped_classes(n, m, limit)
+    samples = _spot_samples(n, m, seed, limit)
+    verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
+                         trials, seed, mode)
     classes = {
         mask: CensusClass(
             representative=rep,
             size=size,
-            expected=has_expected_dimension(rep, trials=trials, seed=seed, mode=mode),
+            expected=expected,
             exchange=has_exchange(rep) is not None,
             isc=is_inductively_strongly_connected(rep) is not None,
         )
-        for mask, rep, size in found
+        for (mask, rep, size), expected in zip(found, verdicts)
     }
     # Verdict reuse across a class leans on relabeling equivariance;
     # re-derive a sample of other members from scratch to keep that honest.
-    for graph, key in _spot_samples(n, m, seed, limit):
-        direct = has_expected_dimension(graph, trials=trials, seed=seed, mode=mode)
+    for (graph, key), direct in zip(samples, verdicts[len(found):]):
         if direct != classes[key].expected:
             raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
     return classes, sum(c.size for c in classes.values())
@@ -207,7 +290,14 @@ def census_row(
     mode: str = PRIME_MODE,
     limit: int = DEFAULT_LIMIT,
 ) -> CensusRow:
-    """Counts A-F for the (n, m) cell of the table."""
+    """Counts A-F for the (n, m) cell of the table.
+
+    The verdicts of the row's classes and spot-check members are split over
+    the CPUs this process may use, one forked child per extra CPU, each
+    child taking at least MIN_FORK_SHARE verdicts. The split changes no
+    result. It runs serially on a row with fewer than 2 * MIN_FORK_SHARE
+    verdicts, on one CPU (`taskset -c 0` forces that), where `os.fork` does
+    not exist, and while another thread is alive."""
     classes, total = _census_data(n, m, seed, trials, mode, limit)
     maximal = m == 2 * n - 2
     return CensusRow(

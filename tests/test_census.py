@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import random
 import sys
+import threading
 from itertools import combinations, permutations
 
 import pytest
@@ -142,15 +144,24 @@ class TestOrderlyCensus:
         assert len(calls) <= 10_000
 
     def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch, cold_census):
-        _pool, _images, found = census._grouped_classes(4, 6, census.DEFAULT_LIMIT)
-        representatives = {rep for _mask, rep, _size in found}
+        # (4,6) runs its verdicts serially, (5,7) splits them over children.
+        rows = [(4, 6), (5, 7)]
+        representatives = {
+            rep
+            for n, m in rows
+            for _mask, rep, _size in census._grouped_classes(n, m, census.DEFAULT_LIMIT)[2]
+        }
 
         def labeled_verdict(graph, **kwargs):
             return graph in representatives
 
         monkeypatch.setattr(census, "has_expected_dimension", labeled_verdict)
-        with pytest.raises(AssertionError, match="class verdict mismatch"):
-            census_row(4, 6)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        for n, m in rows:
+            with pytest.raises(AssertionError, match="class verdict mismatch"):
+                census_row(n, m)
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (4, 6), (5, 7), (5, 8)])
     def test_spot_samples_are_other_members(self, n, m):
@@ -171,11 +182,115 @@ class TestOrderlyCensus:
         with pytest.raises(LimitExceeded):
             census_row(6, 6)
 
+    @pytest.mark.parametrize(
+        "m, counts",
+        [(6, (120, 120, 1, 1)), (7, (6480, 5280, 57, 47)), (8, (107850, 73770, 941, 651))],
+    )
+    def test_six_vertex_rows(self, m, counts, cold_census):
+        row = census_row(6, m, limit=6)
+        assert (row.A, row.B, row.C, row.E) == counts
+        assert (row.D, row.F) == (None, None)
+
     def test_empty_rows(self):
         for m in (-1, 7):
             row = census_row(3, m)
             assert (row.A, row.B, row.C, row.E) == (0, 0, 0, 0)
             assert census_classes(3, m) == []
+
+
+def counted_forks(monkeypatch) -> list:
+    """Patch `os.fork` to append to the returned list on each call."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+class TestSplitVerdicts:
+    """A row's verdicts split over forked children (`census._verdicts`)."""
+
+    def test_split_equals_serial(self, monkeypatch, cold_census):
+        rows = [(4, 6), (5, 7), (5, 8)]
+
+        def run(cpus):
+            census._census_data.cache_clear()
+            monkeypatch.setattr(census, "_usable_cpus", lambda: cpus)
+            forks = counted_forks(monkeypatch)
+            classes = [census_classes(n, m) for n, m in rows]
+            return classes, census_row(6, 8, limit=6), len(forks)
+
+        # Three shares: uneven share lengths, and a split on any machine.
+        split_classes, split_row, split_forks = run(3)
+        serial_classes, serial_row, serial_forks = run(1)
+        assert split_classes == serial_classes
+        assert split_row == serial_row
+        # (4,6) has 59 verdicts, under MIN_FORK_SHARE: it stays serial.
+        assert (split_forks, serial_forks) == (2 * 3, 0)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent-share", "child-share"])
+    def test_verdict_error_raises_in_caller(self, index, monkeypatch, cold_census):
+        found = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)[2]
+        bad = found[index][1]  # with two shares, verdict r is share r's
+        real = census.has_expected_dimension
+
+        def failing(graph, **kwargs):
+            if graph == bad:
+                raise ValueError("injected")
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(census, "has_expected_dimension", failing)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        pid = os.getpid()
+        with pytest.raises(ValueError, match="injected"):
+            census_row(5, 7)
+        assert os.getpid() == pid and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_flush_no_stdio(self, monkeypatch, cold_census, tmp_path):
+        # A child leaving through the interpreter's exit would flush the
+        # inherited buffer, writing "once" a second time.
+        path = tmp_path / "stdout.txt"
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        with open(path, "w") as out, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            print("once", end="")
+            census_row(5, 7)
+        assert path.read_text() == "once" and len(forks) == 1
+
+    def test_no_fork_with_a_live_thread(self, monkeypatch, cold_census):
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            row = census_row(5, 7)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (row.A, row.B, row.C, row.E) == (6440, 4052, 281, 180)
+
+    def test_parent_computes_a_share_it_could_not_fork(self, monkeypatch, cold_census):
+        def no_process():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_process)
+        row = census_row(5, 7)
+        assert (row.A, row.B, row.C, row.E) == (6440, 4052, 281, 180)
 
 
 class TestFourFiveRowProof:
