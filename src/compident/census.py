@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from .charpoly import has_expected_dimension
 from .errors import LimitExceeded
-from .exact import PRIME_MODE
+from .exact import PRIME_MODE, modulus
 from .graphs import (
     CompartmentGraph,
     _subset_strongly_connected,
@@ -229,10 +229,12 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
 @lru_cache(maxsize=None)
 def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     """Classes keyed by orbit key, with verdicts computed once per
-    representative, and the number of labeled graphs. `trials` is checked
-    first, so a row with no classes rejects it as every other row does."""
+    representative, and the number of labeled graphs. `trials` and `mode`
+    are checked first, so a row with no classes, or one the edge bound
+    decides, rejects them as every other row does."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    modulus(mode)
     _pool, _images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, limit)
     verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from . import exact
@@ -46,81 +46,59 @@ from .errors import NotStronglyConnected
 from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
-    Cycle,
     SpanningTree,
     elementary_cycles,
     has_exchange,
     is_strongly_connected,
     spanning_tree,
 )
-from .monomial import MonomialPolynomial, signed_parts
+from .monomial import signed_parts
 
 
 def parameter_count(graph: CompartmentGraph) -> int:
     return graph.n + graph.m
 
 
-def diagonal_slot(vertex: int) -> int:
-    return vertex - 1
-
-
-def edge_slot(graph: CompartmentGraph, edge_index: int) -> int:
-    return graph.n + edge_index
-
-
-def _cycle_param_exponent(graph: CompartmentGraph, cycle: Cycle) -> tuple[int, ...]:
-    expo = [0] * parameter_count(graph)
-    if cycle.length == 1:
-        expo[diagonal_slot(cycle.vertices[0])] = 1
-    else:
-        for e in cycle.edge_indices:
-            expo[edge_slot(graph, e)] = 1
-    return tuple(expo)
-
-
-def symbolic_coefficients(
-    graph: CompartmentGraph,
-) -> tuple[list[MonomialPolynomial], list[MonomialPolynomial]]:
+def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dict]]:
     """Expand every coefficient as a polynomial in the monomial cycles.
 
-    c_i sums (-1)^i * prod(sign) over all collections of vertex-disjoint
-    cycles with exactly i edges, a one-cycle counting as one edge; the sign
-    of a cycle is +1 for odd length and -1 for even. d_i does the same on
-    the subgraph with vertex 1 removed.
+    c_i sums (-1)^k times the product of the cycle monomials over every
+    collection of k vertex-disjoint cycles that covers i vertices, a
+    one-cycle a_vv covering one. In the expansion of det(lambda*I - A) the
+    collection is a partial permutation, of sign (-1)^(i-k), times
+    (-1)^i. d_i does the same on the subgraph with vertex 1 removed,
+    so one walk over the collections fills both: a collection that avoids
+    vertex 1 is a term of c_i and of d_i. Each polynomial is a dict
+    {exponents: coefficient} over the parameter order
+    (`graphs.CompartmentGraph.param_names`).
     """
-    nvars = parameter_count(graph)
-    cycles = elementary_cycles(graph)
-    enriched = [
+    n = graph.n
+    cs = [{} for _ in range(n)]
+    ds = [{} for _ in range(n - 1)]
+    pool = [  # (vertex bitmask, vertex count, exponents: a_vv of a one-cycle, or its edges)
         (
-            frozenset(c.vertices),
-            c.length,  # edge count: a one-cycle contributes one edge
-            c.sign,
-            _cycle_param_exponent(graph, c),
-            1 in c.vertices,
+            sum(1 << v for v in c.vertices),
+            c.length,
+            tuple(int(c.vertices == (v,)) for v in range(1, n + 1)) + c.exponent_vector,
         )
-        for c in cycles
+        for c in elementary_cycles(graph)
     ]
 
-    def expand(skip_vertex_one: bool, max_edges: int) -> list[MonomialPolynomial]:
-        polys = [MonomialPolynomial(nvars) for _ in range(max_edges)]
-        pool = [e for e in enriched if not (skip_vertex_one and e[4])]
+    def recurse(start: int, used: int, covered: int, coeff: int, expo: tuple):
+        for idx in range(start, len(pool)):
+            verts, length, cexpo = pool[idx]
+            if used & verts:
+                continue
+            merged = tuple(map(add, expo, cexpo))
+            # A collection is a partial permutation, which its monomial
+            # determines: no two collections share a term, so terms are
+            # assigned, never summed.
+            cs[covered + length - 1][merged] = -coeff
+            if not (used | verts) & 2:  # bit 1: vertex 1
+                ds[covered + length - 1][merged] = -coeff
+            recurse(idx + 1, used | verts, covered + length, -coeff, merged)
 
-        def recurse(start: int, used_vertices: frozenset, edges: int, sign: int, expo: tuple):
-            for idx in range(start, len(pool)):
-                verts, weight, csign, cexpo, _ = pool[idx]
-                total = edges + weight
-                if total > max_edges or used_vertices & verts:
-                    continue
-                merged = tuple(a + b for a, b in zip(expo, cexpo))
-                s = sign * csign
-                polys[total - 1].add_term(merged, (-1) ** total * s)
-                recurse(idx + 1, used_vertices | verts, total, s, merged)
-
-        recurse(0, frozenset(), 0, 1, (0,) * nvars)
-        return polys
-
-    cs = expand(skip_vertex_one=False, max_edges=graph.n)
-    ds = expand(skip_vertex_one=True, max_edges=graph.n - 1) if graph.n > 1 else []
+    recurse(0, 0, 0, 1, (0,) * parameter_count(graph))
     return cs, ds
 
 
@@ -243,9 +221,7 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
     """The n diagonal and the m-n+1 non-tree parameters of `tree`: the
     verdict matrix's columns."""
     in_tree = set(tree.edge_indices)
-    return list(range(graph.n)) + [
-        edge_slot(graph, k) for k in range(graph.m) if k not in in_tree
-    ]
+    return list(range(graph.n)) + [graph.n + k for k in range(graph.m) if k not in in_tree]
 
 
 def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
@@ -396,6 +372,7 @@ def has_expected_dimension(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    exact.modulus(mode)  # rejects an unknown mode, also where the bound decides
     if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict
@@ -420,13 +397,13 @@ def io_equation_text(graph: CompartmentGraph) -> str:
     cs, ds = symbolic_coefficients(graph)
     names = graph.param_names()
 
-    def side(base: str, top_order: int, polys: list[MonomialPolynomial]) -> str:
+    def side(base: str, top_order: int, polys: list[dict]) -> str:
         text = _derivative_name(base, top_order)
         for k, poly in enumerate(polys, start=1):
-            if poly.is_zero():
+            if not poly:
                 continue
             sign, body = signed_parts(poly, names)
-            if len(poly.terms) > 1:
+            if len(poly) > 1:
                 body = f"({body})"
             text += (" - " if sign < 0 else " + ") + f"{body}*{_derivative_name(base, top_order - k)}"
         return text

@@ -38,21 +38,16 @@ def _read_graph(path: str) -> CompartmentGraph:
 
 
 def _parse_tree_flag(spec: str, graph: CompartmentGraph) -> list[tuple[int, int]]:
-    """Parse --tree as comma-separated rate names, e.g. a12,a23,a34.
-
-    The name a<i><j> denotes the edge j -> i; single-digit labels only, which
-    covers every supported graph size.
-    """
-    if graph.n > 9:
-        raise ValueError("--tree parameter names are only defined for n <= 9")
-    edges = []
+    """Parse --tree as comma-separated rate names of the graph's edges,
+    e.g. a12,a23,a34 (`CompartmentGraph.rate_name`)."""
+    edges = {graph.edge_param_name(k): e for k, e in enumerate(graph.edges)}
+    picked = []
     for name in spec.split(","):
         name = name.strip()
-        if len(name) != 3 or name[0] != "a" or not name[1:].isdigit():
-            raise ValueError(f"bad tree entry {name!r}; expected a<i><j>")
-        i, j = int(name[1]), int(name[2])
-        edges.append((j, i))
-    return edges
+        if name not in edges:
+            raise ValueError(f"bad tree entry {name!r}; expected the rate name of an edge")
+        picked.append(edges[name])
+    return picked
 
 
 def _dump(doc) -> None:
@@ -145,8 +140,7 @@ def _cmd_reparam(args) -> int:
     print("cycle basis: " + ", ".join(f"q{t+1} = {c.monomial}" for t, c in enumerate(result.basis.cycles)))
     qnames = [f"q{t+1}" for t in range(len(result.basis.cycles))]
     for k, z in result.cycle_expressions.items():
-        j, i = graph.edges[k]
-        print(f"a{i}{j} -> {format_monomial(qnames, z)}")
+        print(f"{graph.edge_param_name(k)} -> {format_monomial(qnames, z)}")
     return 0
 
 

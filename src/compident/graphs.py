@@ -71,14 +71,21 @@ class CompartmentGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
+    def rate_name(self, i: int, j: int) -> str:
+        """Name of the rate a_ij: ``a<i><j>`` up to n = 10, where no label
+        starts with 0 and so the digits split one way only, and
+        ``a<i>_<j>`` from n = 11 on, where ``a111`` could be a_1,11 or
+        a_11,1."""
+        return f"a{i}{j}" if self.n <= 10 else f"a{i}_{j}"
+
     def edge_param_name(self, k: int) -> str:
         """Parameter name of the k-th edge: edge (j, i) carries a_ij."""
         j, i = self.edges[k]
-        return f"a{i}{j}"
+        return self.rate_name(i, j)
 
     def param_names(self) -> list[str]:
         """All n+m parameter names: diagonals first, then edges in order."""
-        return [f"a{v}{v}" for v in range(1, self.n + 1)] + [
+        return [self.rate_name(v, v) for v in range(1, self.n + 1)] + [
             self.edge_param_name(k) for k in range(self.m)
         ]
 
@@ -308,11 +315,6 @@ class Cycle:
     def length(self) -> int:
         return len(self.vertices)
 
-    @property
-    def sign(self) -> int:
-        """+1 for odd length, -1 for even length."""
-        return 1 if len(self.vertices) % 2 == 1 else -1
-
 
 CycleSet = list[Cycle]
 
@@ -320,7 +322,7 @@ CycleSet = list[Cycle]
 def _make_cycle(graph: CompartmentGraph, vertices: tuple[int, ...]) -> Cycle:
     if len(vertices) == 1:
         v = vertices[0]
-        return Cycle(vertices, (), (0,) * graph.m, f"a{v}{v}")
+        return Cycle(vertices, (), (0,) * graph.m, graph.rate_name(v, v))
     index = graph.edge_index()
     edge_ids = []
     for k, u in enumerate(vertices):

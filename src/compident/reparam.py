@@ -232,7 +232,7 @@ class ScalingReparametrization:
         index = self.graph.edge_index()
         grid = [["0"] * n for _ in range(n)]
         for v in range(1, n + 1):
-            grid[v - 1][v - 1] = f"a{v}{v}"
+            grid[v - 1][v - 1] = self.graph.rate_name(v, v)
         for (j, i), k in index.items():
             grid[i - 1][j - 1] = self.edge_monomial(k)
         return grid
@@ -279,6 +279,7 @@ def reparametrize(
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    exact.modulus(mode)  # rejects an unknown mode, also past the edge bound
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "

@@ -135,14 +135,14 @@ def class_verdicts(
 
 
 def evaluate_polynomial(poly, values, p: int = 0):
-    """Evaluate a MonomialPolynomial at a point; `values` indexed by
-    parameter order.
+    """Evaluate a polynomial {exponents: coefficient} at a point; `values`
+    indexed by parameter order.
 
     With p > 0 the result is reduced mod p; with p = 0 it is exact, a
     Fraction only where a negative exponent needs one.
     """
     acc = 0
-    for expo, coeff in poly.terms.items():
+    for expo, coeff in poly.items():
         term = coeff
         for v, e in zip(values, expo):
             if e and p:

@@ -110,6 +110,13 @@ class TestCensusRow:
         assert before.B == 7
         assert len(class_verdicts(3, 4)) == before.C
 
+    @pytest.mark.parametrize("m", [4, 5, 7])
+    def test_mode_checked_on_every_row(self, m):
+        """Rows the rank decides, rows the edge bound decides (3,5) and
+        rows with no classes (3,7) all reject an unknown mode."""
+        with pytest.raises(ValueError, match="unknown arithmetic mode"):
+            census_row(3, m, mode="nope")
+
     def test_csv_shape(self):
         row = census_row(3, 3)
         assert row.csv_header() == "n,m,A,B,C,D,E,F"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from compident import (
     CompartmentGraph,
     NotExpectedDimension,
     NotStronglyConnected,
+    census_classes,
     has_expected_dimension,
     identifiable_cycle_functions,
     image_dimension,
@@ -19,7 +21,6 @@ from compident import charpoly as cp
 from compident import exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.errors import FieldCharacteristicTooSmall
-from compident.monomial import MonomialPolynomial
 
 from conftest import (
     directed_cycle_graph,
@@ -45,7 +46,7 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 def total_degrees(poly) -> set[int]:
-    return {sum(e) for e in poly.terms}
+    return {sum(e) for e in poly}
 
 
 def verdict_matrix(graph, point, mode=PRIME_MODE):
@@ -64,13 +65,20 @@ NO_EXCHANGE5 = CompartmentGraph(
 
 def poly_from_names(graph, term_map):
     names = graph.param_names()
-    poly = MonomialPolynomial(len(names))
+    poly = {}
     for factor_names, coeff in term_map.items():
         expo = [0] * len(names)
         for name in factor_names:
             expo[names.index(name)] += 1
-        poly.add_term(tuple(expo), coeff)
+        poly[tuple(expo)] = coeff
     return poly
+
+
+def census_pick(n, m, exchange):
+    """A seeded census representative of (n, m), with or without an
+    exchange at vertex 1."""
+    pool = [c.representative for c in census_classes(n, m) if c.exchange == exchange]
+    return random.Random(f"{n},{m},{exchange}").choice(pool)
 
 
 def to_sympy(graph, poly):
@@ -78,7 +86,7 @@ def to_sympy(graph, poly):
 
     names = graph.param_names()
     expr = sympy.Integer(0)
-    for expo, coeff in poly.terms.items():
+    for expo, coeff in poly.items():
         term = sympy.Integer(coeff)
         for name, e in zip(names, expo):
             if e:
@@ -112,10 +120,19 @@ class TestSymbolicCoefficients:
         assert ds[1] == poly_from_names(cycle3, {("a22", "a33"): 1})
 
     @pytest.mark.parametrize(
-        "fixture", ["chain4", "broken4", "wheel5", "cycle3", "exchange2"]
+        "fixture",
+        ["chain4", "broken4", "wheel5", "cycle3", "exchange2"]
+        + [
+            pytest.param((n, m, exchange), id=f"{n}-{m}-{'exchange' if exchange else 'no-exchange'}")
+            for n, m in [(5, 7), (5, 8)]
+            for exchange in (True, False)
+        ],
     )
     def test_matches_sympy_determinant(self, fixture, request):
-        graph = request.getfixturevalue(fixture)
+        if isinstance(fixture, str):
+            graph = request.getfixturevalue(fixture)
+        else:
+            graph = census_pick(*fixture)
         cs, ds = symbolic_coefficients(graph)
         sym_cs, sym_ds = sympy_double_charpoly(graph)
         import sympy
@@ -137,7 +154,7 @@ class TestSymbolicCoefficients:
             k for k, name in enumerate(names) if "1" in (name[1], name[2])
         }
         for poly in ds:
-            for expo in poly.terms:
+            for expo in poly:
                 assert all(expo[k] == 0 for k in banned)
 
 
@@ -635,6 +652,14 @@ class TestExpectedDimension:
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 has_expected_dimension(graph, trials=trials)
 
+    def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
+        complete4 = CompartmentGraph(
+            4, tuple((j, i) for j in range(1, 5) for i in range(1, 5) if i != j)
+        )
+        for graph in (chain4, complete4, NO_EXCHANGE5):
+            with pytest.raises(ValueError, match="unknown arithmetic mode"):
+                has_expected_dimension(graph, mode="nope")
+
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
         """One strong connectivity check per verdict, below and past the
         edge bound; a graph that is not strongly connected still raises."""
@@ -672,6 +697,15 @@ class TestIoEquation:
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(NotStronglyConnected):
             io_equation_text(CompartmentGraph(2, ((1, 2),)))
+
+    def test_census_digest(self):
+        """The equations of every census representative of five rows, in
+        order, pinned by the leading hex digits of their sha256."""
+        digest = hashlib.sha256()
+        for n, m in [(3, 4), (4, 5), (4, 6), (5, 7), (5, 8)]:
+            for entry in census_classes(n, m):
+                digest.update(io_equation_text(entry.representative).encode())
+        assert digest.hexdigest()[:16] == "87ab3dae1b501983"
 
 
 class TestIdentifiableCycleFunctions:

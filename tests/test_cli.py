@@ -153,6 +153,20 @@ class TestReparam:
         assert doc["tree_edges"] == [[5, 1], [2, 3], [3, 4], [4, 5]]
         assert doc["matrix"][1][0] == "a15*a21*a32*a43*a54"
 
+    def test_tree_flag_takes_the_graphs_own_rate_names(self, capsys, path10_file, tmp_path):
+        """Two-digit labels: a109 at n = 10, a<i>_<j> from n = 11 on."""
+        default = run(capsys, "reparam", path10_file)
+        tree = ",".join(f"a{v + 1}{v}" for v in range(1, 10))
+        assert run(capsys, "reparam", path10_file, "--tree", tree) == default
+        path = tmp_path / "cycle11.json"
+        edges = [[v, v % 11 + 1] for v in range(1, 12)] + [[1, 11]]
+        path.write_text(json.dumps({"n": 11, "edges": edges}))
+        tree = ",".join(f"a{v + 1}_{v}" for v in range(1, 11))
+        code, out, _ = run(capsys, "reparam", str(path), "--tree", tree)
+        assert code == 0 and "cycle basis: q1 = a11_1*a1_11, q2 = " in out
+        code, _, err = run(capsys, "reparam", str(path), "--tree", "a21,a32")
+        assert code == 2 and "bad tree entry 'a21'" in err
+
     def test_bad_tree_flag(self, capsys, chain4_file):
         code, _, err = run(capsys, "reparam", chain4_file, "--tree", "a12,zz,a34")
         assert code == 2 and "error:" in err

@@ -3,6 +3,7 @@ shows at the top of a file, so an import cycle cannot hide inside a
 function body (charpoly, for one, must not reach back into reparam)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import compident
@@ -26,6 +27,22 @@ def test_no_function_local_imports():
                     for inner in ast.walk(node)
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
+    assert found == []
+
+
+def test_no_third_party_imports():
+    """`dependencies = []` in pyproject.toml: the library imports only its
+    own modules and the standard library."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parsed(path.name)):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{top}" for top in tops if top not in sys.stdlib_module_names]
     assert found == []
 
 

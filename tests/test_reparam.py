@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from itertools import combinations, islice
@@ -367,6 +368,14 @@ class TestReparametrize:
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 reparametrize(graph, trials=trials)
 
+    def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
+        complete4 = CompartmentGraph(
+            4, tuple((j, i) for j in range(1, 5) for i in range(1, 5) if i != j)
+        )
+        for graph in (chain4, complete4):
+            with pytest.raises(ValueError, match="unknown arithmetic mode"):
+                reparametrize(graph, mode="nope")
+
     def test_requires_strong_connectivity(self):
         with pytest.raises(NotStronglyConnected):
             reparametrize(CompartmentGraph(2, ((1, 2),)))
@@ -517,6 +526,17 @@ class TestVerification:
             assert rebuilt.f_exponents == result.f_exponents
             assert rebuilt.rescaled_exponents == result.rescaled_exponents
             assert rebuilt.cycle_expressions == result.cycle_expressions
+
+    def test_round_trip_with_two_digit_labels(self):
+        """From n = 11 on a rate is named a<i>_<j>: as a<i><j>, the edges
+        1 -> 11 and 11 -> 1 would both read a111, and the cycle a111*a111
+        could not be read back."""
+        n = 11
+        graph = CompartmentGraph(n, tuple((v, v % n + 1) for v in range(1, n + 1)) + ((1, n),))
+        assert len(set(graph.param_names())) == n + graph.m
+        doc = json.loads(json.dumps(reparametrize(graph).to_json_dict()))
+        assert "a11_1*a1_11" in doc["cycle_basis"]
+        assert verify_reparametrization(graph, reparametrization_from_json(graph, doc))
 
     @pytest.mark.parametrize("n, m", [(4, 6), (5, 8)])
     def test_round_trip_on_census_classes(self, n, m):
