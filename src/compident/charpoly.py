@@ -7,10 +7,14 @@ input-output equation when G is strongly connected. The image dimension is
 the exact rank of the Jacobian at random points; the graph "has the expected
 dimension" when that rank is m+1, the number of independent monomial cycles.
 
-One kernel builds the entries (A^i)[c][r] of the powers of A and A_1 at the
-parameter positions: the powers up to about half the size whole, the higher
-ones only at the requested cells. Newton's identities give the
-coefficients, and three reductions give the Jacobian's rank at every point:
+One kernel, `_power_rows`, builds the entries (A^i)[c][r] of the powers of
+A and A_1 at the parameter positions. Each row of a power is one int of
+fixed-width slots, so a row of the next power is one big-int multiply-add
+per nonzero of A: mod p = 2^61 - 1 the slots are 122 + n.bit_length() bits
+wide and two Mersenne folds per product keep them from overflowing; exact
+slots are sized by an entry bound and carry a sign bit. Newton's
+identities give the coefficients, and three reductions give the
+Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
   is a unit lower triangular matrix times the power rows [R; S];
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
@@ -22,6 +26,10 @@ coefficients, and three reductions give the Jacobian's rank at every point:
   column operations on them leave rank(M) = 2 + rank(M'), with M' the
   (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
   stops after at most m-1 pivots.
+
+Rational mode ranks M' mod p first. A minor that is nonzero mod p is a
+nonzero integer, so a rank at min(rows, cols) is already the rank over Q;
+only a shortfall builds the exact rows and runs Bareiss on them.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
 vertex 1 has no exchange (`_dimension_bound`). Then every product
@@ -38,12 +46,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from math import lcm
 from operator import add, mul
 from typing import Sequence
 
 from . import exact
 from .errors import NotStronglyConnected
-from .exact import PRIME_MODE
+from .exact import MERSENNE61, PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     SpanningTree,
@@ -107,51 +117,88 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
 
     For the parameter at A[r][c], row i of the first list holds
     (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
-    with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells and
-    row 1 holds the values. Only the powers up to h = ceil((size-1)/2) are
-    built whole, as sparse-times-dense products reduced mod p once per row;
-    each higher row i is read at the requested cells as the row
-    (A^h)[c] times the column (A^(i-h))[.][r], the baby-step/giant-step
-    split of Paterson and Stockmeyer (SIAM J. Comput. 2, 1973).
+    with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells.
+    `p` is 2^61 - 1 or 0.
+
+    The powers are those of diag(A, A_1), starting from the identity. Each
+    row is one int of fixed-width slots (Kronecker substitution; Harvey,
+    J. Symbolic Comput. 44, 2009): slot k holds column k of its block, so
+    row r of A * A^i is sum_k a_rk * row_k, one big-int multiply-add per
+    nonzero of A. Entries are read at the requested cells with a shift and
+    a mask.
+
+    Mod p every entry of A is below p and, by induction, every slot of a
+    power below 2^61 + 2^b, b = n.bit_length(). A product slot sums at most
+    n < 2^b products (p-1) * x, so it is below 2^(122+b), the slot width
+    (for b <= 30). Since 2^61 = 1 mod p, a fold (x & LO) + ((x >> 61) & HI),
+    with LO and HI the low 61 and the high 61+b bits of every slot, keeps
+    each slot's residue; two folds bring every slot back below 2^61 + 2^b.
+    `% p` runs only at read-out.
+
+    With p = 0, Fraction values are brought to one denominator D first, so
+    A = N / D with N integer and A^i = N^i / D^i. An entry of N^i is at
+    most w^(i-1) * B, B the largest |entry| of N and w its largest absolute
+    row sum, so a slot of the bit length of w^(n-2) * B plus a sign bit
+    holds every entry up to i = n-1. A bias of 2^(width-1) in every slot
+    makes the slots nonnegative for read-out.
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
             f"expected {parameter_count(graph)} parameter values, got {len(values)}"
         )
-    # (row, column) of each parameter in A, 0-indexed: diagonals, then edges
-    entries = [(v, v) for v in range(graph.n)] + [(i - 1, j - 1) for j, i in graph.edges]
-    out = []
-    for offset in (0, 1):  # A, then A_1 (row and column 1 deleted)
-        size = graph.n - offset
-        sparse = [[] for _ in range(size)]
-        dense = [[0] * size for _ in range(size)]
-        cells = [None] * len(values)
-        for idx, (r, c) in enumerate(entries):
-            if r >= offset and c >= offset:
-                r, c, a = r - offset, c - offset, values[idx] % p if p else values[idx]
-                sparse[r].append((c, a))
-                dense[r][c] = a
-                cells[idx] = (c, r)  # transposed: the row reads (A^i)[c][r]
-        at = [cells[idx] for idx in params]
-        half = size // 2  # ceil((size - 1) / 2)
-        powers = [None, dense]  # powers[i] = A^i; A^0 is never built
-        while len(powers) <= half:
-            prev, nxt = powers[-1], []
-            for srow in sparse:
-                acc = [0] * size
-                for k, a in srow:
-                    acc = [x + a * y for x, y in zip(acc, prev[k])]
-                nxt.append([x % p for x in acc] if p else acc)
-            powers.append(nxt)
-        rows = [[int(cell[0] == cell[1]) if cell else 0 for cell in at]][:size]
-        rows += [[P[cell[0]][cell[1]] if cell else 0 for cell in at] for P in powers[1 : half + 1]]
-        top = powers[half]
-        for i in range(half + 1, size):
-            columns = list(zip(*powers[i - half]))
-            high = [sum(map(mul, top[cell[0]], columns[cell[1]])) if cell else 0 for cell in at]
-            rows.append([x % p for x in high] if p else high)
-        out.append(rows)
-    return out[0], out[1]
+    n = graph.n
+    if p:
+        values = [x % p for x in values]
+    else:
+        denom = lcm(*(x.denominator for x in values))
+        values = [int(x * denom) for x in values]
+    # List rows 0..n-1 are the rows of A, n..2n-2 those of A_1, and one more
+    # power, always 0, is what the cells outside A_1 read.
+    nonzeros = [([], []) for _ in range(2 * n - 1)]  # per row: list rows k, entries a_rk
+    cells, sub_cells = [], []  # (list row, slot) of (A^i)[c][r]
+    entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+    for (r, c), a in zip(entries, values):
+        nonzeros[r][0].append(c)
+        nonzeros[r][1].append(a)
+        cells.append((c, r))
+        if r and c:
+            nonzeros[n + r - 1][0].append(n + c - 1)
+            nonzeros[n + r - 1][1].append(a)
+            sub_cells.append((n + c - 1, r - 1))
+        else:
+            sub_cells.append((2 * n - 1, 0))
+    if p:
+        width = 122 + n.bit_length()
+    else:
+        row_sum = max(sum(map(abs, row)) for _, row in nonzeros)
+        width = (row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
+    mask = (1 << width) - 1
+    ones = ((1 << n * width) - 1) // mask  # 1 in each of n slots
+    low, high = ones * MERSENNE61, ones * (mask >> 61)
+    half = 1 << width - 1
+    bias = ones * half
+    at = [(cells[k][0], cells[k][1] * width) for k in params]
+    sub_at = [(sub_cells[k][0], sub_cells[k][1] * width) for k in params]
+    power = [1 << k * width for k in range(n)] + [1 << k * width for k in range(n - 1)] + [0]
+    rows, sub_rows = [], []
+    for i in range(n):
+        if i:  # A_1 needs no power n-1
+            block = nonzeros[: n if i == n - 1 else None]
+            product = [sum(map(mul, row, map(power.__getitem__, ks))) for ks, row in block]
+            if p:
+                product = [(x & low) + (x >> 61 & high) for x in product]
+                product = [(x & low) + (x >> 61 & high) for x in product]
+            power[: len(product)] = product
+        slots = power if p else [x + bias for x in power]
+        for out, where in ((rows, at), (sub_rows, sub_at))[: 1 if i == n - 1 else 2]:
+            if p:
+                out.append([(slots[k] >> s & mask) % p for k, s in where])
+            elif denom > 1:
+                scale = denom**i
+                out.append([Fraction((slots[k] >> s & mask) - half, scale) for k, s in where])
+            else:
+                out.append([(slots[k] >> s & mask) - half for k, s in where])
+    return rows, sub_rows
 
 
 def newton_coefficients(power_sums: Sequence, p: int = 0) -> list:
@@ -270,9 +317,21 @@ def derived_rng(seed: int, graph: CompartmentGraph) -> random.Random:
     return random.Random(f"{seed}|{graph.n}|{graph.edges}")
 
 
-def sample_point(rng: random.Random, count: int, p: int = exact.MERSENNE61) -> list[int]:
-    """Uniform nonzero field elements, one per parameter."""
-    return [rng.randrange(1, p) for _ in range(count)]
+def sample_point(rng: random.Random, count: int) -> list[int]:
+    """Uniform nonzero elements of GF(2^61 - 1), one per parameter.
+
+    Each is 1 + x for the first 61-bit draw x below p - 1: the values, and
+    the stream position, that `rng.randrange(1, p)` gives, without going
+    through it.
+    """
+    draw = rng.getrandbits
+    point = []
+    for _ in range(count):
+        x = draw(61)
+        while x >= MERSENNE61 - 1:
+            x = draw(61)
+        point.append(1 + x)
+    return point
 
 
 def image_dimension(
@@ -303,8 +362,10 @@ def image_dimension(
     point has. Exact row and column operations on M's two identity rows
     give rank(M) = 2 + rank(M') (1 when n = 1), so only the
     (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked. The
-    columns, and so the tree, are picked once per call. In rational mode a
-    rank at the ceiling is certified mod p (`exact.rank`).
+    columns, and so the tree, are picked once per call. In rational mode
+    M' is ranked mod p first, and a rank at the ceiling is the rank over Q
+    (`exact.rank`); only a point that falls short builds the exact rows
+    and ranks them by Bareiss.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -324,17 +385,25 @@ def _sampled_dimension(
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
     params = _verdict_params(graph, tree)
-    p = exact.modulus(mode)
+    rational = not exact.modulus(mode)
     bound = _dimension_bound(graph)
     ceiling = min(bound, graph.m + 1)
     eliminated = min(graph.n, 2)
-    best = 0
-    for _ in range(trials):
-        rows, sub_rows = _power_rows(graph, sample_point(rng, nvars), p, params)
-        reduced = _reduced_verdict_rows(graph.n, rows, sub_rows)
+
+    def reduced_rows(point: list[int], p: int) -> list[list]:
+        reduced = _reduced_verdict_rows(graph.n, *_power_rows(graph, point, p, params))
         if bound < 2 * graph.n - 1:
             del reduced[graph.n - 1]  # row 1 of A_1, the twin of row 1 of A
-        best = max(best, eliminated + exact.rank(reduced, mode))
+        return reduced
+
+    best = 0
+    for _ in range(trials):
+        point = sample_point(rng, nvars)
+        reduced = reduced_rows(point, MERSENNE61)
+        rank = exact.rank(reduced, PRIME_MODE)
+        if rational and reduced and rank < min(len(reduced), len(reduced[0])):
+            rank = exact.rank_bareiss(reduced_rows(point, 0))
+        best = max(best, eliminated + rank)
         if best == ceiling:
             break
     return DimensionReport(

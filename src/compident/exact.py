@@ -136,7 +136,10 @@ def rank(rows: Sequence[Sequence], mode: str = RATIONAL_MODE) -> int:
     Clearing denominators keeps the rank over Q. Reduction mod p can only
     lower the rank of an integer matrix, since a minor that is nonzero mod
     p is a nonzero integer; and no rank exceeds min(rows, cols). So a rank
-    mod p at that ceiling is a proof of the rank over Q.
+    mod p at that ceiling is a proof of the rank over Q. Rational verdicts
+    (`charpoly._sampled_dimension`) apply the same certificate one step
+    earlier: they rank the verdict rows mod p, and build the integer rows
+    and run Bareiss only when that rank falls short.
     """
     if not rows or not rows[0]:
         return 0

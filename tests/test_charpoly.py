@@ -393,6 +393,90 @@ class TestImageDimension:
         assert len(calls) == 2
 
 
+class TestRationalVerdicts:
+    """Rational mode ranks M' mod p first. A rank at min(rows, cols) is the
+    rank over Q, so only a shortfall builds the exact rows (p = 0) and runs
+    Bareiss on them."""
+
+    @staticmethod
+    def exact_builds(monkeypatch) -> list:
+        """Patch `_power_rows` to record each call made with p = 0."""
+        calls = []
+        real = cp._power_rows
+
+        def recording(graph, values, p, params):
+            if not p:
+                calls.append(graph)
+            return real(graph, values, p, params)
+
+        monkeypatch.setattr(cp, "_power_rows", recording)
+        return calls
+
+    def test_expected_classes_build_no_exact_rows(self, monkeypatch):
+        calls = self.exact_builds(monkeypatch)
+        expected = [c.representative for c in census_classes(4, 6) if c.expected]
+        assert len(expected) == 30
+        assert all(image_dimension(g, mode=RATIONAL_MODE).verdict for g in expected)
+        assert calls == []
+
+    def test_exact_analyze_of_a_long_path_builds_no_exact_rows(self, monkeypatch, tmp_path, capsys):
+        from compident.cli import main
+
+        calls = self.exact_builds(monkeypatch)
+        path = tmp_path / "path10.json"
+        path.write_text(bidirected_path(10).to_json())
+        assert main(["analyze", str(path), "--json", "--exact"]) == 0
+        assert '"mode": "rational"' in capsys.readouterr().out
+        assert calls == []
+
+    def test_one_exact_build_per_trial_on_a_shortfall(self, monkeypatch, broken4):
+        calls = self.exact_builds(monkeypatch)
+        for trials in (1, 2, 3):
+            calls.clear()
+            report = image_dimension(broken4, trials=trials, mode=RATIONAL_MODE)
+            assert (report.d, report.trials, calls) == (6, trials, [broken4] * trials)
+
+    def test_reports_match_prime_mode(self):
+        for n, m in ((4, 6), (5, 7), (5, 8)):
+            for c in census_classes(n, m):
+                prime = image_dimension(c.representative).as_dict()
+                rational = image_dimension(c.representative, mode=RATIONAL_MODE).as_dict()
+                assert (prime.pop("mode"), rational.pop("mode")) == (PRIME_MODE, RATIONAL_MODE)
+                assert rational == prime, c.representative
+
+
+class TestSamplePoint:
+    """`sample_point` draws by rejection from 61 random bits and gives the
+    values `randrange(1, p)` gives, from the same stream position."""
+
+    def test_equals_randrange(self, chain4, broken4):
+        for seed in range(4):
+            for g in (chain4, broken4, bidirected_path(10)):
+                ours, theirs = cp.derived_rng(seed, g), cp.derived_rng(seed, g)
+                for count in (1, 13, 997, 2500):
+                    assert cp.sample_point(ours, count) == [
+                        theirs.randrange(1, MERSENNE61) for _ in range(count)
+                    ]
+                assert ours.getstate() == theirs.getstate()
+
+    def test_rejection(self):
+        """Draws of p - 1 and p are rejected, as `randrange` rejects them."""
+
+        class Scripted(random.Random):
+            def __init__(self, draws):
+                super().__init__(0)
+                self.draws = list(draws)
+
+            def getrandbits(self, k):
+                assert k == 61
+                return self.draws.pop(0)
+
+        draws = [MERSENNE61 - 1, MERSENNE61, 0, MERSENNE61 - 2, MERSENNE61, 7]
+        assert cp.sample_point(Scripted(draws), 3) == [1, MERSENNE61 - 1, 8]
+        script = Scripted(draws)
+        assert [script.randrange(1, MERSENNE61) for _ in range(3)] == [1, MERSENNE61 - 1, 8]
+
+
 def bidirected_path(n: int) -> CompartmentGraph:
     return CompartmentGraph(n, tuple(e for v in range(1, n) for e in ((v, v + 1), (v + 1, v))))
 
@@ -448,10 +532,14 @@ def reference_coefficients(graph, values) -> tuple[list, list]:
     return out[0], out[1]
 
 
+def complete_digraph(n: int) -> CompartmentGraph:
+    return CompartmentGraph(n, tuple((j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j))
+
+
 class TestPowerRows:
-    """`_power_rows` builds the powers up to about half the size whole and
-    reads the higher rows at the requested cells; the result equals whole
-    dense powers in both modes and for Fraction values."""
+    """`_power_rows` packs each row of a power into one int of fixed-width
+    slots; the rows it reads equal whole dense powers in both modes and for
+    Fraction values."""
 
     @staticmethod
     def graphs():
@@ -480,6 +568,44 @@ class TestPowerRows:
             everything = list(range(g.n + g.m))
             assert cp._power_rows(g, point, 0, everything) == reference_power_rows(g, point, 0, everything)
             assert numeric_coefficients(g, point, RATIONAL_MODE) == reference_coefficients(g, point), g
+
+    @staticmethod
+    def check(graph, values, moduli) -> None:
+        everything = list(range(graph.n + graph.m))
+        for p in moduli:
+            assert cp._power_rows(graph, values, p, everything) == reference_power_rows(
+                graph, values, p, everything
+            ), (graph, p)
+
+    def test_maximal_carries(self):
+        """Every value p - 1 fills the slots to their bounds. Mod p, the
+        second power of a complete digraph has product slots n (p-1)^2,
+        which need all 122 + n.bit_length() bits when n is 3 or 7, and a
+        later product overflows unless both folds ran. With p = 0 the
+        largest entry of A^(n-1), n^(n-2) (p-1)^(n-1), is the slot bound
+        w^(n-2) * B itself. So a slot one bit narrower, or a fold left out,
+        changes these rows."""
+        graphs = [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20), bidirected_path(40)]
+        for g in graphs:
+            self.check(g, [MERSENNE61 - 1] * (g.n + g.m), (MERSENNE61, 0))
+
+    def test_negative_and_fraction_values(self):
+        """The sign bit and the bias at p = 0: all entries negative, mixed
+        signs, and Fractions with large numerators over distinct
+        denominators."""
+        rng = random.Random(84)
+        for g in [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20)]:
+            count = g.n + g.m
+            self.check(g, [1 - MERSENNE61] * count, (0,))
+            self.check(g, [rng.choice([-1, 1]) * rng.randrange(MERSENNE61) for _ in range(count)], (0,))
+            self.check(g, [Fraction(rng.randrange(-MERSENNE61, MERSENNE61), rng.randrange(1, 10**6)) for _ in range(count)], (0,))
+
+    def test_single_vertex(self, single):
+        """n = 1: A^0 = [1] is the only row and A_1 is empty."""
+        for values in ([5], [MERSENNE61 - 1], [Fraction(-3, 7)]):
+            for p in (MERSENNE61, 0) if isinstance(values[0], int) else (0,):
+                assert cp._power_rows(single, values, p, [0]) == ([[1]], [])
+                self.check(single, values, (p,))
 
 
 class TestReducedVerdictMatrix:
