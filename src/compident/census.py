@@ -18,9 +18,9 @@ from itertools import combinations, permutations
 from operator import add
 from typing import Iterator, Optional
 
-from .charpoly import has_expected_dimension
+from .charpoly import checked_modulus, has_expected_dimension
 from .errors import LimitExceeded
-from .exact import PRIME_MODE, modulus
+from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     _subset_strongly_connected,
@@ -165,11 +165,13 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
     children computes graphs[r::k] and writes it back over a pipe, one byte
     per verdict, while the parent computes share 0. `derived_rng` makes each
     verdict a function of (seed, graph) alone, so the split changes no
-    result. It runs serially when k < 2, without `os.fork`, or while another
-    thread is alive (forking a threaded process is unsafe). A child leaves
-    only through `os._exit`, flushing no inherited buffer. The share of a
-    child that fails, or that could not be forked, is recomputed here, so an
-    error a verdict raises in a child is raised again in the caller.
+    result. It runs serially when k < 2 (fewer than 2 * MIN_FORK_SHARE
+    verdicts, or one CPU, which `taskset -c 0` forces), without `os.fork`,
+    or while another thread is alive (forking a threaded process is
+    unsafe). A child leaves only through `os._exit`, flushing no inherited
+    buffer. The share of a child that fails, or that could not be forked,
+    is recomputed here, so an error a verdict raises in a child is raised
+    again in the caller.
     """
     k = min(_usable_cpus(), len(graphs) // MIN_FORK_SHARE)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -232,9 +234,7 @@ def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     representative, and the number of labeled graphs. `trials` and `mode`
     are checked first, so a row with no classes, or one the edge bound
     decides, rejects them as every other row does."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    modulus(mode)
+    checked_modulus(trials, mode)
     _pool, _images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, limit)
     verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
@@ -295,11 +295,7 @@ def census_row(
     """Counts A-F for the (n, m) cell of the table.
 
     The verdicts of the row's classes and spot-check members are split over
-    the CPUs this process may use, one forked child per extra CPU, each
-    child taking at least MIN_FORK_SHARE verdicts. The split changes no
-    result. It runs serially on a row with fewer than 2 * MIN_FORK_SHARE
-    verdicts, on one CPU (`taskset -c 0` forces that), where `os.fork` does
-    not exist, and while another thread is alive."""
+    the CPUs as `_verdicts` describes; the split changes no result."""
     classes, total = _census_data(n, m, seed, trials, mode, limit)
     maximal = m == 2 * n - 2
     return CensusRow(
@@ -411,12 +407,9 @@ def test_conjectures(
                     if entry.expected != c_expected:
                         reports[name].counterexamples.append(
                             {
-                                "graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
+                                "graph": graph.as_dict(),
                                 "exchange_vertex": v,
-                                "collapsed": {
-                                    "n": collapsed.n,
-                                    "edges": [list(e) for e in collapsed.edges],
-                                },
+                                "collapsed": collapsed.as_dict(),
                                 "graph_expected": entry.expected,
                                 "collapsed_expected": c_expected,
                                 "class_size": entry.size,
@@ -462,9 +455,10 @@ def property_suite(
     The exchange, ISC and add-exchange checks run on census classes: each
     class counts `size` times in `tested`, and violations name representatives.
     Exchange-necessity holds by construction, since `has_expected_dimension`
-    answers False on a maximal graph with no exchange by the 2n-2 bound; its
-    independent evidence is the relation c_2 = d_2 + d_1 (c_1 - d_1) checked
-    on sympy's determinants (`TestNoExchangeBound` in tests/test_charpoly.py).
+    answers False on a maximal graph with no exchange by the 2n-2 bound
+    (proved in the `charpoly` module docstring); its independent evidence
+    is `TestNoExchangeBound` in tests/test_charpoly.py, which checks the
+    bound's relation on sympy's determinants.
     """
     limit = max(n_max, DEFAULT_LIMIT)
     checks = {

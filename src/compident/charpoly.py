@@ -288,8 +288,8 @@ def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
 
 def _dimension_bound(graph: CompartmentGraph) -> int:
     """A proven ceiling on the image dimension: 2n-1, the number of
-    coefficients, less the relation c_2 = d_2 + d_1 (c_1 - d_1) that holds
-    when n >= 3 and vertex 1 has no exchange (module docstring)."""
+    coefficients, less one when n >= 3 and vertex 1 has no exchange (the
+    2n-2 bound, proved in the module docstring)."""
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
@@ -332,6 +332,14 @@ def sample_point(rng: random.Random, count: int) -> list[int]:
             x = draw(61)
         point.append(1 + x)
     return point
+
+
+def checked_modulus(trials: int, mode: str) -> int:
+    """`exact.modulus(mode)`, once `trials` is checked: the argument check
+    of every verdict entry point, made before anything else is decided."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return exact.modulus(mode)
 
 
 def image_dimension(
@@ -380,12 +388,10 @@ def _sampled_dimension(
 ) -> DimensionReport:
     """`image_dimension` of a graph already known to be strongly connected,
     with the verdict columns of its spanning tree `tree`."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    rational = not checked_modulus(trials, mode)
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
     params = _verdict_params(graph, tree)
-    rational = not exact.modulus(mode)
     bound = _dimension_bound(graph)
     ceiling = min(bound, graph.m + 1)
     eliminated = min(graph.n, 2)
@@ -426,22 +432,16 @@ def has_expected_dimension(
 ) -> bool:
     """True iff the image dimension attains the expected m+1.
 
-    The dimension is at most min(2n-1, m+1), since the image lives in
-    dimension 2n-1. When n >= 3 and vertex 1 has no exchange it is at most
-    2n-2: every product a_1j * a_j1 is then identically 0, so
-    c_2 - d_2 = a_11 tr(A_1) - sum_j a_1j a_j1 gives the relation
-    c_2 = d_2 + d_1 (c_1 - d_1), and the image lies in a hypersurface. So
-    this short-circuits to False when m+1 exceeds that bound
-    (`_dimension_bound`): past the edge bound m > 2n-2, and on a maximal
+    The dimension is at most `_dimension_bound`: 2n-1, or 2n-2 when n >= 3
+    and vertex 1 has no exchange. So this short-circuits to False when m+1
+    exceeds that bound: past the edge bound m > 2n-2, and on a maximal
     graph (m = 2n-2) with no exchange, where the False verdict is a proof.
     No rank computation happens in that case. Strong connectivity is
     checked once per verdict: here when the bound decides, by
     `image_dimension` otherwise, which also raises NotStronglyConnected for
     a graph that fails the check here.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    exact.modulus(mode)  # rejects an unknown mode, also where the bound decides
+    checked_modulus(trials, mode)  # also where the bound decides
     if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict

@@ -68,13 +68,11 @@ def _cmd_analyze(args) -> int:
     isc = is_inductively_strongly_connected(graph)
     if args.json:
         doc = {
-            "graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
+            "graph": graph.as_dict(),
             "strongly_connected": sc,
             "exchange": exchange,
             "isc_ordering": list(isc) if isc else None,
-            "reduced": None
-            if reduced is None
-            else {"n": reduced.n, "edges": [list(e) for e in reduced.edges]},
+            "reduced": None if reduced is None else reduced.as_dict(),
             "dimension": report.as_dict(),
         }
         _dump(doc)
@@ -163,8 +161,7 @@ def _cmd_census(args) -> int:
         if args.detail:
             doc["classes"] = [
                 {
-                    "n": entry.representative.n,
-                    "edges": [list(e) for e in entry.representative.edges],
+                    **entry.representative.as_dict(),
                     "size": entry.size,
                     "expected": entry.expected,
                     "exchange": entry.exchange,

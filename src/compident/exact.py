@@ -1,6 +1,8 @@
-"""Exact arithmetic kernels on plain ints: division-free rank mod p, and
-one fraction-free elimination behind the integer rank, the determinant and
-the choice and inversion of a unimodular column block.
+"""Exact arithmetic kernels on plain ints. One elimination loop, `_bareiss`,
+is behind the rank mod p, the integer rank, the determinant and the choice
+and inversion of a unimodular column block. Over Z it divides by the
+previous pivot (Bareiss); given a modulus p it skips that division, since
+every pivot is a unit mod p.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -45,33 +47,9 @@ def modulus(mode: str) -> int:
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
-    """Rank over GF(p) by division-free Gaussian elimination.
-
-    Each row below the pivot row becomes pv * row - f * prow (pv the pivot,
-    f the row's entry in its column) on the columns right of the pivot.
-    pv is a unit mod p, so the rank is kept without a modular inverse.
-    """
-    mat = [[x % p for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        pv = prow[col]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            f = row[col]
-            if f:
-                for c in range(col + 1, ncols):
-                    row[c] = (pv * row[c] - f * prow[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over GF(p): `_bareiss` mod p on a reduced copy of the rows (the
+    input is not changed). Mod p no division is needed, see `_bareiss`."""
+    return len(_bareiss([[x % p for x in row] for row in rows], p=p)[0])
 
 
 def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -83,17 +61,23 @@ def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+def _bareiss(mat: list[list[int]], jordan: bool = False, p: int = 0) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place;
+    with a modulus p > 0, elimination of a matrix reduced mod p.
 
     Returns the pivot columns and the last pivot, negated once per row swap.
     A column with no pivot left is skipped, so the pivot columns are the
-    matrix's first independent columns; divisions by the previous pivot
-    are exact, since every entry stays a minor. For a square matrix of full
-    rank the signed pivot is the determinant. With `jordan` the rows above
-    each pivot are cleared too (fraction-free Gauss-Jordan): the columns
-    right of the last pivot column end as d * B^-1 times what they were,
-    B the block of pivot columns and d the last pivot, unsigned.
+    matrix's first independent columns. Each eliminated row becomes
+    pv * row - f * prow (pv the pivot, f the row's entry in its column).
+    Over Z that is divided by the previous pivot, exactly, since every entry
+    stays a minor; for a square matrix of full rank the signed pivot is then
+    the determinant. Mod p the division is dropped: it only keeps integers
+    from growing, entries mod p are bounded anyway, and pv is a unit, so
+    scaling a row by it keeps the rank; rows with f = 0 are left alone.
+    With `jordan` the rows above each pivot are cleared too (fraction-free
+    Gauss-Jordan, over Z): the columns right of the last pivot column end
+    as d * B^-1 times what they were, B the block of pivot columns and d
+    the last pivot, unsigned.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -112,12 +96,17 @@ def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int
         prow = mat[rank]
         pv = prow[col]
         for r in range(0 if jordan else rank + 1, nrows):
-            if r != rank:
-                row = mat[r]
-                factor = row[col]
+            row = mat[r]
+            factor = row[col]
+            if r == rank or p and not factor:
+                continue
+            if p:
+                for c in range(col + 1, ncols):
+                    row[c] = (pv * row[c] - factor * prow[c]) % p
+            else:
                 for c in range(col + 1, ncols):
                     row[c] = (pv * row[c] - factor * prow[c]) // prev
-                row[col] = 0
+            row[col] = 0
         prev = pv
         pivots.append(col)
     return pivots, sign * prev

@@ -89,8 +89,12 @@ class CompartmentGraph:
             self.edge_param_name(k) for k in range(self.m)
         ]
 
+    def as_dict(self) -> dict:
+        """The graph JSON document that `parse_graph` reads."""
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
+        return json.dumps(self.as_dict())
 
 
 def parse_graph(text: str) -> CompartmentGraph:

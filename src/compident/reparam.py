@@ -14,7 +14,7 @@ from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, _sampled_dimension
+from .charpoly import DimensionReport, _sampled_dimension, checked_modulus
 from .errors import (
     Disconnected,
     InconsistentSystem,
@@ -277,9 +277,7 @@ def reparametrize(
         raise NotStronglyConnected(
             "reparametrization requires a strongly connected graph"
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    exact.modulus(mode)  # rejects an unknown mode, also past the edge bound
+    checked_modulus(trials, mode)  # also past the edge bound
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "

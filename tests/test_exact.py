@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -245,6 +246,70 @@ class TestUnimodularColumns:
         ]
         assert prod == [[int(r == c) for c in range(size)] for r in range(size)]
 
+
+
+def assert_input_unchanged(func, matrix, *args):
+    """Call func(matrix, *args) and check that matrix reads the same after,
+    also when the call raises; return the result."""
+    before = copy.deepcopy(matrix)
+    try:
+        return func(matrix, *args)
+    finally:
+        assert matrix == before, func.__name__
+
+
+class TestInputsUnchanged:
+    """`_bareiss` eliminates in place, so every entry point must hand it a
+    copy. Were `rank_mod_p` to eliminate its argument, the rational rank
+    would run Bareiss on rows already eliminated mod p."""
+
+    def test_ranks_and_determinant(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
+            rows = [
+                [rng.choice([0, rng.randrange(-9, 10), MERSENNE61 * rng.randrange(-2, 3)])
+                 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+            expected = oracle_rank(rows)
+            assert assert_input_unchanged(rank_bareiss, rows) == expected
+            assert assert_input_unchanged(rank, rows, RATIONAL_MODE) == expected
+            assert assert_input_unchanged(rank_mod_p, rows) <= expected
+            assert_input_unchanged(rank, rows, PRIME_MODE)
+            square = [row[:nr] for row in rows] if nc >= nr else rows[:nc]
+            assert_input_unchanged(det_int, square)
+
+    def test_fraction_rows(self):
+        rows = [[Fraction(1, 2), Fraction(MERSENNE61, 3)], [Fraction(3, 2), Fraction(1, 1)]]
+        assert assert_input_unchanged(rank, rows, RATIONAL_MODE) == oracle_rank(rows)
+
+    @pytest.mark.parametrize(
+        "rows, over_q, mod_p",
+        [
+            ([[MERSENNE61, 1], [2 * MERSENNE61, 2]], 1, 1),
+            ([[MERSENNE61, 0], [0, 1]], 2, 1),
+        ],
+    )
+    def test_rank_below_ceiling_mod_p(self, rows, over_q, mod_p):
+        """Both modes of `rank`, on matrices whose rank mod p is below
+        min(rows, cols), so the rational rank goes on to Bareiss."""
+        assert assert_input_unchanged(rank_mod_p, rows) == mod_p
+        assert assert_input_unchanged(rank, rows, PRIME_MODE) == mod_p
+        assert assert_input_unchanged(rank, rows, RATIONAL_MODE) == over_q
+
+    def test_unimodular_blocks(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            size = rng.randrange(1, 6)
+            block = random_unimodular(rng, size)
+            wide = [row + [rng.randrange(-5, 6)] for row in block]
+            assert_input_unchanged(inverse_unimodular, block)
+            assert assert_input_unchanged(unimodular_columns, wide)[0] == list(range(size))
+        with pytest.raises(NotUnimodular):
+            assert_input_unchanged(unimodular_columns, [[1, 2, 3], [2, 4, 6]])
+        with pytest.raises(NotUnimodular):
+            assert_input_unchanged(inverse_unimodular, [[2, 1], [0, 1]])
 
 class TestLatticeSolve:
     def test_identity_block(self):
