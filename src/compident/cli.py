@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("io-equation", help="print the input-output equation")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_io_equation)
 
     p = sub.add_parser("census", help="one (n, m) row of the census table")
@@ -260,8 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoReparametrization:
-        return 1
     except (CompidentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,18 +56,6 @@ class CompartmentGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def successors(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for j, i in self.edges:
-            succ[j].append(i)
-        return succ
-
-    def predecessors(self) -> list[list[int]]:
-        pred: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for j, i in self.edges:
-            pred[i].append(j)
-        return pred
-
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
@@ -123,29 +111,36 @@ def parse_graph(text: str) -> CompartmentGraph:
     return CompartmentGraph(n, tuple(pairs))
 
 
-def _reach(adj: Sequence[Sequence[int]]) -> int:
-    """Bitmask (bit v for vertex v) of the vertices vertex 1 reaches along `adj`."""
-    seen = 2  # bit 1 set
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            bit = 1 << w
-            if not seen & bit:
-                seen |= bit
-                stack.append(w)
+def _adjacency(n: int, edges) -> tuple[list[int], list[int]]:
+    """Per-vertex bitmasks of the edges on vertices 1..n: bit w of out[v]
+    for an edge v -> w, bit u of inn[v] for an edge u -> v."""
+    out = [0] * (n + 1)
+    inn = [0] * (n + 1)
+    for j, i in edges:
+        out[j] |= 1 << i
+        inn[i] |= 1 << j
+    return out, inn
+
+
+def _reach(adj: Sequence[int]) -> int:
+    """Bitmask (bit v for vertex v) of the vertices vertex 1 reaches along
+    the neighbour masks `adj`: take the lowest vertex of the frontier, add
+    its unvisited neighbours to the visited set and the frontier."""
+    seen = frontier = 2  # bit 1 set
+    while frontier:
+        low = frontier & -frontier
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier ^= low | new
     return seen
 
 
 def _subset_strongly_connected(n: int, edges) -> bool:
     """True iff the edges on vertices 1..n are strongly connected: vertex 1
-    reaches every vertex along them and against them (bitset DFS)."""
-    succ = [[] for _ in range(n + 1)]
-    pred = [[] for _ in range(n + 1)]
-    for j, i in edges:
-        succ[j].append(i)
-        pred[i].append(j)
+    reaches every vertex along them and against them."""
+    out, inn = _adjacency(n, edges)
     full = (1 << (n + 1)) - 2
-    return _reach(succ) == full and _reach(pred) == full
+    return _reach(out) == full and _reach(inn) == full
 
 
 def is_strongly_connected(graph: CompartmentGraph) -> bool:
@@ -159,7 +154,8 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
     Vertices are relabeled to 1..n' preserving relative order (vertex 1
     stays fixed); edge order is inherited from the input.
     """
-    mask = _reach(graph.successors()) & _reach(graph.predecessors())
+    out, inn = _adjacency(graph.n, graph.edges)
+    mask = _reach(out) & _reach(inn)
     comp = [v for v in range(1, graph.n + 1) if mask >> v & 1]
     if len(comp) == graph.n:
         return graph
@@ -195,16 +191,12 @@ def is_inductively_strongly_connected(
     walk. The test only gets easier as S grows, so the search never
     backtracks. Returns the lexicographically smallest certificate, or None.
     """
-    sources = [0] * (graph.n + 1)  # bit u of sources[v]: edge u -> v
-    targets = [0] * (graph.n + 1)  # bit w of targets[v]: edge v -> w
-    for j, i in graph.edges:
-        sources[i] |= 1 << j
-        targets[j] |= 1 << i
+    out, inn = _adjacency(graph.n, graph.edges)
     prefix = [1]
     inside = 2  # bit 1 set
     rest = list(range(2, graph.n + 1))
     while rest:
-        v = next((v for v in rest if sources[v] & inside and targets[v] & inside), None)
+        v = next((v for v in rest if inn[v] & inside and out[v] & inside), None)
         if v is None:
             return None
         prefix.append(v)
@@ -277,15 +269,15 @@ def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tupl
     every vertex but 1, in the order reached; raises Disconnected when a
     scan reaches nothing new before every vertex is reached.
     """
-    reached = {1}
+    reached = 2  # bit v for vertex v
     walk = []
-    while len(reached) < graph.n:
+    while len(walk) < graph.n - 1:
         grew = False
         for k in edge_indices:
             j, i = graph.edges[k]
-            if (j in reached) != (i in reached):
-                child, parent = (i, j) if j in reached else (j, i)
-                reached.add(child)
+            if reached >> j & 1 != reached >> i & 1:
+                child, parent = (i, j) if reached >> j & 1 else (j, i)
+                reached |= 1 << child
                 walk.append((child, parent, k))
                 grew = True
         if not grew:
@@ -311,7 +303,6 @@ class Cycle:
     """
 
     vertices: tuple[int, ...]
-    edge_indices: tuple[int, ...]
     exponent_vector: tuple[int, ...]
     monomial: str
 
@@ -323,20 +314,24 @@ class Cycle:
 CycleSet = list[Cycle]
 
 
-def _make_cycle(graph: CompartmentGraph, vertices: tuple[int, ...]) -> Cycle:
+def _make_cycle(
+    graph: CompartmentGraph,
+    vertices: tuple[int, ...],
+    index: dict[tuple[int, int], int],
+    names: Sequence[str],
+) -> Cycle:
+    """The cycle through `vertices`, given the graph's `edge_index()` and
+    its edge parameter names, built once per caller; a one-cycle reads
+    neither."""
+    expo = [0] * graph.m
     if len(vertices) == 1:
         v = vertices[0]
-        return Cycle(vertices, (), (0,) * graph.m, graph.rate_name(v, v))
-    index = graph.edge_index()
-    edge_ids = []
-    for k, u in enumerate(vertices):
-        w = vertices[(k + 1) % len(vertices)]
-        edge_ids.append(index[(u, w)])
-    expo = [0] * graph.m
+        return Cycle(vertices, tuple(expo), graph.rate_name(v, v))
+    edge_ids = [index[e] for e in zip(vertices, vertices[1:] + vertices[:1])]
     for e in edge_ids:
         expo[e] = 1
-    names = [graph.edge_param_name(e) for e in edge_ids]
-    return Cycle(vertices, tuple(edge_ids), tuple(expo), format_monomial(names, [1] * len(names)))
+    picked = [names[e] for e in edge_ids]
+    return Cycle(vertices, tuple(expo), format_monomial(picked, [1] * len(picked)))
 
 
 def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
@@ -346,29 +341,28 @@ def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
     vertex leads. Order is deterministic: by length, then lexicographic
     vertex sequence; the one-cycles come first.
     """
-    succ = graph.successors()
-    for lst in succ:
-        lst.sort()
+    vertices = range(1, graph.n + 1)
+    succ = [[w for w in vertices if mask >> w & 1] for mask in _adjacency(graph.n, graph.edges)[0]]
     found: list[tuple[int, ...]] = []
 
-    def search(start: int, path: list[int], on_path: set[int]):
+    def search(start: int, path: list[int], on_path: int):
         for w in succ[path[-1]]:
             if w == start:
                 found.append(tuple(path))
-            elif w > start and w not in on_path:
+            elif w > start and not on_path >> w & 1:
                 path.append(w)
-                on_path.add(w)
-                search(start, path, on_path)
-                on_path.discard(w)
+                search(start, path, on_path | 1 << w)
                 path.pop()
 
-    for s in range(1, graph.n + 1):
-        search(s, [s], {s})
+    for s in vertices:
+        search(s, [s], 1 << s)
 
     found.sort(key=lambda vs: (len(vs), vs))
-    cycles = [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)]
-    cycles.extend(_make_cycle(graph, vs) for vs in found)
-    return cycles
+    index = graph.edge_index()
+    names = [graph.edge_param_name(k) for k in range(graph.m)]
+    return [_make_cycle(graph, (v,), index, names) for v in vertices] + [
+        _make_cycle(graph, vs, index, names) for vs in found
+    ]
 
 
 def canonical_form(graph: CompartmentGraph) -> bytes:

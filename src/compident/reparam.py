@@ -30,7 +30,6 @@ from .graphs import (
     CompartmentGraph,
     Cycle,
     SpanningTree,
-    _make_cycle,
     elementary_cycles,
     is_strongly_connected,
     spanning_tree,
@@ -56,10 +55,10 @@ def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> 
     if len(set(indices)) != graph.n - 1:
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
     try:
-        reached = len(tree_walk(graph, indices))
+        walk = tree_walk(graph, indices)
     except Disconnected:
-        reached = 0
-    if reached != len(indices):
+        walk = []
+    if len(walk) != len(indices):  # not every vertex reached, or an edge repeated
         raise ValueError("tree edges contain a cycle")
     return SpanningTree(tuple(sorted(indices)))
 
@@ -157,7 +156,7 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
 def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     """`cycle_basis` of a graph already known to be strongly connected."""
     need = graph.m - graph.n + 1
-    nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
+    nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
     candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
     for subset in chain([candidates], combinations(candidates, need)):
         try:
@@ -203,7 +202,8 @@ def identifiable_cycle_functions(
             "graph does not have the expected dimension; no independent "
             "identifiable cycle set of size m+1 exists"
         ) from exc
-    return [_make_cycle(graph, (v,)) for v in range(1, graph.n + 1)] + list(basis.cycles)
+    one_cycles = [Cycle((v,), (0,) * graph.m, graph.rate_name(v, v)) for v in range(1, graph.n + 1)]
+    return one_cycles + list(basis.cycles)
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ def _cycle_from_monomial(graph: CompartmentGraph, edge_names: Sequence[str], tex
     simple = set(expo) <= {0, 1} and len(succ) == sum(expo) == len(set(vertices))
     if not simple or succ.get(vertices[-1]) != vertices[0]:
         raise ValueError(f"cycle basis entry {text!r} is not a directed cycle")
-    return _make_cycle(graph, tuple(vertices))
+    return Cycle(tuple(vertices), expo, format_monomial(edge_names, expo))
 
 
 def reparametrization_from_json(
@@ -392,7 +392,7 @@ def reparametrization_from_json(
     for k, (j, i) in enumerate(graph.edges):
         rescaled.append(parse_monomial(edge_names, doc["matrix"][i - 1][j - 1]))
     cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in doc["cycle_basis"])
-    nontree = tuple(k for k in range(graph.m) if k not in set(tree.edge_indices))
+    nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
     if len(cycles) != len(nontree):
         raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
     basis = _unimodular_basis(cycles, graph.m, nontree)

@@ -285,6 +285,17 @@ class TestIoEquation:
         code, _, err = run(capsys, "io-equation", str(path))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("flags", [["--exact"], ["--trials", "0"], ["--seed", "1"]])
+    def test_takes_only_json(self, capsys, tmp_path, flags):
+        """The equation is symbolic: no seed, trials or arithmetic mode."""
+        path = tmp_path / "pair.json"
+        path.write_text('{"n":2,"edges":[[1,2],[2,1]]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["io-equation", str(path), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: compident" in err and f"unrecognized arguments: {' '.join(flags)}" in err
+
 
 class TestCensus:
     def test_csv(self, capsys):

@@ -348,6 +348,27 @@ class TestAddExchange:
             assert collapse_exchange(add_exchange_vertex(g)) == g
 
 
+def oracle_cycles(graph: CompartmentGraph) -> list:
+    """(vertices, exponent vector, monomial) of every one-cycle, then of
+    every vertex permutation that starts at its smallest vertex and whose
+    consecutive pairs, wrapping around, are all edges; by length, then
+    vertex sequence. The monomial is the edges' rate names sorted and
+    joined by ``*``."""
+    position = {e: k for k, e in enumerate(graph.edges)}
+    found = [((v,), (0,) * graph.m, f"a{v}{v}") for v in range(1, graph.n + 1)]
+    for size in range(2, graph.n + 1):
+        for chosen in combinations(range(1, graph.n + 1), size):
+            for rest in permutations(chosen[1:]):
+                vertices = chosen[:1] + rest
+                steps = list(zip(vertices, vertices[1:] + vertices[:1]))
+                if all(e in position for e in steps):
+                    ks = {position[e] for e in steps}
+                    expo = tuple(int(k in ks) for k in range(graph.m))
+                    names = sorted(f"a{i}{j}" for j, i in steps)
+                    found.append((vertices, expo, "*".join(names)))
+    return sorted(found, key=lambda c: (len(c[0]), c[0]))
+
+
 class TestElementaryCycles:
     def test_chain4_monomials(self, chain4):
         monomials = [c.monomial for c in elementary_cycles(chain4)]
@@ -397,6 +418,18 @@ class TestElementaryCycles:
                     for r in range(g.n)
                 ]
                 assert all(x == 0 for x in image)
+
+    def test_matches_permutation_oracle(self):
+        """The exact cycle list, in order, against every vertex sequence
+        that starts at its smallest vertex and closes along the edges."""
+        rng = random.Random(20)
+        graphs = [entry.representative for entry in census_classes(4, 6)]
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            graphs.append(random_graph(rng, n, rng.randrange(0, n * (n - 1) + 1)))
+        for g in graphs:
+            got = [(c.vertices, c.exponent_vector, c.monomial) for c in elementary_cycles(g)]
+            assert got == oracle_cycles(g)
 
 
 class TestIncidence:

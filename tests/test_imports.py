@@ -6,13 +6,33 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import compident
 
 PACKAGE = Path(compident.__file__).parent
 
 
+#: The oldest Python that pyproject.toml's requires-python admits.
+OLDEST_PYTHON = (3, 10)
+
+
 def parsed(name: str) -> ast.Module:
-    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    """The module's syntax tree, parsed with the grammar of OLDEST_PYTHON."""
+    return ast.parse(
+        (PACKAGE / name).read_text(encoding="utf-8"), feature_version=OLDEST_PYTHON
+    )
+
+
+def test_modules_parse_on_oldest_python():
+    """Syntax newer than requires-python, such as 3.11's ``except*``, fails
+    to parse here even when the suite runs on a newer Python."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        parsed(path.name)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
 
 
 def test_no_function_local_imports():
