@@ -29,7 +29,6 @@ from .charpoly import (
 from .errors import (
     CompidentError,
     Disconnected,
-    FieldCharacteristicTooSmall,
     InconsistentSystem,
     InvalidEdge,
     LimitExceeded,

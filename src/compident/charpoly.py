@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Sequence
 
 from . import exact
@@ -112,13 +110,13 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
     return cs, ds
 
 
-def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tuple[list, list]:
+def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) -> tuple[list, list]:
     """Entries of the powers of A and of A_1 at the parameters `params`.
 
     For the parameter at A[r][c], row i of the first list holds
     (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
     with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells.
-    `p` is 2^61 - 1 or 0.
+    `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise).
 
     The powers are those of diag(A, A_1), starting from the identity. Each
     row is one int of fixed-width slots (Kronecker substitution; Harvey,
@@ -135,23 +133,19 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
     each slot's residue; two folds bring every slot back below 2^61 + 2^b.
     `% p` runs only at read-out.
 
-    With p = 0, Fraction values are brought to one denominator D first, so
-    A = N / D with N integer and A^i = N^i / D^i. An entry of N^i is at
-    most w^(i-1) * B, B the largest |entry| of N and w its largest absolute
-    row sum, so a slot of the bit length of w^(n-2) * B plus a sign bit
-    holds every entry up to i = n-1. A bias of 2^(width-1) in every slot
-    makes the slots nonnegative for read-out.
+    With p = 0 nothing is reduced. An entry of A^i, i >= 1, is at most
+    w^(i-1) * B, B the largest |entry| of A and w its largest absolute row
+    sum, so a slot of the bit length of max(1, w^(n-2) * B) plus a sign bit
+    holds every entry up to i = n-1 and the identity's 1, also at the
+    all-zero point. A bias of 2^(width-1) in every slot makes the slots
+    nonnegative for read-out.
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
             f"expected {parameter_count(graph)} parameter values, got {len(values)}"
         )
     n = graph.n
-    if p:
-        values = [x % p for x in values]
-    else:
-        denom = lcm(*(x.denominator for x in values))
-        values = [int(x * denom) for x in values]
+    values = [index(x) % p for x in values] if p else list(map(index, values))
     # List rows 0..n-1 are the rows of A, n..2n-2 those of A_1, and one more
     # power, always 0, is what the cells outside A_1 read.
     nonzeros = [([], []) for _ in range(2 * n - 1)]  # per row: list rows k, entries a_rk
@@ -171,7 +165,7 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
         width = 122 + n.bit_length()
     else:
         row_sum = max(sum(map(abs, row)) for _, row in nonzeros)
-        width = (row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
+        width = max(1, row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
     mask = (1 << width) - 1
     ones = ((1 << n * width) - 1) // mask  # 1 in each of n slots
     low, high = ones * MERSENNE61, ones * (mask >> 61)
@@ -193,35 +187,26 @@ def _power_rows(graph: CompartmentGraph, values: Sequence, p: int, params) -> tu
         for out, where in ((rows, at), (sub_rows, sub_at))[: 1 if i == n - 1 else 2]:
             if p:
                 out.append([(slots[k] >> s & mask) % p for k, s in where])
-            elif denom > 1:
-                scale = denom**i
-                out.append([Fraction((slots[k] >> s & mask) - half, scale) for k, s in where])
             else:
                 out.append([(slots[k] >> s & mask) - half for k, s in where])
     return rows, sub_rows
 
 
-def newton_coefficients(power_sums: Sequence, p: int = 0) -> list:
+def newton_coefficients(power_sums: Sequence[int], p: int = 0) -> list[int]:
     """Coefficients c_1..c_k of det(lambda*I - A) from s_i = tr(A^i), i = 1..k.
 
     Newton's identities: j * c_j = -(s_j + c_1 s_(j-1) + .. + c_(j-1) s_1).
-    With p = 0 each division by j is exact over Q (in Z at integer points);
-    with p > 0 everything is reduced mod p.
+    With p = 0 the sums are ints and each division by j is exact in Z; with
+    p = 2^61 - 1 everything is reduced mod p, where j < p is a unit.
     """
-    exact.check_characteristic(p, len(power_sums))
     coeffs = []
     for j, s in enumerate(power_sums, start=1):
         total = s + sum(c * power_sums[j - 2 - i] for i, c in enumerate(coeffs))
-        if p:
-            coeffs.append(-total * pow(j, -1, p) % p)
-        elif isinstance(total, int):
-            coeffs.append(-total // j)
-        else:
-            coeffs.append(-total / j)
+        coeffs.append(-total * pow(j, -1, p) % p if p else -total // j)
     return coeffs
 
 
-def _coefficients(graph: CompartmentGraph, values: Sequence, p: int):
+def _coefficients(graph: CompartmentGraph, values: Sequence[int], p: int):
     """(power rows, coefficients) of A and of A_1 at every parameter. tr(A^i)
     sums row i over the diagonal slots; the top one, tr(A^size), is
     sum a_rc * (A^(size-1))[c][r], one dot product with the last row."""
@@ -234,13 +219,13 @@ def _coefficients(graph: CompartmentGraph, values: Sequence, p: int):
 
 
 def numeric_coefficients(
-    graph: CompartmentGraph, values: Sequence, mode: str = PRIME_MODE
+    graph: CompartmentGraph, values: Sequence[int], mode: str = PRIME_MODE
 ) -> tuple[list, list]:
     """Evaluate (c_1..c_n, d_1..d_{n-1}) at a point.
 
     `values` holds one number per parameter in canonical order: diagonals
     first, then edges. Prime-field mode reduces mod 2^61 - 1; rational mode
-    is exact, in Z at integer points and in Q for Fraction values.
+    is exact in Z.
     """
     (_, cs), (_, ds) = _coefficients(graph, values, exact.modulus(mode))
     return cs, ds

@@ -37,10 +37,6 @@ class InconsistentSystem(CompidentError):
     """An integer linear system has no solution over the chosen basis."""
 
 
-class FieldCharacteristicTooSmall(CompidentError):
-    """Newton's identities divide by 1..n; need characteristic 0 or > n."""
-
-
 class NotExpectedDimension(CompidentError):
     """The coefficient map image does not have the maximal dimension m+1."""
 

@@ -7,8 +7,10 @@ every pivot is a unit mod p.
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
 enough that a random evaluation point underestimates a generic Jacobian
-rank only with negligible probability, and 0 (no reduction: exact over Z,
-or over Q where Fractions come in) in rational mode.
+rank only with negligible probability, and 0 (no reduction: exact over Z)
+in rational mode. Entries are ints: the integer entry points copy their
+input through `operator.index`, so a rational or float entry raises
+TypeError instead of being truncated.
 
 The rational rank is certified mod p where it can be: a minor that is
 nonzero mod p is a nonzero integer, so a rank mod p equal to min(rows,
@@ -18,16 +20,10 @@ short of that ceiling goes through Bareiss elimination over Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from operator import index
 from typing import Sequence
 
-from .errors import (
-    FieldCharacteristicTooSmall,
-    InconsistentSystem,
-    NotSquare,
-    NotUnimodular,
-)
+from .errors import InconsistentSystem, NotSquare, NotUnimodular
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -38,7 +34,7 @@ MODES = (PRIME_MODE, RATIONAL_MODE)
 
 def modulus(mode: str) -> int:
     """The modulus p of an arithmetic mode: 2^61 - 1 for the prime field,
-    0 for exact integer/rational arithmetic."""
+    0 for exact integer arithmetic."""
     if mode == PRIME_MODE:
         return MERSENNE61
     if mode == RATIONAL_MODE:
@@ -50,15 +46,6 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
     """Rank over GF(p): `_bareiss` mod p on a reduced copy of the rows (the
     input is not changed). Mod p no division is needed, see `_bareiss`."""
     return len(_bareiss([[x % p for x in row] for row in rows], p=p)[0])
-
-
-def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Clear denominators row-by-row; rank is unchanged."""
-    out = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-        out.append([int(x * denom) for x in row])
-    return out
 
 
 def _bareiss(mat: list[list[int]], jordan: bool = False, p: int = 0) -> tuple[list[int], int]:
@@ -114,27 +101,27 @@ def _bareiss(mat: list[list[int]], jordan: bool = False, p: int = 0) -> tuple[li
 
 def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer rank by fraction-free (Bareiss) elimination."""
-    return len(_bareiss([list(map(int, row)) for row in rows])[0])
+    return len(_bareiss([list(map(index, row)) for row in rows])[0])
 
 
-def rank(rows: Sequence[Sequence], mode: str = RATIONAL_MODE) -> int:
-    """Exact matrix rank: elimination over GF(p) in prime-field mode; over
-    the rationals, the rank mod p of the integer rows when it reaches
+def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
+    """Exact rank of an integer matrix: elimination over GF(p) in
+    prime-field mode; in rational mode, the rank mod p when it reaches
     min(rows, cols), and Bareiss otherwise.
 
-    Clearing denominators keeps the rank over Q. Reduction mod p can only
-    lower the rank of an integer matrix, since a minor that is nonzero mod
-    p is a nonzero integer; and no rank exceeds min(rows, cols). So a rank
-    mod p at that ceiling is a proof of the rank over Q. Rational verdicts
-    (`charpoly._sampled_dimension`) apply the same certificate one step
-    earlier: they rank the verdict rows mod p, and build the integer rows
-    and run Bareiss only when that rank falls short.
+    Reduction mod p can only lower the rank of an integer matrix, since a
+    minor that is nonzero mod p is a nonzero integer; and no rank exceeds
+    min(rows, cols). So a rank mod p at that ceiling is a proof of the rank
+    over Q. Rational verdicts (`charpoly._sampled_dimension`) apply the
+    same certificate one step earlier: they rank the verdict rows mod p,
+    and build the integer rows and run Bareiss only when that rank falls
+    short.
     """
     if not rows or not rows[0]:
         return 0
     if mode == PRIME_MODE:
         return rank_mod_p(rows)
-    integer_rows = _to_integer_rows(rows)
+    integer_rows = [list(map(index, row)) for row in rows]
     mod_p = rank_mod_p(integer_rows)
     if mod_p == min(len(rows), len(rows[0])):
         return mod_p
@@ -146,7 +133,7 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise NotSquare("determinant needs a square matrix")
-    pivots, det = _bareiss([list(map(int, row)) for row in matrix])
+    pivots, det = _bareiss([list(map(index, row)) for row in matrix])
     return det if len(pivots) == size else 0
 
 
@@ -162,7 +149,7 @@ def unimodular_columns(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list
     size = len(matrix)
     width = len(matrix[0]) if matrix else 0
     aug = [
-        list(map(int, row)) + [int(c == r) for c in range(size)]
+        list(map(index, row)) + [int(c == r) for c in range(size)]
         for r, row in enumerate(matrix)
     ]
     pivots, det = _bareiss(aug, jordan=True)
@@ -207,11 +194,3 @@ def integer_solve_in_lattice(
             )
         solutions.append(z)
     return solutions
-
-
-def check_characteristic(characteristic: int, n: int) -> None:
-    """Newton's identities for the coefficients divide by 1..n."""
-    if 0 < characteristic <= n:
-        raise FieldCharacteristicTooSmall(
-            f"characteristic {characteristic} <= matrix size {n}"
-        )

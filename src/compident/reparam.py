@@ -10,6 +10,7 @@ as products of cycle monomials through the inverse of a unimodular block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
@@ -218,13 +219,16 @@ class ScalingReparametrization:
     cycle_expressions: dict[int, tuple[int, ...]]
     report: Optional[DimensionReport] = None
 
+    @cached_property
+    def edge_names(self) -> list[str]:
+        """The m edge rate names, built once per result."""
+        return [self.graph.edge_param_name(e) for e in range(self.graph.m)]
+
     def edge_monomial(self, k: int) -> str:
-        names = [self.graph.edge_param_name(e) for e in range(self.graph.m)]
-        return format_monomial(names, self.rescaled_exponents[k])
+        return format_monomial(self.edge_names, self.rescaled_exponents[k])
 
     def f_monomial(self, vertex: int) -> str:
-        names = [self.graph.edge_param_name(e) for e in range(self.graph.m)]
-        return format_monomial(names, self.f_exponents[vertex - 1])
+        return format_monomial(self.edge_names, self.f_exponents[vertex - 1])
 
     def matrix_strings(self) -> list[list[str]]:
         """The reparametrized system matrix with entries as monomial strings."""

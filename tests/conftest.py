@@ -10,6 +10,7 @@ sweep labeled graphs.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -118,6 +119,14 @@ def oracle_rank(rows) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def clear_denominators(values) -> list[int]:
+    """The Fractions `values` times the lcm of their denominators: ints in
+    the same ratios, so a row of them has the same rank, and larger than
+    the numerators."""
+    denom = lcm(*(Fraction(x).denominator for x in values))
+    return [int(x * denom) for x in values]
 
 
 def class_verdicts(

@@ -20,9 +20,9 @@ from compident import (
 from compident import charpoly as cp
 from compident import exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
-from compident.errors import FieldCharacteristicTooSmall
 
 from conftest import (
+    clear_denominators,
     directed_cycle_graph,
     evaluate_symbolic,
     isc_adversary,
@@ -160,7 +160,7 @@ class TestSymbolicCoefficients:
 
 class TestNumericCoefficients:
     def test_single_vertex_value(self, single):
-        cs, ds = numeric_coefficients(single, [Fraction(5)], RATIONAL_MODE)
+        cs, ds = numeric_coefficients(single, [5], RATIONAL_MODE)
         assert cs == [-5] and ds == []
 
     def test_matches_symbolic_at_random_points(self, chain4):
@@ -188,10 +188,6 @@ class TestNumericCoefficients:
         cs, ds = numeric_coefficients(exchange2, [a11, a22, a21, a12], RATIONAL_MODE)
         assert cs == [-(a11 + a22), a11 * a22 - a12 * a21]
         assert ds == [-a22]
-
-    def test_small_characteristic_rejected(self):
-        with pytest.raises(FieldCharacteristicTooSmall):
-            cp.newton_coefficients([1, 1, 1, 1], p=3)
 
 
 class TestJacobian:
@@ -538,8 +534,7 @@ def complete_digraph(n: int) -> CompartmentGraph:
 
 class TestPowerRows:
     """`_power_rows` packs each row of a power into one int of fixed-width
-    slots; the rows it reads equal whole dense powers in both modes and for
-    Fraction values."""
+    slots; the rows it reads equal whole dense powers in both modes."""
 
     @staticmethod
     def graphs():
@@ -562,10 +557,19 @@ class TestPowerRows:
                     ), (g, p)
 
     def test_fraction_values(self):
+        """Power rows take ints only: a Fraction point raises TypeError in
+        both modes, also at n = 1 where no product is formed, and the same
+        point with its denominators cleared, small values of both signs,
+        gives the dense powers and coefficients."""
         rng = random.Random(83)
+        assert self.graphs()[0].n == 1
         for g in self.graphs()[::4]:
-            point = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(g.n + g.m)]
+            fractions = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(g.n + g.m)]
             everything = list(range(g.n + g.m))
+            for p in (MERSENNE61, 0):
+                with pytest.raises(TypeError):
+                    cp._power_rows(g, fractions, p, everything)
+            point = clear_denominators(fractions)
             assert cp._power_rows(g, point, 0, everything) == reference_power_rows(g, point, 0, everything)
             assert numeric_coefficients(g, point, RATIONAL_MODE) == reference_coefficients(g, point), g
 
@@ -592,20 +596,40 @@ class TestPowerRows:
     def test_negative_and_fraction_values(self):
         """The sign bit and the bias at p = 0: all entries negative, mixed
         signs, and Fractions with large numerators over distinct
-        denominators."""
+        denominators, cleared to ints far wider than 61 bits."""
         rng = random.Random(84)
         for g in [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20)]:
             count = g.n + g.m
             self.check(g, [1 - MERSENNE61] * count, (0,))
             self.check(g, [rng.choice([-1, 1]) * rng.randrange(MERSENNE61) for _ in range(count)], (0,))
-            self.check(g, [Fraction(rng.randrange(-MERSENNE61, MERSENNE61), rng.randrange(1, 10**6)) for _ in range(count)], (0,))
+            fractions = [Fraction(rng.randrange(-MERSENNE61, MERSENNE61), rng.randrange(1, 10**6)) for _ in range(count)]
+            self.check(g, clear_denominators(fractions), (0,))
 
     def test_single_vertex(self, single):
         """n = 1: A^0 = [1] is the only row and A_1 is empty."""
-        for values in ([5], [MERSENNE61 - 1], [Fraction(-3, 7)]):
-            for p in (MERSENNE61, 0) if isinstance(values[0], int) else (0,):
+        for values in ([5], [MERSENNE61 - 1], [-3]):
+            for p in (MERSENNE61, 0):
                 assert cp._power_rows(single, values, p, [0]) == ([[1]], [])
                 self.check(single, values, (p,))
+
+    def test_all_zero_point(self):
+        """At A = 0 the powers are I, 0, 0, .., so the exact slots must hold
+        the identity's 1 although every entry of A is 0. The Jacobian there
+        is the gradient of c_1 = -tr(A) and d_1 = -tr(A_1) alone: c_k and
+        d_k are homogeneous of degree k, so their gradients vanish for
+        k >= 2."""
+        graphs = [bidirected_path(n) for n in range(1, 7)] + [complete_digraph(n) for n in range(2, 7)]
+        for g in graphs:
+            n, count = g.n, g.n + g.m
+            zeros = [0] * count
+            trace = [-int(k < n) for k in range(count)]
+            sub_trace = [-int(0 < k < n) for k in range(count)]
+            expected = [trace] + [[0] * count] * (n - 1)
+            expected += [sub_trace] + [[0] * count] * (n - 2) if n > 1 else []
+            for mode in (PRIME_MODE, RATIONAL_MODE):
+                p = exact.modulus(mode)
+                self.check(g, zeros, (p,))
+                assert jacobian(g, zeros, mode) == [[x % p if p else x for x in row] for row in expected], (g, mode)
 
 
 class TestReducedVerdictMatrix:

@@ -24,7 +24,7 @@ from compident.exact import (
     unimodular_columns,
 )
 
-from conftest import incidence_matrix, oracle_rank
+from conftest import clear_denominators, incidence_matrix, oracle_rank
 
 
 class TestRank:
@@ -45,8 +45,13 @@ class TestRank:
         assert rank([]) == 0
 
     def test_fraction_entries(self):
+        """Fraction rows raise TypeError; cleared row by row to ints, they
+        keep their rank."""
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-        assert rank(rows, RATIONAL_MODE) == oracle_rank(rows)
+        with pytest.raises(TypeError):
+            rank(rows, RATIONAL_MODE)
+        integer_rows = [clear_denominators(row) for row in rows]
+        assert rank(integer_rows, RATIONAL_MODE) == oracle_rank(rows) == 1
 
     def test_random_matches_gauss_oracle(self):
         rng = random.Random(17)
@@ -74,7 +79,7 @@ class TestRationalRankCertificate:
         "rows, expected",
         [
             ([[MERSENNE61, 0], [0, 1]], 2),
-            ([[Fraction(MERSENNE61, 2), 0], [0, 1]], 2),
+            ([[0, 1], [2 * MERSENNE61, 3]], 2),
             ([[MERSENNE61, 1], [2 * MERSENNE61, 2]], 1),
         ],
     )
@@ -281,8 +286,13 @@ class TestInputsUnchanged:
             assert_input_unchanged(det_int, square)
 
     def test_fraction_rows(self):
+        """Fraction rows raise TypeError and are left as they were; cleared
+        row by row to ints, with p in a numerator, they keep their rank."""
         rows = [[Fraction(1, 2), Fraction(MERSENNE61, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-        assert assert_input_unchanged(rank, rows, RATIONAL_MODE) == oracle_rank(rows)
+        with pytest.raises(TypeError):
+            assert_input_unchanged(rank, rows, RATIONAL_MODE)
+        integer_rows = [clear_denominators(row) for row in rows]
+        assert assert_input_unchanged(rank, integer_rows, RATIONAL_MODE) == oracle_rank(rows)
 
     @pytest.mark.parametrize(
         "rows, over_q, mod_p",
@@ -310,6 +320,27 @@ class TestInputsUnchanged:
             assert_input_unchanged(unimodular_columns, [[1, 2, 3], [2, 4, 6]])
         with pytest.raises(NotUnimodular):
             assert_input_unchanged(inverse_unimodular, [[2, 1], [0, 1]])
+
+
+class TestIntegerEntries:
+    """The integer entry points copy their input through `operator.index`:
+    a Fraction or a float raises TypeError instead of being truncated, as
+    `int` would: rank_bareiss([[Fraction(1, 2)]]) would read 0 and
+    det_int([[2.7]]) 2."""
+
+    @pytest.mark.parametrize(
+        "func",
+        [rank_bareiss, det_int, unimodular_columns, lambda rows: rank(rows, RATIONAL_MODE)],
+        ids=["rank_bareiss", "det_int", "unimodular_columns", "rank"],
+    )
+    @pytest.mark.parametrize(
+        "rows",
+        [[[Fraction(1, 2)]], [[Fraction(3, 2)]], [[0.5, 1.0], [1.0, 2.0]], [[2.7]], [[1, 0], [0, 2.0]]],
+    )
+    def test_non_integers_raise(self, func, rows):
+        with pytest.raises(TypeError):
+            func(rows)
+
 
 class TestLatticeSolve:
     def test_identity_block(self):

@@ -50,10 +50,9 @@ def test_no_function_local_imports():
     assert found == []
 
 
-def test_no_third_party_imports():
-    """`dependencies = []` in pyproject.toml: the library imports only its
-    own modules and the standard library."""
-    found = []
+def absolute_imports():
+    """"file:package" for the top-level package of every absolute import in
+    the library."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(parsed(path.name)):
             if isinstance(node, ast.Import):
@@ -62,7 +61,20 @@ def test_no_third_party_imports():
                 tops = [node.module.partition(".")[0]]
             else:
                 continue
-            found += [f"{path.name}:{top}" for top in tops if top not in sys.stdlib_module_names]
+            yield from (f"{path.name}:{top}" for top in tops)
+
+
+def test_no_third_party_imports():
+    """`dependencies = []` in pyproject.toml: the library imports only its
+    own modules and the standard library."""
+    found = [f for f in absolute_imports() if f.partition(":")[2] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_no_fractions_import():
+    """The library takes and returns plain ints: no module imports
+    `fractions`, so a Q-valued path cannot come back unnoticed."""
+    found = [f for f in absolute_imports() if f.endswith(":fractions")]
     assert found == []
 
 

@@ -438,6 +438,24 @@ class TestReparametrize:
             result = reparametrize(wheel5, tree_edges=tree_edges)
             assert (len(checks), len(trees), result.report.d) == (1, 1, 9)
 
+    def test_json_builds_each_edge_name_once(self, monkeypatch):
+        """The edge rate names are built once per result, not once per
+        monomial: one `to_json_dict` on the bidirected path with n = 60
+        (m = 118) names each edge once."""
+        graph = CompartmentGraph(60, tuple(e for v in range(1, 60) for e in ((v, v + 1), (v + 1, v))))
+        result = reparametrize(graph)
+        calls = []
+        real = CompartmentGraph.edge_param_name
+
+        def counting(self, k):
+            calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(CompartmentGraph, "edge_param_name", counting)
+        doc = result.to_json_dict()
+        assert sorted(calls) == list(range(graph.m))
+        assert result.to_json_dict() == doc and len(calls) == graph.m
+
 
 class TestVerification:
     def test_corruption_is_detected(self, chain4):
