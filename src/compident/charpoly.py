@@ -10,9 +10,9 @@ dimension" when that rank is m+1, the number of independent monomial cycles.
 One kernel, `_power_rows`, builds the entries (A^i)[c][r] of the powers of
 A and A_1 at the parameter positions. Each row of a power is one int of
 fixed-width slots, so a row of the next power is one big-int multiply-add
-per nonzero of A: mod p = 2^61 - 1 the slots are 122 + n.bit_length() bits
-wide and two Mersenne folds per product keep them from overflowing; exact
-slots are sized by an entry bound and carry a sign bit. Newton's
+per nonzero of A: mod p = 2^61 - 1 the slots are `exact.slot_width(n)`
+bits wide and two Mersenne folds per product keep them from overflowing;
+exact slots are sized by an entry bound and carry a sign bit. Newton's
 identities give the coefficients, and three reductions give the
 Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
@@ -50,7 +50,7 @@ from operator import add, index, mul
 from typing import Sequence
 
 from . import exact
-from .errors import NotStronglyConnected
+from .errors import LimitExceeded, NotStronglyConnected
 from .exact import MERSENNE61, PRIME_MODE
 from .graphs import (
     CompartmentGraph,
@@ -61,6 +61,11 @@ from .graphs import (
     spanning_tree,
 )
 from .monomial import signed_parts
+
+
+#: The most terms `symbolic_coefficients` expands: a bidirected path has
+#: 33,460 at n = 12 and about 2.4 times more per added vertex.
+MAX_EXPANSION_TERMS = 100_000
 
 
 def parameter_count(graph: CompartmentGraph) -> int:
@@ -78,7 +83,8 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
     so one walk over the collections fills both: a collection that avoids
     vertex 1 is a term of c_i and of d_i. Each polynomial is a dict
     {exponents: coefficient} over the parameter order
-    (`graphs.CompartmentGraph.param_names`).
+    (`graphs.CompartmentGraph.param_names`). Raises LimitExceeded once the
+    expansion passes MAX_EXPANSION_TERMS terms of the c_i.
     """
     n = graph.n
     cs = [{} for _ in range(n)]
@@ -92,11 +98,20 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
         for c in elementary_cycles(graph)
     ]
 
+    terms = 0
+
     def recurse(start: int, used: int, covered: int, coeff: int, expo: tuple):
+        nonlocal terms
         for idx in range(start, len(pool)):
             verts, length, cexpo = pool[idx]
             if used & verts:
                 continue
+            terms += 1
+            if terms > MAX_EXPANSION_TERMS:
+                raise LimitExceeded(
+                    f"the input-output equation has more than {MAX_EXPANSION_TERMS:,} "
+                    "terms; it is too large to expand"
+                )
             merged = tuple(map(add, expo, cexpo))
             # A collection is a partial permutation, which its monomial
             # determines: no two collections share a term, so terms are
@@ -125,13 +140,10 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
     nonzero of A. Entries are read at the requested cells with a shift and
     a mask.
 
-    Mod p every entry of A is below p and, by induction, every slot of a
-    power below 2^61 + 2^b, b = n.bit_length(). A product slot sums at most
-    n < 2^b products (p-1) * x, so it is below 2^(122+b), the slot width
-    (for b <= 30). Since 2^61 = 1 mod p, a fold (x & LO) + ((x >> 61) & HI),
-    with LO and HI the low 61 and the high 61+b bits of every slot, keeps
-    each slot's residue; two folds bring every slot back below 2^61 + 2^b.
-    `% p` runs only at read-out.
+    Mod p every entry of A is below p, and a product slot sums at most n
+    products a * x of an entry and a slot: `exact.slot_width(n)` proves
+    that such slots never carry into the next and that two Mersenne folds
+    per product keep them bounded. `% p` runs only at read-out.
 
     With p = 0 nothing is reduced. An entry of A^i, i >= 1, is at most
     w^(i-1) * B, B the largest |entry| of A and w its largest absolute row
@@ -162,7 +174,7 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
         else:
             sub_cells.append((2 * n - 1, 0))
     if p:
-        width = 122 + n.bit_length()
+        width = exact.slot_width(n)
     else:
         row_sum = max(sum(map(abs, row)) for _, row in nonzeros)
         width = max(1, row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1

@@ -1,16 +1,16 @@
-"""Exact arithmetic kernels on plain ints. One elimination loop, `_bareiss`,
-is behind the rank mod p, the integer rank, the determinant and the choice
-and inversion of a unimodular column block. Over Z it divides by the
-previous pivot (Bareiss); given a modulus p it skips that division, since
-every pivot is a unit mod p.
+"""Exact arithmetic kernels on plain ints. One packed loop mod p =
+2^61 - 1, `_pivots_mod_p`, gives the rank mod p; one fraction-free
+(Bareiss) loop over Z, `_bareiss`, gives the integer rank, the determinant
+and the choice and inversion of a unimodular column block. `slot_width`
+proves the slot bound of packed rows, here and in `charpoly._power_rows`.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
 enough that a random evaluation point underestimates a generic Jacobian
 rank only with negligible probability, and 0 (no reduction: exact over Z)
-in rational mode. Entries are ints: the integer entry points copy their
-input through `operator.index`, so a rational or float entry raises
-TypeError instead of being truncated.
+in rational mode. Entries are ints: every entry point copies its input
+through `operator.index`, so a rational or float entry raises TypeError
+instead of being truncated or reduced.
 
 The rational rank is certified mod p where it can be: a minor that is
 nonzero mod p is a nonzero integer, so a rank mod p equal to min(rows,
@@ -42,29 +42,98 @@ def modulus(mode: str) -> int:
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int = MERSENNE61) -> int:
-    """Rank over GF(p): `_bareiss` mod p on a reduced copy of the rows (the
-    input is not changed). Mod p no division is needed, see `_bareiss`."""
-    return len(_bareiss([[x % p for x in row] for row in rows], p=p)[0])
+def slot_width(terms: int) -> int:
+    """Bits per slot of a row packed mod p = 2^61 - 1, when a slot of the
+    next row is a sum of `terms` products a * x, a in [0, p) and x a slot.
+
+    A packed row is one int whose slot k, `width` bits wide, holds entry k
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009). Since
+    2^61 = 1 mod p, a fold (x & LO) + (x >> 61 & HI), with LO and HI the low
+    61 and the high width - 61 bits of every slot, keeps each slot's
+    residue.
+
+    The width is 122 + e: e = 0 for one term, 1 for two (`_pivots_mod_p`)
+    and k.bit_length() for k = `terms` >= 3 (`charpoly._power_rows`, k =
+    n), the least e with k (p-1) (2^61 + 2^e - 1) < 2^(122+e). For k <= 2
+    that is direct arithmetic; for k >= 3, k < 2^e and the product is below
+    2^(122+e) - 2^122 + 2^(61+2e), no more than 2^(122+e) while e <= 30.
+    Suppose every slot is below 2^61 + 2^e, as an entry in [0, p) is. A
+    sum x of k products is then below 2^width, so no slot carries into the
+    next. A first fold leaves y = (x mod 2^61) + (x >> 61) <= 2^61 - 1 +
+    2^(61+e) - 1 < 2^61 (1 + 2^e), so y >> 61 <= 2^e, and a second fold
+    leaves at most 2^61 - 1 + 2^e: every slot is below 2^61 + 2^e again.
+    """
+    return 122 + (terms.bit_length() if terms > 2 else terms - 1)
 
 
-def _bareiss(mat: list[list[int]], jordan: bool = False, p: int = 0) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place;
-    with a modulus p > 0, elimination of a matrix reduced mod p.
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(p), p = 2^61 - 1: the number of pivot columns of
+    `_pivots_mod_p`, which packs a copy (the input is not changed)."""
+    return len(_pivots_mod_p(rows))
+
+
+def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot columns of Gaussian elimination mod p = 2^61 - 1 on packed
+    rows: the matrix's first independent columns mod p.
+
+    Each row is copied into one int of `slot_width(2)`-bit slots, slot k
+    holding its entry k reduced to [0, p). Eliminating a row by the pivot
+    row at column `col` is one big-int expression, pv * row + (p - f) *
+    prow, pv the pivot and f the row's entry at col: two products per
+    slot, folded twice as `slot_width` proves. Only the slot at col is
+    reduced to [0, p), to find the pivot and each row's f; rows with f = 0
+    are left alone. No division is needed: pv is a unit mod p, so scaling a
+    row by it keeps the rank. A column with no pivot left is skipped.
+    """
+    p = MERSENNE61
+    width = slot_width(2)
+    mask = (1 << width) - 1
+    packed = []
+    for row in rows:
+        packed_row = 0
+        for x in reversed(row):
+            packed_row = packed_row << width | index(x) % p
+        packed.append(packed_row)
+    ncols = len(rows[0]) if rows else 0
+    ones = ((1 << ncols * width) - 1) // mask  # 1 in each of ncols slots
+    low, high = ones * p, ones * (mask >> 61)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(packed):
+            break
+        shift = col * width
+        factors = [(row >> shift & mask) % p for row in packed[rank:]]
+        k = next((k for k, f in enumerate(factors) if f), None)
+        if k is None:
+            continue
+        if k:
+            packed[rank], packed[rank + k] = packed[rank + k], packed[rank]
+            factors[0], factors[k] = factors[k], factors[0]
+        prow, pv = packed[rank], factors[0]
+        for r, f in enumerate(factors[1:], start=rank + 1):
+            if f:
+                x = pv * packed[r] + (p - f) * prow
+                x = (x & low) + (x >> 61 & high)
+                packed[r] = (x & low) + (x >> 61 & high)
+        pivots.append(col)
+    return pivots
+
+
+def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
     Returns the pivot columns and the last pivot, negated once per row swap.
     A column with no pivot left is skipped, so the pivot columns are the
     matrix's first independent columns. Each eliminated row becomes
-    pv * row - f * prow (pv the pivot, f the row's entry in its column).
-    Over Z that is divided by the previous pivot, exactly, since every entry
-    stays a minor; for a square matrix of full rank the signed pivot is then
-    the determinant. Mod p the division is dropped: it only keeps integers
-    from growing, entries mod p are bounded anyway, and pv is a unit, so
-    scaling a row by it keeps the rank; rows with f = 0 are left alone.
-    With `jordan` the rows above each pivot are cleared too (fraction-free
-    Gauss-Jordan, over Z): the columns right of the last pivot column end
-    as d * B^-1 times what they were, B the block of pivot columns and d
-    the last pivot, unsigned.
+    (pv * row - f * prow) / prev, pv the pivot, f the row's entry in its
+    column and prev the previous pivot; the division is exact, since every
+    entry stays a minor, and for a square matrix of full rank the signed
+    pivot is then the determinant. With `jordan` the rows above each pivot
+    are cleared too (fraction-free Gauss-Jordan): the columns right of the
+    last pivot column end as d * B^-1 times what they were, B the block of
+    pivot columns and d the last pivot, unsigned. The rank mod p has its
+    own packed loop, `_pivots_mod_p`.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -83,16 +152,12 @@ def _bareiss(mat: list[list[int]], jordan: bool = False, p: int = 0) -> tuple[li
         prow = mat[rank]
         pv = prow[col]
         for r in range(0 if jordan else rank + 1, nrows):
+            if r == rank:
+                continue
             row = mat[r]
             factor = row[col]
-            if r == rank or p and not factor:
-                continue
-            if p:
-                for c in range(col + 1, ncols):
-                    row[c] = (pv * row[c] - factor * prow[c]) % p
-            else:
-                for c in range(col + 1, ncols):
-                    row[c] = (pv * row[c] - factor * prow[c]) // prev
+            for c in range(col + 1, ncols):
+                row[c] = (pv * row[c] - factor * prow[c]) // prev
             row[col] = 0
         prev = pv
         pivots.append(col)
@@ -105,8 +170,7 @@ def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
-    """Exact rank of an integer matrix: elimination over GF(p) in
-    prime-field mode; in rational mode, the rank mod p when it reaches
+    """Exact rank of an integer matrix: the rank mod p in prime-field mode; in rational mode, the rank mod p when it reaches
     min(rows, cols), and Bareiss otherwise.
 
     Reduction mod p can only lower the rank of an integer matrix, since a
@@ -121,11 +185,10 @@ def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
         return 0
     if mode == PRIME_MODE:
         return rank_mod_p(rows)
-    integer_rows = [list(map(index, row)) for row in rows]
-    mod_p = rank_mod_p(integer_rows)
+    mod_p = rank_mod_p(rows)
     if mod_p == min(len(rows), len(rows[0])):
         return mod_p
-    return rank_bareiss(integer_rows)
+    return rank_bareiss(rows)
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:

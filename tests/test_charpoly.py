@@ -6,6 +6,7 @@ import pytest
 
 from compident import (
     CompartmentGraph,
+    LimitExceeded,
     NotExpectedDimension,
     NotStronglyConnected,
     census_classes,
@@ -847,6 +848,14 @@ class TestIoEquation:
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(NotStronglyConnected):
             io_equation_text(CompartmentGraph(2, ((1, 2),)))
+
+    def test_expansion_cap(self):
+        """The bidirected path on 12 vertices expands below the cap; the
+        one on 14, with 195,024 terms, stops at it."""
+        cs, _ = symbolic_coefficients(bidirected_path(12))
+        assert sum(map(len, cs)) == 33_460 < cp.MAX_EXPANSION_TERMS < 195_024
+        with pytest.raises(LimitExceeded, match="more than 100,000 terms"):
+            symbolic_coefficients(bidirected_path(14))
 
     def test_census_digest(self):
         """The equations of every census representative of five rows, in

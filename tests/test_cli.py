@@ -285,6 +285,19 @@ class TestIoEquation:
         code, _, err = run(capsys, "io-equation", str(path))
         assert code == 2 and "error:" in err
 
+    def test_expansion_guard_is_exit_2(self, capsys, tmp_path):
+        """The bidirected path on 20 vertices has tens of millions of terms,
+        more memory than the expansion may take: it stops at the cap."""
+        edges = [e for v in range(1, 20) for e in ([v, v + 1], [v + 1, v])]
+        path = tmp_path / "path20.json"
+        path.write_text(json.dumps({"n": 20, "edges": edges}))
+        assert run(capsys, "io-equation", str(path)) == (
+            2,
+            "",
+            "error: the input-output equation has more than 100,000 terms; "
+            "it is too large to expand\n",
+        )
+
     @pytest.mark.parametrize("flags", [["--exact"], ["--trials", "0"], ["--seed", "1"]])
     def test_takes_only_json(self, capsys, tmp_path, flags):
         """The equation is symbolic: no seed, trials or arithmetic mode."""

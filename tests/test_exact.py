@@ -21,6 +21,7 @@ from compident.exact import (
     rank,
     rank_bareiss,
     rank_mod_p,
+    slot_width,
     unimodular_columns,
 )
 
@@ -124,22 +125,72 @@ def rank_gf_p_with_inverses(rows, p: int) -> int:
     return rank
 
 
-class TestRankModSmallPrime:
-    @pytest.mark.parametrize("p", [7, 101])
-    def test_matches_elimination_with_inverses(self, p):
-        rng = random.Random(p)
+def deficient_mod_p(rng: random.Random, nr: int, nc: int, p: int) -> list[list[int]]:
+    """An nr x nc integer matrix whose rank mod p tends to fall below
+    min(nr, nc): some rows are integer combinations of earlier rows plus
+    multiples of p, some columns hold multiples of p only, and the other
+    entries are small, wide of p, multiples of p or 0."""
+    p_columns = {c for c in range(nc) if rng.random() < 0.2}
+    rows: list[list[int]] = []
+    for _ in range(nr):
+        if rows and rng.random() < 0.4:
+            coeffs = [rng.choice([0, 1, -1, rng.randrange(p)]) for _ in rows]
+            row = [sum(k * r[c] for k, r in zip(coeffs, rows)) + p * rng.randrange(-2, 3) for c in range(nc)]
+        else:
+            row = [
+                rng.choice([rng.randrange(-3, 4), rng.randrange(-3 * p, 3 * p), p * rng.randrange(-3, 4), 0])
+                for _ in range(nc)
+            ]
+        rows.append([p * rng.randrange(-3, 4) if c in p_columns else x for c, x in enumerate(row)])
+    return rows
+
+
+def test_slot_width_is_least_proved():
+    """`slot_width(k)` is 122 + e for the least e with
+    k (p-1) (2^61 + 2^e - 1) < 2^(122+e), the condition its proof needs."""
+    p = MERSENNE61
+
+    def holds(k, e):
+        return k * (p - 1) * (2**61 + 2**e - 1) < 2 ** (122 + e)
+
+    for k in list(range(1, 300)) + [2**20 - 1, 2**20, 2**29]:
+        e = slot_width(k) - 122
+        assert holds(k, e) and (e == 0 or not holds(k, e - 1)), k
+
+
+class TestRankModMersenne:
+    """`rank_mod_p` against textbook elimination over GF(2^61 - 1), on
+    matrices built so that the rank mod p drops."""
+
+    @pytest.mark.parametrize("seed", [7, 101])
+    def test_matches_elimination_with_inverses(self, seed):
+        rng = random.Random(seed)
         ranks = set()
         for _ in range(400):
             nr, nc = rng.randrange(1, 9), rng.randrange(1, 9)  # tall, wide, square
-            rows = [
-                [rng.choice([rng.randrange(-3 * p, 3 * p), p * rng.randrange(-3, 4), 0])
-                 for _ in range(nc)]
-                for _ in range(nr)
-            ]
-            expected = rank_gf_p_with_inverses(rows, p)
-            assert rank_mod_p(rows, p) == expected
+            rows = deficient_mod_p(rng, nr, nc, MERSENNE61)
+            expected = rank_gf_p_with_inverses(rows, MERSENNE61)
+            assert assert_input_unchanged(rank_mod_p, rows) == expected, rows
             ranks.add((expected, min(nr, nc)))
         assert any(r < full for r, full in ranks) and any(r == full for r, full in ranks)
+
+    def test_maximal_carries(self):
+        """Every entry p - 1, mixed with 0, on square, tall and wide
+        matrices up to 21 x 110 (the ISC adversary's M' at n = 12 is
+        21 x 92), some with repeated rows, and the empty matrices. Products
+        p - 1 times slots near 2^61 fill the slots to their bound."""
+        rng = random.Random(2)
+        p = MERSENNE61
+        shapes = [(1, 1), (2, 2), (3, 3), (8, 8), (21, 21), (30, 30), (5, 40), (40, 5), (21, 110), (110, 21)]
+        for nr, nc in shapes:
+            full = [[p - 1] * nc for _ in range(nr)]
+            mixed = [[rng.choice([p - 1, p - 1, 0]) for _ in range(nc)] for _ in range(nr)]
+            repeated = [list(rng.choice(mixed)) for _ in range(nr)]
+            banded = [[p - 1 if 0 <= c - r <= 2 else 0 for c in range(nc)] for r in range(nr)]
+            for rows in (full, mixed, repeated, banded):
+                assert rank_mod_p(rows) == rank_gf_p_with_inverses(rows, p), (nr, nc)
+        assert rank_mod_p([[p - 1] * 110 for _ in range(21)]) == 1
+        assert rank_mod_p([]) == rank_mod_p([[]]) == rank_mod_p([[], []]) == 0
 
 
 def random_unimodular(rng: random.Random, size: int, steps: int = 12):
@@ -265,8 +316,9 @@ def assert_input_unchanged(func, matrix, *args):
 
 class TestInputsUnchanged:
     """`_bareiss` eliminates in place, so every entry point must hand it a
-    copy. Were `rank_mod_p` to eliminate its argument, the rational rank
-    would run Bareiss on rows already eliminated mod p."""
+    copy, and `rank_mod_p` must pack one. Were the rank mod p to eliminate
+    its argument, the rational rank would run Bareiss on rows already
+    eliminated mod p."""
 
     def test_ranks_and_determinant(self):
         rng = random.Random(19)
@@ -323,15 +375,22 @@ class TestInputsUnchanged:
 
 
 class TestIntegerEntries:
-    """The integer entry points copy their input through `operator.index`:
-    a Fraction or a float raises TypeError instead of being truncated, as
-    `int` would: rank_bareiss([[Fraction(1, 2)]]) would read 0 and
-    det_int([[2.7]]) 2."""
+    """Every entry point copies its input through `operator.index`: a
+    Fraction or a float raises TypeError instead of being truncated, as
+    `int` would, or reduced, as `% p` would: rank_bareiss([[Fraction(1, 2)]])
+    would read 0, det_int([[2.7]]) 2 and rank_mod_p([[2.7]]) 1."""
 
     @pytest.mark.parametrize(
         "func",
-        [rank_bareiss, det_int, unimodular_columns, lambda rows: rank(rows, RATIONAL_MODE)],
-        ids=["rank_bareiss", "det_int", "unimodular_columns", "rank"],
+        [
+            rank_bareiss,
+            det_int,
+            unimodular_columns,
+            lambda rows: rank(rows, RATIONAL_MODE),
+            rank_mod_p,
+            lambda rows: rank(rows, PRIME_MODE),
+        ],
+        ids=["rank_bareiss", "det_int", "unimodular_columns", "rank", "rank_mod_p", "rank_prime"],
     )
     @pytest.mark.parametrize(
         "rows",

@@ -397,15 +397,14 @@ class TestReparametrize:
 
     def test_cycle_block_inverted_once_per_call(self, monkeypatch, chain4, wheel5):
         """One fraction-free elimination, on the `need` non-tree rows, picks
-        the cycle basis, certifies it and inverts its block. Eliminations
-        mod p (the dimension report's ranks) are not counted."""
+        the cycle basis, certifies it and inverts its block. The dimension
+        report's ranks mod p run in their own packed loop."""
         calls = []
         original = exact._bareiss
 
-        def counting(mat, jordan=False, p=0):
-            if p == 0:
-                calls.append((len(mat), jordan))
-            return original(mat, jordan, p)
+        def counting(mat, jordan=False):
+            calls.append((len(mat), jordan))
+            return original(mat, jordan)
 
         monkeypatch.setattr(exact, "_bareiss", counting)
         for graph in (wheel5, chain4):
