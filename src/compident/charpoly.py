@@ -7,14 +7,15 @@ input-output equation when G is strongly connected. The image dimension is
 the exact rank of the Jacobian at random points; the graph "has the expected
 dimension" when that rank is m+1, the number of independent monomial cycles.
 
-One kernel, `_power_rows`, builds the entries (A^i)[c][r] of the powers of
-A and A_1 at the parameter positions. Each row of a power is one int of
-fixed-width slots, so a row of the next power is one big-int multiply-add
-per nonzero of A: mod p = 2^61 - 1 the slots are `exact.slot_width(n)`
-bits wide and two Mersenne folds per product keep them from overflowing;
-exact slots are sized by an entry bound and carry a sign bit. Newton's
-identities give the coefficients, and three reductions give the
-Jacobian's rank at every point:
+One kernel, `_Powers`, builds the powers of diag(A, A_1) packed: each row
+of a power is one int of fixed-width slots, so a row of the next power is
+one big-int multiply-add per nonzero of A. Mod p = 2^61 - 1 the slots are
+`exact.slot_width(n)` bits wide and two Mersenne folds per product keep
+them from overflowing, unreduced; exact slots are sized by an entry bound
+and carry a sign bit. `_power_rows` reads the entries (A^i)[c][r] at the
+parameter positions out as lists, from which Newton's identities give the
+coefficients and the Jacobian. Three reductions give the Jacobian's rank
+at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
   is a unit lower triangular matrix times the power rows [R; S];
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
@@ -27,9 +28,13 @@ Jacobian's rank at every point:
   (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
   stops after at most m-1 pivots.
 
-Rational mode ranks M' mod p first. A minor that is nonzero mod p is a
-nonzero integer, so a rank at min(rows, cols) is already the rank over Q;
-only a shortfall builds the exact rows and runs Bareiss on them.
+M' is never built as lists mod p: `_VerdictKernel` gathers its rows from
+the packed powers straight into the slots of `exact._pivots_mod_p`, the
+column operation included, with no reduction, and ranks a wide M' at its
+leading square block first. Rational mode ranks M' mod p first. A minor
+that is nonzero mod p is a nonzero integer, so a rank at min(rows, cols)
+is already the rank over Q; only a shortfall reads M' over Z as lists and
+runs Bareiss on them.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
 vertex 1 has no exchange (`_dimension_bound`). Then every product
@@ -60,7 +65,7 @@ from .graphs import (
     is_strongly_connected,
     spanning_tree,
 )
-from .monomial import signed_parts
+from .monomial import name_order, signed_parts
 
 
 #: The most terms `symbolic_coefficients` expands: a bidirected path has
@@ -125,6 +130,109 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
     return cs, ds
 
 
+class _Powers:
+    """The packed powers of diag(A, A_1) of one graph, and where each
+    parameter's entry sits in them: the set-up that every point shares.
+
+    Each row of a power is one int of fixed-width slots (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009): slot k holds
+    column k of its block, so row r of A * A^i is sum_k a_rk * row_k, one
+    big-int multiply-add per nonzero of A. List rows 0..n-1 are the rows of
+    A, n..2n-2 those of A_1, and one more, always 0, is what the cells
+    outside A_1 read; list row k multiplies column k % n of its block. For
+    the parameter at A[r][c], (A^i)[c][r] sits in list row c at slot r
+    (`cells`), and its A_1 entry in list row n + c - 1 at slot r - 1, or in
+    the zero row (`sub_cells`).
+    """
+
+    def __init__(self, graph: CompartmentGraph):
+        n = self.n = graph.n
+        self.nonzeros = [([], []) for _ in range(2 * n - 1)]  # per list row: list rows k, parameters
+        self.cells, self.sub_cells = [], []
+        entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+        for param, (r, c) in enumerate(entries):
+            self.nonzeros[r][0].append(c)
+            self.nonzeros[r][1].append(param)
+            self.cells.append((c, r))
+            if r and c:
+                self.nonzeros[n + r - 1][0].append(n + c - 1)
+                self.nonzeros[n + r - 1][1].append(param)
+                self.sub_cells.append((n + c - 1, r - 1))
+            else:
+                self.sub_cells.append((2 * n - 1, 0))
+        self.width = exact.slot_width(n)  # of the powers mod p
+        mask = (1 << self.width) - 1
+        ones = ((1 << n * self.width) - 1) // mask  # 1 in each of n slots
+        self.low, self.high = ones * MERSENNE61, ones * (mask >> 61)
+
+    def packed(self, values: Sequence[int], p: int) -> tuple[int, list[list[int]]]:
+        """The slot width and the packed powers A^1 .. A^(n-1) of
+        diag(A, A_1) at `values`, each a list of 2n rows; A_1 has no power
+        n-1, so the last power's A_1 rows are the previous power's. `p` is
+        2^61 - 1 or 0, and the values are ints (TypeError otherwise).
+
+        Power 1 is A itself, packed from the values with no product. Mod p
+        every entry of A is reduced to [0, p), and a product slot sums at
+        most n products a * x of an entry and a slot: `exact.slot_width(n)`
+        proves that such slots never carry into the next and that two
+        Mersenne folds per product keep them below 2^61 + 2^e, e = width -
+        122. Slots are never reduced to [0, p).
+
+        With p = 0 nothing is reduced. An entry of A^i, i >= 1, is at most
+        w^(i-1) * B, B the largest |entry| of A and w its largest absolute
+        row sum, so a slot of the bit length of max(1, w^(n-2) * B) plus a
+        sign bit holds every entry up to i = n-1, also at the all-zero
+        point.
+        """
+        n = self.n
+        values = [index(x) % p for x in values] if p else list(map(index, values))
+        rows = [list(map(values.__getitem__, params)) for _, params in self.nonzeros]
+        if p:
+            width = self.width
+        else:
+            row_sum = max(sum(map(abs, row)) for row in rows)
+            width = max(1, row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
+        power = [
+            sum(a << k % n * width for k, a in zip(ks, row)) for (ks, _), row in zip(self.nonzeros, rows)
+        ] + [0]
+        powers = [power] if n > 1 else []
+        for i in range(2, n):
+            block = rows[: n if i == n - 1 else None]  # A_1 needs no power n-1
+            product = [
+                sum(map(mul, row, map(power.__getitem__, ks))) for (ks, _), row in zip(self.nonzeros, block)
+            ]
+            if p:
+                low, high = self.low, self.high
+                product = [(x & low) + (x >> 61 & high) for x in product]
+                product = [(x & low) + (x >> 61 & high) for x in product]
+            power = product + power[len(product) :]
+            powers.append(power)
+        return width, powers
+
+    def rows(self, values: Sequence[int], p: int, params) -> tuple[list, list]:
+        """`_power_rows` of this graph: the powers read out at `params` as
+        lists, one `% p` per entry mod p. The exact slots carry a sign bit,
+        and a bias of 2^(width-1) in every slot makes them nonnegative for
+        read-out."""
+        n = self.n
+        width, powers = self.packed(values, p)
+        mask = (1 << width) - 1
+        half = 1 << width - 1
+        bias = ((1 << n * width) - 1) // mask * half
+        at = [(self.cells[k][0], self.cells[k][1] * width) for k in params]
+        sub_at = [(self.sub_cells[k][0], self.sub_cells[k][1] * width) for k in params]
+        rows = [[int(k < n) for k in params]]
+        sub_rows = [[int(0 < k < n) for k in params]] if n > 1 else []
+        for i, power in enumerate(powers, start=1):
+            slots = power if p else [x + bias for x in power]
+            for out, where in ((rows, at), (sub_rows, sub_at))[: 1 if i == n - 1 else 2]:
+                if p:
+                    out.append([(slots[k] >> s & mask) % p for k, s in where])
+                else:
+                    out.append([(slots[k] >> s & mask) - half for k, s in where])
+        return rows, sub_rows
+
+
 def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) -> tuple[list, list]:
     """Entries of the powers of A and of A_1 at the parameters `params`.
 
@@ -132,76 +240,15 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
     (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
     with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells.
     `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise).
-
-    The powers are those of diag(A, A_1), starting from the identity. Each
-    row is one int of fixed-width slots (Kronecker substitution; Harvey,
-    J. Symbolic Comput. 44, 2009): slot k holds column k of its block, so
-    row r of A * A^i is sum_k a_rk * row_k, one big-int multiply-add per
-    nonzero of A. Entries are read at the requested cells with a shift and
-    a mask.
-
-    Mod p every entry of A is below p, and a product slot sums at most n
-    products a * x of an entry and a slot: `exact.slot_width(n)` proves
-    that such slots never carry into the next and that two Mersenne folds
-    per product keep them bounded. `% p` runs only at read-out.
-
-    With p = 0 nothing is reduced. An entry of A^i, i >= 1, is at most
-    w^(i-1) * B, B the largest |entry| of A and w its largest absolute row
-    sum, so a slot of the bit length of max(1, w^(n-2) * B) plus a sign bit
-    holds every entry up to i = n-1 and the identity's 1, also at the
-    all-zero point. A bias of 2^(width-1) in every slot makes the slots
-    nonnegative for read-out.
+    The powers are those of diag(A, A_1), built packed by `_Powers`; these
+    lists are what the coefficients and the Jacobian read. The verdict
+    reads no lists: `_VerdictKernel` gathers M' from the packed powers.
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
             f"expected {parameter_count(graph)} parameter values, got {len(values)}"
         )
-    n = graph.n
-    values = [index(x) % p for x in values] if p else list(map(index, values))
-    # List rows 0..n-1 are the rows of A, n..2n-2 those of A_1, and one more
-    # power, always 0, is what the cells outside A_1 read.
-    nonzeros = [([], []) for _ in range(2 * n - 1)]  # per row: list rows k, entries a_rk
-    cells, sub_cells = [], []  # (list row, slot) of (A^i)[c][r]
-    entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
-    for (r, c), a in zip(entries, values):
-        nonzeros[r][0].append(c)
-        nonzeros[r][1].append(a)
-        cells.append((c, r))
-        if r and c:
-            nonzeros[n + r - 1][0].append(n + c - 1)
-            nonzeros[n + r - 1][1].append(a)
-            sub_cells.append((n + c - 1, r - 1))
-        else:
-            sub_cells.append((2 * n - 1, 0))
-    if p:
-        width = exact.slot_width(n)
-    else:
-        row_sum = max(sum(map(abs, row)) for _, row in nonzeros)
-        width = max(1, row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
-    mask = (1 << width) - 1
-    ones = ((1 << n * width) - 1) // mask  # 1 in each of n slots
-    low, high = ones * MERSENNE61, ones * (mask >> 61)
-    half = 1 << width - 1
-    bias = ones * half
-    at = [(cells[k][0], cells[k][1] * width) for k in params]
-    sub_at = [(sub_cells[k][0], sub_cells[k][1] * width) for k in params]
-    power = [1 << k * width for k in range(n)] + [1 << k * width for k in range(n - 1)] + [0]
-    rows, sub_rows = [], []
-    for i in range(n):
-        if i:  # A_1 needs no power n-1
-            block = nonzeros[: n if i == n - 1 else None]
-            product = [sum(map(mul, row, map(power.__getitem__, ks))) for ks, row in block]
-            if p:
-                product = [(x & low) + (x >> 61 & high) for x in product]
-                product = [(x & low) + (x >> 61 & high) for x in product]
-            power[: len(product)] = product
-        slots = power if p else [x + bias for x in power]
-        for out, where in ((rows, at), (sub_rows, sub_at))[: 1 if i == n - 1 else 2]:
-            if p:
-                out.append([(slots[k] >> s & mask) % p for k, s in where])
-            else:
-                out.append([(slots[k] >> s & mask) - half for k, s in where])
-    return rows, sub_rows
+    return _Powers(graph).rows(values, p, params)
 
 
 def newton_coefficients(power_sums: Sequence[int], p: int = 0) -> list[int]:
@@ -278,7 +325,9 @@ def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
     column a22 from each a_vv, v >= 3, turns row 0 of A_1 into the unit
     row at a22, which clears column a22. What is left is rows 1.. of both
     parts on the columns a_vv - a22 (v >= 3) and the non-tree edges: a
-    (2n-3) x (m-1) matrix, empty when n = 1.
+    (2n-3) x (m-1) matrix, empty when n = 1. `_VerdictKernel` applies the
+    same column operation while it gathers M' packed; these lists are M'
+    over Z for Bareiss.
     """
     return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
 
@@ -288,6 +337,88 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
     coefficients, less one when n >= 3 and vertex 1 has no exchange (the
     2n-2 bound, proved in the module docstring)."""
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
+
+
+class _VerdictKernel(_Powers):
+    """M' of one graph at the verdict columns of one spanning tree, ranked
+    mod p by one kernel from the packed powers of diag(A, A_1) to the
+    pivot columns. `_sampled_dimension` builds it once, and every trial
+    and the rational fallback share its set-up.
+
+    M' is `_reduced_verdict_rows` of the power rows at `_verdict_params`,
+    less row 1 of A_1 when it twins row 1 of A (`_dimension_bound`): its
+    columns are a_vv - a22 for v >= 3, then the non-tree edges. Its rows
+    are gathered straight from the powers A^1 .. A^(n-1) into packed rows:
+    each column's cell is shifted out of its power row into the column's
+    slot, unreduced, and the column operation adds 2p - x, x the cell of
+    a22, to every diagonal slot, followed by one fold. Every slot of a
+    gathered row is then below 2^61 + 2^e, e = slot_width(n) - 122: the
+    cells are, and a diagonal slot is below 2^61 + 2^e + 2p < 2^63 before
+    the fold and at most 2^61 + 2 after it, where e >= 2 since diagonal
+    columns need n >= 3. So the rows are eliminated at
+    `exact.slot_width(2, e)` bits.
+
+    A wide M', with more columns than rows, is gathered and eliminated at
+    its leading min(rows, cols) columns first. A rank at the row count is
+    the rank of M', as no rank exceeds it, and the pivots are M''s first
+    independent columns, since a nonzero minor of the leading block is one
+    of M'. Only a shortfall gathers every column, from the same powers.
+    """
+
+    def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
+        super().__init__(graph)
+        n = self.n
+        self.params = _verdict_params(graph, tree)
+        self.twin = _dimension_bound(graph) < 2 * n - 1
+        self.nrows = max(2 * n - 3 - self.twin, 0)
+        self.ncols = max(len(self.params) - 2, 0)
+        self.row_width = exact.slot_width(2, self.width - 122)
+        mask = (1 << self.row_width) - 1
+        # per part, a22 and then each column: (power row, shift in it, shift in the row of M')
+        self.at, self.sub_at = (
+            [
+                (cells[k][0], cells[k][1] * self.width, (j - 1) * self.row_width)
+                for j, k in enumerate(self.params[1:])
+            ]
+            for cells in (self.cells, self.sub_cells)
+        )
+        ones = ((1 << self.ncols * self.row_width) - 1) // mask  # 1 in each column's slot
+        self.fold = ones * MERSENNE61, ones * (mask >> 61)
+        self.diagonal = ((1 << max(n - 2, 0) * self.row_width) - 1) // mask  # 1 at each a_vv - a22
+
+    def pivots(self, values: Sequence[int]) -> list[int]:
+        """The pivot columns of M' mod p at `values`: its first independent
+        columns mod p, whose number is its rank."""
+        lead = min(self.nrows, self.ncols)
+        if not lead:
+            return []
+        _, powers = self.packed(values, MERSENNE61)
+        pivots = exact._pivots_mod_p(self._gather(powers, lead), lead, self.row_width)
+        if len(pivots) < lead < self.ncols:
+            pivots = exact._pivots_mod_p(self._gather(powers, self.ncols), self.ncols, self.row_width)
+        return pivots
+
+    def _gather(self, powers: list[list[int]], cols: int) -> list[int]:
+        """The rows of M' at its leading `cols` columns, packed."""
+        mask = (1 << self.width) - 1
+        low, high = self.fold
+        rows = []
+        for i, power in enumerate(powers, start=1):
+            for at in (self.at, self.sub_at)[: 1 if i == self.n - 1 or (i == 1 and self.twin) else 2]:
+                k, s, _ = at[0]
+                row = (2 * MERSENNE61 - (power[k] >> s & mask)) * self.diagonal  # the column operation
+                for k, s, t in at[1 : cols + 1]:
+                    row += (power[k] >> s & mask) << t
+                rows.append((row & low) + (row >> 61 & high))
+        return rows
+
+    def exact_rows(self, values: Sequence[int]) -> list[list[int]]:
+        """M' over Z at `values`, as lists for Bareiss: the same columns,
+        read from the exact powers."""
+        reduced = _reduced_verdict_rows(self.n, *self.rows(values, 0, self.params))
+        if self.twin:
+            del reduced[self.n - 1]  # row 1 of A_1, the twin of row 1 of A
+        return reduced
 
 
 @dataclass(frozen=True)
@@ -366,11 +497,12 @@ def image_dimension(
     the rank exactly at points with nonzero tree entries, as every sampled
     point has. Exact row and column operations on M's two identity rows
     give rank(M) = 2 + rank(M') (1 when n = 1), so only the
-    (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked. The
-    columns, and so the tree, are picked once per call. In rational mode
-    M' is ranked mod p first, and a rank at the ceiling is the rank over Q
-    (`exact.rank`); only a point that falls short builds the exact rows
-    and ranks them by Bareiss.
+    (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked, by
+    `_VerdictKernel`, which gathers it packed from the powers. The
+    columns, and so the tree and the kernel's set-up, are picked once per
+    call. In rational mode M' is ranked mod p first, and a rank at
+    min(rows, cols) is the rank over Q (as in `exact.rank`); only a point
+    that falls short reads M' over Z and ranks it by Bareiss.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -388,24 +520,15 @@ def _sampled_dimension(
     rational = not checked_modulus(trials, mode)
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
-    params = _verdict_params(graph, tree)
-    bound = _dimension_bound(graph)
-    ceiling = min(bound, graph.m + 1)
+    kernel = _VerdictKernel(graph, tree)
+    ceiling = min(2 * graph.n - 1 - kernel.twin, graph.m + 1)
     eliminated = min(graph.n, 2)
-
-    def reduced_rows(point: list[int], p: int) -> list[list]:
-        reduced = _reduced_verdict_rows(graph.n, *_power_rows(graph, point, p, params))
-        if bound < 2 * graph.n - 1:
-            del reduced[graph.n - 1]  # row 1 of A_1, the twin of row 1 of A
-        return reduced
-
     best = 0
     for _ in range(trials):
         point = sample_point(rng, nvars)
-        reduced = reduced_rows(point, MERSENNE61)
-        rank = exact.rank(reduced, PRIME_MODE)
-        if rational and reduced and rank < min(len(reduced), len(reduced[0])):
-            rank = exact.rank_bareiss(reduced_rows(point, 0))
+        rank = len(kernel.pivots(point))
+        if rational and rank < min(kernel.nrows, kernel.ncols):
+            rank = exact.rank_bareiss(kernel.exact_rows(point))
         best = max(best, eliminated + rank)
         if best == ceiling:
             break
@@ -461,14 +584,14 @@ def io_equation_text(graph: CompartmentGraph) -> str:
             "polynomials share a factor)"
         )
     cs, ds = symbolic_coefficients(graph)
-    names = graph.param_names()
+    order = name_order(graph.param_names())
 
     def side(base: str, top_order: int, polys: list[dict]) -> str:
         text = _derivative_name(base, top_order)
         for k, poly in enumerate(polys, start=1):
             if not poly:
                 continue
-            sign, body = signed_parts(poly, names)
+            sign, body = signed_parts(poly, order)
             if len(poly) > 1:
                 body = f"({body})"
             text += (" - " if sign < 0 else " + ") + f"{body}*{_derivative_name(base, top_order - k)}"

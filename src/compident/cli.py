@@ -26,7 +26,7 @@ from .graphs import (
     is_strongly_connected,
     parse_graph,
 )
-from .monomial import format_monomial
+from .monomial import name_order, render_monomial
 from .reparam import reparametrize
 
 
@@ -136,9 +136,9 @@ def _cmd_reparam(args) -> int:
     for row in result.matrix_strings():
         print("  [" + ", ".join(row) + "]")
     print("cycle basis: " + ", ".join(f"q{t+1} = {c.monomial}" for t, c in enumerate(result.basis.cycles)))
-    qnames = [f"q{t+1}" for t in range(len(result.basis.cycles))]
+    qorder = name_order([f"q{t+1}" for t in range(len(result.basis.cycles))])
     for k, z in result.cycle_expressions.items():
-        print(f"{graph.edge_param_name(k)} -> {format_monomial(qnames, z)}")
+        print(f"{graph.edge_param_name(k)} -> {render_monomial(qorder, z)}")
     return 0
 
 

@@ -1,8 +1,10 @@
 """Exact arithmetic kernels on plain ints. One packed loop mod p =
-2^61 - 1, `_pivots_mod_p`, gives the rank mod p; one fraction-free
-(Bareiss) loop over Z, `_bareiss`, gives the integer rank, the determinant
-and the choice and inversion of a unimodular column block. `slot_width`
-proves the slot bound of packed rows, here and in `charpoly._power_rows`.
+2^61 - 1, `_pivots_mod_p`, gives the rank mod p, of a list matrix
+(`rank_mod_p`) and of the verdict matrix that `charpoly` gathers packed;
+one fraction-free (Bareiss) loop over Z, `_bareiss`, gives the integer
+rank, the determinant and the choice and inversion of a unimodular column
+block. `slot_width` proves the slot bound of packed rows, reduced or not,
+here and in `charpoly`'s powers.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -42,59 +44,70 @@ def modulus(mode: str) -> int:
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
 
 
-def slot_width(terms: int) -> int:
+def slot_width(terms: int, excess: int = 0) -> int:
     """Bits per slot of a row packed mod p = 2^61 - 1, when a slot of the
-    next row is a sum of `terms` products a * x, a in [0, p) and x a slot.
+    next row is a sum of `terms` products a * x, a in [0, p) and x a slot,
+    and every slot of the first row is below 2^61 + 2^`excess`.
 
     A packed row is one int whose slot k, `width` bits wide, holds entry k
     (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009). Since
     2^61 = 1 mod p, a fold (x & LO) + (x >> 61 & HI), with LO and HI the low
     61 and the high width - 61 bits of every slot, keeps each slot's
-    residue.
+    residue, so slots need not be reduced to [0, p).
 
-    The width is 122 + e: e = 0 for one term, 1 for two (`_pivots_mod_p`)
-    and k.bit_length() for k = `terms` >= 3 (`charpoly._power_rows`, k =
-    n), the least e with k (p-1) (2^61 + 2^e - 1) < 2^(122+e). For k <= 2
-    that is direct arithmetic; for k >= 3, k < 2^e and the product is below
-    2^(122+e) - 2^122 + 2^(61+2e), no more than 2^(122+e) while e <= 30.
-    Suppose every slot is below 2^61 + 2^e, as an entry in [0, p) is. A
-    sum x of k products is then below 2^width, so no slot carries into the
-    next. A first fold leaves y = (x mod 2^61) + (x >> 61) <= 2^61 - 1 +
-    2^(61+e) - 1 < 2^61 (1 + 2^e), so y >> 61 <= 2^e, and a second fold
-    leaves at most 2^61 - 1 + 2^e: every slot is below 2^61 + 2^e again.
+    The width is 122 + e for the least e >= 0 with
+    k (p-1) (2^61 + 2^c - 1) < 2^(122+e), k = `terms` and c = max(excess,
+    e); the left side over the right falls as e grows, so the loop below
+    stops at the least. Suppose every slot is below 2^61 + 2^c, as the first row's
+    are. A sum x of k products is then below 2^width, so no slot carries
+    into the next. A first fold leaves y = (x mod 2^61) + (x >> 61) <
+    2^61 + 2^(61+e), so y >> 61 <= 2^e, and a second fold leaves at most
+    2^61 - 1 + 2^e: every slot is below 2^61 + 2^c again.
+
+    With entries in [0, p), excess = 0 and e is 0 for one term, 1 for two
+    (`rank_mod_p`) and k.bit_length() for k >= 3 (`charpoly`'s powers,
+    k = n). Their slots are then below 2^61 + 2^e, and the verdict rows
+    gathered from them unreduced are ranked at slot_width(2, e), which is
+    124 bits for every n >= 3.
     """
-    return 122 + (terms.bit_length() if terms > 2 else terms - 1)
+    p = MERSENNE61
+    e = 0
+    while terms * (p - 1) * ((1 << 61) + (1 << max(excess, e)) - 1) >= 1 << 122 + e:
+        e += 1
+    return 122 + e
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(p), p = 2^61 - 1: the number of pivot columns of
-    `_pivots_mod_p`, which packs a copy (the input is not changed)."""
-    return len(_pivots_mod_p(rows))
-
-
-def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The pivot columns of Gaussian elimination mod p = 2^61 - 1 on packed
-    rows: the matrix's first independent columns mod p.
-
-    Each row is copied into one int of `slot_width(2)`-bit slots, slot k
-    holding its entry k reduced to [0, p). Eliminating a row by the pivot
-    row at column `col` is one big-int expression, pv * row + (p - f) *
-    prow, pv the pivot and f the row's entry at col: two products per
-    slot, folded twice as `slot_width` proves. Only the slot at col is
-    reduced to [0, p), to find the pivot and each row's f; rows with f = 0
-    are left alone. No division is needed: pv is a unit mod p, so scaling a
-    row by it keeps the rank. A column with no pivot left is skipped.
-    """
+    """Rank over GF(p), p = 2^61 - 1: a copy of the rows is packed, each
+    entry reduced to [0, p) in a `slot_width(2)`-bit slot, and ranked by
+    `_pivots_mod_p` (the input is not changed)."""
     p = MERSENNE61
     width = slot_width(2)
-    mask = (1 << width) - 1
     packed = []
     for row in rows:
         packed_row = 0
         for x in reversed(row):
             packed_row = packed_row << width | index(x) % p
         packed.append(packed_row)
-    ncols = len(rows[0]) if rows else 0
+    return len(_pivots_mod_p(packed, len(rows[0]) if rows else 0, width))
+
+
+def _pivots_mod_p(packed: list[int], ncols: int, width: int) -> list[int]:
+    """The pivot columns of Gaussian elimination mod p = 2^61 - 1 on packed
+    rows, eliminated in place: the matrix's first independent columns mod p.
+
+    Row r is one int whose `width`-bit slot k holds entry (r, k) mod p;
+    `width` is `slot_width(2, b)` for slots below 2^61 + 2^b, which need
+    not be reduced. Eliminating a row by the pivot row at column `col` is
+    one big-int expression, pv * row + (p - f) * prow, pv the pivot and f
+    the row's entry at col: two products per slot, folded twice as
+    `slot_width` proves. Only the slot at col is reduced to [0, p), to find
+    the pivot and each row's f; rows with f = 0 are left alone. No division
+    is needed: pv is a unit mod p, so scaling a row by it keeps the rank. A
+    column with no pivot left is skipped.
+    """
+    p = MERSENNE61
+    mask = (1 << width) - 1
     ones = ((1 << ncols * width) - 1) // mask  # 1 in each of ncols slots
     low, high = ones * p, ones * (mask >> 61)
     pivots: list[int] = []

@@ -10,21 +10,36 @@ and ``1`` for the empty monomial, e.g. ``a12*a21^-1``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, Sequence
+
+
+def name_order(names: Sequence[str]) -> list[tuple[int, str]]:
+    """The (slot, name) pairs of a name list, sorted by name: the order in
+    which `render_monomial` writes the factors of every monomial over it.
+    Sort a name list once and render all its monomials with the result."""
+    return sorted(enumerate(names), key=itemgetter(1))
+
+
+def render_monomial(order: Sequence[tuple[int, str]], exponents: Sequence[int]) -> str:
+    """Render an exponent vector as a monomial string, factors in the
+    `name_order` of its names; ``1`` stands for the empty monomial."""
+    parts = []
+    for k, name in order:
+        e = exponents[k]
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 def format_monomial(names: Sequence[str], exponents: Sequence[int]) -> str:
     """Render an exponent vector as a monomial string over the given names.
 
     Factors come out sorted by name, so the text is independent of slot
-    order; ``1`` stands for the empty monomial.
+    order; ``1`` stands for the empty monomial. One sort per call: to
+    render many monomials over one name list, use `render_monomial`.
     """
-    parts = []
-    for name, e in sorted(zip(names, exponents)):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    return render_monomial(name_order(names), exponents)
 
 
 def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
@@ -42,12 +57,13 @@ def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
     return tuple(expo)
 
 
-def format_polynomial(terms: Mapping[tuple[int, ...], int], names: Sequence[str]) -> str:
+def format_polynomial(terms: Mapping[tuple[int, ...], int], order: Sequence[tuple[int, str]]) -> str:
     """Render ``{exponents: coefficient}`` as e.g. ``a11*a22 - a12*a21``,
-    terms in descending lexicographic order of their exponents."""
+    terms in descending lexicographic order of their exponents, over names
+    in `name_order`."""
     out = []
     for expo, coeff in sorted(terms.items(), reverse=True):
-        body = format_monomial(names, expo)
+        body = render_monomial(order, expo)
         if abs(coeff) != 1:
             body = str(abs(coeff)) if body == "1" else f"{abs(coeff)}*{body}"
         if out:
@@ -57,13 +73,14 @@ def format_polynomial(terms: Mapping[tuple[int, ...], int], names: Sequence[str]
     return " ".join(out) or "0"
 
 
-def signed_parts(terms: Mapping[tuple[int, ...], int], names: Sequence[str]) -> tuple[int, str]:
-    """Split a polynomial into an overall sign and a rendered magnitude.
+def signed_parts(terms: Mapping[tuple[int, ...], int], order: Sequence[tuple[int, str]]) -> tuple[int, str]:
+    """Split a polynomial into an overall sign and a rendered magnitude,
+    over names in `name_order`.
 
     Returns (+1, text) normally; (-1, text) when every coefficient is
     negative, with text rendering the negated polynomial. Used to print
     coefficients like ``- (a11 + a22)`` instead of ``+ (-a11 - a22)``.
     """
     if terms and all(c < 0 for c in terms.values()):
-        return -1, format_polynomial({e: -c for e, c in terms.items()}, names)
-    return 1, format_polynomial(terms, names)
+        return -1, format_polynomial({e: -c for e, c in terms.items()}, order)
+    return 1, format_polynomial(terms, order)

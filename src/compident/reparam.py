@@ -36,7 +36,7 @@ from .graphs import (
     spanning_tree,
     tree_walk,
 )
-from .monomial import format_monomial, parse_monomial
+from .monomial import format_monomial, name_order, parse_monomial, render_monomial
 
 
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
@@ -220,15 +220,16 @@ class ScalingReparametrization:
     report: Optional[DimensionReport] = None
 
     @cached_property
-    def edge_names(self) -> list[str]:
-        """The m edge rate names, built once per result."""
-        return [self.graph.edge_param_name(e) for e in range(self.graph.m)]
+    def edge_order(self) -> list[tuple[int, str]]:
+        """The m edge rate names in `name_order`, built and sorted once per
+        result."""
+        return name_order([self.graph.edge_param_name(e) for e in range(self.graph.m)])
 
     def edge_monomial(self, k: int) -> str:
-        return format_monomial(self.edge_names, self.rescaled_exponents[k])
+        return render_monomial(self.edge_order, self.rescaled_exponents[k])
 
     def f_monomial(self, vertex: int) -> str:
-        return format_monomial(self.edge_names, self.f_exponents[vertex - 1])
+        return render_monomial(self.edge_order, self.f_exponents[vertex - 1])
 
     def matrix_strings(self) -> list[list[str]]:
         """The reparametrized system matrix with entries as monomial strings."""
@@ -242,11 +243,11 @@ class ScalingReparametrization:
         return grid
 
     def to_json_dict(self) -> dict:
-        qnames = [f"q{t + 1}" for t in range(len(self.basis.cycles))]
+        qorder = name_order([f"q{t + 1}" for t in range(len(self.basis.cycles))])
         expressions = [
             {
                 "edge": list(self.graph.edges[k]),
-                "in_cycles": format_monomial(qnames, z),
+                "in_cycles": render_monomial(qorder, z),
             }
             for k, z in self.cycle_expressions.items()
         ]

@@ -282,7 +282,7 @@ class TestImageDimension:
         graphs = [c.representative for c in census_classes(4, 6)]
         graphs += [c.representative for c in census_classes(5, 8)[::23]]
         graphs += [request.getfixturevalue(name) for name in TestJacobianAgainstSympy.FIXTURES]
-        ranks = count_calls(monkeypatch, exact, "rank")
+        ranks = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
         rational_ranks = 0
         for g in graphs:
@@ -350,7 +350,7 @@ class TestImageDimension:
             assert rank_mod_p(jac) <= g.m + 1
 
     def test_stops_at_the_ceiling(self, monkeypatch, chain4, broken4):
-        calls = count_calls(monkeypatch, cp, "_power_rows")
+        calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         report = image_dimension(chain4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (1, 7, True, 2)
         calls.clear()
@@ -360,7 +360,7 @@ class TestImageDimension:
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
     def test_stops_at_2n_minus_1(self, monkeypatch, mode):
         """m+1 = 46 > 2n-1 = 17: the first trial reaching 17 is the last."""
-        calls = count_calls(monkeypatch, cp, "_power_rows")
+        calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         report = image_dimension(isc_adversary(9), trials=2, mode=mode)
         assert len(calls) == 1
         assert (report.d, report.expected, report.verdict, report.trials) == (17, 46, False, 2)
@@ -370,7 +370,7 @@ class TestImageDimension:
         """With no exchange the ceiling is 2n-2 = 8: one trial, and in
         rational mode the 7 x 7 M' less its twin row, 6 x 7, is certified
         mod p with no Bareiss. The report is the one the 2n-1 ceiling gave."""
-        calls = count_calls(monkeypatch, cp, "_power_rows")
+        calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
         report = image_dimension(NO_EXCHANGE5, trials=2, mode=mode)
         assert (len(calls), len(bareiss)) == (1, 0)
@@ -397,16 +397,17 @@ class TestRationalVerdicts:
 
     @staticmethod
     def exact_builds(monkeypatch) -> list:
-        """Patch `_power_rows` to record each call made with p = 0."""
+        """Patch `_Powers.packed` to record the vertex count of each call
+        made with p = 0."""
         calls = []
-        real = cp._power_rows
+        real = cp._Powers.packed
 
-        def recording(graph, values, p, params):
+        def recording(self, values, p):
             if not p:
-                calls.append(graph)
-            return real(graph, values, p, params)
+                calls.append(self.n)
+            return real(self, values, p)
 
-        monkeypatch.setattr(cp, "_power_rows", recording)
+        monkeypatch.setattr(cp._Powers, "packed", recording)
         return calls
 
     def test_expected_classes_build_no_exact_rows(self, monkeypatch):
@@ -431,7 +432,7 @@ class TestRationalVerdicts:
         for trials in (1, 2, 3):
             calls.clear()
             report = image_dimension(broken4, trials=trials, mode=RATIONAL_MODE)
-            assert (report.d, report.trials, calls) == (6, trials, [broken4] * trials)
+            assert (report.d, report.trials, calls) == (6, trials, [broken4.n] * trials)
 
     def test_reports_match_prime_mode(self):
         for n, m in ((4, 6), (5, 7), (5, 8)):
@@ -666,6 +667,199 @@ class TestReducedVerdictMatrix:
         assert cp._reduced_verdict_rows(1, [[1]], []) == []
 
 
+def pivots_gf_p(rows) -> list[int]:
+    """First independent columns over GF(2^61 - 1), by textbook
+    elimination with inverses on the reduced entries."""
+    p = MERSENNE61
+    mat = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def list_built_reduced(graph, point) -> list[list]:
+    """M' from the power-row lists mod p: `_reduced_verdict_rows` at the
+    verdict columns, less row 1 of A_1 when vertex 1 has no exchange."""
+    params = cp._verdict_params(graph, cp.spanning_tree(graph))
+    reduced = cp._reduced_verdict_rows(graph.n, *cp._power_rows(graph, point, MERSENNE61, params))
+    if graph.n >= 3 and graphs.has_exchange(graph) is None:
+        del reduced[graph.n - 1]
+    return reduced
+
+
+def over_full_graphs(count: int, seed: int) -> list:
+    """Distinct strongly connected graphs with m > 2n-2 on 3..8 vertices,
+    alternately with an exchange at vertex 1 (one two-cycle through it is
+    forced in) and without one (one edge of each such two-cycle is left
+    out of the pool, so n >= 4)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        no_exchange = len(out) % 2
+        n = rng.randrange(3 + no_exchange, 9)
+        pool = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
+        if no_exchange:
+            forced = []
+            pool = [e for e in pool if 1 not in e] + [rng.choice([(1, v), (v, 1)]) for v in range(2, n + 1)]
+        else:
+            v = rng.randrange(2, n + 1)
+            forced = [(1, v), (v, 1)]
+            pool = [e for e in pool if e not in forced]
+        m = rng.randrange(2 * n - 1, len(pool) + len(forced) + 1)
+        edges = forced + rng.sample(pool, m - len(forced))
+        rng.shuffle(edges)
+        g = CompartmentGraph(n, tuple(edges))
+        if oracle_strongly_connected(g) and g not in out:
+            assert (graphs.has_exchange(g) is None) == bool(no_exchange)
+            out.append(g)
+    return out
+
+
+class TestVerdictKernel:
+    """`_VerdictKernel` gathers M' packed from the powers, leading columns
+    first, and its pivots are those of the list-built M'."""
+
+    SMALL = (1, 2, MERSENNE61 - 1, MERSENNE61 - 2)
+
+    @classmethod
+    def points(cls, graph, rng):
+        """A uniform point, and one drawn from {1, 2, p-1, p-2}."""
+        count = graph.n + graph.m
+        return [
+            [rng.randrange(1, MERSENNE61) for _ in range(count)],
+            [rng.choice(cls.SMALL) for _ in range(count)],
+        ]
+
+    @staticmethod
+    def check(graph, point) -> tuple[int, int]:
+        """The kernel's rank equals `rank_mod_p` of the list-built M';
+        returns (rank, min(rows, cols))."""
+        kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
+        reduced = list_built_reduced(graph, point)
+        assert (kernel.nrows, kernel.ncols) == (len(reduced), len(reduced[0]) if reduced else 0)
+        rank = len(kernel.pivots(point))
+        assert rank == exact.rank_mod_p(reduced), (graph, point)
+        return rank, min(kernel.nrows, kernel.ncols)
+
+    def test_census_classes(self):
+        rng = random.Random(101)
+        count = 0
+        for n, m in ((4, 6), (5, 7), (5, 8)):
+            for entry in census_classes(n, m):
+                for point in self.points(entry.representative, rng):
+                    self.check(entry.representative, point)
+                    count += 1
+        assert count == 2 * (55 + 281 + 1158)
+
+    def test_over_full_graphs(self, monkeypatch):
+        """Wide M': the leading square block decides most points, and the
+        whole of M' is gathered only where it falls short."""
+        gathers = []
+        real = cp._VerdictKernel._gather
+
+        def recording(self, powers, cols):
+            gathers.append(cols)
+            return real(self, powers, cols)
+
+        monkeypatch.setattr(cp._VerdictKernel, "_gather", recording)
+        rng = random.Random(102)
+        sample = over_full_graphs(1000, seed=103)
+        assert {g.n for g in sample} == set(range(3, 9))
+        short = 0
+        for g in sample:
+            for point in self.points(g, rng):
+                gathers.clear()
+                rank, full = self.check(g, point)
+                kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+                assert kernel.nrows < kernel.ncols
+                assert gathers == [kernel.nrows] + [kernel.ncols] * (len(gathers) > 1)
+                short += len(gathers) > 1
+        assert short > 20, short
+
+    def test_pivots_are_the_first_independent_columns(self):
+        rng = random.Random(104)
+        sample = over_full_graphs(60, seed=105) + random_sc_graphs(60, seed=106, max_n=7)
+        for g in sample:
+            for point in self.points(g, rng):
+                kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+                assert kernel.pivots(point) == pivots_gf_p(list_built_reduced(g, point)), g
+
+    # (graph, point) with a wide M' whose leading square block falls short,
+    # found by search over points in {1, 2, p-1, p-2}: the whole M' has
+    # full rank at the first, and falls short too at the second.
+    LEADING_SHORT = (
+        ((1, 2), (2, 1), (2, 3), (3, 1), (3, 2)),
+        (1, -1, -1, -2, -1, -1, 1, 1),
+        3,
+    )
+    BOTH_SHORT = (
+        ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1)),
+        (-1, -2, -2, -1, -1, -1, -1, 2),
+        2,
+    )
+
+    @pytest.mark.parametrize("case", [LEADING_SHORT, BOTH_SHORT], ids=["leading-short", "both-short"])
+    def test_pinned_shortfalls(self, monkeypatch, case):
+        edges, point, rank = case
+        g = CompartmentGraph(3, edges)
+        point = [x % MERSENNE61 for x in point]
+        gathers = count_calls(monkeypatch, cp._VerdictKernel, "_gather")
+        kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+        reduced = list_built_reduced(g, point)
+        assert (kernel.nrows, kernel.ncols) == (3, 4)
+        assert exact.rank_mod_p([row[:3] for row in reduced]) == 2
+        assert kernel.pivots(point) == pivots_gf_p(reduced)
+        assert (len(kernel.pivots(point)), len(gathers)) == (rank, 4)
+
+    def test_isc_adversary_gathers_the_leading_block(self, monkeypatch):
+        """M' of isc_adversary(9) is 15 x 44; the verdict gathers its
+        leading 15 columns once and reaches the 2n-1 ceiling there."""
+        gathers = []
+        real = cp._VerdictKernel._gather
+
+        def recording(self, powers, cols):
+            gathers.append((cols, self.nrows, self.ncols))
+            return real(self, powers, cols)
+
+        monkeypatch.setattr(cp._VerdictKernel, "_gather", recording)
+        assert image_dimension(isc_adversary(9)).d == 17
+        assert gathers == [(15, 15, 44)]
+
+    def test_slots_of_unreduced_rows(self):
+        """Gathered rows keep every slot below 2^61 + 2^e, e = width - 122,
+        at the largest values, and the elimination at `row_width` holds
+        unreduced slots at that bound. Two rows equal mod p, one held as
+        p + 2^e, the other as 2^e, meet pivot p - 1 and factor 1: a row
+        update then sums two products near 2^122, which a slot one bit
+        narrower would carry out of, making the rows differ."""
+        p = MERSENNE61
+        for g in [complete_digraph(n) for n in range(3, 9)] + [isc_adversary(9), bidirected_path(12)]:
+            kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+            e = kernel.width - 122
+            assert kernel.row_width == exact.slot_width(2, e) == 124
+            for value in (1, p - 2, p - 1):
+                _, powers = kernel.packed([value] * (g.n + g.m), p)
+                for row in kernel._gather(powers, kernel.ncols):
+                    width = kernel.row_width
+                    slots = [row >> k * width & (1 << width) - 1 for k in range(kernel.ncols)]
+                    assert max(slots) < 2**61 + 2**e and row >> kernel.ncols * width == 0
+            big, small = p + 2**e, 2**e
+            rows = [[p - 1] + [big] * 4, [1] + [big] * 4, [1] + [small] * 4]
+            packed = [sum(x << k * kernel.row_width for k, x in enumerate(row)) for row in rows]
+            assert exact._pivots_mod_p(packed, 5, kernel.row_width) == pivots_gf_p(rows) == [0, 1]
+
+
 class TestNoExchangeBound:
     """With no exchange at vertex 1 the coefficients satisfy
     c_2 = d_2 + d_1 (c_1 - d_1), which caps the image dimension at 2n-2."""
@@ -781,9 +975,9 @@ class TestExpectedDimension:
 
 
     def test_no_exchange_bound_short_circuits(self, monkeypatch):
-        """A maximal graph with no exchange is False with no power rows;
+        """A maximal graph with no exchange is False with no kernel run;
         the trials and strong connectivity checks still come first."""
-        calls = count_calls(monkeypatch, cp, "_power_rows")
+        calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         for mode in (PRIME_MODE, RATIONAL_MODE):
             assert has_expected_dimension(NO_EXCHANGE5, mode=mode) is False
         assert calls == []

@@ -146,16 +146,22 @@ def deficient_mod_p(rng: random.Random, nr: int, nc: int, p: int) -> list[list[i
 
 
 def test_slot_width_is_least_proved():
-    """`slot_width(k)` is 122 + e for the least e with
-    k (p-1) (2^61 + 2^e - 1) < 2^(122+e), the condition its proof needs."""
+    """`slot_width(k, b)` is 122 + e for the least e with
+    k (p-1) (2^61 + 2^max(b, e) - 1) < 2^(122+e), the condition its proof
+    needs for first-row slots below 2^61 + 2^b. With b = 0 that is
+    122 + k.bit_length() for k >= 3; two terms over the unreduced slots of
+    any power of n >= 3 vertices take 124 bits."""
     p = MERSENNE61
 
-    def holds(k, e):
-        return k * (p - 1) * (2**61 + 2**e - 1) < 2 ** (122 + e)
+    def holds(k, b, e):
+        return k * (p - 1) * (2**61 + 2 ** max(b, e) - 1) < 2 ** (122 + e)
 
     for k in list(range(1, 300)) + [2**20 - 1, 2**20, 2**29]:
-        e = slot_width(k) - 122
-        assert holds(k, e) and (e == 0 or not holds(k, e - 1)), k
+        for b in (0, 1, 2, 3, 4, 7, 30, 60):
+            e = slot_width(k, b) - 122
+            assert holds(k, b, e) and (e == 0 or not holds(k, b, e - 1)), (k, b)
+        assert slot_width(k) == 122 + (k.bit_length() if k > 2 else k - 1)
+    assert [slot_width(2, slot_width(n) - 122) for n in range(2, 100)] == [123] + [124] * 97
 
 
 class TestRankModMersenne:
