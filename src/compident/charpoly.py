@@ -7,15 +7,11 @@ input-output equation when G is strongly connected. The image dimension is
 the exact rank of the Jacobian at random points; the graph "has the expected
 dimension" when that rank is m+1, the number of independent monomial cycles.
 
-One kernel, `_Powers`, builds the powers of diag(A, A_1) packed: each row
-of a power is one int of fixed-width slots, so a row of the next power is
-one big-int multiply-add per nonzero of A. Mod p = 2^61 - 1 the slots are
-`exact.slot_width(n)` bits wide and two Mersenne folds per product keep
-them from overflowing, unreduced; exact slots are sized by an entry bound
-and carry a sign bit. `_power_rows` reads the entries (A^i)[c][r] at the
-parameter positions out as lists, from which Newton's identities give the
-coefficients and the Jacobian. Three reductions give the Jacobian's rank
-at every point:
+`_power_rows` reads the entries (A^i)[c][r] of the powers of A and of A_1
+at the parameter positions out as lists, by one plain loop, sparse A times
+dense A^i, with one `% p` per entry mod p = 2^61 - 1; from them Newton's
+identities give the coefficients and the Jacobian. Three reductions give
+the Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
   is a unit lower triangular matrix times the power rows [R; S];
 - columns: the n-1 diagonal scalings lie in ker J, with block diag(tree
@@ -28,13 +24,17 @@ at every point:
   (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
   stops after at most m-1 pivots.
 
-M' is never built as lists mod p: `_VerdictKernel` gathers its rows from
-the packed powers straight into the slots of `exact._pivots_mod_p`, the
-column operation included, with no reduction, and ranks a wide M' at its
-leading square block first. Rational mode ranks M' mod p first. A minor
-that is nonzero mod p is a nonzero integer, so a rank at min(rows, cols)
-is already the rank over Q; only a shortfall reads M' over Z as lists and
-runs Bareiss on them.
+M' is never built as lists mod p. One kernel, `_VerdictKernel`, builds the
+powers of diag(A, A_1) packed mod p: each row of a power is one int of
+`exact.slot_width(n)`-bit slots, so a row of the next power is one big-int
+multiply-add per nonzero of A, and two Mersenne folds per product keep the
+slots from overflowing, unreduced. It gathers M''s rows from those packed
+powers straight into the slots of `exact._pivots_mod_p`, the column
+operation included, with no reduction, and ranks a wide M' at its leading
+square block first. Rational mode ranks M' mod p first. A minor that is
+nonzero mod p is a nonzero integer, so a rank at min(rows, cols) is
+already the rank over Q; only a shortfall reads M' over Z from
+`_power_rows` and runs Bareiss on it.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
 vertex 1 has no exchange (`_dimension_bound`). Then every product
@@ -130,109 +130,6 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
     return cs, ds
 
 
-class _Powers:
-    """The packed powers of diag(A, A_1) of one graph, and where each
-    parameter's entry sits in them: the set-up that every point shares.
-
-    Each row of a power is one int of fixed-width slots (Kronecker
-    substitution; Harvey, J. Symbolic Comput. 44, 2009): slot k holds
-    column k of its block, so row r of A * A^i is sum_k a_rk * row_k, one
-    big-int multiply-add per nonzero of A. List rows 0..n-1 are the rows of
-    A, n..2n-2 those of A_1, and one more, always 0, is what the cells
-    outside A_1 read; list row k multiplies column k % n of its block. For
-    the parameter at A[r][c], (A^i)[c][r] sits in list row c at slot r
-    (`cells`), and its A_1 entry in list row n + c - 1 at slot r - 1, or in
-    the zero row (`sub_cells`).
-    """
-
-    def __init__(self, graph: CompartmentGraph):
-        n = self.n = graph.n
-        self.nonzeros = [([], []) for _ in range(2 * n - 1)]  # per list row: list rows k, parameters
-        self.cells, self.sub_cells = [], []
-        entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
-        for param, (r, c) in enumerate(entries):
-            self.nonzeros[r][0].append(c)
-            self.nonzeros[r][1].append(param)
-            self.cells.append((c, r))
-            if r and c:
-                self.nonzeros[n + r - 1][0].append(n + c - 1)
-                self.nonzeros[n + r - 1][1].append(param)
-                self.sub_cells.append((n + c - 1, r - 1))
-            else:
-                self.sub_cells.append((2 * n - 1, 0))
-        self.width = exact.slot_width(n)  # of the powers mod p
-        mask = (1 << self.width) - 1
-        ones = ((1 << n * self.width) - 1) // mask  # 1 in each of n slots
-        self.low, self.high = ones * MERSENNE61, ones * (mask >> 61)
-
-    def packed(self, values: Sequence[int], p: int) -> tuple[int, list[list[int]]]:
-        """The slot width and the packed powers A^1 .. A^(n-1) of
-        diag(A, A_1) at `values`, each a list of 2n rows; A_1 has no power
-        n-1, so the last power's A_1 rows are the previous power's. `p` is
-        2^61 - 1 or 0, and the values are ints (TypeError otherwise).
-
-        Power 1 is A itself, packed from the values with no product. Mod p
-        every entry of A is reduced to [0, p), and a product slot sums at
-        most n products a * x of an entry and a slot: `exact.slot_width(n)`
-        proves that such slots never carry into the next and that two
-        Mersenne folds per product keep them below 2^61 + 2^e, e = width -
-        122. Slots are never reduced to [0, p).
-
-        With p = 0 nothing is reduced. An entry of A^i, i >= 1, is at most
-        w^(i-1) * B, B the largest |entry| of A and w its largest absolute
-        row sum, so a slot of the bit length of max(1, w^(n-2) * B) plus a
-        sign bit holds every entry up to i = n-1, also at the all-zero
-        point.
-        """
-        n = self.n
-        values = [index(x) % p for x in values] if p else list(map(index, values))
-        rows = [list(map(values.__getitem__, params)) for _, params in self.nonzeros]
-        if p:
-            width = self.width
-        else:
-            row_sum = max(sum(map(abs, row)) for row in rows)
-            width = max(1, row_sum ** max(n - 2, 0) * max(map(abs, values))).bit_length() + 1
-        power = [
-            sum(a << k % n * width for k, a in zip(ks, row)) for (ks, _), row in zip(self.nonzeros, rows)
-        ] + [0]
-        powers = [power] if n > 1 else []
-        for i in range(2, n):
-            block = rows[: n if i == n - 1 else None]  # A_1 needs no power n-1
-            product = [
-                sum(map(mul, row, map(power.__getitem__, ks))) for (ks, _), row in zip(self.nonzeros, block)
-            ]
-            if p:
-                low, high = self.low, self.high
-                product = [(x & low) + (x >> 61 & high) for x in product]
-                product = [(x & low) + (x >> 61 & high) for x in product]
-            power = product + power[len(product) :]
-            powers.append(power)
-        return width, powers
-
-    def rows(self, values: Sequence[int], p: int, params) -> tuple[list, list]:
-        """`_power_rows` of this graph: the powers read out at `params` as
-        lists, one `% p` per entry mod p. The exact slots carry a sign bit,
-        and a bias of 2^(width-1) in every slot makes them nonnegative for
-        read-out."""
-        n = self.n
-        width, powers = self.packed(values, p)
-        mask = (1 << width) - 1
-        half = 1 << width - 1
-        bias = ((1 << n * width) - 1) // mask * half
-        at = [(self.cells[k][0], self.cells[k][1] * width) for k in params]
-        sub_at = [(self.sub_cells[k][0], self.sub_cells[k][1] * width) for k in params]
-        rows = [[int(k < n) for k in params]]
-        sub_rows = [[int(0 < k < n) for k in params]] if n > 1 else []
-        for i, power in enumerate(powers, start=1):
-            slots = power if p else [x + bias for x in power]
-            for out, where in ((rows, at), (sub_rows, sub_at))[: 1 if i == n - 1 else 2]:
-                if p:
-                    out.append([(slots[k] >> s & mask) % p for k, s in where])
-                else:
-                    out.append([(slots[k] >> s & mask) - half for k, s in where])
-        return rows, sub_rows
-
-
 def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) -> tuple[list, list]:
     """Entries of the powers of A and of A_1 at the parameters `params`.
 
@@ -240,15 +137,34 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
     (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
     with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells.
     `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise).
-    The powers are those of diag(A, A_1), built packed by `_Powers`; these
-    lists are what the coefficients and the Jacobian read. The verdict
-    reads no lists: `_VerdictKernel` gathers M' from the packed powers.
+    Row c of A^(i+1) is sum_k a_ck * (row k of A^i), sparse A times dense
+    A^i, with one `% p` per entry mod p. These lists are what the
+    coefficients, the Jacobian and Bareiss on M' over Z read; the verdict
+    mod p reads none (`_VerdictKernel`).
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
             f"expected {parameter_count(graph)} parameter values, got {len(values)}"
         )
-    return _Powers(graph).rows(values, p, params)
+    n = graph.n
+    values = [index(x) % p for x in values] if p else list(map(index, values))
+    entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+    cells = [entries[k] for k in params]
+    out = []
+    for sub in (0, 1):  # A, then A_1 as A with row and column 1 zeroed, which reads 0 there
+        nonzeros = [([], []) for _ in range(n)]  # per row: its columns and entries, a_vv among them
+        for (r, c), x in zip(entries, values):
+            nonzeros[r][0].append(c)
+            nonzeros[r][1].append(x if min(r, c) >= sub else 0)
+        powers = [[[int(r == c >= sub) for c in range(n)] for r in range(n)]][: n - sub]  # A^0, if any
+        while len(powers) < n - sub:
+            power = [
+                [sum(map(mul, xs, column)) for column in zip(*map(powers[-1].__getitem__, ks))]
+                for ks, xs in nonzeros
+            ]
+            powers.append([[x % p for x in row] for row in power] if p else power)
+        out.append([[P[c][r] for r, c in cells] for P in powers])
+    return out[0], out[1]
 
 
 def newton_coefficients(power_sums: Sequence[int], p: int = 0) -> list[int]:
@@ -267,7 +183,7 @@ def newton_coefficients(power_sums: Sequence[int], p: int = 0) -> list[int]:
 
 def _coefficients(graph: CompartmentGraph, values: Sequence[int], p: int):
     """(power rows, coefficients) of A and of A_1 at every parameter. tr(A^i)
-    sums row i over the diagonal slots; the top one, tr(A^size), is
+    sums row i over the diagonal cells; the top one, tr(A^size), is
     sum a_rc * (A^(size-1))[c][r], one dot product with the last row."""
     out = []
     for rows in _power_rows(graph, values, p, range(parameter_count(graph))):
@@ -339,11 +255,20 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
-class _VerdictKernel(_Powers):
+class _VerdictKernel:
     """M' of one graph at the verdict columns of one spanning tree, ranked
     mod p by one kernel from the packed powers of diag(A, A_1) to the
     pivot columns. `_sampled_dimension` builds it once, and every trial
     and the rational fallback share its set-up.
+
+    Each row of a power is one int of fixed-width slots (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009): slot k holds
+    column k of its block, so row r of A * A^i is sum_k a_rk * row_k, one
+    big-int multiply-add per nonzero of A. List rows 0..n-1 are the rows of
+    A, n..2n-2 those of A_1, and one more, always 0, is what the cells
+    outside A_1 read; list row k multiplies column k % n of its block. For
+    the parameter at A[r][c], (A^i)[c][r] sits in list row c at slot r, and
+    its A_1 entry in list row n + c - 1 at slot r - 1, or in the zero row.
 
     M' is `_reduced_verdict_rows` of the power rows at `_verdict_params`,
     less row 1 of A_1 when it twins row 1 of A (`_dimension_bound`): its
@@ -366,25 +291,63 @@ class _VerdictKernel(_Powers):
     """
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
-        super().__init__(graph)
-        n = self.n
-        self.params = _verdict_params(graph, tree)
+        n = self.n = graph.n
+        self.graph, self.params = graph, _verdict_params(graph, tree)
         self.twin = _dimension_bound(graph) < 2 * n - 1
         self.nrows = max(2 * n - 3 - self.twin, 0)
         self.ncols = max(len(self.params) - 2, 0)
+        self.nonzeros = [([], []) for _ in range(2 * n - 1)]  # per list row: list rows k, parameters
+        entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+        for param, (r, c) in enumerate(entries):
+            for row, k in ((r, c), (n + r - 1, n + c - 1))[: 2 if r and c else 1]:  # A, and A_1
+                self.nonzeros[row][0].append(k)
+                self.nonzeros[row][1].append(param)
+        self.width = exact.slot_width(n)  # of the powers
+        mask = (1 << self.width) - 1
+        ones = ((1 << n * self.width) - 1) // mask  # 1 in each of n slots
+        self.low, self.high = ones * MERSENNE61, ones * (mask >> 61)
         self.row_width = exact.slot_width(2, self.width - 122)
         mask = (1 << self.row_width) - 1
         # per part, a22 and then each column: (power row, shift in it, shift in the row of M')
-        self.at, self.sub_at = (
-            [
-                (cells[k][0], cells[k][1] * self.width, (j - 1) * self.row_width)
-                for j, k in enumerate(self.params[1:])
-            ]
-            for cells in (self.cells, self.sub_cells)
-        )
+        cells = [entries[k] for k in self.params[1:]]
+        self.at = [(c, r * self.width, (j - 1) * self.row_width) for j, (r, c) in enumerate(cells)]
+        self.sub_at = [
+            (n + c - 1, (r - 1) * self.width, t) if r and c else (2 * n - 1, 0, t)
+            for (r, c), (_, _, t) in zip(cells, self.at)
+        ]
         ones = ((1 << self.ncols * self.row_width) - 1) // mask  # 1 in each column's slot
         self.fold = ones * MERSENNE61, ones * (mask >> 61)
         self.diagonal = ((1 << max(n - 2, 0) * self.row_width) - 1) // mask  # 1 at each a_vv - a22
+
+    def packed(self, values: Sequence[int]) -> list[list[int]]:
+        """The packed powers A^1 .. A^(n-1) of diag(A, A_1) mod p at
+        `values`, each a list of 2n rows; A_1 has no power n-1, so the last
+        power's A_1 rows are the previous power's.
+
+        Power 1 is A itself, packed from the values with no product. Every
+        entry of A is reduced to [0, p), and a product slot sums at most n
+        products a * x of an entry and a slot: `exact.slot_width(n)` proves
+        that such slots never carry into the next and that two Mersenne
+        folds per product keep them below 2^61 + 2^e, e = width - 122.
+        Slots are never reduced to [0, p).
+        """
+        n, width, low, high = self.n, self.width, self.low, self.high
+        values = [x % MERSENNE61 for x in values]
+        rows = [list(map(values.__getitem__, params)) for _, params in self.nonzeros]
+        power = [
+            sum(a << k % n * width for k, a in zip(ks, row)) for (ks, _), row in zip(self.nonzeros, rows)
+        ] + [0]
+        powers = [power] if n > 1 else []
+        for i in range(2, n):
+            block = rows[: n if i == n - 1 else None]  # A_1 needs no power n-1
+            product = [
+                sum(map(mul, row, map(power.__getitem__, ks))) for (ks, _), row in zip(self.nonzeros, block)
+            ]
+            product = [(x & low) + (x >> 61 & high) for x in product]
+            product = [(x & low) + (x >> 61 & high) for x in product]
+            power = product + power[len(product) :]
+            powers.append(power)
+        return powers
 
     def pivots(self, values: Sequence[int]) -> list[int]:
         """The pivot columns of M' mod p at `values`: its first independent
@@ -392,7 +355,7 @@ class _VerdictKernel(_Powers):
         lead = min(self.nrows, self.ncols)
         if not lead:
             return []
-        _, powers = self.packed(values, MERSENNE61)
+        powers = self.packed(values)
         pivots = exact._pivots_mod_p(self._gather(powers, lead), lead, self.row_width)
         if len(pivots) < lead < self.ncols:
             pivots = exact._pivots_mod_p(self._gather(powers, self.ncols), self.ncols, self.row_width)
@@ -414,8 +377,8 @@ class _VerdictKernel(_Powers):
 
     def exact_rows(self, values: Sequence[int]) -> list[list[int]]:
         """M' over Z at `values`, as lists for Bareiss: the same columns,
-        read from the exact powers."""
-        reduced = _reduced_verdict_rows(self.n, *self.rows(values, 0, self.params))
+        read from `_power_rows`."""
+        reduced = _reduced_verdict_rows(self.n, *_power_rows(self.graph, values, 0, self.params))
         if self.twin:
             del reduced[self.n - 1]  # row 1 of A_1, the twin of row 1 of A
         return reduced

@@ -4,7 +4,7 @@
 one fraction-free (Bareiss) loop over Z, `_bareiss`, gives the integer
 rank, the determinant and the choice and inversion of a unimodular column
 block. `slot_width` proves the slot bound of packed rows, reduced or not,
-here and in `charpoly`'s powers.
+here and in the packed powers of `charpoly._VerdictKernel`.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -65,10 +65,10 @@ def slot_width(terms: int, excess: int = 0) -> int:
     2^61 - 1 + 2^e: every slot is below 2^61 + 2^c again.
 
     With entries in [0, p), excess = 0 and e is 0 for one term, 1 for two
-    (`rank_mod_p`) and k.bit_length() for k >= 3 (`charpoly`'s powers,
-    k = n). Their slots are then below 2^61 + 2^e, and the verdict rows
-    gathered from them unreduced are ranked at slot_width(2, e), which is
-    124 bits for every n >= 3.
+    (`rank_mod_p`) and k.bit_length() for k >= 3 (the packed powers mod p
+    of `charpoly._VerdictKernel`, k = n). Their slots are then below
+    2^61 + 2^e, and the verdict rows gathered from them unreduced are
+    ranked at slot_width(2, e), which is 124 bits for every n >= 3.
     """
     p = MERSENNE61
     e = 0

@@ -397,17 +397,17 @@ class TestRationalVerdicts:
 
     @staticmethod
     def exact_builds(monkeypatch) -> list:
-        """Patch `_Powers.packed` to record the vertex count of each call
+        """Patch `_power_rows` to record the vertex count of each call
         made with p = 0."""
         calls = []
-        real = cp._Powers.packed
+        real = cp._power_rows
 
-        def recording(self, values, p):
+        def recording(graph, values, p, params):
             if not p:
-                calls.append(self.n)
-            return real(self, values, p)
+                calls.append(graph.n)
+            return real(graph, values, p, params)
 
-        monkeypatch.setattr(cp._Powers, "packed", recording)
+        monkeypatch.setattr(cp, "_power_rows", recording)
         return calls
 
     def test_expected_classes_build_no_exact_rows(self, monkeypatch):
@@ -515,6 +515,28 @@ def reference_power_rows(graph, values, p: int, params) -> tuple[list, list]:
     return out[0], out[1]
 
 
+def packed_power_rows(graph, values, params) -> tuple[list, list]:
+    """`_power_rows` mod p read from `_VerdictKernel.packed`: for the
+    parameter at A[r][c], row i of the A part holds slot r of list row c of
+    power i, and row i of the A_1 part slot r - 1 of list row n + c - 1 (0
+    outside A_1), each then reduced mod p. Row 0 is the identity's."""
+    n, p = graph.n, MERSENNE61
+    kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
+    width = kernel.width
+    mask = (1 << width) - 1
+    entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+    cells = [entries[k] for k in params]
+    rows = [[int(r == c) for r, c in cells]]
+    sub_rows = [[int(r == c > 0) for r, c in cells]] if n > 1 else []
+    for i, power in enumerate(kernel.packed(values), start=1):
+        rows.append([(power[c] >> r * width & mask) % p for r, c in cells])
+        if i < n - 1:
+            sub_rows.append(
+                [(power[n + c - 1] >> (r - 1) * width & mask) % p if r and c else 0 for r, c in cells]
+            )
+    return rows, sub_rows
+
+
 def reference_coefficients(graph, values) -> tuple[list, list]:
     """(c_1..c_n, d_1..d_(n-1)) by Newton's identities on the traces of the
     dense powers, in exact arithmetic."""
@@ -535,8 +557,9 @@ def complete_digraph(n: int) -> CompartmentGraph:
 
 
 class TestPowerRows:
-    """`_power_rows` packs each row of a power into one int of fixed-width
-    slots; the rows it reads equal whole dense powers in both modes."""
+    """The rows of `_power_rows`, a plain list loop, equal whole dense
+    powers in both modes, and so do the packed powers of
+    `_VerdictKernel.packed`, read out slot by slot mod p."""
 
     @staticmethod
     def graphs():
@@ -557,6 +580,10 @@ class TestPowerRows:
                     assert cp._power_rows(g, point, p, params) == reference_power_rows(
                         g, point, p, params
                     ), (g, p)
+            for params in subsets:
+                assert packed_power_rows(g, point, params) == reference_power_rows(
+                    g, point, MERSENNE61, params
+                ), g
 
     def test_fraction_values(self):
         """Power rows take ints only: a Fraction point raises TypeError in
@@ -577,28 +604,30 @@ class TestPowerRows:
 
     @staticmethod
     def check(graph, values, moduli) -> None:
+        """The list rows in each of `moduli`, and mod p the packed ones too,
+        equal the dense powers."""
         everything = list(range(graph.n + graph.m))
         for p in moduli:
-            assert cp._power_rows(graph, values, p, everything) == reference_power_rows(
-                graph, values, p, everything
-            ), (graph, p)
+            reference = reference_power_rows(graph, values, p, everything)
+            assert cp._power_rows(graph, values, p, everything) == reference, (graph, p)
+            if p:
+                assert packed_power_rows(graph, values, everything) == reference, graph
 
     def test_maximal_carries(self):
-        """Every value p - 1 fills the slots to their bounds. Mod p, the
+        """Every value p - 1 fills the packed slots to their bounds: the
         second power of a complete digraph has product slots n (p-1)^2,
         which need all 122 + n.bit_length() bits when n is 3 or 7, and a
-        later product overflows unless both folds ran. With p = 0 the
-        largest entry of A^(n-1), n^(n-2) (p-1)^(n-1), is the slot bound
-        w^(n-2) * B itself. So a slot one bit narrower, or a fold left out,
-        changes these rows."""
+        later product overflows unless both folds ran. So a slot one bit
+        narrower, or a fold left out, changes the packed rows. With p = 0
+        the list rows hold A^(n-1)'s largest entry, n^(n-2) (p-1)^(n-1)."""
         graphs = [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20), bidirected_path(40)]
         for g in graphs:
             self.check(g, [MERSENNE61 - 1] * (g.n + g.m), (MERSENNE61, 0))
 
     def test_negative_and_fraction_values(self):
-        """The sign bit and the bias at p = 0: all entries negative, mixed
-        signs, and Fractions with large numerators over distinct
-        denominators, cleared to ints far wider than 61 bits."""
+        """Exact rows at p = 0 with entries of both signs: all entries
+        negative, mixed signs, and Fractions with large numerators over
+        distinct denominators, cleared to ints far wider than 61 bits."""
         rng = random.Random(84)
         for g in [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20)]:
             count = g.n + g.m
@@ -615,8 +644,8 @@ class TestPowerRows:
                 self.check(single, values, (p,))
 
     def test_all_zero_point(self):
-        """At A = 0 the powers are I, 0, 0, .., so the exact slots must hold
-        the identity's 1 although every entry of A is 0. The Jacobian there
+        """At A = 0 the powers are I, 0, 0, .., so row 0 holds the
+        identity's 1 although every entry of A is 0. The Jacobian there
         is the gradient of c_1 = -tr(A) and d_1 = -tr(A_1) alone: c_k and
         d_k are homogeneous of degree k, so their gradients vanish for
         k >= 2."""
@@ -849,7 +878,7 @@ class TestVerdictKernel:
             e = kernel.width - 122
             assert kernel.row_width == exact.slot_width(2, e) == 124
             for value in (1, p - 2, p - 1):
-                _, powers = kernel.packed([value] * (g.n + g.m), p)
+                powers = kernel.packed([value] * (g.n + g.m))
                 for row in kernel._gather(powers, kernel.ncols):
                     width = kernel.row_width
                     slots = [row >> k * width & (1 << width) - 1 for k in range(kernel.ncols)]

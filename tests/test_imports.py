@@ -142,3 +142,17 @@ def test_every_library_function_has_a_caller():
         if node.name not in used
     ]
     assert unused == []
+
+
+def test_list_powers_stand_apart_from_the_verdict_kernel():
+    """The list loop that the coefficients, the Jacobian and the tests'
+    list-built M' read is the oracle of the packed verdict kernel, so it
+    must not be computed by that kernel, its slot widths, its elimination
+    or any other class of the module."""
+    tree = parsed("charpoly.py")
+    functions = {"_power_rows", "_coefficients", "newton_coefficients"}
+    nodes = [n for n in definitions(tree) if n.name in functions]
+    assert {n.name for n in nodes} == functions
+    kernel = {"_VerdictKernel", "packed", "slot_width", "_pivots_mod_p"}
+    kernel |= {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert [(n.name, sorted(referenced(n) & kernel)) for n in nodes if referenced(n) & kernel] == []
