@@ -28,13 +28,13 @@ M' is never built as lists mod p. One kernel, `_VerdictKernel`, builds the
 powers of diag(A, A_1) packed mod p: each row of a power is one int of
 `exact.slot_width(n)`-bit slots, so a row of the next power is one big-int
 multiply-add per nonzero of A, and two Mersenne folds per product keep the
-slots from overflowing, unreduced. It gathers M''s rows from those packed
-powers straight into the slots of `exact._pivots_mod_p`, the column
-operation included, with no reduction, and ranks a wide M' at its leading
-square block first. Rational mode ranks M' mod p first. A minor that is
-nonzero mod p is a nonzero integer, so a rank at min(rows, cols) is
-already the rank over Q; only a shortfall reads M' over Z from
-`_power_rows` and runs Bareiss on it.
+slots from overflowing, unreduced. It gathers M''s columns from those
+packed powers, one at a time, straight into slots of the same width, the
+column operation included, with no reduction, and `exact._pivots_mod_p`
+ranks them in one pass that stops at the last pivot. Rational mode ranks
+M' mod p first. A minor that is nonzero mod p is a nonzero integer, so a
+rank at min(rows, cols) is already the rank over Q; only a shortfall reads
+M' over Z from `_power_rows` and runs Bareiss on it.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
 vertex 1 has no exchange (`_dimension_bound`). Then every product
@@ -242,8 +242,8 @@ def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
     row at a22, which clears column a22. What is left is rows 1.. of both
     parts on the columns a_vv - a22 (v >= 3) and the non-tree edges: a
     (2n-3) x (m-1) matrix, empty when n = 1. `_VerdictKernel` applies the
-    same column operation while it gathers M' packed; these lists are M'
-    over Z for Bareiss.
+    same column operation while it gathers M''s columns packed; these lists
+    are M' over Z for Bareiss.
     """
     return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
 
@@ -272,22 +272,19 @@ class _VerdictKernel:
 
     M' is `_reduced_verdict_rows` of the power rows at `_verdict_params`,
     less row 1 of A_1 when it twins row 1 of A (`_dimension_bound`): its
-    columns are a_vv - a22 for v >= 3, then the non-tree edges. Its rows
-    are gathered straight from the powers A^1 .. A^(n-1) into packed rows:
-    each column's cell is shifted out of its power row into the column's
-    slot, unreduced, and the column operation adds 2p - x, x the cell of
-    a22, to every diagonal slot, followed by one fold. Every slot of a
-    gathered row is then below 2^61 + 2^e, e = slot_width(n) - 122: the
-    cells are, and a diagonal slot is below 2^61 + 2^e + 2p < 2^63 before
-    the fold and at most 2^61 + 2 after it, where e >= 2 since diagonal
-    columns need n >= 3. So the rows are eliminated at
-    `exact.slot_width(2, e)` bits.
-
-    A wide M', with more columns than rows, is gathered and eliminated at
-    its leading min(rows, cols) columns first. A rank at the row count is
-    the rank of M', as no rank exceeds it, and the pivots are M''s first
-    independent columns, since a nonzero minor of the leading block is one
-    of M'. Only a shortfall gathers every column, from the same powers.
+    columns are a_vv - a22 for v >= 3, then the non-tree edges. Its
+    columns are gathered one at a time, straight from the powers A^1 ..
+    A^(n-1): each row's cell is shifted out of its power row into the
+    row's slot, unreduced, and the column operation adds the column
+    2p - x, x the cells of a22, to each diagonal column, followed by one
+    fold. Every slot of a gathered column is then below 2^61 + 2^e,
+    e = slot_width(n) - 122: the cells are, and a diagonal slot is below
+    2^61 + 2^e + 2p < 2^63 before the fold and at most 2^61 + 2 after it,
+    where e >= 2 since diagonal columns need n >= 3. So the columns are
+    eliminated at the powers' width, which bounds two products per slot
+    (`exact.slot_width`). `exact._pivots_mod_p` reads them in one pass and
+    stops at the last pivot: a wide M' of full row rank is read only up to
+    its last pivot column, and each column once.
     """
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
@@ -302,22 +299,15 @@ class _VerdictKernel:
             for row, k in ((r, c), (n + r - 1, n + c - 1))[: 2 if r and c else 1]:  # A, and A_1
                 self.nonzeros[row][0].append(k)
                 self.nonzeros[row][1].append(param)
-        self.width = exact.slot_width(n)  # of the powers
+        self.width = exact.slot_width(n)  # of the powers and of the columns of M'
         mask = (1 << self.width) - 1
-        ones = ((1 << n * self.width) - 1) // mask  # 1 in each of n slots
+        ones = ((1 << max(n, self.nrows) * self.width) - 1) // mask  # 1 in each slot of a power or column
         self.low, self.high = ones * MERSENNE61, ones * (mask >> 61)
-        self.row_width = exact.slot_width(2, self.width - 122)
-        mask = (1 << self.row_width) - 1
-        # per part, a22 and then each column: (power row, shift in it, shift in the row of M')
-        cells = [entries[k] for k in self.params[1:]]
-        self.at = [(c, r * self.width, (j - 1) * self.row_width) for j, (r, c) in enumerate(cells)]
-        self.sub_at = [
-            (n + c - 1, (r - 1) * self.width, t) if r and c else (2 * n - 1, 0, t)
-            for (r, c), (_, _, t) in zip(cells, self.at)
+        # per column, a22's first: the list row and shift of its cell in A and in A_1
+        self.cells = [
+            ((c, r * self.width), (n + c - 1, (r - 1) * self.width) if r and c else (2 * n - 1, 0))
+            for r, c in map(entries.__getitem__, self.params[1:])
         ]
-        ones = ((1 << self.ncols * self.row_width) - 1) // mask  # 1 in each column's slot
-        self.fold = ones * MERSENNE61, ones * (mask >> 61)
-        self.diagonal = ((1 << max(n - 2, 0) * self.row_width) - 1) // mask  # 1 at each a_vv - a22
 
     def packed(self, values: Sequence[int]) -> list[list[int]]:
         """The packed powers A^1 .. A^(n-1) of diag(A, A_1) mod p at
@@ -352,28 +342,35 @@ class _VerdictKernel:
     def pivots(self, values: Sequence[int]) -> list[int]:
         """The pivot columns of M' mod p at `values`: its first independent
         columns mod p, whose number is its rank."""
-        lead = min(self.nrows, self.ncols)
-        if not lead:
+        if not self.ncols:
             return []
-        powers = self.packed(values)
-        pivots = exact._pivots_mod_p(self._gather(powers, lead), lead, self.row_width)
-        if len(pivots) < lead < self.ncols:
-            pivots = exact._pivots_mod_p(self._gather(powers, self.ncols), self.ncols, self.row_width)
-        return pivots
+        return exact._pivots_mod_p(self._columns(self.packed(values)), self.nrows, self.width)
 
-    def _gather(self, powers: list[list[int]], cols: int) -> list[int]:
-        """The rows of M' at its leading `cols` columns, packed."""
-        mask = (1 << self.width) - 1
-        low, high = self.fold
-        rows = []
-        for i, power in enumerate(powers, start=1):
-            for at in (self.at, self.sub_at)[: 1 if i == self.n - 1 or (i == 1 and self.twin) else 2]:
-                k, s, _ = at[0]
-                row = (2 * MERSENNE61 - (power[k] >> s & mask)) * self.diagonal  # the column operation
-                for k, s, t in at[1 : cols + 1]:
-                    row += (power[k] >> s & mask) << t
-                rows.append((row & low) + (row >> 61 & high))
-        return rows
+    def _columns(self, powers: list[list[int]]):
+        """The columns of M', packed, one at a time: slot t of a column holds
+        row t of M', the A rows (powers 1..n-1) first, then the A_1 rows
+        (powers 1+twin..n-2)."""
+        n, width, low, high = self.n, self.width, self.low, self.high
+        mask = (1 << width) - 1
+        rows = list(zip(*powers))  # per list row, that row of each power
+
+        def column(at):
+            (k, s), (sub_k, sub_s) = at
+            x = 0
+            for y in reversed(rows[sub_k][self.twin : n - 2]):
+                x = x << width | y >> sub_s & mask
+            for y in reversed(rows[k]):
+                x = x << width | y >> s & mask
+            return x
+
+        # 2p - x in each slot, x the cell of a22: 2p exceeds every cell, so nothing borrows
+        operation = ((1 << self.nrows * width) - 1) // mask * 2 * MERSENNE61 - column(self.cells[0])
+        for j, at in enumerate(self.cells[1:]):
+            x = column(at)
+            if j < n - 2:  # a_vv - a22
+                x += operation
+                x = (x & low) + (x >> 61 & high)
+            yield x
 
     def exact_rows(self, values: Sequence[int]) -> list[list[int]]:
         """M' over Z at `values`, as lists for Bareiss: the same columns,
@@ -461,11 +458,12 @@ def image_dimension(
     point has. Exact row and column operations on M's two identity rows
     give rank(M) = 2 + rank(M') (1 when n = 1), so only the
     (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked, by
-    `_VerdictKernel`, which gathers it packed from the powers. The
-    columns, and so the tree and the kernel's set-up, are picked once per
-    call. In rational mode M' is ranked mod p first, and a rank at
-    min(rows, cols) is the rank over Q (as in `exact.rank`); only a point
-    that falls short reads M' over Z and ranks it by Bareiss.
+    `_VerdictKernel`, which gathers its columns packed from the powers, in
+    one pass up to the last pivot. The columns, and so the tree and the
+    kernel's set-up, are picked once per call. In rational mode M' is
+    ranked mod p first, and a rank at min(rows, cols) is the rank over Q
+    (as in `exact.rank`); only a point that falls short reads M' over Z
+    and ranks it by Bareiss.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(

@@ -96,7 +96,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_reparam(args) -> int:
     graph = _read_graph(args.graph)
-    tree_edges = _parse_tree_flag(args.tree, graph) if args.tree else None
+    tree_edges = _parse_tree_flag(args.tree, graph) if args.tree is not None else None
     try:
         result = reparametrize(
             graph,

@@ -1,9 +1,10 @@
 """Exact arithmetic kernels on plain ints. One packed loop mod p =
-2^61 - 1, `_pivots_mod_p`, gives the rank mod p, of a list matrix
-(`rank_mod_p`) and of the verdict matrix that `charpoly` gathers packed;
-one fraction-free (Bareiss) loop over Z, `_bareiss`, gives the integer
-rank, the determinant and the choice and inversion of a unimodular column
-block. `slot_width` proves the slot bound of packed rows, reduced or not,
+2^61 - 1, `_pivots_mod_p`, gives the rank mod p and the pivot columns in
+one pass over packed columns, of a list matrix (`rank_mod_p`) and of the
+verdict matrix whose columns `charpoly` gathers packed; one fraction-free
+(Bareiss) loop over Z, `_bareiss`, gives the integer rank, the
+determinant and the choice and inversion of a unimodular column block.
+`slot_width` proves the slot bound of packed vectors, reduced or not,
 here and in the packed powers of `charpoly._VerdictKernel`.
 
 No floating point is used anywhere; ranks and inverses are exact. An
@@ -23,7 +24,7 @@ short of that ceiling goes through Bareiss elimination over Z.
 from __future__ import annotations
 
 from operator import index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InconsistentSystem, NotSquare, NotUnimodular
 
@@ -44,92 +45,91 @@ def modulus(mode: str) -> int:
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
 
 
-def slot_width(terms: int, excess: int = 0) -> int:
-    """Bits per slot of a row packed mod p = 2^61 - 1, when a slot of the
-    next row is a sum of `terms` products a * x, a in [0, p) and x a slot,
-    and every slot of the first row is below 2^61 + 2^`excess`.
+def slot_width(terms: int) -> int:
+    """Bits per slot of a vector packed mod p = 2^61 - 1, when a slot of
+    the next vector is a sum of `terms` products a * x, a in [0, p) and x a
+    slot below 2^61 + 2^e, e = slot_width(terms) - 122.
 
-    A packed row is one int whose slot k, `width` bits wide, holds entry k
-    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009). Since
+    A packed vector is one int whose slot k, `width` bits wide, holds entry
+    k (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009). Since
     2^61 = 1 mod p, a fold (x & LO) + (x >> 61 & HI), with LO and HI the low
     61 and the high width - 61 bits of every slot, keeps each slot's
     residue, so slots need not be reduced to [0, p).
 
     The width is 122 + e for the least e >= 0 with
-    k (p-1) (2^61 + 2^c - 1) < 2^(122+e), k = `terms` and c = max(excess,
-    e); the left side over the right falls as e grows, so the loop below
-    stops at the least. Suppose every slot is below 2^61 + 2^c, as the first row's
-    are. A sum x of k products is then below 2^width, so no slot carries
-    into the next. A first fold leaves y = (x mod 2^61) + (x >> 61) <
-    2^61 + 2^(61+e), so y >> 61 <= 2^e, and a second fold leaves at most
-    2^61 - 1 + 2^e: every slot is below 2^61 + 2^c again.
+    k (p-1) (2^61 + 2^e - 1) < 2^(122+e), k = `terms`; the left side over
+    the right falls as e grows, so the loop below stops at the least. A sum
+    x of k products of slots below 2^61 + 2^e is then below 2^width, so no
+    slot carries into the next. A first fold leaves y = (x mod 2^61) +
+    (x >> 61) < 2^61 + 2^(61+e), so y >> 61 <= 2^e, and a second fold
+    leaves at most 2^61 - 1 + 2^e: every slot is below 2^61 + 2^e again.
 
-    With entries in [0, p), excess = 0 and e is 0 for one term, 1 for two
-    (`rank_mod_p`) and k.bit_length() for k >= 3 (the packed powers mod p
-    of `charpoly._VerdictKernel`, k = n). Their slots are then below
-    2^61 + 2^e, and the verdict rows gathered from them unreduced are
-    ranked at slot_width(2, e), which is 124 bits for every n >= 3.
+    e is 0 for one term, 1 for two and k.bit_length() for k >= 3. Two
+    products per slot, as in `_pivots_mod_p`, are within the bound of any
+    k >= 2: `rank_mod_p` packs at slot_width(2) = 123 bits, and the packed
+    powers of `charpoly._VerdictKernel` and the columns of M' gathered from
+    them share slot_width(n) bits, 124 or more from n = 3.
     """
     p = MERSENNE61
     e = 0
-    while terms * (p - 1) * ((1 << 61) + (1 << max(excess, e)) - 1) >= 1 << 122 + e:
+    while terms * (p - 1) * ((1 << 61) + (1 << e) - 1) >= 1 << 122 + e:
         e += 1
     return 122 + e
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(p), p = 2^61 - 1: a copy of the rows is packed, each
-    entry reduced to [0, p) in a `slot_width(2)`-bit slot, and ranked by
-    `_pivots_mod_p` (the input is not changed)."""
+    """Rank over GF(p), p = 2^61 - 1: each column of a copy of the rows is
+    packed, each entry reduced to [0, p) in a `slot_width(2)`-bit slot, and
+    ranked by `_pivots_mod_p` (the input is not changed). A ragged matrix
+    raises ValueError."""
     p = MERSENNE61
     width = slot_width(2)
-    packed = []
-    for row in rows:
-        packed_row = 0
-        for x in reversed(row):
-            packed_row = packed_row << width | index(x) % p
-        packed.append(packed_row)
-    return len(_pivots_mod_p(packed, len(rows[0]) if rows else 0, width))
+    columns = [sum(index(x) % p << r * width for r, x in enumerate(col)) for col in zip(*rows, strict=True)]
+    return len(_pivots_mod_p(columns, len(rows), width))
 
 
-def _pivots_mod_p(packed: list[int], ncols: int, width: int) -> list[int]:
+def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
     """The pivot columns of Gaussian elimination mod p = 2^61 - 1 on packed
-    rows, eliminated in place: the matrix's first independent columns mod p.
+    columns: the matrix's first independent columns mod p.
 
-    Row r is one int whose `width`-bit slot k holds entry (r, k) mod p;
-    `width` is `slot_width(2, b)` for slots below 2^61 + 2^b, which need
-    not be reduced. Eliminating a row by the pivot row at column `col` is
-    one big-int expression, pv * row + (p - f) * prow, pv the pivot and f
-    the row's entry at col: two products per slot, folded twice as
-    `slot_width` proves. Only the slot at col is reduced to [0, p), to find
-    the pivot and each row's f; rows with f = 0 are left alone. No division
-    is needed: pv is a unit mod p, so scaling a row by it keeps the rank. A
-    column with no pivot left is skipped.
+    Column j is one int whose `width`-bit slot r holds entry (r, j) mod p,
+    below 2^61 + 2^e, e = width - 122, and not necessarily reduced
+    (`slot_width`). The columns are read one at a time, and each is
+    reduced by an echelon basis of the columns accepted so far, one basis
+    vector at a time, in insertion order: by the vector with pivot slot s
+    and pivot pv, x becomes pv * x + (p - f) * b, f the slot of x at s, two
+    products per slot folded twice. No division is needed: pv is a unit
+    mod p, so scaling x by it keeps the span. Each update clears x at its
+    pivot slot and keeps it clear at the earlier ones, since every basis
+    vector is clear at the pivot slots before its own. The reduced x is
+    accepted when it is nonzero mod p at a free slot, which becomes its
+    pivot slot, and is 0 mod p otherwise. Only the slots read are reduced
+    to [0, p). The pass stops at `nrows` pivots, so no column after the
+    last pivot is read.
     """
     p = MERSENNE61
     mask = (1 << width) - 1
-    ones = ((1 << ncols * width) - 1) // mask  # 1 in each of ncols slots
+    ones = ((1 << nrows * width) - 1) // mask  # 1 in each of nrows slots
     low, high = ones * p, ones * (mask >> 61)
+    free = list(range(0, nrows * width, width))  # shifts of the slots with no pivot
+    basis: list[tuple[int, int, int]] = []  # (pivot slot's shift, pivot, column)
     pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(packed):
-            break
-        shift = col * width
-        factors = [(row >> shift & mask) % p for row in packed[rank:]]
-        k = next((k for k, f in enumerate(factors) if f), None)
-        if k is None:
-            continue
-        if k:
-            packed[rank], packed[rank + k] = packed[rank + k], packed[rank]
-            factors[0], factors[k] = factors[k], factors[0]
-        prow, pv = packed[rank], factors[0]
-        for r, f in enumerate(factors[1:], start=rank + 1):
+    for j, x in enumerate(columns):
+        for s, pv, b in basis:
+            f = (x >> s & mask) % p
             if f:
-                x = pv * packed[r] + (p - f) * prow
+                x = pv * x + (p - f) * b
                 x = (x & low) + (x >> 61 & high)
-                packed[r] = (x & low) + (x >> 61 & high)
-        pivots.append(col)
+                x = (x & low) + (x >> 61 & high)
+        for s in free:
+            pv = (x >> s & mask) % p
+            if pv:
+                free.remove(s)
+                basis.append((s, pv, x))
+                pivots.append(j)
+                break
+        if len(pivots) == nrows:
+            break
     return pivots
 
 

@@ -756,8 +756,9 @@ def over_full_graphs(count: int, seed: int) -> list:
 
 
 class TestVerdictKernel:
-    """`_VerdictKernel` gathers M' packed from the powers, leading columns
-    first, and its pivots are those of the list-built M'."""
+    """`_VerdictKernel` gathers M' packed from the powers, column by column
+    in one pass that stops at the last pivot, and its pivots are those of
+    the list-built M'."""
 
     SMALL = (1, 2, MERSENNE61 - 1, MERSENNE61 - 2)
 
@@ -771,15 +772,31 @@ class TestVerdictKernel:
         ]
 
     @staticmethod
-    def check(graph, point) -> tuple[int, int]:
+    def check(graph, point) -> list[int]:
         """The kernel's rank equals `rank_mod_p` of the list-built M';
-        returns (rank, min(rows, cols))."""
+        returns the kernel's pivots."""
         kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
         reduced = list_built_reduced(graph, point)
         assert (kernel.nrows, kernel.ncols) == (len(reduced), len(reduced[0]) if reduced else 0)
-        rank = len(kernel.pivots(point))
-        assert rank == exact.rank_mod_p(reduced), (graph, point)
-        return rank, min(kernel.nrows, kernel.ncols)
+        pivots = kernel.pivots(point)
+        assert len(pivots) == exact.rank_mod_p(reduced), (graph, point)
+        return pivots
+
+    @staticmethod
+    def record_columns(monkeypatch) -> list:
+        """Patch `_VerdictKernel._columns` to append, per call, the number
+        of columns read from it."""
+        reads = []
+        real = cp._VerdictKernel._columns
+
+        def recording(self, powers):
+            reads.append(0)
+            for column in real(self, powers):
+                reads[-1] += 1
+                yield column
+
+        monkeypatch.setattr(cp._VerdictKernel, "_columns", recording)
+        return reads
 
     def test_census_classes(self):
         rng = random.Random(101)
@@ -792,29 +809,26 @@ class TestVerdictKernel:
         assert count == 2 * (55 + 281 + 1158)
 
     def test_over_full_graphs(self, monkeypatch):
-        """Wide M': the leading square block decides most points, and the
-        whole of M' is gathered only where it falls short."""
-        gathers = []
-        real = cp._VerdictKernel._gather
-
-        def recording(self, powers, cols):
-            gathers.append(cols)
-            return real(self, powers, cols)
-
-        monkeypatch.setattr(cp._VerdictKernel, "_gather", recording)
+        """Wide M': one pass per `pivots` call reads each column once, up
+        to the last pivot, or all of them when the rank falls short; the
+        sample holds points whose first min(rows, cols) columns are
+        dependent, and ranks below the row count."""
+        reads = self.record_columns(monkeypatch)
         rng = random.Random(102)
         sample = over_full_graphs(1000, seed=103)
         assert {g.n for g in sample} == set(range(3, 9))
-        short = 0
+        past_square = short = 0
         for g in sample:
+            kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+            assert kernel.nrows < kernel.ncols
             for point in self.points(g, rng):
-                gathers.clear()
-                rank, full = self.check(g, point)
-                kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-                assert kernel.nrows < kernel.ncols
-                assert gathers == [kernel.nrows] + [kernel.ncols] * (len(gathers) > 1)
-                short += len(gathers) > 1
-        assert short > 20, short
+                reads.clear()
+                pivots = self.check(g, point)
+                full = len(pivots) == kernel.nrows
+                assert reads == [pivots[-1] + 1 if full else kernel.ncols]
+                past_square += reads[0] > kernel.nrows
+                short += not full
+        assert past_square > 20 and short > 0, (past_square, short)
 
     def test_pivots_are_the_first_independent_columns(self):
         rng = random.Random(104)
@@ -840,53 +854,57 @@ class TestVerdictKernel:
 
     @pytest.mark.parametrize("case", [LEADING_SHORT, BOTH_SHORT], ids=["leading-short", "both-short"])
     def test_pinned_shortfalls(self, monkeypatch, case):
+        """One pass: LEADING_SHORT reaches rank 3 at its 4th column, and
+        BOTH_SHORT reads all 4 columns."""
         edges, point, rank = case
         g = CompartmentGraph(3, edges)
         point = [x % MERSENNE61 for x in point]
-        gathers = count_calls(monkeypatch, cp._VerdictKernel, "_gather")
+        reads = self.record_columns(monkeypatch)
         kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
         reduced = list_built_reduced(g, point)
         assert (kernel.nrows, kernel.ncols) == (3, 4)
         assert exact.rank_mod_p([row[:3] for row in reduced]) == 2
-        assert kernel.pivots(point) == pivots_gf_p(reduced)
-        assert (len(kernel.pivots(point)), len(gathers)) == (rank, 4)
+        pivots = kernel.pivots(point)
+        assert pivots == pivots_gf_p(reduced)
+        assert (len(pivots), reads) == (rank, [4])
+        assert (pivots[-1] == 3) == (rank == 3)
 
     def test_isc_adversary_gathers_the_leading_block(self, monkeypatch):
-        """M' of isc_adversary(9) is 15 x 44; the verdict gathers its
-        leading 15 columns once and reaches the 2n-1 ceiling there."""
-        gathers = []
-        real = cp._VerdictKernel._gather
-
-        def recording(self, powers, cols):
-            gathers.append((cols, self.nrows, self.ncols))
-            return real(self, powers, cols)
-
-        monkeypatch.setattr(cp._VerdictKernel, "_gather", recording)
-        assert image_dimension(isc_adversary(9)).d == 17
-        assert gathers == [(15, 15, 44)]
+        """M' of isc_adversary(9) is 15 x 44; the verdict reads its first
+        15 columns, once, and reaches the 2n-1 ceiling there."""
+        g = isc_adversary(9)
+        kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+        assert (kernel.nrows, kernel.ncols) == (15, 44)
+        reads = self.record_columns(monkeypatch)
+        assert image_dimension(g).d == 17
+        assert reads == [15]
 
     def test_slots_of_unreduced_rows(self):
-        """Gathered rows keep every slot below 2^61 + 2^e, e = width - 122,
-        at the largest values, and the elimination at `row_width` holds
-        unreduced slots at that bound. Two rows equal mod p, one held as
-        p + 2^e, the other as 2^e, meet pivot p - 1 and factor 1: a row
-        update then sums two products near 2^122, which a slot one bit
-        narrower would carry out of, making the rows differ."""
+        """Gathered columns keep every slot below 2^61 + 2^e,
+        e = width - 122, at the largest values, and the elimination at the
+        powers' `width` holds unreduced slots at that bound. A column
+        whose slots are p + 2^e meets a basis vector with pivot p - 1 and
+        the same slots, at factor 1: the update then sums two products
+        near 2^122 per slot, which at n = 3 (e = 2) a slot one bit narrower
+        would carry out of, so the third column, equal mod p to the
+        second, would no longer reduce to 0."""
         p = MERSENNE61
         for g in [complete_digraph(n) for n in range(3, 9)] + [isc_adversary(9), bidirected_path(12)]:
             kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-            e = kernel.width - 122
-            assert kernel.row_width == exact.slot_width(2, e) == 124
+            width, nrows = kernel.width, kernel.nrows
+            e = width - 122
+            assert width == exact.slot_width(g.n) and e >= 2
             for value in (1, p - 2, p - 1):
-                powers = kernel.packed([value] * (g.n + g.m))
-                for row in kernel._gather(powers, kernel.ncols):
-                    width = kernel.row_width
-                    slots = [row >> k * width & (1 << width) - 1 for k in range(kernel.ncols)]
-                    assert max(slots) < 2**61 + 2**e and row >> kernel.ncols * width == 0
+                columns = list(kernel._columns(kernel.packed([value] * (g.n + g.m))))
+                assert len(columns) == kernel.ncols
+                for column in columns:
+                    slots = [column >> t * width & (1 << width) - 1 for t in range(nrows)]
+                    assert max(slots) < 2**61 + 2**e and column >> nrows * width == 0
             big, small = p + 2**e, 2**e
-            rows = [[p - 1] + [big] * 4, [1] + [big] * 4, [1] + [small] * 4]
-            packed = [sum(x << k * kernel.row_width for k, x in enumerate(row)) for row in rows]
-            assert exact._pivots_mod_p(packed, 5, kernel.row_width) == pivots_gf_p(rows) == [0, 1]
+            columns = [[p - 1] + [big] * 4, [1] + [big] * 4, [1] + [small] * 4]
+            packed = [sum(x << t * width for t, x in enumerate(column)) for column in columns]
+            rows = [list(row) for row in zip(*columns)]
+            assert exact._pivots_mod_p(packed, 5, width) == pivots_gf_p(rows) == [0, 1]
 
 
 class TestNoExchangeBound:

@@ -170,6 +170,8 @@ class TestReparam:
     def test_bad_tree_flag(self, capsys, chain4_file):
         code, _, err = run(capsys, "reparam", chain4_file, "--tree", "a12,zz,a34")
         assert code == 2 and "error:" in err
+        code, out, err = run(capsys, "reparam", chain4_file, "--tree", "")
+        assert (code, out) == (2, "") and "bad tree entry ''" in err
 
     def test_round_trip(self, capsys, wheel5, wheel5_file):
         code, out, _ = run(capsys, "reparam", wheel5_file, "--json")

@@ -146,22 +146,24 @@ def deficient_mod_p(rng: random.Random, nr: int, nc: int, p: int) -> list[list[i
 
 
 def test_slot_width_is_least_proved():
-    """`slot_width(k, b)` is 122 + e for the least e with
-    k (p-1) (2^61 + 2^max(b, e) - 1) < 2^(122+e), the condition its proof
-    needs for first-row slots below 2^61 + 2^b. With b = 0 that is
-    122 + k.bit_length() for k >= 3; two terms over the unreduced slots of
-    any power of n >= 3 vertices take 124 bits."""
+    """`slot_width(k)` is 122 + e for the least e with
+    k (p-1) (2^61 + 2^e - 1) < 2^(122+e), the condition its proof needs
+    for slots below 2^61 + 2^e: 122 + k.bit_length() for k >= 3. The
+    elimination's two products per slot are within that bound at the
+    width of the powers of every n >= 2, so M' is ranked at the powers'
+    width: 123 bits at n = 2, 124 or more from n = 3."""
     p = MERSENNE61
 
-    def holds(k, b, e):
-        return k * (p - 1) * (2**61 + 2 ** max(b, e) - 1) < 2 ** (122 + e)
+    def holds(k, e):
+        return k * (p - 1) * (2**61 + 2**e - 1) < 2 ** (122 + e)
 
     for k in list(range(1, 300)) + [2**20 - 1, 2**20, 2**29]:
-        for b in (0, 1, 2, 3, 4, 7, 30, 60):
-            e = slot_width(k, b) - 122
-            assert holds(k, b, e) and (e == 0 or not holds(k, b, e - 1)), (k, b)
+        e = slot_width(k) - 122
+        assert holds(k, e) and (e == 0 or not holds(k, e - 1)), k
         assert slot_width(k) == 122 + (k.bit_length() if k > 2 else k - 1)
-    assert [slot_width(2, slot_width(n) - 122) for n in range(2, 100)] == [123] + [124] * 97
+    widths = [slot_width(n) for n in range(2, 100)]
+    assert all(holds(2, w - 122) for w in widths)
+    assert widths[0] == 123 and min(widths[1:]) == 124
 
 
 class TestRankModMersenne:
@@ -197,6 +199,14 @@ class TestRankModMersenne:
                 assert rank_mod_p(rows) == rank_gf_p_with_inverses(rows, p), (nr, nc)
         assert rank_mod_p([[p - 1] * 110 for _ in range(21)]) == 1
         assert rank_mod_p([]) == rank_mod_p([[]]) == rank_mod_p([[], []]) == 0
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 5], [0, 1]]])
+    def test_ragged_rows_raise(self, rows):
+        """A row of another length than the first raises ValueError; it is
+        neither cut to the shortest row nor padded with zeros, even past
+        the last pivot."""
+        with pytest.raises(ValueError):
+            rank_mod_p(rows)
 
 
 def random_unimodular(rng: random.Random, size: int, steps: int = 12):
