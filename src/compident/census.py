@@ -8,6 +8,7 @@ and the proven structural statements.
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import signal
@@ -33,8 +34,8 @@ from .graphs import (
 
 DEFAULT_LIMIT = 5
 SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
-# Fewest verdicts worth a forked process: a fork, pipe and reap cost about
-# 2-3 ms, a verdict 0.2-0.4 ms at n = 5, so 64 of them outweigh the fork.
+# Fewest verdicts worth a forked process: a fork, the shared map and a reap
+# cost 1.5-2 ms on 2 vCPUs, a verdict 0.2-0.4 ms at n = 5: 64 outweigh them.
 MIN_FORK_SHARE = 64
 
 
@@ -161,71 +162,54 @@ def _usable_cpus() -> int:
 def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str) -> list[bool]:
     """`has_expected_dimension` of each graph, in order, split over the CPUs.
 
-    With k = min(CPUs, len(graphs) // MIN_FORK_SHARE), child r of k-1 forked
-    children computes graphs[r::k] and writes it back over a pipe, one byte
-    per verdict, while the parent computes share 0. `derived_rng` makes each
-    verdict a function of (seed, graph) alone, so the split changes no
-    result. It runs serially when k < 2 (fewer than 2 * MIN_FORK_SHARE
-    verdicts, or one CPU, which `taskset -c 0` forces), without `os.fork`,
-    or while another thread is alive (forking a threaded process is
-    unsafe). A child leaves only through `os._exit`, flushing no inherited
-    buffer. The share of a child that fails, or that could not be forked,
-    is recomputed here, so an error a verdict raises in a child is raised
-    again in the caller.
+    With k = min(CPUs, len(graphs) // MIN_FORK_SHARE), the parent computes
+    share 0 and one forked child each other share r, graphs[r::k]; a share
+    writes verdict i as byte i of one anonymous shared map. `derived_rng`
+    makes each verdict a function of (seed, graph) alone, so the split
+    changes no result. k is 1, and nothing is forked, with fewer than
+    2 * MIN_FORK_SHARE verdicts, on one CPU (which `taskset -c 0` forces),
+    without `os.fork`, or while another thread is alive (forking a threaded
+    process is unsafe). A child leaves only through `os._exit`, flushing no
+    inherited buffer. The share of a child that fails, or that could not be
+    forked, is recomputed here over any bytes it wrote, so an error a
+    verdict raises in a child is raised again in the caller.
     """
     k = min(_usable_cpus(), len(graphs) // MIN_FORK_SHARE)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         k = 1
 
-    def share(r: int) -> list[bool]:
-        return [
-            has_expected_dimension(g, trials=trials, seed=seed, mode=mode)
-            for g in graphs[r::k]
-        ]
+    verdicts = mmap.mmap(-1, len(graphs) or 1)
+    children = {}  # share index -> pid
 
-    if k == 1:
-        return share(0)
-    shares = [None] * k
-    children = {}  # share index -> (pid, read end of its pipe)
+    def share(r: int) -> None:
+        for i in range(r, len(graphs), k):
+            verdicts[i] = has_expected_dimension(graphs[i], trials=trials, seed=seed, mode=mode)
+
     try:
         for r in range(1, k):
-            read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: the parent computes this share
-                os.close(read_fd)
-                os.close(write_fd)
                 continue
             if pid == 0:
-                status = 1
                 try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(bytes(share(r)))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[r] = (pid, open(read_fd, "rb"))
-        shares[0] = share(0)
+                    share(r)
+                    os._exit(0)
+                finally:  # reached only when share(r) raised
+                    os._exit(1)
+            children[r] = pid
+        share(0)
         for r in range(1, k):
-            status = 1
-            if r in children:
-                pid, pipe = children[r]
-                data = pipe.read()
-                pipe.close()
-                status = os.waitpid(pid, 0)[1]
-                del children[r]
-            shares[r] = list(map(bool, data)) if status == 0 else share(r)
+            status = os.waitpid(children[r], 0)[1] if r in children else 1
+            children.pop(r, None)
+            if status != 0:
+                share(r)
+        return list(map(bool, verdicts[: len(graphs)]))
     finally:  # on an error here, stop and reap the children still running
-        for pid, pipe in children.values():
-            pipe.close()
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    merged = [None] * len(graphs)
-    for r, verdicts in enumerate(shares):
-        merged[r::k] = verdicts
-    return merged
+        verdicts.close()
 
 
 @lru_cache(maxsize=None)

@@ -146,10 +146,12 @@ def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int
     are cleared too (fraction-free Gauss-Jordan): the columns right of the
     last pivot column end as d * B^-1 times what they were, B the block of
     pivot columns and d the last pivot, unsigned. The rank mod p has its
-    own packed loop, `_pivots_mod_p`.
+    own packed loop, `_pivots_mod_p`. A ragged matrix raises ValueError.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("rows of different lengths")
     pivots: list[int] = []
     prev = sign = 1
     for col in range(ncols):
@@ -183,8 +185,9 @@ def rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
-    """Exact rank of an integer matrix: the rank mod p in prime-field mode; in rational mode, the rank mod p when it reaches
-    min(rows, cols), and Bareiss otherwise.
+    """Exact rank of an integer matrix: the rank mod p in prime-field mode;
+    in rational mode, the rank mod p when it reaches min(rows, cols), and
+    Bareiss otherwise. A ragged matrix raises ValueError.
 
     Reduction mod p can only lower the rank of an integer matrix, since a
     minor that is nonzero mod p is a nonzero integer; and no rank exceeds
@@ -194,12 +197,10 @@ def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
     and build the integer rows and run Bareiss only when that rank falls
     short.
     """
-    if not rows or not rows[0]:
+    if not rows:
         return 0
-    if mode == PRIME_MODE:
-        return rank_mod_p(rows)
     mod_p = rank_mod_p(rows)
-    if mod_p == min(len(rows), len(rows[0])):
+    if mode == PRIME_MODE or mod_p == min(len(rows), len(rows[0])):
         return mod_p
     return rank_bareiss(rows)
 

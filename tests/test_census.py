@@ -264,6 +264,39 @@ class TestSplitVerdicts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_parent_recomputes_the_share_of_a_child_that_dies(self, monkeypatch, cold_census):
+        """A child that writes wrong bytes for its first verdicts and then
+        dies abruptly: the parent computes that share again, over the
+        child's bytes, and the row is the serial row."""
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
+        serial = census_row(5, 7)
+        census._census_data.cache_clear()
+        found = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)[2]
+        samples = census._spot_samples(5, 7, 0, census.DEFAULT_LIMIT)
+        graphs = [rep for _mask, rep, _size in found] + [g for g, _key in samples]
+        real = census.has_expected_dimension
+        parent = os.getpid()
+        parent_calls, wrong_bytes = [], set()
+
+        def dying(graph, **kwargs):
+            verdict = real(graph, **kwargs)
+            if os.getpid() == parent:
+                parent_calls.append(graph)
+                return verdict
+            if wrong_bytes == {False, True}:  # a wrong 0 and a wrong 1 written
+                os._exit(9)
+            wrong_bytes.add(not verdict)
+            return not verdict
+
+        monkeypatch.setattr(census, "has_expected_dimension", dying)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        assert census_row(5, 7) == serial
+        assert len(forks) == 1 and wrong_bytes == set()
+        assert parent_calls == graphs[0::2] + graphs[1::2]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_children_flush_no_stdio(self, monkeypatch, cold_census, tmp_path):
         # A child leaving through the interpreter's exit would flush the
         # inherited buffer, writing "once" a second time.

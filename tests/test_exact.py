@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,16 @@ def test_slot_width_is_least_proved():
     assert widths[0] == 123 and min(widths[1:]) == 124
 
 
+RAGGED_ROWS = [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 5], [0, 1]], [[0], [0, 1]], [[0, 1], [1]]]
+# (id suffix, ranker); rank_mod_p's cases carry the bare row ids.
+RAGGED_RANKERS = [
+    ("", rank_mod_p),
+    ("-rank_bareiss", rank_bareiss),
+    ("-rank-prime", partial(rank, mode=PRIME_MODE)),
+    ("-rank-rational", partial(rank, mode=RATIONAL_MODE)),
+]
+
+
 class TestRankModMersenne:
     """`rank_mod_p` against textbook elimination over GF(2^61 - 1), on
     matrices built so that the rank mod p drops."""
@@ -200,13 +211,22 @@ class TestRankModMersenne:
         assert rank_mod_p([[p - 1] * 110 for _ in range(21)]) == 1
         assert rank_mod_p([]) == rank_mod_p([[]]) == rank_mod_p([[], []]) == 0
 
-    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 5], [0, 1]]])
-    def test_ragged_rows_raise(self, rows):
+    @pytest.mark.parametrize(
+        "rows, ranker",
+        [
+            pytest.param(rows, ranker, id=f"rows{i}{suffix}")
+            for suffix, ranker in RAGGED_RANKERS
+            for i, rows in enumerate(RAGGED_ROWS)
+        ],
+    )
+    def test_ragged_rows_raise(self, rows, ranker):
         """A row of another length than the first raises ValueError; it is
         neither cut to the shortest row nor padded with zeros, even past
-        the last pivot."""
+        the last pivot, and an empty first row is no shortcut to rank 0.
+        The empty matrices keep rank 0."""
         with pytest.raises(ValueError):
-            rank_mod_p(rows)
+            ranker(rows)
+        assert ranker([]) == ranker([[]]) == 0
 
 
 def random_unimodular(rng: random.Random, size: int, steps: int = 12):
