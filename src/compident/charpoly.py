@@ -19,22 +19,27 @@ the Jacobian's rank at every point:
   invertible while the tree entries are nonzero (`sample_point` draws from
   [1, p-1]). Only the n diagonal and m-n+1 non-tree columns are kept: the
   (2n-1) x (m+1) verdict matrix M;
-- identity rows: row 0 of both power blocks is 0/1, and exact row and
-  column operations on them leave rank(M) = 2 + rank(M'), with M' the
-  (2n-3) x (m-1) matrix that `image_dimension` ranks, on which elimination
+- identity rows: row 0 of the A block is 1 at the n diagonal columns, row
+  0 of the A_1 block is 1 at a22..ann, and every other entry of both is 0.
+  Their difference, the unit row at a11, clears column a11; subtracting
+  column a22 from each a_vv, v >= 3, turns row 0 of A_1 into the unit row
+  at a22, which clears column a22. So rank(M) = 2 + rank(M') (1 when
+  n = 1), M' the (2n-3) x (m-1) matrix of rows 1.. of both blocks at the
+  columns a_vv - a22 (v >= 3) and the non-tree edges, on which elimination
   stops after at most m-1 pivots.
 
-M' is never built as lists mod p. One kernel, `_VerdictKernel`, builds the
+M' exists only packed mod p. One kernel, `_VerdictKernel`, builds the
 powers of diag(A, A_1) packed mod p: each row of a power is one int of
 `exact.slot_width(n)`-bit slots, so a row of the next power is one big-int
 multiply-add per nonzero of A, and two Mersenne folds per product keep the
 slots from overflowing, unreduced. It gathers M''s columns from those
 packed powers, one at a time, straight into slots of the same width, the
 column operation included, with no reduction, and `exact._pivots_mod_p`
-ranks them in one pass that stops at the last pivot. Rational mode ranks
-M' mod p first. A minor that is nonzero mod p is a nonzero integer, so a
-rank at min(rows, cols) is already the rank over Q; only a shortfall reads
-M' over Z from `_power_rows` and runs Bareiss on it.
+ranks them in one pass that stops at the last pivot. Rational mode takes
+the same rank: a minor that is nonzero mod p is a nonzero integer, so the
+certificate is a rank mod p at the proven ceiling. Only a shortfall reads
+M over Z from `_power_rows` and runs Bareiss on it, the two identity rows
+first: their pivots are 1, after which Bareiss works on M' itself.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
 vertex 1 has no exchange (`_dimension_bound`). Then every product
@@ -139,7 +144,7 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
     `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise).
     Row c of A^(i+1) is sum_k a_ck * (row k of A^i), sparse A times dense
     A^i, with one `% p` per entry mod p. These lists are what the
-    coefficients, the Jacobian and Bareiss on M' over Z read; the verdict
+    coefficients, the Jacobian and Bareiss on M over Z read; the verdict
     mod p reads none (`_VerdictKernel`).
     """
     if len(values) != parameter_count(graph):
@@ -231,23 +236,6 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
     return list(range(graph.n)) + [graph.n + k for k in range(graph.m) if k not in in_tree]
 
 
-def _reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
-    """M', the verdict matrix less its two identity rows, of rank
-    rank(M) - min(n, 2).
-
-    Row 0 of the A part is 1 at the n diagonal columns, row 0 of the A_1
-    part is 1 at a22..ann, and every other entry of both rows is 0. Their
-    difference is the unit row at a11, which clears column a11; subtracting
-    column a22 from each a_vv, v >= 3, turns row 0 of A_1 into the unit
-    row at a22, which clears column a22. What is left is rows 1.. of both
-    parts on the columns a_vv - a22 (v >= 3) and the non-tree edges: a
-    (2n-3) x (m-1) matrix, empty when n = 1. `_VerdictKernel` applies the
-    same column operation while it gathers M''s columns packed; these lists
-    are M' over Z for Bareiss.
-    """
-    return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
-
-
 def _dimension_bound(graph: CompartmentGraph) -> int:
     """A proven ceiling on the image dimension: 2n-1, the number of
     coefficients, less one when n >= 3 and vertex 1 has no exchange (the
@@ -258,8 +246,8 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
 class _VerdictKernel:
     """M' of one graph at the verdict columns of one spanning tree, ranked
     mod p by one kernel from the packed powers of diag(A, A_1) to the
-    pivot columns. `_sampled_dimension` builds it once, and every trial
-    and the rational fallback share its set-up.
+    pivot columns, and only mod p. `_sampled_dimension` builds it once,
+    and every trial shares its set-up.
 
     Each row of a power is one int of fixed-width slots (Kronecker
     substitution; Harvey, J. Symbolic Comput. 44, 2009): slot k holds
@@ -270,26 +258,26 @@ class _VerdictKernel:
     the parameter at A[r][c], (A^i)[c][r] sits in list row c at slot r, and
     its A_1 entry in list row n + c - 1 at slot r - 1, or in the zero row.
 
-    M' is `_reduced_verdict_rows` of the power rows at `_verdict_params`,
-    less row 1 of A_1 when it twins row 1 of A (`_dimension_bound`): its
-    columns are a_vv - a22 for v >= 3, then the non-tree edges. Its
-    columns are gathered one at a time, straight from the powers A^1 ..
-    A^(n-1): each row's cell is shifted out of its power row into the
-    row's slot, unreduced, and the column operation adds the column
-    2p - x, x the cells of a22, to each diagonal column, followed by one
-    fold. Every slot of a gathered column is then below 2^61 + 2^e,
-    e = slot_width(n) - 122: the cells are, and a diagonal slot is below
-    2^61 + 2^e + 2p < 2^63 before the fold and at most 2^61 + 2 after it,
-    where e >= 2 since diagonal columns need n >= 3. So the columns are
-    eliminated at the powers' width, which bounds two products per slot
-    (`exact.slot_width`). `exact._pivots_mod_p` reads them in one pass and
-    stops at the last pivot: a wide M' of full row rank is read only up to
-    its last pivot column, and each column once.
+    M' (the module docstring) is taken at `_verdict_params`, less row 1 of
+    A_1 when it twins row 1 of A (`_dimension_bound`): its columns are
+    a_vv - a22 for v >= 3, then the non-tree edges. They are gathered one
+    at a time, straight from the powers A^1 .. A^(n-1): each row's cell is
+    shifted out of its power row into the row's slot, unreduced, and the
+    column operation adds the column 2p - x, x the cells of a22, to each
+    diagonal column, followed by one fold. Every slot of a gathered column
+    is then below 2^61 + 2^e, e = slot_width(n) - 122: the cells are, and a
+    diagonal slot is below 2^61 + 2^e + 2p < 2^63 before the fold and at
+    most 2^61 + 2 after it, where e >= 2 since diagonal columns need
+    n >= 3. So the columns are eliminated at the powers' width, which
+    bounds two products per slot (`exact.slot_width`).
+    `exact._pivots_mod_p` reads them in one pass and stops at the last
+    pivot: a wide M' of full row rank is read only up to its last pivot
+    column, and each column once.
     """
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
         n = self.n = graph.n
-        self.graph, self.params = graph, _verdict_params(graph, tree)
+        self.params = _verdict_params(graph, tree)
         self.twin = _dimension_bound(graph) < 2 * n - 1
         self.nrows = max(2 * n - 3 - self.twin, 0)
         self.ncols = max(len(self.params) - 2, 0)
@@ -372,14 +360,6 @@ class _VerdictKernel:
                 x = (x & low) + (x >> 61 & high)
             yield x
 
-    def exact_rows(self, values: Sequence[int]) -> list[list[int]]:
-        """M' over Z at `values`, as lists for Bareiss: the same columns,
-        read from `_power_rows`."""
-        reduced = _reduced_verdict_rows(self.n, *_power_rows(self.graph, values, 0, self.params))
-        if self.twin:
-            del reduced[self.n - 1]  # row 1 of A_1, the twin of row 1 of A
-        return reduced
-
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -447,23 +427,18 @@ def image_dimension(
     that ceiling; `d`, `verdict` and `trials` are what all trials would
     give. With no exchange at vertex 1 (n >= 3) the ceiling is
     min(2n-2, m+1) (`_dimension_bound`), and the repeated row of M' that
-    proves it is dropped before ranking, so in rational mode a rank at the
-    ceiling is min(rows, cols) of the smaller matrix and certified mod p.
+    proves it is dropped before ranking.
 
-    Each rank is that of the (2n-1) x (m+1) verdict matrix M: the power
-    rows, of which the Jacobian rows are unit triangular combinations, at
-    the diagonal and non-tree columns (`_verdict_params`), of which the
-    tree columns are combinations through the scaling kernel. Both keep
-    the rank exactly at points with nonzero tree entries, as every sampled
-    point has. Exact row and column operations on M's two identity rows
-    give rank(M) = 2 + rank(M') (1 when n = 1), so only the
-    (2n-3) x (m-1) matrix M' of `_reduced_verdict_rows` is ranked, by
-    `_VerdictKernel`, which gathers its columns packed from the powers, in
-    one pass up to the last pivot. The columns, and so the tree and the
-    kernel's set-up, are picked once per call. In rational mode M' is
-    ranked mod p first, and a rank at min(rows, cols) is the rank over Q
-    (as in `exact.rank`); only a point that falls short reads M' over Z
-    and ranks it by Bareiss.
+    Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
+    module docstring derives from the Jacobian: equal at points with
+    nonzero tree entries, as every sampled point has, and 2 + rank(M')
+    (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
+    pass up to the last pivot; the tree, and so the kernel's set-up, is
+    picked once per call. Rational mode takes the same rank: its
+    certificate is a rank mod p at the proven ceiling, since a minor that
+    is nonzero mod p is a nonzero integer. Only a point that falls short
+    reads M over Z from `_power_rows` and ranks it by Bareiss, the two
+    identity rows first.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
@@ -487,10 +462,11 @@ def _sampled_dimension(
     best = 0
     for _ in range(trials):
         point = sample_point(rng, nvars)
-        rank = len(kernel.pivots(point))
-        if rational and rank < min(kernel.nrows, kernel.ncols):
-            rank = exact.rank_bareiss(kernel.exact_rows(point))
-        best = max(best, eliminated + rank)
+        rank = eliminated + len(kernel.pivots(point))
+        if rational and rank < ceiling:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
+            rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
+            rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
+        best = max(best, rank)
         if best == ceiling:
             break
     return DimensionReport(

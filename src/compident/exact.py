@@ -16,9 +16,10 @@ through `operator.index`, so a rational or float entry raises TypeError
 instead of being truncated or reduced.
 
 The rational rank is certified mod p where it can be: a minor that is
-nonzero mod p is a nonzero integer, so a rank mod p equal to min(rows,
-cols) is already the rank over Q. Only a matrix whose rank mod p falls
-short of that ceiling goes through Bareiss elimination over Z.
+nonzero mod p is a nonzero integer, so a rank mod p at a proven ceiling is
+already the rank over Q. Only a shortfall goes through Bareiss over Z: of
+the matrix itself in `rank`, and of the verdict matrix M that
+`charpoly._power_rows` reads in a rational verdict.
 """
 
 from __future__ import annotations
@@ -191,11 +192,10 @@ def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
 
     Reduction mod p can only lower the rank of an integer matrix, since a
     minor that is nonzero mod p is a nonzero integer; and no rank exceeds
-    min(rows, cols). So a rank mod p at that ceiling is a proof of the rank
-    over Q. Rational verdicts (`charpoly._sampled_dimension`) apply the
-    same certificate one step earlier: they rank the verdict rows mod p,
-    and build the integer rows and run Bareiss only when that rank falls
-    short.
+    min(rows, cols). So a rank mod p at that proven ceiling is the rank
+    over Q. Rational verdicts (`charpoly._sampled_dimension`) take the
+    rank mod p of the packed M' at their own ceiling, and on a shortfall
+    run Bareiss on M from `charpoly._power_rows`.
     """
     if not rows:
         return 0

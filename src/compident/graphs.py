@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import Disconnected, InvalidEdge, MalformedInput, NoExchange
@@ -34,6 +35,8 @@ class CompartmentGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:  # a float or str raises TypeError here, not deep in a verdict
+            object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise InvalidEdge(f"vertex count must be positive, got {self.n}")
         edges = self.edges
@@ -41,7 +44,7 @@ class CompartmentGraph:
             type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges
         )
         if not plain:  # plain int pairs are kept, so graphs can share one pool's tuples
-            object.__setattr__(self, "edges", tuple((int(j), int(i)) for j, i in edges))
+            object.__setattr__(self, "edges", tuple((index(j), index(i)) for j, i in edges))
         seen = set()
         for j, i in self.edges:
             if not (1 <= j <= self.n and 1 <= i <= self.n):

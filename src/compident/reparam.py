@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from operator import index
 from typing import Optional, Sequence
 
 from . import exact
@@ -46,13 +47,13 @@ def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> 
     graph exactly when they reach every vertex from 1, which is when they
     are acyclic; a repeated edge counts as a cycle.
     """
-    index = graph.edge_index()
+    positions = graph.edge_index()
     indices = []
     for e in edges:
-        e = (int(e[0]), int(e[1]))
-        if e not in index:
+        e = (index(e[0]), index(e[1]))
+        if e not in positions:
             raise ValueError(f"tree edge {e} is not an edge of the graph")
-        indices.append(index[e])
+        indices.append(positions[e])
     if len(set(indices)) != graph.n - 1:
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
     try:
@@ -320,20 +321,20 @@ def reparametrization_failures(
 
     scaling-support: f_1 = 1 and every f_i is a monomial in tree rates.
     tree-rows: every tree entry is rescaled to 1.
-    cycle-expressions: each non-tree row is its stated combination of the
-    basis cycles.
+    cycle-expressions: the expressions are keyed by exactly the non-tree
+    edges, each has one entry per basis cycle, and each non-tree row is its
+    stated combination of the basis cycles.
     rescaled-rows: every rescaled entry is exactly a_ij * f_i / f_j, so the
     new matrix is D A D^-1 with D = diag(f). All checks are exact and
     deterministic.
     """
     failures = []
     tree_set = set(result.tree.edge_indices)
-    m = graph.m
+    off_tree = [k for k in range(graph.m) if k not in tree_set]
 
     if any(e != 0 for e in result.f_exponents[0]):
         failures.append("scaling-support")
     else:
-        off_tree = [k for k in range(m) if k not in tree_set]
         for f in result.f_exponents:
             if any(f[k] != 0 for k in off_tree):
                 failures.append("scaling-support")
@@ -342,15 +343,13 @@ def reparametrization_failures(
     if any(any(result.rescaled_exponents[k]) for k in tree_set):
         failures.append("tree-rows")
 
-    for k in range(m):
-        if k in tree_set:
-            continue
-        z = result.cycle_expressions.get(k)
-        if z is None or tuple(exact.matvec_int(result.basis.matrix, z)) != tuple(
-            result.rescaled_exponents[k]
-        ):
-            failures.append("cycle-expressions")
-            break
+    expressions = result.cycle_expressions
+    if set(expressions) != set(off_tree) or any(
+        len(z) != len(result.basis.cycles)
+        or tuple(exact.matvec_int(result.basis.matrix, z)) != tuple(result.rescaled_exponents[k])
+        for k, z in expressions.items()
+    ):
+        failures.append("cycle-expressions")
 
     if [tuple(row) for row in result.rescaled_exponents] != rescaled_exponent_matrix(
         graph, result.f_exponents
@@ -402,11 +401,13 @@ def reparametrization_from_json(
         raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
     basis = _unimodular_basis(cycles, graph.m, nontree)
     qnames = [f"q{t + 1}" for t in range(len(cycles))]
-    index = graph.edge_index()
-    expressions = {
-        index[tuple(entry["edge"])]: parse_monomial(qnames, entry["in_cycles"])
-        for entry in doc["expressions"]
-    }
+    positions = graph.edge_index()
+    expressions = {}
+    for entry in doc["expressions"]:  # one per edge: a repeat would go unchecked
+        k = positions.get(tuple(entry["edge"]))
+        if k is None or k in expressions:
+            raise ValueError(f"expression edge {entry['edge']} is repeated or not an edge of the graph")
+        expressions[k] = parse_monomial(qnames, entry["in_cycles"])
     return ScalingReparametrization(
         graph=graph,
         tree=tree,

@@ -663,6 +663,11 @@ class TestPowerRows:
                 assert jacobian(g, zeros, mode) == [[x % p if p else x for x in row] for row in expected], (g, mode)
 
 
+def reduced_verdict_rows(n: int, rows: list, sub_rows: list) -> list[list]:
+    """M' as lists: rows 1.. of both power blocks at a_vv - a22 (v >= 3) and the non-tree edges."""
+    return [[x - row[1] for x in row[2:n]] + row[n:] for row in rows[1:] + sub_rows[1:]]
+
+
 class TestReducedVerdictMatrix:
     """rank(M) = min(n, 2) + rank(M'): the two identity rows of the
     verdict matrix eliminated in closed form."""
@@ -675,7 +680,7 @@ class TestReducedVerdictMatrix:
             point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
             for mode in (PRIME_MODE, RATIONAL_MODE):
                 rows, sub_rows = cp._power_rows(g, point, exact.modulus(mode), params)
-                reduced = cp._reduced_verdict_rows(g.n, rows, sub_rows)
+                reduced = reduced_verdict_rows(g.n, rows, sub_rows)
                 if g.n > 1:
                     assert len(reduced) == 2 * g.n - 3
                     assert all(len(row) == g.m - 1 for row in reduced)
@@ -693,7 +698,7 @@ class TestReducedVerdictMatrix:
 
     def test_small_and_long(self, single, exchange2):
         self.check([single, exchange2, bidirected_path(2), bidirected_path(10)], seed=92)
-        assert cp._reduced_verdict_rows(1, [[1]], []) == []
+        assert reduced_verdict_rows(1, [[1]], []) == []
 
 
 def pivots_gf_p(rows) -> list[int]:
@@ -718,10 +723,10 @@ def pivots_gf_p(rows) -> list[int]:
 
 
 def list_built_reduced(graph, point) -> list[list]:
-    """M' from the power-row lists mod p: `_reduced_verdict_rows` at the
+    """M' from the power-row lists mod p: `reduced_verdict_rows` at the
     verdict columns, less row 1 of A_1 when vertex 1 has no exchange."""
     params = cp._verdict_params(graph, cp.spanning_tree(graph))
-    reduced = cp._reduced_verdict_rows(graph.n, *cp._power_rows(graph, point, MERSENNE61, params))
+    reduced = reduced_verdict_rows(graph.n, *cp._power_rows(graph, point, MERSENNE61, params))
     if graph.n >= 3 and graphs.has_exchange(graph) is None:
         del reduced[graph.n - 1]
     return reduced
@@ -945,7 +950,7 @@ class TestNoExchangeBound:
                 params = cp._verdict_params(g, cp.spanning_tree(g))
                 point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
                 rows, sub_rows = cp._power_rows(g, point, MERSENNE61, params)
-                reduced = cp._reduced_verdict_rows(g.n, rows, sub_rows)
+                reduced = reduced_verdict_rows(g.n, rows, sub_rows)
                 twin = reduced[0] == reduced[g.n - 1]
                 assert twin is (graphs.has_exchange(g) is None), g
                 assert cp._dimension_bound(g) == 2 * g.n - 1 - twin

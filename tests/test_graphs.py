@@ -122,6 +122,16 @@ class TestEdgeStorage:
         assert type(flagged.edges[0][0]) is int
         assert flagged == CompartmentGraph(2, ((1, 2), (2, 1)))
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(2, [(1.9, 2), ("2", 1)]), (2, ((1.0, 2), (2, 1))), (2.5, ((1, 2), (2, 1))), ("2", ((1, 2), (2, 1)))],
+    )
+    def test_non_integers_rejected(self, n, edges):
+        """n and every vertex label go through `operator.index`, so a float or
+        str raises TypeError instead of being truncated."""
+        with pytest.raises(TypeError):
+            CompartmentGraph(n, edges)
+
 
 class TestStrongConnectivity:
     def test_chain4(self, chain4):

@@ -152,10 +152,12 @@ def test_every_library_function_has_a_caller():
 
 
 def test_list_powers_stand_apart_from_the_verdict_kernel():
-    """The list loop that the coefficients, the Jacobian and the tests'
-    list-built M' read is the oracle of the packed verdict kernel, so it
-    must not be computed by that kernel, its slot widths, its elimination
-    or any other class of the module."""
+    """The list loop that the coefficients, the Jacobian, the rational
+    fallback's M over Z and the tests' list-built M' read is the oracle of
+    the packed verdict kernel, so neither may compute the other: the loop
+    names no part of the kernel, its slot widths, its elimination or any
+    other class of the module, and no method of `_VerdictKernel` names the
+    loop or keeps a graph to run it on."""
     tree = parsed("charpoly.py")
     functions = {"_power_rows", "_coefficients", "newton_coefficients"}
     nodes = [n for n in definitions(tree) if n.name in functions]
@@ -163,3 +165,9 @@ def test_list_powers_stand_apart_from_the_verdict_kernel():
     kernel = {"_VerdictKernel", "packed", "_columns", "slot_width", "_pivots_mod_p"}
     kernel |= {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     assert [(n.name, sorted(referenced(n) & kernel)) for n in nodes if referenced(n) & kernel] == []
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_VerdictKernel"]
+    methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    assert {"__init__", "packed", "pivots", "_columns"} <= {n.name for n in methods}
+    kept = {a.attr for a in ast.walk(cls) if isinstance(a, ast.Attribute)}
+    assert "graph" not in kept and "params" in kept
+    assert [(n.name, sorted(referenced(n) & functions)) for n in methods if referenced(n) & functions] == []

@@ -60,6 +60,8 @@ class TestSpanningTree:
             validate_tree(chain4, [(2, 1), (3, 2)])  # too few
         with pytest.raises(ValueError):
             validate_tree(chain4, [(2, 1), (3, 2), (4, 1)])  # not an edge
+        with pytest.raises(TypeError):
+            validate_tree(chain4, [(1.7, 2), (2, 3), (4, 3)])  # would truncate to (1, 2)
 
     def test_validate_matches_union_find(self, wheel5):
         graphs = [entry.representative for entry in census_classes(4, 6)] + [wheel5]
@@ -498,6 +500,24 @@ class TestVerification:
         assert reparametrization_failures(wheel5, bad) == ["rescaled-rows"]
         assert not verify_reparametrization(wheel5, bad)
 
+    @pytest.mark.parametrize("case", ["tree-edge-key", "long-expression"])
+    def test_unchecked_expressions_are_detected(self, chain4, case):
+        """Every stated expression is checked: one keyed by a tree edge,
+        which `to_json_dict` would print, read back from JSON, and one with
+        an entry past the basis cycles."""
+        result = reparametrize(chain4)
+        if case == "tree-edge-key":
+            doc = result.to_json_dict()
+            doc["expressions"].append({"edge": [2, 1], "in_cycles": "q1*q2"})
+            assert [2, 1] in doc["tree_edges"]
+            bad = reparametrization_from_json(chain4, doc)
+        else:
+            k = result.basis.nontree_rows[0]
+            expressions = {**result.cycle_expressions, k: result.cycle_expressions[k] + (5,)}
+            bad = replace(result, cycle_expressions=expressions)
+        assert reparametrization_failures(chain4, bad) == ["cycle-expressions"]
+        assert not verify_reparametrization(chain4, bad)
+
     def test_scaling_support_and_tree_rows_are_detected(self, chain4):
         result = reparametrize(chain4)
         tree_row = result.tree.edge_indices[0]
@@ -579,6 +599,16 @@ class TestVerification:
         with pytest.raises(ValueError, match="not a directed cycle"):
             reparametrization_from_json(path3, doc)
 
+
+    @pytest.mark.parametrize("edge", [[1, 2], [1, 4]], ids=["repeated", "not-an-edge"])
+    def test_json_expressions_name_each_edge_once(self, chain4, edge):
+        """A second, wrong expression for a non-tree edge would be dropped
+        unchecked, and one for a pair that is no edge has no row to check."""
+        doc = reparametrize(chain4).to_json_dict()
+        assert doc["expressions"][0]["edge"] == [1, 2]
+        doc["expressions"].insert(0, {"edge": edge, "in_cycles": "q1*q2*q3"})
+        with pytest.raises(ValueError, match="repeated or not an edge"):
+            reparametrization_from_json(chain4, doc)
 
     def test_json_basis_needs_independent_cycles_of_the_right_count(self, wheel5):
         doc = reparametrize(wheel5).to_json_dict()
