@@ -16,7 +16,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import add
+from operator import add, or_
 from typing import Iterator, Optional
 
 from .charpoly import checked_modulus, has_expected_dimension
@@ -24,6 +24,8 @@ from .errors import LimitExceeded
 from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
+    _adjacency,
+    _strongly_connected,
     _subset_strongly_connected,
     add_exchange_vertex,
     collapse_exchange,
@@ -97,6 +99,18 @@ def _grouped_classes(n: int, m: int, limit: int):
     canonical children meets each class once. Returns (pool, images,
     classes): images[b][k] is the image of bit b under relabeling k, and
     classes lists (mask, representative, size) by descending mask.
+
+    A child is pruned before its canonicity test, which adds one image per
+    relabeling. Child b of a set S can only complete to a strongly
+    connected (SC) set inside its reach set: S + b when b is the last edge,
+    else S + b + every bit below b. The DFS carries the per-vertex out and
+    in masks of S, and `below[b]` holds those of the bits below b, so the
+    test ORs masks and walks `_reach` twice (`_strongly_connected`). Below
+    the last edge the reach sets shrink as b falls, and SC is monotone
+    under adding edges, so the first child that fails ends the loop. The
+    last edge's sets S + b are not nested, so there the loop goes on. A
+    child is entered exactly when it passes both tests, in either order,
+    so the prune changes no class.
     """
     _check_limit(n, limit)
     pool = all_possible_edges(n)
@@ -108,26 +122,33 @@ def _grouped_classes(n: int, m: int, limit: int):
     relabelings = [{1: 1, **dict(zip(others, perm))} for perm in permutations(others)]
     images = [[1 << (P - 1 - index[(s[j], s[i])]) for s in relabelings]
               for j, i in reversed(pool)]
+    below = [_adjacency(n, pool[P - b:]) for b in range(P + 1)]  # bits under b
     classes = []
 
-    def grow(mask: int, sums: list[int], chosen: tuple[int, ...], low: int) -> None:
-        # `chosen`: the pool indices of `mask`, ascending; `low`: its lowest
-        # bit (P when empty). Each child costs one addition per relabeling;
-        # a branch dies when even all of pool[P-low:] added leaves it not SC.
-        need = m - len(chosen)
-        reach = chosen + tuple(range(P - low, P)) if need else chosen
-        if not _subset_strongly_connected(n, [pool[i] for i in reach]):
-            return
+    def grow(mask: int, sums: list[int], out: list[int], inn: list[int], low: int, need: int) -> None:
+        # `out`, `inn`: the adjacency masks of `mask`; `low`: its lowest bit
+        # (P when empty); `need`: the edges still to add.
         if not need:  # orbit-stabilizer gives the class size
-            graph = CompartmentGraph(n, tuple(pool[i] for i in chosen))
+            graph = CompartmentGraph(n, tuple(e for i, e in enumerate(pool) if mask >> (P - 1 - i) & 1))
             classes.append((mask, graph, len(sums) // sums.count(mask)))
             return
         for b in range(low - 1, need - 2, -1):
+            j, i = pool[P - 1 - b]
+            child_out, child_inn = out.copy(), inn.copy()
+            child_out[j] |= 1 << i
+            child_inn[i] |= 1 << j
+            if need == 1:
+                if not _strongly_connected(child_out, child_inn):
+                    continue
+            elif not _strongly_connected([*map(or_, child_out, below[b][0])],
+                                         [*map(or_, child_inn, below[b][1])]):
+                break
             child_sums = list(map(add, sums, images[b]))
             if max(child_sums) == mask | 1 << b:
-                grow(mask | 1 << b, child_sums, chosen + (P - 1 - b,), b)
+                grow(mask | 1 << b, child_sums, child_out, child_inn, b, need - 1)
 
-    grow(0, [0] * len(relabelings), (), P)
+    if _strongly_connected(*below[P if m else 0]):  # the root's reach set: every edge, or none
+        grow(0, [0] * len(relabelings), *below[0], P, m)
     return pool, images, classes
 
 

@@ -138,12 +138,17 @@ def _reach(adj: Sequence[int]) -> int:
     return seen
 
 
-def _subset_strongly_connected(n: int, edges) -> bool:
-    """True iff the edges on vertices 1..n are strongly connected: vertex 1
-    reaches every vertex along them and against them."""
-    out, inn = _adjacency(n, edges)
-    full = (1 << (n + 1)) - 2
+def _strongly_connected(out: Sequence[int], inn: Sequence[int]) -> bool:
+    """True iff the adjacency masks `out`, `inn` of vertices 1..n (indexed
+    0..n) are strongly connected: vertex 1 reaches every vertex along the
+    edges and against them."""
+    full = (1 << len(out)) - 2
     return _reach(out) == full and _reach(inn) == full
+
+
+def _subset_strongly_connected(n: int, edges) -> bool:
+    """True iff the edges on vertices 1..n are strongly connected."""
+    return _strongly_connected(*_adjacency(n, edges))
 
 
 def is_strongly_connected(graph: CompartmentGraph) -> bool:

@@ -18,6 +18,7 @@ from compident import (
     has_expected_dimension,
 )
 from compident import census
+from compident import graphs as graphs_mod
 from compident.census import (
     CONJ_COLLAPSE_CYCLE,
     CONJ_COLLAPSE_MAXIMAL,
@@ -27,6 +28,7 @@ from compident.census import (
     property_suite,
     test_conjectures as run_conjectures,
 )
+from compident.graphs import _subset_strongly_connected
 
 from conftest import class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
@@ -135,20 +137,86 @@ def cold_census():
     census._census_data.cache_clear()
 
 
+def unpruned_grouped_classes(n: int, m: int):
+    """`census._grouped_classes` as it stood before the reach prune: each
+    child takes the canonicity test first and, once entered, a strong
+    connectivity test on a rebuilt edge list. Oracle for the pruned search."""
+    pool = census.all_possible_edges(n)
+    P = len(pool)
+    if m < 0 or m > P:
+        return pool, [], []
+    index = {e: i for i, e in enumerate(pool)}
+    others = range(2, n + 1)
+    relabelings = [{1: 1, **dict(zip(others, perm))} for perm in permutations(others)]
+    images = [[1 << (P - 1 - index[(s[j], s[i])]) for s in relabelings]
+              for j, i in reversed(pool)]
+    classes = []
+
+    def grow(mask, sums, chosen, low):
+        need = m - len(chosen)
+        reach = chosen + tuple(range(P - low, P)) if need else chosen
+        if not _subset_strongly_connected(n, [pool[i] for i in reach]):
+            return
+        if not need:
+            graph = CompartmentGraph(n, tuple(pool[i] for i in chosen))
+            classes.append((mask, graph, len(sums) // sums.count(mask)))
+            return
+        for b in range(low - 1, need - 2, -1):
+            child_sums = [x + y for x, y in zip(sums, images[b])]
+            if max(child_sums) == mask | 1 << b:
+                grow(mask | 1 << b, child_sums, chosen + (P - 1 - b,), b)
+
+    grow(0, [0] * len(relabelings), (), P)
+    return pool, images, classes
+
+
+ORACLE_ROWS = [(n, m) for n in range(1, 6) for m in range(-1, n * (n - 1) + 2)] + [(6, 7), (6, 8)]
+
+
 class TestOrderlyCensus:
     def test_strong_connectivity_calls_bounded(self, monkeypatch, cold_census):
-        calls = []
-        real = census._subset_strongly_connected
+        """The search's work, counted: canonicity tests (one `max` over a
+        child's image sums each) and reach walks (`_reach`, two per strong
+        connectivity test). Testing canonicity before strong connectivity
+        raises the first count; going on past the first child that fails
+        strong connectivity, where the reach sets are nested, raises the
+        second. Neither changes the classes."""
+        canonicity = []
 
-        def counting(n, edges):
-            calls.append(1)
-            return real(n, edges)
+        def counting_max(*args, **kwargs):
+            canonicity.append(1)
+            return max(*args, **kwargs)
 
-        monkeypatch.setattr(census, "_subset_strongly_connected", counting)
-        row = census_row(5, 8)
-        assert (row.A, row.C) == (26875, 1158)
-        # The labeled scan made C(20, 8) = 125,970 calls here.
-        assert len(calls) <= 10_000
+        reaches = []
+        real_reach = graphs_mod._reach
+
+        def counting_reach(adj):
+            reaches.append(1)
+            return real_reach(adj)
+
+        monkeypatch.setattr(census, "max", counting_max, raising=False)
+        monkeypatch.setattr(graphs_mod, "_reach", counting_reach)
+        # (n, m): A, C, canonicity tests, reach walks. Unpruned, (5,8) took
+        # 5,307 canonicity tests and (6,8) 22,823; the labeled scan of (5,8)
+        # made C(20, 8) = 125,970 strong connectivity tests.
+        for (n, m), pinned in {(5, 8): (26875, 1158, 2685, 8701),
+                               (6, 8): (107850, 941, 4135, 30376)}.items():
+            canonicity.clear()
+            reaches.clear()
+            found = census._grouped_classes(n, m, 6)[2]
+            counts = (sum(size for _mask, _rep, size in found), len(found))
+            assert counts == pinned[:2]
+            assert 0 < len(canonicity) <= pinned[2]
+            assert 0 < len(reaches) <= pinned[3]
+
+    @pytest.mark.parametrize("n, m", ORACLE_ROWS)
+    def test_pruned_search_equals_unpruned(self, n, m):
+        assert census._grouped_classes(n, m, 6) == unpruned_grouped_classes(n, m)
+
+    def test_seven_vertex_grouping(self, cold_census):
+        found = census._grouped_classes(7, 9, 7)[2]
+        assert len(found) == 2497
+        assert sum(size for _mask, _rep, size in found) == 1_719_060
 
     def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch, cold_census):
         # (4,6) runs its verdicts serially, (5,7) splits them over children.

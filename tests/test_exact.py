@@ -19,6 +19,7 @@ from compident.exact import (
     det_int,
     integer_solve_in_lattice,
     inverse_unimodular,
+    matvec_int,
     rank,
     rank_bareiss,
     rank_mod_p,
@@ -435,6 +436,19 @@ class TestIntegerEntries:
     def test_non_integers_raise(self, func, rows):
         with pytest.raises(TypeError):
             func(rows)
+
+
+class TestMatvec:
+    def test_product(self):
+        assert matvec_int([[1, 2], [3, 4]], [5, 6]) == [17, 39]
+        assert matvec_int([], [5, 6]) == []
+
+    @pytest.mark.parametrize("vec", [[3], [3, 4, 5]], ids=["short", "long"])
+    def test_length_mismatch_raises(self, vec):
+        """A row and a vector of different lengths raise ValueError: neither
+        is cut to the other's length."""
+        with pytest.raises(ValueError):
+            matvec_int([[1, 2]], vec)
 
 
 class TestLatticeSolve:
