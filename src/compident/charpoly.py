@@ -29,13 +29,14 @@ the Jacobian's rank at every point:
   stops after at most m-1 pivots.
 
 M' exists only packed mod p. One kernel, `_VerdictKernel`, builds the
-powers of diag(A, A_1) packed mod p: each row of a power is one int of
-`exact.slot_width(n)`-bit slots, so a row of the next power is one big-int
-multiply-add per nonzero of A, and two Mersenne folds per product keep the
-slots from overflowing, unreduced. It gathers M''s columns from those
-packed powers, one at a time, straight into slots of the same width, the
-column operation included, with no reduction, and `exact._pivots_mod_p`
-ranks them in one pass that stops at the last pivot. Rational mode takes
+powers of diag(A, A_1) packed mod p: row r of A^i and of A_1^i side by
+side in one int of `exact.slot_width(n)`-bit slots, so row r of the next
+power is one big-int multiply-add per nonzero of A for both blocks, and
+two Mersenne folds keep the slots from overflowing, unreduced. It
+gathers M''s columns from those packed powers, one at a time, straight
+into slots of the same width, the column operation included, with no
+reduction, and `exact._pivots_mod_p` ranks them in one pass that stops
+at the last pivot. Rational mode takes
 the same rank: a minor that is nonzero mod p is a nonzero integer, so the
 certificate is a rank mod p at the proven ceiling. Only a shortfall reads
 M over Z from `_power_rows` and runs Bareiss on it, the two identity rows
@@ -54,6 +55,7 @@ exchange.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import asdict, dataclass
 from operator import add, index, mul
@@ -243,20 +245,33 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
+@functools.cache
+def _slots(n: int, nrows: int) -> tuple[int, int, int, int, int]:
+    """`_VerdictKernel`'s constants for n vertices and `nrows` rows of M':
+    the slot width, the fold masks LO and HI of 2n-1 slots, the mask of
+    the n A slots and the column 2p of `nrows` slots."""
+    width = exact.slot_width(n)
+    mask = (1 << width) - 1
+    ones = ((1 << (2 * n - 1) * width) - 1) // mask  # 1 in each slot
+    twop = ones % (1 << nrows * width) * 2 * MERSENNE61
+    return width, ones * MERSENNE61, ones * (mask >> 61), (1 << n * width) - 1, twop
+
+
 class _VerdictKernel:
     """M' of one graph at the verdict columns of one spanning tree, ranked
     mod p by one kernel from the packed powers of diag(A, A_1) to the
     pivot columns, and only mod p. `_sampled_dimension` builds it once,
     and every trial shares its set-up.
 
-    Each row of a power is one int of fixed-width slots (Kronecker
-    substitution; Harvey, J. Symbolic Comput. 44, 2009): slot k holds
-    column k of its block, so row r of A * A^i is sum_k a_rk * row_k, one
-    big-int multiply-add per nonzero of A. List rows 0..n-1 are the rows of
-    A, n..2n-2 those of A_1, and one more, always 0, is what the cells
-    outside A_1 read; list row k multiplies column k % n of its block. For
-    the parameter at A[r][c], (A^i)[c][r] sits in list row c at slot r, and
-    its A_1 entry in list row n + c - 1 at slot r - 1, or in the zero row.
+    Row r of a power is one int of 2n-1 fixed-width slots (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009): row r of A^i in
+    slots 0..n-1, and row r of A_1^i in slots n..2n-2, column c at slot
+    n + c - 1. As A_1[r][k] = A[r][k] for r, k >= 1, row r of the next
+    power is sum_k a_rk * row_k over row r of A, one big-int multiply-add
+    per nonzero of A for both blocks, once row 0's A_1 slots are cleared:
+    vertex 1 has no row in A_1. For the parameter at A[r][c], (A^i)[c][r]
+    sits in row c at slot r, and its A_1 entry at slot n + r - 1, or past
+    the last slot, which reads 0, when r or c is 0.
 
     M' (the module docstring) is taken at `_verdict_params`, less row 1 of
     A_1 when it twins row 1 of A (`_dimension_bound`): its columns are
@@ -281,49 +296,43 @@ class _VerdictKernel:
         self.twin = _dimension_bound(graph) < 2 * n - 1
         self.nrows = max(2 * n - 3 - self.twin, 0)
         self.ncols = max(len(self.params) - 2, 0)
-        self.nonzeros = [([], []) for _ in range(2 * n - 1)]  # per list row: list rows k, parameters
+        self.nonzeros = [([], []) for _ in range(n)]  # per row of A: its columns k, parameters
         entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
         for param, (r, c) in enumerate(entries):
-            for row, k in ((r, c), (n + r - 1, n + c - 1))[: 2 if r and c else 1]:  # A, and A_1
-                self.nonzeros[row][0].append(k)
-                self.nonzeros[row][1].append(param)
-        self.width = exact.slot_width(n)  # of the powers and of the columns of M'
-        mask = (1 << self.width) - 1
-        ones = ((1 << max(n, self.nrows) * self.width) - 1) // mask  # 1 in each slot of a power or column
-        self.low, self.high = ones * MERSENNE61, ones * (mask >> 61)
-        # per column, a22's first: the list row and shift of its cell in A and in A_1
+            self.nonzeros[r][0].append(c)
+            self.nonzeros[r][1].append(param)
+        self.width, self.low, self.high, self.a_slots, self.twop = _slots(n, self.nrows)
+        # per column, a22's first: the row and the shifts of its cells in A and in A_1
         self.cells = [
-            ((c, r * self.width), (n + c - 1, (r - 1) * self.width) if r and c else (2 * n - 1, 0))
+            (c, r * self.width, (n + r - 1 if r and c else 2 * n - 1) * self.width)
             for r, c in map(entries.__getitem__, self.params[1:])
         ]
 
     def packed(self, values: Sequence[int]) -> list[list[int]]:
         """The packed powers A^1 .. A^(n-1) of diag(A, A_1) mod p at
-        `values`, each a list of 2n rows; A_1 has no power n-1, so the last
-        power's A_1 rows are the previous power's.
+        `values`, each a list of n rows; A_1 needs no power n-1, so the
+        last power's A_1 slots go unread.
 
-        Power 1 is A itself, packed from the values with no product. Every
+        Power 1 is A itself, packed from the values with no product, each
+        row r >= 1 repeated without its slot 0 in the A_1 slots. Every
         entry of A is reduced to [0, p), and a product slot sums at most n
-        products a * x of an entry and a slot: `exact.slot_width(n)` proves
-        that such slots never carry into the next and that two Mersenne
-        folds per product keep them below 2^61 + 2^e, e = width - 122.
-        Slots are never reduced to [0, p).
+        products a * x of an entry and a slot (n - 1 in an A_1 slot):
+        `exact.slot_width(n)` proves that such slots never carry into the
+        next and that two Mersenne folds per product keep them below
+        2^61 + 2^e, e = width - 122. Slots are never reduced to [0, p).
         """
-        n, width, low, high = self.n, self.width, self.low, self.high
+        n, width, low, high, a_slots = self.n, self.width, self.low, self.high, self.a_slots
         values = [x % MERSENNE61 for x in values]
-        rows = [list(map(values.__getitem__, params)) for _, params in self.nonzeros]
-        power = [
-            sum(a << k % n * width for k, a in zip(ks, row)) for (ks, _), row in zip(self.nonzeros, rows)
-        ] + [0]
+        rows = [(ks, list(map(values.__getitem__, params))) for ks, params in self.nonzeros]
+        power = [sum(a << k * width for k, a in zip(ks, row)) for ks, row in rows]
+        power = [x + (x >> width << n * width) for x in power]
+        power[0] &= a_slots
         powers = [power] if n > 1 else []
-        for i in range(2, n):
-            block = rows[: n if i == n - 1 else None]  # A_1 needs no power n-1
-            product = [
-                sum(map(mul, row, map(power.__getitem__, ks))) for (ks, _), row in zip(self.nonzeros, block)
-            ]
-            product = [(x & low) + (x >> 61 & high) for x in product]
-            product = [(x & low) + (x >> 61 & high) for x in product]
-            power = product + power[len(product) :]
+        for _ in range(2, n):
+            power = [sum(map(mul, row, map(power.__getitem__, ks))) for ks, row in rows]
+            power = [(x & low) + (x >> 61 & high) for x in power]
+            power = [(x & low) + (x >> 61 & high) for x in power]
+            power[0] &= a_slots
             powers.append(power)
         return powers
 
@@ -340,19 +349,19 @@ class _VerdictKernel:
         (powers 1+twin..n-2)."""
         n, width, low, high = self.n, self.width, self.low, self.high
         mask = (1 << width) - 1
-        rows = list(zip(*powers))  # per list row, that row of each power
+        rows = list(zip(*powers))  # per row r, row r of each power
 
         def column(at):
-            (k, s), (sub_k, sub_s) = at
+            k, s, sub_s = at
             x = 0
-            for y in reversed(rows[sub_k][self.twin : n - 2]):
+            for y in reversed(rows[k][self.twin : n - 2]):
                 x = x << width | y >> sub_s & mask
             for y in reversed(rows[k]):
                 x = x << width | y >> s & mask
             return x
 
         # 2p - x in each slot, x the cell of a22: 2p exceeds every cell, so nothing borrows
-        operation = ((1 << self.nrows * width) - 1) // mask * 2 * MERSENNE61 - column(self.cells[0])
+        operation = self.twop - column(self.cells[0])
         for j, at in enumerate(self.cells[1:]):
             x = column(at)
             if j < n - 2:  # a_vv - a22

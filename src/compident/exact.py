@@ -69,7 +69,10 @@ def slot_width(terms: int) -> int:
     products per slot, as in `_pivots_mod_p`, are within the bound of any
     k >= 2: `rank_mod_p` packs at slot_width(2) = 123 bits, and the packed
     powers of `charpoly._VerdictKernel` and the columns of M' gathered from
-    them share slot_width(n) bits, 124 or more from n = 3.
+    them share slot_width(n) bits, 124 or more from n = 3. A power's A slot
+    sums at most n products and its A_1 slot at most n - 1, since the
+    term of vertex 1 multiplies A_1 slots that are 0; fewer terms only
+    lower the sum, so both are within slot_width(n).
     """
     p = MERSENNE61
     e = 0
@@ -85,8 +88,17 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     raises ValueError."""
     p = MERSENNE61
     width = slot_width(2)
-    columns = [sum(index(x) % p << r * width for r, x in enumerate(col)) for col in zip(*rows, strict=True)]
+    _row_length(rows)
+    columns = [sum(index(x) % p << r * width for r, x in enumerate(col)) for col in zip(*rows)]
     return len(_pivots_mod_p(columns, len(rows), width))
+
+
+def _row_length(rows: Sequence[Sequence[int]]) -> int:
+    """The length of every row; a ragged matrix raises ValueError."""
+    length = len(rows[0]) if rows else 0
+    if any(len(row) != length for row in rows):
+        raise ValueError("rows of different lengths")
+    return length
 
 
 def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
@@ -150,9 +162,7 @@ def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int
     own packed loop, `_pivots_mod_p`. A ragged matrix raises ValueError.
     """
     nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if any(len(row) != ncols for row in mat):
-        raise ValueError("rows of different lengths")
+    ncols = _row_length(mat)
     pivots: list[int] = []
     prev = sign = 1
     for col in range(ncols):

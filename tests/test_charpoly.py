@@ -517,8 +517,8 @@ def reference_power_rows(graph, values, p: int, params) -> tuple[list, list]:
 
 def packed_power_rows(graph, values, params) -> tuple[list, list]:
     """`_power_rows` mod p read from `_VerdictKernel.packed`: for the
-    parameter at A[r][c], row i of the A part holds slot r of list row c of
-    power i, and row i of the A_1 part slot r - 1 of list row n + c - 1 (0
+    parameter at A[r][c], row i of the A part holds slot r of row c of
+    power i, and row i of the A_1 part slot n + r - 1 of the same row (0
     outside A_1), each then reduced mod p. Row 0 is the identity's."""
     n, p = graph.n, MERSENNE61
     kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
@@ -531,9 +531,7 @@ def packed_power_rows(graph, values, params) -> tuple[list, list]:
     for i, power in enumerate(kernel.packed(values), start=1):
         rows.append([(power[c] >> r * width & mask) % p for r, c in cells])
         if i < n - 1:
-            sub_rows.append(
-                [(power[n + c - 1] >> (r - 1) * width & mask) % p if r and c else 0 for r, c in cells]
-            )
+            sub_rows.append([(power[c] >> (n + r - 1) * width & mask) % p if r and c else 0 for r, c in cells])
     return rows, sub_rows
 
 
@@ -623,6 +621,25 @@ class TestPowerRows:
         graphs = [complete_digraph(n) for n in range(2, 9)] + [bidirected_path(20), bidirected_path(40)]
         for g in graphs:
             self.check(g, [MERSENNE61 - 1] * (g.n + g.m), (MERSENNE61, 0))
+
+    def test_packed_slots(self):
+        """Raw slots of the packed powers: row 0 holds nothing past its n
+        A slots in any power, since vertex 1 has no row in A_1, no row
+        reaches past its 2n - 1 slots, and at every value p - 1 on a
+        complete digraph, which fills the slots to their bounds, every
+        slot is below 2^61 + 2^e, e = width - 122."""
+        for n in range(2, 9):
+            g = complete_digraph(n)
+            kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+            width = kernel.width
+            mask, bound = (1 << width) - 1, (1 << 61) + (1 << width - 122)
+            powers = kernel.packed([MERSENNE61 - 1] * (g.n + g.m))
+            assert [len(power) for power in powers] == [n] * (n - 1)
+            for power in powers:
+                assert power[0] >> n * width == 0, n
+                for row in power:
+                    assert row >> (2 * n - 1) * width == 0, n
+                    assert all(row >> k * width & mask < bound for k in range(2 * n - 1)), n
 
     def test_negative_and_fraction_values(self):
         """Exact rows at p = 0 with entries of both signs: all entries

@@ -221,11 +221,11 @@ class TestRankModMersenne:
         ],
     )
     def test_ragged_rows_raise(self, rows, ranker):
-        """A row of another length than the first raises ValueError; it is
-        neither cut to the shortest row nor padded with zeros, even past
+        """A row of another length than the first raises ValueError, in the
+        same words from every ranker; it is neither cut to the shortest row nor padded with zeros, even past
         the last pivot, and an empty first row is no shortcut to rank 0.
         The empty matrices keep rank 0."""
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rows of different lengths$"):
             ranker(rows)
         assert ranker([]) == ranker([[]]) == 0
 

@@ -162,7 +162,7 @@ def test_list_powers_stand_apart_from_the_verdict_kernel():
     functions = {"_power_rows", "_coefficients", "newton_coefficients"}
     nodes = [n for n in definitions(tree) if n.name in functions]
     assert {n.name for n in nodes} == functions
-    kernel = {"_VerdictKernel", "packed", "_columns", "slot_width", "_pivots_mod_p"}
+    kernel = {"_VerdictKernel", "_slots", "packed", "_columns", "slot_width", "_pivots_mod_p"}
     kernel |= {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     assert [(n.name, sorted(referenced(n) & kernel)) for n in nodes if referenced(n) & kernel] == []
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_VerdictKernel"]
