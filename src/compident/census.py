@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from operator import add, or_
 from typing import Iterator, Optional
 
-from .charpoly import checked_modulus, has_expected_dimension
+from .charpoly import checked_arguments, has_expected_dimension
 from .errors import LimitExceeded
 from .exact import PRIME_MODE
 from .graphs import (
@@ -239,7 +239,7 @@ def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
     representative, and the number of labeled graphs. `trials` and `mode`
     are checked first, so a row with no classes, or one the edge bound
     decides, rejects them as every other row does."""
-    checked_modulus(trials, mode)
+    checked_arguments(trials, mode)
     _pool, _images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, limit)
     verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],

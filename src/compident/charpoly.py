@@ -30,11 +30,13 @@ the Jacobian's rank at every point:
 
 M' exists only packed mod p. One kernel, `_VerdictKernel`, builds the
 powers of diag(A, A_1) packed mod p: row r of A^i and of A_1^i side by
-side in one int of `exact.slot_width(n)`-bit slots, so row r of the next
-power is one big-int multiply-add per nonzero of A for both blocks, and
-two Mersenne folds keep the slots from overflowing, unreduced. It
-gathers M''s columns from those packed powers, one at a time, straight
-into slots of the same width, the column operation included, with no
+side in one int of slots, so row r of the next power is one big-int
+multiply-add per nonzero of A for both blocks, and two Mersenne folds
+keep the slots from overflowing, unreduced. An A slot takes n products
+and an A_1 slot n - 1, so both fit `exact.slot_width(n)`-bit slots,
+folded by the masks of `exact.fold_masks`. The kernel gathers
+M''s columns from those packed powers, one at a time, straight into
+slots of the same width, the column operation included, with no
 reduction, and `exact._pivots_mod_p` ranks them in one pass that stops
 at the last pivot. Rational mode takes
 the same rank: a minor that is nonzero mod p is a nonzero integer, so the
@@ -55,7 +57,6 @@ exchange.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import asdict, dataclass
 from operator import add, index, mul
@@ -245,18 +246,6 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
-@functools.cache
-def _slots(n: int, nrows: int) -> tuple[int, int, int, int, int]:
-    """`_VerdictKernel`'s constants for n vertices and `nrows` rows of M':
-    the slot width, the fold masks LO and HI of 2n-1 slots, the mask of
-    the n A slots and the column 2p of `nrows` slots."""
-    width = exact.slot_width(n)
-    mask = (1 << width) - 1
-    ones = ((1 << (2 * n - 1) * width) - 1) // mask  # 1 in each slot
-    twop = ones % (1 << nrows * width) * 2 * MERSENNE61
-    return width, ones * MERSENNE61, ones * (mask >> 61), (1 << n * width) - 1, twop
-
-
 class _VerdictKernel:
     """M' of one graph at the verdict columns of one spanning tree, ranked
     mod p by one kernel from the packed powers of diag(A, A_1) to the
@@ -271,7 +260,9 @@ class _VerdictKernel:
     per nonzero of A for both blocks, once row 0's A_1 slots are cleared:
     vertex 1 has no row in A_1. For the parameter at A[r][c], (A^i)[c][r]
     sits in row c at slot r, and its A_1 entry at slot n + r - 1, or past
-    the last slot, which reads 0, when r or c is 0.
+    the last slot, which reads 0, when r or c is 0. An A slot takes n
+    products and an A_1 slot n - 1, as row 0's A_1 slots are 0: slots of
+    `exact.slot_width(n)` bits.
 
     M' (the module docstring) is taken at `_verdict_params`, less row 1 of
     A_1 when it twins row 1 of A (`_dimension_bound`): its columns are
@@ -279,15 +270,13 @@ class _VerdictKernel:
     at a time, straight from the powers A^1 .. A^(n-1): each row's cell is
     shifted out of its power row into the row's slot, unreduced, and the
     column operation adds the column 2p - x, x the cells of a22, to each
-    diagonal column, followed by one fold. Every slot of a gathered column
-    is then below 2^61 + 2^e, e = slot_width(n) - 122: the cells are, and a
-    diagonal slot is below 2^61 + 2^e + 2p < 2^63 before the fold and at
-    most 2^61 + 2 after it, where e >= 2 since diagonal columns need
-    n >= 3. So the columns are eliminated at the powers' width, which
-    bounds two products per slot (`exact.slot_width`).
-    `exact._pivots_mod_p` reads them in one pass and stops at the last
-    pivot: a wide M' of full row rank is read only up to its last pivot
-    column, and each column once.
+    diagonal column, followed by one fold. A cell is a power's slot, and a
+    diagonal column's slot takes 2p plus one cell, below 2^63, which the
+    fold brings to at most 2^61 + 2; both are within `exact.slot_width(n)`
+    (e >= 2 there, as diagonal columns need n >= 3), so the columns are
+    eliminated at the powers' width. `exact._pivots_mod_p` reads them in
+    one pass and stops at the last pivot: a wide M' of full row rank is
+    read only up to its last pivot column, and each column once.
     """
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
@@ -301,10 +290,13 @@ class _VerdictKernel:
         for param, (r, c) in enumerate(entries):
             self.nonzeros[r][0].append(c)
             self.nonzeros[r][1].append(param)
-        self.width, self.low, self.high, self.a_slots, self.twop = _slots(n, self.nrows)
+        width = self.width = exact.slot_width(n)
+        self.low, self.high = exact.fold_masks(width, 2 * n - 1)
+        self.a_slots = (1 << n * width) - 1
+        self.twop = 2 * exact.fold_masks(width, self.nrows)[0]  # 2p in each of the nrows slots
         # per column, a22's first: the row and the shifts of its cells in A and in A_1
         self.cells = [
-            (c, r * self.width, (n + r - 1 if r and c else 2 * n - 1) * self.width)
+            (c, r * width, (n + r - 1 if r and c else 2 * n - 1) * width)
             for r, c in map(entries.__getitem__, self.params[1:])
         ]
 
@@ -315,11 +307,9 @@ class _VerdictKernel:
 
         Power 1 is A itself, packed from the values with no product, each
         row r >= 1 repeated without its slot 0 in the A_1 slots. Every
-        entry of A is reduced to [0, p), and a product slot sums at most n
-        products a * x of an entry and a slot (n - 1 in an A_1 slot):
-        `exact.slot_width(n)` proves that such slots never carry into the
-        next and that two Mersenne folds per product keep them below
-        2^61 + 2^e, e = width - 122. Slots are never reduced to [0, p).
+        entry of A is reduced to [0, p); an A slot of a product takes n
+        products of an entry and a slot, and an A_1 slot n - 1, folded
+        twice (`exact.slot_width(n)`). Slots are never reduced to [0, p).
         """
         n, width, low, high, a_slots = self.n, self.width, self.low, self.high, self.a_slots
         values = [x % MERSENNE61 for x in values]
@@ -411,12 +401,15 @@ def sample_point(rng: random.Random, count: int) -> list[int]:
     return point
 
 
-def checked_modulus(trials: int, mode: str) -> int:
-    """`exact.modulus(mode)`, once `trials` is checked: the argument check
-    of every verdict entry point, made before anything else is decided."""
+def checked_arguments(trials: int, mode: str) -> tuple[int, int]:
+    """`trials` as an int of at least 1 (through `operator.index`, so a
+    float or a str raises TypeError) and `exact.modulus(mode)`: the
+    argument check of every verdict entry point, made before anything else
+    is decided."""
+    trials = index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return exact.modulus(mode)
+    return trials, exact.modulus(mode)
 
 
 def image_dimension(
@@ -462,7 +455,7 @@ def _sampled_dimension(
 ) -> DimensionReport:
     """`image_dimension` of a graph already known to be strongly connected,
     with the verdict columns of its spanning tree `tree`."""
-    rational = not checked_modulus(trials, mode)
+    trials, p = checked_arguments(trials, mode)
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
     kernel = _VerdictKernel(graph, tree)
@@ -472,7 +465,7 @@ def _sampled_dimension(
     for _ in range(trials):
         point = sample_point(rng, nvars)
         rank = eliminated + len(kernel.pivots(point))
-        if rational and rank < ceiling:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
+        if not p and rank < ceiling:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
             rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
             rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
         best = max(best, rank)
@@ -507,7 +500,7 @@ def has_expected_dimension(
     `image_dimension` otherwise, which also raises NotStronglyConnected for
     a graph that fails the check here.
     """
-    checked_modulus(trials, mode)  # also where the bound decides
+    checked_arguments(trials, mode)  # also where the bound decides
     if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict

@@ -1,11 +1,12 @@
 """Exact arithmetic kernels on plain ints. One packed loop mod p =
-2^61 - 1, `_pivots_mod_p`, gives the rank mod p and the pivot columns in
-one pass over packed columns, of a list matrix (`rank_mod_p`) and of the
-verdict matrix whose columns `charpoly` gathers packed; one fraction-free
-(Bareiss) loop over Z, `_bareiss`, gives the integer rank, the
-determinant and the choice and inversion of a unimodular column block.
-`slot_width` proves the slot bound of packed vectors, reduced or not,
-here and in the packed powers of `charpoly._VerdictKernel`.
+2^61 - 1, `_pivots_mod_p`, gives the rank mod p and the pivot columns of
+a matrix in one pass over its packed columns: of a list matrix in
+`rank_mod_p`, and of any caller's columns packed at a width `slot_width`
+proves. One fraction-free (Bareiss) loop over Z, `_bareiss`, gives the
+integer rank, the determinant and the choice and inversion of a
+unimodular column block. The packed layout lives here: `slot_width`
+proves how wide a slot must be for k products, and `fold_masks` builds
+the masks that fold the slots of one shape, once per shape.
 
 No floating point is used anywhere; ranks and inverses are exact. An
 arithmetic mode names a modulus: p = 2^61 - 1 in prime-field mode, large
@@ -17,13 +18,12 @@ instead of being truncated or reduced.
 
 The rational rank is certified mod p where it can be: a minor that is
 nonzero mod p is a nonzero integer, so a rank mod p at a proven ceiling is
-already the rank over Q. Only a shortfall goes through Bareiss over Z: of
-the matrix itself in `rank`, and of the verdict matrix M that
-`charpoly._power_rows` reads in a rational verdict.
+already the rank over Q, and only a shortfall goes through Bareiss over Z.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -46,39 +46,47 @@ def modulus(mode: str) -> int:
     raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
 
 
+@lru_cache(maxsize=32)
 def slot_width(terms: int) -> int:
     """Bits per slot of a vector packed mod p = 2^61 - 1, when a slot of
-    the next vector is a sum of `terms` products a * x, a in [0, p) and x a
-    slot below 2^61 + 2^e, e = slot_width(terms) - 122.
+    the next vector is a sum of at most k = `terms` products a * x, a in
+    [0, p) and x a slot below 2^61 + 2^e, e = slot_width(terms) - 122.
 
     A packed vector is one int whose slot k, `width` bits wide, holds entry
     k (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009). Since
-    2^61 = 1 mod p, a fold (x & LO) + (x >> 61 & HI), with LO and HI the low
-    61 and the high width - 61 bits of every slot, keeps each slot's
-    residue, so slots need not be reduced to [0, p).
+    2^61 = 1 mod p, a fold (x & LO) + (x >> 61 & HI), which adds the high
+    width - 61 bits of every slot to its low 61 (`fold_masks`), keeps each
+    slot's residue, so slots need not be reduced to [0, p).
 
     The width is 122 + e for the least e >= 0 with
-    k (p-1) (2^61 + 2^e - 1) < 2^(122+e), k = `terms`; the left side over
-    the right falls as e grows, so the loop below stops at the least. A sum
-    x of k products of slots below 2^61 + 2^e is then below 2^width, so no
-    slot carries into the next. A first fold leaves y = (x mod 2^61) +
-    (x >> 61) < 2^61 + 2^(61+e), so y >> 61 <= 2^e, and a second fold
-    leaves at most 2^61 - 1 + 2^e: every slot is below 2^61 + 2^e again.
-
-    e is 0 for one term, 1 for two and k.bit_length() for k >= 3. Two
-    products per slot, as in `_pivots_mod_p`, are within the bound of any
-    k >= 2: `rank_mod_p` packs at slot_width(2) = 123 bits, and the packed
-    powers of `charpoly._VerdictKernel` and the columns of M' gathered from
-    them share slot_width(n) bits, 124 or more from n = 3. A power's A slot
-    sums at most n products and its A_1 slot at most n - 1, since the
-    term of vertex 1 multiplies A_1 slots that are 0; fewer terms only
-    lower the sum, so both are within slot_width(n).
+    k (p-1) (2^61 + 2^e - 1) < 2^(122+e); the left side over the right
+    falls as e grows, so the loop below stops at the least. A sum x of at
+    most k products of slots below 2^61 + 2^e is then below 2^width, so no
+    slot carries into the next, whatever the number of slots. A first fold
+    leaves y = (x mod 2^61) + (x >> 61) < 2^61 + 2^(61+e), so
+    y >> 61 <= 2^e, and a second fold leaves at most 2^61 - 1 + 2^e: every
+    slot is below 2^61 + 2^e again. A width proved for k terms holds for
+    fewer, and e grows with k: it is 0 for one term, 1 for two and
+    k.bit_length() for k >= 3. Cached, as its callers ask for the width of
+    one shape once per matrix.
     """
     p = MERSENNE61
     e = 0
     while terms * (p - 1) * ((1 << 61) + (1 << e) - 1) >= 1 << 122 + e:
         e += 1
     return 122 + e
+
+
+@lru_cache(maxsize=32)
+def fold_masks(width: int, nslots: int) -> tuple[int, int]:
+    """The fold masks LO and HI of `nslots` slots of `width` bits: the low
+    61 bits of every slot, which is also p in every slot, and the high
+    width - 61 bits of every slot shifted down by 61, as the fold
+    (x & LO) + (x >> 61 & HI) reads them (`slot_width`). Built once per
+    shape; the cache is bounded, since a list matrix of any height
+    reaches `_pivots_mod_p`."""
+    ones = ((1 << nslots * width) - 1) // ((1 << width) - 1)  # 1 in each slot
+    return ones * MERSENNE61, ones * ((1 << width - 61) - 1)
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
@@ -106,8 +114,9 @@ def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
     columns: the matrix's first independent columns mod p.
 
     Column j is one int whose `width`-bit slot r holds entry (r, j) mod p,
-    below 2^61 + 2^e, e = width - 122, and not necessarily reduced
-    (`slot_width`). The columns are read one at a time, and each is
+    below 2^61 + 2^e, e = width - 122, and not necessarily reduced; width
+    is at least `slot_width(2)`, which bounds the two products per slot of
+    an update. The columns are read one at a time, and each is
     reduced by an echelon basis of the columns accepted so far, one basis
     vector at a time, in insertion order: by the vector with pivot slot s
     and pivot pv, x becomes pv * x + (p - f) * b, f the slot of x at s, two
@@ -122,8 +131,7 @@ def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
     """
     p = MERSENNE61
     mask = (1 << width) - 1
-    ones = ((1 << nrows * width) - 1) // mask  # 1 in each of nrows slots
-    low, high = ones * p, ones * (mask >> 61)
+    low, high = fold_masks(width, nrows)
     free = list(range(0, nrows * width, width))  # shifts of the slots with no pivot
     basis: list[tuple[int, int, int]] = []  # (pivot slot's shift, pivot, column)
     pivots: list[int] = []
@@ -203,9 +211,7 @@ def rank(rows: Sequence[Sequence[int]], mode: str = RATIONAL_MODE) -> int:
     Reduction mod p can only lower the rank of an integer matrix, since a
     minor that is nonzero mod p is a nonzero integer; and no rank exceeds
     min(rows, cols). So a rank mod p at that proven ceiling is the rank
-    over Q. Rational verdicts (`charpoly._sampled_dimension`) take the
-    rank mod p of the packed M' at their own ceiling, and on a shortfall
-    run Bareiss on M from `charpoly._power_rows`.
+    over Q.
     """
     if not rows:
         return 0

@@ -16,10 +16,11 @@ from operator import index
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, _sampled_dimension, checked_modulus
+from .charpoly import DimensionReport, _sampled_dimension, checked_arguments
 from .errors import (
     Disconnected,
     InconsistentSystem,
+    MalformedInput,
     NoReparametrization,
     NotExpectedDimension,
     NotSquare,
@@ -41,12 +42,8 @@ from .monomial import format_monomial, name_order, parse_monomial, render_monomi
 
 
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
-    """Turn explicit (source, target) pairs into a checked SpanningTree.
-
-    n-1 distinct edges form a spanning tree of the underlying undirected
-    graph exactly when they reach every vertex from 1, which is when they
-    are acyclic; a repeated edge counts as a cycle.
-    """
+    """Turn explicit (source, target) pairs into a checked SpanningTree
+    (`_checked_walk`)."""
     positions = graph.edge_index()
     indices = []
     for e in edges:
@@ -54,15 +51,30 @@ def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> 
         if e not in positions:
             raise ValueError(f"tree edge {e} is not an edge of the graph")
         indices.append(positions[e])
+    _checked_walk(graph, indices)
+    return SpanningTree(tuple(sorted(indices)))
+
+
+def _checked_walk(graph: CompartmentGraph, indices: Sequence[int]) -> list[tuple[int, int, int]]:
+    """`tree_walk` over edge indices that must form a spanning tree; a
+    wrong edge count, an index outside range(m) or edges that contain a
+    cycle raise ValueError.
+
+    n-1 distinct edges form a spanning tree of the underlying undirected
+    graph exactly when they reach every vertex from 1, which is when they
+    are acyclic; a repeated edge counts as a cycle.
+    """
     if len(set(indices)) != graph.n - 1:
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
+    if not all(0 <= k < graph.m for k in indices):
+        raise ValueError(f"tree edge indices must lie in range({graph.m})")
     try:
         walk = tree_walk(graph, indices)
     except Disconnected:
         walk = []
     if len(walk) != len(indices):  # not every vertex reached, or an edge repeated
         raise ValueError("tree edges contain a cycle")
-    return SpanningTree(tuple(sorted(indices)))
+    return walk
 
 
 def alternate_spanning_tree(
@@ -88,11 +100,12 @@ def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple
     a_ij away from the root adds the edge's exponent when the child is the
     source j, and subtracts it when the child is the target i; this realizes
     the columns of the inverse of the tree block of the incidence matrix
-    without inverting anything.
+    without inverting anything. A `tree` that is no spanning tree of the
+    graph raises ValueError (`_checked_walk`).
     """
     f: list[Optional[tuple[int, ...]]] = [None] * (graph.n + 1)
     f[1] = (0,) * graph.m
-    for child, parent, k in tree_walk(graph, tree.edge_indices):
+    for child, parent, k in _checked_walk(graph, tree.edge_indices):
         j, _i = graph.edges[k]
         expo = list(f[parent])
         expo[k] += 1 if child == j else -1
@@ -148,15 +161,19 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     unimodularity and inverts the chosen block. If that block is not
     unimodular for this tree, every subset of the right size is tried in
     order until one has determinant +-1; a unimodular choice exists for
-    every strongly connected graph, but nothing singles one out.
+    every strongly connected graph, but nothing singles one out. A `tree`
+    that is no spanning tree of the graph raises ValueError
+    (`_checked_walk`) before any search.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("cycle basis requires a strongly connected graph")
+    _checked_walk(graph, tree.edge_indices)
     return _cycle_basis(graph, tree)
 
 
 def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
-    """`cycle_basis` of a graph already known to be strongly connected."""
+    """`cycle_basis` of a graph already known to be strongly connected,
+    and of a tree already known to span it."""
     need = graph.m - graph.n + 1
     nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
     candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
@@ -283,7 +300,7 @@ def reparametrize(
         raise NotStronglyConnected(
             "reparametrization requires a strongly connected graph"
         )
-    checked_modulus(trials, mode)  # also past the edge bound
+    checked_arguments(trials, mode)  # also past the edge bound
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
@@ -385,17 +402,28 @@ def _cycle_from_monomial(graph: CompartmentGraph, edge_names: Sequence[str], tex
 def reparametrization_from_json(
     graph: CompartmentGraph, doc: dict
 ) -> ScalingReparametrization:
-    """Rebuild a reparametrization from its JSON form for re-verification."""
-    tree = validate_tree(graph, [tuple(e) for e in doc["tree_edges"]])
+    """Rebuild a reparametrization from its JSON form for re-verification.
+
+    The document is read first: a missing key, a vertex with no f entry, a
+    matrix too small for the graph or a monomial that is not a string
+    raises MalformedInput, as `graphs.parse_graph` does.
+    """
+    try:
+        tree = validate_tree(graph, [tuple(e) for e in doc["tree_edges"]])
+        f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
+        f_texts = [f_by_vertex[v] for v in range(1, graph.n + 1)]
+        matrix_texts = [doc["matrix"][i - 1][j - 1] for j, i in graph.edges]
+        basis_texts = list(doc["cycle_basis"])
+        stated = [(tuple(map(index, entry["edge"])), entry["in_cycles"]) for entry in doc["expressions"]]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise MalformedInput(f"not a reparametrization document ({type(exc).__name__}: {exc})") from exc
+    texts = chain(f_texts, matrix_texts, basis_texts, (text for _edge, text in stated))
+    if not all(isinstance(text, str) for text in texts):
+        raise MalformedInput("every monomial of a reparametrization document must be a string")
     edge_names = [graph.edge_param_name(k) for k in range(graph.m)]
-    f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
-    f_exponents = tuple(
-        parse_monomial(edge_names, f_by_vertex[v]) for v in range(1, graph.n + 1)
-    )
-    rescaled = []
-    for k, (j, i) in enumerate(graph.edges):
-        rescaled.append(parse_monomial(edge_names, doc["matrix"][i - 1][j - 1]))
-    cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in doc["cycle_basis"])
+    f_exponents = tuple(parse_monomial(edge_names, text) for text in f_texts)
+    rescaled = tuple(parse_monomial(edge_names, text) for text in matrix_texts)
+    cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in basis_texts)
     nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
     if len(cycles) != len(nontree):
         raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
@@ -403,16 +431,16 @@ def reparametrization_from_json(
     qnames = [f"q{t + 1}" for t in range(len(cycles))]
     positions = graph.edge_index()
     expressions = {}
-    for entry in doc["expressions"]:  # one per edge: a repeat would go unchecked
-        k = positions.get(tuple(entry["edge"]))
+    for edge, text in stated:  # one per edge: a repeat would go unchecked
+        k = positions.get(edge)
         if k is None or k in expressions:
-            raise ValueError(f"expression edge {entry['edge']} is repeated or not an edge of the graph")
-        expressions[k] = parse_monomial(qnames, entry["in_cycles"])
+            raise ValueError(f"expression edge {list(edge)} is repeated or not an edge of the graph")
+        expressions[k] = parse_monomial(qnames, text)
     return ScalingReparametrization(
         graph=graph,
         tree=tree,
         f_exponents=f_exponents,
-        rescaled_exponents=tuple(rescaled),
+        rescaled_exponents=rescaled,
         basis=basis,
         cycle_expressions=expressions,
     )

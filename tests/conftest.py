@@ -49,6 +49,15 @@ def single() -> CompartmentGraph:
     return CompartmentGraph(1, ())
 
 
+#: `trials` values every verdict entry point rejects: (trials, error, message).
+BAD_TRIALS = [
+    pytest.param(0, ValueError, "trials must be >= 1", id="0"),
+    pytest.param(-3, ValueError, "trials must be >= 1", id="-3"),
+    pytest.param(1.5, TypeError, "cannot be interpreted as an integer", id="1.5"),
+    pytest.param("2", TypeError, "cannot be interpreted as an integer", id="str"),
+]
+
+
 def directed_cycle_graph(n: int) -> CompartmentGraph:
     return CompartmentGraph(n, tuple([(v, v + 1) for v in range(1, n)] + [(n, 1)]))
 

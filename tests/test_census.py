@@ -30,7 +30,7 @@ from compident.census import (
 )
 from compident.graphs import _subset_strongly_connected
 
-from conftest import class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
+from conftest import BAD_TRIALS, class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
 
 class TestEnumeration:
@@ -75,6 +75,12 @@ class TestCensusRow:
         assert census_row(3, 4).as_dict() == {
             "n": 3, "m": 4, "A": 9, "B": 7, "C": 5, "D": 4, "E": 4, "F": 4,
         }
+
+    @pytest.mark.parametrize("trials, error, match", BAD_TRIALS)
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, trials, error, match):
+        for m in (4, 5):  # 2n-2 = 4: the bound decides every class of (3, 5)
+            with pytest.raises(error, match=match):
+                census_row(3, m, trials=trials)
 
     def test_maximal_row_has_d_and_f(self):
         row = census_row(4, 6)

@@ -23,6 +23,7 @@ from compident import exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 
 from conftest import (
+    BAD_TRIALS,
     clear_denominators,
     directed_cycle_graph,
     evaluate_symbolic,
@@ -1057,14 +1058,21 @@ class TestExpectedDimension:
             has_expected_dimension(source1)
         assert calls == []
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials):
+    @pytest.mark.parametrize("trials, error, match", BAD_TRIALS)
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials, error, match):
+        """`trials` goes through `operator.index`: a float or a str raises
+        TypeError also past the edge bound, where no rank is computed."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
         for graph in (chain4, complete3):
-            with pytest.raises(ValueError, match="trials must be >= 1"):
-                has_expected_dimension(graph, trials=trials)
+            for verdict in (has_expected_dimension, image_dimension):
+                with pytest.raises(error, match=match):
+                    verdict(graph, trials=trials)
+
+    def test_trials_reported_as_an_int(self, chain4):
+        report = image_dimension(chain4, trials=True)
+        assert type(report.trials) is int and report.trials == 1
 
     def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
         complete4 = CompartmentGraph(

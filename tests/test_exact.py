@@ -11,12 +11,14 @@ from compident import (
     InconsistentSystem,
     NotSquare,
     NotUnimodular,
+    image_dimension,
 )
 from compident.exact import (
     MERSENNE61,
     PRIME_MODE,
     RATIONAL_MODE,
     det_int,
+    fold_masks,
     integer_solve_in_lattice,
     inverse_unimodular,
     matvec_int,
@@ -166,6 +168,33 @@ def test_slot_width_is_least_proved():
     widths = [slot_width(n) for n in range(2, 100)]
     assert all(holds(2, w - 122) for w in widths)
     assert widths[0] == 123 and min(widths[1:]) == 124
+
+
+def test_fold_masks_per_slot():
+    """LO holds the low 61 bits of every slot and HI, shifted up by 61, the
+    high width - 61: the two cover every bit once. Zero slots give zero
+    masks."""
+    for width, nslots in ((123, 1), (124, 5), (125, 9), (128, 40)):
+        lo, hi = fold_masks(width, nslots)
+        assert lo == sum(MERSENNE61 << s * width for s in range(nslots))
+        assert hi == sum((1 << width - 61) - 1 << s * width for s in range(nslots))
+        assert lo + (hi << 61) == (1 << nslots * width) - 1
+    assert fold_masks(124, 0) == (0, 0)
+
+
+def test_fold_masks_built_once_per_shape_and_bounded(chain4):
+    """Verdicts on graphs of one shape build no masks after the first, and
+    list matrices of ever new heights never grow the table past its bound."""
+    image_dimension(chain4)
+    before = fold_masks.cache_info()
+    for seed in range(1, 6):
+        image_dimension(chain4, seed=seed)
+    assert fold_masks.cache_info().misses == before.misses
+    bound = fold_masks.cache_info().maxsize
+    assert bound is not None and slot_width.cache_info().maxsize is not None
+    for height in range(1, 2 * bound):
+        rank_mod_p([[1]] * height)
+    assert fold_masks.cache_info().currsize <= bound
 
 
 RAGGED_ROWS = [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 5], [0, 1]], [[0], [0, 1]], [[0, 1], [1]]]

@@ -155,19 +155,30 @@ def test_list_powers_stand_apart_from_the_verdict_kernel():
     """The list loop that the coefficients, the Jacobian, the rational
     fallback's M over Z and the tests' list-built M' read is the oracle of
     the packed verdict kernel, so neither may compute the other: the loop
-    names no part of the kernel, its slot widths, its elimination or any
-    other class of the module, and no method of `_VerdictKernel` names the
-    loop or keeps a graph to run it on."""
+    names no part of the kernel and no other class of the module, and no
+    method of `_VerdictKernel` names the loop or keeps a graph to run it
+    on. The kernel's parts are derived from what its methods name: its
+    methods, charpoly's module-level definitions and the attributes of
+    `exact`, so a new helper of the kernel is guarded as soon as the
+    kernel calls it."""
     tree = parsed("charpoly.py")
     functions = {"_power_rows", "_coefficients", "newton_coefficients"}
     nodes = [n for n in definitions(tree) if n.name in functions]
     assert {n.name for n in nodes} == functions
-    kernel = {"_VerdictKernel", "_slots", "packed", "_columns", "slot_width", "_pivots_mod_p"}
-    kernel |= {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
-    assert [(n.name, sorted(referenced(n) & kernel)) for n in nodes if referenced(n) & kernel] == []
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_VerdictKernel"]
     methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
     assert {"__init__", "packed", "pivots", "_columns"} <= {n.name for n in methods}
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    from_exact = {
+        a.attr
+        for a in ast.walk(cls)
+        if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name) and a.value.id == "exact"
+    }
+    kernel = (referenced(cls) & defined) | from_exact | {n.name for n in methods}
+    kernel |= {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert {"_verdict_params", "slot_width", "fold_masks", "_pivots_mod_p"} <= kernel
+    assert [(n.name, sorted(referenced(n) & kernel)) for n in nodes if referenced(n) & kernel] == []
     kept = {a.attr for a in ast.walk(cls) if isinstance(a, ast.Attribute)}
     assert "graph" not in kept and "params" in kept
     assert [(n.name, sorted(referenced(n) & functions)) for n in methods if referenced(n) & functions] == []

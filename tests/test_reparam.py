@@ -7,6 +7,7 @@ import pytest
 
 from compident import (
     CompartmentGraph,
+    MalformedInput,
     NoReparametrization,
     NotSquare,
     NotStronglyConnected,
@@ -33,7 +34,7 @@ from compident.reparam import (
     validate_tree,
 )
 
-from conftest import directed_cycle_graph, incidence_matrix, oracle_strongly_connected
+from conftest import BAD_TRIALS, directed_cycle_graph, incidence_matrix, oracle_strongly_connected
 
 WHEEL5_TREE = [(2, 3), (3, 4), (4, 5), (5, 1)]  # rates a32, a43, a54, a15
 
@@ -233,7 +234,31 @@ def square_block(basis):
     return [list(basis.matrix[r]) for r in basis.nontree_rows]
 
 
+#: SpanningTrees that span no graph they are given with: (graph, edge
+#: indices, message).
+MALFORMED_TREES = [
+    pytest.param(directed_cycle_graph(4), (0, 1, 2, 3), "3 distinct edges", id="too-many"),
+    pytest.param(directed_cycle_graph(4), (0, 1), "3 distinct edges", id="too-few"),
+    pytest.param(directed_cycle_graph(4), (0, 0, 1), "3 distinct edges", id="repeated"),
+    pytest.param(directed_cycle_graph(4), (0, 0, 1, 2), "contain a cycle", id="repeated-spanning"),
+    pytest.param(directed_cycle_graph(4), (0, 1, -2), "range", id="negative"),
+    pytest.param(directed_cycle_graph(4), (0, 1, 9), "range", id="out-of-range"),
+    pytest.param(
+        CompartmentGraph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (0, 1), "contain a cycle", id="cycle"
+    ),
+]
+
+
 class TestCycleBasis:
+    @pytest.mark.parametrize("build", [cycle_basis, scaling_exponents], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("graph, edges, match", MALFORMED_TREES)
+    def test_malformed_tree_is_rejected(self, build, graph, edges, match):
+        """A public entry point checks the tree it is given before any
+        search: with too few tree edges no non-tree block is unimodular,
+        and the cycle basis's fallback would try every subset of cycles."""
+        with pytest.raises(ValueError, match=match):
+            build(graph, graphs.SpanningTree(edges))
+
     def test_chain4(self, chain4):
         tree = spanning_tree(chain4)
         basis = cycle_basis(chain4, tree)
@@ -361,14 +386,18 @@ class TestReparametrize:
         with pytest.raises(TooManyEdges):
             reparametrize(complete3)
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials):
+    @pytest.mark.parametrize("trials, error, match", BAD_TRIALS)
+    def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials, error, match):
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
         for graph in (chain4, complete3):
-            with pytest.raises(ValueError, match="trials must be >= 1"):
+            with pytest.raises(error, match=match):
                 reparametrize(graph, trials=trials)
+
+    def test_trials_reported_as_an_int(self):
+        report = reparametrize(directed_cycle_graph(4), trials=True).report
+        assert type(report.trials) is int and report.trials == 1
 
     def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
         complete4 = CompartmentGraph(
@@ -609,6 +638,28 @@ class TestVerification:
         doc["expressions"].insert(0, {"edge": edge, "in_cycles": "q1*q2*q3"})
         with pytest.raises(ValueError, match="repeated or not an edge"):
             reparametrization_from_json(chain4, doc)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda doc: doc["f"].pop(), id="f-missing-vertex"),
+            pytest.param(lambda doc: doc.update(matrix=doc["matrix"][:2]), id="matrix-two-rows"),
+            pytest.param(lambda doc: doc.pop("expressions"), id="no-expressions"),
+            pytest.param(lambda doc: doc["f"][1].update(monomial=7), id="monomial-not-a-string"),
+            pytest.param(lambda doc: doc["cycle_basis"].append(["a12"]), id="basis-entry-a-list"),
+            pytest.param(lambda doc: doc["tree_edges"].__setitem__(0, 5), id="tree-edge-not-a-pair"),
+            pytest.param(lambda doc: doc["expressions"][0].update(edge=[[1], [2]]), id="edge-of-lists"),
+        ],
+    )
+    def test_json_malformed_document(self, corrupt):
+        """A document of the wrong shape raises MalformedInput, as
+        `parse_graph` does, not the KeyError, IndexError or AttributeError
+        of the first read that fails."""
+        graph = directed_cycle_graph(4)
+        doc = reparametrize(graph).to_json_dict()
+        corrupt(doc)
+        with pytest.raises(MalformedInput):
+            reparametrization_from_json(graph, doc)
 
     def test_json_basis_needs_independent_cycles_of_the_right_count(self, wheel5):
         doc = reparametrize(wheel5).to_json_dict()
