@@ -39,6 +39,10 @@ SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
 # Fewest verdicts worth a forked process: a fork, the shared map and a reap
 # cost 1.5-2 ms on 2 vCPUs, a verdict 0.2-0.4 ms at n = 5: 64 outweigh them.
 MIN_FORK_SHARE = 64
+# Census rows kept computed: `census --detail` reads its row twice, and a
+# test session revisits rows across modules. Any more would hold every row
+# ever asked for (one per seed, trials, mode) for the life of the process.
+ROWS_KEPT = 8
 
 
 def all_possible_edges(n: int) -> list[tuple[int, int]]:
@@ -87,7 +91,12 @@ class CensusClass:
     isc: bool
 
 
-@lru_cache(maxsize=None)
+def _edges(pool: list[tuple[int, int]], mask: int) -> tuple[tuple[int, int], ...]:
+    """The edges of a census bitmask: pool index i is bit P-1-i."""
+    P = len(pool)
+    return tuple(e for i, e in enumerate(pool) if mask >> (P - 1 - i) & 1)
+
+
 def _grouped_classes(n: int, m: int, limit: int):
     """Symmetry classes of the SC (n, m) graphs by orderly generation (Read
     1978; McKay, J. Algorithms 1998), visiting no labeled graph.
@@ -129,8 +138,7 @@ def _grouped_classes(n: int, m: int, limit: int):
         # `out`, `inn`: the adjacency masks of `mask`; `low`: its lowest bit
         # (P when empty); `need`: the edges still to add.
         if not need:  # orbit-stabilizer gives the class size
-            graph = CompartmentGraph(n, tuple(e for i, e in enumerate(pool) if mask >> (P - 1 - i) & 1))
-            classes.append((mask, graph, len(sums) // sums.count(mask)))
+            classes.append((mask, CompartmentGraph(n, _edges(pool, mask)), len(sums) // sums.count(mask)))
             return
         for b in range(low - 1, need - 2, -1):
             j, i = pool[P - 1 - b]
@@ -152,24 +160,22 @@ def _grouped_classes(n: int, m: int, limit: int):
     return pool, images, classes
 
 
-def _spot_samples(n: int, m: int, seed: int, limit: int) -> list[tuple[CompartmentGraph, int]]:
+def _spot_samples(n: int, m: int, seed: int, pool, images, classes) -> list[tuple[CompartmentGraph, int]]:
     """ceil(A / SPOT_CHECK_STRIDE) (member, orbit key) pairs, each member
     uniform among the labeled graphs that are not representatives: a class
     drawn with weight size-1, then a relabeling that moves it. Rows of
-    singleton classes draw none. The RNG is seeded by (n, m, seed)."""
-    pool, images, classes = _grouped_classes(n, m, limit)
+    singleton classes draw none. The RNG is seeded by (n, m, seed); pool,
+    images and classes are the row's `_grouped_classes`."""
     weights = [size - 1 for _mask, _rep, size in classes]
     if not any(weights):
         return []
     rng = random.Random(f"{n}|{m}|{seed}")
     count = -(-(sum(weights) + len(classes)) // SPOT_CHECK_STRIDE)  # ceil(A / stride)
-    P = len(pool)
     samples = []
     for mask, _rep, _size in rng.choices(classes, weights, k=count):
-        sums = [sum(col) for col in zip(*(images[b] for b in range(P) if mask >> b & 1))]
+        sums = [sum(col) for col in zip(*(images[b] for b in range(len(pool)) if mask >> b & 1))]
         image = rng.choice([s for s in sums if s != mask])
-        edges = tuple(e for i, e in enumerate(pool) if image >> (P - 1 - i) & 1)
-        samples.append((CompartmentGraph(n, edges), mask))
+        samples.append((CompartmentGraph(n, _edges(pool, image)), mask))
     return samples
 
 
@@ -233,33 +239,34 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
         verdicts.close()
 
 
-@lru_cache(maxsize=None)
-def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int):
-    """Classes keyed by orbit key, with verdicts computed once per
-    representative, and the number of labeled graphs. `trials` and `mode`
-    are checked first, so a row with no classes, or one the edge bound
-    decides, rejects them as every other row does."""
+@lru_cache(maxsize=ROWS_KEPT)
+def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int) -> tuple[CensusClass, ...]:
+    """The row's classes in enumeration order, with verdicts computed once
+    per representative. `trials` and `mode` are checked first, so a row
+    with no classes, or one the edge bound decides, rejects them as every
+    other row does. The grouping, with its bit-permutation images, lives
+    only for this call."""
     checked_arguments(trials, mode)
-    _pool, _images, found = _grouped_classes(n, m, limit)
-    samples = _spot_samples(n, m, seed, limit)
+    pool, images, found = _grouped_classes(n, m, limit)
+    samples = _spot_samples(n, m, seed, pool, images, found)
     verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
                          trials, seed, mode)
-    classes = {
-        mask: CensusClass(
+    # Verdict reuse across a class leans on relabeling equivariance;
+    # re-derive a sample of other members from scratch to keep that honest.
+    by_key = {mask: expected for (mask, _rep, _size), expected in zip(found, verdicts)}
+    for (graph, key), direct in zip(samples, verdicts[len(found):]):
+        if direct != by_key[key]:
+            raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
+    return tuple(
+        CensusClass(
             representative=rep,
             size=size,
             expected=expected,
             exchange=has_exchange(rep) is not None,
             isc=is_inductively_strongly_connected(rep) is not None,
         )
-        for (mask, rep, size), expected in zip(found, verdicts)
-    }
-    # Verdict reuse across a class leans on relabeling equivariance;
-    # re-derive a sample of other members from scratch to keep that honest.
-    for (graph, key), direct in zip(samples, verdicts[len(found):]):
-        if direct != classes[key].expected:
-            raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
-    return classes, sum(c.size for c in classes.values())
+        for (_mask, rep, size), expected in zip(found, verdicts)
+    )
 
 
 @dataclass(frozen=True)
@@ -301,17 +308,17 @@ def census_row(
 
     The verdicts of the row's classes and spot-check members are split over
     the CPUs as `_verdicts` describes; the split changes no result."""
-    classes, total = _census_data(n, m, seed, trials, mode, limit)
+    classes = _census_data(n, m, seed, trials, mode, limit)
     maximal = m == 2 * n - 2
     return CensusRow(
         n=n,
         m=m,
-        A=total,
-        B=sum(c.size for c in classes.values() if c.expected),
+        A=sum(c.size for c in classes),
+        B=sum(c.size for c in classes if c.expected),
         C=len(classes),
-        D=sum(1 for c in classes.values() if c.exchange) if maximal else None,
-        E=sum(1 for c in classes.values() if c.expected),
-        F=sum(1 for c in classes.values() if c.isc) if maximal else None,
+        D=sum(1 for c in classes if c.exchange) if maximal else None,
+        E=sum(1 for c in classes if c.expected),
+        F=sum(1 for c in classes if c.isc) if maximal else None,
     )
 
 
@@ -324,8 +331,7 @@ def census_classes(
     limit: int = DEFAULT_LIMIT,
 ) -> list[CensusClass]:
     """Per-class detail in enumeration order."""
-    classes, _total = _census_data(n, m, seed, trials, mode, limit)
-    return list(classes.values())
+    return list(_census_data(n, m, seed, trials, mode, limit))
 
 
 def non_isc_identifiable_classes(
@@ -340,8 +346,8 @@ def non_isc_identifiable_classes(
     (the E-minus-F classes of a maximal row)."""
     if m != 2 * n - 2:
         raise ValueError("only defined for the maximal case m = 2n-2")
-    classes, _total = _census_data(n, m, seed, trials, mode, limit)
-    return [c.representative for c in classes.values() if c.expected and not c.isc]
+    classes = _census_data(n, m, seed, trials, mode, limit)
+    return [c.representative for c in classes if c.expected and not c.isc]
 
 
 CONJ_COLLAPSE_MAXIMAL = "collapse-2n-4"
@@ -474,37 +480,30 @@ def property_suite(
         "edge-bound": PropertyCheck(),
     }
 
-    # Maximal graphs with the expected dimension must have an exchange, and
-    # maximal ISC graphs must reach the expected dimension.
-    for n in range(2, n_max + 1):
-        m = 2 * n - 2
-        for entry in census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit):
-            if entry.expected:
-                checks["exchange-necessity"].tested += entry.size
-                if not entry.exchange:
-                    checks["exchange-necessity"].violations.append(
-                        entry.representative.to_json()
-                    )
-            if entry.isc:
-                checks["minimal-isc-expected"].tested += entry.size
-                if not entry.expected:
-                    checks["minimal-isc-expected"].violations.append(
-                        entry.representative.to_json()
-                    )
-
     for n in range(3, 7):
         cycle = directed_cycle(n)
         checks["directed-cycle-expected"].tested += 1
         if not has_expected_dimension(cycle, trials=trials, seed=seed, mode=mode):
             checks["directed-cycle-expected"].violations.append(cycle.to_json())
 
-    # Attaching a fresh exchange vertex preserves the expected dimension
-    # (the proven direction), swept over every class that has it. A
-    # relabeling of 2..n becomes one of the grown graph fixing 1 and 2.
+    # One pass over the rows, each read once. Maximal graphs with the
+    # expected dimension must have an exchange, and maximal ISC graphs must
+    # reach the expected dimension. Attaching a fresh exchange vertex
+    # preserves the expected dimension (the proven direction), swept over
+    # every class that has it. A relabeling of 2..n becomes one of the
+    # grown graph fixing 1 and 2.
     for n in range(1, n_max + 1):
-        m_values = [0] if n == 1 else range(n, 2 * n - 1)
-        for m in m_values:
+        for m in [0] if n == 1 else range(n, 2 * n - 1):
+            maximal = n >= 2 and m == 2 * n - 2
             for entry in census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit):
+                if maximal and entry.expected:
+                    checks["exchange-necessity"].tested += entry.size
+                    if not entry.exchange:
+                        checks["exchange-necessity"].violations.append(entry.representative.to_json())
+                if maximal and entry.isc:
+                    checks["minimal-isc-expected"].tested += entry.size
+                    if not entry.expected:
+                        checks["minimal-isc-expected"].violations.append(entry.representative.to_json())
                 if not entry.expected:
                     continue
                 grown = add_exchange_vertex(entry.representative)

@@ -43,10 +43,12 @@ from .monomial import format_monomial, name_order, parse_monomial, render_monomi
 
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
     """Turn explicit (source, target) pairs into a checked SpanningTree
-    (`_checked_walk`)."""
+    (`_checked_walk`); an entry that is not a pair raises ValueError."""
     positions = graph.edge_index()
     indices = []
     for e in edges:
+        if len(e) != 2:
+            raise ValueError(f"tree edge {e} is not a (source, target) pair")
         e = (index(e[0]), index(e[1]))
         if e not in positions:
             raise ValueError(f"tree edge {e} is not an edge of the graph")
@@ -404,15 +406,19 @@ def reparametrization_from_json(
 ) -> ScalingReparametrization:
     """Rebuild a reparametrization from its JSON form for re-verification.
 
-    The document is read first: a missing key, a vertex with no f entry, a
-    matrix too small for the graph or a monomial that is not a string
-    raises MalformedInput, as `graphs.parse_graph` does.
+    The document is read first: a missing key, f entries other than one per
+    vertex 1..n, a matrix that is not n x n, a diagonal or non-edge cell
+    other than the rate name or "0" that `matrix_strings` writes there, or
+    a monomial that is not a string raises MalformedInput, as
+    `graphs.parse_graph` does.
     """
+    n = graph.n
     try:
         tree = validate_tree(graph, [tuple(e) for e in doc["tree_edges"]])
         f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
-        f_texts = [f_by_vertex[v] for v in range(1, graph.n + 1)]
-        matrix_texts = [doc["matrix"][i - 1][j - 1] for j, i in graph.edges]
+        f_texts = [f_by_vertex[v] for v in range(1, n + 1)]
+        matrix = [list(row) for row in doc["matrix"]]
+        matrix_texts = [matrix[i - 1][j - 1] for j, i in graph.edges]
         basis_texts = list(doc["cycle_basis"])
         stated = [(tuple(map(index, entry["edge"])), entry["in_cycles"]) for entry in doc["expressions"]]
     except (KeyError, IndexError, TypeError) as exc:
@@ -420,6 +426,13 @@ def reparametrization_from_json(
     texts = chain(f_texts, matrix_texts, basis_texts, (text for _edge, text in stated))
     if not all(isinstance(text, str) for text in texts):
         raise MalformedInput("every monomial of a reparametrization document must be a string")
+    if len(doc["f"]) != n:  # every vertex 1..n has an entry: no repeat, no other vertex
+        raise MalformedInput(f"f needs exactly one entry per vertex 1..{n}")
+    grid = [[graph.rate_name(i, i) if i == j else "0" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    for (j, i), text in zip(graph.edges, matrix_texts):
+        grid[i - 1][j - 1] = text
+    if matrix != grid:  # the cells `matrix_strings` fixes: a_ii on the diagonal, "0" off the edges
+        raise MalformedInput(f"the matrix needs {n} rows of {n} cells, a_ii on its diagonal, 0 off the edges")
     edge_names = [graph.edge_param_name(k) for k in range(graph.m)]
     f_exponents = tuple(parse_monomial(edge_names, text) for text in f_texts)
     rescaled = tuple(parse_monomial(edge_names, text) for text in matrix_texts)

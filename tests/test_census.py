@@ -134,12 +134,10 @@ class TestCensusRow:
 
 @pytest.fixture
 def cold_census():
-    """Empty the census caches before and after, so the test sees a cold
+    """Empty the census row cache before and after, so the test sees a cold
     row and leaves no patched result behind."""
-    census._grouped_classes.cache_clear()
     census._census_data.cache_clear()
     yield
-    census._grouped_classes.cache_clear()
     census._census_data.cache_clear()
 
 
@@ -246,15 +244,16 @@ class TestOrderlyCensus:
 
     @pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (4, 6), (5, 7), (5, 8)])
     def test_spot_samples_are_other_members(self, n, m):
-        samples = census._spot_samples(n, m, 0, census.DEFAULT_LIMIT)
+        grouping = census._grouped_classes(n, m, census.DEFAULT_LIMIT)
+        samples = census._spot_samples(n, m, 0, *grouping)
         assert len(samples) == -(-census_row(n, m).A // census.SPOT_CHECK_STRIDE)
-        _pool, _images, found = census._grouped_classes(n, m, census.DEFAULT_LIMIT)
+        found = grouping[2]
         representatives = {mask: rep for mask, rep, _size in found}
         for graph, key in samples:
             rep = representatives[key]
             assert graph != rep and graph.m == m
             assert canonical_form(graph) == canonical_form(rep)
-        assert samples == census._spot_samples(n, m, 0, census.DEFAULT_LIMIT)
+        assert samples == census._spot_samples(n, m, 0, *grouping)
 
     def test_six_vertices_behind_the_limit(self):
         row = census_row(6, 6, limit=6)
@@ -277,6 +276,29 @@ class TestOrderlyCensus:
             row = census_row(3, m)
             assert (row.A, row.B, row.C, row.E) == (0, 0, 0, 0)
             assert census_classes(3, m) == []
+
+
+class TestRowCache:
+    """A row is grouped once per computation and kept in one bounded table."""
+
+    def test_rows_kept_is_the_bound(self, cold_census):
+        for seed in range(census.ROWS_KEPT + 3):
+            census_row(3, 4, seed=seed)
+        assert census._census_data.cache_info().currsize == census.ROWS_KEPT
+
+    def test_property_suite_groups_each_row_once(self, monkeypatch, cold_census):
+        grouped = []
+        real = census._grouped_classes
+
+        def counting(n, m, limit):
+            grouped.append((n, m))
+            return real(n, m, limit)
+
+        monkeypatch.setattr(census, "_grouped_classes", counting)
+        checks = property_suite(5)
+        assert all(check.passed for check in checks.values())
+        rows = [(1, 0)] + [(n, m) for n in range(2, 6) for m in range(n, 2 * n - 1)]
+        assert grouped == rows
 
 
 def counted_forks(monkeypatch) -> list:
@@ -345,8 +367,9 @@ class TestSplitVerdicts:
         monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
         serial = census_row(5, 7)
         census._census_data.cache_clear()
-        found = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)[2]
-        samples = census._spot_samples(5, 7, 0, census.DEFAULT_LIMIT)
+        grouping = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)
+        found = grouping[2]
+        samples = census._spot_samples(5, 7, 0, *grouping)
         graphs = [rep for _mask, rep, _size in found] + [g for g, _key in samples]
         real = census.has_expected_dimension
         parent = os.getpid()

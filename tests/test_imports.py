@@ -182,3 +182,73 @@ def test_list_powers_stand_apart_from_the_verdict_kernel():
     kept = {a.attr for a in ast.walk(cls) if isinstance(a, ast.Attribute)}
     assert "graph" not in kept and "params" in kept
     assert [(n.name, sorted(referenced(n) & functions)) for n in methods if referenced(n) & functions] == []
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def cache_bound(decorator: ast.expr, constants: dict[str, object]):
+    """The maxsize a `functools.cache` or `lru_cache` decorator sets, as a
+    literal or a module-level constant: None for `cache`, for a bare
+    `lru_cache` (whose default bound no line states) and for any maxsize
+    that is not an int. Not a cache decorator: False."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name not in CACHE_DECORATORS:
+        return False
+    if call is None or name == "cache":
+        return None
+    args = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    if not args:
+        return None
+    value = constants.get(args[0].id) if isinstance(args[0], ast.Name) else getattr(args[0], "value", None)
+    return value if type(value) is int else None
+
+
+def test_every_cache_is_bounded():
+    """A cache with no bound keeps every key it was ever asked for, for the
+    life of the process (41 seeds of one census row once kept 41 rows).
+    Every `cache` or `lru_cache` in the library states an int maxsize, or
+    decorates a function of no parameters, which has one entry at most."""
+    unbounded, decorated = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parsed(path.name)
+        constants = {
+            t.id: n.value.value
+            for n in tree.body
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                bound = cache_bound(decorator, constants)
+                if bound is False:
+                    continue
+                decorated.append(node.name)
+                a = node.args
+                if bound is None and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                    unbounded.append(f"{path.name}:{node.name}")
+    assert {"build_parser", "fold_masks", "slot_width", "_census_data"} <= set(decorated)
+    assert unbounded == []
+
+
+def test_cache_bound_reads_the_decorator():
+    constants = {"ROWS": 8, "NAME": "x"}
+    for source, bound in [
+        ("@lru_cache(maxsize=32)", 32),
+        ("@functools.lru_cache(16)", 16),
+        ("@lru_cache(maxsize=ROWS)", 8),
+        ("@lru_cache(maxsize=None)", None),
+        ("@lru_cache(maxsize=NAME)", None),
+        ("@lru_cache()", None),
+        ("@lru_cache", None),
+        ("@functools.cache", None),
+        ("@cache", None),
+        ("@property", False),
+    ]:
+        (decorator,) = ast.parse(f"{source}\ndef f(a):\n    pass\n").body[0].decorator_list
+        assert cache_bound(decorator, constants) == bound, source

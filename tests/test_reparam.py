@@ -63,6 +63,14 @@ class TestSpanningTree:
             validate_tree(chain4, [(2, 1), (3, 2), (4, 1)])  # not an edge
         with pytest.raises(TypeError):
             validate_tree(chain4, [(1.7, 2), (2, 3), (4, 3)])  # would truncate to (1, 2)
+        cycle4 = directed_cycle_graph(4)
+        for pairs in ([(1, 2, 99), (2, 3), (3, 4)], [(1,), (2, 3), (3, 4)]):
+            with pytest.raises(ValueError, match="not a \\(source, target\\) pair"):
+                validate_tree(cycle4, pairs)
+        doc = reparametrize(cycle4).to_json_dict()
+        doc["tree_edges"][0].append(99)
+        with pytest.raises(ValueError, match="pair"):
+            reparametrization_from_json(cycle4, doc)
 
     def test_validate_matches_union_find(self, wheel5):
         graphs = [entry.representative for entry in census_classes(4, 6)] + [wheel5]
@@ -649,6 +657,13 @@ class TestVerification:
             pytest.param(lambda doc: doc["cycle_basis"].append(["a12"]), id="basis-entry-a-list"),
             pytest.param(lambda doc: doc["tree_edges"].__setitem__(0, 5), id="tree-edge-not-a-pair"),
             pytest.param(lambda doc: doc["expressions"][0].update(edge=[[1], [2]]), id="edge-of-lists"),
+            pytest.param(lambda doc: doc["f"].append({"vertex": 2, "monomial": "1"}), id="f-vertex-repeated"),
+            pytest.param(lambda doc: doc["f"].append({"vertex": 17, "monomial": "1"}), id="f-vertex-17"),
+            pytest.param(lambda doc: doc["matrix"][0].__setitem__(0, "garbage"), id="matrix-diagonal-garbage"),
+            pytest.param(lambda doc: doc["matrix"][0].__setitem__(1, "a99"), id="matrix-zero-cell-a99"),
+            pytest.param(lambda doc: doc["matrix"][0].__setitem__(1, 0), id="matrix-zero-cell-an-int"),
+            pytest.param(lambda doc: doc["matrix"].append(["0"] * 4), id="matrix-extra-row"),
+            pytest.param(lambda doc: doc["matrix"][0].append("0"), id="matrix-row-five-cells"),
         ],
     )
     def test_json_malformed_document(self, corrupt):
