@@ -14,7 +14,6 @@ import random
 import signal
 import threading
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import combinations, permutations
 from operator import add, or_
 from typing import Iterator, Optional
@@ -39,10 +38,6 @@ SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
 # Fewest verdicts worth a forked process: a fork, the shared map and a reap
 # cost 1.5-2 ms on 2 vCPUs, a verdict 0.2-0.4 ms at n = 5: 64 outweigh them.
 MIN_FORK_SHARE = 64
-# Census rows kept computed: `census --detail` reads its row twice, and a
-# test session revisits rows across modules. Any more would hold every row
-# ever asked for (one per seed, trials, mode) for the life of the process.
-ROWS_KEPT = 8
 
 
 def all_possible_edges(n: int) -> list[tuple[int, int]]:
@@ -239,36 +234,6 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
         verdicts.close()
 
 
-@lru_cache(maxsize=ROWS_KEPT)
-def _census_data(n: int, m: int, seed: int, trials: int, mode: str, limit: int) -> tuple[CensusClass, ...]:
-    """The row's classes in enumeration order, with verdicts computed once
-    per representative. `trials` and `mode` are checked first, so a row
-    with no classes, or one the edge bound decides, rejects them as every
-    other row does. The grouping, with its bit-permutation images, lives
-    only for this call."""
-    checked_arguments(trials, mode)
-    pool, images, found = _grouped_classes(n, m, limit)
-    samples = _spot_samples(n, m, seed, pool, images, found)
-    verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
-                         trials, seed, mode)
-    # Verdict reuse across a class leans on relabeling equivariance;
-    # re-derive a sample of other members from scratch to keep that honest.
-    by_key = {mask: expected for (mask, _rep, _size), expected in zip(found, verdicts)}
-    for (graph, key), direct in zip(samples, verdicts[len(found):]):
-        if direct != by_key[key]:
-            raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
-    return tuple(
-        CensusClass(
-            representative=rep,
-            size=size,
-            expected=expected,
-            exchange=has_exchange(rep) is not None,
-            isc=is_inductively_strongly_connected(rep) is not None,
-        )
-        for (_mask, rep, size), expected in zip(found, verdicts)
-    )
-
-
 @dataclass(frozen=True)
 class CensusRow:
     """One row of the census table. D and F are only defined for the
@@ -295,31 +260,20 @@ class CensusRow:
     def as_dict(self) -> dict:
         return asdict(self)
 
-
-def census_row(
-    n: int,
-    m: int,
-    seed: int = 0,
-    trials: int = 2,
-    mode: str = PRIME_MODE,
-    limit: int = DEFAULT_LIMIT,
-) -> CensusRow:
-    """Counts A-F for the (n, m) cell of the table.
-
-    The verdicts of the row's classes and spot-check members are split over
-    the CPUs as `_verdicts` describes; the split changes no result."""
-    classes = _census_data(n, m, seed, trials, mode, limit)
-    maximal = m == 2 * n - 2
-    return CensusRow(
-        n=n,
-        m=m,
-        A=sum(c.size for c in classes),
-        B=sum(c.size for c in classes if c.expected),
-        C=len(classes),
-        D=sum(1 for c in classes if c.exchange) if maximal else None,
-        E=sum(1 for c in classes if c.expected),
-        F=sum(1 for c in classes if c.isc) if maximal else None,
-    )
+    @classmethod
+    def from_classes(cls, n: int, m: int, classes: list[CensusClass]) -> CensusRow:
+        """The row's counts from its `census_classes`."""
+        maximal = m == 2 * n - 2
+        return cls(
+            n=n,
+            m=m,
+            A=sum(c.size for c in classes),
+            B=sum(c.size for c in classes if c.expected),
+            C=len(classes),
+            D=sum(1 for c in classes if c.exchange) if maximal else None,
+            E=sum(1 for c in classes if c.expected),
+            F=sum(1 for c in classes if c.isc) if maximal else None,
+        )
 
 
 def census_classes(
@@ -330,8 +284,46 @@ def census_classes(
     mode: str = PRIME_MODE,
     limit: int = DEFAULT_LIMIT,
 ) -> list[CensusClass]:
-    """Per-class detail in enumeration order."""
-    return list(_census_data(n, m, seed, trials, mode, limit))
+    """The row's classes in enumeration order, computed afresh on every
+    call, with verdicts computed once per representative; nothing of the
+    row outlives the returned list. `trials` and `mode` are checked first,
+    so a row with no classes, or one the edge bound decides, rejects them
+    as every other row does. The verdicts of the classes and spot-check
+    members are split over the CPUs as `_verdicts` describes; the split
+    changes no result."""
+    checked_arguments(trials, mode)
+    pool, images, found = _grouped_classes(n, m, limit)
+    samples = _spot_samples(n, m, seed, pool, images, found)
+    verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
+                         trials, seed, mode)
+    # Verdict reuse across a class leans on relabeling equivariance;
+    # re-derive a sample of other members from scratch to keep that honest.
+    by_key = {mask: expected for (mask, _rep, _size), expected in zip(found, verdicts)}
+    for (graph, key), direct in zip(samples, verdicts[len(found):]):
+        if direct != by_key[key]:
+            raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
+    return [
+        CensusClass(
+            representative=rep,
+            size=size,
+            expected=expected,
+            exchange=has_exchange(rep) is not None,
+            isc=is_inductively_strongly_connected(rep) is not None,
+        )
+        for (_mask, rep, size), expected in zip(found, verdicts)
+    ]
+
+
+def census_row(
+    n: int,
+    m: int,
+    seed: int = 0,
+    trials: int = 2,
+    mode: str = PRIME_MODE,
+    limit: int = DEFAULT_LIMIT,
+) -> CensusRow:
+    """Counts A-F for the (n, m) cell of the table."""
+    return CensusRow.from_classes(n, m, census_classes(n, m, seed, trials, mode, limit))
 
 
 def non_isc_identifiable_classes(
@@ -346,7 +338,7 @@ def non_isc_identifiable_classes(
     (the E-minus-F classes of a maximal row)."""
     if m != 2 * n - 2:
         raise ValueError("only defined for the maximal case m = 2n-2")
-    classes = _census_data(n, m, seed, trials, mode, limit)
+    classes = census_classes(n, m, seed, trials, mode, limit)
     return [c.representative for c in classes if c.expected and not c.isc]
 
 

@@ -153,9 +153,10 @@ def _cmd_io_equation(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    row = census_mod.census_row(
+    classes = census_mod.census_classes(
         args.n, args.m, seed=args.seed, trials=args.trials, mode=_mode(args), limit=args.limit
     )
+    row = census_mod.CensusRow.from_classes(args.n, args.m, classes)
     if args.json or args.detail:
         doc = row.as_dict()
         if args.detail:
@@ -167,14 +168,7 @@ def _cmd_census(args) -> int:
                     "exchange": entry.exchange,
                     "isc": entry.isc,
                 }
-                for entry in census_mod.census_classes(
-                    args.n,
-                    args.m,
-                    seed=args.seed,
-                    trials=args.trials,
-                    mode=_mode(args),
-                    limit=args.limit,
-                )
+                for entry in classes
             ]
         _dump(doc)
     else:

@@ -401,26 +401,36 @@ def _cycle_from_monomial(graph: CompartmentGraph, edge_names: Sequence[str], tex
     return Cycle(tuple(vertices), expo, format_monomial(edge_names, expo))
 
 
+def _pair(entry) -> tuple[int, int]:
+    """A document's [source, target] entry as a pair of ints. An entry of
+    another length raises MalformedInput; one that is not a sequence of
+    ints raises TypeError, which the caller reports as MalformedInput."""
+    pair = tuple(map(index, entry))
+    if len(pair) != 2:
+        raise MalformedInput(f"edge entry {entry!r} is not a [source, target] pair")
+    return pair
+
+
 def reparametrization_from_json(
     graph: CompartmentGraph, doc: dict
 ) -> ScalingReparametrization:
     """Rebuild a reparametrization from its JSON form for re-verification.
 
-    The document is read first: a missing key, f entries other than one per
-    vertex 1..n, a matrix that is not n x n, a diagonal or non-edge cell
-    other than the rate name or "0" that `matrix_strings` writes there, or
-    a monomial that is not a string raises MalformedInput, as
-    `graphs.parse_graph` does.
+    The document is read first: a missing key, a tree or expression edge
+    that is not a pair, f entries other than one per vertex 1..n, a matrix
+    that is not n x n, a diagonal or non-edge cell other than the rate name
+    or "0" that `matrix_strings` writes there, or a monomial that is not a
+    string raises MalformedInput, as `graphs.parse_graph` does.
     """
     n = graph.n
     try:
-        tree = validate_tree(graph, [tuple(e) for e in doc["tree_edges"]])
+        tree = validate_tree(graph, [_pair(e) for e in doc["tree_edges"]])
         f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
         f_texts = [f_by_vertex[v] for v in range(1, n + 1)]
         matrix = [list(row) for row in doc["matrix"]]
         matrix_texts = [matrix[i - 1][j - 1] for j, i in graph.edges]
         basis_texts = list(doc["cycle_basis"])
-        stated = [(tuple(map(index, entry["edge"])), entry["in_cycles"]) for entry in doc["expressions"]]
+        stated = [(_pair(entry["edge"]), entry["in_cycles"]) for entry in doc["expressions"]]
     except (KeyError, IndexError, TypeError) as exc:
         raise MalformedInput(f"not a reparametrization document ({type(exc).__name__}: {exc})") from exc
     texts = chain(f_texts, matrix_texts, basis_texts, (text for _edge, text in stated))

@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the library's own algorithms: strong
 connectivity via all-pairs reachability, ranks via plain Gaussian
-elimination over Fractions, characteristic polynomials via sympy.
+elimination over Fractions or GF(p), characteristic polynomials via sympy.
 `evaluate_symbolic` evaluates the library's cycle expansion
 (`symbolic_coefficients`), the symbolic counterpart of
 `numeric_coefficients`. `class_verdicts` is the census lookup for tests that
@@ -14,7 +14,7 @@ from math import lcm
 
 import pytest
 
-from compident import CompartmentGraph, canonical_form, census_classes, symbolic_coefficients
+from compident import CompartmentGraph, canonical_form, census, census_classes, symbolic_coefficients
 from compident.census import DEFAULT_LIMIT
 from compident.exact import PRIME_MODE, modulus
 
@@ -130,6 +130,26 @@ def oracle_rank(rows) -> int:
     return rank
 
 
+def rank_gf_p_with_inverses(rows, p: int) -> int:
+    """Textbook Gauss-Jordan over GF(p): normalize each pivot row by the
+    pivot's inverse, then clear the pivot column in every other row."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def clear_denominators(values) -> list[int]:
     """The Fractions `values` times the lcm of their denominators: ints in
     the same ratios, so a row of them has the same rank, and larger than
@@ -147,9 +167,23 @@ def class_verdicts(
     limit: int = DEFAULT_LIMIT,
 ) -> dict:
     """Canonical form -> census class record, for tests sweeping labeled
-    graphs. The dict is fresh, so callers cannot alter the cached census."""
+    graphs."""
     classes = census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit)
     return {canonical_form(c.representative): c for c in classes}
+
+
+@pytest.fixture
+def grouped_rows(monkeypatch) -> list:
+    """The (n, m) of each `census._grouped_classes` call, in call order."""
+    grouped = []
+    real = census._grouped_classes
+
+    def counting(n, m, limit):
+        grouped.append((n, m))
+        return real(n, m, limit)
+
+    monkeypatch.setattr(census, "_grouped_classes", counting)
+    return grouped
 
 
 def evaluate_polynomial(poly, values, p: int = 0):

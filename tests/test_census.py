@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import random
 import sys
@@ -132,15 +133,6 @@ class TestCensusRow:
         assert census_row(3, 4).csv_line() == "3,4,9,7,5,4,4,4"
 
 
-@pytest.fixture
-def cold_census():
-    """Empty the census row cache before and after, so the test sees a cold
-    row and leaves no patched result behind."""
-    census._census_data.cache_clear()
-    yield
-    census._census_data.cache_clear()
-
-
 def unpruned_grouped_classes(n: int, m: int):
     """`census._grouped_classes` as it stood before the reach prune: each
     child takes the canonicity test first and, once entered, a strong
@@ -178,7 +170,7 @@ ORACLE_ROWS = [(n, m) for n in range(1, 6) for m in range(-1, n * (n - 1) + 2)] 
 
 
 class TestOrderlyCensus:
-    def test_strong_connectivity_calls_bounded(self, monkeypatch, cold_census):
+    def test_strong_connectivity_calls_bounded(self, monkeypatch):
         """The search's work, counted: canonicity tests (one `max` over a
         child's image sums each) and reach walks (`_reach`, two per strong
         connectivity test). Testing canonicity before strong connectivity
@@ -217,12 +209,12 @@ class TestOrderlyCensus:
     def test_pruned_search_equals_unpruned(self, n, m):
         assert census._grouped_classes(n, m, 6) == unpruned_grouped_classes(n, m)
 
-    def test_seven_vertex_grouping(self, cold_census):
+    def test_seven_vertex_grouping(self):
         found = census._grouped_classes(7, 9, 7)[2]
         assert len(found) == 2497
         assert sum(size for _mask, _rep, size in found) == 1_719_060
 
-    def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch, cold_census):
+    def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch):
         # (4,6) runs its verdicts serially, (5,7) splits them over children.
         rows = [(4, 6), (5, 7)]
         representatives = {
@@ -266,7 +258,7 @@ class TestOrderlyCensus:
         "m, counts",
         [(6, (120, 120, 1, 1)), (7, (6480, 5280, 57, 47)), (8, (107850, 73770, 941, 651))],
     )
-    def test_six_vertex_rows(self, m, counts, cold_census):
+    def test_six_vertex_rows(self, m, counts):
         row = census_row(6, m, limit=6)
         assert (row.A, row.B, row.C, row.E) == counts
         assert (row.D, row.F) == (None, None)
@@ -279,14 +271,17 @@ class TestOrderlyCensus:
 
 
 class TestRowCache:
-    """A row is grouped once per computation and kept in one bounded table."""
+    """A row is computed when asked for, grouped once, and held by nothing
+    after its caller drops it."""
 
-    def test_rows_kept_is_the_bound(self, cold_census):
-        for seed in range(census.ROWS_KEPT + 3):
-            census_row(3, 4, seed=seed)
-        assert census._census_data.cache_info().currsize == census.ROWS_KEPT
+    def test_no_class_outlives_its_call(self):
+        census_row(4, 6)
+        census_classes(3, 4)
+        run_conjectures(4)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, census.CensusClass)]
 
-    def test_property_suite_groups_each_row_once(self, monkeypatch, cold_census):
+    def test_property_suite_groups_each_row_once(self, monkeypatch):
         grouped = []
         real = census._grouped_classes
 
@@ -299,6 +294,10 @@ class TestRowCache:
         assert all(check.passed for check in checks.values())
         rows = [(1, 0)] + [(n, m) for n in range(2, 6) for m in range(n, 2 * n - 1)]
         assert grouped == rows
+
+    def test_conjectures_group_each_row_once(self, grouped_rows):
+        assert all(r.holds for r in run_conjectures(4))
+        assert grouped_rows == [(4, 4), (4, 5), (4, 6)]
 
 
 def counted_forks(monkeypatch) -> list:
@@ -321,11 +320,10 @@ def refuse_fork():
 class TestSplitVerdicts:
     """A row's verdicts split over forked children (`census._verdicts`)."""
 
-    def test_split_equals_serial(self, monkeypatch, cold_census):
+    def test_split_equals_serial(self, monkeypatch):
         rows = [(4, 6), (5, 7), (5, 8)]
 
         def run(cpus):
-            census._census_data.cache_clear()
             monkeypatch.setattr(census, "_usable_cpus", lambda: cpus)
             forks = counted_forks(monkeypatch)
             classes = [census_classes(n, m) for n, m in rows]
@@ -340,7 +338,7 @@ class TestSplitVerdicts:
         assert (split_forks, serial_forks) == (2 * 3, 0)
 
     @pytest.mark.parametrize("index", [0, 1], ids=["parent-share", "child-share"])
-    def test_verdict_error_raises_in_caller(self, index, monkeypatch, cold_census):
+    def test_verdict_error_raises_in_caller(self, index, monkeypatch):
         found = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)[2]
         bad = found[index][1]  # with two shares, verdict r is share r's
         real = census.has_expected_dimension
@@ -360,13 +358,12 @@ class TestSplitVerdicts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_parent_recomputes_the_share_of_a_child_that_dies(self, monkeypatch, cold_census):
+    def test_parent_recomputes_the_share_of_a_child_that_dies(self, monkeypatch):
         """A child that writes wrong bytes for its first verdicts and then
         dies abruptly: the parent computes that share again, over the
         child's bytes, and the row is the serial row."""
         monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
         serial = census_row(5, 7)
-        census._census_data.cache_clear()
         grouping = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)
         found = grouping[2]
         samples = census._spot_samples(5, 7, 0, *grouping)
@@ -394,7 +391,7 @@ class TestSplitVerdicts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_children_flush_no_stdio(self, monkeypatch, cold_census, tmp_path):
+    def test_children_flush_no_stdio(self, monkeypatch, tmp_path):
         # A child leaving through the interpreter's exit would flush the
         # inherited buffer, writing "once" a second time.
         path = tmp_path / "stdout.txt"
@@ -406,7 +403,7 @@ class TestSplitVerdicts:
             census_row(5, 7)
         assert path.read_text() == "once" and len(forks) == 1
 
-    def test_no_fork_with_a_live_thread(self, monkeypatch, cold_census):
+    def test_no_fork_with_a_live_thread(self, monkeypatch):
         monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse_fork)
         release = threading.Event()
@@ -420,7 +417,7 @@ class TestSplitVerdicts:
         assert not thread.is_alive()
         assert (row.A, row.B, row.C, row.E) == (6440, 4052, 281, 180)
 
-    def test_parent_computes_a_share_it_could_not_fork(self, monkeypatch, cold_census):
+    def test_parent_computes_a_share_it_could_not_fork(self, monkeypatch):
         def no_process():
             raise BlockingIOError("fork: resource temporarily unavailable")
 
@@ -614,17 +611,17 @@ class TestClassSweeps:
         got = [r.as_dict() for r in run_conjectures(n)]
         assert got == [r.as_dict() for r in labeled_conjectures(n)]
 
-    def test_conjectures_never_touch_labeled_graphs(self, monkeypatch, cold_census):
+    def test_conjectures_never_touch_labeled_graphs(self, monkeypatch):
         refuse_canonical_form(monkeypatch)
         monkeypatch.setattr(census, "enumerate_sc_graphs", refuse)
         assert all(r.tested > 0 and r.holds for r in run_conjectures(4))
 
-    def test_property_suite_never_canonicalizes(self, monkeypatch, cold_census):
+    def test_property_suite_never_canonicalizes(self, monkeypatch):
         refuse_canonical_form(monkeypatch)
         checks = property_suite(n_max=3)
         assert all(check.passed for check in checks.values())
 
-    def test_counterexamples_listed_once_per_class(self, monkeypatch, cold_census):
+    def test_counterexamples_listed_once_per_class(self, monkeypatch):
         # Relabeling invariant, so the census spot check accepts it; every
         # collapse (n = 3) then disagrees with its graph (n = 4).
         monkeypatch.setattr(census, "has_expected_dimension", lambda graph, **kw: graph.n == 4)

@@ -30,6 +30,7 @@ from conftest import (
     isc_adversary,
     oracle_rank,
     oracle_strongly_connected,
+    rank_gf_p_with_inverses,
     sympy_double_charpoly,
 )
 
@@ -1214,6 +1215,57 @@ class TestCoefficientIdentities:
             point = [rng.randrange(1, 10**6) for _ in range(10)]
             cs, ds = numeric_coefficients(chain4, point, RATIONAL_MODE)
             assert ds[1] - cs[1] + cs[0] * ds[0] - ds[0] ** 2 == point[i12] * point[i21]
+
+
+class TestMarkovParameterOracle:
+    """A second computation of every census verdict, from another matrix.
+
+    The transfer function e1'(sI - A)^-1 e1 = det(sI - A_1) / det(sI - A)
+    has Taylor coefficients h_k = (A^k)_11, the Markov parameters
+    (Pohjanpalo, Math. Biosci. 41, 1978). They are polynomials in the
+    coefficients (c, d), and the map is invertible wherever the Hankel
+    matrix H = [h_(i+j)], i, j < n, is nonsingular, so there the Jacobian
+    J_h of h_1..h_(2n-1) has the rank of the coefficient Jacobian. J_h is
+    built here from the scalar recurrences u_(i+1) = u_i A, u_0 = e1', and
+    w_(j+1) = A w_j, w_0 = e1, mod p, with no library power, Jacobian or
+    rank."""
+
+    @staticmethod
+    def markov_jacobian(graph, point, p):
+        """(J_h, h): row k-1 of J_h holds d h_k / d a_rc =
+        sum_(i+j=k-1) (u_i)_r (w_j)_c at each parameter, k = 1..2n-1, and
+        h holds h_0..h_(2n-2)."""
+        n = graph.n
+        cells = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
+        A = [[0] * n for _ in range(n)]
+        for (r, c), x in zip(cells, point):
+            A[r][c] = x % p
+        u = [[int(c == 0) for c in range(n)]]
+        w = [[int(r == 0) for r in range(n)]]
+        for _ in range(2 * n - 2):
+            u.append([sum(u[-1][k] * A[k][c] for k in range(n)) % p for c in range(n)])
+            w.append([sum(A[r][k] * w[-1][k] for k in range(n)) % p for r in range(n)])
+        rows = [
+            [sum(u[i][r] * w[k - 1 - i][c] for i in range(k)) % p for r, c in cells]
+            for k in range(1, 2 * n)
+        ]
+        return rows, [row[0] for row in u]
+
+    @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8)])
+    def test_rank_equals_the_verdict_dimension(self, n, m):
+        """At the verdict's own two points, the larger rank of J_h is the
+        reported dimension, and H is nonsingular at each point."""
+        p = MERSENNE61
+        for entry in census_classes(n, m):
+            graph = entry.representative
+            rng = cp.derived_rng(0, graph)
+            ranks = []
+            for _ in range(2):
+                rows, h = self.markov_jacobian(graph, cp.sample_point(rng, n + m), p)
+                ranks.append(rank_gf_p_with_inverses(rows, p))
+                hankel = [[h[i + j] for j in range(n)] for i in range(n)]
+                assert rank_gf_p_with_inverses(hankel, p) == n, graph.to_json()
+            assert max(ranks) == image_dimension(graph).d, graph.to_json()
 
 
 class TestOracleEquivalenceSmall:

@@ -326,6 +326,11 @@ class TestCensus:
         assert len(doc["classes"]) == 1
         assert doc["classes"][0]["size"] == 2
 
+    def test_detail_groups_its_row_once(self, capsys, grouped_rows):
+        code, out, _ = run(capsys, "census", "4", "6", "--detail")
+        assert code == 0 and len(json.loads(out)["classes"]) == 55
+        assert grouped_rows == [(4, 6)]
+
     def test_guardrail_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, "census", "7", "7")
         assert code == 2 and "guardrail" in err

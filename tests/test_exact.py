@@ -29,7 +29,7 @@ from compident.exact import (
     unimodular_columns,
 )
 
-from conftest import clear_denominators, incidence_matrix, oracle_rank
+from conftest import clear_denominators, incidence_matrix, oracle_rank, rank_gf_p_with_inverses
 
 
 class TestRank:
@@ -107,26 +107,6 @@ class TestRationalRankCertificate:
             drops += rank_mod_p(rows) < expected
             full += expected == min(nr, nc)
         assert drops > 20 and full > 20
-
-
-def rank_gf_p_with_inverses(rows, p: int) -> int:
-    """Textbook Gauss-Jordan over GF(p): normalize each pivot row by the
-    pivot's inverse, then clear the pivot column in every other row."""
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def deficient_mod_p(rng: random.Random, nr: int, nc: int, p: int) -> list[list[int]]:

@@ -210,7 +210,8 @@ def test_every_cache_is_bounded():
     """A cache with no bound keeps every key it was ever asked for, for the
     life of the process (41 seeds of one census row once kept 41 rows).
     Every `cache` or `lru_cache` in the library states an int maxsize, or
-    decorates a function of no parameters, which has one entry at most."""
+    decorates a function of no parameters, which has one entry at most;
+    `census` has none."""
     unbounded, decorated = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parsed(path.name)
@@ -228,12 +229,14 @@ def test_every_cache_is_bounded():
                 bound = cache_bound(decorator, constants)
                 if bound is False:
                     continue
-                decorated.append(node.name)
+                decorated.append((path.name, node.name))
                 a = node.args
                 if bound is None and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
                     unbounded.append(f"{path.name}:{node.name}")
-    assert {"build_parser", "fold_masks", "slot_width", "_census_data"} <= set(decorated)
+    assert {"build_parser", "fold_masks", "slot_width"} <= {name for _file, name in decorated}
     assert unbounded == []
+    # A census row lives only as long as its caller holds it: no row cache.
+    assert [name for file, name in decorated if file == "census.py"] == []
 
 
 def test_cache_bound_reads_the_decorator():

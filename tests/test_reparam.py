@@ -69,7 +69,7 @@ class TestSpanningTree:
                 validate_tree(cycle4, pairs)
         doc = reparametrize(cycle4).to_json_dict()
         doc["tree_edges"][0].append(99)
-        with pytest.raises(ValueError, match="pair"):
+        with pytest.raises(MalformedInput, match="pair"):
             reparametrization_from_json(cycle4, doc)
 
     def test_validate_matches_union_find(self, wheel5):
@@ -656,6 +656,10 @@ class TestVerification:
             pytest.param(lambda doc: doc["f"][1].update(monomial=7), id="monomial-not-a-string"),
             pytest.param(lambda doc: doc["cycle_basis"].append(["a12"]), id="basis-entry-a-list"),
             pytest.param(lambda doc: doc["tree_edges"].__setitem__(0, 5), id="tree-edge-not-a-pair"),
+            pytest.param(lambda doc: doc["tree_edges"].__setitem__(0, [1, 2, 99]), id="tree-edge-of-three"),
+            pytest.param(lambda doc: doc["tree_edges"].__setitem__(0, [1]), id="tree-edge-of-one"),
+            pytest.param(lambda doc: doc["expressions"][0].update(edge=[4, 1, 99]), id="expression-edge-of-three"),
+            pytest.param(lambda doc: doc["expressions"][0].update(edge=[4]), id="expression-edge-of-one"),
             pytest.param(lambda doc: doc["expressions"][0].update(edge=[[1], [2]]), id="edge-of-lists"),
             pytest.param(lambda doc: doc["f"].append({"vertex": 2, "monomial": "1"}), id="f-vertex-repeated"),
             pytest.param(lambda doc: doc["f"].append({"vertex": 17, "monomial": "1"}), id="f-vertex-17"),
