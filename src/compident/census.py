@@ -286,12 +286,12 @@ def census_classes(
 ) -> list[CensusClass]:
     """The row's classes in enumeration order, computed afresh on every
     call, with verdicts computed once per representative; nothing of the
-    row outlives the returned list. `trials` and `mode` are checked first,
-    so a row with no classes, or one the edge bound decides, rejects them
-    as every other row does. The verdicts of the classes and spot-check
-    members are split over the CPUs as `_verdicts` describes; the split
-    changes no result."""
-    checked_arguments(trials, mode)
+    row outlives the returned list. `trials`, `seed` and `mode` are
+    checked first, so a row with no classes, or one the edge bound
+    decides, rejects them as every other row does. The verdicts of the
+    classes and spot-check members are split over the CPUs as `_verdicts`
+    describes; the split changes no result."""
+    trials, seed, _ = checked_arguments(trials, seed, mode)
     pool, images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, pool, images, found)
     verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],

@@ -53,12 +53,19 @@ repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
 reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
 non-tree edge of vertex 1 whose reverse edge is present, that is, at an
 exchange.
+
+A dimension report is a pure function of the graph, its default tree and
+the checked trials, seed and mode: the points come from `derived_rng`,
+which reads only the seed and the graph. So `_sampled_dimension` keeps
+the reports of the last GRAPH_MEMO_SIZE keys, and one graph asked for
+again, as `reparam` does under a second tree, runs no kernel pass.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from operator import add, index, mul
 from typing import Sequence
 
@@ -79,6 +86,14 @@ from .monomial import name_order, signed_parts
 #: The most terms `symbolic_coefficients` expands: a bidirected path has
 #: 33,460 at n = 12 and about 2.4 times more per added vertex.
 MAX_EXPANSION_TERMS = 100_000
+
+#: Graphs whose tree-independent results the verdict memo and
+#: `reparam`'s cycle candidates keep: one graph reparametrized under
+#: several spanning trees, or `analyze` then `reparam` on one graph, asks
+#: for the same report and cycles again within a few calls. A census
+#: row's verdicts never repeat a graph, and each process, CLI run and
+#: forked census share keeps its own memos.
+GRAPH_MEMO_SIZE = 8
 
 
 def parameter_count(graph: CompartmentGraph) -> int:
@@ -249,8 +264,8 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
 class _VerdictKernel:
     """M' of one graph at the verdict columns of one spanning tree, ranked
     mod p by one kernel from the packed powers of diag(A, A_1) to the
-    pivot columns, and only mod p. `_sampled_dimension` builds it once,
-    and every trial shares its set-up.
+    pivot columns, and only mod p. `_sampled_dimension` builds it once
+    per report, and every trial shares its set-up.
 
     Row r of a power is one int of 2n-1 fixed-width slots (Kronecker
     substitution; Harvey, J. Symbolic Comput. 44, 2009): row r of A^i in
@@ -401,15 +416,18 @@ def sample_point(rng: random.Random, count: int) -> list[int]:
     return point
 
 
-def checked_arguments(trials: int, mode: str) -> tuple[int, int]:
-    """`trials` as an int of at least 1 (through `operator.index`, so a
-    float or a str raises TypeError) and `exact.modulus(mode)`: the
-    argument check of every verdict entry point, made before anything else
-    is decided."""
-    trials = index(trials)
+def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int, int]:
+    """`trials` as an int of at least 1, `seed` as an int (both through
+    `operator.index`, so a float or a str raises TypeError and a bool
+    becomes an int) and `exact.modulus(mode)`: the argument check of every
+    verdict entry point, made before anything else is decided. Unchecked,
+    seed 1.0 would draw its points from "1.0" yet meet seed 1's entry in
+    the verdict memo, whose keys compare by value, and seed "1" would draw
+    seed 1's points but report "1"."""
+    trials, seed = index(trials), index(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return trials, exact.modulus(mode)
+    return trials, seed, exact.modulus(mode)
 
 
 def image_dimension(
@@ -441,7 +459,12 @@ def image_dimension(
     is nonzero mod p is a nonzero integer. Only a point that falls short
     reads M over Z from `_power_rows` and ranks it by Bareiss, the two
     identity rows first.
+
+    The arguments and strong connectivity are checked on every call; the
+    report itself comes from `_sampled_dimension`'s memo when the same
+    graph, trials, seed and mode were asked for recently.
     """
+    trials, seed, _ = checked_arguments(trials, seed, mode)
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
             "image dimension is defined for strongly connected graphs; "
@@ -450,12 +473,23 @@ def image_dimension(
     return _sampled_dimension(graph, spanning_tree(graph), trials, seed, mode)
 
 
+@lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _sampled_dimension(
     graph: CompartmentGraph, tree: SpanningTree, trials: int, seed: int, mode: str
 ) -> DimensionReport:
     """`image_dimension` of a graph already known to be strongly connected,
-    with the verdict columns of its spanning tree `tree`."""
-    trials, p = checked_arguments(trials, mode)
+    with the verdict columns of its default spanning tree `tree`, and of
+    arguments `checked_arguments` has normalized: trials and seed are ints,
+    and the mode is one of `exact.MODES`.
+
+    The report is then a pure function of these arguments, so it is kept
+    for the last GRAPH_MEMO_SIZE of them. The points come from
+    `derived_rng(seed, graph)`, a function of the seed's int text, n and
+    the edge list; the tree is a function of the graph; and nothing else
+    is read. Equal graphs built separately share an entry, and the report,
+    a frozen dataclass, is handed to every caller as is.
+    """
+    p = exact.modulus(mode)
     rng = derived_rng(seed, graph)
     nvars = parameter_count(graph)
     kernel = _VerdictKernel(graph, tree)
@@ -500,7 +534,7 @@ def has_expected_dimension(
     `image_dimension` otherwise, which also raises NotStronglyConnected for
     a graph that fails the check here.
     """
-    checked_arguments(trials, mode)  # also where the bound decides
+    checked_arguments(trials, seed, mode)  # also where the bound decides
     if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
         return False
     return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict

@@ -5,18 +5,22 @@ rate parameters of a spanning tree to 1 by rescaling the state variables
 X_i = f_i(A) x_i (with f_1 = 1) produces an identifiable model whose
 surviving entries are integer monomials in the original rates, expressible
 as products of cycle monomials through the inverse of a unimodular block.
+Only the tree-independent half of a reparametrization, the dimension
+report and the candidate cycles, is kept between calls, for the last
+GRAPH_MEMO_SIZE graphs; everything that depends on the tree is computed
+per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from operator import index
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import DimensionReport, _sampled_dimension, checked_arguments
+from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _sampled_dimension, checked_arguments
 from .errors import (
     Disconnected,
     InconsistentSystem,
@@ -178,7 +182,7 @@ def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     and of a tree already known to span it."""
     need = graph.m - graph.n + 1
     nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
-    candidates = [c for c in elementary_cycles(graph) if c.length >= 2]
+    candidates = _cycle_candidates(graph)
     for subset in chain([candidates], combinations(candidates, need)):
         try:
             return _unimodular_basis(subset, graph.m, nontree)
@@ -187,6 +191,15 @@ def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     raise InconsistentSystem(
         "no cycle basis with a unimodular non-tree block exists for this tree"
     )
+
+
+@lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def _cycle_candidates(graph: CompartmentGraph) -> tuple[Cycle, ...]:
+    """The elementary cycles of length >= 2 in canonical order, from which
+    `_cycle_basis` picks under every spanning tree: no tree enters the
+    search, so the candidates of the last GRAPH_MEMO_SIZE graphs are kept,
+    as a tuple of frozen cycles that every caller shares."""
+    return tuple(c for c in elementary_cycles(graph) if c.length >= 2)
 
 
 def express_in_cycles(basis: CycleBasis) -> dict[int, tuple[int, ...]]:
@@ -294,15 +307,20 @@ def reparametrize(
 
     Raises NoReparametrization (carrying the dimension report) when the
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
-    one out up front. Strong connectivity is checked once and the default
-    spanning tree built once: the dimension report (`image_dimension`'s
-    columns) and the cycle basis reuse both.
+    one out up front. The arguments and strong connectivity are checked
+    once per call and the default spanning tree built once: the dimension
+    report (`image_dimension`'s columns) and the cycle basis reuse them.
+    Neither the report nor the cycle candidates depend on the requested
+    tree, so both come from their memos (`_sampled_dimension`,
+    `_cycle_candidates`) when the graph was reparametrized recently, under
+    any tree; the tree, scaling exponents, rescaled rows, basis and
+    verification are computed on every call.
     """
+    trials, seed, _ = checked_arguments(trials, seed, mode)  # also past the edge bound
     if not is_strongly_connected(graph):
         raise NotStronglyConnected(
             "reparametrization requires a strongly connected graph"
         )
-    checked_arguments(trials, mode)  # also past the edge bound
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "

@@ -6,7 +6,8 @@ elimination over Fractions or GF(p), characteristic polynomials via sympy.
 `evaluate_symbolic` evaluates the library's cycle expansion
 (`symbolic_coefficients`), the symbolic counterpart of
 `numeric_coefficients`. `class_verdicts` is the census lookup for tests that
-sweep labeled graphs.
+sweep labeled graphs. Every test starts with empty per-graph memos
+(`empty_graph_memos`).
 """
 
 from fractions import Fraction
@@ -14,9 +15,38 @@ from math import lcm
 
 import pytest
 
-from compident import CompartmentGraph, canonical_form, census, census_classes, symbolic_coefficients
+from compident import CompartmentGraph, canonical_form, census, census_classes, charpoly, reparam, symbolic_coefficients
 from compident.census import DEFAULT_LIMIT
 from compident.exact import PRIME_MODE, modulus
+
+
+def clear_graph_memos() -> None:
+    """Empty the verdict memo (`charpoly._sampled_dimension`) and the
+    cycle candidates (`reparam._cycle_candidates`)."""
+    charpoly._sampled_dimension.cache_clear()
+    reparam._cycle_candidates.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_graph_memos():
+    """Every test starts with empty per-graph memos, so a test that counts
+    kernel passes, exact builds, Bareiss calls, cycle searches or
+    connectivity checks counts its own work, never a hit left by an
+    earlier test. The memos stay on: tests run what the library runs."""
+    clear_graph_memos()
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name to record one entry per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture
@@ -55,6 +85,13 @@ BAD_TRIALS = [
     pytest.param(-3, ValueError, "trials must be >= 1", id="-3"),
     pytest.param(1.5, TypeError, "cannot be interpreted as an integer", id="1.5"),
     pytest.param("2", TypeError, "cannot be interpreted as an integer", id="str"),
+]
+
+#: `seed` values every verdict entry point rejects: (seed, error, message).
+#: 1.0 equals 1, so a memo keyed by value would hand it seed 1's report.
+BAD_SEEDS = [
+    pytest.param(1.0, TypeError, "cannot be interpreted as an integer", id="1.0"),
+    pytest.param("1", TypeError, "cannot be interpreted as an integer", id="str"),
 ]
 
 

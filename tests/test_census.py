@@ -31,7 +31,7 @@ from compident.census import (
 )
 from compident.graphs import _subset_strongly_connected
 
-from conftest import BAD_TRIALS, class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
+from conftest import BAD_SEEDS, BAD_TRIALS, class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
 
 class TestEnumeration:
@@ -82,6 +82,30 @@ class TestCensusRow:
         for m in (4, 5):  # 2n-2 = 4: the bound decides every class of (3, 5)
             with pytest.raises(error, match=match):
                 census_row(3, m, trials=trials)
+
+    @pytest.mark.parametrize("seed, error, match", BAD_SEEDS)
+    def test_seed_checked_on_every_row(self, seed, error, match):
+        """The seed goes through `operator.index` before anything else, on
+        rows the edge bound decides and on rows with no classes too."""
+        for m in (4, 5, 7):
+            for row in (census_row, census_classes):
+                with pytest.raises(error, match=match):
+                    row(3, m, seed=seed)
+
+    def test_bool_seed_is_its_int(self, monkeypatch):
+        """Seed True draws seed 1's spot-check members and passes the int
+        1 to every verdict (59 verdicts: all in this process)."""
+        seen = []
+        real = census.has_expected_dimension
+
+        def recording(graph, **kwargs):
+            seen.append((graph, type(kwargs["seed"]), kwargs["seed"]))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(census, "has_expected_dimension", recording)
+        assert census_classes(4, 6, seed=True) == census_classes(4, 6, seed=1)
+        assert len(seen) == 2 * 59 and seen[:59] == seen[59:]
+        assert {(kind, seed) for _graph, kind, seed in seen} == {(int, 1)}
 
     def test_maximal_row_has_d_and_f(self):
         row = census_row(4, 6)

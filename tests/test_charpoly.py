@@ -23,8 +23,11 @@ from compident import exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 
 from conftest import (
+    BAD_SEEDS,
     BAD_TRIALS,
     clear_denominators,
+    clear_graph_memos,
+    count_calls,
     directed_cycle_graph,
     evaluate_symbolic,
     isc_adversary,
@@ -33,19 +36,6 @@ from conftest import (
     rank_gf_p_with_inverses,
     sympy_double_charpoly,
 )
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """Patch module.name to record one entry per call."""
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 def total_degrees(poly) -> set[int]:
@@ -1062,11 +1052,13 @@ class TestExpectedDimension:
     @pytest.mark.parametrize("trials, error, match", BAD_TRIALS)
     def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials, error, match):
         """`trials` goes through `operator.index`: a float or a str raises
-        TypeError also past the edge bound, where no rank is computed."""
+        TypeError also past the edge bound, where no rank is computed, and
+        on every call, also once the memo holds the graph's report."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        for graph in (chain4, complete3):
+        image_dimension(chain4)
+        for graph in (chain4, complete3, chain4):
             for verdict in (has_expected_dimension, image_dimension):
                 with pytest.raises(error, match=match):
                     verdict(graph, trials=trials)
@@ -1075,29 +1067,122 @@ class TestExpectedDimension:
         report = image_dimension(chain4, trials=True)
         assert type(report.trials) is int and report.trials == 1
 
+    @pytest.mark.parametrize("seed, error, match", BAD_SEEDS)
+    def test_seed_checked_on_both_sides_of_the_edge_bound(self, chain4, seed, error, match):
+        """`seed` goes through `operator.index` before anything else: a
+        float or a str raises TypeError past the edge bound, on a maximal
+        graph the no-exchange bound decides and below both, and on every
+        call, also once the memo holds seed 1's report."""
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        image_dimension(chain4, seed=1)
+        for graph in (chain4, complete3, NO_EXCHANGE5, chain4):
+            for verdict in (has_expected_dimension, image_dimension):
+                with pytest.raises(error, match=match):
+                    verdict(graph, seed=seed)
+
+    def test_seed_reported_as_an_int(self, chain4):
+        """A bool seed becomes an int, as `trials` does: seed True draws
+        seed 1's points and reports seed 1."""
+        report = image_dimension(chain4, seed=True)
+        assert type(report.seed) is int and report.seed == 1
+        clear_graph_memos()
+        assert image_dimension(chain4, seed=1) == report
+
     def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
         complete4 = CompartmentGraph(
             4, tuple((j, i) for j in range(1, 5) for i in range(1, 5) if i != j)
         )
-        for graph in (chain4, complete4, NO_EXCHANGE5):
-            with pytest.raises(ValueError, match="unknown arithmetic mode"):
-                has_expected_dimension(graph, mode="nope")
+        image_dimension(chain4)
+        for graph in (chain4, complete4, NO_EXCHANGE5, chain4):
+            for verdict in (has_expected_dimension, image_dimension):
+                with pytest.raises(ValueError, match="unknown arithmetic mode"):
+                    verdict(graph, mode="nope")
 
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
         """One strong connectivity check per verdict, below and past the
-        edge bound; a graph that is not strongly connected still raises."""
+        edge bound, also when the memo answers (the second round); a graph
+        that is not strongly connected raises on every call."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
         checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
-        for g, verdict in ((chain4, True), (broken4, False), (complete3, False)):
+        for g, verdict in ((chain4, True), (broken4, False), (complete3, False)) * 2:
             checks.clear()
             assert has_expected_dimension(g) is verdict
             assert len(checks) == 1
         sink4 = CompartmentGraph(4, complete3.edges + ((1, 4),))  # m = 7 > 2n-2
-        for g in (CompartmentGraph(2, ((1, 2),)), sink4):
-            with pytest.raises(NotStronglyConnected):
-                has_expected_dimension(g)
+        for g in (CompartmentGraph(2, ((1, 2),)), sink4) * 2:
+            for verdict in (has_expected_dimension, image_dimension):
+                with pytest.raises(NotStronglyConnected):
+                    verdict(g)
+
+
+class TestVerdictMemo:
+    """`_sampled_dimension` keeps the reports of its last GRAPH_MEMO_SIZE
+    keys, (graph, default tree, trials, seed, mode) once normalized; the
+    argument checks and strong connectivity run on every call."""
+
+    @staticmethod
+    def sample():
+        graphs = [c.representative for c in census_classes(4, 6)]
+        return graphs + random.Random(33).sample([c.representative for c in census_classes(5, 8)], 50)
+
+    def test_warm_equals_cold(self):
+        for graph in self.sample():
+            for mode in (PRIME_MODE, RATIONAL_MODE):
+                clear_graph_memos()
+                cold = image_dimension(graph, mode=mode)
+                warm = image_dimension(graph, mode=mode)
+                assert warm == cold and warm.as_dict() == cold.as_dict()
+                assert cp._sampled_dimension.cache_info()[:2] == (1, 1)
+                assert has_expected_dimension(graph, mode=mode) is cold.verdict
+
+    def test_a_hit_runs_no_kernel_pass(self, monkeypatch, chain4, broken4):
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        exact_rows = count_calls(monkeypatch, exact, "rank_bareiss")
+        for graph, mode, cold in ((chain4, PRIME_MODE, 1), (broken4, RATIONAL_MODE, 2)):
+            passes.clear()
+            report = image_dimension(graph, mode=mode)
+            assert len(passes) == cold
+            for _ in range(3):
+                assert image_dimension(graph, mode=mode) == report
+            assert has_expected_dimension(graph, mode=mode) is report.verdict
+            assert len(passes) == cold
+        assert len(exact_rows) == 2  # broken4's two rational trials, once
+
+    def test_keys(self, chain4):
+        """Seed, trials and mode separate keys; a bool seed or trials is
+        its int, and equal graphs built separately share an entry."""
+        reports = {
+            (trials, seed, mode): image_dimension(chain4, trials=trials, seed=seed, mode=mode)
+            for trials in (1, 2)
+            for seed in (0, 1)
+            for mode in (PRIME_MODE, RATIONAL_MODE)
+        }
+        assert cp._sampled_dimension.cache_info()[:2] == (0, 8)
+        for (trials, seed, mode), report in reports.items():
+            assert (report.trials, report.seed, report.mode) == (trials, seed, mode)
+        rebuilt = CompartmentGraph(4, [list(e) for e in chain4.edges])
+        assert rebuilt == chain4 and rebuilt is not chain4
+        assert image_dimension(rebuilt, trials=True, seed=True) is reports[1, 1, PRIME_MODE]
+        assert cp._sampled_dimension.cache_info()[:2] == (1, 8)
+
+    def test_bound(self, monkeypatch, chain4):
+        """After GRAPH_MEMO_SIZE = 8 other graphs, the first misses again;
+        after 7 it still hits."""
+        assert cp.GRAPH_MEMO_SIZE == 8
+        others = [directed_cycle_graph(n) for n in range(2, 10)]
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        for count, misses in ((7, 0), (8, 1)):
+            clear_graph_memos()
+            image_dimension(chain4)
+            for graph in others[:count]:
+                image_dimension(graph)
+            passes.clear()
+            image_dimension(chain4)
+            assert len(passes) == misses
 
 
 class TestIoEquation:
@@ -1251,18 +1336,22 @@ class TestMarkovParameterOracle:
         ]
         return rows, [row[0] for row in u]
 
-    @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8)])
+    @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (6, 8)])
     def test_rank_equals_the_verdict_dimension(self, n, m):
-        """At the verdict's own two points, the larger rank of J_h is the
-        reported dimension, and H is nonsingular at each point."""
+        """At each of the verdict's own two points, the rank of J_h is
+        2 + the kernel's pivot count there (the rank of M at that point),
+        H is nonsingular, and the larger rank is the reported dimension."""
         p = MERSENNE61
-        for entry in census_classes(n, m):
+        for entry in census_classes(n, m, limit=n):
             graph = entry.representative
+            kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
             rng = cp.derived_rng(0, graph)
             ranks = []
             for _ in range(2):
-                rows, h = self.markov_jacobian(graph, cp.sample_point(rng, n + m), p)
+                point = cp.sample_point(rng, n + m)
+                rows, h = self.markov_jacobian(graph, point, p)
                 ranks.append(rank_gf_p_with_inverses(rows, p))
+                assert ranks[-1] == 2 + len(kernel.pivots(point)), graph.to_json()
                 hankel = [[h[i + j] for j in range(n)] for i in range(n)]
                 assert rank_gf_p_with_inverses(hankel, p) == n, graph.to_json()
             assert max(ranks) == image_dimension(graph).d, graph.to_json()

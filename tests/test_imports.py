@@ -184,6 +184,24 @@ def test_list_powers_stand_apart_from_the_verdict_kernel():
     assert [(n.name, sorted(referenced(n) & functions)) for n in methods if referenced(n) & functions] == []
 
 
+def test_markov_oracle_stands_apart_from_the_library():
+    """`TestMarkovParameterOracle` in tests/test_charpoly.py is a second
+    computation of every census verdict, from another matrix, so the
+    builder of its J_h, `markov_jacobian`, runs its own scalar recurrences
+    as lists: it names no definition of `charpoly` or `exact` (no
+    `_power_rows`, no `_VerdictKernel` or method of it, no packed
+    arithmetic) and no library module."""
+    source = (Path(__file__).resolve().parent / "test_charpoly.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TestMarkovParameterOracle"]
+    (builder,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "markov_jacobian"]
+    library = {"compident", "cp", *(path.stem for path in PACKAGE.glob("*.py"))}
+    for name in ("charpoly.py", "exact.py"):
+        library |= {n.name for n in definitions(parsed(name))} | set(module_constants()[name])
+    assert {"_power_rows", "_VerdictKernel", "packed", "pivots", "_columns", "_pivots_mod_p", "slot_width"} <= library
+    assert sorted(referenced(builder) & library) == []
+
+
 CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
@@ -206,22 +224,46 @@ def cache_bound(decorator: ast.expr, constants: dict[str, object]):
     return value if type(value) is int else None
 
 
-def test_every_cache_is_bounded():
-    """A cache with no bound keeps every key it was ever asked for, for the
-    life of the process (41 seeds of one census row once kept 41 rows).
-    Every `cache` or `lru_cache` in the library states an int maxsize, or
-    decorates a function of no parameters, which has one entry at most;
-    `census` has none."""
-    unbounded, decorated = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = parsed(path.name)
-        constants = {
+def module_constants() -> dict[str, dict[str, object]]:
+    """Per library file, its module-level constants by name: its own
+    assignments of a literal, and the names it imports from a sibling
+    module that assigns them there."""
+    trees = {path.name: parsed(path.name) for path in sorted(PACKAGE.glob("*.py"))}
+    own = {
+        name: {
             t.id: n.value.value
             for n in tree.body
             if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
             for t in n.targets
             if isinstance(t, ast.Name)
         }
+        for name, tree in trees.items()
+    }
+    constants = {}
+    for name, tree in trees.items():
+        constants[name] = dict(own[name])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                source = own.get(f"{node.module}.py", {})
+                constants[name].update(
+                    {a.asname or a.name: source[a.name] for a in node.names if a.name in source}
+                )
+    return constants
+
+
+def test_every_cache_is_bounded():
+    """A cache with no bound keeps every key it was ever asked for, for the
+    life of the process (41 seeds of one census row once kept 41 rows).
+    Every `cache` or `lru_cache` in the library states an int maxsize,
+    literally or by a constant of its module or one it imports from a
+    sibling, or decorates a function of no parameters, which has one entry
+    at most; `census` has none. The two per-graph memos of
+    `reparametrize`'s tree-independent half share one named bound."""
+    unbounded, decorated, bounds = [], [], {}
+    constants_of = module_constants()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parsed(path.name)
+        constants = constants_of[path.name]
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -230,11 +272,16 @@ def test_every_cache_is_bounded():
                 if bound is False:
                     continue
                 decorated.append((path.name, node.name))
+                bounds[node.name] = ast.unparse(decorator)
                 a = node.args
                 if bound is None and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
                     unbounded.append(f"{path.name}:{node.name}")
-    assert {"build_parser", "fold_masks", "slot_width"} <= {name for _file, name in decorated}
+    required = {"build_parser", "fold_masks", "slot_width", "_sampled_dimension", "_cycle_candidates"}
+    assert required <= {name for _file, name in decorated}
     assert unbounded == []
+    memo = "lru_cache(maxsize=GRAPH_MEMO_SIZE)"
+    assert (bounds["_sampled_dimension"], bounds["_cycle_candidates"]) == (memo, memo)
+    assert constants_of["reparam.py"]["GRAPH_MEMO_SIZE"] == 8
     # A census row lives only as long as its caller holds it: no row cache.
     assert [name for file, name in decorated if file == "census.py"] == []
 

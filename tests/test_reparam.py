@@ -34,7 +34,15 @@ from compident.reparam import (
     validate_tree,
 )
 
-from conftest import BAD_TRIALS, directed_cycle_graph, incidence_matrix, oracle_strongly_connected
+from conftest import (
+    BAD_SEEDS,
+    BAD_TRIALS,
+    clear_graph_memos,
+    count_calls,
+    directed_cycle_graph,
+    incidence_matrix,
+    oracle_strongly_connected,
+)
 
 WHEEL5_TREE = [(2, 3), (3, 4), (4, 5), (5, 1)]  # rates a32, a43, a54, a15
 
@@ -399,7 +407,8 @@ class TestReparametrize:
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        for graph in (chain4, complete3):
+        reparametrize(chain4)
+        for graph in (chain4, complete3, chain4):
             with pytest.raises(error, match=match):
                 reparametrize(graph, trials=trials)
 
@@ -407,17 +416,39 @@ class TestReparametrize:
         report = reparametrize(directed_cycle_graph(4), trials=True).report
         assert type(report.trials) is int and report.trials == 1
 
+    @pytest.mark.parametrize("seed, error, match", BAD_SEEDS)
+    def test_seed_checked_on_both_sides_of_the_edge_bound(self, chain4, seed, error, match):
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        reparametrize(chain4, seed=1)
+        for graph in (chain4, complete3, CompartmentGraph(2, ((1, 2),)), chain4):
+            with pytest.raises(error, match=match):
+                reparametrize(graph, seed=seed)
+
+    def test_seed_reported_as_an_int(self):
+        report = reparametrize(directed_cycle_graph(4), seed=True).report
+        assert type(report.seed) is int and report.seed == 1
+
     def test_mode_checked_on_both_sides_of_the_edge_bound(self, chain4):
         complete4 = CompartmentGraph(
             4, tuple((j, i) for j in range(1, 5) for i in range(1, 5) if i != j)
         )
-        for graph in (chain4, complete4):
+        reparametrize(chain4)
+        for graph in (chain4, complete4, chain4):
             with pytest.raises(ValueError, match="unknown arithmetic mode"):
                 reparametrize(graph, mode="nope")
 
-    def test_requires_strong_connectivity(self):
-        with pytest.raises(NotStronglyConnected):
-            reparametrize(CompartmentGraph(2, ((1, 2),)))
+    def test_requires_strong_connectivity(self, chain4):
+        """On every call, also once the memos hold another graph, from
+        `reparametrize` and from `cycle_basis`."""
+        reparametrize(chain4)
+        sink = CompartmentGraph(4, chain4.edges[1:])  # (2, 1) gone: vertex 1 is a source
+        for graph in (CompartmentGraph(2, ((1, 2),)), sink) * 2:
+            with pytest.raises(NotStronglyConnected):
+                reparametrize(graph)
+            with pytest.raises(NotStronglyConnected):
+                cycle_basis(graph, spanning_tree(graph))
 
     def test_wheel5_with_explicit_tree(self, wheel5):
         result = reparametrize(wheel5, tree_edges=WHEEL5_TREE)
@@ -493,6 +524,74 @@ class TestReparametrize:
         doc = result.to_json_dict()
         assert sorted(calls) == list(range(graph.m))
         assert result.to_json_dict() == doc and len(calls) == graph.m
+
+
+class TestMemos:
+    """`reparametrize`'s tree-independent half, the dimension report and
+    the cycle candidates, is kept for the last GRAPH_MEMO_SIZE graphs; the
+    checks, the tree and everything that depends on it run on every call."""
+
+    def test_warm_equals_cold(self):
+        """Every expected class of (4,6) and a seeded 50-class sample of
+        (5,8), under the default and the alternate tree: a reparametrization
+        from warm memos equals one from empty memos, and the second tree
+        hits both."""
+        graphs = [c.representative for c in census_classes(4, 6) if c.expected]
+        graphs += random.Random(33).sample([c.representative for c in census_classes(5, 8) if c.expected], 50)
+        assert len(graphs) == 80
+        for graph in graphs:
+            alternate = alternate_spanning_tree(graph, spanning_tree(graph))
+            trees = (None, [graph.edges[k] for k in alternate.edge_indices])
+            cold = []
+            for tree in trees:
+                clear_graph_memos()
+                cold.append(reparametrize(graph, tree_edges=tree))
+            clear_graph_memos()
+            warm = [reparametrize(graph, tree_edges=tree) for tree in trees + trees]
+            for a, b in zip(cold + cold, warm):
+                assert a.to_json_dict() == b.to_json_dict() and a.report == b.report
+                assert a == b and verify_reparametrization(graph, b)
+            for memo in (charpoly._sampled_dimension, reparam._cycle_candidates):
+                assert memo.cache_info()[:2] == (3, 1)
+
+    def test_a_hit_runs_no_kernel_pass_and_no_cycle_search(self, monkeypatch, wheel5):
+        passes = count_calls(monkeypatch, charpoly._VerdictKernel, "pivots")
+        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        first = reparametrize(wheel5)
+        assert (len(passes), len(searches)) == (1, 1)
+        for tree in (WHEEL5_TREE, None, WHEEL5_TREE):
+            result = reparametrize(wheel5, tree_edges=tree)
+            assert verify_reparametrization(wheel5, result) and result.report == first.report
+        assert (len(passes), len(searches)) == (1, 1)
+        assert cycle_basis(wheel5, spanning_tree(wheel5)) == first.basis and len(searches) == 1
+
+    def test_deficient_graph_builds_no_candidates(self, monkeypatch, broken4):
+        passes = count_calls(monkeypatch, charpoly._VerdictKernel, "pivots")
+        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        reports = []
+        for _ in range(3):
+            with pytest.raises(NoReparametrization) as err:
+                reparametrize(broken4)
+            reports.append(err.value.report)
+        assert reports[0] == reports[1] == reports[2] and reports[0].d == 6
+        assert (len(passes), searches) == (2, [])  # two trials, once
+        assert reparam._cycle_candidates.cache_info().currsize == 0
+
+    def test_candidate_keys_and_bound(self, monkeypatch, chain4):
+        """Equal graphs built separately share an entry; after 8 other
+        graphs the first misses again, after 7 it still hits."""
+        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        rebuilt = CompartmentGraph(4, [list(e) for e in chain4.edges])
+        assert reparametrize(chain4) == reparametrize(rebuilt) and len(searches) == 1
+        others = [directed_cycle_graph(n) for n in range(2, 10)]
+        for count, misses in ((7, 0), (8, 1)):
+            clear_graph_memos()
+            reparametrize(chain4)
+            for graph in others[:count]:
+                reparametrize(graph)
+            searches.clear()
+            reparametrize(chain4)
+            assert len(searches) == misses
 
 
 class TestVerification:
