@@ -24,13 +24,14 @@ from .exact import PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     _adjacency,
+    _isc_order,
+    _set_bits,
     _strongly_connected,
     _subset_strongly_connected,
     add_exchange_vertex,
     collapse_exchange,
     exchange_vertices,
     has_exchange,
-    is_inductively_strongly_connected,
 )
 
 DEFAULT_LIMIT = 5
@@ -86,12 +87,6 @@ class CensusClass:
     isc: bool
 
 
-def _edges(pool: list[tuple[int, int]], mask: int) -> tuple[tuple[int, int], ...]:
-    """The edges of a census bitmask: pool index i is bit P-1-i."""
-    P = len(pool)
-    return tuple(e for i, e in enumerate(pool) if mask >> (P - 1 - i) & 1)
-
-
 def _grouped_classes(n: int, m: int, limit: int):
     """Symmetry classes of the SC (n, m) graphs by orderly generation (Read
     1978; McKay, J. Algorithms 1998), visiting no labeled graph.
@@ -101,50 +96,59 @@ def _grouped_classes(n: int, m: int, limit: int):
     enumeration order. Dropping the lowest bit of a canonical set leaves a
     canonical set, so a DFS that adds bits below the lowest one and keeps
     canonical children meets each class once. Returns (pool, images,
-    classes): images[b][k] is the image of bit b under relabeling k, and
-    classes lists (mask, representative, size) by descending mask.
+    classes): pool is the `CompartmentGraph` of all P candidate edges,
+    validated once, whose `edge_subgraph` of a mask is its graph;
+    images[b][k] is the image of bit b under relabeling k; and classes
+    lists (mask, size, exchange, isc) by descending mask. The two flags
+    are read off the adjacency masks the DFS holds at the leaf: an
+    exchange is a vertex in both out[1] and inn[1], and isc is
+    `_isc_order`, the greedy of `is_inductively_strongly_connected`.
 
     A child is pruned before its canonicity test, which adds one image per
     relabeling. Child b of a set S can only complete to a strongly
     connected (SC) set inside its reach set: S + b when b is the last edge,
     else S + b + every bit below b. The DFS carries the per-vertex out and
     in masks of S, and `below[b]` holds those of the bits below b, so the
-    test ORs masks and walks `_reach` twice (`_strongly_connected`). Below
-    the last edge the reach sets shrink as b falls, and SC is monotone
-    under adding edges, so the first child that fails ends the loop. The
-    last edge's sets S + b are not nested, so there the loop goes on. A
-    child is entered exactly when it passes both tests, in either order,
-    so the prune changes no class.
+    test ORs masks and walks `_reach` twice (`_strongly_connected`). The
+    first child, b = low - 1, has the reach set S + below(low), which is
+    the set that admitted S itself (the root's is every edge), so it is
+    not tested again. Below the last edge the reach sets shrink as b
+    falls, and SC is monotone under adding edges, so the first child that
+    fails ends the loop. The last edge's sets S + b are not nested, so
+    there the loop goes on. A child is entered exactly when it passes both
+    tests, in either order, so the prune changes no class.
     """
     _check_limit(n, limit)
-    pool = all_possible_edges(n)
-    P = len(pool)
+    pool = CompartmentGraph(n, tuple(all_possible_edges(n)))
+    edges = pool.edges
+    P = len(edges)
     if m < 0 or m > P:
         return pool, [], []
-    index = {e: i for i, e in enumerate(pool)}
+    index = {e: i for i, e in enumerate(edges)}
     others = range(2, n + 1)
     relabelings = [{1: 1, **dict(zip(others, perm))} for perm in permutations(others)]
     images = [[1 << (P - 1 - index[(s[j], s[i])]) for s in relabelings]
-              for j, i in reversed(pool)]
-    below = [_adjacency(n, pool[P - b:]) for b in range(P + 1)]  # bits under b
+              for j, i in reversed(edges)]
+    below = [_adjacency(n, edges[P - b:]) for b in range(P + 1)]  # bits under b
     classes = []
 
     def grow(mask: int, sums: list[int], out: list[int], inn: list[int], low: int, need: int) -> None:
         # `out`, `inn`: the adjacency masks of `mask`; `low`: its lowest bit
         # (P when empty); `need`: the edges still to add.
         if not need:  # orbit-stabilizer gives the class size
-            classes.append((mask, CompartmentGraph(n, _edges(pool, mask)), len(sums) // sums.count(mask)))
+            size = len(sums) // sums.count(mask)
+            classes.append((mask, size, bool(out[1] & inn[1]), _isc_order(out, inn) is not None))
             return
         for b in range(low - 1, need - 2, -1):
-            j, i = pool[P - 1 - b]
+            j, i = edges[P - 1 - b]
             child_out, child_inn = out.copy(), inn.copy()
             child_out[j] |= 1 << i
             child_inn[i] |= 1 << j
             if need == 1:
                 if not _strongly_connected(child_out, child_inn):
                     continue
-            elif not _strongly_connected([*map(or_, child_out, below[b][0])],
-                                         [*map(or_, child_inn, below[b][1])]):
+            elif b < low - 1 and not _strongly_connected([*map(or_, child_out, below[b][0])],
+                                                         [*map(or_, child_inn, below[b][1])]):
                 break
             child_sums = list(map(add, sums, images[b]))
             if max(child_sums) == mask | 1 << b:
@@ -161,16 +165,16 @@ def _spot_samples(n: int, m: int, seed: int, pool, images, classes) -> list[tupl
     drawn with weight size-1, then a relabeling that moves it. Rows of
     singleton classes draw none. The RNG is seeded by (n, m, seed); pool,
     images and classes are the row's `_grouped_classes`."""
-    weights = [size - 1 for _mask, _rep, size in classes]
+    weights = [size - 1 for _mask, size, _exchange, _isc in classes]
     if not any(weights):
         return []
     rng = random.Random(f"{n}|{m}|{seed}")
     count = -(-(sum(weights) + len(classes)) // SPOT_CHECK_STRIDE)  # ceil(A / stride)
     samples = []
-    for mask, _rep, _size in rng.choices(classes, weights, k=count):
-        sums = [sum(col) for col in zip(*(images[b] for b in range(len(pool)) if mask >> b & 1))]
+    for mask, _size, _exchange, _isc in rng.choices(classes, weights, k=count):
+        sums = [sum(col) for col in zip(*map(images.__getitem__, _set_bits(mask)))]
         image = rng.choice([s for s in sums if s != mask])
-        samples.append((CompartmentGraph(n, _edges(pool, image)), mask))
+        samples.append((pool.edge_subgraph(image), mask))
     return samples
 
 
@@ -294,23 +298,17 @@ def census_classes(
     trials, seed, _ = checked_arguments(trials, seed, mode)
     pool, images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, pool, images, found)
-    verdicts = _verdicts([rep for _mask, rep, _size in found] + [g for g, _key in samples],
-                         trials, seed, mode)
+    representatives = [pool.edge_subgraph(mask) for mask, _size, _exchange, _isc in found]
+    verdicts = _verdicts(representatives + [g for g, _key in samples], trials, seed, mode)
     # Verdict reuse across a class leans on relabeling equivariance;
     # re-derive a sample of other members from scratch to keep that honest.
-    by_key = {mask: expected for (mask, _rep, _size), expected in zip(found, verdicts)}
+    by_key = {mask: expected for (mask, *_rest), expected in zip(found, verdicts)}
     for (graph, key), direct in zip(samples, verdicts[len(found):]):
         if direct != by_key[key]:
             raise AssertionError(f"class verdict mismatch for member {graph.to_json()}")
     return [
-        CensusClass(
-            representative=rep,
-            size=size,
-            expected=expected,
-            exchange=has_exchange(rep) is not None,
-            isc=is_inductively_strongly_connected(rep) is not None,
-        )
-        for (_mask, rep, size), expected in zip(found, verdicts)
+        CensusClass(representative=rep, size=size, expected=expected, exchange=exchange, isc=isc)
+        for rep, (_mask, size, exchange, isc), expected in zip(representatives, found, verdicts)
     ]
 
 

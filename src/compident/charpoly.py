@@ -66,7 +66,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from operator import add, index, mul
+from operator import add, index, lshift, mul
 from typing import Sequence
 
 from . import exact
@@ -306,6 +306,7 @@ class _VerdictKernel:
             self.nonzeros[r][0].append(c)
             self.nonzeros[r][1].append(param)
         width = self.width = exact.slot_width(n)
+        self.shifts = [[k * width for k in ks] for ks, _params in self.nonzeros]  # per row: its slots
         self.low, self.high = exact.fold_masks(width, 2 * n - 1)
         self.a_slots = (1 << n * width) - 1
         self.twop = 2 * exact.fold_masks(width, self.nrows)[0]  # 2p in each of the nrows slots
@@ -329,7 +330,7 @@ class _VerdictKernel:
         n, width, low, high, a_slots = self.n, self.width, self.low, self.high, self.a_slots
         values = [x % MERSENNE61 for x in values]
         rows = [(ks, list(map(values.__getitem__, params))) for ks, params in self.nonzeros]
-        power = [sum(a << k * width for k, a in zip(ks, row)) for ks, row in rows]
+        power = [sum(map(lshift, row, shifts)) for (_ks, row), shifts in zip(rows, self.shifts)]
         power = [x + (x >> width << n * width) for x in power]
         power[0] &= a_slots
         powers = [power] if n > 1 else []

@@ -59,6 +59,23 @@ class CompartmentGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    def edge_subgraph(self, mask: int) -> CompartmentGraph:
+        """The graph on the same n vertices with the edges that `mask`
+        selects, edge k as bit m-1-k, kept in this graph's edge order.
+
+        The subgraph skips `__post_init__`: a subset of a validated edge
+        set cannot fail its range, self-loop or duplicate check, so the
+        only check is that `mask` selects among these m edges. It takes
+        one step per set bit, not per edge of this graph.
+        """
+        edges = self.edges
+        if not 0 <= mask < 1 << len(edges):
+            raise InvalidEdge(f"selection {mask:#x} lies outside the {len(edges)} edges")
+        graph = object.__new__(CompartmentGraph)
+        object.__setattr__(graph, "n", self.n)
+        object.__setattr__(graph, "edges", tuple([edges[~b] for b in _set_bits(mask)]))
+        return graph
+
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
@@ -112,6 +129,16 @@ def parse_graph(text: str) -> CompartmentGraph:
             raise MalformedInput(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return CompartmentGraph(n, tuple(pairs))
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative `mask`, highest first."""
+    bits = []
+    while mask:
+        b = mask.bit_length() - 1
+        bits.append(b)
+        mask ^= 1 << b
+    return bits
 
 
 def _adjacency(n: int, edges) -> tuple[list[int], list[int]]:
@@ -174,38 +201,57 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
     return CompartmentGraph(len(comp), edges)
 
 
+def _exchange_mask(graph: CompartmentGraph) -> int:
+    """Bit v set for each vertex v with both edges 1 -> v and v -> 1: the
+    bits of vertex 1's out mask that its in mask shares."""
+    out = inn = 0
+    for j, i in graph.edges:
+        if j == 1:
+            out |= 1 << i
+        elif i == 1:
+            inn |= 1 << j
+    return out & inn
+
+
 def exchange_vertices(graph: CompartmentGraph) -> list[int]:
     """All vertices forming a 2-cycle with vertex 1, in increasing order."""
-    present = set(graph.edges)
-    return [
-        i for i in range(2, graph.n + 1) if (1, i) in present and (i, 1) in present
-    ]
+    both = _exchange_mask(graph)
+    return [v for v in range(2, graph.n + 1) if both >> v & 1]
 
 
 def has_exchange(graph: CompartmentGraph) -> Optional[int]:
     """Smallest vertex i > 1 with both 1->i and i->1 present, if any."""
-    return next(iter(exchange_vertices(graph)), None)
+    both = _exchange_mask(graph)
+    return (both & -both).bit_length() - 1 if both else None
 
 
 def is_inductively_strongly_connected(
     graph: CompartmentGraph,
 ) -> Optional[IscCertificate]:
-    """Search for a vertex ordering witnessing inductive strong connectivity.
+    """Search for a vertex ordering witnessing inductive strong connectivity:
+    `_isc_order` on the graph's adjacency masks."""
+    return _isc_order(*_adjacency(graph.n, graph.edges))
+
+
+def _isc_order(out: Sequence[int], inn: Sequence[int]) -> Optional[IscCertificate]:
+    """The lexicographically smallest ISC certificate of the adjacency
+    masks `out`, `inn` of vertices 1..n (indexed 0..n), or None.
 
     Greedy extension: append the smallest vertex whose addition keeps the
     prefix strongly connected. If S (containing 1) is strongly connected,
     S + {v} is exactly when v has an edge from S and an edge to S, so each
     step is one bitmask test per remaining vertex and runs no connectivity
     walk. The test only gets easier as S grows, so the search never
-    backtracks. Returns the lexicographically smallest certificate, or None.
+    backtracks.
     """
-    out, inn = _adjacency(graph.n, graph.edges)
     prefix = [1]
     inside = 2  # bit 1 set
-    rest = list(range(2, graph.n + 1))
+    rest = list(range(2, len(out)))
     while rest:
-        v = next((v for v in rest if inn[v] & inside and out[v] & inside), None)
-        if v is None:
+        for v in rest:
+            if inn[v] & inside and out[v] & inside:
+                break
+        else:
             return None
         prefix.append(v)
         inside |= 1 << v
@@ -328,13 +374,9 @@ def _make_cycle(
     index: dict[tuple[int, int], int],
     names: Sequence[str],
 ) -> Cycle:
-    """The cycle through `vertices`, given the graph's `edge_index()` and
-    its edge parameter names, built once per caller; a one-cycle reads
-    neither."""
+    """The cycle of length >= 2 through `vertices`, given the graph's
+    `edge_index()` and its edge parameter names, built once per caller."""
     expo = [0] * graph.m
-    if len(vertices) == 1:
-        v = vertices[0]
-        return Cycle(vertices, tuple(expo), graph.rate_name(v, v))
     edge_ids = [index[e] for e in zip(vertices, vertices[1:] + vertices[:1])]
     for e in edge_ids:
         expo[e] = 1
@@ -345,10 +387,16 @@ def _make_cycle(
 def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
     """All elementary directed cycles plus the n one-cycles.
 
-    Each cycle of length >= 2 is reported once, rotated so its smallest
-    vertex leads. Order is deterministic: by length, then lexicographic
-    vertex sequence; the one-cycles come first.
+    Order is deterministic: the one-cycles first, then `_long_cycles`.
     """
+    zero = (0,) * graph.m
+    return [Cycle((v,), zero, graph.rate_name(v, v)) for v in range(1, graph.n + 1)] + _long_cycles(graph)
+
+
+def _long_cycles(graph: CompartmentGraph) -> CycleSet:
+    """The elementary directed cycles of length >= 2, each reported once,
+    rotated so its smallest vertex leads, ordered by length, then by
+    lexicographic vertex sequence."""
     vertices = range(1, graph.n + 1)
     succ = [[w for w in vertices if mask >> w & 1] for mask in _adjacency(graph.n, graph.edges)[0]]
     found: list[tuple[int, ...]] = []
@@ -368,9 +416,7 @@ def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
     found.sort(key=lambda vs: (len(vs), vs))
     index = graph.edge_index()
     names = [graph.edge_param_name(k) for k in range(graph.m)]
-    return [_make_cycle(graph, (v,), index, names) for v in vertices] + [
-        _make_cycle(graph, vs, index, names) for vs in found
-    ]
+    return [_make_cycle(graph, vs, index, names) for vs in found]
 
 
 def canonical_form(graph: CompartmentGraph) -> bytes:

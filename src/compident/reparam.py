@@ -37,7 +37,7 @@ from .graphs import (
     CompartmentGraph,
     Cycle,
     SpanningTree,
-    elementary_cycles,
+    _long_cycles,
     is_strongly_connected,
     spanning_tree,
     tree_walk,
@@ -199,7 +199,7 @@ def _cycle_candidates(graph: CompartmentGraph) -> tuple[Cycle, ...]:
     `_cycle_basis` picks under every spanning tree: no tree enters the
     search, so the candidates of the last GRAPH_MEMO_SIZE graphs are kept,
     as a tuple of frozen cycles that every caller shares."""
-    return tuple(c for c in elementary_cycles(graph) if c.length >= 2)
+    return tuple(_long_cycles(graph))
 
 
 def express_in_cycles(basis: CycleBasis) -> dict[int, tuple[int, ...]]:

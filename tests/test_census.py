@@ -29,9 +29,9 @@ from compident.census import (
     property_suite,
     test_conjectures as run_conjectures,
 )
-from compident.graphs import _subset_strongly_connected
+from compident.graphs import _subset_strongly_connected, is_inductively_strongly_connected
 
-from conftest import BAD_SEEDS, BAD_TRIALS, class_verdicts, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
+from conftest import BAD_SEEDS, BAD_TRIALS, class_verdicts, count_calls, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
 
 class TestEnumeration:
@@ -160,11 +160,14 @@ class TestCensusRow:
 def unpruned_grouped_classes(n: int, m: int):
     """`census._grouped_classes` as it stood before the reach prune: each
     child takes the canonicity test first and, once entered, a strong
-    connectivity test on a rebuilt edge list. Oracle for the pruned search."""
+    connectivity test on a rebuilt edge list. Each class's graph goes
+    through the public constructor, and its exchange and ISC flags come
+    from `has_exchange` and `is_inductively_strongly_connected`. Oracle for
+    the pruned search."""
     pool = census.all_possible_edges(n)
     P = len(pool)
     if m < 0 or m > P:
-        return pool, [], []
+        return CompartmentGraph(n, pool), [], []
     index = {e: i for i, e in enumerate(pool)}
     others = range(2, n + 1)
     relabelings = [{1: 1, **dict(zip(others, perm))} for perm in permutations(others)]
@@ -179,7 +182,9 @@ def unpruned_grouped_classes(n: int, m: int):
             return
         if not need:
             graph = CompartmentGraph(n, tuple(pool[i] for i in chosen))
-            classes.append((mask, graph, len(sums) // sums.count(mask)))
+            exchange = has_exchange(graph) is not None
+            isc = is_inductively_strongly_connected(graph) is not None
+            classes.append((mask, len(sums) // sums.count(mask), exchange, isc))
             return
         for b in range(low - 1, need - 2, -1):
             child_sums = [x + y for x, y in zip(sums, images[b])]
@@ -187,7 +192,13 @@ def unpruned_grouped_classes(n: int, m: int):
                 grow(mask | 1 << b, child_sums, chosen + (P - 1 - b,), b)
 
     grow(0, [0] * len(relabelings), (), P)
-    return pool, images, classes
+    return CompartmentGraph(n, pool), images, classes
+
+
+def grouped_representatives(n: int, m: int, limit: int = census.DEFAULT_LIMIT) -> list[CompartmentGraph]:
+    """The class representatives of `census._grouped_classes`, in order."""
+    pool, _images, found = census._grouped_classes(n, m, limit)
+    return [pool.edge_subgraph(mask) for mask, *_rest in found]
 
 
 ORACLE_ROWS = [(n, m) for n in range(1, 6) for m in range(-1, n * (n - 1) + 2)] + [(6, 7), (6, 8)]
@@ -199,8 +210,9 @@ class TestOrderlyCensus:
         child's image sums each) and reach walks (`_reach`, two per strong
         connectivity test). Testing canonicity before strong connectivity
         raises the first count; going on past the first child that fails
-        strong connectivity, where the reach sets are nested, raises the
-        second. Neither changes the classes."""
+        strong connectivity, where the reach sets are nested, or testing
+        the first child's reach set, which admitted its parent, raises the
+        second. None of them changes the classes."""
         canonicity = []
 
         def counting_max(*args, **kwargs):
@@ -218,13 +230,14 @@ class TestOrderlyCensus:
         monkeypatch.setattr(graphs_mod, "_reach", counting_reach)
         # (n, m): A, C, canonicity tests, reach walks. Unpruned, (5,8) took
         # 5,307 canonicity tests and (6,8) 22,823; the labeled scan of (5,8)
-        # made C(20, 8) = 125,970 strong connectivity tests.
-        for (n, m), pinned in {(5, 8): (26875, 1158, 2685, 8701),
-                               (6, 8): (107850, 941, 4135, 30376)}.items():
+        # made C(20, 8) = 125,970 strong connectivity tests. Testing the
+        # first child too took 8,701 and 30,376 reach walks.
+        for (n, m), pinned in {(5, 8): (26875, 1158, 2685, 7861),
+                               (6, 8): (107850, 941, 4135, 29150)}.items():
             canonicity.clear()
             reaches.clear()
             found = census._grouped_classes(n, m, 6)[2]
-            counts = (sum(size for _mask, _rep, size in found), len(found))
+            counts = (sum(size for _mask, size, *_flags in found), len(found))
             assert counts == pinned[:2]
             assert 0 < len(canonicity) <= pinned[2]
             assert 0 < len(reaches) <= pinned[3]
@@ -236,16 +249,12 @@ class TestOrderlyCensus:
     def test_seven_vertex_grouping(self):
         found = census._grouped_classes(7, 9, 7)[2]
         assert len(found) == 2497
-        assert sum(size for _mask, _rep, size in found) == 1_719_060
+        assert sum(size for _mask, size, *_flags in found) == 1_719_060
 
     def test_spot_check_catches_a_non_equivariant_verdict(self, monkeypatch):
         # (4,6) runs its verdicts serially, (5,7) splits them over children.
         rows = [(4, 6), (5, 7)]
-        representatives = {
-            rep
-            for n, m in rows
-            for _mask, rep, _size in census._grouped_classes(n, m, census.DEFAULT_LIMIT)[2]
-        }
+        representatives = {rep for n, m in rows for rep in grouped_representatives(n, m)}
 
         def labeled_verdict(graph, **kwargs):
             return graph in representatives
@@ -263,8 +272,8 @@ class TestOrderlyCensus:
         grouping = census._grouped_classes(n, m, census.DEFAULT_LIMIT)
         samples = census._spot_samples(n, m, 0, *grouping)
         assert len(samples) == -(-census_row(n, m).A // census.SPOT_CHECK_STRIDE)
-        found = grouping[2]
-        representatives = {mask: rep for mask, rep, _size in found}
+        pool, _images, found = grouping
+        representatives = {mask: pool.edge_subgraph(mask) for mask, *_rest in found}
         for graph, key in samples:
             rep = representatives[key]
             assert graph != rep and graph.m == m
@@ -292,6 +301,35 @@ class TestOrderlyCensus:
             row = census_row(3, m)
             assert (row.A, row.B, row.C, row.E) == (0, 0, 0, 0)
             assert census_classes(3, m) == []
+
+
+class TestGraphsFromThePool:
+    """A row validates its pool of candidate edges once, through the public
+    constructor, and builds each representative and spot-check member
+    once, from its mask (`CompartmentGraph.edge_subgraph`). The exchange
+    and ISC flags the DFS reads off its adjacency masks are checked against
+    the public predicates on every class of ORACLE_ROWS by
+    `TestOrderlyCensus::test_pruned_search_equals_unpruned`."""
+
+    @pytest.mark.parametrize("n, m", [(3, 4), (4, 6), (5, 7), (5, 8), (6, 8)])
+    def test_graphs_equal_the_public_constructor(self, n, m):
+        grouping = census._grouped_classes(n, m, 6)
+        assert grouping[0] == CompartmentGraph(n, census.all_possible_edges(n))
+        graphs = grouped_representatives(n, m, 6) + [g for g, _key in census._spot_samples(n, m, 0, *grouping)]
+        for graph in graphs:
+            rebuilt = CompartmentGraph(graph.n, graph.edges)
+            assert graph == rebuilt and hash(graph) == hash(rebuilt) and graph.m == m
+        assert [c.representative for c in census_classes(n, m, limit=6)] == graphs[: len(grouping[2])]
+
+    def test_one_full_validation_per_row(self, monkeypatch):
+        """The pool's, and none of the classes' or spot-check members'
+        (all verdicts in this process)."""
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
+        validations = count_calls(monkeypatch, CompartmentGraph, "__post_init__")
+        for n, m in [(4, 6), (5, 7), (5, 8)]:
+            validations.clear()
+            row = census_row(n, m)
+            assert row.C > 0 and len(validations) == 1
 
 
 class TestRowCache:
@@ -363,8 +401,7 @@ class TestSplitVerdicts:
 
     @pytest.mark.parametrize("index", [0, 1], ids=["parent-share", "child-share"])
     def test_verdict_error_raises_in_caller(self, index, monkeypatch):
-        found = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)[2]
-        bad = found[index][1]  # with two shares, verdict r is share r's
+        bad = grouped_representatives(5, 7)[index]  # with two shares, verdict r is share r's
         real = census.has_expected_dimension
 
         def failing(graph, **kwargs):
@@ -389,9 +426,8 @@ class TestSplitVerdicts:
         monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
         serial = census_row(5, 7)
         grouping = census._grouped_classes(5, 7, census.DEFAULT_LIMIT)
-        found = grouping[2]
         samples = census._spot_samples(5, 7, 0, *grouping)
-        graphs = [rep for _mask, rep, _size in found] + [g for g, _key in samples]
+        graphs = grouped_representatives(5, 7) + [g for g, _key in samples]
         real = census.has_expected_dimension
         parent = os.getpid()
         parent_calls, wrong_bytes = [], set()

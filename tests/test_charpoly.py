@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -19,7 +20,7 @@ from compident import (
     symbolic_coefficients,
 )
 from compident import charpoly as cp
-from compident import exact, graphs, reparam
+from compident import census, exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 
 from conftest import (
@@ -1327,34 +1328,46 @@ class TestMarkovParameterOracle:
             A[r][c] = x % p
         u = [[int(c == 0) for c in range(n)]]
         w = [[int(r == 0) for r in range(n)]]
+        columns = list(zip(*A))
         for _ in range(2 * n - 2):
-            u.append([sum(u[-1][k] * A[k][c] for k in range(n)) % p for c in range(n)])
-            w.append([sum(A[r][k] * w[-1][k] for k in range(n)) % p for r in range(n)])
+            u.append([sum(map(mul, u[-1], columns[c])) % p for c in range(n)])
+            w.append([sum(map(mul, A[r], w[-1])) % p for r in range(n)])
+        ut, wt = list(zip(*u)), list(zip(*w))  # ut[r][i] = (u_i)_r, wt[c][j] = (w_j)_c
         rows = [
-            [sum(u[i][r] * w[k - 1 - i][c] for i in range(k)) % p for r, c in cells]
+            [sum(map(mul, ut[r][:k], wt[c][k - 1::-1])) % p for r, c in cells]
             for k in range(1, 2 * n)
         ]
         return rows, [row[0] for row in u]
 
-    @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (6, 8)])
-    def test_rank_equals_the_verdict_dimension(self, n, m):
+    def assert_agrees_with_the_verdict(self, graph):
         """At each of the verdict's own two points, the rank of J_h is
         2 + the kernel's pivot count there (the rank of M at that point),
         H is nonsingular, and the larger rank is the reported dimension."""
-        p = MERSENNE61
+        p, n = MERSENNE61, graph.n
+        kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
+        rng = cp.derived_rng(0, graph)
+        ranks = []
+        for _ in range(2):
+            point = cp.sample_point(rng, n + graph.m)
+            rows, h = self.markov_jacobian(graph, point, p)
+            ranks.append(rank_gf_p_with_inverses(rows, p))
+            assert ranks[-1] == 2 + len(kernel.pivots(point)), graph.to_json()
+            hankel = [[h[i + j] for j in range(n)] for i in range(n)]
+            assert rank_gf_p_with_inverses(hankel, p) == n, graph.to_json()
+        assert max(ranks) == image_dimension(graph).d, graph.to_json()
+
+    @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (6, 8)])
+    def test_rank_equals_the_verdict_dimension(self, n, m):
         for entry in census_classes(n, m, limit=n):
-            graph = entry.representative
-            kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
-            rng = cp.derived_rng(0, graph)
-            ranks = []
-            for _ in range(2):
-                point = cp.sample_point(rng, n + m)
-                rows, h = self.markov_jacobian(graph, point, p)
-                ranks.append(rank_gf_p_with_inverses(rows, p))
-                assert ranks[-1] == 2 + len(kernel.pivots(point)), graph.to_json()
-                hankel = [[h[i + j] for j in range(n)] for i in range(n)]
-                assert rank_gf_p_with_inverses(hankel, p) == n, graph.to_json()
-            assert max(ranks) == image_dimension(graph).d, graph.to_json()
+            self.assert_agrees_with_the_verdict(entry.representative)
+
+    def test_every_eighth_class_of_six_nine(self):
+        """(6,9) from its grouping alone: `census_classes` would rank all
+        7,506 classes, so only every 8th representative gets a verdict."""
+        pool, _images, found = census._grouped_classes(6, 9, 6)
+        assert len(found) == 7506
+        for mask, *_rest in found[::8]:
+            self.assert_agrees_with_the_verdict(pool.edge_subgraph(mask))
 
 
 class TestOracleEquivalenceSmall:

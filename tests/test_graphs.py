@@ -24,6 +24,7 @@ from compident import graphs as graphs_mod
 from compident.census import census_classes
 
 from conftest import (
+    count_calls,
     directed_cycle_graph,
     incidence_matrix,
     isc_adversary,
@@ -133,6 +134,32 @@ class TestEdgeStorage:
             CompartmentGraph(n, edges)
 
 
+class TestEdgeSubgraph:
+    """`CompartmentGraph.edge_subgraph`: a subset of a validated graph's
+    edges, edge k as bit m-1-k, with no second validation."""
+
+    def test_selects_in_edge_order(self, chain4):
+        assert chain4.edge_subgraph(0) == CompartmentGraph(4, ())
+        assert chain4.edge_subgraph(0b100001).edges == (chain4.edges[0], chain4.edges[5])
+        assert chain4.edge_subgraph((1 << 6) - 1) == chain4
+        for mask in range(1 << 6):
+            sub = chain4.edge_subgraph(mask)
+            picked = tuple(e for k, e in enumerate(chain4.edges) if mask >> (5 - k) & 1)
+            assert sub == CompartmentGraph(4, picked)
+            assert sub.edges == picked and all(a is b for a, b in zip(sub.edges, picked))
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 6, (1 << 7) - 1])
+    def test_a_selection_outside_the_edges_raises(self, chain4, mask):
+        with pytest.raises(InvalidEdge, match="outside the 6 edges"):
+            chain4.edge_subgraph(mask)
+
+    def test_no_second_validation(self, monkeypatch, chain4):
+        validations = count_calls(monkeypatch, CompartmentGraph, "__post_init__")
+        for mask in range(1 << 6):
+            chain4.edge_subgraph(mask)
+        assert validations == []
+
+
 class TestStrongConnectivity:
     def test_chain4(self, chain4):
         assert is_strongly_connected(chain4)
@@ -217,6 +244,16 @@ class TestExchange:
         g = CompartmentGraph(4, ((1, 3), (3, 1), (1, 4), (4, 1), (1, 2), (2, 3)))
         assert has_exchange(g) == 3
         assert exchange_vertices(g) == [3, 4]
+
+    def test_matches_the_edge_pairs(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            n = rng.randrange(1, 8)
+            g = random_graph(rng, n, rng.randrange(n * (n - 1) + 1))
+            present = set(g.edges)
+            pairs = [v for v in range(2, n + 1) if (1, v) in present and (v, 1) in present]
+            assert exchange_vertices(g) == pairs
+            assert has_exchange(g) == (pairs[0] if pairs else None)
 
 
 class TestInductivelyStronglyConnected:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -20,6 +21,7 @@ from compident import (
     verify_reparametrization,
 )
 from compident import census_classes, charpoly, exact, graphs, reparam
+from compident.census import complete_digraph
 from compident.exact import MERSENNE61, PRIME_MODE, inverse_unimodular, rank_bareiss, rank_mod_p
 from compident.graphs import elementary_cycles
 from compident.reparam import (
@@ -304,6 +306,33 @@ class TestCycleBasis:
         basis = cycle_basis(g, spanning_tree(g))
         assert len(basis.cycles) == 1 and basis.cycles[0].length == 4
 
+    def test_candidates_build_no_one_cycle(self, monkeypatch, chain4, wheel5):
+        """The candidates come from the search for cycles of length >= 2
+        alone: no one-cycle is built to be dropped."""
+        built = []
+        real = graphs.Cycle
+
+        def recording(vertices, *rest):
+            built.append(len(vertices))
+            return real(vertices, *rest)
+
+        monkeypatch.setattr(graphs, "Cycle", recording)
+        sample = [chain4, wheel5, complete_digraph(4)]
+        candidates = [reparam._cycle_candidates(g) for g in sample]
+        assert len(built) == sum(map(len, candidates)) > 0 and min(built) >= 2
+        assert candidates == [tuple(c for c in elementary_cycles(g) if c.length >= 2) for g in sample]
+
+    @pytest.mark.parametrize(
+        "n, m, count, digest",
+        [(4, 6, 30, "804912d241cfa06e"), (5, 7, 180, "75ea605fdf17e01b"), (5, 8, 421, "1de5dd115c97c54f")],
+    )
+    def test_documents_of_the_expected_classes(self, n, m, count, digest):
+        """`to_json_dict` of every expected class, under the default tree,
+        pinned by the leading hex digits of the sha256 of their JSON."""
+        docs = [reparametrize(c.representative).to_json_dict() for c in census_classes(n, m) if c.expected]
+        text = json.dumps(docs, sort_keys=True)
+        assert (len(docs), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
+
 
 def greedy_cycles(graph, need):
     """Reference scan: keep each cycle of length >= 2, in canonical order,
@@ -556,7 +585,7 @@ class TestMemos:
 
     def test_a_hit_runs_no_kernel_pass_and_no_cycle_search(self, monkeypatch, wheel5):
         passes = count_calls(monkeypatch, charpoly._VerdictKernel, "pivots")
-        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        searches = count_calls(monkeypatch, reparam, "_long_cycles")
         first = reparametrize(wheel5)
         assert (len(passes), len(searches)) == (1, 1)
         for tree in (WHEEL5_TREE, None, WHEEL5_TREE):
@@ -567,7 +596,7 @@ class TestMemos:
 
     def test_deficient_graph_builds_no_candidates(self, monkeypatch, broken4):
         passes = count_calls(monkeypatch, charpoly._VerdictKernel, "pivots")
-        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        searches = count_calls(monkeypatch, reparam, "_long_cycles")
         reports = []
         for _ in range(3):
             with pytest.raises(NoReparametrization) as err:
@@ -580,7 +609,7 @@ class TestMemos:
     def test_candidate_keys_and_bound(self, monkeypatch, chain4):
         """Equal graphs built separately share an entry; after 8 other
         graphs the first misses again, after 7 it still hits."""
-        searches = count_calls(monkeypatch, reparam, "elementary_cycles")
+        searches = count_calls(monkeypatch, reparam, "_long_cycles")
         rebuilt = CompartmentGraph(4, [list(e) for e in chain4.edges])
         assert reparametrize(chain4) == reparametrize(rebuilt) and len(searches) == 1
         others = [directed_cycle_graph(n) for n in range(2, 10)]
