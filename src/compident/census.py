@@ -96,8 +96,8 @@ def _grouped_classes(n: int, m: int, limit: int):
     enumeration order. Dropping the lowest bit of a canonical set leaves a
     canonical set, so a DFS that adds bits below the lowest one and keeps
     canonical children meets each class once. Returns (pool, images,
-    classes): pool is the `CompartmentGraph` of all P candidate edges,
-    validated once, whose `edge_subgraph` of a mask is its graph;
+    classes): pool is `complete_digraph(n)`, the graph of all P candidate
+    edges, validated once, whose `edge_subgraph` of a mask is its graph;
     images[b][k] is the image of bit b under relabeling k; and classes
     lists (mask, size, exchange, isc) by descending mask. The two flags
     are read off the adjacency masks the DFS holds at the leaf: an
@@ -119,7 +119,7 @@ def _grouped_classes(n: int, m: int, limit: int):
     tests, in either order, so the prune changes no class.
     """
     _check_limit(n, limit)
-    pool = CompartmentGraph(n, tuple(all_possible_edges(n)))
+    pool = complete_digraph(n)
     edges = pool.edges
     P = len(edges)
     if m < 0 or m > P:
@@ -295,7 +295,7 @@ def census_classes(
     decides, rejects them as every other row does. The verdicts of the
     classes and spot-check members are split over the CPUs as `_verdicts`
     describes; the split changes no result."""
-    trials, seed, _ = checked_arguments(trials, seed, mode)
+    trials, seed = checked_arguments(trials, seed, mode)
     pool, images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, pool, images, found)
     representatives = [pool.edge_subgraph(mask) for mask, _size, _exchange, _isc in found]

@@ -70,11 +70,13 @@ from operator import add, index, lshift, mul
 from typing import Sequence
 
 from . import exact
-from .errors import LimitExceeded, NotStronglyConnected
+from .errors import LimitExceeded
 from .exact import MERSENNE61, PRIME_MODE
 from .graphs import (
     CompartmentGraph,
     SpanningTree,
+    _nontree_edges,
+    _require_strongly_connected,
     elementary_cycles,
     has_exchange,
     is_strongly_connected,
@@ -250,8 +252,7 @@ def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MO
 def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
     """The n diagonal and the m-n+1 non-tree parameters of `tree`: the
     verdict matrix's columns."""
-    in_tree = set(tree.edge_indices)
-    return list(range(graph.n)) + [graph.n + k for k in range(graph.m) if k not in in_tree]
+    return list(range(graph.n)) + [graph.n + k for k in _nontree_edges(graph, tree)]
 
 
 def _dimension_bound(graph: CompartmentGraph) -> int:
@@ -417,18 +418,19 @@ def sample_point(rng: random.Random, count: int) -> list[int]:
     return point
 
 
-def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int, int]:
-    """`trials` as an int of at least 1, `seed` as an int (both through
+def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int]:
+    """`trials` as an int of at least 1 and `seed` as an int (both through
     `operator.index`, so a float or a str raises TypeError and a bool
-    becomes an int) and `exact.modulus(mode)`: the argument check of every
-    verdict entry point, made before anything else is decided. Unchecked,
-    seed 1.0 would draw its points from "1.0" yet meet seed 1's entry in
-    the verdict memo, whose keys compare by value, and seed "1" would draw
-    seed 1's points but report "1"."""
+    becomes an int), once `exact.modulus` has accepted `mode`: the
+    argument check of every verdict entry point, made before anything else
+    is decided. Unchecked, seed 1.0 would draw its points from "1.0" yet
+    meet seed 1's entry in the verdict memo, whose keys compare by value,
+    and seed "1" would draw seed 1's points but report "1"."""
+    exact.modulus(mode)
     trials, seed = index(trials), index(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return trials, seed, exact.modulus(mode)
+    return trials, seed
 
 
 def image_dimension(
@@ -465,12 +467,11 @@ def image_dimension(
     report itself comes from `_sampled_dimension`'s memo when the same
     graph, trials, seed and mode were asked for recently.
     """
-    trials, seed, _ = checked_arguments(trials, seed, mode)
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected(
-            "image dimension is defined for strongly connected graphs; "
-            "reduce with io_strong_component first"
-        )
+    trials, seed = checked_arguments(trials, seed, mode)
+    _require_strongly_connected(
+        graph,
+        "image dimension is defined for strongly connected graphs; reduce with io_strong_component first",
+    )
     return _sampled_dimension(graph, spanning_tree(graph), trials, seed, mode)
 
 
@@ -551,12 +552,11 @@ def _derivative_name(base: str, order: int) -> str:
 
 def io_equation_text(graph: CompartmentGraph) -> str:
     """Render the input-output equation with fully expanded coefficients."""
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected(
-            "the coefficient form of the input-output equation needs a "
-            "strongly connected graph (otherwise the two characteristic "
-            "polynomials share a factor)"
-        )
+    _require_strongly_connected(
+        graph,
+        "the coefficient form of the input-output equation needs a strongly connected graph "
+        "(otherwise the two characteristic polynomials share a factor)",
+    )
     cs, ds = symbolic_coefficients(graph)
     order = name_order(graph.param_names())
 

@@ -26,7 +26,6 @@ from .graphs import (
     is_strongly_connected,
     parse_graph,
 )
-from .monomial import name_order, render_monomial
 from .reparam import reparametrize
 
 
@@ -115,10 +114,7 @@ def _cmd_reparam(args) -> int:
                 }
             )
         else:
-            print(
-                "no identifiable scaling reparametrization exists: "
-                f"d={exc.report.d}, expected m+1={exc.report.expected}"
-            )
+            print(exc)
         return 1
     except TooManyEdges as exc:
         if args.json:
@@ -126,19 +122,20 @@ def _cmd_reparam(args) -> int:
         else:
             print(f"no identifiable scaling reparametrization exists: {exc}")
         return 1
+    doc = result.to_json_dict()
     if args.json:
-        _dump(result.to_json_dict())
+        _dump(doc)
         return 0
-    print(f"spanning tree: {', '.join(graph.edge_param_name(k) for k in result.tree.edge_indices)}")
-    for v in range(1, graph.n + 1):
-        print(f"f_{v} = {result.f_monomial(v)}")
+    print("spanning tree: " + ", ".join(graph.rate_name(i, j) for j, i in doc["tree_edges"]))
+    for entry in doc["f"]:
+        print(f"f_{entry['vertex']} = {entry['monomial']}")
     print("reparametrized matrix:")
-    for row in result.matrix_strings():
+    for row in doc["matrix"]:
         print("  [" + ", ".join(row) + "]")
-    print("cycle basis: " + ", ".join(f"q{t+1} = {c.monomial}" for t, c in enumerate(result.basis.cycles)))
-    qorder = name_order([f"q{t+1}" for t in range(len(result.basis.cycles))])
-    for k, z in result.cycle_expressions.items():
-        print(f"{graph.edge_param_name(k)} -> {render_monomial(qorder, z)}")
+    print("cycle basis: " + ", ".join(f"q{t} = {text}" for t, text in enumerate(doc["cycle_basis"], 1)))
+    for entry in doc["expressions"]:
+        j, i = entry["edge"]
+        print(f"{graph.rate_name(i, j)} -> {entry['in_cycles']}")
     return 0
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 from operator import index
 from typing import Optional, Sequence
 
-from .errors import Disconnected, InvalidEdge, MalformedInput, NoExchange
+from .errors import Disconnected, InvalidEdge, MalformedInput, NoExchange, NotStronglyConnected
 from .monomial import format_monomial
 
 #: An ISC certificate is a vertex ordering starting at 1 whose every prefix
@@ -35,16 +35,12 @@ class CompartmentGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if type(self.n) is not int:  # a float or str raises TypeError here, not deep in a verdict
-            object.__setattr__(self, "n", index(self.n))
+        # n and every label through `operator.index`: a float or str raises
+        # TypeError here, not deep in a verdict, and a bool becomes its int
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise InvalidEdge(f"vertex count must be positive, got {self.n}")
-        edges = self.edges
-        plain = type(edges) is tuple and all(
-            type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges
-        )
-        if not plain:  # plain int pairs are kept, so graphs can share one pool's tuples
-            object.__setattr__(self, "edges", tuple((index(j), index(i)) for j, i in edges))
+        object.__setattr__(self, "edges", tuple([(index(j), index(i)) for j, i in self.edges]))
         seen = set()
         for j, i in self.edges:
             if not (1 <= j <= self.n and 1 <= i <= self.n):
@@ -183,6 +179,14 @@ def is_strongly_connected(graph: CompartmentGraph) -> bool:
     return _subset_strongly_connected(graph.n, graph.edges)
 
 
+def _require_strongly_connected(graph: CompartmentGraph, message: str) -> None:
+    """Raise NotStronglyConnected(`message`) unless `graph` is strongly
+    connected: the input-output equation, and so its image dimension,
+    reparametrization and cycle basis, is defined only for such graphs."""
+    if not is_strongly_connected(graph):
+        raise NotStronglyConnected(message)
+
+
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
     """Induced subgraph on the strongly connected component of vertex 1.
 
@@ -313,6 +317,14 @@ class SpanningTree:
 
     def __len__(self) -> int:
         return len(self.edge_indices)
+
+
+def _nontree_edges(graph: CompartmentGraph, tree: SpanningTree) -> tuple[int, ...]:
+    """Indices of the edges outside `tree`, ascending: the verdict
+    matrix's edge columns and the rows of a cycle basis's unimodular
+    block."""
+    in_tree = set(tree.edge_indices)
+    return tuple(k for k in range(graph.m) if k not in in_tree)
 
 
 def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tuple[int, int, int]]:

@@ -28,7 +28,6 @@ from .errors import (
     NoReparametrization,
     NotExpectedDimension,
     NotSquare,
-    NotStronglyConnected,
     NotUnimodular,
     TooManyEdges,
 )
@@ -38,7 +37,8 @@ from .graphs import (
     Cycle,
     SpanningTree,
     _long_cycles,
-    is_strongly_connected,
+    _nontree_edges,
+    _require_strongly_connected,
     spanning_tree,
     tree_walk,
 )
@@ -171,8 +171,7 @@ def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     that is no spanning tree of the graph raises ValueError
     (`_checked_walk`) before any search.
     """
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected("cycle basis requires a strongly connected graph")
+    _require_strongly_connected(graph, "cycle basis requires a strongly connected graph")
     _checked_walk(graph, tree.edge_indices)
     return _cycle_basis(graph, tree)
 
@@ -181,7 +180,7 @@ def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     """`cycle_basis` of a graph already known to be strongly connected,
     and of a tree already known to span it."""
     need = graph.m - graph.n + 1
-    nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
+    nontree = _nontree_edges(graph, tree)
     candidates = _cycle_candidates(graph)
     for subset in chain([candidates], combinations(candidates, need)):
         try:
@@ -240,6 +239,17 @@ def identifiable_cycle_functions(
     return one_cycles + list(basis.cycles)
 
 
+def _matrix_grid(graph: CompartmentGraph, cells: Sequence[str]) -> list[list[str]]:
+    """The n x n matrix of a reparametrization document: a_ii on the
+    diagonal, `cells[k]` at edge k = (j, i)'s entry, row i and column j,
+    and "0" off the edges."""
+    n = graph.n
+    grid = [[graph.rate_name(i, i) if i == j else "0" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    for (j, i), text in zip(graph.edges, cells):
+        grid[i - 1][j - 1] = text
+    return grid
+
+
 @dataclass(frozen=True)
 class ScalingReparametrization:
     """A complete monomial rescaling certificate for a graph."""
@@ -258,22 +268,10 @@ class ScalingReparametrization:
         result."""
         return name_order([self.graph.edge_param_name(e) for e in range(self.graph.m)])
 
-    def edge_monomial(self, k: int) -> str:
-        return render_monomial(self.edge_order, self.rescaled_exponents[k])
-
-    def f_monomial(self, vertex: int) -> str:
-        return render_monomial(self.edge_order, self.f_exponents[vertex - 1])
-
     def matrix_strings(self) -> list[list[str]]:
         """The reparametrized system matrix with entries as monomial strings."""
-        n = self.graph.n
-        index = self.graph.edge_index()
-        grid = [["0"] * n for _ in range(n)]
-        for v in range(1, n + 1):
-            grid[v - 1][v - 1] = self.graph.rate_name(v, v)
-        for (j, i), k in index.items():
-            grid[i - 1][j - 1] = self.edge_monomial(k)
-        return grid
+        cells = [render_monomial(self.edge_order, self.rescaled_exponents[k]) for k in range(self.graph.m)]
+        return _matrix_grid(self.graph, cells)
 
     def to_json_dict(self) -> dict:
         qorder = name_order([f"q{t + 1}" for t in range(len(self.basis.cycles))])
@@ -287,7 +285,7 @@ class ScalingReparametrization:
         return {
             "tree_edges": [list(self.graph.edges[k]) for k in self.tree.edge_indices],
             "f": [
-                {"vertex": v, "monomial": self.f_monomial(v)}
+                {"vertex": v, "monomial": render_monomial(self.edge_order, self.f_exponents[v - 1])}
                 for v in range(1, self.graph.n + 1)
             ],
             "matrix": self.matrix_strings(),
@@ -316,11 +314,8 @@ def reparametrize(
     any tree; the tree, scaling exponents, rescaled rows, basis and
     verification are computed on every call.
     """
-    trials, seed, _ = checked_arguments(trials, seed, mode)  # also past the edge bound
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected(
-            "reparametrization requires a strongly connected graph"
-        )
+    trials, seed = checked_arguments(trials, seed, mode)  # also past the edge bound
+    _require_strongly_connected(graph, "reparametrization requires a strongly connected graph")
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
@@ -366,8 +361,7 @@ def reparametrization_failures(
     deterministic.
     """
     failures = []
-    tree_set = set(result.tree.edge_indices)
-    off_tree = [k for k in range(graph.m) if k not in tree_set]
+    off_tree = _nontree_edges(graph, result.tree)
 
     if any(e != 0 for e in result.f_exponents[0]):
         failures.append("scaling-support")
@@ -377,7 +371,7 @@ def reparametrization_failures(
                 failures.append("scaling-support")
                 break
 
-    if any(any(result.rescaled_exponents[k]) for k in tree_set):
+    if any(any(result.rescaled_exponents[k]) for k in result.tree.edge_indices):
         failures.append("tree-rows")
 
     expressions = result.cycle_expressions
@@ -456,16 +450,13 @@ def reparametrization_from_json(
         raise MalformedInput("every monomial of a reparametrization document must be a string")
     if len(doc["f"]) != n:  # every vertex 1..n has an entry: no repeat, no other vertex
         raise MalformedInput(f"f needs exactly one entry per vertex 1..{n}")
-    grid = [[graph.rate_name(i, i) if i == j else "0" for j in range(1, n + 1)] for i in range(1, n + 1)]
-    for (j, i), text in zip(graph.edges, matrix_texts):
-        grid[i - 1][j - 1] = text
-    if matrix != grid:  # the cells `matrix_strings` fixes: a_ii on the diagonal, "0" off the edges
+    if matrix != _matrix_grid(graph, matrix_texts):  # the cells `matrix_strings` fixes
         raise MalformedInput(f"the matrix needs {n} rows of {n} cells, a_ii on its diagonal, 0 off the edges")
     edge_names = [graph.edge_param_name(k) for k in range(graph.m)]
     f_exponents = tuple(parse_monomial(edge_names, text) for text in f_texts)
     rescaled = tuple(parse_monomial(edge_names, text) for text in matrix_texts)
     cycles = tuple(_cycle_from_monomial(graph, edge_names, text) for text in basis_texts)
-    nontree = tuple(sorted(set(range(graph.m)).difference(tree.edge_indices)))
+    nontree = _nontree_edges(graph, tree)
     if len(cycles) != len(nontree):
         raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
     basis = _unimodular_basis(cycles, graph.m, nontree)

@@ -561,6 +561,37 @@ class TestFourFiveRowProof:
         assert (row.A, row.B, row.C, row.D, row.E, row.F) == (A, B, C, None, E, None)
 
 
+class TestCollapseCounterexample:
+    """A (6,10) graph G of the expected dimension whose one applicable
+    collapse, at vertex 2, falls short of it: the collapse conjecture
+    `collapse-2n-4`, as `test_conjectures` reads it, fails at n = 6. Both
+    ranks are re-derived by `TestFourFiveRowProof.generic_rank`, with no
+    library Jacobian or rank: G's from a nonzero 11 x 11 minor at an
+    integer point and the five diagonal scalings in the kernel, the
+    collapse's over the field of rational functions."""
+
+    G = ((1, 2), (1, 3), (1, 4), (2, 1), (2, 5), (3, 1), (4, 6), (5, 1), (5, 3), (6, 2))
+    COLLAPSED = ((1, 2), (1, 3), (1, 4), (2, 1), (3, 5), (4, 1), (4, 2), (5, 1))
+
+    def test_expected_graph_with_a_deficient_collapse(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(610)
+        graph = CompartmentGraph(6, self.G)
+        assert exchange_vertices(graph) == [2, 3]
+        assert TestFourFiveRowProof.generic_rank(6, self.G, rng) == graph.m + 1 == 11
+
+        collapsed = collapse_exchange(graph, at=2)
+        assert collapsed == CompartmentGraph(5, self.COLLAPSED)
+        assert collapsed.m == 2 * graph.n - 4 and has_exchange(collapsed) is not None
+        assert TestFourFiveRowProof.generic_rank(5, self.COLLAPSED, rng) == 8 < collapsed.m + 1
+
+        other = collapse_exchange(graph, at=3)  # neither 2n-4 = 8 nor n-1 = 5 edges: no conjecture applies
+        assert other.m == 7
+
+        assert has_expected_dimension(graph) is True
+        assert has_expected_dimension(collapsed) is False
+
+
 class TestNonIscIdentifiable:
     def test_absent_for_three_vertices(self):
         assert non_isc_identifiable_classes(3, 4) == []

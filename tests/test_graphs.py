@@ -9,16 +9,23 @@ from compident import (
     InvalidEdge,
     MalformedInput,
     NoExchange,
+    NotStronglyConnected,
     add_exchange_vertex,
     canonical_form,
     collapse_exchange,
+    cycle_basis,
     elementary_cycles,
     exchange_vertices,
     has_exchange,
+    has_expected_dimension,
+    image_dimension,
+    io_equation_text,
     io_strong_component,
     is_inductively_strongly_connected,
     is_strongly_connected,
     parse_graph,
+    reparametrize,
+    spanning_tree,
 )
 from compident import graphs as graphs_mod
 from compident.census import census_classes
@@ -109,16 +116,16 @@ class TestParse:
 
 
 class TestEdgeStorage:
-    def test_int_tuples_kept_as_given(self):
-        pool = ((1, 2), (2, 1), (2, 3), (3, 1))
-        g = CompartmentGraph(3, pool)
-        assert g.edges is pool
-        assert all(a is b for a, b in zip(g.edges, pool))
-
     def test_other_inputs_normalized(self):
-        g = CompartmentGraph(3, [[1, 2], [2, 1], [2, 3], [3, 1]])
-        assert g.edges == ((1, 2), (2, 1), (2, 3), (3, 1))
-        assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+        """Every edge input takes the one normalization path: a tuple of
+        int pairs, equal to the input's pairs."""
+        pool = ((1, 2), (2, 1), (2, 3), (3, 1))
+        for edges in (pool, [[1, 2], [2, 1], [2, 3], [3, 1]]):
+            g = CompartmentGraph(3, edges)
+            assert g.edges == pool
+            assert type(g.edges) is tuple and all(
+                type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in g.edges
+            )
         flagged = CompartmentGraph(2, ((True, 2), (2, 1)))
         assert type(flagged.edges[0][0]) is int
         assert flagged == CompartmentGraph(2, ((1, 2), (2, 1)))
@@ -169,6 +176,28 @@ class TestStrongConnectivity:
 
     def test_one_way_pair(self):
         assert not is_strongly_connected(CompartmentGraph(2, ((1, 2),)))
+
+    @pytest.mark.parametrize(
+        "refuse, message",
+        [
+            (image_dimension, "image dimension is defined for strongly connected graphs; "
+             "reduce with io_strong_component first"),
+            (has_expected_dimension, "image dimension is defined for strongly connected graphs; "
+             "reduce with io_strong_component first"),
+            (io_equation_text, "the coefficient form of the input-output equation needs a strongly "
+             "connected graph (otherwise the two characteristic polynomials share a factor)"),
+            (reparametrize, "reparametrization requires a strongly connected graph"),
+            (lambda g: cycle_basis(g, spanning_tree(g)), "cycle basis requires a strongly connected graph"),
+        ],
+        ids=["image_dimension", "has_expected_dimension", "io_equation_text", "reparametrize", "cycle_basis"],
+    )
+    def test_refusal_messages(self, refuse, message):
+        """Each entry point that needs strong connectivity refuses a graph
+        without it by NotStronglyConnected, with its own message."""
+        one_way = CompartmentGraph(3, ((1, 2), (2, 1), (2, 3)))
+        with pytest.raises(NotStronglyConnected) as caught:
+            refuse(one_way)
+        assert str(caught.value) == message
 
     def test_matches_reachability_oracle(self):
         rng = random.Random(4)

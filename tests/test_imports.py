@@ -3,6 +3,7 @@ shows at the top of a file, so an import cycle cannot hide inside a
 function body (charpoly, for one, must not reach back into reparam)."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -302,3 +303,51 @@ def test_cache_bound_reads_the_decorator():
     ]:
         (decorator,) = ast.parse(f"{source}\ndef f(a):\n    pass\n").body[0].decorator_list
         assert cache_bound(decorator, constants) == bound, source
+
+
+def load_line_counts():
+    path = Path(__file__).resolve().parents[1] / "tools" / "line_counts.py"
+    spec = importlib.util.spec_from_file_location("line_counts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LINE_COUNT_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+# a comment alone does not
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self):
+        """Method docstring
+        on two lines."""
+        text = """a string that is no docstring
+# and a line inside it that looks like a comment"""
+        return len(text)
+
+
+def f():
+    "One-line docstring."
+    x = 1
+    "a bare string after the first statement counts"
+    return x
+'''
+
+
+def test_line_counts_rule():
+    """`tools/line_counts.py`: a code line is not blank, not a comment
+    alone, and not inside a module, class or function docstring. Of the
+    fixture's 24 lines, 10 are code: the import, `class`, `def area`, the
+    two lines of `text` (a # inside a string is text), `return len(text)`,
+    `def f`, `x = 1`, the bare string after it, which is no docstring, and
+    `return x`."""
+    counts = load_line_counts().counts
+    assert counts(LINE_COUNT_FIXTURE) == (24, 10)
+    assert counts("") == (0, 0)
+    assert counts('"""Only a docstring."""\n\n# and a comment\n') == (3, 0)
