@@ -26,7 +26,7 @@ the Jacobian's rank at every point:
   at a22, which clears column a22. So rank(M) = 2 + rank(M') (1 when
   n = 1), M' the (2n-3) x (m-1) matrix of rows 1.. of both blocks at the
   columns a_vv - a22 (v >= 3) and the non-tree edges, on which elimination
-  stops after at most m-1 pivots.
+  stops once the rank of M reaches its proven ceiling (below).
 
 M' exists only packed mod p. One kernel, `_VerdictKernel`, builds the
 powers of diag(A, A_1) packed mod p: row r of A^i and of A_1^i side by
@@ -38,21 +38,26 @@ folded by the masks of `exact.fold_masks`. The kernel gathers
 M''s columns from those packed powers, one at a time, straight into
 slots of the same width, the column operation included, with no
 reduction, and `exact._pivots_mod_p` ranks them in one pass that stops
-at the last pivot. Rational mode takes
+at the ceiling's pivot count. Rational mode takes
 the same rank: a minor that is nonzero mod p is a nonzero integer, so the
 certificate is a rank mod p at the proven ceiling. Only a shortfall reads
 M over Z from `_power_rows` and runs Bareiss on it, the two identity rows
 first: their pivots are 1, after which Bareiss works on M' itself.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
-vertex 1 has no exchange (`_dimension_bound`). Then every product
+vertex 1 has no exchange. Then every product
 a_1j * a_j1 is identically 0, and c_2 - d_2 = a_11 tr(A_1) - sum_j a_1j a_j1
 gives c_2 = d_2 + d_1 (c_1 - d_1), since c_1 - d_1 = -a_11 and
 d_1 = -tr(A_1): the image lies in a hypersurface. In M' the same fact is a
 repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
 reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
 non-tree edge of vertex 1 whose reverse edge is present, that is, at an
-exchange.
+exchange. M' keeps the repeated row, which the ceiling accounts for.
+`_dimension_bound` is the one home of this ceiling. Each verdict entry
+point decides it once, as min(bound, m+1), and hands it to
+`_sampled_dimension`: trials stop at the first point whose rank reaches
+it, and each pass stops once M' has that many pivots less min(n, 2), the
+identity rows eliminated in closed form.
 
 A dimension report is a pure function of the graph, its default tree and
 the checked trials, seed and mode: the points come from `derived_rng`,
@@ -71,7 +76,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import LimitExceeded
-from .exact import MERSENNE61, PRIME_MODE
+from .exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from .graphs import (
     CompartmentGraph,
     SpanningTree,
@@ -79,7 +84,6 @@ from .graphs import (
     _require_strongly_connected,
     elementary_cycles,
     has_exchange,
-    is_strongly_connected,
     spanning_tree,
 )
 from .monomial import name_order, signed_parts
@@ -258,7 +262,9 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
 def _dimension_bound(graph: CompartmentGraph) -> int:
     """A proven ceiling on the image dimension: 2n-1, the number of
     coefficients, less one when n >= 3 and vertex 1 has no exchange (the
-    2n-2 bound, proved in the module docstring)."""
+    2n-2 bound, proved in the module docstring). The only place the
+    ceiling is decided: every verdict reads it once, through its entry
+    point."""
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
@@ -280,26 +286,28 @@ class _VerdictKernel:
     products and an A_1 slot n - 1, as row 0's A_1 slots are 0: slots of
     `exact.slot_width(n)` bits.
 
-    M' (the module docstring) is taken at `_verdict_params`, less row 1 of
-    A_1 when it twins row 1 of A (`_dimension_bound`): its columns are
-    a_vv - a22 for v >= 3, then the non-tree edges. They are gathered one
-    at a time, straight from the powers A^1 .. A^(n-1): each row's cell is
-    shifted out of its power row into the row's slot, unreduced, and the
-    column operation adds the column 2p - x, x the cells of a22, to each
-    diagonal column, followed by one fold. A cell is a power's slot, and a
-    diagonal column's slot takes 2p plus one cell, below 2^63, which the
-    fold brings to at most 2^61 + 2; both are within `exact.slot_width(n)`
-    (e >= 2 there, as diagonal columns need n >= 3), so the columns are
-    eliminated at the powers' width. `exact._pivots_mod_p` reads them in
-    one pass and stops at the last pivot: a wide M' of full row rank is
-    read only up to its last pivot column, and each column once.
+    M' (the module docstring) is taken at `_verdict_params`, with every
+    row, the repeated row of a graph with no exchange at vertex 1
+    included: its columns are a_vv - a22 for v >= 3, then the non-tree
+    edges. They are gathered one at a time, straight from the powers
+    A^1 .. A^(n-1): each row's cell is shifted out of its power row into
+    the row's slot, unreduced, and the column operation adds the column
+    2p - x, x the cells of a22, to each diagonal column, followed by one
+    fold.
+    A cell is a power's slot, and a diagonal column's slot takes 2p plus
+    one cell, below 2^63, which the fold brings to at most 2^61 + 2; both
+    are within `exact.slot_width(n)` (e >= 2 there, as diagonal columns
+    need n >= 3), so the columns are eliminated at the powers' width.
+    `exact._pivots_mod_p` reads them in one pass and stops at the caller's
+    pivot count: a wide M' whose rank reaches it is read only up to that
+    pivot's column, and each column once. The kernel knows no ceiling;
+    `_sampled_dimension` passes it.
     """
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
         n = self.n = graph.n
         self.params = _verdict_params(graph, tree)
-        self.twin = _dimension_bound(graph) < 2 * n - 1
-        self.nrows = max(2 * n - 3 - self.twin, 0)
+        self.nrows = max(2 * n - 3, 0)
         self.ncols = max(len(self.params) - 2, 0)
         self.nonzeros = [([], []) for _ in range(n)]  # per row of A: its columns k, parameters
         entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
@@ -343,17 +351,18 @@ class _VerdictKernel:
             powers.append(power)
         return powers
 
-    def pivots(self, values: Sequence[int]) -> list[int]:
-        """The pivot columns of M' mod p at `values`: its first independent
-        columns mod p, whose number is its rank."""
+    def pivots(self, values: Sequence[int], most: int) -> list[int]:
+        """The pivot columns of M' mod p at `values`, up to `most` of them:
+        its first independent columns mod p, whose number is its rank
+        when that is at most `most`."""
         if not self.ncols:
             return []
-        return exact._pivots_mod_p(self._columns(self.packed(values)), self.nrows, self.width)
+        return exact._pivots_mod_p(self._columns(self.packed(values)), self.nrows, self.width, most)
 
     def _columns(self, powers: list[list[int]]):
         """The columns of M', packed, one at a time: slot t of a column holds
         row t of M', the A rows (powers 1..n-1) first, then the A_1 rows
-        (powers 1+twin..n-2)."""
+        (powers 1..n-2)."""
         n, width, low, high = self.n, self.width, self.low, self.high
         mask = (1 << width) - 1
         rows = list(zip(*powers))  # per row r, row r of each power
@@ -361,7 +370,7 @@ class _VerdictKernel:
         def column(at):
             k, s, sub_s = at
             x = 0
-            for y in reversed(rows[k][self.twin : n - 2]):
+            for y in reversed(rows[k][: n - 2]):
                 x = x << width | y >> sub_s & mask
             for y in reversed(rows[k]):
                 x = x << width | y >> s & mask
@@ -433,6 +442,19 @@ def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int]:
     return trials, seed
 
 
+def _verdict_ceiling(graph: CompartmentGraph, trials: int, seed: int, mode: str) -> tuple[int, int, int]:
+    """The checks and the ceiling of `image_dimension` and
+    `has_expected_dimension`: the arguments through `checked_arguments`,
+    strong connectivity, then the proven ceiling min(`_dimension_bound`,
+    m+1) on the rank, decided once. Returns (trials, seed, ceiling)."""
+    trials, seed = checked_arguments(trials, seed, mode)
+    _require_strongly_connected(
+        graph,
+        "image dimension is defined for strongly connected graphs; reduce with io_strong_component first",
+    )
+    return trials, seed, min(_dimension_bound(graph), graph.m + 1)
+
+
 def image_dimension(
     graph: CompartmentGraph,
     trials: int = 2,
@@ -443,20 +465,20 @@ def image_dimension(
 
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed. The rank is at most min(2n-1, m+1): the image
-    lives in dimension 2n-1, and the n-1 diagonal scalings
-    diag(1, t_2, .., t_n) give kernel vectors, independent at any point
-    with nonzero entries. So the loop stops at the first point that reaches
-    that ceiling; `d`, `verdict` and `trials` are what all trials would
-    give. With no exchange at vertex 1 (n >= 3) the ceiling is
-    min(2n-2, m+1) (`_dimension_bound`), and the repeated row of M' that
-    proves it is dropped before ranking.
+    answer for a fixed seed. The rank is at most the ceiling
+    min(`_dimension_bound`, m+1): the image lives in dimension 2n-1, or
+    2n-2 with no exchange at vertex 1 (n >= 3), and the n-1 diagonal
+    scalings diag(1, t_2, .., t_n) give kernel vectors, independent at any
+    point with nonzero entries. The ceiling is decided once per call. The
+    loop stops at the first point that reaches it, and each pass stops
+    once M' reaches it; `d`, `verdict` and `trials` are what all trials
+    would give.
 
     Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
     module docstring derives from the Jacobian: equal at points with
     nonzero tree entries, as every sampled point has, and 2 + rank(M')
     (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
-    pass up to the last pivot; the tree, and so the kernel's set-up, is
+    pass up to the ceiling; the tree, and so the kernel's set-up, is
     picked once per call. Rational mode takes the same rank: its
     certificate is a rank mod p at the proven ceiling, since a minor that
     is nonzero mod p is a nonzero integer. Only a point that falls short
@@ -467,41 +489,37 @@ def image_dimension(
     report itself comes from `_sampled_dimension`'s memo when the same
     graph, trials, seed and mode were asked for recently.
     """
-    trials, seed = checked_arguments(trials, seed, mode)
-    _require_strongly_connected(
-        graph,
-        "image dimension is defined for strongly connected graphs; reduce with io_strong_component first",
-    )
-    return _sampled_dimension(graph, spanning_tree(graph), trials, seed, mode)
+    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode)
+    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode)
 
 
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _sampled_dimension(
-    graph: CompartmentGraph, tree: SpanningTree, trials: int, seed: int, mode: str
+    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str
 ) -> DimensionReport:
     """`image_dimension` of a graph already known to be strongly connected,
-    with the verdict columns of its default spanning tree `tree`, and of
-    arguments `checked_arguments` has normalized: trials and seed are ints,
-    and the mode is one of `exact.MODES`.
+    with the verdict columns of its default spanning tree `tree`, the
+    ceiling min(`_dimension_bound`, m+1) its caller decided, and arguments
+    `checked_arguments` has normalized: trials and seed are ints, and the
+    mode is one of `exact.MODES`.
 
     The report is then a pure function of these arguments, so it is kept
     for the last GRAPH_MEMO_SIZE of them. The points come from
     `derived_rng(seed, graph)`, a function of the seed's int text, n and
-    the edge list; the tree is a function of the graph; and nothing else
-    is read. Equal graphs built separately share an entry, and the report,
-    a frozen dataclass, is handed to every caller as is.
+    the edge list; the tree and the ceiling are functions of the graph;
+    and nothing else is read. Equal graphs built separately share an
+    entry, and the report, a frozen dataclass, is handed to every caller
+    as is.
     """
-    p = exact.modulus(mode)
     rng = derived_rng(seed, graph)
-    nvars = parameter_count(graph)
     kernel = _VerdictKernel(graph, tree)
-    ceiling = min(2 * graph.n - 1 - kernel.twin, graph.m + 1)
     eliminated = min(graph.n, 2)
     best = 0
     for _ in range(trials):
-        point = sample_point(rng, nvars)
-        rank = eliminated + len(kernel.pivots(point))
-        if not p and rank < ceiling:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
+        point = sample_point(rng, parameter_count(graph))
+        rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
+        # identity rows first: Bareiss pivots on them at 1, then runs on M'
+        if mode == RATIONAL_MODE and rank < ceiling:
             rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
             rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
         best = max(best, rank)
@@ -527,19 +545,19 @@ def has_expected_dimension(
 ) -> bool:
     """True iff the image dimension attains the expected m+1.
 
-    The dimension is at most `_dimension_bound`: 2n-1, or 2n-2 when n >= 3
-    and vertex 1 has no exchange. So this short-circuits to False when m+1
-    exceeds that bound: past the edge bound m > 2n-2, and on a maximal
-    graph (m = 2n-2) with no exchange, where the False verdict is a proof.
-    No rank computation happens in that case. Strong connectivity is
-    checked once per verdict: here when the bound decides, by
-    `image_dimension` otherwise, which also raises NotStronglyConnected for
-    a graph that fails the check here.
+    The arguments and strong connectivity are checked, and the ceiling
+    min(`_dimension_bound`, m+1) decided, once per call, as
+    `image_dimension` does. When m+1 exceeds `_dimension_bound` (2n-1, or
+    2n-2 when n >= 3 and vertex 1 has no exchange), the ceiling is m or
+    less and the verdict is False with no rank computation: past the edge
+    bound m > 2n-2, and on a maximal graph (m = 2n-2) with no exchange,
+    where the False verdict is a proof. Otherwise the verdict is
+    `_sampled_dimension`'s, memo included.
     """
-    checked_arguments(trials, seed, mode)  # also where the bound decides
-    if graph.m + 1 > _dimension_bound(graph) and is_strongly_connected(graph):
+    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode)
+    if ceiling <= graph.m:
         return False
-    return image_dimension(graph, trials=trials, seed=seed, mode=mode).verdict
+    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode).verdict
 
 
 def _derivative_name(base: str, order: int) -> str:

@@ -98,7 +98,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     width = slot_width(2)
     _row_length(rows)
     columns = [sum(index(x) % p << r * width for r, x in enumerate(col)) for col in zip(*rows)]
-    return len(_pivots_mod_p(columns, len(rows), width))
+    return len(_pivots_mod_p(columns, len(rows), width, len(rows)))
 
 
 def _row_length(rows: Sequence[Sequence[int]]) -> int:
@@ -109,9 +109,10 @@ def _row_length(rows: Sequence[Sequence[int]]) -> int:
     return length
 
 
-def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
+def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int, most: int) -> list[int]:
     """The pivot columns of Gaussian elimination mod p = 2^61 - 1 on packed
-    columns: the matrix's first independent columns mod p.
+    columns, up to `most` of them: the matrix's first independent columns
+    mod p.
 
     Column j is one int whose `width`-bit slot r holds entry (r, j) mod p,
     below 2^61 + 2^e, e = width - 122, and not necessarily reduced; width
@@ -126,8 +127,10 @@ def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
     vector is clear at the pivot slots before its own. The reduced x is
     accepted when it is nonzero mod p at a free slot, which becomes its
     pivot slot, and is 0 mod p otherwise. Only the slots read are reduced
-    to [0, p). The pass stops at `nrows` pivots, so no column after the
-    last pivot is read.
+    to [0, p). The pass stops at `most` pivots, so no column after that
+    pivot is read: `rank_mod_p` passes the row count, which no rank
+    exceeds, and a caller that knows a lower ceiling on the rank passes
+    that.
     """
     p = MERSENNE61
     mask = (1 << width) - 1
@@ -149,7 +152,7 @@ def _pivots_mod_p(columns: Iterable[int], nrows: int, width: int) -> list[int]:
                 basis.append((s, pv, x))
                 pivots.append(j)
                 break
-        if len(pivots) == nrows:
+        if len(pivots) == most:
             break
     return pivots
 

@@ -20,7 +20,7 @@ from operator import index
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _sampled_dimension, checked_arguments
+from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _dimension_bound, _sampled_dimension, checked_arguments
 from .errors import (
     Disconnected,
     InconsistentSystem,
@@ -306,8 +306,10 @@ def reparametrize(
     Raises NoReparametrization (carrying the dimension report) when the
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
     one out up front. The arguments and strong connectivity are checked
-    once per call and the default spanning tree built once: the dimension
-    report (`image_dimension`'s columns) and the cycle basis reuse them.
+    once per call, the default spanning tree built once and, past the edge
+    bound check, the ceiling min(`_dimension_bound`, m+1) decided once: the
+    dimension report (`image_dimension`'s columns and ceiling) and the
+    cycle basis reuse them.
     Neither the report nor the cycle candidates depend on the requested
     tree, so both come from their memos (`_sampled_dimension`,
     `_cycle_candidates`) when the graph was reparametrized recently, under
@@ -322,7 +324,7 @@ def reparametrize(
             "no identifiable scaling reparametrization exists"
         )
     default = spanning_tree(graph)
-    report = _sampled_dimension(graph, default, trials, seed, mode)
+    report = _sampled_dimension(graph, default, min(_dimension_bound(graph), graph.m + 1), trials, seed, mode)
     if not report.verdict:
         raise NoReparametrization(report)
 

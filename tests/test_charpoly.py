@@ -8,8 +8,10 @@ import pytest
 from compident import (
     CompartmentGraph,
     LimitExceeded,
+    NoReparametrization,
     NotExpectedDimension,
     NotStronglyConnected,
+    TooManyEdges,
     census_classes,
     has_expected_dimension,
     identifiable_cycle_functions,
@@ -361,8 +363,9 @@ class TestImageDimension:
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
     def test_stops_at_2n_minus_2_without_an_exchange(self, monkeypatch, mode):
         """With no exchange the ceiling is 2n-2 = 8: one trial, and in
-        rational mode the 7 x 7 M' less its twin row, 6 x 7, is certified
-        mod p with no Bareiss. The report is the one the 2n-1 ceiling gave."""
+        rational mode the 7 x 7 M', whose repeated row gives it rank 6, is
+        certified mod p at that rank with no Bareiss. The report is the one
+        the 2n-1 ceiling gave."""
         calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
         report = image_dimension(NO_EXCHANGE5, trials=2, mode=mode)
@@ -426,6 +429,21 @@ class TestRationalVerdicts:
             calls.clear()
             report = image_dimension(broken4, trials=trials, mode=RATIONAL_MODE)
             assert (report.d, report.trials, calls) == (6, trials, [broken4.n] * trials)
+
+    def test_bareiss_ranks_every_row_of_the_verdict_matrix(self, monkeypatch, chain4):
+        """At this integer point chain4's M has rank 6 < 7, and dropping row
+        1 of A or row 1 of A_1 would leave 5 (Fraction elimination): the
+        rational shortfall path reads d = 6, so Bareiss ranks every row of
+        M. A chosen point is needed: at the first sampled point of every
+        deficient class of (4,5)-(6,8), neither row changes the rank."""
+        point = [3, -1, 3, 3, -1, -1, 2, 1, -1, -2]
+        rows = verdict_matrix(chain4, point, RATIONAL_MODE)
+        assert oracle_rank(rows) == 6
+        for dropped in (1, chain4.n + 1):  # row 1 of A, row 1 of A_1
+            assert oracle_rank(rows[:dropped] + rows[dropped + 1 :]) == 5
+        monkeypatch.setattr(cp, "sample_point", lambda rng, count: list(point))
+        report = image_dimension(chain4, trials=1, mode=RATIONAL_MODE)
+        assert (report.d, report.verdict) == (6, False)
 
     def test_reports_match_prime_mode(self):
         for n, m in ((4, 6), (5, 7), (5, 8)):
@@ -734,12 +752,9 @@ def pivots_gf_p(rows) -> list[int]:
 
 def list_built_reduced(graph, point) -> list[list]:
     """M' from the power-row lists mod p: `reduced_verdict_rows` at the
-    verdict columns, less row 1 of A_1 when vertex 1 has no exchange."""
+    verdict columns, every row kept."""
     params = cp._verdict_params(graph, cp.spanning_tree(graph))
-    reduced = reduced_verdict_rows(graph.n, *cp._power_rows(graph, point, MERSENNE61, params))
-    if graph.n >= 3 and graphs.has_exchange(graph) is None:
-        del reduced[graph.n - 1]
-    return reduced
+    return reduced_verdict_rows(graph.n, *cp._power_rows(graph, point, MERSENNE61, params))
 
 
 def over_full_graphs(count: int, seed: int) -> list:
@@ -772,8 +787,8 @@ def over_full_graphs(count: int, seed: int) -> list:
 
 class TestVerdictKernel:
     """`_VerdictKernel` gathers M' packed from the powers, column by column
-    in one pass that stops at the last pivot, and its pivots are those of
-    the list-built M'."""
+    in one pass that stops at the pivot count its caller asks for, and its
+    pivots are those of the list-built M'."""
 
     SMALL = (1, 2, MERSENNE61 - 1, MERSENNE61 - 2)
 
@@ -787,14 +802,16 @@ class TestVerdictKernel:
         ]
 
     @staticmethod
-    def check(graph, point) -> list[int]:
-        """The kernel's rank equals `rank_mod_p` of the list-built M';
-        returns the kernel's pivots."""
+    def check(graph, point, most=None) -> list[int]:
+        """The kernel's pivot count, in a pass that stops at `most` pivots
+        (the row count of M' by default), equals `rank_mod_p` of the
+        list-built M' capped at `most`; returns the kernel's pivots."""
         kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
         reduced = list_built_reduced(graph, point)
         assert (kernel.nrows, kernel.ncols) == (len(reduced), len(reduced[0]) if reduced else 0)
-        pivots = kernel.pivots(point)
-        assert len(pivots) == exact.rank_mod_p(reduced), (graph, point)
+        most = kernel.nrows if most is None else most
+        pivots = kernel.pivots(point, most)
+        assert len(pivots) == min(exact.rank_mod_p(reduced), most), (graph, point)
         return pivots
 
     @staticmethod
@@ -823,26 +840,47 @@ class TestVerdictKernel:
                     count += 1
         assert count == 2 * (55 + 281 + 1158)
 
+    def test_small_graphs(self, single, exchange2, cycle3):
+        """M' is 0 x 0 at n = 1, 1 x 1 for the exchange pair and 3 x 2 for
+        the directed 3-cycle, and its pivots are the list-built M''s; the
+        packed powers are A^1 .. A^(n-1), none at n = 1."""
+        rng = random.Random(107)
+        for g, shape in ((single, (0, 0)), (exchange2, (1, 1)), (cycle3, (3, 2))):
+            kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+            assert (kernel.nrows, kernel.ncols) == shape
+            for point in self.points(g, rng):
+                assert len(kernel.packed(point)) == g.n - 1
+                assert self.check(g, point) == pivots_gf_p(list_built_reduced(g, point))
+
     def test_over_full_graphs(self, monkeypatch):
-        """Wide M': one pass per `pivots` call reads each column once, up
-        to the last pivot, or all of them when the rank falls short; the
-        sample holds points whose first min(rows, cols) columns are
-        dependent, and ranks below the row count."""
+        """Wide M': one pass per `pivots` call, stopped at the verdict's
+        pivot ceiling min(`_dimension_bound`, m+1) - 2, reads each column
+        once, up to the pivot that reaches the ceiling, or all of them when
+        the rank falls short. On the half with no exchange at vertex 1 the
+        ceiling is 2n-4, one below the row count of M', whose repeated row
+        keeps the rank there: the pass stops at the same column as a pass
+        over M' less that row. The sample holds points whose first
+        min(rows, cols) columns are dependent, and ranks below the
+        ceiling."""
         reads = self.record_columns(monkeypatch)
         rng = random.Random(102)
         sample = over_full_graphs(1000, seed=103)
         assert {g.n for g in sample} == set(range(3, 9))
-        past_square = short = 0
+        past_square = short = below_rows = 0
         for g in sample:
             kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-            assert kernel.nrows < kernel.ncols
+            most = min(cp._dimension_bound(g), g.m + 1) - 2
+            assert kernel.nrows == 2 * g.n - 3 < kernel.ncols
+            assert most == kernel.nrows - (graphs.has_exchange(g) is None)
+            below_rows += most < kernel.nrows
             for point in self.points(g, rng):
                 reads.clear()
-                pivots = self.check(g, point)
-                full = len(pivots) == kernel.nrows
+                pivots = self.check(g, point, most)
+                full = len(pivots) == most
                 assert reads == [pivots[-1] + 1 if full else kernel.ncols]
-                past_square += reads[0] > kernel.nrows
+                past_square += reads[0] > most
                 short += not full
+        assert below_rows == 500
         assert past_square > 20 and short > 0, (past_square, short)
 
     def test_pivots_are_the_first_independent_columns(self):
@@ -851,7 +889,7 @@ class TestVerdictKernel:
         for g in sample:
             for point in self.points(g, rng):
                 kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-                assert kernel.pivots(point) == pivots_gf_p(list_built_reduced(g, point)), g
+                assert kernel.pivots(point, kernel.nrows) == pivots_gf_p(list_built_reduced(g, point)), g
 
     # (graph, point) with a wide M' whose leading square block falls short,
     # found by search over points in {1, 2, p-1, p-2}: the whole M' has
@@ -879,7 +917,7 @@ class TestVerdictKernel:
         reduced = list_built_reduced(g, point)
         assert (kernel.nrows, kernel.ncols) == (3, 4)
         assert exact.rank_mod_p([row[:3] for row in reduced]) == 2
-        pivots = kernel.pivots(point)
+        pivots = kernel.pivots(point, kernel.nrows)
         assert pivots == pivots_gf_p(reduced)
         assert (len(pivots), reads) == (rank, [4])
         assert (pivots[-1] == 3) == (rank == 3)
@@ -893,6 +931,23 @@ class TestVerdictKernel:
         reads = self.record_columns(monkeypatch)
         assert image_dimension(g).d == 17
         assert reads == [15]
+
+    def test_over_full_graph_without_an_exchange_stops_at_the_ceiling(self, monkeypatch):
+        """n = 8, m = 49, with no exchange at vertex 1: M' is 13 x 48 and
+        the ceiling is 2n-2 = 14, so the verdict's pass stops at 12 pivots
+        and reads its first 12 columns, once: as many as a pass over M'
+        less its repeated row, whose rank is that row count."""
+        edges = [(j, i) for j in range(2, 9) for i in range(2, 9) if i != j]
+        edges += [(1, v) for v in range(2, 5)] + [(v, 1) for v in range(5, 9)]
+        g = CompartmentGraph(8, tuple(edges))
+        assert (g.m, graphs.has_exchange(g), cp._dimension_bound(g)) == (49, None, 14)
+        kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
+        assert (kernel.nrows, kernel.ncols) == (13, 48)
+        reads = self.record_columns(monkeypatch)
+        for mode in (PRIME_MODE, RATIONAL_MODE):
+            reads.clear()
+            assert image_dimension(g, mode=mode).d == 14
+            assert reads == [12]
 
     def test_slots_of_unreduced_rows(self):
         """Gathered columns keep every slot below 2^61 + 2^e,
@@ -919,7 +974,7 @@ class TestVerdictKernel:
             columns = [[p - 1] + [big] * 4, [1] + [big] * 4, [1] + [small] * 4]
             packed = [sum(x << t * width for t, x in enumerate(column)) for column in columns]
             rows = [list(row) for row in zip(*columns)]
-            assert exact._pivots_mod_p(packed, 5, width) == pivots_gf_p(rows) == [0, 1]
+            assert exact._pivots_mod_p(packed, 5, width, 5) == pivots_gf_p(rows) == [0, 1]
 
 
 class TestNoExchangeBound:
@@ -1033,8 +1088,9 @@ class TestExpectedDimension:
             raise AssertionError("rank should not be computed past the edge bound")
 
         monkeypatch.setattr(cp, "image_dimension", boom)
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         assert cp.has_expected_dimension(complete3) is False
-
+        assert passes == []
 
     def test_no_exchange_bound_short_circuits(self, monkeypatch):
         """A maximal graph with no exchange is False with no kernel run;
@@ -1100,6 +1156,35 @@ class TestExpectedDimension:
             for verdict in (has_expected_dimension, image_dimension):
                 with pytest.raises(ValueError, match="unknown arithmetic mode"):
                     verdict(graph, mode="nope")
+
+    def test_one_ceiling_per_verdict(self, monkeypatch, chain4, broken4):
+        """Each verdict decides its ceiling once: one `_dimension_bound`
+        call and one charpoly `checked_arguments` call per call of
+        `has_expected_dimension`, `image_dimension` and `reparametrize`,
+        on the ranked path (chain4, broken4), on a maximal graph with no
+        exchange (NO_EXCHANGE5) and where the bound decides (complete3),
+        cold and from the memo. `reparametrize` refuses complete3 by the
+        edge bound m > 2n-2, which needs no ceiling, before it decides one."""
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        bounds = [count_calls(monkeypatch, owner, "_dimension_bound") for owner in (cp, reparam)]
+        checks = [count_calls(monkeypatch, owner, "checked_arguments") for owner in (cp, reparam)]
+
+        def counts(verdict, graph):
+            for calls in bounds + checks:
+                calls.clear()
+            try:
+                verdict(graph)
+            except (NoReparametrization, TooManyEdges):
+                pass
+            return sum(map(len, bounds)), sum(map(len, checks))
+
+        for _ in range(2):
+            for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
+                for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
+                    refused = verdict is reparam.reparametrize and graph is complete3
+                    assert counts(verdict, graph) == (0 if refused else 1, 1), (verdict, graph)
 
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
         """One strong connectivity check per verdict, below and past the
@@ -1351,7 +1436,7 @@ class TestMarkovParameterOracle:
             point = cp.sample_point(rng, n + graph.m)
             rows, h = self.markov_jacobian(graph, point, p)
             ranks.append(rank_gf_p_with_inverses(rows, p))
-            assert ranks[-1] == 2 + len(kernel.pivots(point)), graph.to_json()
+            assert ranks[-1] == 2 + len(kernel.pivots(point, kernel.nrows)), graph.to_json()
             hankel = [[h[i + j] for j in range(n)] for i in range(n)]
             assert rank_gf_p_with_inverses(hankel, p) == n, graph.to_json()
         assert max(ranks) == image_dimension(graph).d, graph.to_json()

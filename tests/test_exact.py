@@ -22,6 +22,7 @@ from compident.exact import (
     integer_solve_in_lattice,
     inverse_unimodular,
     matvec_int,
+    modulus,
     rank,
     rank_bareiss,
     rank_mod_p,
@@ -252,6 +253,28 @@ def random_unimodular(rng: random.Random, size: int, steps: int = 12):
     if rng.random() < 0.5 and size > 1:
         mat[0], mat[1] = mat[1], mat[0]
     return mat
+
+
+class TestModulus:
+    def test_each_mode_names_its_modulus(self):
+        assert modulus(PRIME_MODE) == MERSENNE61 == 2**61 - 1
+        assert modulus(RATIONAL_MODE) == 0
+        with pytest.raises(ValueError, match="unknown arithmetic mode 'nope'"):
+            modulus("nope")
+
+
+class TestDeterminant:
+    def test_singular_is_zero(self):
+        """A singular matrix has determinant 0, not its last pivot: a 2 x 2
+        of rank 1, and a 3 x 3 of rank 2 whose last pivot is -3."""
+        assert det_int([[1, 2], [2, 4]]) == 0
+        assert det_int([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+    def test_signed_by_row_swaps(self):
+        """Bareiss swaps the first two rows of the first matrix, so its last
+        pivot, 2, is negated."""
+        assert det_int([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+        assert det_int([[2, 1, 0], [1, 3, 1], [0, 1, 4]]) == 18
 
 
 class TestInverseUnimodular:

@@ -305,9 +305,10 @@ def test_cache_bound_reads_the_decorator():
         assert cache_bound(decorator, constants) == bound, source
 
 
-def load_line_counts():
-    path = Path(__file__).resolve().parents[1] / "tools" / "line_counts.py"
-    spec = importlib.util.spec_from_file_location("line_counts", path)
+def load_tool(name: str):
+    """The module tools/<name>.py, which is no package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -347,7 +348,50 @@ def test_line_counts_rule():
     two lines of `text` (a # inside a string is text), `return len(text)`,
     `def f`, `x = 1`, the bare string after it, which is no docstring, and
     `return x`."""
-    counts = load_line_counts().counts
+    counts = load_tool("line_counts").counts
     assert counts(LINE_COUNT_FIXTURE) == (24, 10)
     assert counts("") == (0, 0)
     assert counts('"""Only a docstring."""\n\n# and a comment\n') == (3, 0)
+
+
+MUTATE_FIXTURE = """def f(x, y):
+    if x < y and x is not None:
+        x += 2 * y
+    return x << 1 & 7 ** 2 % 3 // True
+
+
+class K:
+    def g(self, a):
+        return a in (1,) or a - 4 ^ 5 != 0
+"""
+
+
+def test_mutate_operators():
+    """`tools/mutate.py`: one mutant per comparison operator (swapped with
+    its boundary or negated twin), per arithmetic or bitwise operator of
+    an expression or augmented assignment, and per int constant (+1, a
+    bool left alone), in source order and within the scope; each changes
+    that token alone."""
+    mutants = load_tool("mutate").mutants
+    found = mutants(MUTATE_FIXTURE)
+    assert [text.split(" in `")[0] for text, _source in found] == [
+        "line 2: < -> <=", "line 2: is not -> is",
+        "line 3: + -> -", "line 3: * -> +", "line 3: 2 -> 3",
+        "line 4: & -> |", "line 4: << -> >>", "line 4: 1 -> 2", "line 4: // -> *",
+        "line 4: % -> //", "line 4: ** -> *", "line 4: 7 -> 8", "line 4: 2 -> 3", "line 4: 3 -> 4",
+        "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
+        "line 9: - -> +", "line 9: 4 -> 5", "line 9: 5 -> 6", "line 9: 0 -> 1",
+    ]
+    assert found[0][0] == "line 2: < -> <= in `x < y`"
+    unchanged = ast.unparse(ast.parse(MUTATE_FIXTURE))
+    for text, source in found:
+        changed = [
+            (a, b) for a, b in zip(unchanged.splitlines(), source.splitlines()) if a != b
+        ]
+        assert len(changed) == 1, text
+    assert dict(found)["line 3: + -> - in `x += 2 * y`"].splitlines()[2] == "        x -= 2 * y"
+    assert [text for text, _source in mutants(MUTATE_FIXTURE, "K.g")] == [
+        text for text, _source in found[-8:]
+    ]
+    with pytest.raises(ValueError, match="no definition named 'K.h'"):
+        mutants(MUTATE_FIXTURE, "K.h")
