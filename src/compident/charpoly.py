@@ -53,11 +53,14 @@ repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
 reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
 non-tree edge of vertex 1 whose reverse edge is present, that is, at an
 exchange. M' keeps the repeated row, which the ceiling accounts for.
-`_dimension_bound` is the one home of this ceiling. Each verdict entry
-point decides it once, as min(bound, m+1), and hands it to
-`_sampled_dimension`: trials stop at the first point whose rank reaches
-it, and each pass stops once M' has that many pivots less min(n, 2), the
-identity rows eliminated in closed form.
+`_dimension_bound` is the one home of this ceiling, and `_verdict_ceiling`
+its one caller: the preamble that all three verdict entry points
+(`image_dimension`, `has_expected_dimension`, `reparam.reparametrize`)
+share checks the arguments and strong connectivity, then decides the
+ceiling min(bound, m+1) once and hands it to `_sampled_dimension`: trials
+stop at the first point whose rank reaches it, and each pass stops once
+M' has that many pivots less min(n, 2), the identity rows eliminated in
+closed form.
 
 A dimension report is a pure function of the graph, its default tree and
 the checked trials, seed and mode: the points come from `derived_rng`,
@@ -169,7 +172,9 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
     Row c of A^(i+1) is sum_k a_ck * (row k of A^i), sparse A times dense
     A^i, with one `% p` per entry mod p. These lists are what the
     coefficients, the Jacobian and Bareiss on M over Z read; the verdict
-    mod p reads none (`_VerdictKernel`).
+    mod p reads none (`_VerdictKernel`). The per-row nonzeros of A are laid
+    out here and again in `_VerdictKernel.__init__` on purpose, so that
+    this loop stays an independent oracle of the packed kernel.
     """
     if len(values) != parameter_count(graph):
         raise ValueError(
@@ -263,8 +268,8 @@ def _dimension_bound(graph: CompartmentGraph) -> int:
     """A proven ceiling on the image dimension: 2n-1, the number of
     coefficients, less one when n >= 3 and vertex 1 has no exchange (the
     2n-2 bound, proved in the module docstring). The only place the
-    ceiling is decided: every verdict reads it once, through its entry
-    point."""
+    ceiling is decided: every verdict reads it once, through
+    `_verdict_ceiling`."""
     return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
 
 
@@ -442,16 +447,28 @@ def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int]:
     return trials, seed
 
 
-def _verdict_ceiling(graph: CompartmentGraph, trials: int, seed: int, mode: str) -> tuple[int, int, int]:
-    """The checks and the ceiling of `image_dimension` and
-    `has_expected_dimension`: the arguments through `checked_arguments`,
-    strong connectivity, then the proven ceiling min(`_dimension_bound`,
-    m+1) on the rank, decided once. Returns (trials, seed, ceiling)."""
+#: The refusal of `image_dimension` and `has_expected_dimension` on a
+#: graph that is not strongly connected.
+_IMAGE_REFUSAL = "image dimension is defined for strongly connected graphs; reduce with io_strong_component first"
+
+
+def _verdict_ceiling(
+    graph: CompartmentGraph, trials: int, seed: int, mode: str, refusal: str
+) -> tuple[int, int, int]:
+    """The one preamble of the three verdict entry points,
+    `image_dimension`, `has_expected_dimension` and
+    `reparam.reparametrize`, run once per call, memo or not, in this order:
+    - the arguments, through `checked_arguments`;
+    - strong connectivity, raising NotStronglyConnected(`refusal`), each
+      entry point's own message, on a graph without it;
+    - the proven ceiling min(`_dimension_bound`, m+1) on the rank: the
+      image lives in dimension 2n-1, or 2n-2 with no exchange at vertex 1
+      (n >= 3), and the n-1 diagonal scalings diag(1, t_2, .., t_n) give
+      kernel vectors of the n+m Jacobian columns, independent at any
+      point with nonzero entries.
+    Returns (trials, seed, ceiling), the first two as ints."""
     trials, seed = checked_arguments(trials, seed, mode)
-    _require_strongly_connected(
-        graph,
-        "image dimension is defined for strongly connected graphs; reduce with io_strong_component first",
-    )
+    _require_strongly_connected(graph, refusal)
     return trials, seed, min(_dimension_bound(graph), graph.m + 1)
 
 
@@ -465,14 +482,11 @@ def image_dimension(
 
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed. The rank is at most the ceiling
-    min(`_dimension_bound`, m+1): the image lives in dimension 2n-1, or
-    2n-2 with no exchange at vertex 1 (n >= 3), and the n-1 diagonal
-    scalings diag(1, t_2, .., t_n) give kernel vectors, independent at any
-    point with nonzero entries. The ceiling is decided once per call. The
-    loop stops at the first point that reaches it, and each pass stops
-    once M' reaches it; `d`, `verdict` and `trials` are what all trials
-    would give.
+    answer for a fixed seed. `_verdict_ceiling` checks the arguments and
+    strong connectivity and decides the ceiling on the rank, once per
+    call. The loop stops at the first point that reaches it, and each pass
+    stops once M' reaches it; `d`, `verdict` and `trials` are what all
+    trials would give.
 
     Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
     module docstring derives from the Jacobian: equal at points with
@@ -485,11 +499,10 @@ def image_dimension(
     reads M over Z from `_power_rows` and ranks it by Bareiss, the two
     identity rows first.
 
-    The arguments and strong connectivity are checked on every call; the
-    report itself comes from `_sampled_dimension`'s memo when the same
+    The report comes from `_sampled_dimension`'s memo when the same
     graph, trials, seed and mode were asked for recently.
     """
-    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode)
+    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
     return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode)
 
 
@@ -497,11 +510,10 @@ def image_dimension(
 def _sampled_dimension(
     graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str
 ) -> DimensionReport:
-    """`image_dimension` of a graph already known to be strongly connected,
-    with the verdict columns of its default spanning tree `tree`, the
-    ceiling min(`_dimension_bound`, m+1) its caller decided, and arguments
-    `checked_arguments` has normalized: trials and seed are ints, and the
-    mode is one of `exact.MODES`.
+    """`image_dimension` of a graph that `_verdict_ceiling` has passed,
+    with the verdict columns of its default spanning tree `tree`, and the
+    ceiling and the arguments `_verdict_ceiling` returned: trials and seed
+    are ints, and the mode is one of `exact.MODES`.
 
     The report is then a pure function of these arguments, so it is kept
     for the last GRAPH_MEMO_SIZE of them. The points come from
@@ -545,16 +557,14 @@ def has_expected_dimension(
 ) -> bool:
     """True iff the image dimension attains the expected m+1.
 
-    The arguments and strong connectivity are checked, and the ceiling
-    min(`_dimension_bound`, m+1) decided, once per call, as
-    `image_dimension` does. When m+1 exceeds `_dimension_bound` (2n-1, or
-    2n-2 when n >= 3 and vertex 1 has no exchange), the ceiling is m or
-    less and the verdict is False with no rank computation: past the edge
-    bound m > 2n-2, and on a maximal graph (m = 2n-2) with no exchange,
-    where the False verdict is a proof. Otherwise the verdict is
-    `_sampled_dimension`'s, memo included.
+    `_verdict_ceiling` runs first, as in `image_dimension`. When m+1
+    exceeds `_dimension_bound` (2n-1, or 2n-2 when n >= 3 and vertex 1 has
+    no exchange), the ceiling is m or less and the verdict is False with
+    no rank computation: past the edge bound m > 2n-2, and on a maximal
+    graph (m = 2n-2) with no exchange, where the False verdict is a proof.
+    Otherwise the verdict is `_sampled_dimension`'s, memo included.
     """
-    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode)
+    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
     if ceiling <= graph.m:
         return False
     return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode).verdict

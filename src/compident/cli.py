@@ -23,7 +23,6 @@ from .graphs import (
     has_exchange,
     io_strong_component,
     is_inductively_strongly_connected,
-    is_strongly_connected,
     parse_graph,
 )
 from .reparam import reparametrize
@@ -59,9 +58,8 @@ def _mode(args) -> str:
 
 def _cmd_analyze(args) -> int:
     graph = _read_graph(args.graph)
-    sc = is_strongly_connected(graph)
-    reduced = None if sc else io_strong_component(graph)
-    target = graph if sc else reduced
+    target = io_strong_component(graph)  # the graph itself exactly when it is strongly connected
+    sc = target is graph
     report = image_dimension(target, trials=args.trials, seed=args.seed, mode=_mode(args))
     exchange = has_exchange(graph)
     isc = is_inductively_strongly_connected(graph)
@@ -71,15 +69,15 @@ def _cmd_analyze(args) -> int:
             "strongly_connected": sc,
             "exchange": exchange,
             "isc_ordering": list(isc) if isc else None,
-            "reduced": None if reduced is None else reduced.as_dict(),
+            "reduced": None if sc else target.as_dict(),
             "dimension": report.as_dict(),
         }
         _dump(doc)
         return 0
     print(f"graph: n={graph.n}, m={graph.m}")
     print(f"strongly connected: {'yes' if sc else 'no'}")
-    if reduced is not None:
-        print(f"input-output component: n={reduced.n}, edges={list(reduced.edges)}")
+    if not sc:
+        print(f"input-output component: n={target.n}, edges={list(target.edges)}")
     print(f"exchange vertex: {exchange if exchange else 'none'}")
     print(
         "inductively strongly connected: "
@@ -96,6 +94,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_reparam(args) -> int:
     graph = _read_graph(args.graph)
     tree_edges = _parse_tree_flag(args.tree, graph) if args.tree is not None else None
+    reason = None
     try:
         result = reparametrize(
             graph,
@@ -105,22 +104,14 @@ def _cmd_reparam(args) -> int:
             tree_edges=tree_edges,
         )
     except NoReparametrization as exc:
-        if args.json:
-            _dump(
-                {
-                    "reparametrization": None,
-                    "reason": "dimension",
-                    "dimension": exc.report.as_dict(),
-                }
-            )
-        else:
-            print(exc)
-        return 1
+        reason, dimension, text = "dimension", exc.report.as_dict(), str(exc)
     except TooManyEdges as exc:
+        reason, dimension, text = "edge-bound", None, f"no identifiable scaling reparametrization exists: {exc}"
+    if reason is not None:
         if args.json:
-            _dump({"reparametrization": None, "reason": "edge-bound", "dimension": None})
+            _dump({"reparametrization": None, "reason": reason, "dimension": dimension})
         else:
-            print(f"no identifiable scaling reparametrization exists: {exc}")
+            print(text)
         return 1
     doc = result.to_json_dict()
     if args.json:

@@ -43,17 +43,25 @@ def format_monomial(names: Sequence[str], exponents: Sequence[int]) -> str:
 
 
 def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
-    """Inverse of format_monomial for a known name list."""
+    """Inverse of format_monomial for a known name list.
+
+    Factors may come in any order, but each must be one that
+    `render_monomial` writes: a name of the list that no other factor
+    names, alone or followed by ^e, where e is an int other than 0 and 1
+    written as str(e) writes it. Anything else raises ValueError, so
+    a12^, a12^+1, a12^0, a12^1, a12^1_0 and a12*a12 are refused.
+    """
     slots = {name: k for k, name in enumerate(names)}
     expo = [0] * len(names)
     text = text.strip()
     if text == "1":
         return tuple(expo)
     for factor in text.split("*"):
-        name, _, power = factor.partition("^")
-        if name not in slots:
-            raise ValueError(f"unknown parameter {name!r} in monomial {text!r}")
-        expo[slots[name]] += int(power) if power else 1
+        name, caret, power = factor.partition("^")
+        e = int(power) if caret else 1
+        if name not in slots or expo[slots[name]] or caret and (str(e) != power or e in (0, 1)):
+            raise ValueError(f"bad factor {factor!r} in monomial {text!r}")
+        expo[slots[name]] = e
     return tuple(expo)
 
 

@@ -20,7 +20,7 @@ from operator import index
 from typing import Optional, Sequence
 
 from . import exact
-from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _dimension_bound, _sampled_dimension, checked_arguments
+from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _sampled_dimension, _verdict_ceiling
 from .errors import (
     Disconnected,
     InconsistentSystem,
@@ -305,26 +305,27 @@ def reparametrize(
 
     Raises NoReparametrization (carrying the dimension report) when the
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
-    one out up front. The arguments and strong connectivity are checked
-    once per call, the default spanning tree built once and, past the edge
-    bound check, the ceiling min(`_dimension_bound`, m+1) decided once: the
-    dimension report (`image_dimension`'s columns and ceiling) and the
-    cycle basis reuse them.
+    one out up front. The verdict preamble `charpoly._verdict_ceiling`
+    runs first, once per call, so a bad argument, then a graph that is not
+    strongly connected, raises before the edge bound. Past the edge bound
+    the default spanning tree is built once: the dimension report
+    (`image_dimension`'s columns, with the preamble's ceiling) and the
+    cycle basis reuse it.
     Neither the report nor the cycle candidates depend on the requested
     tree, so both come from their memos (`_sampled_dimension`,
     `_cycle_candidates`) when the graph was reparametrized recently, under
     any tree; the tree, scaling exponents, rescaled rows, basis and
     verification are computed on every call.
     """
-    trials, seed = checked_arguments(trials, seed, mode)  # also past the edge bound
-    _require_strongly_connected(graph, "reparametrization requires a strongly connected graph")
+    refusal = "reparametrization requires a strongly connected graph"
+    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
             "no identifiable scaling reparametrization exists"
         )
     default = spanning_tree(graph)
-    report = _sampled_dimension(graph, default, min(_dimension_bound(graph), graph.m + 1), trials, seed, mode)
+    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode)
     if not report.verdict:
         raise NoReparametrization(report)
 

@@ -1158,33 +1158,46 @@ class TestExpectedDimension:
                     verdict(graph, mode="nope")
 
     def test_one_ceiling_per_verdict(self, monkeypatch, chain4, broken4):
-        """Each verdict decides its ceiling once: one `_dimension_bound`
-        call and one charpoly `checked_arguments` call per call of
-        `has_expected_dimension`, `image_dimension` and `reparametrize`,
-        on the ranked path (chain4, broken4), on a maximal graph with no
-        exchange (NO_EXCHANGE5) and where the bound decides (complete3),
-        cold and from the memo. `reparametrize` refuses complete3 by the
-        edge bound m > 2n-2, which needs no ceiling, before it decides one."""
+        """Each verdict runs the one preamble `_verdict_ceiling` once: one
+        `_dimension_bound` call and one charpoly `checked_arguments` call
+        per call of `has_expected_dimension`, `image_dimension` and
+        `reparametrize`, on the ranked path (chain4, broken4), on a maximal
+        graph with no exchange (NO_EXCHANGE5) and where the bound decides
+        (complete3), cold and from the memo. `reparametrize` refuses
+        complete3 by the edge bound m > 2n-2 only after the preamble, so
+        that pair counts one of each too."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        bounds = [count_calls(monkeypatch, owner, "_dimension_bound") for owner in (cp, reparam)]
-        checks = [count_calls(monkeypatch, owner, "checked_arguments") for owner in (cp, reparam)]
+        bounds = count_calls(monkeypatch, cp, "_dimension_bound")
+        checks = count_calls(monkeypatch, cp, "checked_arguments")
 
         def counts(verdict, graph):
-            for calls in bounds + checks:
-                calls.clear()
+            bounds.clear()
+            checks.clear()
             try:
                 verdict(graph)
             except (NoReparametrization, TooManyEdges):
                 pass
-            return sum(map(len, bounds)), sum(map(len, checks))
+            return len(bounds), len(checks)
 
         for _ in range(2):
             for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
                 for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
-                    refused = verdict is reparam.reparametrize and graph is complete3
-                    assert counts(verdict, graph) == (0 if refused else 1, 1), (verdict, graph)
+                    assert counts(verdict, graph) == (1, 1), (verdict, graph)
+
+    @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
+    def test_ceiling_is_m_plus_1_below_the_bound(self, monkeypatch, mode):
+        """Below the 2n-1/2n-2 bound the ceiling is m+1: the directed
+        5-cycle (m+1 = 6, bound 8) reaches it at its first point, so three
+        trials make one kernel pass and rational mode runs no Bareiss."""
+        cycle5 = directed_cycle_graph(5)
+        assert cp._verdict_ceiling(cycle5, 3, 0, mode, "") == (3, 0, 6)
+        clear_graph_memos()
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
+        report = image_dimension(cycle5, trials=3, mode=mode)
+        assert (report.d, report.verdict, len(passes), len(bareiss)) == (6, True, 1, 0)
 
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
         """One strong connectivity check per verdict, below and past the

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import compident
-from compident import cli, reparametrization_from_json, verify_reparametrization
+from compident import cli, graphs, reparametrization_from_json, verify_reparametrization
 from compident.cli import main
 
-from conftest import isc_adversary
+from conftest import count_calls, isc_adversary
 
 
 @pytest.fixture
@@ -81,6 +81,19 @@ class TestAnalyze:
         assert doc["reduced"] == {"n": 2, "edges": [[1, 2], [2, 1]]}
         assert doc["dimension"]["n"] == 2
 
+    def test_one_connectivity_check(self, capsys, monkeypatch, chain4_file, tmp_path):
+        """`analyze` reads strong connectivity off `io_strong_component`,
+        which hands back the graph itself exactly when it is strongly
+        connected, so the verdict's own guard is the one check of a run,
+        on the graph or on its reduction."""
+        dangling = tmp_path / "dangling.json"
+        dangling.write_text('{"n":3,"edges":[[1,2],[2,1],[2,3]]}')
+        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        for path, sc in ((chain4_file, True), (str(dangling), False)):
+            checks.clear()
+            code, out, _ = run(capsys, "analyze", path, "--json")
+            assert (code, json.loads(out)["strongly_connected"], len(checks)) == (0, sc, 1)
+
     def test_exact_full_rank_skips_bareiss(self, capsys, monkeypatch, tmp_path, path10_file):
         """At the min(2n-1, m+1) ceiling the rank mod p is the proof, so
         `--exact` answers without Bareiss and agrees with prime-field mode."""
@@ -136,6 +149,17 @@ class TestReparam:
         code, out, _ = run(capsys, "reparam", str(path), "--json")
         assert code == 1
         assert json.loads(out)["reason"] == "edge-bound"
+
+    def test_edge_bound_document(self, capsys, tmp_path):
+        """The whole refusal document past the edge bound: no dimension
+        report, since none was computed."""
+        path = tmp_path / "k3.json"
+        path.write_text('{"n":3,"edges":[[1,2],[1,3],[2,1],[2,3],[3,1],[3,2]]}')
+        assert run(capsys, "reparam", str(path), "--json") == (
+            1,
+            '{\n  "reparametrization": null,\n  "reason": "edge-bound",\n  "dimension": null\n}\n',
+            "",
+        )
 
     def test_trials_checked_on_both_sides_of_the_edge_bound(self, capsys, tmp_path, chain4_file):
         path = tmp_path / "k3.json"
@@ -224,6 +248,22 @@ class TestTextOutput:
     def test_reparam(self, capsys, chain4_file, wheel5_file):
         assert run(capsys, "reparam", chain4_file) == (0, CHAIN4_TEXT, "")
         assert run(capsys, "reparam", wheel5_file) == (0, WHEEL5_TEXT, "")
+
+    def test_analyze_not_strongly_connected(self, capsys, tmp_path):
+        """The graph's own predicates, its input-output component, and the
+        dimension of that component."""
+        path = tmp_path / "dangling.json"
+        path.write_text('{"n":3,"edges":[[1,2],[2,1],[2,3]]}')
+        assert run(capsys, "analyze", str(path)) == (
+            0,
+            "graph: n=3, m=3\n"
+            "strongly connected: no\n"
+            "input-output component: n=2, edges=[(1, 2), (2, 1)]\n"
+            "exchange vertex: 2\n"
+            "inductively strongly connected: no\n"
+            "image dimension: d=3 of expected m+1=3 (expected; trials=2, seed=0, mode=prime-field)\n",
+            "",
+        )
 
     def test_reparam_failures(self, capsys, tmp_path, broken4_file):
         path = tmp_path / "k3.json"

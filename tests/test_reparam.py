@@ -428,8 +428,13 @@ class TestReparametrize:
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        with pytest.raises(TooManyEdges):
+        message = "m=6 exceeds 2n-2=4; no identifiable scaling reparametrization exists"
+        with pytest.raises(TooManyEdges, match=f"^{message}$"):
             reparametrize(complete3)
+
+    def test_default_arguments(self, chain4):
+        report = reparametrize(chain4).report
+        assert (report.trials, report.seed, report.mode) == (2, 0, PRIME_MODE)
 
     @pytest.mark.parametrize("trials, error, match", BAD_TRIALS)
     def test_trials_checked_on_both_sides_of_the_edge_bound(self, chain4, trials, error, match):
@@ -478,6 +483,18 @@ class TestReparametrize:
                 reparametrize(graph)
             with pytest.raises(NotStronglyConnected):
                 cycle_basis(graph, spanning_tree(graph))
+
+    def test_refusals_come_in_preamble_order(self):
+        """Arguments, then strong connectivity, then the edge bound: a
+        graph that is not strongly connected and has m > 2n-2 edges is
+        refused for its arguments first, then for its connectivity with
+        `reparametrize`'s own message, never for its edge count."""
+        complete3 = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+        sink4 = CompartmentGraph(4, complete3 + ((1, 4),))  # m = 7 > 2n-2
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            reparametrize(sink4, trials=0)
+        with pytest.raises(NotStronglyConnected, match="^reparametrization requires a strongly connected graph$"):
+            reparametrize(sink4)
 
     def test_wheel5_with_explicit_tree(self, wheel5):
         result = reparametrize(wheel5, tree_edges=WHEEL5_TREE)
@@ -621,6 +638,41 @@ class TestMemos:
             searches.clear()
             reparametrize(chain4)
             assert len(searches) == misses
+
+
+BAD_MONOMIALS = ["a12^", "a12^+1", "a12^ 2", "a12^0", "a12^1", "a12^1_0", "a12^\u0663", "a12*a12", "a12^2*a12"]
+
+
+class TestParseMonomial:
+    """`parse_monomial` reads back exactly the factors `render_monomial`
+    writes, in any order."""
+
+    NAMES = ["a12", "a21", "a23"]
+
+    def test_inverts_render(self):
+        from compident.monomial import name_order, parse_monomial, render_monomial
+
+        order = name_order(self.NAMES)
+        for expo in [(0, 0, 0), (1, 0, 0), (-1, 2, 0), (10, -10, 1), (2, 1, -3)]:
+            assert parse_monomial(self.NAMES, render_monomial(order, expo)) == expo
+        assert parse_monomial(self.NAMES, " a23^-3*a12 ") == (1, 0, -3)
+
+    @pytest.mark.parametrize("text", BAD_MONOMIALS + ["a99", "a12**a21", "a12^x"])
+    def test_refuses_what_render_never_writes(self, text):
+        from compident.monomial import parse_monomial
+
+        with pytest.raises(ValueError):
+            parse_monomial(self.NAMES, text)
+
+    @pytest.mark.parametrize("text", BAD_MONOMIALS)
+    def test_document_monomials_are_checked(self, chain4, text):
+        """A document's monomials go through `parse_monomial`, so a factor
+        `render_monomial` never writes is refused there too."""
+        doc = reparametrize(chain4).to_json_dict()
+        assert doc["f"][1] == {"vertex": 2, "monomial": "a12"}
+        doc["f"][1]["monomial"] = text
+        with pytest.raises(ValueError, match="bad factor|invalid literal"):
+            reparametrization_from_json(chain4, doc)
 
 
 class TestVerification:
