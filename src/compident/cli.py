@@ -85,7 +85,8 @@ def _cmd_analyze(args) -> int:
     )
     verdict = "expected" if report.verdict else "below expected"
     print(
-        f"image dimension: d={report.d} of expected m+1={report.expected} "
+        f"image dimension{'' if sc else ' of the input-output component'}: "
+        f"d={report.d} of expected m+1={report.expected} "
         f"({verdict}; trials={report.trials}, seed={report.seed}, mode={report.mode})"
     )
     return 0

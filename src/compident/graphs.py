@@ -315,9 +315,6 @@ class SpanningTree:
 
     edge_indices: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.edge_indices)
-
 
 def _nontree_edges(graph: CompartmentGraph, tree: SpanningTree) -> tuple[int, ...]:
     """Indices of the edges outside `tree`, ascending: the verdict
@@ -331,31 +328,34 @@ def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tupl
     """Grow a tree from vertex 1 through the given edges, viewed as undirected.
 
     Scans `edge_indices` in order, repeatedly, taking any edge that joins a
-    reached vertex to a new one. Returns (child, parent, edge index) for
-    every vertex but 1, in the order reached; raises Disconnected when a
-    scan reaches nothing new before every vertex is reached.
+    reached vertex to a new one, until every vertex is reached or a scan
+    reaches nothing new. Returns (child, parent, edge index) for each
+    vertex reached but 1, in the order reached, and raises nothing: the
+    walk is a spanning tree exactly when it has n-1 entries, and each
+    caller decides what a shorter walk means.
     """
     reached = 2  # bit v for vertex v
     walk = []
-    while len(walk) < graph.n - 1:
-        grew = False
+    size = -1
+    while size < len(walk) < graph.n - 1:  # the last scan grew, and some vertex is left
+        size = len(walk)
         for k in edge_indices:
             j, i = graph.edges[k]
             if reached >> j & 1 != reached >> i & 1:
                 child, parent = (i, j) if reached >> j & 1 else (j, i)
                 reached |= 1 << child
                 walk.append((child, parent, k))
-                grew = True
-        if not grew:
-            raise Disconnected("the edges do not connect every vertex to vertex 1")
     return walk
 
 
 def spanning_tree(graph: CompartmentGraph) -> SpanningTree:
     """Deterministic spanning tree grown from vertex 1 by `tree_walk` over
     the whole edge list. The scan order makes the result reproducible and
-    matches the trees used in the worked fixtures."""
+    matches the trees used in the worked fixtures. Raises Disconnected,
+    the only place that does, when the walk misses a vertex."""
     walk = tree_walk(graph, range(graph.m))
+    if len(walk) < graph.n - 1:
+        raise Disconnected("the edges do not connect every vertex to vertex 1")
     return SpanningTree(tuple(sorted(k for _child, _parent, k in walk)))
 
 

@@ -48,8 +48,9 @@ def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
     Factors may come in any order, but each must be one that
     `render_monomial` writes: a name of the list that no other factor
     names, alone or followed by ^e, where e is an int other than 0 and 1
-    written as str(e) writes it. Anything else raises ValueError, so
-    a12^, a12^+1, a12^0, a12^1, a12^1_0 and a12*a12 are refused.
+    written as str(e) writes it. Anything else raises ValueError naming
+    the bad factor and its monomial, so a12^, a12^x, a12^1.5, a12^--1,
+    a12^+1, a12^0, a12^1, a12^1_0 and a12*a12 are refused.
     """
     slots = {name: k for k, name in enumerate(names)}
     expo = [0] * len(names)
@@ -58,7 +59,8 @@ def parse_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
         return tuple(expo)
     for factor in text.split("*"):
         name, caret, power = factor.partition("^")
-        e = int(power) if caret else 1
+        # a power other than digits after an optional - reads as 1, which the check refuses
+        e = int(power) if caret and power.removeprefix("-").isdecimal() else 1
         if name not in slots or expo[slots[name]] or caret and (str(e) != power or e in (0, 1)):
             raise ValueError(f"bad factor {factor!r} in monomial {text!r}")
         expo[slots[name]] = e

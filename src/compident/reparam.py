@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from . import exact
 from .charpoly import GRAPH_MEMO_SIZE, DimensionReport, _sampled_dimension, _verdict_ceiling
 from .errors import (
-    Disconnected,
     InconsistentSystem,
     MalformedInput,
     NoReparametrization,
@@ -64,7 +63,8 @@ def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> 
 def _checked_walk(graph: CompartmentGraph, indices: Sequence[int]) -> list[tuple[int, int, int]]:
     """`tree_walk` over edge indices that must form a spanning tree; a
     wrong edge count, an index outside range(m) or edges that contain a
-    cycle raise ValueError.
+    cycle raise ValueError. `tree_walk` raises nothing; this check of its
+    length is the one that refuses.
 
     n-1 distinct edges form a spanning tree of the underlying undirected
     graph exactly when they reach every vertex from 1, which is when they
@@ -74,10 +74,7 @@ def _checked_walk(graph: CompartmentGraph, indices: Sequence[int]) -> list[tuple
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
     if not all(0 <= k < graph.m for k in indices):
         raise ValueError(f"tree edge indices must lie in range({graph.m})")
-    try:
-        walk = tree_walk(graph, indices)
-    except Disconnected:
-        walk = []
+    walk = tree_walk(graph, indices)
     if len(walk) != len(indices):  # not every vertex reached, or an edge repeated
         raise ValueError("tree edges contain a cycle")
     return walk
@@ -87,15 +84,14 @@ def alternate_spanning_tree(
     graph: CompartmentGraph, first: SpanningTree
 ) -> Optional[SpanningTree]:
     """First spanning tree in lexicographic edge-subset order that differs
-    from `first`, or None when the tree is unique."""
-    want = graph.n - 1
-    for subset in combinations(range(graph.m), want):
-        if subset == first.edge_indices:
-            continue
-        try:
-            return validate_tree(graph, [graph.edges[k] for k in subset])
-        except ValueError:
-            continue
+    from `first`, or None when the tree is unique.
+
+    Each subset holds n-1 distinct indices in range(m), so the walk over
+    it reaching every vertex is the whole of `_checked_walk`'s test.
+    """
+    for subset in combinations(range(graph.m), graph.n - 1):
+        if subset != first.edge_indices and len(tree_walk(graph, subset)) == len(subset):
+            return SpanningTree(subset)
     return None
 
 

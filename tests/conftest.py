@@ -5,13 +5,16 @@ connectivity via all-pairs reachability, ranks via plain Gaussian
 elimination over Fractions or GF(p), characteristic polynomials via sympy.
 `evaluate_symbolic` evaluates the library's cycle expansion
 (`symbolic_coefficients`), the symbolic counterpart of
-`numeric_coefficients`. `class_verdicts` is the census lookup for tests that
-sweep labeled graphs. Every test starts with empty per-graph memos
-(`empty_graph_memos`).
+`numeric_coefficients`. `reference_classes` computes each census row once
+per session for the tests that only read it, and `class_verdicts` is the
+census lookup for tests that sweep labeled graphs. Every test starts with
+empty per-graph memos (`empty_graph_memos`).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 
@@ -195,17 +198,35 @@ def clear_denominators(values) -> list[int]:
     return [int(x * denom) for x in values]
 
 
-def class_verdicts(
-    n: int,
-    m: int,
-    seed: int = 0,
-    trials: int = 2,
-    mode: str = PRIME_MODE,
-    limit: int = DEFAULT_LIMIT,
-) -> dict:
-    """Canonical form -> census class record, for tests sweeping labeled
-    graphs."""
-    classes = census_classes(n, m, seed=seed, trials=trials, mode=mode, limit=limit)
+class ReferenceClass(NamedTuple):
+    """A read-only copy of one `census.CensusClass`, field for field."""
+
+    representative: CompartmentGraph
+    size: int
+    expected: bool
+    exchange: bool
+    isc: bool
+
+
+@cache
+def reference_classes(n: int, m: int, limit: int = DEFAULT_LIMIT) -> tuple[ReferenceClass, ...]:
+    """`census_classes(n, m, limit=limit)` under the default seed, trials
+    and mode, computed on the first call and shared for the rest of the
+    session as a tuple of `ReferenceClass` copies that no test can alter.
+
+    Only for tests that read a row as reference values. A test that
+    counts groupings or verdicts, patches the library, or checks that
+    nothing outlives a call calls `census_classes` itself. The library
+    keeps no row between calls; this memo is the suite's own, and it
+    holds no `CensusClass`, so the check that none outlives its call
+    still sees only the library's.
+    """
+    return tuple(ReferenceClass(**vars(c)) for c in census_classes(n, m, limit=limit))
+
+
+def class_verdicts(classes) -> dict:
+    """Canonical form -> census class record of a row's `classes`, for
+    tests sweeping labeled graphs."""
     return {canonical_form(c.representative): c for c in classes}
 
 

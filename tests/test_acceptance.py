@@ -32,7 +32,7 @@ from compident.census import (
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from compident.graphs import canonical_form
 from compident.reparam import alternate_spanning_tree, spanning_tree
-from conftest import class_verdicts, evaluate_symbolic
+from conftest import class_verdicts, evaluate_symbolic, reference_classes
 
 CHAIN4 = CompartmentGraph(4, ((2, 1), (1, 2), (3, 2), (2, 3), (4, 3), (2, 4)))
 BROKEN4 = CompartmentGraph(4, ((2, 1), (1, 2), (3, 2), (4, 3), (2, 4), (3, 4)))
@@ -246,7 +246,7 @@ def test_criterion_6_proven_statements():
 def test_criterion_7_reparametrization_soundness():
     checked = 0
     for (n, m) in REFERENCE_TABLE:
-        verdicts = class_verdicts(n, m)
+        verdicts = class_verdicts(reference_classes(n, m))
         for graph in enumerate_sc_graphs(n, m):
             if not verdicts[canonical_form(graph)].expected:
                 continue

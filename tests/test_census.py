@@ -119,7 +119,7 @@ class TestCensusRow:
             assert sum(c.size for c in classes if c.expected) == row.B
 
     def test_verdicts_constant_on_classes(self):
-        verdicts = class_verdicts(3, 4)
+        verdicts = class_verdicts(census_classes(3, 4))
         for g in enumerate_sc_graphs(3, 4):
             direct = has_expected_dimension(g)
             assert direct == verdicts[canonical_form(g)].expected
@@ -138,10 +138,10 @@ class TestCensusRow:
         before = census_row(3, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             census_classes(3, 4)[0].size += 100
-        class_verdicts(3, 4).clear()
+        class_verdicts(census_classes(3, 4)).clear()
         assert census_row(3, 4) == before
         assert before.B == 7
-        assert len(class_verdicts(3, 4)) == before.C
+        assert len(class_verdicts(census_classes(3, 4))) == before.C
 
     @pytest.mark.parametrize("m", [4, 5, 7])
     def test_mode_checked_on_every_row(self, m):

@@ -37,6 +37,7 @@ from conftest import (
     oracle_rank,
     oracle_strongly_connected,
     rank_gf_p_with_inverses,
+    reference_classes,
     sympy_double_charpoly,
 )
 
@@ -73,7 +74,7 @@ def poly_from_names(graph, term_map):
 def census_pick(n, m, exchange):
     """A seeded census representative of (n, m), with or without an
     exchange at vertex 1."""
-    pool = [c.representative for c in census_classes(n, m) if c.exchange == exchange]
+    pool = [c.representative for c in reference_classes(n, m) if c.exchange == exchange]
     return random.Random(f"{n},{m},{exchange}").choice(pool)
 
 
@@ -328,11 +329,10 @@ class TestImageDimension:
         ]
 
     def test_scalings_span_the_kernel_ceiling(self):
-        from compident.census import census_classes
         from compident.exact import rank_mod_p
 
-        graphs = [c.representative for c in census_classes(4, 6)]
-        graphs += [c.representative for c in census_classes(5, 8)[::40]]
+        graphs = [c.representative for c in reference_classes(4, 6)]
+        graphs += [c.representative for c in reference_classes(5, 8)[::40]]
         rng = random.Random(61)
         for g in graphs:
             point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
@@ -447,7 +447,7 @@ class TestRationalVerdicts:
 
     def test_reports_match_prime_mode(self):
         for n, m in ((4, 6), (5, 7), (5, 8)):
-            for c in census_classes(n, m):
+            for c in reference_classes(n, m):
                 prime = image_dimension(c.representative).as_dict()
                 rational = image_dimension(c.representative, mode=RATIONAL_MODE).as_dict()
                 assert (prime.pop("mode"), rational.pop("mode")) == (PRIME_MODE, RATIONAL_MODE)
@@ -717,11 +717,9 @@ class TestReducedVerdictMatrix:
         return len(graphs)
 
     def test_census_classes(self):
-        from compident.census import census_classes
-
         graphs = []
         for n, m in ((3, 4), (4, 6), (5, 7), (5, 8)):
-            graphs += [c.representative for c in census_classes(n, m)]
+            graphs += [c.representative for c in reference_classes(n, m)]
         assert self.check(graphs, seed=91) > 1000
 
     def test_small_and_long(self, single, exchange2):
@@ -834,7 +832,7 @@ class TestVerdictKernel:
         rng = random.Random(101)
         count = 0
         for n, m in ((4, 6), (5, 7), (5, 8)):
-            for entry in census_classes(n, m):
+            for entry in reference_classes(n, m):
                 for point in self.points(entry.representative, rng):
                     self.check(entry.representative, point)
                     count += 1
@@ -987,12 +985,11 @@ class TestNoExchangeBound:
         """Checked on sympy's determinants, with no library rank or
         coefficient: the relation holds exactly when there is no exchange."""
         sympy = pytest.importorskip("sympy")
-        from compident.census import census_classes
 
         rng = random.Random(29)
         seen = {True: 0, False: 0}
         for n, m in self.ROWS:
-            classes = census_classes(n, m)
+            classes = reference_classes(n, m)
             for entry in rng.sample(classes, min(len(classes), 8)):
                 g = entry.representative
                 cs, ds = sympy_double_charpoly(g)
@@ -1005,12 +1002,11 @@ class TestNoExchangeBound:
     def test_twin_rows_of_the_reduced_matrix(self):
         """Row 1 of the A_1 part of M' repeats row 1 of its A part exactly
         when vertex 1 has no exchange, on every class of the rows."""
-        from compident.census import census_classes
 
         rng = random.Random(31)
         twins = 0
         for n, m in self.ROWS:
-            for entry in census_classes(n, m):
+            for entry in reference_classes(n, m):
                 g = entry.representative
                 params = cp._verdict_params(g, cp.spanning_tree(g))
                 point = [rng.randrange(1, MERSENNE61) for _ in range(g.n + g.m)]
@@ -1058,13 +1054,11 @@ class TestVerdictMatrix:
         return deficient, full
 
     def test_census_classes(self):
-        from compident.census import census_classes
-
         graphs = []
         for n, m in ((3, 4), (4, 5), (4, 6)):
-            graphs += [c.representative for c in census_classes(n, m)]
+            graphs += [c.representative for c in reference_classes(n, m)]
         for n, m in ((5, 7), (5, 8)):
-            graphs += [c.representative for c in census_classes(n, m)[::23]]
+            graphs += [c.representative for c in reference_classes(n, m)[::23]]
         deficient, full = self.check(graphs, seed=71)
         assert deficient > 50 and full > 50
 
@@ -1225,8 +1219,8 @@ class TestVerdictMemo:
 
     @staticmethod
     def sample():
-        graphs = [c.representative for c in census_classes(4, 6)]
-        return graphs + random.Random(33).sample([c.representative for c in census_classes(5, 8)], 50)
+        graphs = [c.representative for c in reference_classes(4, 6)]
+        return graphs + random.Random(33).sample([c.representative for c in reference_classes(5, 8)], 50)
 
     def test_warm_equals_cold(self):
         for graph in self.sample():
@@ -1318,7 +1312,7 @@ class TestIoEquation:
         order, pinned by the leading hex digits of their sha256."""
         digest = hashlib.sha256()
         for n, m in [(3, 4), (4, 5), (4, 6), (5, 7), (5, 8)]:
-            for entry in census_classes(n, m):
+            for entry in reference_classes(n, m):
                 digest.update(io_equation_text(entry.representative).encode())
         assert digest.hexdigest()[:16] == "87ab3dae1b501983"
 
@@ -1456,7 +1450,7 @@ class TestMarkovParameterOracle:
 
     @pytest.mark.parametrize("n, m", [(4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (6, 8)])
     def test_rank_equals_the_verdict_dimension(self, n, m):
-        for entry in census_classes(n, m, limit=n):
+        for entry in reference_classes(n, m, limit=n):
             self.assert_agrees_with_the_verdict(entry.representative)
 
     def test_every_eighth_class_of_six_nine(self):

@@ -261,7 +261,8 @@ class TestTextOutput:
             "input-output component: n=2, edges=[(1, 2), (2, 1)]\n"
             "exchange vertex: 2\n"
             "inductively strongly connected: no\n"
-            "image dimension: d=3 of expected m+1=3 (expected; trials=2, seed=0, mode=prime-field)\n",
+            "image dimension of the input-output component: "
+            "d=3 of expected m+1=3 (expected; trials=2, seed=0, mode=prime-field)\n",
             "",
         )
 

@@ -28,7 +28,6 @@ from compident import (
     spanning_tree,
 )
 from compident import graphs as graphs_mod
-from compident.census import census_classes
 
 from conftest import (
     count_calls,
@@ -38,6 +37,7 @@ from conftest import (
     oracle_rank,
     oracle_reachable,
     oracle_strongly_connected,
+    reference_classes,
 )
 
 
@@ -211,7 +211,7 @@ class TestStrongConnectivity:
         # Every prefix (1, ...) of every (5,8) class, certificate prefixes
         # among them; the predicate sees the induced subgraph in sorted order.
         checked = 0
-        for entry in census_classes(5, 8):
+        for entry in reference_classes(5, 8):
             graph = entry.representative
             cert = is_inductively_strongly_connected(graph)
             others = range(2, graph.n + 1)
@@ -351,7 +351,7 @@ class TestInductivelyStronglyConnected:
 
     @pytest.mark.parametrize("n, m", [(3, 4), (4, 6), (5, 7), (5, 8)])
     def test_certificates_match_brute_force_on_census_classes(self, n, m):
-        for entry in census_classes(n, m):
+        for entry in reference_classes(n, m):
             graph = entry.representative
             assert is_inductively_strongly_connected(graph) == oracle_isc_certificate(graph)
 
@@ -499,7 +499,7 @@ class TestElementaryCycles:
         """The exact cycle list, in order, against every vertex sequence
         that starts at its smallest vertex and closes along the edges."""
         rng = random.Random(20)
-        graphs = [entry.representative for entry in census_classes(4, 6)]
+        graphs = [entry.representative for entry in reference_classes(4, 6)]
         for _ in range(150):
             n = rng.randrange(1, 6)
             graphs.append(random_graph(rng, n, rng.randrange(0, n * (n - 1) + 1)))

@@ -369,20 +369,22 @@ class K:
 def test_mutate_operators():
     """`tools/mutate.py`: one mutant per comparison operator (swapped with
     its boundary or negated twin), per arithmetic or bitwise operator of
-    an expression or augmented assignment, and per int constant (+1, a
-    bool left alone), in source order and within the scope; each changes
-    that token alone."""
+    an expression or augmented assignment, per boolean operator chain
+    (and and or swapped), and per int constant (+1, a bool left alone),
+    in source order and within the scope; each changes that token
+    alone."""
     mutants = load_tool("mutate").mutants
     found = mutants(MUTATE_FIXTURE)
     assert [text.split(" in `")[0] for text, _source in found] == [
-        "line 2: < -> <=", "line 2: is not -> is",
+        "line 2: and -> or", "line 2: < -> <=", "line 2: is not -> is",
         "line 3: + -> -", "line 3: * -> +", "line 3: 2 -> 3",
         "line 4: & -> |", "line 4: << -> >>", "line 4: 1 -> 2", "line 4: // -> *",
         "line 4: % -> //", "line 4: ** -> *", "line 4: 7 -> 8", "line 4: 2 -> 3", "line 4: 3 -> 4",
-        "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
+        "line 9: or -> and", "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
         "line 9: - -> +", "line 9: 4 -> 5", "line 9: 5 -> 6", "line 9: 0 -> 1",
     ]
-    assert found[0][0] == "line 2: < -> <= in `x < y`"
+    assert found[0][0] == "line 2: and -> or in `x < y and x is not None`"
+    assert found[0][1].splitlines()[1] == "    if x < y or x is not None:"
     unchanged = ast.unparse(ast.parse(MUTATE_FIXTURE))
     for text, source in found:
         changed = [
@@ -391,7 +393,7 @@ def test_mutate_operators():
         assert len(changed) == 1, text
     assert dict(found)["line 3: + -> - in `x += 2 * y`"].splitlines()[2] == "        x -= 2 * y"
     assert [text for text, _source in mutants(MUTATE_FIXTURE, "K.g")] == [
-        text for text, _source in found[-8:]
+        text for text, _source in found[-9:]
     ]
     with pytest.raises(ValueError, match="no definition named 'K.h'"):
         mutants(MUTATE_FIXTURE, "K.h")

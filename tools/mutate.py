@@ -9,6 +9,8 @@ inside an optional scope. The operators:
 - an arithmetic or bitwise operator swapped, in an expression or an
   augmented assignment: + and -, * into +, // into *, % into //, ** into *,
   << and >>, & and |, ^ into &;
+- a boolean operator swapped: and and or, each into the other, one mutant
+  per chain such as `a and b and c`;
 - an integer constant c made c + 1 (a bool is no integer here).
 
 The run copies the repository into a new temporary directory, runs the
@@ -53,12 +55,14 @@ OPERATOR_SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
     ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitAnd,
+    ast.And: ast.Or, ast.Or: ast.And,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**",
     ast.LShift: "<<", ast.RShift: ">>", ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
+    ast.And: "and", ast.Or: "or",
 }
 
 
@@ -90,7 +94,7 @@ def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AS
                 for i, op in enumerate(node.ops):
                     new = COMPARE_SWAPS[type(op)]
                     out.append((node, i, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}"))
-            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in OPERATOR_SWAPS:
+            elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in OPERATOR_SWAPS:
                 new = OPERATOR_SWAPS[type(node.op)]
                 out.append((node, None, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}"))
             elif isinstance(node, ast.Constant) and type(node.value) is int:
