@@ -38,10 +38,11 @@ folded by the masks of `exact.fold_masks`. The kernel gathers
 M''s columns from those packed powers, one at a time, straight into
 slots of the same width, the column operation included, with no
 reduction, and `exact._pivots_mod_p` ranks them in one pass that stops
-at the ceiling's pivot count. Rational mode takes
-the same rank: a minor that is nonzero mod p is a nonzero integer, so the
-certificate is a rank mod p at the proven ceiling. Only a shortfall reads
-M over Z from `_power_rows` and runs Bareiss on it, the two identity rows
+at the ceiling's pivot count. Rational mode certifies the prime-field
+report and makes no pass of its own: a minor that is nonzero mod p is a
+nonzero integer, so a rank mod p at the proven ceiling is exact. Only when
+every trial fell short mod p does it draw the same points again, read M
+over Z from `_power_rows` and run Bareiss on it, the two identity rows
 first: their pivots are 1, after which Bareiss works on M' itself.
 
 The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
@@ -66,13 +67,18 @@ A dimension report is a pure function of the graph, its default tree and
 the checked trials, seed and mode: the points come from `derived_rng`,
 which reads only the seed and the graph. So `_sampled_dimension` keeps
 the reports of the last GRAPH_MEMO_SIZE keys, and one graph asked for
-again, as `reparam` does under a second tree, runs no kernel pass.
+again, as `reparam` does under a second tree, runs no kernel pass. A
+rational report is built on the prime-field report of the same graph,
+trials and seed, which it reads through the memo: a rational call holds
+two keys, its own and the prime-field one, so `analyze --exact` after
+`analyze` on one graph runs no kernel pass either, and the prime-field
+call after a rational one is a hit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from operator import add, index, lshift, mul
 from typing import Sequence
@@ -101,7 +107,10 @@ MAX_EXPANSION_TERMS = 100_000
 #: several spanning trees, or `analyze` then `reparam` on one graph, asks
 #: for the same report and cycles again within a few calls. A census
 #: row's verdicts never repeat a graph, and each process, CLI run and
-#: forked census share keeps its own memos.
+#: forked census share keeps its own memos. A rational verdict holds two
+#: of the verdict memo's keys, its own and the prime-field report it
+#: certifies, so the memo keeps at least four graphs' reports in either
+#: mode.
 GRAPH_MEMO_SIZE = 8
 
 
@@ -493,14 +502,17 @@ def image_dimension(
     nonzero tree entries, as every sampled point has, and 2 + rank(M')
     (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
     pass up to the ceiling; the tree, and so the kernel's set-up, is
-    picked once per call. Rational mode takes the same rank: its
-    certificate is a rank mod p at the proven ceiling, since a minor that
-    is nonzero mod p is a nonzero integer. Only a point that falls short
-    reads M over Z from `_power_rows` and ranks it by Bareiss, the two
-    identity rows first.
+    picked once per call. Rational mode certifies the prime-field report
+    and runs no kernel pass of its own: a rank mod p at the proven
+    ceiling is exact, since a minor that is nonzero mod p is a nonzero
+    integer. Only when that report falls short of the ceiling, and so
+    every trial did, are the same points drawn again, each read over Z
+    from `_power_rows` and ranked by Bareiss, the two identity rows
+    first.
 
     The report comes from `_sampled_dimension`'s memo when the same
-    graph, trials, seed and mode were asked for recently.
+    graph, trials, seed and mode were asked for recently; a rational call
+    also reads, or leaves, the prime-field report there.
     """
     trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
     return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode)
@@ -522,16 +534,31 @@ def _sampled_dimension(
     and nothing else is read. Equal graphs built separately share an
     entry, and the report, a frozen dataclass, is handed to every caller
     as is.
+
+    Prime-field mode ranks M' mod p at each point by one kernel pass and
+    stops at the first point that reaches the ceiling. Rational mode
+    first reads the prime-field report for the same arguments through
+    the memo, so a rational call holds two keys. When that report's d is
+    the ceiling, it is exact, and the rational report is the same report
+    with mode "rational". Otherwise every trial fell short mod p: the
+    same points are drawn again from `derived_rng` and each is ranked
+    over Z by Bareiss, in trial order, until one reaches the ceiling.
+    Bareiss's rank at a point is at least its rank mod p, so d is what
+    ranking every point both ways would give.
     """
+    if mode == RATIONAL_MODE:
+        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE)
+        if report.d == ceiling:
+            return replace(report, mode=mode)
     rng = derived_rng(seed, graph)
     kernel = _VerdictKernel(graph, tree)
     eliminated = min(graph.n, 2)
     best = 0
     for _ in range(trials):
         point = sample_point(rng, parameter_count(graph))
-        rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
-        # identity rows first: Bareiss pivots on them at 1, then runs on M'
-        if mode == RATIONAL_MODE and rank < ceiling:
+        if mode == PRIME_MODE:
+            rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
+        else:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
             rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
             rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
         best = max(best, rank)

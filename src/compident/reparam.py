@@ -47,7 +47,12 @@ from .monomial import format_monomial, name_order, parse_monomial, render_monomi
 def validate_tree(graph: CompartmentGraph, edges: Sequence[tuple[int, int]]) -> SpanningTree:
     """Turn explicit (source, target) pairs into a checked SpanningTree
     (`_checked_walk`); an entry that is not a pair raises ValueError."""
-    positions = graph.edge_index()
+    return _tree_of_pairs(graph, graph.edge_index(), edges)
+
+
+def _tree_of_pairs(graph: CompartmentGraph, positions: dict, edges: Sequence) -> SpanningTree:
+    """`validate_tree` through `positions`, the graph's `edge_index()`,
+    which `reparametrization_from_json` shares with its expression edges."""
     indices = []
     for e in edges:
         if len(e) != 2:
@@ -434,8 +439,9 @@ def reparametrization_from_json(
     string raises MalformedInput, as `graphs.parse_graph` does.
     """
     n = graph.n
+    positions = graph.edge_index()
     try:
-        tree = validate_tree(graph, [_pair(e) for e in doc["tree_edges"]])
+        tree = _tree_of_pairs(graph, positions, [_pair(e) for e in doc["tree_edges"]])
         f_by_vertex = {entry["vertex"]: entry["monomial"] for entry in doc["f"]}
         f_texts = [f_by_vertex[v] for v in range(1, n + 1)]
         matrix = [list(row) for row in doc["matrix"]]
@@ -460,7 +466,6 @@ def reparametrization_from_json(
         raise NotSquare(f"cycle basis needs {len(nontree)} cycles, got {len(cycles)}")
     basis = _unimodular_basis(cycles, graph.m, nontree)
     qnames = [f"q{t + 1}" for t in range(len(cycles))]
-    positions = graph.edge_index()
     expressions = {}
     for edge, text in stated:  # one per edge: a repeat would go unchecked
         k = positions.get(edge)

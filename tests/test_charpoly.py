@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -272,7 +273,10 @@ class TestImageDimension:
 
     def test_modes_agree(self, monkeypatch, request):
         """The rational report equals the prime-field one apart from `mode`,
-        on a sample where both the mod-p certificate and Bareiss decide."""
+        on a sample where both the mod-p certificate and Bareiss decide.
+        After the prime-field call the rational one makes no kernel pass: it
+        reads the prime-field report, and runs Bareiss once per trial only
+        where that report falls short of the ceiling."""
         from compident.census import census_classes
 
         graphs = [c.representative for c in census_classes(4, 6)]
@@ -280,16 +284,18 @@ class TestImageDimension:
         graphs += [request.getfixturevalue(name) for name in TestJacobianAgainstSympy.FIXTURES]
         ranks = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
-        rational_ranks = 0
+        certified = 0
         for g in graphs:
             prime = image_dimension(g).as_dict()
-            before = len(ranks)
+            ranks.clear()
+            bareiss.clear()
             rational = image_dimension(g, mode=RATIONAL_MODE).as_dict()
-            rational_ranks += len(ranks) - before
+            full = prime["d"] == cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]
+            assert (len(ranks), len(bareiss)) == (0, 0 if full else prime["trials"]), g
+            certified += full
             assert rational.pop("mode") == RATIONAL_MODE and prime.pop("mode") == PRIME_MODE
             assert rational == prime, g
-        certified = rational_ranks - len(bareiss)
-        assert certified > 0 and len(bareiss) > 0
+        assert 0 < certified < len(graphs)
 
     def test_rejects_non_strongly_connected(self):
         g = CompartmentGraph(2, ((1, 2),))
@@ -452,6 +458,32 @@ class TestRationalVerdicts:
                 rational = image_dimension(c.representative, mode=RATIONAL_MODE).as_dict()
                 assert (prime.pop("mode"), rational.pop("mode")) == (PRIME_MODE, RATIONAL_MODE)
                 assert rational == prime, c.representative
+
+    def test_rational_after_prime_reads_the_prime_report(self, monkeypatch):
+        """On every class of (4,6), (5,7) and (5,8), a rational call after
+        the prime-field one makes no kernel pass. Where the prime-field d is
+        the ceiling, it draws no point and runs no Bareiss; elsewhere every
+        trial fell short mod p, and it draws the same points again and
+        ranks each by Bareiss. The two reports differ only in `mode`."""
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        draws = count_calls(monkeypatch, cp, "derived_rng")
+        bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
+        full = short = 0
+        for n, m in ((4, 6), (5, 7), (5, 8)):
+            for c in reference_classes(n, m):
+                g = c.representative
+                prime = image_dimension(g)
+                for calls in (passes, draws, bareiss):
+                    calls.clear()
+                rational = image_dimension(g, mode=RATIONAL_MODE)
+                if prime.d == cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]:
+                    assert (len(passes), len(draws), len(bareiss)) == (0, 0, 0), g
+                    full += 1
+                else:
+                    assert (len(passes), len(draws), len(bareiss)) == (0, 1, prime.trials), g
+                    short += 1
+                assert rational.mode == RATIONAL_MODE and replace(rational, mode=PRIME_MODE) == prime, g
+        assert full + short == 55 + 281 + 1158 and short > 0
 
 
 class TestSamplePoint:
@@ -942,10 +974,10 @@ class TestVerdictKernel:
         kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
         assert (kernel.nrows, kernel.ncols) == (13, 48)
         reads = self.record_columns(monkeypatch)
-        for mode in (PRIME_MODE, RATIONAL_MODE):
+        for mode, expected in ((PRIME_MODE, [12]), (RATIONAL_MODE, [])):
             reads.clear()
             assert image_dimension(g, mode=mode).d == 14
-            assert reads == [12]
+            assert reads == expected  # rational mode certifies the prime-field report
 
     def test_slots_of_unreduced_rows(self):
         """Gathered columns keep every slot below 2^61 + 2^e,
@@ -1229,7 +1261,8 @@ class TestVerdictMemo:
                 cold = image_dimension(graph, mode=mode)
                 warm = image_dimension(graph, mode=mode)
                 assert warm == cold and warm.as_dict() == cold.as_dict()
-                assert cp._sampled_dimension.cache_info()[:2] == (1, 1)
+                # a cold rational report misses its own key and the prime-field one
+                assert cp._sampled_dimension.cache_info()[:2] == ((1, 1) if mode == PRIME_MODE else (1, 2))
                 assert has_expected_dimension(graph, mode=mode) is cold.verdict
 
     def test_a_hit_runs_no_kernel_pass(self, monkeypatch, chain4, broken4):
@@ -1245,6 +1278,28 @@ class TestVerdictMemo:
             assert len(passes) == cold
         assert len(exact_rows) == 2  # broken4's two rational trials, once
 
+    def test_rational_first_runs_one_prime_call(self, monkeypatch, chain4, broken4):
+        """A cold rational call makes the kernel passes of one prime-field
+        call, one where the first point reaches the ceiling (chain4) and
+        two where it falls short (broken4), and leaves that report in the
+        memo, so the prime-field call after it is a hit."""
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        counts = set()
+        for g in [chain4, broken4, NO_EXCHANGE5, isc_adversary(9)] + self.sample()[-20:]:
+            clear_graph_memos()
+            passes.clear()
+            image_dimension(g)
+            prime_passes = len(passes)
+            clear_graph_memos()
+            passes.clear()
+            rational = image_dimension(g, mode=RATIONAL_MODE)
+            assert len(passes) == prime_passes, g
+            hits = cp._sampled_dimension.cache_info().hits
+            assert image_dimension(g) == replace(rational, mode=PRIME_MODE)
+            assert (cp._sampled_dimension.cache_info().hits, len(passes)) == (hits + 1, prime_passes)
+            counts.add(prime_passes)
+        assert counts == {1, 2}
+
     def test_keys(self, chain4):
         """Seed, trials and mode separate keys; a bool seed or trials is
         its int, and equal graphs built separately share an entry."""
@@ -1254,13 +1309,14 @@ class TestVerdictMemo:
             for seed in (0, 1)
             for mode in (PRIME_MODE, RATIONAL_MODE)
         }
-        assert cp._sampled_dimension.cache_info()[:2] == (0, 8)
+        # each rational call hits the prime-field key of its trials and seed
+        assert cp._sampled_dimension.cache_info()[:2] == (4, 8)
         for (trials, seed, mode), report in reports.items():
             assert (report.trials, report.seed, report.mode) == (trials, seed, mode)
         rebuilt = CompartmentGraph(4, [list(e) for e in chain4.edges])
         assert rebuilt == chain4 and rebuilt is not chain4
         assert image_dimension(rebuilt, trials=True, seed=True) is reports[1, 1, PRIME_MODE]
-        assert cp._sampled_dimension.cache_info()[:2] == (1, 8)
+        assert cp._sampled_dimension.cache_info()[:2] == (5, 8)
 
     def test_bound(self, monkeypatch, chain4):
         """After GRAPH_MEMO_SIZE = 8 other graphs, the first misses again;

@@ -114,6 +114,36 @@ class TestAnalyze:
             doc["dimension"]["mode"] = "prime-field"
             assert doc == json.loads(prime_out)
 
+    # sha256 of stdout: `analyze --json`, then `analyze --json --exact`
+    EXACT_AFTER_PRIME = {
+        "path10": (
+            "1efaffc6ed7a9557ad4e531fd5a62c20a50c53e12e9b7d063bccf03e8ef9dfbc",
+            "4081d8f00089f507b7f4dce73ed5ecda158593fd1b6d1e758393295b4342011b",
+        ),
+        "adversary9": (
+            "4b05896c4ae81a6fe5c119b2399fe6091f2dad305f7042c07d73edf53aed3d51",
+            "00e3bc2ca584042f50cbe3bbe671d47814bb47a9d2758344b3b532aef181b9cb",
+        ),
+    }
+
+    def test_exact_after_prime_makes_no_kernel_pass(self, capsys, monkeypatch, tmp_path, path10_file):
+        """`analyze --json --exact` after `analyze --json` in one process
+        reads the prime-field report from the verdict memo: the two runs
+        make one graph's kernel passes in total, one pass for each of the
+        bidirected path (n = 10) and the ISC adversary (n = 9), and print
+        the pinned bytes."""
+        adversary = tmp_path / "adversary9.json"
+        adversary.write_text(isc_adversary(9).to_json())
+        passes = count_calls(monkeypatch, compident.charpoly._VerdictKernel, "pivots")
+        for name, path in (("path10", path10_file), ("adversary9", str(adversary))):
+            passes.clear()
+            digests = []
+            for extra in ([], ["--exact"]):
+                code, out, _ = run(capsys, "analyze", path, "--json", *extra)
+                assert code == 0
+                digests.append(hashlib.sha256(out.encode()).hexdigest())
+            assert (tuple(digests), len(passes)) == (self.EXACT_AFTER_PRIME[name], 1), name
+
     def test_human_readable(self, capsys, chain4_file):
         code, out, _ = run(capsys, "analyze", chain4_file)
         assert code == 0

@@ -370,17 +370,18 @@ def test_mutate_operators():
     """`tools/mutate.py`: one mutant per comparison operator (swapped with
     its boundary or negated twin), per arithmetic or bitwise operator of
     an expression or augmented assignment, per boolean operator chain
-    (and and or swapped), and per int constant (+1, a bool left alone),
-    in source order and within the scope; each changes that token
-    alone."""
+    (and and or swapped) and per operand of that chain (dropped), and per
+    int constant (+1, a bool left alone), in source order and within the
+    scope; each changes that token, or drops that operand, alone."""
     mutants = load_tool("mutate").mutants
     found = mutants(MUTATE_FIXTURE)
     assert [text.split(" in `")[0] for text, _source in found] == [
-        "line 2: and -> or", "line 2: < -> <=", "line 2: is not -> is",
+        "line 2: and -> or", "line 2: drop `x < y`", "line 2: drop `x is not None`",
+        "line 2: < -> <=", "line 2: is not -> is",
         "line 3: + -> -", "line 3: * -> +", "line 3: 2 -> 3",
         "line 4: & -> |", "line 4: << -> >>", "line 4: 1 -> 2", "line 4: // -> *",
         "line 4: % -> //", "line 4: ** -> *", "line 4: 7 -> 8", "line 4: 2 -> 3", "line 4: 3 -> 4",
-        "line 9: or -> and", "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
+        "line 9: or -> and", "line 9: drop `a in (1,)`", "line 9: drop `a - 4 ^ 5 != 0`", "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
         "line 9: - -> +", "line 9: 4 -> 5", "line 9: 5 -> 6", "line 9: 0 -> 1",
     ]
     assert found[0][0] == "line 2: and -> or in `x < y and x is not None`"
@@ -392,8 +393,15 @@ def test_mutate_operators():
         ]
         assert len(changed) == 1, text
     assert dict(found)["line 3: + -> - in `x += 2 * y`"].splitlines()[2] == "        x -= 2 * y"
+    assert dict(found)["line 2: drop `x < y` in `x < y and x is not None`"].splitlines()[1] == (
+        "    if x is not None:"
+    )
     assert [text for text, _source in mutants(MUTATE_FIXTURE, "K.g")] == [
-        text for text, _source in found[-9:]
+        text for text, _source in found[-11:]
+    ]
+    chain = [source.splitlines()[1] for _text, source in mutants("def h(a, b, c):\n    return a and b and c\n")]
+    assert chain == [
+        "    return a or b or c", "    return b and c", "    return a and c", "    return a and b",
     ]
     with pytest.raises(ValueError, match="no definition named 'K.h'"):
         mutants(MUTATE_FIXTURE, "K.h")

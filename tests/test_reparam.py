@@ -840,6 +840,14 @@ class TestVerification:
             assert rebuilt.rescaled_exponents == result.rescaled_exponents
             assert rebuilt.cycle_expressions == result.cycle_expressions
 
+    def test_one_edge_index_per_document(self, monkeypatch, chain4):
+        """`reparametrization_from_json` builds the graph's `edge_index()`
+        once: the tree edges and the expression edges read the same dict."""
+        doc = reparametrize(chain4).to_json_dict()
+        indexes = count_calls(monkeypatch, CompartmentGraph, "edge_index")
+        rebuilt = reparametrization_from_json(chain4, doc)
+        assert len(indexes) == 1 and verify_reparametrization(chain4, rebuilt)
+
     def test_round_trip_with_two_digit_labels(self):
         """From n = 11 on a rate is named a<i>_<j>: as a<i><j>, the edges
         1 -> 11 and 11 -> 1 would both read a111, and the cycle a111*a111

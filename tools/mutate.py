@@ -11,6 +11,8 @@ inside an optional scope. The operators:
   << and >>, & and |, ^ into &;
 - a boolean operator swapped: and and or, each into the other, one mutant
   per chain such as `a and b and c`;
+- a condition dropped: a chain of k operands gets k more mutants, each
+  without one of them, and a chain of two keeps the other operand alone;
 - an integer constant c made c + 1 (a bool is no integer here).
 
 The run copies the repository into a new temporary directory, runs the
@@ -85,8 +87,9 @@ def scope_nodes(tree: ast.Module, scope: str | None) -> list[ast.AST]:
 
 def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AST, int | None, str]]:
     """Every mutation site in the scope, in source order: (node, index of
-    the operator in a comparison or None, description "line L: old -> new
-    in `expression`", the expression cut to 60 characters)."""
+    the operator in a comparison, of the dropped operand of a boolean chain
+    or None, description "line L: old -> new in `expression`" or "line L:
+    drop `operand` in `expression`", each cut to 60 characters)."""
     out = []
     for root in scope_nodes(tree, scope):
         for node in ast.walk(root):
@@ -97,15 +100,22 @@ def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AS
             elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in OPERATOR_SWAPS:
                 new = OPERATOR_SWAPS[type(node.op)]
                 out.append((node, None, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}"))
+                for j, operand in enumerate(getattr(node, "values", ())):  # a BoolOp's operands
+                    out.append((node, j, f"drop `{segment(source, operand)}`"))
             elif isinstance(node, ast.Constant) and type(node.value) is int:
                 out.append((node, None, f"{node.value} -> {node.value + 1}"))
-    out.sort(key=lambda site: (site[0].lineno, site[0].col_offset, site[1] or 0))
+    # a chain's swap and drops stay ahead of its first operand's comparison
+    out.sort(key=lambda site: (site[0].lineno, site[0].col_offset, isinstance(site[0], ast.Compare) and site[1]))
     described = []
     for node, i, text in out:
-        segment = " ".join(ast.get_source_segment(source, node).split())
-        segment = segment if len(segment) <= 60 else segment[:57] + "..."
-        described.append((node, i, f"line {node.lineno}: {text} in `{segment}`"))
+        described.append((node, i, f"line {node.lineno}: {text} in `{segment(source, node)}`"))
     return described
+
+
+def segment(source: str, node: ast.AST) -> str:
+    """The source text of `node` on one line, cut to 60 characters."""
+    text = " ".join(ast.get_source_segment(source, node).split())
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def mutants(source: str, scope: str | None = None) -> list[tuple[str, str]]:
@@ -119,6 +129,8 @@ def mutants(source: str, scope: str | None = None) -> list[tuple[str, str]]:
             node.ops[i] = COMPARE_SWAPS[type(node.ops[i])]()
         elif isinstance(node, ast.Constant):
             node.value += 1
+        elif i is not None:  # a BoolOp of one operand unparses as that operand
+            del node.values[i]
         else:
             node.op = OPERATOR_SWAPS[type(node.op)]()
         out.append((text, ast.unparse(tree)))
