@@ -27,7 +27,6 @@ from .graphs import (
     _isc_order,
     _set_bits,
     _strongly_connected,
-    _subset_strongly_connected,
     add_exchange_vertex,
     collapse_exchange,
     exchange_vertices,
@@ -72,7 +71,7 @@ def enumerate_sc_graphs(
     if m < 0 or m > len(pool):
         return
     for subset in combinations(pool, m):
-        if _subset_strongly_connected(n, subset):
+        if _strongly_connected(*_adjacency(n, subset)):
             yield CompartmentGraph(n, subset)
 
 

@@ -57,11 +57,12 @@ exchange. M' keeps the repeated row, which the ceiling accounts for.
 `_dimension_bound` is the one home of this ceiling, and `_verdict_ceiling`
 its one caller: the preamble that all three verdict entry points
 (`image_dimension`, `has_expected_dimension`, `reparam.reparametrize`)
-share checks the arguments and strong connectivity, then decides the
-ceiling min(bound, m+1) once and hands it to `_sampled_dimension`: trials
-stop at the first point whose rank reaches it, and each pass stops once
-M' has that many pivots less min(n, 2), the identity rows eliminated in
-closed form.
+share checks the arguments, builds the graph's one pair of adjacency masks
+and reads strong connectivity and the exchange, out[1] & inn[1], off them,
+then decides the ceiling min(bound, m+1) once and hands it to
+`_sampled_dimension`: trials stop at the first point whose rank reaches
+it, and each pass stops once M' has that many pivots less min(n, 2), the
+identity rows eliminated in closed form.
 
 A dimension report is a pure function of the graph, its default tree and
 the checked trials, seed and mode: the points come from `derived_rng`,
@@ -92,7 +93,6 @@ from .graphs import (
     _nontree_edges,
     _require_strongly_connected,
     elementary_cycles,
-    has_exchange,
     spanning_tree,
 )
 from .monomial import name_order, signed_parts
@@ -273,13 +273,14 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
     return list(range(graph.n)) + [graph.n + k for k in _nontree_edges(graph, tree)]
 
 
-def _dimension_bound(graph: CompartmentGraph) -> int:
-    """A proven ceiling on the image dimension: 2n-1, the number of
+def _dimension_bound(n: int, exchange: int) -> int:
+    """A proven ceiling on the image dimension of a graph on n vertices
+    with exchange bits `exchange` (`out[1] & inn[1]`): 2n-1, the number of
     coefficients, less one when n >= 3 and vertex 1 has no exchange (the
     2n-2 bound, proved in the module docstring). The only place the
     ceiling is decided: every verdict reads it once, through
     `_verdict_ceiling`."""
-    return 2 * graph.n - 1 - (graph.n >= 3 and has_exchange(graph) is None)
+    return 2 * n - 1 - (n >= 3 and not exchange)
 
 
 class _VerdictKernel:
@@ -469,16 +470,18 @@ def _verdict_ceiling(
     `reparam.reparametrize`, run once per call, memo or not, in this order:
     - the arguments, through `checked_arguments`;
     - strong connectivity, raising NotStronglyConnected(`refusal`), each
-      entry point's own message, on a graph without it;
+      entry point's own message, on a graph without it; the check builds
+      the graph's one pair of adjacency masks (`graphs._adjacency`) and
+      hands them back;
     - the proven ceiling min(`_dimension_bound`, m+1) on the rank: the
       image lives in dimension 2n-1, or 2n-2 with no exchange at vertex 1
-      (n >= 3), and the n-1 diagonal scalings diag(1, t_2, .., t_n) give
-      kernel vectors of the n+m Jacobian columns, independent at any
-      point with nonzero entries.
+      (n >= 3), read off the same masks as `out[1] & inn[1]`, and the n-1
+      diagonal scalings diag(1, t_2, .., t_n) give kernel vectors of the
+      n+m Jacobian columns, independent at any point with nonzero entries.
     Returns (trials, seed, ceiling), the first two as ints."""
     trials, seed = checked_arguments(trials, seed, mode)
-    _require_strongly_connected(graph, refusal)
-    return trials, seed, min(_dimension_bound(graph), graph.m + 1)
+    out, inn = _require_strongly_connected(graph, refusal)
+    return trials, seed, min(_dimension_bound(graph.n, out[1] & inn[1]), graph.m + 1)
 
 
 def image_dimension(

@@ -169,22 +169,20 @@ def _strongly_connected(out: Sequence[int], inn: Sequence[int]) -> bool:
     return _reach(out) == full and _reach(inn) == full
 
 
-def _subset_strongly_connected(n: int, edges) -> bool:
-    """True iff the edges on vertices 1..n are strongly connected."""
-    return _strongly_connected(*_adjacency(n, edges))
-
-
 def is_strongly_connected(graph: CompartmentGraph) -> bool:
     """True iff every vertex is reachable from 1 and reaches 1."""
-    return _subset_strongly_connected(graph.n, graph.edges)
+    return _strongly_connected(*_adjacency(graph.n, graph.edges))
 
 
-def _require_strongly_connected(graph: CompartmentGraph, message: str) -> None:
-    """Raise NotStronglyConnected(`message`) unless `graph` is strongly
-    connected: the input-output equation, and so its image dimension,
-    reparametrization and cycle basis, is defined only for such graphs."""
-    if not is_strongly_connected(graph):
+def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[list[int], list[int]]:
+    """The adjacency masks (out, inn) of `graph`, built once; raises
+    NotStronglyConnected(`message`) unless it is strongly connected: the
+    input-output equation, and so its image dimension, reparametrization
+    and cycle basis, is defined only for such graphs."""
+    out, inn = _adjacency(graph.n, graph.edges)
+    if not _strongly_connected(out, inn):
         raise NotStronglyConnected(message)
+    return out, inn
 
 
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
@@ -206,15 +204,12 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
 
 
 def _exchange_mask(graph: CompartmentGraph) -> int:
-    """Bit v set for each vertex v with both edges 1 -> v and v -> 1: the
-    bits of vertex 1's out mask that its in mask shares."""
-    out = inn = 0
-    for j, i in graph.edges:
-        if j == 1:
-            out |= 1 << i
-        elif i == 1:
-            inn |= 1 << j
-    return out & inn
+    """Bit v set for each vertex v with both edges 1 -> v and v -> 1:
+    `out[1] & inn[1]` on the `_adjacency` masks, the one definition of an
+    exchange, which the verdict preamble and the census leaf read off the
+    masks they hold."""
+    out, inn = _adjacency(graph.n, graph.edges)
+    return out[1] & inn[1]
 
 
 def exchange_vertices(graph: CompartmentGraph) -> list[int]:

@@ -29,7 +29,7 @@ from compident.census import (
     property_suite,
     test_conjectures as run_conjectures,
 )
-from compident.graphs import _subset_strongly_connected, is_inductively_strongly_connected
+from compident.graphs import _adjacency, _strongly_connected, is_inductively_strongly_connected
 
 from conftest import BAD_SEEDS, BAD_TRIALS, class_verdicts, count_calls, oracle_rank, oracle_strongly_connected, sympy_double_charpoly
 
@@ -61,6 +61,17 @@ class TestEnumeration:
                 if oracle_strongly_connected(CompartmentGraph(4, subset))
             )
             assert len(list(enumerate_sc_graphs(4, m))) == direct
+
+    def test_edge_count_range(self):
+        """m runs over 0..n(n-1). At m = 0 the scan yields the single
+        vertex, the one strongly connected graph without edges, and at
+        m = n(n-1) the complete digraph; past either end it yields nothing,
+        and a negative m raises nothing."""
+        for n in range(1, 4):
+            full = n * (n - 1)
+            assert list(enumerate_sc_graphs(n, 0)) == ([CompartmentGraph(1, ())] if n == 1 else [])
+            assert list(enumerate_sc_graphs(n, full)) == [CompartmentGraph(n, tuple(census.all_possible_edges(n)))]
+            assert list(enumerate_sc_graphs(n, -1)) == list(enumerate_sc_graphs(n, full + 1)) == []
 
     def test_guardrail(self):
         with pytest.raises(LimitExceeded):
@@ -178,7 +189,7 @@ def unpruned_grouped_classes(n: int, m: int):
     def grow(mask, sums, chosen, low):
         need = m - len(chosen)
         reach = chosen + tuple(range(P - low, P)) if need else chosen
-        if not _subset_strongly_connected(n, [pool[i] for i in reach]):
+        if not _strongly_connected(*_adjacency(n, [pool[i] for i in reach])):
             return
         if not need:
             graph = CompartmentGraph(n, tuple(pool[i] for i in chosen))

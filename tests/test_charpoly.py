@@ -899,7 +899,7 @@ class TestVerdictKernel:
         past_square = short = below_rows = 0
         for g in sample:
             kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-            most = min(cp._dimension_bound(g), g.m + 1) - 2
+            most = min(cp._dimension_bound(g.n, graphs._exchange_mask(g)), g.m + 1) - 2
             assert kernel.nrows == 2 * g.n - 3 < kernel.ncols
             assert most == kernel.nrows - (graphs.has_exchange(g) is None)
             below_rows += most < kernel.nrows
@@ -970,7 +970,7 @@ class TestVerdictKernel:
         edges = [(j, i) for j in range(2, 9) for i in range(2, 9) if i != j]
         edges += [(1, v) for v in range(2, 5)] + [(v, 1) for v in range(5, 9)]
         g = CompartmentGraph(8, tuple(edges))
-        assert (g.m, graphs.has_exchange(g), cp._dimension_bound(g)) == (49, None, 14)
+        assert (g.m, graphs.has_exchange(g), cp._dimension_bound(g.n, graphs._exchange_mask(g))) == (49, None, 14)
         kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
         assert (kernel.nrows, kernel.ncols) == (13, 48)
         reads = self.record_columns(monkeypatch)
@@ -1046,9 +1046,41 @@ class TestNoExchangeBound:
                 reduced = reduced_verdict_rows(g.n, rows, sub_rows)
                 twin = reduced[0] == reduced[g.n - 1]
                 assert twin is (graphs.has_exchange(g) is None), g
-                assert cp._dimension_bound(g) == 2 * g.n - 1 - twin
+                assert cp._dimension_bound(g.n, graphs._exchange_mask(g)) == 2 * g.n - 1 - twin
                 twins += twin
         assert twins > 500
+
+
+class TestEdgeMonotonicity:
+    """If G is strongly connected and e is not an edge of G, then
+    d(G) <= d(G + e), d the generic image dimension.
+
+    Proof: at a point with a_e = 0, A(G + e) is A(G), so every coefficient
+    of G + e is the same polynomial in G's parameters as the coefficient
+    of G, and the Jacobian of G + e restricted to the columns of G's
+    parameters is G's Jacobian there. So rank J(G + e) at such a point is
+    at least rank J(G), and the generic rank of J(G + e) is at least its
+    rank at any point, while rank J(G) at a generic point with a_e = 0 is
+    d(G). The sampled d is Monte Carlo, so an under-report on G, or a
+    kernel fault that depends on the edge set, shows as a violation."""
+
+    ROWS = ((4, 6), (5, 7), (5, 8))
+
+    def test_removing_an_edge_never_raises_the_dimension(self):
+        """For every class G of the rows, and every edge e whose removal
+        keeps G strongly connected, the sampled d of G - e is at most that
+        of G: 4,102 pairs."""
+        pairs = 0
+        for n, m in self.ROWS:
+            for entry in reference_classes(n, m):
+                g = entry.representative
+                d = image_dimension(g).d
+                for k in range(g.m):
+                    smaller = CompartmentGraph(g.n, g.edges[:k] + g.edges[k + 1:])
+                    if oracle_strongly_connected(smaller):
+                        assert image_dimension(smaller).d <= d, (g, g.edges[k])
+                        pairs += 1
+        assert pairs == 4102
 
 
 class TestVerdictMatrix:
@@ -1232,7 +1264,7 @@ class TestExpectedDimension:
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
         for g, verdict in ((chain4, True), (broken4, False), (complete3, False)) * 2:
             checks.clear()
             assert has_expected_dimension(g) is verdict
@@ -1242,6 +1274,44 @@ class TestExpectedDimension:
             for verdict in (has_expected_dimension, image_dimension):
                 with pytest.raises(NotStronglyConnected):
                     verdict(g)
+
+    def test_bound_below_three_vertices(self, single, exchange2):
+        """The 2n-2 bound needs n >= 3: a single compartment has no exchange
+        and still reaches d = 2n-1 = m+1 = 1, as the one strongly connected
+        graph on two vertices, itself an exchange, reaches 3."""
+        for g, d in ((single, 1), (exchange2, 3)):
+            assert cp._dimension_bound(g.n, graphs._exchange_mask(g)) == 2 * g.n - 1 == d
+            assert has_expected_dimension(g) and image_dimension(g).d == d
+
+    def test_one_adjacency_build_per_verdict(self, monkeypatch, chain4, broken4):
+        """The preamble builds one pair of adjacency masks and reads strong
+        connectivity and the exchange, out[1] & inn[1], off them: one
+        `graphs._adjacency` call, and no `has_exchange` or `_exchange_mask`
+        call, per call of `has_expected_dimension`, `image_dimension` and
+        `reparametrize`, on the graphs of `test_one_ceiling_per_verdict`,
+        cold and from the memo. The one other build is the cycle search
+        (`graphs._long_cycles`) of a reparametrization that reaches its
+        cycle basis with the candidates' memo empty: chain4's, cold."""
+        complete3 = CompartmentGraph(
+            3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
+        )
+        assert not hasattr(cp, "has_exchange")
+        builds = count_calls(monkeypatch, graphs, "_adjacency")
+        exchanges = count_calls(monkeypatch, graphs, "has_exchange")
+        masks = count_calls(monkeypatch, graphs, "_exchange_mask")
+        searches = count_calls(monkeypatch, reparam, "_long_cycles")
+        for cold in (True, False):
+            for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
+                for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
+                    for calls in (builds, exchanges, masks, searches):
+                        calls.clear()
+                    try:
+                        verdict(graph)
+                    except (NoReparametrization, TooManyEdges):
+                        pass
+                    search = cold and graph is chain4 and verdict is reparam.reparametrize
+                    assert (len(builds), len(exchanges), len(masks)) == (1 + search, 0, 0), (verdict, graph)
+                    assert len(searches) == search
 
 
 class TestVerdictMemo:
@@ -1408,7 +1478,7 @@ class TestIdentifiableCycleFunctions:
             identifiable_cycle_functions(complete3)
 
     def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, chain4, wheel5):
-        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
         trees = []
         real_tree = graphs.spanning_tree
 

@@ -88,7 +88,7 @@ class TestAnalyze:
         on the graph or on its reduction."""
         dangling = tmp_path / "dangling.json"
         dangling.write_text('{"n":3,"edges":[[1,2],[2,1],[2,3]]}')
-        checks = count_calls(monkeypatch, graphs, "_subset_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
         for path, sc in ((chain4_file, True), (str(dangling), False)):
             checks.clear()
             code, out, _ = run(capsys, "analyze", path, "--json")

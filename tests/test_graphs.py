@@ -323,7 +323,7 @@ class TestInductivelyStronglyConnected:
         def boom(*args):
             raise AssertionError("ISC ran a connectivity walk")
 
-        monkeypatch.setattr(graphs_mod, "_subset_strongly_connected", boom)
+        monkeypatch.setattr(graphs_mod, "_strongly_connected", boom)
         monkeypatch.setattr(graphs_mod, "_reach", boom)
         assert is_inductively_strongly_connected(g) is None
         assert is_inductively_strongly_connected(chain4) == (1, 2, 3, 4)

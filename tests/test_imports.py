@@ -363,6 +363,10 @@ MUTATE_FIXTURE = """def f(x, y):
 class K:
     def g(self, a):
         return a in (1,) or a - 4 ^ 5 != 0
+
+
+def h(z):
+    return -z if z < 0 else z
 """
 
 
@@ -370,9 +374,12 @@ def test_mutate_operators():
     """`tools/mutate.py`: one mutant per comparison operator (swapped with
     its boundary or negated twin), per arithmetic or bitwise operator of
     an expression or augmented assignment, per boolean operator chain
-    (and and or swapped) and per operand of that chain (dropped), and per
-    int constant (+1, a bool left alone), in source order and within the
-    scope; each changes that token, or drops that operand, alone."""
+    (and and or swapped) and per operand of that chain (dropped), per
+    int constant (+1, a bool left alone), and two per guard of an `if`, a
+    `while` or a conditional expression whose test is no such chain (the
+    test made True, then False), in source order and within the scope;
+    each changes that token, drops that operand or forces that test,
+    alone."""
     mutants = load_tool("mutate").mutants
     found = mutants(MUTATE_FIXTURE)
     assert [text.split(" in `")[0] for text, _source in found] == [
@@ -383,6 +390,7 @@ def test_mutate_operators():
         "line 4: % -> //", "line 4: ** -> *", "line 4: 7 -> 8", "line 4: 2 -> 3", "line 4: 3 -> 4",
         "line 9: or -> and", "line 9: drop `a in (1,)`", "line 9: drop `a - 4 ^ 5 != 0`", "line 9: in -> not in", "line 9: 1 -> 2", "line 9: != -> ==", "line 9: ^ -> &",
         "line 9: - -> +", "line 9: 4 -> 5", "line 9: 5 -> 6", "line 9: 0 -> 1",
+        "line 13: `z < 0` -> True", "line 13: `z < 0` -> False", "line 13: < -> <=", "line 13: 0 -> 1",
     ]
     assert found[0][0] == "line 2: and -> or in `x < y and x is not None`"
     assert found[0][1].splitlines()[1] == "    if x < y or x is not None:"
@@ -396,8 +404,11 @@ def test_mutate_operators():
     assert dict(found)["line 2: drop `x < y` in `x < y and x is not None`"].splitlines()[1] == (
         "    if x is not None:"
     )
+    assert dict(found)["line 13: `z < 0` -> False in `-z if z < 0 else z`"].splitlines()[-1] == (
+        "    return -z if False else z"
+    )
     assert [text for text, _source in mutants(MUTATE_FIXTURE, "K.g")] == [
-        text for text, _source in found[-11:]
+        text for text, _source in found[-15:-4]
     ]
     chain = [source.splitlines()[1] for _text, source in mutants("def h(a, b, c):\n    return a and b and c\n")]
     assert chain == [

@@ -591,7 +591,7 @@ class TestReparametrize:
         connectivity check and its default spanning tree, whichever tree
         the reparametrization uses."""
         checks, trees = [], []
-        real_check, real_tree = graphs._subset_strongly_connected, graphs.spanning_tree
+        real_check, real_tree = graphs._strongly_connected, graphs.spanning_tree
 
         def check(*args):
             checks.append(1)
@@ -601,7 +601,7 @@ class TestReparametrize:
             trees.append(1)
             return real_tree(graph)
 
-        monkeypatch.setattr(graphs, "_subset_strongly_connected", check)
+        monkeypatch.setattr(graphs, "_strongly_connected", check)
         for module in (charpoly, reparam):
             monkeypatch.setattr(module, "spanning_tree", tree)
         for tree_edges in (None, WHEEL5_TREE):

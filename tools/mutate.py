@@ -13,6 +13,10 @@ inside an optional scope. The operators:
   per chain such as `a and b and c`;
 - a condition dropped: a chain of k operands gets k more mutants, each
   without one of them, and a chain of two keeps the other operand alone;
+- a guard forced: the test of an `if`, a `while` or a conditional
+  expression that is not such a chain, a single comparison or call for
+  instance, gets two mutants, the test replaced by True and by False, so
+  a guard whose branch no test needs, or never skips, survives;
 - an integer constant c made c + 1 (a bool is no integer here).
 
 The run copies the repository into a new temporary directory, runs the
@@ -53,6 +57,7 @@ COMPARE_SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
+GUARDS = (ast.If, ast.While, ast.IfExp)
 OPERATOR_SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
     ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
@@ -87,9 +92,11 @@ def scope_nodes(tree: ast.Module, scope: str | None) -> list[ast.AST]:
 
 def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AST, int | None, str]]:
     """Every mutation site in the scope, in source order: (node, index of
-    the operator in a comparison, of the dropped operand of a boolean chain
-    or None, description "line L: old -> new in `expression`" or "line L:
-    drop `operand` in `expression`", each cut to 60 characters)."""
+    the operator in a comparison, of the dropped operand of a boolean chain,
+    the constant that replaces a guard's test, or None, description
+    "line L: old -> new in `expression`", "line L: drop `operand` in
+    `expression`" or "line L: `test` -> True in `statement`", each cut to
+    60 characters)."""
     out = []
     for root in scope_nodes(tree, scope):
         for node in ast.walk(root):
@@ -104,6 +111,9 @@ def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AS
                     out.append((node, j, f"drop `{segment(source, operand)}`"))
             elif isinstance(node, ast.Constant) and type(node.value) is int:
                 out.append((node, None, f"{node.value} -> {node.value + 1}"))
+            elif isinstance(node, GUARDS) and not isinstance(node.test, ast.BoolOp):
+                for value in (True, False):
+                    out.append((node, value, f"`{segment(source, node.test)}` -> {value}"))
     # a chain's swap and drops stay ahead of its first operand's comparison
     out.sort(key=lambda site: (site[0].lineno, site[0].col_offset, isinstance(site[0], ast.Compare) and site[1]))
     described = []
@@ -129,6 +139,8 @@ def mutants(source: str, scope: str | None = None) -> list[tuple[str, str]]:
             node.ops[i] = COMPARE_SWAPS[type(node.ops[i])]()
         elif isinstance(node, ast.Constant):
             node.value += 1
+        elif isinstance(node, GUARDS):
+            node.test = ast.Constant(i)
         elif i is not None:  # a BoolOp of one operand unparses as that operand
             del node.values[i]
         else:
