@@ -68,7 +68,7 @@ def enumerate_sc_graphs(
     """
     _check_limit(n, limit)
     pool = all_possible_edges(n)
-    if m < 0 or m > len(pool):
+    if m < 0:  # combinations() raises on a negative length; past the pool it yields nothing
         return
     for subset in combinations(pool, m):
         if _strongly_connected(*_adjacency(n, subset)):

@@ -4,7 +4,9 @@ a matrix in one pass over its packed columns: of a list matrix in
 `rank_mod_p`, and of any caller's columns packed at a width `slot_width`
 proves. One fraction-free (Bareiss) loop over Z, `_bareiss`, gives the
 integer rank, the determinant and the choice and inversion of a
-unimodular column block. The packed layout lives here: `slot_width`
+unimodular column block; it skips each row that an update would leave
+unchanged, so a sparse block with equal pivots costs about what its
+nonzeros cost. The packed layout lives here: `slot_width`
 proves how wide a slot must be for k products, and `fold_masks` builds
 the masks that fold the slots of one shape, once per shape.
 
@@ -166,7 +168,13 @@ def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int
     (pv * row - f * prow) / prev, pv the pivot, f the row's entry in its
     column and prev the previous pivot; the division is exact, since every
     entry stays a minor, and for a square matrix of full rank the signed
-    pivot is then the determinant. With `jordan` the rows above each pivot
+    pivot is then the determinant. A row with a 0 in the pivot column is
+    left as it is when pv equals prev, since the update then returns every
+    entry unchanged; so on a sparse block whose pivots stay equal, as on
+    the cycle basis blocks measured, where every pivot was 1, each pivot
+    updates only the rows with a nonzero in its column. When pv differs
+    from prev such a row is still rescaled by pv / prev, exactly (Bareiss,
+    Math. Comp. 22, 1968). With `jordan` the rows above each pivot
     are cleared too (fraction-free Gauss-Jordan): the columns right of the
     last pivot column end as d * B^-1 times what they were, B the block of
     pivot columns and d the last pivot, unsigned. The rank mod p has its
@@ -193,6 +201,8 @@ def _bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int
                 continue
             row = mat[r]
             factor = row[col]
+            if factor == 0 and pv == prev:  # (pv * x - 0 * y) // prev is x: the row stays
+                continue
             for c in range(col + 1, ncols):
                 row[c] = (pv * row[c] - factor * prow[c]) // prev
             row[col] = 0

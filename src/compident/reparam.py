@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from operator import index
+from operator import add, index, sub
 from typing import Optional, Sequence
 
 from . import exact
@@ -127,7 +127,7 @@ def rescaled_exponent_matrix(
     edge; spanning-tree rows come out identically zero."""
     rows = []
     for k, (j, i) in enumerate(graph.edges):
-        row = [fi - fj for fi, fj in zip(f_exponents[i - 1], f_exponents[j - 1])]
+        row = list(map(sub, f_exponents[i - 1], f_exponents[j - 1]))
         row[k] += 1
         rows.append(tuple(row))
     return rows
@@ -154,7 +154,7 @@ def _unimodular_basis(
         [[c.exponent_vector[r] for c in cycles] for r in nontree]
     )
     chosen = tuple(cycles[t] for t in pivots)
-    matrix = tuple(tuple(c.exponent_vector[r] for c in chosen) for r in range(m))
+    matrix = tuple(zip(*(c.exponent_vector for c in chosen))) if chosen else ((),) * m
     return CycleBasis(chosen, matrix, nontree, tuple(map(tuple, inverse)))
 
 
@@ -212,10 +212,7 @@ def express_in_cycles(basis: CycleBasis) -> dict[int, tuple[int, ...]]:
     combination is column t of the inverse non-tree block;
     `reparametrization_failures` checks it against every row.
     """
-    return {
-        k: tuple(row[t] for row in basis.block_inverse)
-        for t, k in enumerate(basis.nontree_rows)
-    }
+    return dict(zip(basis.nontree_rows, zip(*basis.block_inverse)))
 
 
 def identifiable_cycle_functions(
@@ -359,7 +356,10 @@ def reparametrization_failures(
     tree-rows: every tree entry is rescaled to 1.
     cycle-expressions: the expressions are keyed by exactly the non-tree
     edges, each has one entry per basis cycle, and each non-tree row is its
-    stated combination of the basis cycles.
+    stated combination of the basis cycles. The basis matrix's columns are
+    read once per call, and a combination z adds z[t] times column t for
+    the nonzero z[t] only (`_combination`): m additions per nonzero, not a
+    product with the whole matrix per expression.
     rescaled-rows: every rescaled entry is exactly a_ij * f_i / f_j, so the
     new matrix is D A D^-1 with D = diag(f). All checks are exact and
     deterministic.
@@ -371,17 +371,20 @@ def reparametrization_failures(
         failures.append("scaling-support")
     else:
         for f in result.f_exponents:
-            if any(f[k] != 0 for k in off_tree):
+            if any(map(f.__getitem__, off_tree)):
                 failures.append("scaling-support")
                 break
 
     if any(any(result.rescaled_exponents[k]) for k in result.tree.edge_indices):
         failures.append("tree-rows")
 
+    basis = result.basis
+    width = len(basis.cycles)
+    columns = None if any(len(row) != width for row in basis.matrix) else list(zip(*basis.matrix))
     expressions = result.cycle_expressions
     if set(expressions) != set(off_tree) or any(
-        len(z) != len(result.basis.cycles)
-        or tuple(exact.matvec_int(result.basis.matrix, z)) != tuple(result.rescaled_exponents[k])
+        len(z) != width
+        or _combination(columns, len(basis.matrix), z) != tuple(result.rescaled_exponents[k])
         for k, z in expressions.items()
     ):
         failures.append("cycle-expressions")
@@ -391,6 +394,20 @@ def reparametrization_failures(
     ):
         failures.append("rescaled-rows")
     return failures
+
+
+def _combination(columns: Optional[list], m: int, z: Sequence[int]) -> tuple[int, ...]:
+    """The m entries of the basis matrix times z, summed over the nonzero
+    z[t] as z[t] times column t. `columns` is None when a row of the matrix
+    has another length than z, which raises ValueError, as
+    `exact.matvec_int` does."""
+    if columns is None:
+        raise ValueError("rows and vector of different lengths")
+    total = (0,) * m
+    for x, column in zip(z, columns):
+        if x:
+            total = tuple(map(add, total, map(x.__mul__, column)))
+    return total
 
 
 def verify_reparametrization(

@@ -17,6 +17,7 @@ from compident.exact import (
     MERSENNE61,
     PRIME_MODE,
     RATIONAL_MODE,
+    _bareiss,
     det_int,
     fold_masks,
     integer_solve_in_lattice,
@@ -371,6 +372,89 @@ class TestUnimodularColumns:
         ]
         assert prod == [[int(r == c) for c in range(size)] for r in range(size)]
 
+
+def reference_bareiss(mat: list[list[int]], jordan: bool = False) -> tuple[list[int], int]:
+    """`_bareiss` without its skip: every row below the pivot, and with
+    `jordan` every other row, is updated at every pivot, even a row with
+    a 0 in the pivot column."""
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    prev = sign = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            sign = -sign
+        prow = mat[rank]
+        pv = prow[col]
+        for r in range(0 if jordan else rank + 1, nrows):
+            if r != rank:
+                row = mat[r]
+                factor = row[col]
+                for c in range(col + 1, ncols):
+                    row[c] = (pv * row[c] - factor * prow[c]) // prev
+                row[col] = 0
+        prev = pv
+        pivots.append(col)
+    return pivots, sign * prev
+
+
+def bareiss_inputs(rng: random.Random) -> list[list[int]]:
+    """A random integer matrix of one of five kinds: dense with small
+    entries, sparse 0/1, with zero rows, with +-1 pivots (a unimodular
+    block beside random columns) and with large entries."""
+    nr, nc = rng.randrange(1, 7), rng.randrange(1, 9)
+    kind = rng.randrange(5)
+    if kind == 3:
+        block = random_unimodular(rng, nr)
+        return [row + [rng.randrange(-3, 4) for _ in range(nc)] for row in block]
+    if kind == 1:
+        return [[int(rng.random() < 0.3) for _ in range(nc)] for _ in range(nr)]
+    spread = 10**12 if kind == 4 else 5
+    rows = [[rng.randrange(-spread, spread + 1) for _ in range(nc)] for _ in range(nr)]
+    if kind == 2:
+        for r in rng.sample(range(nr), rng.randrange(nr + 1)):
+            rows[r] = [0] * nc
+    return rows
+
+
+class TestBareissSkip:
+    """`_bareiss` leaves a row with a 0 in the pivot column as it is when
+    the pivot equals the previous one; the pivots, the signed last pivot
+    and the final matrix are those of the loop that updates every row."""
+
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_matches_the_loop_without_the_skip(self, jordan):
+        rng = random.Random(43 + jordan)
+        for _ in range(400):
+            rows = bareiss_inputs(rng)
+            mine, reference = copy.deepcopy(rows), copy.deepcopy(rows)
+            assert _bareiss(mine, jordan) == reference_bareiss(reference, jordan), rows
+            assert mine == reference, rows
+
+    def test_rescales_a_row_with_a_zero_when_the_pivot_changes(self):
+        """The pivots are 2, 6 and 24, each unlike the one before, so the
+        rows with a 0 under them are rescaled, not kept: a skip on every 0
+        factor would leave the matrix as it was and read det 4, not 24."""
+        mat = [[2, 1, 5], [0, 3, 7], [0, 0, 4]]
+        assert _bareiss(mat) == ([0, 1, 2], 24)
+        assert mat == [[2, 1, 5], [0, 6, 14], [0, 0, 24]]
+
+    def test_callers_agree_with_the_reference(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            rows = bareiss_inputs(rng)
+            pivots, _ = reference_bareiss(copy.deepcopy(rows))
+            assert rank_bareiss(rows) == len(pivots) == oracle_rank(rows)
+            square = [row[: len(rows)] for row in rows] if len(rows[0]) >= len(rows) else None
+            if square:
+                pivots, det = reference_bareiss(copy.deepcopy(square))
+                assert det_int(square) == (det if len(pivots) == len(square) else 0)
 
 
 def assert_input_unchanged(func, matrix, *args):

@@ -416,3 +416,29 @@ def test_mutate_operators():
     ]
     with pytest.raises(ValueError, match="no definition named 'K.h'"):
         mutants(MUTATE_FIXTURE, "K.h")
+
+
+def test_fuzz_generator_and_oracles(capsys, monkeypatch):
+    """`tools/fuzz.py`: the first graphs of seed 0 are pinned; every graph
+    drawn is strongly connected with 6 <= n <= 12 and n <= m <= 2n - 2;
+    twenty graphs pass every check; and a check that fails stops the run
+    with the seed and the graph."""
+    fuzz = load_tool("fuzz")
+    assert [(g.n, g.edges) for g in map(fuzz.random_graph, range(3))] == [
+        (12, ((1, 2), (1, 5), (2, 11), (3, 12), (4, 3), (4, 7), (4, 12), (5, 6), (5, 9),
+              (6, 1), (6, 10), (7, 1), (7, 3), (8, 4), (9, 8), (10, 11), (11, 8), (12, 8))),
+        (7, ((1, 3), (2, 5), (3, 5), (3, 6), (4, 7), (5, 4), (5, 6), (6, 1), (6, 2), (7, 1), (7, 6))),
+        (12, ((1, 7), (2, 12), (3, 5), (4, 10), (5, 9), (6, 3), (7, 4), (8, 11), (9, 8), (10, 2),
+              (11, 1), (12, 6))),
+    ]
+    for seed in range(300):
+        g = fuzz.random_graph(seed)
+        assert 6 <= g.n <= 12 and g.n <= g.m <= 2 * g.n - 2, seed
+        assert compident.is_strongly_connected(g) and len(set(g.edges)) == g.m, seed
+    assert fuzz.main(["--seed", "0", "--count", "20"]) == 0
+    assert "20 graphs from seed 0, 11 with the expected dimension: no failure" in capsys.readouterr().out
+    monkeypatch.setattr(fuzz, "unimodular_columns", lambda block: ([], []))
+    assert fuzz.main(["--seed", "0", "--count", "20"]) == 1
+    head, graph = capsys.readouterr().out.splitlines()
+    assert head == "FAILED at seed 1: unimodular_columns differs from the reference under the default tree"
+    assert graph == fuzz.random_graph(1).to_json()

@@ -363,6 +363,17 @@ class TestCycleBasis:
         basis = cycle_basis(g, spanning_tree(g))
         assert len(basis.cycles) == 1 and basis.cycles[0].length == 4
 
+    def test_matrix_has_a_row_per_edge_without_cycles(self, chain4):
+        """The basis matrix is the transpose of the chosen cycles' exponent
+        vectors, one row per edge; with no cycle chosen it still has one
+        empty row per edge."""
+        empty = reparam._unimodular_basis((), 3, ())
+        assert (empty.cycles, empty.matrix, empty.block_inverse) == ((), ((), (), ()), ())
+        basis = cycle_basis(chain4, spanning_tree(chain4))
+        assert basis.matrix == tuple(
+            tuple(c.exponent_vector[r] for c in basis.cycles) for r in range(chain4.m)
+        )
+
     def test_candidates_build_no_one_cycle(self, monkeypatch, chain4, wheel5):
         """The candidates come from the search for cycles of length >= 2
         alone: no one-cycle is built to be dropped."""
@@ -562,6 +573,19 @@ class TestReparametrize:
         assert grid[2][3] == "a34*a43"
         assert grid[2][1] == "1" and grid[3][2] == "1" and grid[4][3] == "1" and grid[0][4] == "1"
         assert result.report.d == 9
+
+    def test_bidirected_path_document_at_forty_vertices(self):
+        """A basis of 39 two-cycles, 39 expressions and 78 rows of 78
+        exponents: the document's sha256 from before the elimination
+        skipped unchanged rows and the check summed only nonzero terms."""
+        n = 40
+        graph = CompartmentGraph(n, tuple(e for v in range(1, n) for e in ((v, v + 1), (v + 1, v))))
+        result = reparametrize(graph)
+        text = json.dumps(result.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f849df389e1519c6201f4c5e6bba879fb77041d2469d5997f8f6ae526f60a54"
+        )
+        assert verify_reparametrization(graph, result)
 
     def test_single_vertex(self, single):
         result = reparametrize(single)
@@ -808,6 +832,44 @@ class TestVerification:
             ({"rescaled_exponents": tuple(rows)}, ["tree-rows", "rescaled-rows"]),
         ):
             assert reparametrization_failures(chain4, replace(result, **changes)) == failures
+
+    def test_expressions_keyed_by_other_edges_are_detected(self, chain4):
+        """The expressions must be keyed by exactly the non-tree edges: one
+        left out, or a tree edge added with the zero combination, which
+        matches that edge's zero row, is a failure though every stated
+        combination holds."""
+        result = reparametrize(chain4)
+        k = result.basis.nontree_rows[0]
+        missing = {e: z for e, z in result.cycle_expressions.items() if e != k}
+        zero = (0,) * len(result.basis.cycles)
+        extra = {**result.cycle_expressions, result.tree.edge_indices[0]: zero}
+        for expressions in (missing, extra):
+            bad = replace(result, cycle_expressions=expressions)
+            assert reparametrization_failures(chain4, bad) == ["cycle-expressions"]
+
+    def test_expression_changed_at_a_zero_entry_is_detected(self, wheel5):
+        """The stated combination sums only the nonzero z[t], so a term
+        added where z[t] was 0 must still change it."""
+        result = reparametrize(wheel5, tree_edges=WHEEL5_TREE)
+        changed = 0
+        for k, z in result.cycle_expressions.items():
+            for t in (t for t, x in enumerate(z) if x == 0):
+                expressions = {**result.cycle_expressions, k: z[:t] + (1,) + z[t + 1:]}
+                bad = replace(result, cycle_expressions=expressions)
+                assert reparametrization_failures(wheel5, bad) == ["cycle-expressions"]
+                changed += 1
+        assert changed > 0
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_basis_matrix_row_of_the_wrong_length_raises(self, wheel5, extra):
+        """A basis matrix row with one entry more or less than the basis has
+        cycles raises ValueError, as a product with the whole matrix would."""
+        result = reparametrize(wheel5)
+        matrix = list(result.basis.matrix)
+        matrix[-1] = matrix[-1] + (0,) if extra > 0 else matrix[-1][:-1]
+        bad = replace(result, basis=replace(result.basis, matrix=tuple(matrix)))
+        with pytest.raises(ValueError, match="different lengths"):
+            reparametrization_failures(wheel5, bad)
 
     def test_similarity_holds_for_arbitrary_scalings(self):
         # conjugating by any diagonal with first entry 1 fixes both
