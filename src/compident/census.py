@@ -36,7 +36,9 @@ from .graphs import (
 DEFAULT_LIMIT = 5
 SPOT_CHECK_STRIDE = 100  # re-verify one member per hundred against its class
 # Fewest verdicts worth a forked process: a fork, the shared map and a reap
-# cost 1.5-2 ms on 2 vCPUs, a verdict 0.2-0.4 ms at n = 5: 64 outweigh them.
+# cost 1.3-1.9 ms on 2 vCPUs from a parent that has grouped the census rows,
+# a verdict 65-90 us at n = 5 (the serial mean over the verdicts of (5,8)
+# and of (5,7)): 64 verdicts, 4-6 ms, outweigh them.
 MIN_FORK_SHARE = 64
 
 

@@ -54,21 +54,61 @@ repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
 reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
 non-tree edge of vertex 1 whose reverse edge is present, that is, at an
 exchange. M' keeps the repeated row, which the ceiling accounts for.
-`_dimension_bound` is the one home of this ceiling, and `_verdict_ceiling`
-its one caller: the preamble that all three verdict entry points
-(`image_dimension`, `has_expected_dimension`, `reparam.reparametrize`)
-share checks the arguments, builds the graph's one pair of adjacency masks
-and reads strong connectivity and the exchange, out[1] & inn[1], off them,
-then decides the ceiling min(bound, m+1) once and hands it to
-`_sampled_dimension`: trials stop at the first point whose rank reaches
-it, and each pass stops once M' has that many pivots less min(n, 2), the
-identity rows eliminated in closed form.
 
-A dimension report is a pure function of the graph, its default tree and
-the checked trials, seed and mode: the points come from `derived_rng`,
-which reads only the seed and the graph. So `_sampled_dimension` keeps
-the reports of the last GRAPH_MEMO_SIZE keys, and one graph asked for
-again, as `reparam` does under a second tree, runs no kernel pass. A
+The walk bound, `_dimension_bound`, is never weaker. Let h_k = (A^k)_11,
+k = 1..2n-1, the Markov parameters of (A, e_1, e_1) (Pohjanpalo, Math.
+Biosci. 41, 1978): h_k sums, over the closed walks of length k from
+vertex 1, the product of the entries they step along, a loop at v
+stepping along a_vv. A closed walk from 1 that uses the edge j -> i has
+length at least L_p = d(1,j) + 1 + d(i,1), d the BFS distance, and one that
+uses a_vv at least L_p = d(1,v) + 1 + d(v,1), so dh_k/dp = 0 for k < L_p.
+Over the m+1 verdict parameters p, the bound is the least over t = 1..2n
+of #{p : L_p < t} + (2n - t), proved in two steps:
+- the term rank. Let J_h be the Jacobian of (h_1..h_(2n-1)). The scalings
+  fix every h_k, so its columns at the tree's edges are combinations of
+  its verdict columns, as J's are. On those, for each t, the rows
+  t..2n-1 and the columns with L_p < t cover every nonzero entry, so at
+  every point the rank of J_h is at most the bound: a rank is at most the
+  term rank, the least such cover (Konig).
+- J_h = Dphi J. With D(s) = det(sI - A) and N(s) = det(sI - A_1),
+  N/D = e_1^T (sI - A)^-1 e_1 = sum_(k>=0) h_k s^(-k-1) (Cramer), so h is
+  a polynomial map phi of (c, d), and J_h = Dphi J. If Dphi (dc, dd) = 0,
+  then P = D dN - N dD, of degree at most 2n-2, has
+  P/D^2 = d(N/D) = O(s^(-2n-1)), so P = 0; when D and N are coprime, D
+  divides dD, of degree below n, so dD = 0 and then dN = 0. They are
+  coprime exactly when (A, e_1, e_1) is a minimal realization, that is
+  controllable and observable, and both hold at generic points: the
+  graph is accessible from vertex 1 along and against its edges, and a
+  loop a_vv at every vertex leaves no dilation (Lin, IEEE TAC 19, 1974).
+  So Dphi is generically invertible, and rank J = rank J_h there.
+No sampled rank, over Z or mod p, exceeds the generic rank of J, since a
+minor that vanishes identically vanishes at every point and mod p; so
+none exceeds the bound. At t = 1 the bound reads 2n-1, and with no
+exchange at vertex 1 only a11 has L_p < 3 (L_p = 2 takes an edge 1 -> v or
+v -> 1 whose reverse is present), so t = 3 reads 2n-2. Every L_p is at
+most 2n-1, so one count per length gives the least cover, with no sort.
+
+`_verdict_ceiling` is the one preamble of the three verdict entry points
+(`image_dimension`, `has_expected_dimension`, `reparam.reparametrize`).
+It checks the arguments, builds the graph's one pair of adjacency masks,
+walks them once along and once against the edges by levels
+(`graphs._distances`), which decides strong connectivity and records
+d(1,v) and d(v,1), and reads the exchange, out[1] & inn[1], off the masks.
+Its ceiling, min(2n-1 or 2n-2, m+1), needs no tree, so it decides first.
+The walk bound needs the default tree's non-tree edges, and is read only
+where it can decide something: by `has_expected_dimension` before the
+memo, which returns False with no rank when it is m or less, and by
+`_sampled_dimension` on a miss, once a trial falls short of the
+preamble's ceiling. Trials stop at the first point whose rank reaches the
+ceiling, and each pass stops once M' has that many pivots less min(n, 2),
+the identity rows eliminated in closed form.
+
+A dimension report is a pure function of the graph and the checked
+trials, seed and mode: the points come from `derived_rng`, which reads
+only the seed and the graph, and no rank exceeds the walk bound, so d is
+the same whichever ceiling stopped the trials. So `_sampled_dimension`
+keeps the reports of the last GRAPH_MEMO_SIZE keys, and one graph asked
+for again, as `reparam` does under a second tree, runs no kernel pass. A
 rational report is built on the prime-field report of the same graph,
 trials and seed, which it reads through the memo: a rational call holds
 two keys, its own and the prime-field one, so `analyze --exact` after
@@ -81,6 +121,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, index, lshift, mul
 from typing import Sequence
 
@@ -273,14 +314,27 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
     return list(range(graph.n)) + [graph.n + k for k in _nontree_edges(graph, tree)]
 
 
-def _dimension_bound(n: int, exchange: int) -> int:
-    """A proven ceiling on the image dimension of a graph on n vertices
-    with exchange bits `exchange` (`out[1] & inn[1]`): 2n-1, the number of
-    coefficients, less one when n >= 3 and vertex 1 has no exchange (the
-    2n-2 bound, proved in the module docstring). The only place the
-    ceiling is decided: every verdict reads it once, through
-    `_verdict_ceiling`."""
-    return 2 * n - 1 - (n >= 3 and not exchange)
+def _dimension_bound(graph: CompartmentGraph, tree: SpanningTree, walk: tuple) -> int:
+    """The walk bound on the image dimension (module docstring): the least
+    over t of #{p : L_p < t} + (2n - t), p over the diagonals and the edges
+    outside `tree`, with L_p read off `walk`, the preamble's distances
+    (d(1, v), d(v, 1)). It is at most min(2n-1, m+1), and at most 2n-2 when
+    n >= 3 and vertex 1 has no exchange, so it is never above the
+    preamble's ceiling. The lengths L_p - 1 = 0..2n-2 are counted, every
+    edge's and then less each tree edge's, so no non-tree list is built;
+    the s-th prefix sum of the counts is #{p : L_p < s + 2}, and t = 1,
+    whose term 2n-1 the a11 term of t = 2 never undercuts, is left out."""
+    down, up = walk
+    n = graph.n
+    edges = graph.edges
+    count = [0] * (2 * n - 1)
+    for length in map(add, down[1:], up[1:]):  # a_vv
+        count[length] += 1
+    for j, i in edges:  # the edge j -> i
+        count[down[j] + up[i]] += 1
+    for j, i in map(edges.__getitem__, tree.edge_indices):
+        count[down[j] + up[i]] -= 1
+    return min(map(add, accumulate(count), range(2 * n - 2, -1, -1)))
 
 
 class _VerdictKernel:
@@ -464,24 +518,28 @@ _IMAGE_REFUSAL = "image dimension is defined for strongly connected graphs; redu
 
 def _verdict_ceiling(
     graph: CompartmentGraph, trials: int, seed: int, mode: str, refusal: str
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, tuple]:
     """The one preamble of the three verdict entry points,
     `image_dimension`, `has_expected_dimension` and
     `reparam.reparametrize`, run once per call, memo or not, in this order:
     - the arguments, through `checked_arguments`;
     - strong connectivity, raising NotStronglyConnected(`refusal`), each
       entry point's own message, on a graph without it; the check builds
-      the graph's one pair of adjacency masks (`graphs._adjacency`) and
-      hands them back;
-    - the proven ceiling min(`_dimension_bound`, m+1) on the rank: the
-      image lives in dimension 2n-1, or 2n-2 with no exchange at vertex 1
-      (n >= 3), read off the same masks as `out[1] & inn[1]`, and the n-1
-      diagonal scalings diag(1, t_2, .., t_n) give kernel vectors of the
-      n+m Jacobian columns, independent at any point with nonzero entries.
-    Returns (trials, seed, ceiling), the first two as ints."""
+      the graph's one pair of adjacency masks and walks them by levels
+      (`graphs._require_strongly_connected`), handing back the exchange
+      mask out[1] & inn[1] and the walk (d(1, v), d(v, 1));
+    - the ceiling min(2n-1, m+1) on the rank, less one when n >= 3 and
+      vertex 1 has no exchange: the image lives in dimension 2n-1, or
+      2n-2 with no exchange (module docstring), and the n-1 diagonal
+      scalings diag(1, t_2, .., t_n) give kernel vectors of the n+m
+      Jacobian columns, independent at any point with nonzero entries.
+    It needs no tree; the walk bound, which does, is read off the walk
+    only where it can decide something (`_dimension_bound`).
+    Returns (trials, seed, ceiling, walk), the first two as ints."""
     trials, seed = checked_arguments(trials, seed, mode)
-    out, inn = _require_strongly_connected(graph, refusal)
-    return trials, seed, min(_dimension_bound(graph.n, out[1] & inn[1]), graph.m + 1)
+    exchange, walk = _require_strongly_connected(graph, refusal)
+    n = graph.n
+    return trials, seed, min(2 * n - 1 - (n >= 3 and not exchange), graph.m + 1), walk
 
 
 def image_dimension(
@@ -495,10 +553,11 @@ def image_dimension(
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
     answer for a fixed seed. `_verdict_ceiling` checks the arguments and
-    strong connectivity and decides the ceiling on the rank, once per
-    call. The loop stops at the first point that reaches it, and each pass
-    stops once M' reaches it; `d`, `verdict` and `trials` are what all
-    trials would give.
+    strong connectivity and decides the preamble's ceiling on the rank,
+    once per call, and the walk bound lowers it on a memo miss once a
+    trial falls short of it. The loop stops at the first point that
+    reaches the ceiling, and each pass stops once M' reaches it; `d`,
+    `verdict` and `trials` are what all trials would give.
 
     Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
     module docstring derives from the Jacobian: equal at points with
@@ -506,58 +565,67 @@ def image_dimension(
     (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
     pass up to the ceiling; the tree, and so the kernel's set-up, is
     picked once per call. Rational mode certifies the prime-field report
-    and runs no kernel pass of its own: a rank mod p at the proven
-    ceiling is exact, since a minor that is nonzero mod p is a nonzero
-    integer. Only when that report falls short of the ceiling, and so
-    every trial did, are the same points drawn again, each read over Z
-    from `_power_rows` and ranked by Bareiss, the two identity rows
-    first.
+    and runs no kernel pass of its own: a rank mod p at a proven ceiling,
+    the walk bound included, is exact, since a minor that is nonzero mod p
+    is a nonzero integer. Only when that report falls short of the walk
+    bound, and so every trial did, are the same points drawn again, each
+    read over Z from `_power_rows` and ranked by Bareiss, the two identity
+    rows first.
 
     The report comes from `_sampled_dimension`'s memo when the same
     graph, trials, seed and mode were asked for recently; a rational call
     also reads, or leaves, the prime-field report there.
     """
-    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
-    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode)
+    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode, walk)
 
 
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _sampled_dimension(
-    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str
+    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str, walk: tuple
 ) -> DimensionReport:
     """`image_dimension` of a graph that `_verdict_ceiling` has passed,
     with the verdict columns of its default spanning tree `tree`, and the
-    ceiling and the arguments `_verdict_ceiling` returned: trials and seed
-    are ints, and the mode is one of `exact.MODES`.
+    ceiling, walk and arguments `_verdict_ceiling` returned: trials and
+    seed are ints, and the mode is one of `exact.MODES`.
 
-    The report is then a pure function of these arguments, so it is kept
-    for the last GRAPH_MEMO_SIZE of them. The points come from
-    `derived_rng(seed, graph)`, a function of the seed's int text, n and
-    the edge list; the tree and the ceiling are functions of the graph;
-    and nothing else is read. Equal graphs built separately share an
-    entry, and the report, a frozen dataclass, is handed to every caller
-    as is.
+    The report is then a pure function of the graph, trials, seed and
+    mode, so it is kept for the last GRAPH_MEMO_SIZE keys. The points come
+    from `derived_rng(seed, graph)`, a function of the seed's int text, n
+    and the edge list; the tree, the ceiling and the walk are functions
+    of the graph, so they split no entry; and nothing else is read. Equal
+    graphs built separately share an entry, and the report, a frozen
+    dataclass, is handed to every caller as is. The walk rides in the key
+    so that a miss reads the walk bound off it with no walk of its own,
+    and a hit never reads it.
 
     Prime-field mode ranks M' mod p at each point by one kernel pass and
-    stops at the first point that reaches the ceiling. Rational mode
-    first reads the prime-field report for the same arguments through
-    the memo, so a rational call holds two keys. When that report's d is
-    the ceiling, it is exact, and the rational report is the same report
-    with mode "rational". Otherwise every trial fell short mod p: the
-    same points are drawn again from `derived_rng` and each is ranked
-    over Z by Bareiss, in trial order, until one reaches the ceiling.
-    Bareiss's rank at a point is at least its rank mod p, so d is what
-    ranking every point both ways would give.
+    stops at the first point that reaches the ceiling. When the first
+    point falls short, the ceiling is lowered to the walk bound
+    (`_dimension_bound`), which no rank exceeds, so a deficient graph
+    whose d is the walk bound stops there. Rational mode first reads the
+    prime-field report for the same arguments through the memo, so a
+    rational call holds two keys. When that report's d is the ceiling, it
+    is exact; when it falls short, the ceiling is lowered to the walk
+    bound, and a d equal to that is exact too. Then the rational report
+    is the same report with mode "rational". Otherwise every trial fell
+    short mod p: the same points are drawn again from `derived_rng` and
+    each is ranked over Z by Bareiss, in trial order, until one reaches
+    the walk bound. Bareiss's rank at a point is at least its rank mod
+    p, so d is what ranking every point both ways would give. A miss
+    reads the walk bound at most once.
     """
     if mode == RATIONAL_MODE:
-        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE)
+        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE, walk)
+        if report.d < ceiling:
+            ceiling = _dimension_bound(graph, tree, walk)
         if report.d == ceiling:
             return replace(report, mode=mode)
     rng = derived_rng(seed, graph)
     kernel = _VerdictKernel(graph, tree)
     eliminated = min(graph.n, 2)
     best = 0
-    for _ in range(trials):
+    for trial in range(trials):
         point = sample_point(rng, parameter_count(graph))
         if mode == PRIME_MODE:
             rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
@@ -565,6 +633,8 @@ def _sampled_dimension(
             rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
             rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
         best = max(best, rank)
+        if best < ceiling and not trial and mode == PRIME_MODE:  # rational mode has lowered it already
+            ceiling = _dimension_bound(graph, tree, walk)
         if best == ceiling:
             break
     return DimensionReport(
@@ -588,16 +658,21 @@ def has_expected_dimension(
     """True iff the image dimension attains the expected m+1.
 
     `_verdict_ceiling` runs first, as in `image_dimension`. When m+1
-    exceeds `_dimension_bound` (2n-1, or 2n-2 when n >= 3 and vertex 1 has
-    no exchange), the ceiling is m or less and the verdict is False with
-    no rank computation: past the edge bound m > 2n-2, and on a maximal
-    graph (m = 2n-2) with no exchange, where the False verdict is a proof.
-    Otherwise the verdict is `_sampled_dimension`'s, memo included.
+    exceeds its ceiling (2n-1, or 2n-2 when n >= 3 and vertex 1 has no
+    exchange), the verdict is False with no tree and no rank: past the
+    edge bound m > 2n-2, and on a maximal graph (m = 2n-2) with no
+    exchange. Otherwise the default tree is picked, and when the walk
+    bound under it (`_dimension_bound`) is m or less, the verdict is False
+    with no rank either. Each such False is a proof. Otherwise the verdict
+    is `_sampled_dimension`'s, memo included, under the same tree.
     """
-    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
     if ceiling <= graph.m:
         return False
-    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode).verdict
+    tree = spanning_tree(graph)
+    if _dimension_bound(graph, tree, walk) <= graph.m:
+        return False
+    return _sampled_dimension(graph, tree, ceiling, trials, seed, mode, walk).verdict
 
 
 def _derivative_name(base: str, order: int) -> str:

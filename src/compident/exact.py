@@ -26,7 +26,7 @@ already the rank over Q, and only a shortfall goes through Bareiss over Z.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index, mul
+from operator import index, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import InconsistentSystem, NotSquare, NotUnimodular
@@ -247,24 +247,24 @@ def unimodular_columns(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list
     """The first independent columns of an integer matrix and the inverse
     of their square block B, which must have determinant +-1.
 
-    One Gauss-Jordan pass of `_bareiss` over [M | I]. Raises NotUnimodular
-    when the rank of M is below its row count (a pivot then falls in I) or
-    det B is not +-1. The right half ends as d * B^-1, d = +-det B the last
-    pivot, so B^-1 = d * (right half) when d = +-1.
+    One Gauss-Jordan pass of `_bareiss` over [M | I], each unit row built
+    from list repetition. Raises NotUnimodular when the rank of M is below
+    its row count (a pivot then falls in I) or det B is not +-1. The right
+    half ends as d * B^-1, d = +-det B the last pivot, so B^-1 is the right
+    half itself when d = 1 and its negation when d = -1.
     """
     size = len(matrix)
     width = len(matrix[0]) if matrix else 0
-    aug = [
-        list(map(index, row)) + [int(c == r) for c in range(size)]
-        for r, row in enumerate(matrix)
-    ]
+    aug = [list(map(index, row)) + [0] * r + [1] + [0] * (size - 1 - r) for r, row in enumerate(matrix)]
     pivots, det = _bareiss(aug, jordan=True)
     if pivots and pivots[-1] >= width:
         raise NotUnimodular(f"rank below the row count {size}")
     if det not in (1, -1):
         raise NotUnimodular(f"determinant is {det}, not +-1")
-    d = aug[-1][pivots[-1]] if aug else 1
-    return pivots, [[d * x for x in row[width:]] for row in aug]
+    right = [row[width:] for row in aug]
+    if aug and aug[-1][pivots[-1]] == -1:
+        right = [list(map(neg, row)) for row in right]
+    return pivots, right
 
 
 def inverse_unimodular(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -174,15 +174,42 @@ def is_strongly_connected(graph: CompartmentGraph) -> bool:
     return _strongly_connected(*_adjacency(graph.n, graph.edges))
 
 
-def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[list[int], list[int]]:
-    """The adjacency masks (out, inn) of `graph`, built once; raises
-    NotStronglyConnected(`message`) unless it is strongly connected: the
-    input-output equation, and so its image dimension, reparametrization
-    and cycle basis, is defined only for such graphs."""
+def _distances(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(`_reach(adj)`, the BFS distance of each vertex 0..n from vertex 1
+    along the neighbour masks `adj`) by one level-synchronous walk: each
+    level ORs the neighbour masks of its whole frontier, as it pops it, and
+    the next frontier is what that adds. It makes the mask operations of
+    `_reach` and records each vertex's level as it pops it; a vertex not
+    reached, and the unused index 0, read 0."""
+    dist = [0] * len(adj)
+    seen = frontier = 2  # bit 1 set
+    level = 0
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            dist[v] = level
+            new |= adj[v]
+            frontier ^= low
+        frontier = new & ~seen
+        seen |= frontier
+        level += 1
+    return seen, tuple(dist)
+
+
+def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[int, tuple[tuple, tuple]]:
+    """(the exchange mask `out[1] & inn[1]`, the walk (d(1, v), d(v, 1))
+    per vertex v) of `graph`, from its one pair of adjacency masks and one
+    `_distances` walk along and one against the edges; raises
+    NotStronglyConnected(`message`) unless every vertex is reached both
+    ways: the input-output equation, and so its image dimension,
+    reparametrization and cycle basis, is defined only for such graphs."""
     out, inn = _adjacency(graph.n, graph.edges)
-    if not _strongly_connected(out, inn):
+    (reached, down), (reaching, up) = _distances(out), _distances(inn)
+    if reached & reaching != (1 << graph.n + 1) - 2:
         raise NotStronglyConnected(message)
-    return out, inn
+    return out[1] & inn[1], (down, up)
 
 
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:

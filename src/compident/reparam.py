@@ -307,8 +307,8 @@ def reparametrize(
     runs first, once per call, so a bad argument, then a graph that is not
     strongly connected, raises before the edge bound. Past the edge bound
     the default spanning tree is built once: the dimension report
-    (`image_dimension`'s columns, with the preamble's ceiling) and the
-    cycle basis reuse it.
+    (`image_dimension`'s columns, with the preamble's ceiling and walk)
+    and the cycle basis reuse it.
     Neither the report nor the cycle candidates depend on the requested
     tree, so both come from their memos (`_sampled_dimension`,
     `_cycle_candidates`) when the graph was reparametrized recently, under
@@ -316,14 +316,14 @@ def reparametrize(
     verification are computed on every call.
     """
     refusal = "reparametrization requires a strongly connected graph"
-    trials, seed, ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
+    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, refusal)
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
             "no identifiable scaling reparametrization exists"
         )
     default = spanning_tree(graph)
-    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode)
+    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode, walk)
     if not report.verdict:
         raise NoReparametrization(report)
 

@@ -130,6 +130,21 @@ def oracle_reachable(graph: CompartmentGraph, start: int) -> set:
     return reach
 
 
+def oracle_distances(graph: CompartmentGraph, forward: bool) -> dict[int, int]:
+    """BFS distances from vertex 1 along the edges (`forward`) or against
+    them, by rounds over the edge list: round k adds the vertices at
+    distance k, and a vertex not reached has no entry. No mask, walk or
+    helper of the library."""
+    arcs = graph.edges if forward else [(i, j) for j, i in graph.edges]
+    dist = {1: 0}
+    frontier, step = {1}, 0
+    while frontier:
+        step += 1
+        frontier = {i for j, i in arcs if j in frontier} - dist.keys()
+        dist.update(dict.fromkeys(frontier, step))
+    return dist
+
+
 def oracle_strongly_connected(graph: CompartmentGraph) -> bool:
     vertices = range(1, graph.n + 1)
     return all(oracle_reachable(graph, v) == set(vertices) for v in vertices)

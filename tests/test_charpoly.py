@@ -35,6 +35,7 @@ from conftest import (
     directed_cycle_graph,
     evaluate_symbolic,
     isc_adversary,
+    oracle_distances,
     oracle_rank,
     oracle_strongly_connected,
     rank_gf_p_with_inverses,
@@ -59,6 +60,24 @@ def verdict_matrix(graph, point, mode=PRIME_MODE):
 NO_EXCHANGE5 = CompartmentGraph(
     5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 2), (4, 5), (5, 1))
 )
+
+# One of the three classes of (4,6) whose d = 6 falls short of the walk
+# bound, 7 = m+1: every trial falls short, so rational mode reaches Bareiss.
+OPEN46 = CompartmentGraph(4, ((1, 2), (1, 3), (2, 1), (3, 4), (4, 1), (4, 3)))
+
+
+def edge_exchange_bound(graph) -> int:
+    """The 2n-1/2n-2 bound, the ceiling before the walk bound: 2n-1
+    coefficients, less one when n >= 3 and vertex 1 has no exchange. Kept
+    as a named check, as the walk bound is never above it."""
+    return 2 * graph.n - 1 - (graph.n >= 3 and graphs.has_exchange(graph) is None)
+
+
+def walk_bound(graph) -> int:
+    """`_dimension_bound` under the default tree, off the preamble's walk:
+    the ceiling a verdict falls back on once a trial falls short."""
+    walk = cp._verdict_ceiling(graph, 2, 0, PRIME_MODE, "")[3]
+    return cp._dimension_bound(graph, cp.spanning_tree(graph), walk)
 
 
 def poly_from_names(graph, term_map):
@@ -290,7 +309,7 @@ class TestImageDimension:
             ranks.clear()
             bareiss.clear()
             rational = image_dimension(g, mode=RATIONAL_MODE).as_dict()
-            full = prime["d"] == cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]
+            full = prime["d"] == walk_bound(g)
             assert (len(ranks), len(bareiss)) == (0, 0 if full else prime["trials"]), g
             certified += full
             assert rational.pop("mode") == RATIONAL_MODE and prime.pop("mode") == PRIME_MODE
@@ -351,11 +370,17 @@ class TestImageDimension:
             assert rank_mod_p(jac) <= g.m + 1
 
     def test_stops_at_the_ceiling(self, monkeypatch, chain4, broken4):
+        """chain4 reaches m+1 at its first point; broken4 falls short of
+        m+1 there and stops at its walk bound, 6; OPEN46 falls short of its
+        walk bound, 7, at both points."""
         calls = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         report = image_dimension(chain4, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (1, 7, True, 2)
         calls.clear()
         report = image_dimension(broken4, trials=2)
+        assert (len(calls), report.d, report.verdict, report.trials) == (1, 6, False, 2)
+        calls.clear()
+        report = image_dimension(OPEN46, trials=2)
         assert (len(calls), report.d, report.verdict, report.trials) == (2, 6, False, 2)
 
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
@@ -386,9 +411,9 @@ class TestImageDimension:
         report = image_dimension(broken4, trials=2)
         assert (len(calls), report.trials, report.d) == (1, 2, 6)
 
-    def test_rational_deficient_rank_reaches_bareiss(self, monkeypatch, broken4):
+    def test_rational_deficient_rank_reaches_bareiss(self, monkeypatch):
         calls = count_calls(monkeypatch, exact, "rank_bareiss")
-        assert image_dimension(broken4, trials=2, mode=RATIONAL_MODE).d == 6
+        assert image_dimension(OPEN46, trials=2, mode=RATIONAL_MODE).d == 6
         assert len(calls) == 2
 
 
@@ -429,12 +454,27 @@ class TestRationalVerdicts:
         assert '"mode": "rational"' in capsys.readouterr().out
         assert calls == []
 
-    def test_one_exact_build_per_trial_on_a_shortfall(self, monkeypatch, broken4):
+    def test_one_exact_build_per_trial_on_a_shortfall(self, monkeypatch):
         calls = self.exact_builds(monkeypatch)
         for trials in (1, 2, 3):
             calls.clear()
-            report = image_dimension(broken4, trials=trials, mode=RATIONAL_MODE)
-            assert (report.d, report.trials, calls) == (6, trials, [broken4.n] * trials)
+            report = image_dimension(OPEN46, trials=trials, mode=RATIONAL_MODE)
+            assert (report.d, report.trials, calls) == (6, trials, [OPEN46.n] * trials)
+
+    def test_broken4_path_needs_no_bareiss(self, monkeypatch):
+        """broken4's edges followed by a bidirected path out to n = 14
+        (m = 26): d = 26 falls short of m+1 and is the walk bound, so the
+        prime-field report, one kernel pass, is exact and rational mode runs
+        no Bareiss. With the 2n-1 ceiling alone every trial went to
+        Bareiss over Z, whose entries grow with n (0.23 s here)."""
+        edges = [(2, 1), (1, 2), (3, 2), (4, 3), (2, 4), (3, 4)]
+        edges += [e for v in range(4, 14) for e in ((v, v + 1), (v + 1, v))]
+        g = CompartmentGraph(14, tuple(edges))
+        passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
+        bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
+        report = image_dimension(g, mode=RATIONAL_MODE)
+        assert (report.d, report.verdict, walk_bound(g)) == (26, False, 26)
+        assert (len(passes), len(bareiss)) == (1, 0)
 
     def test_bareiss_ranks_every_row_of_the_verdict_matrix(self, monkeypatch, chain4):
         """At this integer point chain4's M has rank 6 < 7, and dropping row
@@ -476,7 +516,7 @@ class TestRationalVerdicts:
                 for calls in (passes, draws, bareiss):
                     calls.clear()
                 rational = image_dimension(g, mode=RATIONAL_MODE)
-                if prime.d == cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]:
+                if prime.d == walk_bound(g):
                     assert (len(passes), len(draws), len(bareiss)) == (0, 0, 0), g
                     full += 1
                 else:
@@ -884,7 +924,7 @@ class TestVerdictKernel:
 
     def test_over_full_graphs(self, monkeypatch):
         """Wide M': one pass per `pivots` call, stopped at the verdict's
-        pivot ceiling min(`_dimension_bound`, m+1) - 2, reads each column
+        pivot ceiling, the preamble's min(2n-1 or 2n-2, m+1) - 2, reads each column
         once, up to the pivot that reaches the ceiling, or all of them when
         the rank falls short. On the half with no exchange at vertex 1 the
         ceiling is 2n-4, one below the row count of M', whose repeated row
@@ -899,7 +939,7 @@ class TestVerdictKernel:
         past_square = short = below_rows = 0
         for g in sample:
             kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-            most = min(cp._dimension_bound(g.n, graphs._exchange_mask(g)), g.m + 1) - 2
+            most = cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2] - 2
             assert kernel.nrows == 2 * g.n - 3 < kernel.ncols
             assert most == kernel.nrows - (graphs.has_exchange(g) is None)
             below_rows += most < kernel.nrows
@@ -970,7 +1010,7 @@ class TestVerdictKernel:
         edges = [(j, i) for j in range(2, 9) for i in range(2, 9) if i != j]
         edges += [(1, v) for v in range(2, 5)] + [(v, 1) for v in range(5, 9)]
         g = CompartmentGraph(8, tuple(edges))
-        assert (g.m, graphs.has_exchange(g), cp._dimension_bound(g.n, graphs._exchange_mask(g))) == (49, None, 14)
+        assert (g.m, graphs.has_exchange(g), cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]) == (49, None, 14)
         kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
         assert (kernel.nrows, kernel.ncols) == (13, 48)
         reads = self.record_columns(monkeypatch)
@@ -1046,9 +1086,170 @@ class TestNoExchangeBound:
                 reduced = reduced_verdict_rows(g.n, rows, sub_rows)
                 twin = reduced[0] == reduced[g.n - 1]
                 assert twin is (graphs.has_exchange(g) is None), g
-                assert cp._dimension_bound(g.n, graphs._exchange_mask(g)) == 2 * g.n - 1 - twin
+                assert edge_exchange_bound(g) == 2 * g.n - 1 - twin
+                assert walk_bound(g) <= edge_exchange_bound(g)
                 twins += twin
         assert twins > 500
+
+
+def oracle_walk_bound(graph, tree_edges) -> int:
+    """The walk bound from its definition: L_p = d(1,v) + 1 + d(v,1) for
+    each a_vv and d(1,j) + 1 + d(i,1) for each edge j -> i outside
+    `tree_edges`, and the least over t = 1..2n of #{p : L_p < t} + 2n - t."""
+    n = graph.n
+    down, up = oracle_distances(graph, True), oracle_distances(graph, False)
+    lengths = [down[v] + 1 + up[v] for v in range(1, n + 1)]
+    lengths += [down[j] + 1 + up[i] for j, i in graph.edges if (j, i) not in tree_edges]
+    return min(sum(length < t for length in lengths) + 2 * n - t for t in range(1, 2 * n + 1))
+
+
+def term_rank(pattern) -> int:
+    """The largest number of nonzero entries of a 0/1 matrix no two in a
+    row or a column: a maximum bipartite matching by augmenting paths."""
+    match = {}  # column -> row
+
+    def augment(r, seen):
+        for c, x in enumerate(pattern[r]):
+            if x and c not in seen:
+                seen.add(c)
+                if c not in match or augment(match[c], seen):
+                    match[c] = r
+                    return True
+        return False
+
+    return sum(augment(r, set()) for r in range(len(pattern)))
+
+
+class TestWalkBound:
+    """The walk bound (`charpoly._dimension_bound`, proved in the module
+    docstring): h_k = (A^k)_11 reads parameter p only from k = L_p on, the
+    length of the shortest closed walk from vertex 1 that uses p, so the
+    image dimension is at most the least over t of #{L_p < t} + (2n - t)."""
+
+    # A (5,6) class: the directed 5-cycle with the chord 5 -> 4. Vertex 1
+    # has no exchange, but m+1 = 7 <= 2n-2 = 8: that bound leaves it open.
+    FIVE_SIX = CompartmentGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 4)))
+    PATH_TREE = ((1, 2), (2, 3), (3, 4), (4, 5))
+
+    def test_sympy_proof_on_a_five_six_class(self):
+        """Checked with sympy and this file's own BFS, with no library rank,
+        walk or coefficient. The scalings set the tree's rates to 1 at every
+        point with nonzero tree rates and keep the rank, so the rank of the
+        coefficient Jacobian over the m+1 remaining rates, over Q(a), is the
+        image dimension: 6 < m+1. The Jacobian of h_1..h_9 is nonzero at
+        column p exactly in the rows k >= L_p, and its term rank is the walk
+        bound, 6, which the library reads too."""
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.rings import ring
+
+        g, tree = self.FIVE_SIX, self.PATH_TREE
+        n = g.n
+        free = [e for e in g.edges if e not in tree]
+        names = [f"a{v}{v}" for v in range(1, n + 1)] + [f"a{i}{j}" for j, i in free]
+        R, *xs = ring(",".join(names), QQ)
+        A = [[R(0)] * n for _ in range(n)]
+        for v in range(n):
+            A[v][v] = xs[v]
+        for j, i in tree:
+            A[i - 1][j - 1] = R(1)
+        for (j, i), x in zip(free, xs[n:]):
+            A[i - 1][j - 1] = x
+        K = R.to_domain()
+        matrix = DomainMatrix(A, (n, n), K)
+        sub = DomainMatrix([row[1:] for row in A[1:]], (n - 1, n - 1), K)
+        coefficients = matrix.charpoly()[1:] + sub.charpoly()[1:]
+        jacobian = DomainMatrix([[c.diff(x) for x in xs] for c in coefficients], (2 * n - 1, len(xs)), K)
+        assert jacobian.convert_to(K.get_field()).rank() == 6 < g.m + 1
+
+        down, up = oracle_distances(g, True), oracle_distances(g, False)
+        lengths = [down[v] + 1 + up[v] for v in range(1, n + 1)] + [down[j] + 1 + up[i] for j, i in free]
+        markov = [(matrix**k).to_list()[0][0] for k in range(1, 2 * n)]
+        pattern = [[int(h.diff(x) != 0) for x in xs] for h in markov]
+        assert pattern == [[int(k >= length) for length in lengths] for k in range(1, 2 * n)]
+        assert term_rank(pattern) == oracle_walk_bound(g, tree) == 6
+        assert edge_exchange_bound(g) == 8 and walk_bound(g) == 6
+        assert not has_expected_dimension(g) and image_dimension(g).d == 6
+
+    # Per row: the classes whose "False" the walk bound proves, and the
+    # classes whose d is proved (m+1 on a "True" class, the walk bound on
+    # a deficient one). README's census table reports the same counts.
+    PROVED = {
+        (4, 5): (3, 15), (4, 6): (22, 52), (5, 6): (6, 32),
+        (5, 7): (81, 261), (5, 8): (619, 1030), (6, 8): (213, 864),
+    }
+
+    @pytest.mark.parametrize("n, m", sorted(PROVED))
+    def test_bound_holds_on_census_rows(self, n, m):
+        """On every class the library's walk bound equals the definition's
+        (`oracle_walk_bound`, under the default tree), is at most the
+        preamble's ceiling, at least the sampled d, and m+1 on every "True"
+        class, whose d = m+1 is a nonzero minor."""
+        proved_false = proved_d = 0
+        for entry in reference_classes(n, m, limit=n):
+            g = entry.representative
+            bound = walk_bound(g)
+            tree_edges = {g.edges[k] for k in cp.spanning_tree(g).edge_indices}
+            assert bound == oracle_walk_bound(g, tree_edges) <= min(edge_exchange_bound(g), m + 1), g
+            d = m + 1 if entry.expected else image_dimension(g).d
+            assert d <= bound and (bound == m + 1 or not entry.expected), g
+            proved_false += bound <= m
+            proved_d += d == bound
+        assert (proved_false, proved_d) == self.PROVED[n, m]
+
+    def test_the_preamble_decides_first(self, monkeypatch):
+        """From n = 3 on, the preamble's 2n-2 ceiling decides a maximal graph
+        with no exchange at vertex 1, with no tree and no walk bound: the
+        directed 3-cycle with the chord 3 -> 2 (m+1 = 5 > 2n-2 = 4)."""
+        g = CompartmentGraph(3, ((1, 2), (2, 3), (3, 1), (3, 2)))
+        trees = count_calls(monkeypatch, cp, "spanning_tree")
+        bounds = count_calls(monkeypatch, cp, "_dimension_bound")
+        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2] == 4 == g.m
+        assert has_expected_dimension(g) is False
+        assert (len(trees), len(bounds)) == (0, 0)
+
+    def test_a_miss_reads_the_walk_bound_once_where_it_decides(self, monkeypatch, chain4):
+        """A miss reads the walk bound once a trial falls short of the
+        preamble's ceiling, and only once: never for chain4, whose first
+        point reaches m+1, in either mode; once for OPEN46 in prime mode,
+        though both its trials fall short; and once for its rational call,
+        which reads it before it ranks the points over Z."""
+        bounds = count_calls(monkeypatch, cp, "_dimension_bound")
+        for g, mode, d, reads in ((chain4, RATIONAL_MODE, 7, 0), (OPEN46, PRIME_MODE, 6, 1), (OPEN46, RATIONAL_MODE, 6, 1)):
+            bounds.clear()
+            assert (image_dimension(g, mode=mode).d, len(bounds)) == (d, reads), (g, mode)
+
+    def test_walk_proved_census_graphs_run_no_kernel_pass(self, monkeypatch):
+        """Where the preamble's ceiling is m+1 but the walk bound is m or
+        less, `has_expected_dimension` is False with no kernel built, no
+        point drawn and no memo entry: every such class of (4,5), (5,6)
+        and (5,7). In a census row only the verdicts that the walk bound
+        leaves open reach the memo and the kernel: in (5,6), whose six
+        deficient classes are all walk-proved, only the "True" ones, spot
+        checks included."""
+        proved = [
+            g
+            for n, m in ((4, 5), (5, 6), (5, 7))
+            for g in (entry.representative for entry in reference_classes(n, m))
+            if walk_bound(g) <= m < cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]
+        ]
+        clear_graph_memos()
+        kernels = count_calls(monkeypatch, cp, "_VerdictKernel")
+        draws = count_calls(monkeypatch, cp, "derived_rng")
+        assert not any(has_expected_dimension(g) for g in proved)
+        assert (len(proved), len(kernels), len(draws)) == (3 + 6 + 81, 0, 0)
+        assert cp._sampled_dimension.cache_info().currsize == 0
+        verdicts = []
+
+        def recording(graph, **kwargs):
+            verdicts.append(has_expected_dimension(graph, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(census, "has_expected_dimension", recording)
+        assert sum(c.expected for c in census_classes(5, 6)) == 26
+        hits, misses = cp._sampled_dimension.cache_info()[:2]
+        assert (hits + misses, misses) == (sum(verdicts), len(kernels)) and len(verdicts) > 32
 
 
 class TestEdgeMonotonicity:
@@ -1217,32 +1418,40 @@ class TestExpectedDimension:
 
     def test_one_ceiling_per_verdict(self, monkeypatch, chain4, broken4):
         """Each verdict runs the one preamble `_verdict_ceiling` once: one
-        `_dimension_bound` call and one charpoly `checked_arguments` call
+        `_verdict_ceiling` call and one charpoly `checked_arguments` call
         per call of `has_expected_dimension`, `image_dimension` and
         `reparametrize`, on the ranked path (chain4, broken4), on a maximal
         graph with no exchange (NO_EXCHANGE5) and where the bound decides
         (complete3), cold and from the memo. `reparametrize` refuses
         complete3 by the edge bound m > 2n-2 only after the preamble, so
-        that pair counts one of each too."""
+        that pair counts one of each too. The walk bound is read only
+        where it can decide something: by `has_expected_dimension` when
+        the preamble's ceiling is m+1 (chain4, broken4), before the memo,
+        and on a memo miss whose first trial falls short of that ceiling
+        (broken4's first `image_dimension`); never on a hit."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
+        preambles = count_calls(monkeypatch, cp, "_verdict_ceiling")
+        monkeypatch.setattr(reparam, "_verdict_ceiling", cp._verdict_ceiling)
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
         checks = count_calls(monkeypatch, cp, "checked_arguments")
 
         def counts(verdict, graph):
-            bounds.clear()
-            checks.clear()
+            for calls in (preambles, bounds, checks):
+                calls.clear()
             try:
                 verdict(graph)
             except (NoReparametrization, TooManyEdges):
                 pass
-            return len(bounds), len(checks)
+            return len(preambles), len(checks), len(bounds)
 
-        for _ in range(2):
+        for cold in (True, False):
             for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
                 for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
-                    assert counts(verdict, graph) == (1, 1), (verdict, graph)
+                    miss = cold and verdict is image_dimension and graph is broken4
+                    walk = graph in (chain4, broken4) and (verdict is has_expected_dimension or miss)
+                    assert counts(verdict, graph) == (1, 1, walk), (verdict, graph)
 
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
     def test_ceiling_is_m_plus_1_below_the_bound(self, monkeypatch, mode):
@@ -1250,7 +1459,7 @@ class TestExpectedDimension:
         5-cycle (m+1 = 6, bound 8) reaches it at its first point, so three
         trials make one kernel pass and rational mode runs no Bareiss."""
         cycle5 = directed_cycle_graph(5)
-        assert cp._verdict_ceiling(cycle5, 3, 0, mode, "") == (3, 0, 6)
+        assert cp._verdict_ceiling(cycle5, 3, 0, mode, "")[:3] == (3, 0, 6)
         clear_graph_memos()
         passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
@@ -1258,17 +1467,18 @@ class TestExpectedDimension:
         assert (report.d, report.verdict, len(passes), len(bareiss)) == (6, True, 1, 0)
 
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
-        """One strong connectivity check per verdict, below and past the
-        edge bound, also when the memo answers (the second round); a graph
-        that is not strongly connected raises on every call."""
+        """One strong connectivity check per verdict, one `_distances` walk
+        along and one against the edges, below and past the edge bound,
+        also when the memo answers (the second round); a graph that is not
+        strongly connected raises on every call."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
-        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_distances")
         for g, verdict in ((chain4, True), (broken4, False), (complete3, False)) * 2:
             checks.clear()
             assert has_expected_dimension(g) is verdict
-            assert len(checks) == 1
+            assert len(checks) == 2
         sink4 = CompartmentGraph(4, complete3.edges + ((1, 4),))  # m = 7 > 2n-2
         for g in (CompartmentGraph(2, ((1, 2),)), sink4) * 2:
             for verdict in (has_expected_dimension, image_dimension):
@@ -1280,7 +1490,7 @@ class TestExpectedDimension:
         and still reaches d = 2n-1 = m+1 = 1, as the one strongly connected
         graph on two vertices, itself an exchange, reaches 3."""
         for g, d in ((single, 1), (exchange2, 3)):
-            assert cp._dimension_bound(g.n, graphs._exchange_mask(g)) == 2 * g.n - 1 == d
+            assert edge_exchange_bound(g) == walk_bound(g) == 2 * g.n - 1 == d
             assert has_expected_dimension(g) and image_dimension(g).d == d
 
     def test_one_adjacency_build_per_verdict(self, monkeypatch, chain4, broken4):
@@ -1335,10 +1545,10 @@ class TestVerdictMemo:
                 assert cp._sampled_dimension.cache_info()[:2] == ((1, 1) if mode == PRIME_MODE else (1, 2))
                 assert has_expected_dimension(graph, mode=mode) is cold.verdict
 
-    def test_a_hit_runs_no_kernel_pass(self, monkeypatch, chain4, broken4):
+    def test_a_hit_runs_no_kernel_pass(self, monkeypatch, chain4):
         passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         exact_rows = count_calls(monkeypatch, exact, "rank_bareiss")
-        for graph, mode, cold in ((chain4, PRIME_MODE, 1), (broken4, RATIONAL_MODE, 2)):
+        for graph, mode, cold in ((chain4, PRIME_MODE, 1), (OPEN46, RATIONAL_MODE, 2)):
             passes.clear()
             report = image_dimension(graph, mode=mode)
             assert len(passes) == cold
@@ -1346,7 +1556,7 @@ class TestVerdictMemo:
                 assert image_dimension(graph, mode=mode) == report
             assert has_expected_dimension(graph, mode=mode) is report.verdict
             assert len(passes) == cold
-        assert len(exact_rows) == 2  # broken4's two rational trials, once
+        assert len(exact_rows) == 2  # OPEN46's two rational trials, once
 
     def test_rational_first_runs_one_prime_call(self, monkeypatch, chain4, broken4):
         """A cold rational call makes the kernel passes of one prime-field
@@ -1478,7 +1688,7 @@ class TestIdentifiableCycleFunctions:
             identifiable_cycle_functions(complete3)
 
     def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, chain4, wheel5):
-        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_distances")  # one walk each way
         trees = []
         real_tree = graphs.spanning_tree
 
@@ -1492,7 +1702,7 @@ class TestIdentifiableCycleFunctions:
             checks.clear()
             trees.clear()
             assert len(identifiable_cycle_functions(graph)) == graph.m + 1
-            assert (len(checks), len(trees)) == (1, 1)
+            assert (len(checks), len(trees)) == (2, 1)
 
 
 class TestCoefficientIdentities:

@@ -84,15 +84,15 @@ class TestAnalyze:
     def test_one_connectivity_check(self, capsys, monkeypatch, chain4_file, tmp_path):
         """`analyze` reads strong connectivity off `io_strong_component`,
         which hands back the graph itself exactly when it is strongly
-        connected, so the verdict's own guard is the one check of a run,
-        on the graph or on its reduction."""
+        connected, so the verdict's own guard, one `_distances` walk each
+        way, is the one check of a run, on the graph or on its reduction."""
         dangling = tmp_path / "dangling.json"
         dangling.write_text('{"n":3,"edges":[[1,2],[2,1],[2,3]]}')
-        checks = count_calls(monkeypatch, graphs, "_strongly_connected")
+        checks = count_calls(monkeypatch, graphs, "_distances")
         for path, sc in ((chain4_file, True), (str(dangling), False)):
             checks.clear()
             code, out, _ = run(capsys, "analyze", path, "--json")
-            assert (code, json.loads(out)["strongly_connected"], len(checks)) == (0, sc, 1)
+            assert (code, json.loads(out)["strongly_connected"], len(checks)) == (0, sc, 2)
 
     def test_exact_full_rank_skips_bareiss(self, capsys, monkeypatch, tmp_path, path10_file):
         """At the min(2n-1, m+1) ceiling the rank mod p is the proof, so

@@ -34,6 +34,7 @@ from conftest import (
     directed_cycle_graph,
     incidence_matrix,
     isc_adversary,
+    oracle_distances,
     oracle_rank,
     oracle_reachable,
     oracle_strongly_connected,
@@ -206,6 +207,21 @@ class TestStrongConnectivity:
             m = rng.randrange(0, n * (n - 1) + 1)
             g = random_graph(rng, n, m)
             assert is_strongly_connected(g) == oracle_strongly_connected(g)
+
+    def test_distances_match_a_breadth_first_search(self):
+        """`_distances` on random graphs, strongly connected or not, along
+        and against the edges: its reach mask is `_reach`'s, each vertex
+        reached reads its distance from vertex 1 (`oracle_distances`), and
+        every other index, 0 included, reads 0."""
+        rng = random.Random(44)
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            g = random_graph(rng, n, rng.randrange(0, n * (n - 1) + 1))
+            for forward, adj in zip((True, False), graphs_mod._adjacency(n, g.edges)):
+                dist = oracle_distances(g, forward)
+                reached, walk = graphs_mod._distances(adj)
+                assert reached == graphs_mod._reach(adj) == sum(1 << v for v in dist), g
+                assert walk == tuple(dist.get(v, 0) for v in range(n + 1)), g
 
     def test_prefixes_match_oracle_on_census_classes(self):
         # Every prefix (1, ...) of every (5,8) class, certificate prefixes

@@ -5,6 +5,7 @@ function body (charpoly, for one, must not reach back into reparam)."""
 import ast
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -422,7 +423,8 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
     """`tools/fuzz.py`: the first graphs of seed 0 are pinned; every graph
     drawn is strongly connected with 6 <= n <= 12 and n <= m <= 2n - 2;
     twenty graphs pass every check; and a check that fails stops the run
-    with the seed and the graph."""
+    with the seed and the graph: a unimodular inverse, the kernel's rank
+    at the first point, d against the walk bound, and d after a deletion."""
     fuzz = load_tool("fuzz")
     assert [(g.n, g.edges) for g in map(fuzz.random_graph, range(3))] == [
         (12, ((1, 2), (1, 5), (2, 11), (3, 12), (4, 3), (4, 7), (4, 12), (5, 6), (5, 9),
@@ -442,3 +444,21 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
     head, graph = capsys.readouterr().out.splitlines()
     assert head == "FAILED at seed 1: unimodular_columns differs from the reference under the default tree"
     assert graph == fuzz.random_graph(1).to_json()
+    monkeypatch.undo()
+
+    drawn = fuzz.random_graph(0)  # n = 12, m = 18, d = 18
+    real_pivots, real_dimension = fuzz._VerdictKernel.pivots, fuzz.image_dimension
+    faults = [
+        (fuzz._VerdictKernel, "pivots", lambda kernel, values, most: real_pivots(kernel, values, most)[:-1],
+         "the kernel's rank at the first point is 17, Bareiss over Z reads 18"),
+        (fuzz, "walk_bound", lambda graph, tree: graph.n, "d = 18 lies outside [18, min(walk bound 12, m+1)]"),
+        (fuzz, "image_dimension",
+         lambda graph, **kw: real_dimension(graph, **kw) if graph == drawn else replace(real_dimension(graph, **kw), d=20),
+         "d(G - e) = 20 exceeds d(G) = 18, G - e = "),
+    ]
+    for owner, name, fault, message in faults:
+        monkeypatch.setattr(owner, name, fault)
+        assert fuzz.main(["--seed", "0", "--count", "1"]) == 1
+        head, graph = capsys.readouterr().out.splitlines()
+        assert head.startswith(f"FAILED at seed 0: {message}") and graph == drawn.to_json()
+        monkeypatch.undo()

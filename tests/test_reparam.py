@@ -612,10 +612,10 @@ class TestReparametrize:
 
     def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, wheel5):
         """The dimension report and the cycle basis reuse the call's strong
-        connectivity check and its default spanning tree, whichever tree
-        the reparametrization uses."""
+        connectivity check, one `_distances` walk each way, and its default
+        spanning tree, whichever tree the reparametrization uses."""
         checks, trees = [], []
-        real_check, real_tree = graphs._strongly_connected, graphs.spanning_tree
+        real_check, real_tree = graphs._distances, graphs.spanning_tree
 
         def check(*args):
             checks.append(1)
@@ -625,14 +625,14 @@ class TestReparametrize:
             trees.append(1)
             return real_tree(graph)
 
-        monkeypatch.setattr(graphs, "_strongly_connected", check)
+        monkeypatch.setattr(graphs, "_distances", check)
         for module in (charpoly, reparam):
             monkeypatch.setattr(module, "spanning_tree", tree)
         for tree_edges in (None, WHEEL5_TREE):
             checks.clear()
             trees.clear()
             result = reparametrize(wheel5, tree_edges=tree_edges)
-            assert (len(checks), len(trees), result.report.d) == (1, 1, 9)
+            assert (len(checks), len(trees), result.report.d) == (2, 1, 9)
 
     def test_json_builds_each_edge_name_once(self, monkeypatch):
         """The edge rate names are built once per result, not once per
@@ -701,7 +701,7 @@ class TestMemos:
                 reparametrize(broken4)
             reports.append(err.value.report)
         assert reports[0] == reports[1] == reports[2] and reports[0].d == 6
-        assert (len(passes), searches) == (2, [])  # two trials, once
+        assert (len(passes), searches) == (1, [])  # one trial, once: d = 6 is broken4's walk bound
         assert reparam._cycle_candidates.cache_info().currsize == 0
 
     def test_candidate_keys_and_bound(self, monkeypatch, chain4):

@@ -5,12 +5,24 @@ Graph k of a run is drawn from its own seed, the run's --seed plus k: n
 is drawn from 6..12 and m from n..2n-2, and the graph is built by a random
 ear decomposition (a directed cycle, then directed paths through new
 vertices between vertices already placed, then single edges), which
-reaches every strongly connected graph. Each graph is checked three ways:
+reaches every strongly connected graph. Each graph is checked these ways:
 
+- at the verdict's first point, the rank of the verdict matrix by the
+  mod-p kernel (`charpoly._VerdictKernel`, stopped at no ceiling) equals
+  its rank over Z by `reference_bareiss` on the rows `charpoly._power_rows`
+  reads, a loop that shares no code with the kernel;
 - the prime-field and the rational `image_dimension` give the same d
   (a rational d below the ceiling comes from Bareiss over Z, not from
   the prime-field kernel; at the ceiling the prime-field report is
   already exact and is reused);
+- that d is at least the rank at the first point, and at most m+1 and
+  the walk bound (the `charpoly` module docstring), which `walk_bound`
+  computes with this script's own BFS, under a random spanning tree:
+  the bound holds under every tree;
+- for one random edge e whose removal keeps the graph strongly
+  connected, d(G - e) <= d(G): at points where a_e = 0 the Jacobian of G
+  is that of G - e with one more column, so no rank of G - e exceeds the
+  generic rank of G;
 - when d = m+1, `reparametrize` under the default spanning tree and under
   a random spanning tree drawn from the graph's seed each pass
   `verify_reparametrization`, and so does each result rebuilt from its
@@ -48,7 +60,9 @@ from compident import (  # noqa: E402  (the package is found through the line ab
     reparametrize,
     verify_reparametrization,
 )
+from compident.charpoly import _power_rows, _VerdictKernel, derived_rng, sample_point  # noqa: E402
 from compident.exact import PRIME_MODE, RATIONAL_MODE, unimodular_columns  # noqa: E402
+from compident.graphs import spanning_tree  # noqa: E402
 
 
 def random_graph(seed: int) -> CompartmentGraph:
@@ -91,6 +105,52 @@ def random_tree(graph: CompartmentGraph, rng: random.Random) -> list[tuple[int, 
             parent[a] = b
             tree.append((j, i))
     return tree
+
+
+def distances(graph: CompartmentGraph, forward: bool) -> dict[int, int]:
+    """BFS distances from vertex 1 along the edges (`forward`) or against
+    them; a vertex missing from the result is not reached."""
+    arcs = graph.edges if forward else [(i, j) for j, i in graph.edges]
+    dist = {1: 0}
+    frontier = [1]
+    while frontier:
+        reached = [i for j, i in arcs if j in frontier and i not in dist]
+        dist.update((v, dist[frontier[0]] + 1) for v in reached)
+        frontier = list(dict.fromkeys(reached))
+    return dist
+
+
+def strongly_connected(graph: CompartmentGraph) -> bool:
+    """Whether vertex 1 reaches every vertex and every vertex reaches it."""
+    return len(distances(graph, True)) == len(distances(graph, False)) == graph.n
+
+
+def without(graph: CompartmentGraph, edge: tuple[int, int]) -> CompartmentGraph:
+    """The graph less `edge`, the other edges in their order."""
+    return CompartmentGraph(graph.n, tuple(e for e in graph.edges if e != edge))
+
+
+def walk_bound(graph: CompartmentGraph, tree: list[tuple[int, int]]) -> int:
+    """The walk bound under the spanning tree `tree`: L_p = d(1,v) + 1 +
+    d(v,1) for each a_vv and d(1,j) + 1 + d(i,1) for each edge j -> i
+    outside the tree, and the least over t = 1..2n of
+    #{p : L_p < t} + 2n - t."""
+    n = graph.n
+    down, up = distances(graph, True), distances(graph, False)
+    lengths = [down[v] + 1 + up[v] for v in range(1, n + 1)]
+    lengths += [down[j] + 1 + up[i] for j, i in graph.edges if (j, i) not in tree]
+    return min(sum(length < t for length in lengths) + 2 * n - t for t in range(1, 2 * n + 1))
+
+
+def first_point_ranks(graph: CompartmentGraph) -> tuple[int, int]:
+    """(the kernel's rank of the verdict matrix M at the verdict's first
+    point, its rank over Z by `reference_bareiss`): M' by the kernel, plus
+    its min(n, 2) identity rows, and M itself from `_power_rows`."""
+    kernel = _VerdictKernel(graph, spanning_tree(graph))
+    point = sample_point(derived_rng(0, graph), graph.n + graph.m)
+    rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
+    exact_rank = len(reference_bareiss(rows + sub_rows)[0])
+    return min(graph.n, 2) + len(kernel.pivots(point, kernel.nrows)), exact_rank
 
 
 def reference_bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
@@ -144,14 +204,27 @@ def block_failure(block: list[list[int]], inverse) -> str | None:
 
 def check(graph: CompartmentGraph, seed: int) -> tuple[bool, str | None]:
     """(whether the graph has the expected dimension, the first failed
-    check or None); `seed` draws the random spanning tree."""
+    check or None); `seed` draws the random spanning trees and the edge
+    deleted."""
+    kernel_rank, exact_rank = first_point_ranks(graph)
+    if kernel_rank != exact_rank:
+        return False, f"the kernel's rank at the first point is {kernel_rank}, Bareiss over Z reads {exact_rank}"
     prime = image_dimension(graph, mode=PRIME_MODE)
     rational = image_dimension(graph, mode=RATIONAL_MODE)
     if prime.d != rational.d:
         return False, f"prime-field d = {prime.d}, rational d = {rational.d}"
+    rng = random.Random(seed)
+    bound = walk_bound(graph, random_tree(graph, rng))
+    if not kernel_rank <= prime.d <= min(bound, graph.m + 1):
+        return False, f"d = {prime.d} lies outside [{kernel_rank}, min(walk bound {bound}, m+1)]"
+    smaller = [g for g in (without(graph, e) for e in graph.edges) if strongly_connected(g)]
+    if smaller:
+        minus = rng.choice(smaller)
+        d_minus = image_dimension(minus).d
+        if d_minus > prime.d:
+            return False, f"d(G - e) = {d_minus} exceeds d(G) = {prime.d}, G - e = {minus.to_json()}"
     if not prime.verdict:
         return False, None
-    rng = random.Random(seed)
     for tree in (None, random_tree(graph, rng)):
         result = reparametrize(graph, tree_edges=tree)
         name = "the default tree" if tree is None else f"tree {tree}"
