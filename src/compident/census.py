@@ -457,10 +457,11 @@ def property_suite(
     The exchange, ISC and add-exchange checks run on census classes: each
     class counts `size` times in `tested`, and violations name representatives.
     Exchange-necessity holds by construction, since `has_expected_dimension`
-    answers False on a maximal graph with no exchange by the 2n-2 bound
-    (proved in the `charpoly` module docstring); its independent evidence
-    is `TestNoExchangeBound` in tests/test_charpoly.py, which checks the
-    bound's relation on sympy's determinants.
+    answers False on a maximal graph with no exchange by the walk bound,
+    which is never above 2n-2 there (both proved in the `charpoly` module
+    docstring); its independent evidence is `TestNoExchangeBound` in
+    tests/test_charpoly.py, which checks the 2n-2 bound's relation on
+    sympy's determinants and the walk bound against it.
     """
     limit = max(n_max, DEFAULT_LIMIT)
     checks = {

@@ -53,7 +53,7 @@ d_1 = -tr(A_1): the image lies in a hypersurface. In M' the same fact is a
 repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
 reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
 non-tree edge of vertex 1 whose reverse edge is present, that is, at an
-exchange. M' keeps the repeated row, which the ceiling accounts for.
+exchange. M' keeps the repeated row, which the walk bound accounts for.
 
 The walk bound, `_dimension_bound`, is never weaker. Let h_k = (A^k)_11,
 k = 1..2n-1, the Markov parameters of (A, e_1, e_1) (Pohjanpalo, Math.
@@ -93,27 +93,27 @@ most 2n-1, so one count per length gives the least cover, with no sort.
 It checks the arguments, builds the graph's one pair of adjacency masks,
 walks them once along and once against the edges by levels
 (`graphs._distances`), which decides strong connectivity and records
-d(1,v) and d(v,1), and reads the exchange, out[1] & inn[1], off the masks.
-Its ceiling, min(2n-1 or 2n-2, m+1), needs no tree, so it decides first.
-The walk bound needs the default tree's non-tree edges, and is read only
-where it can decide something: by `has_expected_dimension` before the
-memo, which returns False with no rank when it is m or less, and by
-`_sampled_dimension` on a miss, once a trial falls short of the
-preamble's ceiling. Trials stop at the first point whose rank reaches the
-ceiling, and each pass stops once M' has that many pivots less min(n, 2),
-the identity rows eliminated in closed form.
+d(1,v) and d(v,1), picks the default spanning tree and reads the walk
+bound under it: the verdict's one ceiling, decided once per call, memo or
+not, and only read downstream. It is at most m+1, and never above the
+2n-1/2n-2 bound, so it is m or less past the edge bound m > 2n-2 and on
+a maximal graph with no exchange at vertex 1, where
+`has_expected_dimension` returns False with no rank, as it does wherever
+else the walk bound is m or less. Trials stop at the first point whose
+rank reaches the ceiling, and each pass stops once M' has that many
+pivots less min(n, 2), the identity rows eliminated in closed form.
 
 A dimension report is a pure function of the graph and the checked
 trials, seed and mode: the points come from `derived_rng`, which reads
-only the seed and the graph, and no rank exceeds the walk bound, so d is
-the same whichever ceiling stopped the trials. So `_sampled_dimension`
-keeps the reports of the last GRAPH_MEMO_SIZE keys, and one graph asked
-for again, as `reparam` does under a second tree, runs no kernel pass. A
-rational report is built on the prime-field report of the same graph,
-trials and seed, which it reads through the memo: a rational call holds
-two keys, its own and the prime-field one, so `analyze --exact` after
-`analyze` on one graph runs no kernel pass either, and the prime-field
-call after a rational one is a hit.
+only the seed and the graph, and the tree and the ceiling are functions
+of the graph. So `_sampled_dimension` keeps the reports of the last
+GRAPH_MEMO_SIZE keys, and one graph asked for again, as `reparam` does
+under a second tree, runs no kernel pass. A rational report is built on
+the prime-field report of the same graph, trials and seed, which it
+reads through the memo: a rational call holds two keys, its own and the
+prime-field one, so `analyze --exact` after `analyze` on one graph runs
+no kernel pass either, and the prime-field call after a rational one is
+a hit.
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ def _dimension_bound(graph: CompartmentGraph, tree: SpanningTree, walk: tuple) -
     over t of #{p : L_p < t} + (2n - t), p over the diagonals and the edges
     outside `tree`, with L_p read off `walk`, the preamble's distances
     (d(1, v), d(v, 1)). It is at most min(2n-1, m+1), and at most 2n-2 when
-    n >= 3 and vertex 1 has no exchange, so it is never above the
-    preamble's ceiling. The lengths L_p - 1 = 0..2n-2 are counted, every
+    n >= 3 and vertex 1 has no exchange; the preamble reads it once per
+    verdict as the one ceiling on the rank. The lengths L_p - 1 = 0..2n-2 are counted, every
     edge's and then less each tree edge's, so no non-tree list is built;
     the s-th prefix sum of the counts is #{p : L_p < s + 2}, and t = 1,
     whose term 2n-1 the a11 term of t = 2 never undercuts, is left out."""
@@ -518,7 +518,7 @@ _IMAGE_REFUSAL = "image dimension is defined for strongly connected graphs; redu
 
 def _verdict_ceiling(
     graph: CompartmentGraph, trials: int, seed: int, mode: str, refusal: str
-) -> tuple[int, int, int, tuple]:
+) -> tuple[int, int, SpanningTree, int]:
     """The one preamble of the three verdict entry points,
     `image_dimension`, `has_expected_dimension` and
     `reparam.reparametrize`, run once per call, memo or not, in this order:
@@ -526,20 +526,17 @@ def _verdict_ceiling(
     - strong connectivity, raising NotStronglyConnected(`refusal`), each
       entry point's own message, on a graph without it; the check builds
       the graph's one pair of adjacency masks and walks them by levels
-      (`graphs._require_strongly_connected`), handing back the exchange
-      mask out[1] & inn[1] and the walk (d(1, v), d(v, 1));
-    - the ceiling min(2n-1, m+1) on the rank, less one when n >= 3 and
-      vertex 1 has no exchange: the image lives in dimension 2n-1, or
-      2n-2 with no exchange (module docstring), and the n-1 diagonal
-      scalings diag(1, t_2, .., t_n) give kernel vectors of the n+m
-      Jacobian columns, independent at any point with nonzero entries.
-    It needs no tree; the walk bound, which does, is read off the walk
-    only where it can decide something (`_dimension_bound`).
-    Returns (trials, seed, ceiling, walk), the first two as ints."""
+      (`graphs._require_strongly_connected`), handing back the walk
+      (d(1, v), d(v, 1));
+    - the default spanning tree, whose verdict columns every rank reads;
+    - the ceiling on the rank, the walk bound under that tree
+      (`_dimension_bound`): no sampled rank exceeds it, and it is at most
+      m+1.
+    Returns (trials, seed, tree, ceiling), the first two as ints."""
     trials, seed = checked_arguments(trials, seed, mode)
-    exchange, walk = _require_strongly_connected(graph, refusal)
-    n = graph.n
-    return trials, seed, min(2 * n - 1 - (n >= 3 and not exchange), graph.m + 1), walk
+    walk = _require_strongly_connected(graph, refusal)
+    tree = spanning_tree(graph)
+    return trials, seed, tree, _dimension_bound(graph, tree, walk)
 
 
 def image_dimension(
@@ -553,11 +550,11 @@ def image_dimension(
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
     answer for a fixed seed. `_verdict_ceiling` checks the arguments and
-    strong connectivity and decides the preamble's ceiling on the rank,
-    once per call, and the walk bound lowers it on a memo miss once a
-    trial falls short of it. The loop stops at the first point that
-    reaches the ceiling, and each pass stops once M' reaches it; `d`,
-    `verdict` and `trials` are what all trials would give.
+    strong connectivity, picks the default tree and decides the ceiling
+    on the rank, the walk bound under that tree, once per call. The loop
+    stops at the first point that reaches the ceiling, and each pass stops
+    once M' reaches it; `d`, `verdict` and `trials` are what all trials
+    would give.
 
     Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
     module docstring derives from the Jacobian: equal at points with
@@ -565,67 +562,57 @@ def image_dimension(
     (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
     pass up to the ceiling; the tree, and so the kernel's set-up, is
     picked once per call. Rational mode certifies the prime-field report
-    and runs no kernel pass of its own: a rank mod p at a proven ceiling,
-    the walk bound included, is exact, since a minor that is nonzero mod p
-    is a nonzero integer. Only when that report falls short of the walk
-    bound, and so every trial did, are the same points drawn again, each
-    read over Z from `_power_rows` and ranked by Bareiss, the two identity
-    rows first.
+    and runs no kernel pass of its own: a rank mod p at the ceiling, a
+    proven bound, is exact, since a minor that is nonzero mod p is a
+    nonzero integer. Only when that report falls short of the ceiling, and
+    so every trial did, are the same points drawn again, each read over Z
+    from `_power_rows` and ranked by Bareiss, the two identity rows first.
 
     The report comes from `_sampled_dimension`'s memo when the same
     graph, trials, seed and mode were asked for recently; a rational call
     also reads, or leaves, the prime-field report there.
     """
-    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
-    return _sampled_dimension(graph, spanning_tree(graph), ceiling, trials, seed, mode, walk)
+    trials, seed, tree, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    return _sampled_dimension(graph, tree, ceiling, trials, seed, mode)
 
 
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _sampled_dimension(
-    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str, walk: tuple
+    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str
 ) -> DimensionReport:
     """`image_dimension` of a graph that `_verdict_ceiling` has passed,
-    with the verdict columns of its default spanning tree `tree`, and the
-    ceiling, walk and arguments `_verdict_ceiling` returned: trials and
-    seed are ints, and the mode is one of `exact.MODES`.
+    with the tree, ceiling and arguments `_verdict_ceiling` returned: the
+    default spanning tree, whose verdict columns are ranked, the walk
+    bound under it, trials and seed as ints, and a mode of `exact.MODES`.
 
     The report is then a pure function of the graph, trials, seed and
     mode, so it is kept for the last GRAPH_MEMO_SIZE keys. The points come
     from `derived_rng(seed, graph)`, a function of the seed's int text, n
-    and the edge list; the tree, the ceiling and the walk are functions
-    of the graph, so they split no entry; and nothing else is read. Equal
-    graphs built separately share an entry, and the report, a frozen
-    dataclass, is handed to every caller as is. The walk rides in the key
-    so that a miss reads the walk bound off it with no walk of its own,
-    and a hit never reads it.
+    and the edge list; the tree and the ceiling are functions of the
+    graph, so they split no entry; and nothing else is read. Equal graphs
+    built separately share an entry, and the report, a frozen dataclass,
+    is handed to every caller as is.
 
     Prime-field mode ranks M' mod p at each point by one kernel pass and
-    stops at the first point that reaches the ceiling. When the first
-    point falls short, the ceiling is lowered to the walk bound
-    (`_dimension_bound`), which no rank exceeds, so a deficient graph
-    whose d is the walk bound stops there. Rational mode first reads the
-    prime-field report for the same arguments through the memo, so a
-    rational call holds two keys. When that report's d is the ceiling, it
-    is exact; when it falls short, the ceiling is lowered to the walk
-    bound, and a d equal to that is exact too. Then the rational report
-    is the same report with mode "rational". Otherwise every trial fell
-    short mod p: the same points are drawn again from `derived_rng` and
-    each is ranked over Z by Bareiss, in trial order, until one reaches
-    the walk bound. Bareiss's rank at a point is at least its rank mod
-    p, so d is what ranking every point both ways would give. A miss
-    reads the walk bound at most once.
+    stops at the first point that reaches the ceiling, which no rank
+    exceeds. Rational mode first reads the prime-field report for the
+    same arguments through the memo, so a rational call holds two keys.
+    When that report's d is the ceiling, it is exact, and the rational
+    report is the same report with mode "rational". Otherwise every trial
+    fell short mod p: the same points are drawn again from `derived_rng`
+    and each is ranked over Z by Bareiss, in trial order, until one
+    reaches the ceiling. Bareiss's rank at a point is at least its rank
+    mod p, so d is what ranking every point both ways would give.
     """
     if mode == RATIONAL_MODE:
-        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE, walk)
-        if report.d < ceiling:
-            ceiling = _dimension_bound(graph, tree, walk)
+        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE)
         if report.d == ceiling:
             return replace(report, mode=mode)
     rng = derived_rng(seed, graph)
     kernel = _VerdictKernel(graph, tree)
     eliminated = min(graph.n, 2)
     best = 0
-    for trial in range(trials):
+    for _ in range(trials):
         point = sample_point(rng, parameter_count(graph))
         if mode == PRIME_MODE:
             rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
@@ -633,8 +620,6 @@ def _sampled_dimension(
             rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
             rank = exact.rank_bareiss(rows[:1] + sub_rows[:1] + rows[1:] + sub_rows[1:])
         best = max(best, rank)
-        if best < ceiling and not trial and mode == PRIME_MODE:  # rational mode has lowered it already
-            ceiling = _dimension_bound(graph, tree, walk)
         if best == ceiling:
             break
     return DimensionReport(
@@ -657,22 +642,16 @@ def has_expected_dimension(
 ) -> bool:
     """True iff the image dimension attains the expected m+1.
 
-    `_verdict_ceiling` runs first, as in `image_dimension`. When m+1
-    exceeds its ceiling (2n-1, or 2n-2 when n >= 3 and vertex 1 has no
-    exchange), the verdict is False with no tree and no rank: past the
-    edge bound m > 2n-2, and on a maximal graph (m = 2n-2) with no
-    exchange. Otherwise the default tree is picked, and when the walk
-    bound under it (`_dimension_bound`) is m or less, the verdict is False
-    with no rank either. Each such False is a proof. Otherwise the verdict
-    is `_sampled_dimension`'s, memo included, under the same tree.
+    `_verdict_ceiling` runs first, as in `image_dimension`. When its
+    ceiling, the walk bound under the default tree, is m or less, the
+    verdict is False with no rank, and a proof. So it is past the edge
+    bound m > 2n-2, where the bound is at most 2n-1, and on a maximal
+    graph (m = 2n-2) with no exchange at vertex 1, where it is at most
+    2n-2. Otherwise the verdict is `_sampled_dimension`'s, memo included,
+    under the same tree and ceiling.
     """
-    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
-    if ceiling <= graph.m:
-        return False
-    tree = spanning_tree(graph)
-    if _dimension_bound(graph, tree, walk) <= graph.m:
-        return False
-    return _sampled_dimension(graph, tree, ceiling, trials, seed, mode, walk).verdict
+    trials, seed, tree, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    return ceiling > graph.m and _sampled_dimension(graph, tree, ceiling, trials, seed, mode).verdict
 
 
 def _derivative_name(base: str, order: int) -> str:

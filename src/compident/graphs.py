@@ -198,10 +198,11 @@ def _distances(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return seen, tuple(dist)
 
 
-def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[int, tuple[tuple, tuple]]:
-    """(the exchange mask `out[1] & inn[1]`, the walk (d(1, v), d(v, 1))
-    per vertex v) of `graph`, from its one pair of adjacency masks and one
-    `_distances` walk along and one against the edges; raises
+def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[tuple, tuple]:
+    """The walk (d(1, v), d(v, 1)), per vertex v, of `graph`, from its one
+    pair of adjacency masks and one `_distances` walk along and one
+    against the edges, which the verdict preamble reads the walk bound
+    off (`charpoly._dimension_bound`); raises
     NotStronglyConnected(`message`) unless every vertex is reached both
     ways: the input-output equation, and so its image dimension,
     reparametrization and cycle basis, is defined only for such graphs."""
@@ -209,7 +210,7 @@ def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[
     (reached, down), (reaching, up) = _distances(out), _distances(inn)
     if reached & reaching != (1 << graph.n + 1) - 2:
         raise NotStronglyConnected(message)
-    return out[1] & inn[1], (down, up)
+    return down, up
 
 
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
@@ -233,8 +234,7 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
 def _exchange_mask(graph: CompartmentGraph) -> int:
     """Bit v set for each vertex v with both edges 1 -> v and v -> 1:
     `out[1] & inn[1]` on the `_adjacency` masks, the one definition of an
-    exchange, which the verdict preamble and the census leaf read off the
-    masks they hold."""
+    exchange, which the census leaf reads off the masks it holds."""
     out, inn = _adjacency(graph.n, graph.edges)
     return out[1] & inn[1]
 

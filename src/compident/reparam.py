@@ -305,10 +305,10 @@ def reparametrize(
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
     one out up front. The verdict preamble `charpoly._verdict_ceiling`
     runs first, once per call, so a bad argument, then a graph that is not
-    strongly connected, raises before the edge bound. Past the edge bound
-    the default spanning tree is built once: the dimension report
-    (`image_dimension`'s columns, with the preamble's ceiling and walk)
-    and the cycle basis reuse it.
+    strongly connected, raises before the edge bound. It picks the
+    default spanning tree, once per call: the dimension report
+    (`image_dimension`'s columns, with the preamble's ceiling) and the
+    cycle basis reuse it.
     Neither the report nor the cycle candidates depend on the requested
     tree, so both come from their memos (`_sampled_dimension`,
     `_cycle_candidates`) when the graph was reparametrized recently, under
@@ -316,14 +316,13 @@ def reparametrize(
     verification are computed on every call.
     """
     refusal = "reparametrization requires a strongly connected graph"
-    trials, seed, ceiling, walk = _verdict_ceiling(graph, trials, seed, mode, refusal)
+    trials, seed, default, ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
             "no identifiable scaling reparametrization exists"
         )
-    default = spanning_tree(graph)
-    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode, walk)
+    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode)
     if not report.verdict:
         raise NoReparametrization(report)
 

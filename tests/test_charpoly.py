@@ -74,9 +74,9 @@ def edge_exchange_bound(graph) -> int:
 
 
 def walk_bound(graph) -> int:
-    """`_dimension_bound` under the default tree, off the preamble's walk:
-    the ceiling a verdict falls back on once a trial falls short."""
-    walk = cp._verdict_ceiling(graph, 2, 0, PRIME_MODE, "")[3]
+    """`_dimension_bound` under the default tree, off the walk of the
+    preamble's connectivity check: the ceiling of every verdict."""
+    walk = graphs._require_strongly_connected(graph, "")
     return cp._dimension_bound(graph, cp.spanning_tree(graph), walk)
 
 
@@ -923,15 +923,15 @@ class TestVerdictKernel:
                 assert self.check(g, point) == pivots_gf_p(list_built_reduced(g, point))
 
     def test_over_full_graphs(self, monkeypatch):
-        """Wide M': one pass per `pivots` call, stopped at the verdict's
-        pivot ceiling, the preamble's min(2n-1 or 2n-2, m+1) - 2, reads each column
-        once, up to the pivot that reaches the ceiling, or all of them when
-        the rank falls short. On the half with no exchange at vertex 1 the
-        ceiling is 2n-4, one below the row count of M', whose repeated row
-        keeps the rank there: the pass stops at the same column as a pass
-        over M' less that row. The sample holds points whose first
-        min(rows, cols) columns are dependent, and ranks below the
-        ceiling."""
+        """Wide M': one pass per `pivots` call, stopped at the pivot limit
+        of the 2n-1/2n-2 bound, `edge_exchange_bound(g)` - 2, reads each
+        column once, up to the pivot that reaches the limit, or all of
+        them when the rank falls short. On the half with no exchange at
+        vertex 1 the limit is 2n-4, one below the row count of M', whose
+        repeated row keeps the rank there: the pass stops at the same
+        column as a pass over M' less that row. The sample holds points
+        whose first min(rows, cols) columns are dependent, and ranks below
+        the limit."""
         reads = self.record_columns(monkeypatch)
         rng = random.Random(102)
         sample = over_full_graphs(1000, seed=103)
@@ -939,7 +939,7 @@ class TestVerdictKernel:
         past_square = short = below_rows = 0
         for g in sample:
             kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
-            most = cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2] - 2
+            most = edge_exchange_bound(g) - 2
             assert kernel.nrows == 2 * g.n - 3 < kernel.ncols
             assert most == kernel.nrows - (graphs.has_exchange(g) is None)
             below_rows += most < kernel.nrows
@@ -1004,13 +1004,15 @@ class TestVerdictKernel:
 
     def test_over_full_graph_without_an_exchange_stops_at_the_ceiling(self, monkeypatch):
         """n = 8, m = 49, with no exchange at vertex 1: M' is 13 x 48 and
-        the ceiling is 2n-2 = 14, so the verdict's pass stops at 12 pivots
-        and reads its first 12 columns, once: as many as a pass over M'
-        less its repeated row, whose rank is that row count."""
+        the ceiling, the walk bound, is 2n-2 = 14, so the verdict's pass
+        stops at 12 pivots and reads its first 12 columns, once: as many
+        as a pass over M' less its repeated row, whose rank is that row
+        count."""
         edges = [(j, i) for j in range(2, 9) for i in range(2, 9) if i != j]
         edges += [(1, v) for v in range(2, 5)] + [(v, 1) for v in range(5, 9)]
         g = CompartmentGraph(8, tuple(edges))
-        assert (g.m, graphs.has_exchange(g), cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]) == (49, None, 14)
+        assert (g.m, graphs.has_exchange(g), edge_exchange_bound(g)) == (49, None, 14)
+        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[3] == 14
         kernel = cp._VerdictKernel(g, cp.spanning_tree(g))
         assert (kernel.nrows, kernel.ncols) == (13, 48)
         reads = self.record_columns(monkeypatch)
@@ -1199,30 +1201,35 @@ class TestWalkBound:
         assert (proved_false, proved_d) == self.PROVED[n, m]
 
     def test_the_preamble_decides_first(self, monkeypatch):
-        """From n = 3 on, the preamble's 2n-2 ceiling decides a maximal graph
-        with no exchange at vertex 1, with no tree and no walk bound: the
-        directed 3-cycle with the chord 3 -> 2 (m+1 = 5 > 2n-2 = 4)."""
+        """From n = 3 on, the preamble's ceiling, the walk bound, decides a
+        maximal graph with no exchange at vertex 1, where it is at most
+        2n-2, with one tree, one bound and no kernel: the directed 3-cycle
+        with the chord 3 -> 2 (m+1 = 5 > 2n-2 = 4)."""
         g = CompartmentGraph(3, ((1, 2), (2, 3), (3, 1), (3, 2)))
+        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[3] == 4 == g.m == edge_exchange_bound(g)
         trees = count_calls(monkeypatch, cp, "spanning_tree")
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
-        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2] == 4 == g.m
+        kernels = count_calls(monkeypatch, cp, "_VerdictKernel")
         assert has_expected_dimension(g) is False
-        assert (len(trees), len(bounds)) == (0, 0)
+        assert (len(trees), len(bounds), len(kernels)) == (1, 1, 0)
 
     def test_a_miss_reads_the_walk_bound_once_where_it_decides(self, monkeypatch, chain4):
-        """A miss reads the walk bound once a trial falls short of the
-        preamble's ceiling, and only once: never for chain4, whose first
-        point reaches m+1, in either mode; once for OPEN46 in prime mode,
-        though both its trials fall short; and once for its rational call,
-        which reads it before it ranks the points over Z."""
+        """A miss reads the walk bound once, in the preamble, which decides
+        the ceiling before any trial, and `_sampled_dimension` reads none:
+        chain4, whose first point reaches m+1 = the bound, in rational
+        mode; OPEN46 in prime mode, though both its trials fall short of
+        the bound; and its rational call, which reads the prime-field
+        report through the memo and ranks the points over Z."""
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
-        for g, mode, d, reads in ((chain4, RATIONAL_MODE, 7, 0), (OPEN46, PRIME_MODE, 6, 1), (OPEN46, RATIONAL_MODE, 6, 1)):
+        for g, mode, d in ((chain4, RATIONAL_MODE, 7), (OPEN46, PRIME_MODE, 6), (OPEN46, RATIONAL_MODE, 6)):
             bounds.clear()
-            assert (image_dimension(g, mode=mode).d, len(bounds)) == (d, reads), (g, mode)
+            misses = cp._sampled_dimension.cache_info().misses
+            assert (image_dimension(g, mode=mode).d, len(bounds)) == (d, 1), (g, mode)
+            assert cp._sampled_dimension.cache_info().misses > misses
 
     def test_walk_proved_census_graphs_run_no_kernel_pass(self, monkeypatch):
-        """Where the preamble's ceiling is m+1 but the walk bound is m or
-        less, `has_expected_dimension` is False with no kernel built, no
+        """Where the 2n-1/2n-2 bound leaves m+1 open but the walk bound is
+        m or less, `has_expected_dimension` is False with no kernel built, no
         point drawn and no memo entry: every such class of (4,5), (5,6)
         and (5,7). In a census row only the verdicts that the walk bound
         leaves open reach the memo and the kernel: in (5,6), whose six
@@ -1232,7 +1239,7 @@ class TestWalkBound:
             g
             for n, m in ((4, 5), (5, 6), (5, 7))
             for g in (entry.representative for entry in reference_classes(n, m))
-            if walk_bound(g) <= m < cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[2]
+            if walk_bound(g) <= m < edge_exchange_bound(g)
         ]
         clear_graph_memos()
         kernels = count_calls(monkeypatch, cp, "_VerdictKernel")
@@ -1250,6 +1257,19 @@ class TestWalkBound:
         assert sum(c.expected for c in census_classes(5, 6)) == 26
         hits, misses = cp._sampled_dimension.cache_info()[:2]
         assert (hits + misses, misses) == (sum(verdicts), len(kernels)) and len(verdicts) > 32
+
+    def test_over_full_graphs_are_decided_by_the_walk_bound(self, monkeypatch):
+        """Past the edge bound, m > 2n-2, the walk bound alone decides: it
+        is at most the 2n-1/2n-2 bound, which is at most m, so
+        `has_expected_dimension` is False with no kernel built and no memo
+        entry, with or without an exchange at vertex 1."""
+        sample = over_full_graphs(1000, seed=103)
+        for g in sample:
+            assert walk_bound(g) <= edge_exchange_bound(g) <= g.m, g
+        clear_graph_memos()
+        kernels = count_calls(monkeypatch, cp, "_VerdictKernel")
+        assert not any(has_expected_dimension(g) for g in sample)
+        assert (len(kernels), cp._sampled_dimension.cache_info().currsize) == (0, 0)
 
 
 class TestEdgeMonotonicity:
@@ -1417,18 +1437,16 @@ class TestExpectedDimension:
                     verdict(graph, mode="nope")
 
     def test_one_ceiling_per_verdict(self, monkeypatch, chain4, broken4):
-        """Each verdict runs the one preamble `_verdict_ceiling` once: one
-        `_verdict_ceiling` call and one charpoly `checked_arguments` call
-        per call of `has_expected_dimension`, `image_dimension` and
-        `reparametrize`, on the ranked path (chain4, broken4), on a maximal
-        graph with no exchange (NO_EXCHANGE5) and where the bound decides
-        (complete3), cold and from the memo. `reparametrize` refuses
-        complete3 by the edge bound m > 2n-2 only after the preamble, so
-        that pair counts one of each too. The walk bound is read only
-        where it can decide something: by `has_expected_dimension` when
-        the preamble's ceiling is m+1 (chain4, broken4), before the memo,
-        and on a memo miss whose first trial falls short of that ceiling
-        (broken4's first `image_dimension`); never on a hit."""
+        """Each verdict runs the one preamble `_verdict_ceiling` once, and
+        nothing downstream reads another ceiling: one `_verdict_ceiling`,
+        one charpoly `checked_arguments`, one `spanning_tree` and one
+        `_dimension_bound` call per call of `has_expected_dimension`,
+        `image_dimension` and `reparametrize`, on the ranked path (chain4,
+        broken4), on a maximal graph with no exchange (NO_EXCHANGE5) and
+        past the edge bound (complete3), cold and from the memo.
+        `reparametrize` refuses complete3 by the edge bound m > 2n-2 only
+        after the preamble, so that pair counts one of each too, and it
+        picks no tree of its own."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
@@ -1436,30 +1454,33 @@ class TestExpectedDimension:
         monkeypatch.setattr(reparam, "_verdict_ceiling", cp._verdict_ceiling)
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
         checks = count_calls(monkeypatch, cp, "checked_arguments")
+        trees = []
+        for module in (cp, reparam):
+            trees.append(count_calls(monkeypatch, module, "spanning_tree"))
 
         def counts(verdict, graph):
-            for calls in (preambles, bounds, checks):
+            for calls in (preambles, checks, bounds, *trees):
                 calls.clear()
             try:
                 verdict(graph)
             except (NoReparametrization, TooManyEdges):
                 pass
-            return len(preambles), len(checks), len(bounds)
+            return len(preambles), len(checks), len(trees[0]), len(bounds), len(trees[1])
 
-        for cold in (True, False):
+        for _cold in (True, False):
             for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
                 for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
-                    miss = cold and verdict is image_dimension and graph is broken4
-                    walk = graph in (chain4, broken4) and (verdict is has_expected_dimension or miss)
-                    assert counts(verdict, graph) == (1, 1, walk), (verdict, graph)
+                    assert counts(verdict, graph) == (1, 1, 1, 1, 0), (verdict, graph)
 
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
     def test_ceiling_is_m_plus_1_below_the_bound(self, monkeypatch, mode):
-        """Below the 2n-1/2n-2 bound the ceiling is m+1: the directed
-        5-cycle (m+1 = 6, bound 8) reaches it at its first point, so three
-        trials make one kernel pass and rational mode runs no Bareiss."""
+        """Below the 2n-1/2n-2 bound the ceiling, the walk bound, is m+1:
+        the directed 5-cycle (m+1 = 6, bound 8) reaches it at its first
+        point, so three trials make one kernel pass and rational mode runs
+        no Bareiss."""
         cycle5 = directed_cycle_graph(5)
-        assert cp._verdict_ceiling(cycle5, 3, 0, mode, "")[:3] == (3, 0, 6)
+        trials, seed, _tree, ceiling = cp._verdict_ceiling(cycle5, 3, 0, mode, "")
+        assert (trials, seed, ceiling, edge_exchange_bound(cycle5)) == (3, 0, 6, 8)
         clear_graph_memos()
         passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
@@ -1495,9 +1516,9 @@ class TestExpectedDimension:
 
     def test_one_adjacency_build_per_verdict(self, monkeypatch, chain4, broken4):
         """The preamble builds one pair of adjacency masks and reads strong
-        connectivity and the exchange, out[1] & inn[1], off them: one
-        `graphs._adjacency` call, and no `has_exchange` or `_exchange_mask`
-        call, per call of `has_expected_dimension`, `image_dimension` and
+        connectivity and the walk bound's distances off them, and no
+        exchange: one `graphs._adjacency` call, and no `has_exchange` or
+        `_exchange_mask` call, per call of `has_expected_dimension`, `image_dimension` and
         `reparametrize`, on the graphs of `test_one_ceiling_per_verdict`,
         cold and from the memo. The one other build is the cycle search
         (`graphs._long_cycles`) of a reparametrization that reaches its

@@ -424,7 +424,8 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
     drawn is strongly connected with 6 <= n <= 12 and n <= m <= 2n - 2;
     twenty graphs pass every check; and a check that fails stops the run
     with the seed and the graph: a unimodular inverse, the kernel's rank
-    at the first point, d against the walk bound, and d after a deletion."""
+    at the first point, d against the walk bound, d after a deletion, and
+    the verdict on an over-full supergraph."""
     fuzz = load_tool("fuzz")
     assert [(g.n, g.edges) for g in map(fuzz.random_graph, range(3))] == [
         (12, ((1, 2), (1, 5), (2, 11), (3, 12), (4, 3), (4, 7), (4, 12), (5, 6), (5, 9),
@@ -455,6 +456,7 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
         (fuzz, "image_dimension",
          lambda graph, **kw: real_dimension(graph, **kw) if graph == drawn else replace(real_dimension(graph, **kw), d=20),
          "d(G - e) = 20 exceeds d(G) = 18, G - e = "),
+        (fuzz, "has_expected_dimension", lambda graph: True, "the over-full supergraph "),
     ]
     for owner, name, fault, message in faults:
         monkeypatch.setattr(owner, name, fault)

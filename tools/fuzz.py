@@ -23,6 +23,11 @@ reaches every strongly connected graph. Each graph is checked these ways:
   connected, d(G - e) <= d(G): at points where a_e = 0 the Jacobian of G
   is that of G - e with one more column, so no rank of G - e exceeds the
   generic rank of G;
+- one over-full supergraph, m > 2n-2, drawn from the graph's seed by
+  adding random missing edges, has no expected dimension by
+  `has_expected_dimension`, and its d is at most the walk bound (under a
+  random spanning tree), which is at most 2n-1, or 2n-2 with no exchange
+  at vertex 1: past the edge bound the walk bound alone decides;
 - when d = m+1, `reparametrize` under the default spanning tree and under
   a random spanning tree drawn from the graph's seed each pass
   `verify_reparametrization`, and so does each result rebuilt from its
@@ -55,6 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from compident import (  # noqa: E402  (the package is found through the line above)
     CompartmentGraph,
+    has_expected_dimension,
     image_dimension,
     reparametrization_from_json,
     reparametrize,
@@ -128,6 +134,16 @@ def strongly_connected(graph: CompartmentGraph) -> bool:
 def without(graph: CompartmentGraph, edge: tuple[int, int]) -> CompartmentGraph:
     """The graph less `edge`, the other edges in their order."""
     return CompartmentGraph(graph.n, tuple(e for e in graph.edges if e != edge))
+
+
+def over_full(graph: CompartmentGraph, seed: int) -> CompartmentGraph:
+    """A supergraph of `graph` with 2n-1 <= m <= n(n-1): the graph's edges
+    and a random number of its missing edges, drawn from `seed`."""
+    rng = random.Random(f"over-full {seed}")
+    n = graph.n
+    missing = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j and (j, i) not in graph.edges]
+    added = rng.sample(missing, rng.randrange(2 * n - 1 - graph.m, len(missing) + 1))
+    return CompartmentGraph(n, tuple(sorted(graph.edges + tuple(added))))
 
 
 def walk_bound(graph: CompartmentGraph, tree: list[tuple[int, int]]) -> int:
@@ -223,6 +239,15 @@ def check(graph: CompartmentGraph, seed: int) -> tuple[bool, str | None]:
         d_minus = image_dimension(minus).d
         if d_minus > prime.d:
             return False, f"d(G - e) = {d_minus} exceeds d(G) = {prime.d}, G - e = {minus.to_json()}"
+    full = over_full(graph, seed)
+    full_bound = walk_bound(full, random_tree(full, random.Random(seed)))
+    exchange = any((1, v) in full.edges and (v, 1) in full.edges for v in range(2, full.n + 1))
+    full_d, full_verdict = image_dimension(full).d, has_expected_dimension(full)
+    if full_verdict or not full_d <= full_bound <= 2 * full.n - 2 + exchange:
+        return False, (
+            f"the over-full supergraph {full.to_json()} has d = {full_d}, walk bound {full_bound} "
+            f"and expected dimension {full_verdict}"
+        )
     if not prime.verdict:
         return False, None
     for tree in (None, random_tree(graph, rng)):
