@@ -191,12 +191,12 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
 
     With k = min(CPUs, len(graphs) // MIN_FORK_SHARE), the parent computes
     share 0 and one forked child each other share r, graphs[r::k]; a share
-    writes verdict i as byte i of one anonymous shared map. `derived_rng`
-    makes each verdict a function of (seed, graph) alone, so the split
-    changes no result. k is 1, and nothing is forked, with fewer than
-    2 * MIN_FORK_SHARE verdicts, on one CPU (which `taskset -c 0` forces),
-    without `os.fork`, or while another thread is alive (forking a threaded
-    process is unsafe). A child leaves only through `os._exit`, flushing no
+    writes verdict i as byte i of one anonymous shared map. A verdict's
+    points depend on the seed and the graph alone (the `charpoly` point
+    pools), so the split changes no result. k is 1, and nothing is
+    forked, with fewer than 2 * MIN_FORK_SHARE verdicts, on one CPU
+    (which `taskset -c 0` forces), without `os.fork`, or while another
+    thread is alive (forking a threaded process is unsafe). A child leaves only through `os._exit`, flushing no
     inherited buffer. The share of a child that fails, or that could not be
     forked, is recomputed here over any bytes it wrote, so an error a
     verdict raises in a child is raised again in the caller.

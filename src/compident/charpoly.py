@@ -88,32 +88,45 @@ exchange at vertex 1 only a11 has L_p < 3 (L_p = 2 takes an edge 1 -> v or
 v -> 1 whose reverse is present), so t = 3 reads 2n-2. Every L_p is at
 most 2n-1, so one count per length gives the least cover, with no sort.
 
-`_verdict_ceiling` is the one preamble of the three verdict entry points
-(`image_dimension`, `has_expected_dimension`, `reparam.reparametrize`).
-It checks the arguments, builds the graph's one pair of adjacency masks,
-walks them once along and once against the edges by levels
-(`graphs._distances`), which decides strong connectivity and records
-d(1,v) and d(v,1), picks the default spanning tree and reads the walk
-bound under it: the verdict's one ceiling, decided once per call, memo or
-not, and only read downstream. It is at most m+1, and never above the
-2n-1/2n-2 bound, so it is m or less past the edge bound m > 2n-2 and on
-a maximal graph with no exchange at vertex 1, where
+Every verdict entry point (`image_dimension`, `has_expected_dimension`,
+`reparam.reparametrize`) checks its arguments, then reads the graph's
+verdict record, both through `_verdict_ceiling`, which refuses a graph
+that is not strongly connected with the entry point's own message. The
+record, `_verdict_record`, is built once per graph and kept for the last
+GRAPH_MEMO_SIZE graphs; a graph is immutable, so a hit walks nothing.
+Building it makes the graph's one pair of adjacency masks and walks them
+once along and once against the edges by levels (`graphs._distances`),
+which decides strong connectivity and gives d(1,v) and d(v,1); picks the
+default spanning tree, whose verdict columns every rank reads; and reads
+the walk bound under it, the verdict's one ceiling. The ceiling is at most
+m+1 and never above the 2n-1/2n-2 bound, so it is m or less past the edge
+bound m > 2n-2 and on a maximal graph with no exchange at vertex 1, where
 `has_expected_dimension` returns False with no rank, as it does wherever
 else the walk bound is m or less. Trials stop at the first point whose
 rank reaches the ceiling, and each pass stops once M' has that many
 pivots less min(n, 2), the identity rows eliminated in closed form.
 
-A dimension report is a pure function of the graph and the checked
-trials, seed and mode: the points come from `derived_rng`, which reads
-only the seed and the graph, and the tree and the ceiling are functions
-of the graph. So `_sampled_dimension` keeps the reports of the last
-GRAPH_MEMO_SIZE keys, and one graph asked for again, as `reparam` does
-under a second tree, runs no kernel pass. A rational report is built on
-the prime-field report of the same graph, trials and seed, which it
-reads through the memo: a rational call holds two keys, its own and the
-prime-field one, so `analyze --exact` after `analyze` on one graph runs
-no kernel pass either, and the prime-field call after a rational one is
-a hit.
+The points come from one pool of n^2 values per (seed, n, trial),
+`_point_pool`, drawn once per process by `sample_point` from
+`derived_rng(seed, n, trial)` and kept for the last 32 keys. a_vv sits at position v-1 and the
+edge (j, i) at n plus its index in `census.all_possible_edges(n)`; the
+positions of a graph's n+m parameters are distinct, and its point for a
+trial (`_verdict_points`) gathers the pool there. So each graph's point is
+uniform on [1, p-1]^(n+m) and independent across trials, which is all the
+Schwartz-Zippel bound (Schwartz, J. ACM 27, 1980) on a missed rank needs;
+a union bound over several graphs needs no independence between them.
+More trials extend the points of fewer, and equal graphs built separately
+get the same points.
+
+A dimension report is then a pure function of the graph and the checked
+trials, seed and mode, so `_sampled_dimension` keeps the reports of the
+last GRAPH_MEMO_SIZE such keys, and one graph asked for again, as `reparam`
+does under a second tree, runs no kernel pass. A rational report is built
+on the prime-field report of the same graph, trials and seed, which it
+reads through that memo: a rational call holds two keys, its own and the
+prime-field one, so `analyze --exact` after `analyze` on one graph runs no
+kernel pass either, and the prime-field call after a rational one is a
+hit.
 """
 
 from __future__ import annotations
@@ -126,7 +139,7 @@ from operator import add, index, lshift, mul
 from typing import Sequence
 
 from . import exact
-from .errors import LimitExceeded
+from .errors import LimitExceeded, NotStronglyConnected
 from .exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
 from .graphs import (
     CompartmentGraph,
@@ -143,10 +156,11 @@ from .monomial import name_order, signed_parts
 #: 33,460 at n = 12 and about 2.4 times more per added vertex.
 MAX_EXPANSION_TERMS = 100_000
 
-#: Graphs whose tree-independent results the verdict memo and
-#: `reparam`'s cycle candidates keep: one graph reparametrized under
-#: several spanning trees, or `analyze` then `reparam` on one graph, asks
-#: for the same report and cycles again within a few calls. A census
+#: Graphs whose tree-independent results the verdict records, the
+#: verdict memo and `reparam`'s cycle candidates keep: one graph
+#: reparametrized under several spanning trees, or `analyze` then
+#: `reparam` on one graph, asks for the same record, report and cycles
+#: again within a few calls. A census
 #: row's verdicts never repeat a graph, and each process, CLI run and
 #: forked census share keeps its own memos. A rational verdict holds two
 #: of the verdict memo's keys, its own and the prime-field report it
@@ -317,13 +331,13 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
 def _dimension_bound(graph: CompartmentGraph, tree: SpanningTree, walk: tuple) -> int:
     """The walk bound on the image dimension (module docstring): the least
     over t of #{p : L_p < t} + (2n - t), p over the diagonals and the edges
-    outside `tree`, with L_p read off `walk`, the preamble's distances
-    (d(1, v), d(v, 1)). It is at most min(2n-1, m+1), and at most 2n-2 when
-    n >= 3 and vertex 1 has no exchange; the preamble reads it once per
-    verdict as the one ceiling on the rank. The lengths L_p - 1 = 0..2n-2 are counted, every
-    edge's and then less each tree edge's, so no non-tree list is built;
-    the s-th prefix sum of the counts is #{p : L_p < s + 2}, and t = 1,
-    whose term 2n-1 the a11 term of t = 2 never undercuts, is left out."""
+    outside `tree`, with L_p read off `walk`, the distances (d(1, v),
+    d(v, 1)) of the verdict record's walk. It is at most min(2n-1, m+1),
+    and at most 2n-2 when n >= 3 and vertex 1 has no exchange. The lengths
+    L_p - 1 = 0..2n-2 are counted, every edge's and then less each tree
+    edge's, so no non-tree list is built; the s-th prefix sum of the counts
+    is #{p : L_p < s + 2}, and t = 1, whose term 2n-1 the a11 term of
+    t = 2 never undercuts, is left out."""
     down, up = walk
     n = graph.n
     edges = graph.edges
@@ -472,11 +486,11 @@ class DimensionReport:
         return asdict(self)
 
 
-def derived_rng(seed: int, graph: CompartmentGraph) -> random.Random:
-    """RNG stream derived from (seed, n, edge list), so results depend on
-    neither evaluation order nor PYTHONHASHSEED (a str seed goes through
+def derived_rng(seed: int, n: int, trial: int) -> random.Random:
+    """RNG stream of the point pool of (seed, n, trial), so results depend
+    on neither evaluation order nor PYTHONHASHSEED (a str seed goes through
     SHA-512)."""
-    return random.Random(f"{seed}|{graph.n}|{graph.edges}")
+    return random.Random(f"{seed}|{n}|{trial}")
 
 
 def sample_point(rng: random.Random, count: int) -> list[int]:
@@ -516,27 +530,44 @@ def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int]:
 _IMAGE_REFUSAL = "image dimension is defined for strongly connected graphs; reduce with io_strong_component first"
 
 
+@lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def _verdict_record(graph: CompartmentGraph) -> tuple[SpanningTree, int]:
+    """The verdict record of a strongly connected graph, (default spanning
+    tree, ceiling) (module docstring). Raises NotStronglyConnected on any
+    other graph."""
+    walk = _require_strongly_connected(graph, _IMAGE_REFUSAL)
+    tree = spanning_tree(graph)
+    return tree, _dimension_bound(graph, tree, walk)
+
+
+@lru_cache(maxsize=32)  # the default two trials over a few seeds and sizes
+def _point_pool(seed: int, n: int, trial: int) -> tuple[int, ...]:
+    """The n^2 uniform nonzero values of (seed, n, trial) (module docstring)."""
+    return tuple(sample_point(derived_rng(seed, n, trial), n * n))
+
+
+def _verdict_points(graph: CompartmentGraph, seed: int, trials: int):
+    """The points of a verdict's trials, in order: each trial's pool
+    gathered at the positions of the graph's n+m parameters (module
+    docstring)."""
+    n = graph.n
+    positions = [*range(n), *[n + (j - 1) * (n - 1) + i - 1 - (i > j) for j, i in graph.edges]]
+    for trial in range(trials):
+        yield list(map(_point_pool(seed, n, trial).__getitem__, positions))
+
+
 def _verdict_ceiling(
     graph: CompartmentGraph, trials: int, seed: int, mode: str, refusal: str
 ) -> tuple[int, int, SpanningTree, int]:
-    """The one preamble of the three verdict entry points,
-    `image_dimension`, `has_expected_dimension` and
-    `reparam.reparametrize`, run once per call, memo or not, in this order:
-    - the arguments, through `checked_arguments`;
-    - strong connectivity, raising NotStronglyConnected(`refusal`), each
-      entry point's own message, on a graph without it; the check builds
-      the graph's one pair of adjacency masks and walks them by levels
-      (`graphs._require_strongly_connected`), handing back the walk
-      (d(1, v), d(v, 1));
-    - the default spanning tree, whose verdict columns every rank reads;
-    - the ceiling on the rank, the walk bound under that tree
-      (`_dimension_bound`): no sampled rank exceeds it, and it is at most
-      m+1.
-    Returns (trials, seed, tree, ceiling), the first two as ints."""
+    """(trials, seed, default tree, ceiling) of a verdict entry point: the
+    arguments through `checked_arguments`, then the graph's verdict record,
+    raising NotStronglyConnected(`refusal`) on a graph that is not strongly
+    connected (module docstring)."""
     trials, seed = checked_arguments(trials, seed, mode)
-    walk = _require_strongly_connected(graph, refusal)
-    tree = spanning_tree(graph)
-    return trials, seed, tree, _dimension_bound(graph, tree, walk)
+    try:
+        return (trials, seed, *_verdict_record(graph))
+    except NotStronglyConnected:
+        raise NotStronglyConnected(refusal) from None
 
 
 def image_dimension(
@@ -549,71 +580,41 @@ def image_dimension(
 
     Randomized rank can only under-report; two independent points (the
     default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed. `_verdict_ceiling` checks the arguments and
-    strong connectivity, picks the default tree and decides the ceiling
-    on the rank, the walk bound under that tree, once per call. The loop
-    stops at the first point that reaches the ceiling, and each pass stops
-    once M' reaches it; `d`, `verdict` and `trials` are what all trials
-    would give.
-
-    Each rank is that of the (2n-1) x (m+1) verdict matrix M, which the
-    module docstring derives from the Jacobian: equal at points with
-    nonzero tree entries, as every sampled point has, and 2 + rank(M')
-    (1 when n = 1). Only M' is ranked, mod p, by `_VerdictKernel`, in one
-    pass up to the ceiling; the tree, and so the kernel's set-up, is
-    picked once per call. Rational mode certifies the prime-field report
-    and runs no kernel pass of its own: a rank mod p at the ceiling, a
-    proven bound, is exact, since a minor that is nonzero mod p is a
-    nonzero integer. Only when that report falls short of the ceiling, and
-    so every trial did, are the same points drawn again, each read over Z
-    from `_power_rows` and ranked by Bareiss, the two identity rows first.
-
-    The report comes from `_sampled_dimension`'s memo when the same
-    graph, trials, seed and mode were asked for recently; a rational call
-    also reads, or leaves, the prime-field report there.
+    answer for a fixed seed. `d`, `verdict` and `trials` are what all
+    trials would give, though the trials stop at the first point that
+    reaches the ceiling. The report is `_sampled_dimension`'s, from its
+    memo when the same graph, trials, seed and mode were asked for
+    recently (module docstring).
     """
-    trials, seed, tree, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
-    return _sampled_dimension(graph, tree, ceiling, trials, seed, mode)
+    trials, seed, _tree, _ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    return _sampled_dimension(graph, trials, seed, mode)
 
 
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
-def _sampled_dimension(
-    graph: CompartmentGraph, tree: SpanningTree, ceiling: int, trials: int, seed: int, mode: str
-) -> DimensionReport:
+def _sampled_dimension(graph: CompartmentGraph, trials: int, seed: int, mode: str) -> DimensionReport:
     """`image_dimension` of a graph that `_verdict_ceiling` has passed,
-    with the tree, ceiling and arguments `_verdict_ceiling` returned: the
-    default spanning tree, whose verdict columns are ranked, the walk
-    bound under it, trials and seed as ints, and a mode of `exact.MODES`.
+    with the trials and seed it returned, as ints, and a mode of
+    `exact.MODES`, kept for the last GRAPH_MEMO_SIZE keys; equal graphs
+    built separately share an entry, and every caller gets the same frozen
+    report.
 
-    The report is then a pure function of the graph, trials, seed and
-    mode, so it is kept for the last GRAPH_MEMO_SIZE keys. The points come
-    from `derived_rng(seed, graph)`, a function of the seed's int text, n
-    and the edge list; the tree and the ceiling are functions of the
-    graph, so they split no entry; and nothing else is read. Equal graphs
-    built separately share an entry, and the report, a frozen dataclass,
-    is handed to every caller as is.
-
-    Prime-field mode ranks M' mod p at each point by one kernel pass and
-    stops at the first point that reaches the ceiling, which no rank
-    exceeds. Rational mode first reads the prime-field report for the
-    same arguments through the memo, so a rational call holds two keys.
-    When that report's d is the ceiling, it is exact, and the rational
-    report is the same report with mode "rational". Otherwise every trial
-    fell short mod p: the same points are drawn again from `derived_rng`
-    and each is ranked over Z by Bareiss, in trial order, until one
-    reaches the ceiling. Bareiss's rank at a point is at least its rank
-    mod p, so d is what ranking every point both ways would give.
+    Prime-field mode ranks M' at each point by one kernel pass, up to the
+    record's ceiling, which no rank exceeds. Rational mode first reads the
+    prime-field report of the same key; when its d is the ceiling it is
+    exact and comes back with mode "rational". Otherwise every trial fell
+    short mod p, and each point, gathered again, is ranked over Z by
+    Bareiss on M, the identity rows first, in trial order until one reaches
+    the ceiling: Bareiss's rank at a point is at least its rank mod p.
     """
+    tree, ceiling = _verdict_record(graph)
     if mode == RATIONAL_MODE:
-        report = _sampled_dimension(graph, tree, ceiling, trials, seed, PRIME_MODE)
+        report = _sampled_dimension(graph, trials, seed, PRIME_MODE)
         if report.d == ceiling:
             return replace(report, mode=mode)
-    rng = derived_rng(seed, graph)
     kernel = _VerdictKernel(graph, tree)
     eliminated = min(graph.n, 2)
     best = 0
-    for _ in range(trials):
-        point = sample_point(rng, parameter_count(graph))
+    for point in _verdict_points(graph, seed, trials):
         if mode == PRIME_MODE:
             rank = eliminated + len(kernel.pivots(point, ceiling - eliminated))
         else:  # identity rows first: Bareiss pivots on them at 1, then runs on M'
@@ -622,15 +623,9 @@ def _sampled_dimension(
         best = max(best, rank)
         if best == ceiling:
             break
+    m = graph.m
     return DimensionReport(
-        n=graph.n,
-        m=graph.m,
-        d=best,
-        expected=graph.m + 1,
-        verdict=best == graph.m + 1,
-        trials=trials,
-        seed=seed,
-        mode=mode,
+        n=graph.n, m=m, d=best, expected=m + 1, verdict=best == m + 1, trials=trials, seed=seed, mode=mode
     )
 
 
@@ -640,18 +635,11 @@ def has_expected_dimension(
     seed: int = 0,
     mode: str = PRIME_MODE,
 ) -> bool:
-    """True iff the image dimension attains the expected m+1.
-
-    `_verdict_ceiling` runs first, as in `image_dimension`. When its
-    ceiling, the walk bound under the default tree, is m or less, the
-    verdict is False with no rank, and a proof. So it is past the edge
-    bound m > 2n-2, where the bound is at most 2n-1, and on a maximal
-    graph (m = 2n-2) with no exchange at vertex 1, where it is at most
-    2n-2. Otherwise the verdict is `_sampled_dimension`'s, memo included,
-    under the same tree and ceiling.
-    """
-    trials, seed, tree, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
-    return ceiling > graph.m and _sampled_dimension(graph, tree, ceiling, trials, seed, mode).verdict
+    """True iff the image dimension attains the expected m+1: False with
+    no rank when the record's ceiling is m or less (module docstring),
+    otherwise `_sampled_dimension`'s verdict."""
+    trials, seed, _tree, ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
+    return ceiling > graph.m and _sampled_dimension(graph, trials, seed, mode).verdict
 
 
 def _derivative_name(base: str, order: int) -> str:

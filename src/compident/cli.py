@@ -3,13 +3,15 @@
 Subcommands: analyze, reparam, io-equation, census, conjectures. All output
 is deterministic for a fixed invocation; --json selects the stable
 machine-readable form. Exit codes: 0 success, 1 no reparametrization
-exists, 2 bad input or usage.
+exists, 2 bad input or usage, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early, as `| head` does, with no error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Optional, Sequence
@@ -242,7 +244,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        sys.stdout = open(os.devnull, "w")  # so the interpreter's last flush goes nowhere
+        return 141
     except (CompidentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

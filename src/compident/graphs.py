@@ -201,8 +201,8 @@ def _distances(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[tuple, tuple]:
     """The walk (d(1, v), d(v, 1)), per vertex v, of `graph`, from its one
     pair of adjacency masks and one `_distances` walk along and one
-    against the edges, which the verdict preamble reads the walk bound
-    off (`charpoly._dimension_bound`); raises
+    against the edges, which a verdict record reads the walk bound off
+    (`charpoly._dimension_bound`); raises
     NotStronglyConnected(`message`) unless every vertex is reached both
     ways: the input-output equation, and so its image dimension,
     reparametrization and cycle basis, is defined only for such graphs."""

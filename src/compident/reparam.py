@@ -303,26 +303,24 @@ def reparametrize(
 
     Raises NoReparametrization (carrying the dimension report) when the
     image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
-    one out up front. The verdict preamble `charpoly._verdict_ceiling`
-    runs first, once per call, so a bad argument, then a graph that is not
-    strongly connected, raises before the edge bound. It picks the
-    default spanning tree, once per call: the dimension report
-    (`image_dimension`'s columns, with the preamble's ceiling) and the
-    cycle basis reuse it.
-    Neither the report nor the cycle candidates depend on the requested
-    tree, so both come from their memos (`_sampled_dimension`,
-    `_cycle_candidates`) when the graph was reparametrized recently, under
-    any tree; the tree, scaling exponents, rescaled rows, basis and
-    verification are computed on every call.
+    one out up front. The arguments, then strong connectivity, are
+    checked first, and the default spanning tree, which the dimension
+    report and the cycle basis share, comes from the graph's verdict
+    record (`charpoly._verdict_ceiling`, whose module docstring has the
+    record and the memos). Neither the report nor the cycle candidates
+    depend on the requested tree, so both come from their memos when the
+    graph was reparametrized recently, under any tree; the tree, scaling
+    exponents, rescaled rows, basis and verification are computed on
+    every call.
     """
     refusal = "reparametrization requires a strongly connected graph"
-    trials, seed, default, ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
+    trials, seed, default, _ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
     if graph.m > 2 * graph.n - 2:
         raise TooManyEdges(
             f"m={graph.m} exceeds 2n-2={2 * graph.n - 2}; "
             "no identifiable scaling reparametrization exists"
         )
-    report = _sampled_dimension(graph, default, ceiling, trials, seed, mode)
+    report = _sampled_dimension(graph, trials, seed, mode)
     if not report.verdict:
         raise NoReparametrization(report)
 

@@ -24,17 +24,21 @@ from compident.exact import PRIME_MODE, modulus
 
 
 def clear_graph_memos() -> None:
-    """Empty the verdict memo (`charpoly._sampled_dimension`) and the
-    cycle candidates (`reparam._cycle_candidates`)."""
+    """Empty the verdict records (`charpoly._verdict_record`), the verdict
+    memo (`charpoly._sampled_dimension`), the point pools
+    (`charpoly._point_pool`) and the cycle candidates
+    (`reparam._cycle_candidates`)."""
+    charpoly._verdict_record.cache_clear()
     charpoly._sampled_dimension.cache_clear()
+    charpoly._point_pool.cache_clear()
     reparam._cycle_candidates.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_graph_memos():
     """Every test starts with empty per-graph memos, so a test that counts
-    kernel passes, exact builds, Bareiss calls, cycle searches or
-    connectivity checks counts its own work, never a hit left by an
+    kernel passes, record builds, point draws, Bareiss calls, cycle
+    searches or connectivity checks counts its own work, never a hit left by an
     earlier test. The memos stay on: tests run what the library runs."""
     clear_graph_memos()
 

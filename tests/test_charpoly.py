@@ -80,6 +80,22 @@ def walk_bound(graph) -> int:
     return cp._dimension_bound(graph, cp.spanning_tree(graph), walk)
 
 
+def pool_positions(graph) -> list[int]:
+    """The pool position of each parameter, in canonical order: a_vv at
+    v-1, the edge (j, i) at n plus its index in `all_possible_edges(n)`."""
+    order = census.all_possible_edges(graph.n)
+    return list(range(graph.n)) + [graph.n + order.index(e) for e in graph.edges]
+
+
+def pool_with(graph, point) -> tuple:
+    """An n^2 pool that the verdict gathers to `point` on `graph`, 0 at the
+    positions no parameter of `graph` reads."""
+    pool = [0] * graph.n**2
+    for k, x in zip(pool_positions(graph), point):
+        pool[k] = x
+    return tuple(pool)
+
+
 def poly_from_names(graph, term_map):
     names = graph.param_names()
     poly = {}
@@ -487,7 +503,7 @@ class TestRationalVerdicts:
         assert oracle_rank(rows) == 6
         for dropped in (1, chain4.n + 1):  # row 1 of A, row 1 of A_1
             assert oracle_rank(rows[:dropped] + rows[dropped + 1 :]) == 5
-        monkeypatch.setattr(cp, "sample_point", lambda rng, count: list(point))
+        monkeypatch.setattr(cp, "_point_pool", lambda seed, n, trial: pool_with(chain4, point))
         report = image_dimension(chain4, trials=1, mode=RATIONAL_MODE)
         assert (report.d, report.verdict) == (6, False)
 
@@ -501,26 +517,29 @@ class TestRationalVerdicts:
 
     def test_rational_after_prime_reads_the_prime_report(self, monkeypatch):
         """On every class of (4,6), (5,7) and (5,8), a rational call after
-        the prime-field one makes no kernel pass. Where the prime-field d is
-        the ceiling, it draws no point and runs no Bareiss; elsewhere every
-        trial fell short mod p, and it draws the same points again and
+        the prime-field one makes no kernel pass and draws no pool. Where the
+        prime-field d is the ceiling, it gathers no point and runs no
+        Bareiss; elsewhere every trial fell short mod p, and it gathers the
+        same points again from the kept pools, one pool read per trial, and
         ranks each by Bareiss. The two reports differ only in `mode`."""
         passes = count_calls(monkeypatch, cp._VerdictKernel, "pivots")
         draws = count_calls(monkeypatch, cp, "derived_rng")
+        gathers = count_calls(monkeypatch, cp, "_point_pool")
         bareiss = count_calls(monkeypatch, exact, "rank_bareiss")
         full = short = 0
         for n, m in ((4, 6), (5, 7), (5, 8)):
             for c in reference_classes(n, m):
                 g = c.representative
                 prime = image_dimension(g)
-                for calls in (passes, draws, bareiss):
+                for calls in (passes, draws, gathers, bareiss):
                     calls.clear()
                 rational = image_dimension(g, mode=RATIONAL_MODE)
                 if prime.d == walk_bound(g):
-                    assert (len(passes), len(draws), len(bareiss)) == (0, 0, 0), g
+                    assert (len(passes), len(draws), len(gathers), len(bareiss)) == (0, 0, 0, 0), g
                     full += 1
                 else:
-                    assert (len(passes), len(draws), len(bareiss)) == (0, 1, prime.trials), g
+                    trials = prime.trials
+                    assert (len(passes), len(draws), len(gathers), len(bareiss)) == (0, 0, trials, trials), g
                     short += 1
                 assert rational.mode == RATIONAL_MODE and replace(rational, mode=PRIME_MODE) == prime, g
         assert full + short == 55 + 281 + 1158 and short > 0
@@ -530,10 +549,10 @@ class TestSamplePoint:
     """`sample_point` draws by rejection from 61 random bits and gives the
     values `randrange(1, p)` gives, from the same stream position."""
 
-    def test_equals_randrange(self, chain4, broken4):
+    def test_equals_randrange(self):
         for seed in range(4):
-            for g in (chain4, broken4, bidirected_path(10)):
-                ours, theirs = cp.derived_rng(seed, g), cp.derived_rng(seed, g)
+            for n, trial in ((4, 0), (4, 1), (10, 0)):
+                ours, theirs = cp.derived_rng(seed, n, trial), cp.derived_rng(seed, n, trial)
                 for count in (1, 13, 997, 2500):
                     assert cp.sample_point(ours, count) == [
                         theirs.randrange(1, MERSENNE61) for _ in range(count)
@@ -556,6 +575,75 @@ class TestSamplePoint:
         assert cp.sample_point(Scripted(draws), 3) == [1, MERSENNE61 - 1, 8]
         script = Scripted(draws)
         assert [script.randrange(1, MERSENNE61) for _ in range(3)] == [1, MERSENNE61 - 1, 8]
+
+
+class TestPointPool:
+    """A verdict's point for trial t gathers the pool of (seed, n, t), n^2
+    values drawn once, at its parameters' positions (the module
+    docstring)."""
+
+    def test_positions_are_injective_and_below_n_squared(self, monkeypatch):
+        """Gathered from the pool 0, 1, .., n^2-1, a point reads its
+        positions: exactly 0..n^2-1 on the complete digraph, and
+        `pool_positions`, a subsequence of those, on any graph."""
+        monkeypatch.setattr(cp, "_point_pool", lambda seed, n, trial: tuple(range(n * n)))
+        rng = random.Random(46)
+        for n in range(1, 7):
+            complete = complete_digraph(n)
+            assert sorted(next(cp._verdict_points(complete, 0, 1))) == list(range(n * n))
+            for g in [complete] + [complete.edge_subgraph(rng.getrandbits(complete.m)) for _ in range(10)]:
+                assert list(cp._verdict_points(g, 0, 2)) == [pool_positions(g)] * 2, g
+
+    def test_more_trials_extend_fewer(self, monkeypatch):
+        """OPEN46 falls short at every point, so every trial is ranked: the
+        first two of three points are the two points of trials=2, and
+        each point is the gather of its trial's pool."""
+        points = []
+        real = cp._VerdictKernel.pivots
+
+        def recording(kernel, values, most):
+            points.append(list(values))
+            return real(kernel, values, most)
+
+        monkeypatch.setattr(cp._VerdictKernel, "pivots", recording)
+        image_dimension(OPEN46, trials=2, seed=9)
+        two = points[:]
+        image_dimension(OPEN46, trials=3, seed=9)
+        assert len(two) == 2 and points[2:4] == two and len(points) == 5
+        for trial, point in enumerate(points[2:]):
+            pool = cp._point_pool(9, OPEN46.n, trial)
+            assert point == [pool[k] for k in pool_positions(OPEN46)]
+
+    def test_equal_graphs_built_separately_share_points(self):
+        """`CompartmentGraph(n, edges)` and the same edges as a subgraph of
+        the complete digraph, with every memo emptied between them, get
+        the same point at each trial."""
+        complete = complete_digraph(4)
+        order = complete.edges
+        built = CompartmentGraph(4, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 1)))
+        selected = complete.edge_subgraph(sum(1 << complete.m - 1 - order.index(e) for e in built.edges))
+        assert selected == built and selected is not built
+        points = list(cp._verdict_points(built, 3, 3))
+        clear_graph_memos()
+        assert list(cp._verdict_points(selected, 3, 3)) == points and len(points) == 3
+
+    def test_entries_are_nonzero_below_p(self):
+        for seed, n, trial in ((0, 1, 0), (0, 5, 0), (0, 5, 1), (7, 6, 2)):
+            pool = cp._point_pool(seed, n, trial)
+            assert len(pool) == n * n and all(1 <= x <= MERSENNE61 - 1 for x in pool)
+        assert cp._point_pool(0, 5, 0) != cp._point_pool(0, 5, 1) != cp._point_pool(1, 5, 1)
+
+    def test_a_census_row_draws_one_pool_per_trial(self, monkeypatch):
+        """A whole `census_row(4, 6)`, which runs serially, draws at most
+        `trials` pools, and the second row at the same seed none."""
+        draws = count_calls(monkeypatch, cp, "derived_rng")
+        for trials in (2, 3):
+            clear_graph_memos()
+            draws.clear()
+            census.census_row(4, 6, trials=trials)
+            assert 0 < len(draws) <= trials
+            census.census_row(4, 6, trials=trials)
+            assert len(draws) <= trials
 
 
 def bidirected_path(n: int) -> CompartmentGraph:
@@ -1201,30 +1289,35 @@ class TestWalkBound:
         assert (proved_false, proved_d) == self.PROVED[n, m]
 
     def test_the_preamble_decides_first(self, monkeypatch):
-        """From n = 3 on, the preamble's ceiling, the walk bound, decides a
+        """From n = 3 on, the record's ceiling, the walk bound, decides a
         maximal graph with no exchange at vertex 1, where it is at most
-        2n-2, with one tree, one bound and no kernel: the directed 3-cycle
-        with the chord 3 -> 2 (m+1 = 5 > 2n-2 = 4)."""
+        2n-2, with no kernel: the directed 3-cycle with the chord 3 -> 2
+        (m+1 = 5 > 2n-2 = 4). The cold call builds the record, one tree and
+        one bound; the calls after it build nothing."""
         g = CompartmentGraph(3, ((1, 2), (2, 3), (3, 1), (3, 2)))
-        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[3] == 4 == g.m == edge_exchange_bound(g)
         trees = count_calls(monkeypatch, cp, "spanning_tree")
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
         kernels = count_calls(monkeypatch, cp, "_VerdictKernel")
-        assert has_expected_dimension(g) is False
-        assert (len(trees), len(bounds), len(kernels)) == (1, 1, 0)
+        for expected in ((1, 1, 0), (1, 1, 0)):
+            assert has_expected_dimension(g) is False
+            assert (len(trees), len(bounds), len(kernels)) == expected
+        assert cp._verdict_ceiling(g, 2, 0, PRIME_MODE, "")[3] == 4 == g.m == edge_exchange_bound(g)
+        assert (len(trees), len(bounds), cp._verdict_record.cache_info()[:2]) == (1, 1, (2, 1))
 
     def test_a_miss_reads_the_walk_bound_once_where_it_decides(self, monkeypatch, chain4):
-        """A miss reads the walk bound once, in the preamble, which decides
-        the ceiling before any trial, and `_sampled_dimension` reads none:
-        chain4, whose first point reaches m+1 = the bound, in rational
-        mode; OPEN46 in prime mode, though both its trials fall short of
-        the bound; and its rational call, which reads the prime-field
-        report through the memo and ranks the points over Z."""
+        """A graph's walk bound is read once, where its record is built,
+        which decides the ceiling before any trial, and `_sampled_dimension`
+        reads none: chain4, whose first point reaches m+1 = the bound, in
+        rational mode; OPEN46 in prime mode, though both its trials fall
+        short of the bound; and its rational call, a report miss that reads
+        the record, the prime-field report through the memo, and ranks the
+        points over Z."""
         bounds = count_calls(monkeypatch, cp, "_dimension_bound")
-        for g, mode, d in ((chain4, RATIONAL_MODE, 7), (OPEN46, PRIME_MODE, 6), (OPEN46, RATIONAL_MODE, 6)):
+        cases = ((chain4, RATIONAL_MODE, 7, 1), (OPEN46, PRIME_MODE, 6, 1), (OPEN46, RATIONAL_MODE, 6, 0))
+        for g, mode, d, read in cases:
             bounds.clear()
             misses = cp._sampled_dimension.cache_info().misses
-            assert (image_dimension(g, mode=mode).d, len(bounds)) == (d, 1), (g, mode)
+            assert (image_dimension(g, mode=mode).d, len(bounds)) == (d, read), (g, mode)
             assert cp._sampled_dimension.cache_info().misses > misses
 
     def test_walk_proved_census_graphs_run_no_kernel_pass(self, monkeypatch):
@@ -1437,16 +1530,16 @@ class TestExpectedDimension:
                     verdict(graph, mode="nope")
 
     def test_one_ceiling_per_verdict(self, monkeypatch, chain4, broken4):
-        """Each verdict runs the one preamble `_verdict_ceiling` once, and
-        nothing downstream reads another ceiling: one `_verdict_ceiling`,
-        one charpoly `checked_arguments`, one `spanning_tree` and one
-        `_dimension_bound` call per call of `has_expected_dimension`,
-        `image_dimension` and `reparametrize`, on the ranked path (chain4,
-        broken4), on a maximal graph with no exchange (NO_EXCHANGE5) and
-        past the edge bound (complete3), cold and from the memo.
-        `reparametrize` refuses complete3 by the edge bound m > 2n-2 only
-        after the preamble, so that pair counts one of each too, and it
-        picks no tree of its own."""
+        """One ceiling decision per graph: each call of
+        `has_expected_dimension`, `image_dimension` and `reparametrize`
+        makes one `_verdict_ceiling` and one charpoly `checked_arguments`
+        call, and the graph's first call builds its record, one
+        `spanning_tree` and one `_dimension_bound` call, which no later
+        call repeats and nothing downstream adds to. So on the ranked path
+        (chain4, broken4), on a maximal graph with no exchange
+        (NO_EXCHANGE5) and past the edge bound (complete3): `reparametrize`
+        refuses complete3 by the edge bound m > 2n-2 only after the record,
+        and it picks no tree of its own."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
@@ -1467,10 +1560,12 @@ class TestExpectedDimension:
                 pass
             return len(preambles), len(checks), len(trees[0]), len(bounds), len(trees[1])
 
-        for _cold in (True, False):
-            for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
-                for verdict in (has_expected_dimension, image_dimension, reparam.reparametrize):
-                    assert counts(verdict, graph) == (1, 1, 1, 1, 0), (verdict, graph)
+        verdicts = (has_expected_dimension, image_dimension, reparam.reparametrize)
+        for graph in (chain4, broken4, NO_EXCHANGE5, complete3):
+            for k, verdict in enumerate(verdicts * 2 + verdicts[::-1]):
+                cold = int(k == 0)
+                assert counts(verdict, graph) == (1, 1, cold, cold, 0), (verdict, graph)
+        assert cp._verdict_record.cache_info().misses == 4
 
     @pytest.mark.parametrize("mode", [PRIME_MODE, RATIONAL_MODE])
     def test_ceiling_is_m_plus_1_below_the_bound(self, monkeypatch, mode):
@@ -1488,23 +1583,26 @@ class TestExpectedDimension:
         assert (report.d, report.verdict, len(passes), len(bareiss)) == (6, True, 1, 0)
 
     def test_one_connectivity_check(self, monkeypatch, chain4, broken4):
-        """One strong connectivity check per verdict, one `_distances` walk
-        along and one against the edges, below and past the edge bound,
-        also when the memo answers (the second round); a graph that is not
-        strongly connected raises on every call."""
+        """One strong connectivity check per graph, one `_distances` walk
+        along and one against the edges, where its record is built, below
+        and past the edge bound, and none when the record memo answers
+        (the second round); a graph that is not strongly connected gets no
+        record and raises on every call."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
         checks = count_calls(monkeypatch, graphs, "_distances")
-        for g, verdict in ((chain4, True), (broken4, False), (complete3, False)) * 2:
-            checks.clear()
-            assert has_expected_dimension(g) is verdict
-            assert len(checks) == 2
+        for walks in (2, 0):
+            for g, verdict in ((chain4, True), (broken4, False), (complete3, False)):
+                checks.clear()
+                assert has_expected_dimension(g) is verdict
+                assert len(checks) == walks
         sink4 = CompartmentGraph(4, complete3.edges + ((1, 4),))  # m = 7 > 2n-2
         for g in (CompartmentGraph(2, ((1, 2),)), sink4) * 2:
             for verdict in (has_expected_dimension, image_dimension):
                 with pytest.raises(NotStronglyConnected):
                     verdict(g)
+        assert cp._verdict_record.cache_info().currsize == 3
 
     def test_bound_below_three_vertices(self, single, exchange2):
         """The 2n-2 bound needs n >= 3: a single compartment has no exchange
@@ -1515,14 +1613,15 @@ class TestExpectedDimension:
             assert has_expected_dimension(g) and image_dimension(g).d == d
 
     def test_one_adjacency_build_per_verdict(self, monkeypatch, chain4, broken4):
-        """The preamble builds one pair of adjacency masks and reads strong
-        connectivity and the walk bound's distances off them, and no
-        exchange: one `graphs._adjacency` call, and no `has_exchange` or
-        `_exchange_mask` call, per call of `has_expected_dimension`, `image_dimension` and
-        `reparametrize`, on the graphs of `test_one_ceiling_per_verdict`,
-        cold and from the memo. The one other build is the cycle search
-        (`graphs._long_cycles`) of a reparametrization that reaches its
-        cycle basis with the candidates' memo empty: chain4's, cold."""
+        """A graph's record builds one pair of adjacency masks and reads
+        strong connectivity and the walk bound's distances off them, and no
+        exchange: one `graphs._adjacency` call at the graph's first call of
+        `has_expected_dimension`, `image_dimension` or `reparametrize`, none
+        at the calls after it, and no `has_exchange` or `_exchange_mask`
+        call, on the graphs of `test_one_ceiling_per_verdict`. The one
+        other build is the cycle search (`graphs._long_cycles`) of a
+        reparametrization that reaches its cycle basis with the candidates'
+        memo empty: chain4's, cold."""
         complete3 = CompartmentGraph(
             3, tuple((j, i) for j in range(1, 4) for i in range(1, 4) if i != j)
         )
@@ -1541,14 +1640,15 @@ class TestExpectedDimension:
                     except (NoReparametrization, TooManyEdges):
                         pass
                     search = cold and graph is chain4 and verdict is reparam.reparametrize
-                    assert (len(builds), len(exchanges), len(masks)) == (1 + search, 0, 0), (verdict, graph)
+                    record = cold and verdict is has_expected_dimension
+                    assert (len(builds), len(exchanges), len(masks)) == (record + search, 0, 0), (verdict, graph)
                     assert len(searches) == search
 
 
 class TestVerdictMemo:
     """`_sampled_dimension` keeps the reports of its last GRAPH_MEMO_SIZE
-    keys, (graph, default tree, trials, seed, mode) once normalized; the
-    argument checks and strong connectivity run on every call."""
+    keys, (graph, trials, seed, mode) once normalized; the argument checks
+    run on every call."""
 
     @staticmethod
     def sample():
@@ -1794,10 +1894,8 @@ class TestMarkovParameterOracle:
         H is nonsingular, and the larger rank is the reported dimension."""
         p, n = MERSENNE61, graph.n
         kernel = cp._VerdictKernel(graph, cp.spanning_tree(graph))
-        rng = cp.derived_rng(0, graph)
         ranks = []
-        for _ in range(2):
-            point = cp.sample_point(rng, n + graph.m)
+        for point in cp._verdict_points(graph, 0, 2):
             rows, h = self.markov_jacobian(graph, point, p)
             ranks.append(rank_gf_p_with_inverses(rows, p))
             assert ranks[-1] == 2 + len(kernel.pivots(point, kernel.nrows)), graph.to_json()

@@ -425,6 +425,38 @@ class TestCensus:
         )
 
 
+class TestClosedReader:
+    """A reader that closes stdout early, as `| head` does: exit 141
+    (128 + SIGPIPE), no error line, and stdout pointed at os.devnull so
+    that the interpreter's last flush stays quiet."""
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    class ClosedAtFlush(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("stream", [Closed, ClosedAtFlush])
+    def test_exit_141_with_no_error_line(self, capsys, monkeypatch, stream):
+        closed = stream()
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["census", "4", "6", "--detail", "--json"]) == 141
+        assert sys.stdout is not closed and sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_a_closed_pipe(self):
+        src = str(Path(compident.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "compident.cli", "census", "3", "4"]
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        assert (child.wait(timeout=60), child.stderr.read()) == (141, b"")
+        child.stderr.close()
+
+
 class TestConjectures:
     def test_n3(self, capsys):
         code, out, _ = run(capsys, "conjectures", "3", "--json")

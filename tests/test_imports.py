@@ -279,10 +279,13 @@ def test_every_cache_is_bounded():
                 if bound is None and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
                     unbounded.append(f"{path.name}:{node.name}")
     required = {"build_parser", "fold_masks", "slot_width", "_sampled_dimension", "_cycle_candidates"}
+    required |= {"_verdict_record", "_point_pool"}
     assert required <= {name for _file, name in decorated}
     assert unbounded == []
     memo = "lru_cache(maxsize=GRAPH_MEMO_SIZE)"
-    assert (bounds["_sampled_dimension"], bounds["_cycle_candidates"]) == (memo, memo)
+    per_graph = ("_verdict_record", "_sampled_dimension", "_cycle_candidates")
+    assert [bounds[name] for name in per_graph] == [memo] * 3
+    assert bounds["_point_pool"] == "lru_cache(maxsize=32)"  # the 32 pools README names
     assert constants_of["reparam.py"]["GRAPH_MEMO_SIZE"] == 8
     # A census row lives only as long as its caller holds it: no row cache.
     assert [name for file, name in decorated if file == "census.py"] == []
@@ -424,8 +427,9 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
     drawn is strongly connected with 6 <= n <= 12 and n <= m <= 2n - 2;
     twenty graphs pass every check; and a check that fails stops the run
     with the seed and the graph: a unimodular inverse, the kernel's rank
-    at the first point, d against the walk bound, d after a deletion, and
-    the verdict on an over-full supergraph."""
+    at the first point, the resultant there, d against the walk bound, d
+    after a deletion, and the verdict on an over-full supergraph. The
+    resultant is 0 where det(sI - A_1) divides det(sI - A)."""
     fuzz = load_tool("fuzz")
     assert [(g.n, g.edges) for g in map(fuzz.random_graph, range(3))] == [
         (12, ((1, 2), (1, 5), (2, 11), (3, 12), (4, 3), (4, 7), (4, 12), (5, 6), (5, 9),
@@ -448,10 +452,14 @@ def test_fuzz_generator_and_oracles(capsys, monkeypatch):
     monkeypatch.undo()
 
     drawn = fuzz.random_graph(0)  # n = 12, m = 18, d = 18
+    apart = compident.CompartmentGraph(3, ((2, 3), (3, 2)))  # vertex 1 apart: det(sI - A) = (s - a11) det(sI - A_1)
+    assert fuzz.resultant_mod_p(apart, [1, 2, 3, 4, 5]) == 0 < fuzz.resultant_mod_p(drawn, next(fuzz._verdict_points(drawn, 0, 1)))
     real_pivots, real_dimension = fuzz._VerdictKernel.pivots, fuzz.image_dimension
     faults = [
         (fuzz._VerdictKernel, "pivots", lambda kernel, values, most: real_pivots(kernel, values, most)[:-1],
          "the kernel's rank at the first point is 17, Bareiss over Z reads 18"),
+        (fuzz, "resultant_mod_p", lambda graph, point: 0,
+         "det(sI - A) and det(sI - A_1) share a factor mod p at the first point"),
         (fuzz, "walk_bound", lambda graph, tree: graph.n, "d = 18 lies outside [18, min(walk bound 12, m+1)]"),
         (fuzz, "image_dimension",
          lambda graph, **kw: real_dimension(graph, **kw) if graph == drawn else replace(real_dimension(graph, **kw), d=20),

@@ -611,9 +611,11 @@ class TestReparametrize:
             assert calls == [(graph.m - graph.n + 1, True)]
 
     def test_one_connectivity_check_and_one_default_tree(self, monkeypatch, wheel5):
-        """The dimension report and the cycle basis reuse the call's strong
-        connectivity check, one `_distances` walk each way, and its default
-        spanning tree, whichever tree the reparametrization uses."""
+        """The dimension report and the cycle basis reuse the graph's
+        verdict record, whichever tree the reparametrization uses: its one
+        strong connectivity check, one `_distances` walk each way, and its
+        default spanning tree, made by the graph's first call and by no
+        call after it."""
         checks, trees = [], []
         real_check, real_tree = graphs._distances, graphs.spanning_tree
 
@@ -628,11 +630,11 @@ class TestReparametrize:
         monkeypatch.setattr(graphs, "_distances", check)
         for module in (charpoly, reparam):
             monkeypatch.setattr(module, "spanning_tree", tree)
-        for tree_edges in (None, WHEEL5_TREE):
+        for tree_edges, builds in ((None, (2, 1)), (WHEEL5_TREE, (0, 0)), (None, (0, 0))):
             checks.clear()
             trees.clear()
             result = reparametrize(wheel5, tree_edges=tree_edges)
-            assert (len(checks), len(trees), result.report.d) == (2, 1, 9)
+            assert (len(checks), len(trees), result.report.d) == (*builds, 9)
 
     def test_json_builds_each_edge_name_once(self, monkeypatch):
         """The edge rate names are built once per result, not once per

@@ -7,10 +7,17 @@ ear decomposition (a directed cycle, then directed paths through new
 vertices between vertices already placed, then single edges), which
 reaches every strongly connected graph. Each graph is checked these ways:
 
-- at the verdict's first point, the rank of the verdict matrix by the
-  mod-p kernel (`charpoly._VerdictKernel`, stopped at no ceiling) equals
-  its rank over Z by `reference_bareiss` on the rows `charpoly._power_rows`
-  reads, a loop that shares no code with the kernel;
+- at the verdict's first point (trial 0 of seed 0, from
+  `charpoly._verdict_points`), the rank of the verdict matrix by the mod-p kernel
+  (`charpoly._VerdictKernel`, stopped at no ceiling) equals its rank over
+  Z by `reference_bareiss` on the rows `charpoly._power_rows` reads, a
+  loop that shares no code with the kernel;
+- at the same point, det(sI - A) and det(sI - A_1) are coprime mod p:
+  their resultant, the determinant of their Sylvester matrix, is nonzero
+  mod p. The walk bound's proof needs them coprime at generic points
+  (the `charpoly` module docstring); `charpoly_mod_p` computes both
+  polynomials by Faddeev-LeVerrier and `reference_bareiss` eliminates,
+  sharing no code with the verdict path;
 - the prime-field and the rational `image_dimension` give the same d
   (a rational d below the ceiling comes from Bareiss over Z, not from
   the prime-field kernel; at the ceiling the prime-field report is
@@ -66,8 +73,8 @@ from compident import (  # noqa: E402  (the package is found through the line ab
     reparametrize,
     verify_reparametrization,
 )
-from compident.charpoly import _power_rows, _VerdictKernel, derived_rng, sample_point  # noqa: E402
-from compident.exact import PRIME_MODE, RATIONAL_MODE, unimodular_columns  # noqa: E402
+from compident.charpoly import _power_rows, _verdict_points, _VerdictKernel  # noqa: E402
+from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE, unimodular_columns  # noqa: E402
 from compident.graphs import spanning_tree  # noqa: E402
 
 
@@ -158,15 +165,49 @@ def walk_bound(graph: CompartmentGraph, tree: list[tuple[int, int]]) -> int:
     return min(sum(length < t for length in lengths) + 2 * n - t for t in range(1, 2 * n + 1))
 
 
-def first_point_ranks(graph: CompartmentGraph) -> tuple[int, int]:
+def first_point_ranks(graph: CompartmentGraph, point: list[int]) -> tuple[int, int]:
     """(the kernel's rank of the verdict matrix M at the verdict's first
-    point, its rank over Z by `reference_bareiss`): M' by the kernel, plus
-    its min(n, 2) identity rows, and M itself from `_power_rows`."""
+    point `point`, its rank over Z by `reference_bareiss`): M' by the
+    kernel, plus its min(n, 2) identity rows, and M itself from
+    `_power_rows`."""
     kernel = _VerdictKernel(graph, spanning_tree(graph))
-    point = sample_point(derived_rng(0, graph), graph.n + graph.m)
     rows, sub_rows = _power_rows(graph, point, 0, kernel.params)
     exact_rank = len(reference_bareiss(rows + sub_rows)[0])
     return min(graph.n, 2) + len(kernel.pivots(point, kernel.nrows)), exact_rank
+
+
+def charpoly_mod_p(matrix: list[list[int]]) -> list[int]:
+    """The coefficients 1, c_1, .., c_k of det(sI - M) mod p, p = 2^61 - 1,
+    by Faddeev-LeVerrier: B_1 = M, c_j = -tr(B_j) / j and
+    B_(j+1) = M (B_j + c_j I)."""
+    size = len(matrix)
+    coeffs = [1]
+    power = matrix
+    for j in range(1, size + 1):
+        c = -sum(power[r][r] for r in range(size)) * pow(j, -1, MERSENNE61) % MERSENNE61
+        coeffs.append(c)
+        shifted = [[x + c * (r == s) for s, x in enumerate(row)] for r, row in enumerate(power)]
+        power = [[sum(a * b for a, b in zip(row, col)) % MERSENNE61 for col in zip(*shifted)] for row in matrix]
+    return coeffs
+
+
+def resultant_mod_p(graph: CompartmentGraph, point: list[int]) -> int:
+    """The resultant of det(sI - A) and det(sI - A_1) at `point` mod p:
+    the determinant of their Sylvester matrix, by `reference_bareiss` on
+    its entries reduced mod p. A is filled from the point as the verdict
+    reads it, a_vv first and then edge (j, i) at row i, column j."""
+    n = graph.n
+    a = [[0] * n for _ in range(n)]
+    for v in range(n):
+        a[v][v] = point[v] % MERSENNE61
+    for (j, i), x in zip(graph.edges, point[n:]):
+        a[i - 1][j - 1] = x % MERSENNE61
+    f, g = charpoly_mod_p(a), charpoly_mod_p([row[1:] for row in a[1:]])
+    size = len(f) + len(g) - 2
+    sylvester = [[0] * r + f + [0] * (size - len(f) - r) for r in range(len(g) - 1)]
+    sylvester += [[0] * r + g + [0] * (size - len(g) - r) for r in range(len(f) - 1)]
+    pivots, det = reference_bareiss(sylvester)
+    return det % MERSENNE61 if len(pivots) == size else 0
 
 
 def reference_bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
@@ -222,9 +263,12 @@ def check(graph: CompartmentGraph, seed: int) -> tuple[bool, str | None]:
     """(whether the graph has the expected dimension, the first failed
     check or None); `seed` draws the random spanning trees and the edge
     deleted."""
-    kernel_rank, exact_rank = first_point_ranks(graph)
+    point = next(_verdict_points(graph, 0, 1))
+    kernel_rank, exact_rank = first_point_ranks(graph, point)
     if kernel_rank != exact_rank:
         return False, f"the kernel's rank at the first point is {kernel_rank}, Bareiss over Z reads {exact_rank}"
+    if not resultant_mod_p(graph, point):
+        return False, "det(sI - A) and det(sI - A_1) share a factor mod p at the first point"
     prime = image_dimension(graph, mode=PRIME_MODE)
     rational = image_dimension(graph, mode=RATIONAL_MODE)
     if prime.d != rational.d:
