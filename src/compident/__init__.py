@@ -3,8 +3,7 @@
 Decide whether a strongly connected compartment graph with input and output
 in compartment 1 admits an identifiable scaling reparametrization, construct
 the monomial rescaling when it does, and reproduce the census of small
-graphs.
-"""
+graphs."""
 
 from .census import (
     CensusRow,

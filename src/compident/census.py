@@ -1,10 +1,8 @@
-"""Exhaustive enumeration of small strongly connected digraphs.
-
-Builds the reference table of counts (labeled graphs, symmetry classes
-fixing vertex 1, exchanges, expected dimension, inductive strong
-connectivity) and provides empirical testers for the collapse conjectures
-and the proven structural statements.
-"""
+"""Exhaustive enumeration of small strongly connected digraphs: the
+census table (labeled graphs, symmetry classes fixing vertex 1,
+exchanges, expected dimension, inductive strong connectivity), and
+empirical testers of the collapse conjectures and the proven structural
+statements."""
 
 from __future__ import annotations
 
@@ -60,14 +58,11 @@ def _check_limit(n: int, limit: int) -> None:
 def enumerate_sc_graphs(
     n: int, m: int, limit: int = DEFAULT_LIMIT
 ) -> Iterator[CompartmentGraph]:
-    """All strongly connected graphs with the given vertex and edge counts.
-
-    Edge subsets are visited in lexicographic order over the candidate edge
-    list, so output order is reproducible. The vertex-count guardrail keeps
-    accidental huge sweeps out; pass a larger `limit` deliberately. The
-    census and the sweeps run on symmetry classes; tests use this labeled
-    scan, and `property_suite` takes its first over-full graph from it.
-    """
+    """All strongly connected graphs with the given vertex and edge counts,
+    edge subsets in lexicographic order over the candidate edge list. The
+    vertex-count guardrail keeps accidental huge sweeps out; pass a larger
+    `limit` deliberately. The census runs on symmetry classes; this labeled
+    scan serves the tests and `property_suite`'s first over-full graph."""
     _check_limit(n, limit)
     pool = all_possible_edges(n)
     if m < 0:  # combinations() raises on a negative length; past the pool it yields nothing
@@ -97,28 +92,22 @@ def _grouped_classes(n: int, m: int, limit: int):
     enumeration order. Dropping the lowest bit of a canonical set leaves a
     canonical set, so a DFS that adds bits below the lowest one and keeps
     canonical children meets each class once. Returns (pool, images,
-    classes): pool is `complete_digraph(n)`, the graph of all P candidate
-    edges, validated once, whose `edge_subgraph` of a mask is its graph;
-    images[b][k] is the image of bit b under relabeling k; and classes
-    lists (mask, size, exchange, isc) by descending mask. The two flags
-    are read off the adjacency masks the DFS holds at the leaf: an
-    exchange is a vertex in both out[1] and inn[1], and isc is
-    `_isc_order`, the greedy of `is_inductively_strongly_connected`.
+    classes): pool is `complete_digraph(n)`, validated once, whose
+    `edge_subgraph` of a mask is its graph; images[b][k] is the image of bit
+    b under relabeling k; and classes lists (mask, size, exchange, isc) by
+    descending mask, the flags read off the leaf's adjacency masks.
 
     A child is pruned before its canonicity test, which adds one image per
-    relabeling. Child b of a set S can only complete to a strongly
-    connected (SC) set inside its reach set: S + b when b is the last edge,
-    else S + b + every bit below b. The DFS carries the per-vertex out and
-    in masks of S, and `below[b]` holds those of the bits below b, so the
-    test ORs masks and walks `_reach` twice (`_strongly_connected`). The
-    first child, b = low - 1, has the reach set S + below(low), which is
-    the set that admitted S itself (the root's is every edge), so it is
-    not tested again. Below the last edge the reach sets shrink as b
-    falls, and SC is monotone under adding edges, so the first child that
-    fails ends the loop. The last edge's sets S + b are not nested, so
-    there the loop goes on. A child is entered exactly when it passes both
-    tests, in either order, so the prune changes no class.
-    """
+    relabeling. Child b of S can only complete to a strongly connected (SC)
+    set inside its reach set: S + b when b is the last edge, else S + b +
+    every bit below b, whose masks `below[b]` holds, so the test ORs masks.
+    The first child, b = low - 1, has the reach set that admitted S itself
+    (the root's is every edge), so it is not tested again. Below the last
+    edge the reach sets shrink as b falls, and SC is monotone under adding
+    edges, so the first child that fails ends the loop; the last edge's
+    sets S + b are not nested, so there the loop goes on. A child is
+    entered exactly when it passes both tests, in either order, so the
+    prune changes no class."""
     _check_limit(n, limit)
     pool = complete_digraph(n)
     edges = pool.edges
@@ -161,11 +150,10 @@ def _grouped_classes(n: int, m: int, limit: int):
 
 
 def _spot_samples(n: int, m: int, seed: int, pool, images, classes) -> list[tuple[CompartmentGraph, int]]:
-    """ceil(A / SPOT_CHECK_STRIDE) (member, orbit key) pairs, each member
-    uniform among the labeled graphs that are not representatives: a class
-    drawn with weight size-1, then a relabeling that moves it. Rows of
-    singleton classes draw none. The RNG is seeded by (n, m, seed); pool,
-    images and classes are the row's `_grouped_classes`."""
+    """ceil(A / SPOT_CHECK_STRIDE) (member, orbit key) pairs of the row's
+    `_grouped_classes`, each member uniform among the labeled graphs that
+    are not representatives: a class drawn with weight size-1, then a
+    relabeling that moves it, by an RNG seeded by (n, m, seed)."""
     weights = [size - 1 for _mask, size, _exchange, _isc in classes]
     if not any(weights):
         return []
@@ -188,19 +176,16 @@ def _usable_cpus() -> int:
 
 def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str) -> list[bool]:
     """`has_expected_dimension` of each graph, in order, split over the CPUs.
-
     With k = min(CPUs, len(graphs) // MIN_FORK_SHARE), the parent computes
-    share 0 and one forked child each other share r, graphs[r::k]; a share
-    writes verdict i as byte i of one anonymous shared map. A verdict's
-    points depend on the seed and the graph alone (the `charpoly` point
-    pools), so the split changes no result. k is 1, and nothing is
-    forked, with fewer than 2 * MIN_FORK_SHARE verdicts, on one CPU
-    (which `taskset -c 0` forces), without `os.fork`, or while another
-    thread is alive (forking a threaded process is unsafe). A child leaves only through `os._exit`, flushing no
-    inherited buffer. The share of a child that fails, or that could not be
-    forked, is recomputed here over any bytes it wrote, so an error a
-    verdict raises in a child is raised again in the caller.
-    """
+    share 0 and one forked child each other share r, graphs[r::k], writing
+    verdict i as byte i of one anonymous shared map. A verdict's points
+    depend on the seed and the graph alone (`charpoly` module docstring), so
+    the split changes no result. Nothing is forked on one CPU (which
+    `taskset -c 0` forces), without `os.fork`, or while another thread is
+    alive (forking a threaded process is unsafe). A child leaves only
+    through `os._exit`, flushing no inherited buffer. The share of a child
+    that fails or was not forked is recomputed here, so an error a verdict
+    raises in a child is raised in the caller."""
     k = min(_usable_cpus(), len(graphs) // MIN_FORK_SHARE)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         k = 1
@@ -241,8 +226,7 @@ def _verdicts(graphs: list[CompartmentGraph], trials: int, seed: int, mode: str)
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One row of the census table. D and F are only defined for the
-    maximal case m = 2n-2."""
+    """One census table row; D and F are defined only when m = 2n-2."""
 
     n: int
     m: int
@@ -290,12 +274,10 @@ def census_classes(
     limit: int = DEFAULT_LIMIT,
 ) -> list[CensusClass]:
     """The row's classes in enumeration order, computed afresh on every
-    call, with verdicts computed once per representative; nothing of the
-    row outlives the returned list. `trials`, `seed` and `mode` are
-    checked first, so a row with no classes, or one the edge bound
-    decides, rejects them as every other row does. The verdicts of the
-    classes and spot-check members are split over the CPUs as `_verdicts`
-    describes; the split changes no result."""
+    call, with verdicts computed once per representative (`_verdicts`);
+    nothing of the row outlives the returned list. `trials`, `seed` and
+    `mode` are checked first, so a row with no classes, or one the edge
+    bound decides, rejects them as every other row does."""
     trials, seed = checked_arguments(trials, seed, mode)
     pool, images, found = _grouped_classes(n, m, limit)
     samples = _spot_samples(n, m, seed, pool, images, found)
@@ -373,14 +355,12 @@ def test_conjectures(
     mode: str = PRIME_MODE,
     limit: int = DEFAULT_LIMIT,
 ) -> list[ConjectureReport]:
-    """Compare expected-dimension verdicts of G and its collapsed graphs.
-
-    Every exchange vertex is collapsed in turn (the source does not single
-    one out). Mismatches are reported, never raised: these are conjectures.
-    It runs on census classes (relabelings fixing 1 commute with collapse):
-    each exchange vertex of a representative adds the class size to `tested`,
-    and a mismatch is listed once per class, with its `class_size`.
-    """
+    """Compare expected-dimension verdicts of G and its collapsed graphs,
+    collapsing every exchange vertex in turn (the source does not single one
+    out). Mismatches are reported, never raised: these are conjectures. On
+    census classes (relabelings fixing 1 commute with collapse), each
+    exchange vertex of a representative adds the class size to `tested`, and
+    a mismatch is listed once per class, with its `class_size`."""
     reports = {
         CONJ_COLLAPSE_MAXIMAL: ConjectureReport(CONJ_COLLAPSE_MAXIMAL),
         CONJ_COLLAPSE_CYCLE: ConjectureReport(CONJ_COLLAPSE_CYCLE),
@@ -450,19 +430,14 @@ def property_suite(
     trials: int = 2,
     mode: str = PRIME_MODE,
 ) -> dict[str, PropertyCheck]:
-    """Exhaustive checks of the proven structural statements.
-
-    Any violation here falsifies a theorem (or reveals a bug) and should
-    fail the build; conjecture sweeps live in test_conjectures instead.
-    The exchange, ISC and add-exchange checks run on census classes: each
-    class counts `size` times in `tested`, and violations name representatives.
-    Exchange-necessity holds by construction, since `has_expected_dimension`
-    answers False on a maximal graph with no exchange by the walk bound,
-    which is never above 2n-2 there (both proved in the `charpoly` module
-    docstring); its independent evidence is `TestNoExchangeBound` in
-    tests/test_charpoly.py, which checks the 2n-2 bound's relation on
-    sympy's determinants and the walk bound against it.
-    """
+    """Exhaustive checks of the proven structural statements: a violation
+    falsifies a theorem (or reveals a bug) and should fail the build. The
+    exchange, ISC and add-exchange checks run on census classes: each class
+    counts `size` times in `tested`, and violations name representatives.
+    Exchange-necessity holds by construction, as the walk bound is at most
+    2n-2 on a maximal graph with no exchange (`charpoly` module docstring);
+    its independent evidence is tests/test_charpoly.py's
+    `TestNoExchangeBound`."""
     limit = max(n_max, DEFAULT_LIMIT)
     checks = {
         "exchange-necessity": PropertyCheck(),

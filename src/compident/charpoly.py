@@ -7,9 +7,8 @@ input-output equation when G is strongly connected. The image dimension is
 the exact rank of the Jacobian at random points; the graph "has the expected
 dimension" when that rank is m+1, the number of independent monomial cycles.
 
-`_power_rows` reads the entries (A^i)[c][r] of the powers of A and of A_1
-at the parameter positions out as lists, by one plain loop, sparse A times
-dense A^i, with one `% p` per entry mod p = 2^61 - 1; from them Newton's
+The verdict matrix. `_power_rows` reads the entries (A^i)[c][r] of the
+powers of A and of A_1 at the parameter positions, from which Newton's
 identities give the coefficients and the Jacobian. Three reductions give
 the Jacobian's rank at every point:
 - rows: d c_k / d A[r][c] = -sum_(j<k) c_j (A^(k-1-j))[c][r], c_0 = 1, so J
@@ -25,39 +24,12 @@ the Jacobian's rank at every point:
   column a22 from each a_vv, v >= 3, turns row 0 of A_1 into the unit row
   at a22, which clears column a22. So rank(M) = 2 + rank(M') (1 when
   n = 1), M' the (2n-3) x (m-1) matrix of rows 1.. of both blocks at the
-  columns a_vv - a22 (v >= 3) and the non-tree edges, on which elimination
-  stops once the rank of M reaches its proven ceiling (below).
+  columns a_vv - a22 (v >= 3) and the non-tree edges, which exists only
+  packed mod p (`_VerdictKernel`).
 
-M' exists only packed mod p. One kernel, `_VerdictKernel`, builds the
-powers of diag(A, A_1) packed mod p: row r of A^i and of A_1^i side by
-side in one int of slots, so row r of the next power is one big-int
-multiply-add per nonzero of A for both blocks, and two Mersenne folds
-keep the slots from overflowing, unreduced. An A slot takes n products
-and an A_1 slot n - 1, so both fit `exact.slot_width(n)`-bit slots,
-folded by the masks of `exact.fold_masks`. The kernel gathers
-M''s columns from those packed powers, one at a time, straight into
-slots of the same width, the column operation included, with no
-reduction, and `exact._pivots_mod_p` ranks them in one pass that stops
-at the ceiling's pivot count. Rational mode certifies the prime-field
-report and makes no pass of its own: a minor that is nonzero mod p is a
-nonzero integer, so a rank mod p at the proven ceiling is exact. Only when
-every trial fell short mod p does it draw the same points again, read M
-over Z from `_power_rows` and run Bareiss on it, the two identity rows
-first: their pivots are 1, after which Bareiss works on M' itself.
-
-The image dimension is at most 2n-1, and at most 2n-2 when n >= 3 and
-vertex 1 has no exchange. Then every product
-a_1j * a_j1 is identically 0, and c_2 - d_2 = a_11 tr(A_1) - sum_j a_1j a_j1
-gives c_2 = d_2 + d_1 (c_1 - d_1), since c_1 - d_1 = -a_11 and
-d_1 = -tr(A_1): the image lies in a hypersurface. In M' the same fact is a
-repeated row: row 1 of the A_1 part equals row 1 of the A part. Row 1
-reads A[c][r] at the parameter A[r][c], so the two parts differ only at a
-non-tree edge of vertex 1 whose reverse edge is present, that is, at an
-exchange. M' keeps the repeated row, which the walk bound accounts for.
-
-The walk bound, `_dimension_bound`, is never weaker. Let h_k = (A^k)_11,
-k = 1..2n-1, the Markov parameters of (A, e_1, e_1) (Pohjanpalo, Math.
-Biosci. 41, 1978): h_k sums, over the closed walks of length k from
+The walk bound, `_dimension_bound`, is the verdict's ceiling. Let h_k =
+(A^k)_11, k = 1..2n-1, the Markov parameters of (A, e_1, e_1) (Pohjanpalo,
+Math. Biosci. 41, 1978): h_k sums, over the closed walks of length k from
 vertex 1, the product of the entries they step along, a loop at v
 stepping along a_vv. A closed walk from 1 that uses the edge j -> i has
 length at least L_p = d(1,j) + 1 + d(i,1), d the BFS distance, and one that
@@ -83,50 +55,50 @@ of #{p : L_p < t} + (2n - t), proved in two steps:
   So Dphi is generically invertible, and rank J = rank J_h there.
 No sampled rank, over Z or mod p, exceeds the generic rank of J, since a
 minor that vanishes identically vanishes at every point and mod p; so
-none exceeds the bound. At t = 1 the bound reads 2n-1, and with no
-exchange at vertex 1 only a11 has L_p < 3 (L_p = 2 takes an edge 1 -> v or
-v -> 1 whose reverse is present), so t = 3 reads 2n-2. Every L_p is at
-most 2n-1, so one count per length gives the least cover, with no sort.
+none exceeds the bound. At t = 1 the bound reads 2n-1. When n >= 3 and
+vertex 1 has no exchange, only a11 has L_p < 3 (L_p = 2 takes an edge
+1 -> v or v -> 1 whose reverse is present), so t = 3 reads 2n-2. Every
+L_p is at most 2n-1, so one count per length gives the least cover, with
+no sort.
 
-Every verdict entry point (`image_dimension`, `has_expected_dimension`,
-`reparam.reparametrize`) checks its arguments, then reads the graph's
-verdict record, both through `_verdict_ceiling`, which refuses a graph
-that is not strongly connected with the entry point's own message. The
-record, `_verdict_record`, is built once per graph and kept for the last
-GRAPH_MEMO_SIZE graphs; a graph is immutable, so a hit walks nothing.
-Building it makes the graph's one pair of adjacency masks and walks them
-once along and once against the edges by levels (`graphs._distances`),
-which decides strong connectivity and gives d(1,v) and d(v,1); picks the
-default spanning tree, whose verdict columns every rank reads; and reads
-the walk bound under it, the verdict's one ceiling. The ceiling is at most
-m+1 and never above the 2n-1/2n-2 bound, so it is m or less past the edge
-bound m > 2n-2 and on a maximal graph with no exchange at vertex 1, where
-`has_expected_dimension` returns False with no rank, as it does wherever
-else the walk bound is m or less. Trials stop at the first point whose
-rank reaches the ceiling, and each pass stops once M' has that many
-pivots less min(n, 2), the identity rows eliminated in closed form.
+The verdict record. Every verdict entry point (`image_dimension`,
+`has_expected_dimension`, `reparam.reparametrize`) checks its arguments,
+then reads the graph's record, (default spanning tree, ceiling), through
+`_verdict_ceiling`. Building the record walks the graph once each way
+(`graphs._require_strongly_connected`), which decides strong connectivity
+and gives d(1,v) and d(v,1); picks the default spanning tree, whose verdict
+columns every rank reads; and reads the walk bound under it. The ceiling is
+at most m+1, and at most 2n-1 or 2n-2 as above, so it is m or less past the
+edge bound m > 2n-2 and on a maximal graph with no exchange at vertex 1;
+wherever it is m or less, the verdict is False with no rank. Trials stop at
+the first point whose rank reaches the ceiling, and each pass stops once M'
+has that many pivots less the min(n, 2) identity rows.
 
-The points come from one pool of n^2 values per (seed, n, trial),
-`_point_pool`, drawn once per process by `sample_point` from
-`derived_rng(seed, n, trial)` and kept for the last 32 keys. a_vv sits at position v-1 and the
-edge (j, i) at n plus its index in `census.all_possible_edges(n)`; the
-positions of a graph's n+m parameters are distinct, and its point for a
-trial (`_verdict_points`) gathers the pool there. So each graph's point is
-uniform on [1, p-1]^(n+m) and independent across trials, which is all the
-Schwartz-Zippel bound (Schwartz, J. ACM 27, 1980) on a missed rank needs;
-a union bound over several graphs needs no independence between them.
-More trials extend the points of fewer, and equal graphs built separately
-get the same points.
+The points. `_point_pool` draws n^2 uniform nonzero values per (seed, n,
+trial) by `sample_point` from `derived_rng(seed, n, trial)`, once per
+process for the last 32 keys. a_vv sits at position v-1 and the edge
+(j, i) at n plus its index in `census.all_possible_edges(n)`: distinct
+positions, where a graph's point for a trial gathers the pool
+(`_verdict_points`). So each point is uniform on [1, p-1]^(n+m) and
+independent across trials, all the Schwartz-Zippel bound (Schwartz,
+J. ACM 27, 1980) on a missed rank needs; a union bound over several
+graphs needs no independence between them. More trials extend the points
+of fewer, and equal graphs built separately get the same points.
 
-A dimension report is then a pure function of the graph and the checked
-trials, seed and mode, so `_sampled_dimension` keeps the reports of the
-last GRAPH_MEMO_SIZE such keys, and one graph asked for again, as `reparam`
-does under a second tree, runs no kernel pass. A rational report is built
-on the prime-field report of the same graph, trials and seed, which it
-reads through that memo: a rational call holds two keys, its own and the
-prime-field one, so `analyze --exact` after `analyze` on one graph runs no
-kernel pass either, and the prime-field call after a rational one is a
-hit.
+The memos. Three memos keep what depends on no spanning tree for the
+last GRAPH_MEMO_SIZE keys of immutable graphs, equal graphs built
+separately sharing an entry: the verdict record (`_verdict_record`), so a
+hit walks nothing; the frozen dimension report (`_sampled_dimension`), a
+pure function of the graph and the checked trials, seed and mode; and
+`reparam`'s cycle candidates. One graph reparametrized under several
+trees, or `analyze` then `reparam` on one graph, asks for them again
+within a few calls, and runs no walk, kernel pass or cycle search the
+second time. A rational report reads the prime-field one of the same
+graph, trials and seed through the report memo, holding two keys: so
+`analyze --exact` after `analyze` runs no kernel pass, the prime-field
+call after a rational one is a hit, and eight keys keep at least four
+graphs' reports in either mode. A census row's verdicts never repeat a
+graph, and each process, CLI run and forked census share has its own.
 """
 
 from __future__ import annotations
@@ -156,37 +128,23 @@ from .monomial import name_order, signed_parts
 #: 33,460 at n = 12 and about 2.4 times more per added vertex.
 MAX_EXPANSION_TERMS = 100_000
 
-#: Graphs whose tree-independent results the verdict records, the
-#: verdict memo and `reparam`'s cycle candidates keep: one graph
-#: reparametrized under several spanning trees, or `analyze` then
-#: `reparam` on one graph, asks for the same record, report and cycles
-#: again within a few calls. A census
-#: row's verdicts never repeat a graph, and each process, CLI run and
-#: forked census share keeps its own memos. A rational verdict holds two
-#: of the verdict memo's keys, its own and the prime-field report it
-#: certifies, so the memo keeps at least four graphs' reports in either
-#: mode.
+#: Keys each per-graph memo keeps (module docstring).
 GRAPH_MEMO_SIZE = 8
-
-
-def parameter_count(graph: CompartmentGraph) -> int:
-    return graph.n + graph.m
 
 
 def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dict]]:
     """Expand every coefficient as a polynomial in the monomial cycles.
-
     c_i sums (-1)^k times the product of the cycle monomials over every
     collection of k vertex-disjoint cycles that covers i vertices, a
-    one-cycle a_vv covering one. In the expansion of det(lambda*I - A) the
-    collection is a partial permutation, of sign (-1)^(i-k), times
-    (-1)^i. d_i does the same on the subgraph with vertex 1 removed,
-    so one walk over the collections fills both: a collection that avoids
-    vertex 1 is a term of c_i and of d_i. Each polynomial is a dict
-    {exponents: coefficient} over the parameter order
-    (`graphs.CompartmentGraph.param_names`). Raises LimitExceeded once the
-    expansion passes MAX_EXPANSION_TERMS terms of the c_i.
-    """
+    one-cycle a_vv covering one: in det(lambda*I - A) the collection is a
+    partial permutation, of sign (-1)^(i-k), times (-1)^i. d_i does the same
+    without vertex 1, so one walk over the collections fills both. Each
+    polynomial is a dict {exponents: coefficient} over `param_names`.
+    The monomial determines the partial permutation, so no two collections
+    share a term: every coefficient is +1 or -1, assigned and never summed.
+    No polynomial is empty: c_k holds the product of k one-cycles a_vv, and
+    d_k that of k one-cycles of vertices 2..n. Raises LimitExceeded once the
+    expansion passes MAX_EXPANSION_TERMS terms of the c_i."""
     n = graph.n
     cs = [{} for _ in range(n)]
     ds = [{} for _ in range(n - 1)]
@@ -214,36 +172,28 @@ def symbolic_coefficients(graph: CompartmentGraph) -> tuple[list[dict], list[dic
                     "terms; it is too large to expand"
                 )
             merged = tuple(map(add, expo, cexpo))
-            # A collection is a partial permutation, which its monomial
-            # determines: no two collections share a term, so terms are
-            # assigned, never summed.
             cs[covered + length - 1][merged] = -coeff
             if not (used | verts) & 2:  # bit 1: vertex 1
                 ds[covered + length - 1][merged] = -coeff
             recurse(idx + 1, used | verts, covered + length, -coeff, merged)
 
-    recurse(0, 0, 0, 1, (0,) * parameter_count(graph))
+    recurse(0, 0, 0, 1, (0,) * (graph.n + graph.m))
     return cs, ds
 
 
 def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) -> tuple[list, list]:
-    """Entries of the powers of A and of A_1 at the parameters `params`.
-
-    For the parameter at A[r][c], row i of the first list holds
-    (A^i)[c][r], i = 0..n-1; the second does the same for A_1, i = 0..n-2,
-    with 0 for parameters outside A_1. Row 0 is 1 at the diagonal cells.
-    `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise).
-    Row c of A^(i+1) is sum_k a_ck * (row k of A^i), sparse A times dense
-    A^i, with one `% p` per entry mod p. These lists are what the
-    coefficients, the Jacobian and Bareiss on M over Z read; the verdict
-    mod p reads none (`_VerdictKernel`). The per-row nonzeros of A are laid
-    out here and again in `_VerdictKernel.__init__` on purpose, so that
-    this loop stays an independent oracle of the packed kernel.
-    """
-    if len(values) != parameter_count(graph):
-        raise ValueError(
-            f"expected {parameter_count(graph)} parameter values, got {len(values)}"
-        )
+    """Entries of the powers of A and of A_1 at the parameters `params`:
+    for the parameter at A[r][c], row i of the first list holds (A^i)[c][r],
+    i = 0..n-1, and of the second (A_1^i)[c][r], i = 0..n-2, 0 outside A_1.
+    `p` is 2^61 - 1 or 0, and the values are ints (TypeError otherwise). Row
+    c of A^(i+1) is sum_k a_ck * (row k of A^i), sparse A times dense A^i,
+    with one `% p` per entry mod p. The coefficients, the Jacobian and
+    Bareiss on M over Z read these lists; the verdict mod p reads none. The
+    per-row nonzeros of A are laid out here and again in
+    `_VerdictKernel.__init__` on purpose, so that this loop stays an
+    independent oracle of the packed kernel."""
+    if len(values) != graph.n + graph.m:
+        raise ValueError(f"expected {graph.n + graph.m} parameter values, got {len(values)}")
     n = graph.n
     values = [index(x) % p for x in values] if p else list(map(index, values))
     entries = [(v, v) for v in range(n)] + [(i - 1, j - 1) for j, i in graph.edges]
@@ -266,12 +216,10 @@ def _power_rows(graph: CompartmentGraph, values: Sequence[int], p: int, params) 
 
 
 def newton_coefficients(power_sums: Sequence[int], p: int = 0) -> list[int]:
-    """Coefficients c_1..c_k of det(lambda*I - A) from s_i = tr(A^i), i = 1..k.
-
-    Newton's identities: j * c_j = -(s_j + c_1 s_(j-1) + .. + c_(j-1) s_1).
-    With p = 0 the sums are ints and each division by j is exact in Z; with
-    p = 2^61 - 1 everything is reduced mod p, where j < p is a unit.
-    """
+    """Coefficients c_1..c_k of det(lambda*I - A) from s_i = tr(A^i), i = 1..k,
+    by Newton's identities: j * c_j = -(s_j + c_1 s_(j-1) + .. + c_(j-1) s_1).
+    With p = 0 each division by j is exact in Z; with p = 2^61 - 1 everything
+    is reduced mod p, where j < p is a unit."""
     coeffs = []
     for j, s in enumerate(power_sums, start=1):
         total = s + sum(c * power_sums[j - 2 - i] for i, c in enumerate(coeffs))
@@ -284,7 +232,7 @@ def _coefficients(graph: CompartmentGraph, values: Sequence[int], p: int):
     sums row i over the diagonal cells; the top one, tr(A^size), is
     sum a_rc * (A^(size-1))[c][r], one dot product with the last row."""
     out = []
-    for rows in _power_rows(graph, values, p, range(parameter_count(graph))):
+    for rows in _power_rows(graph, values, p, range(graph.n + graph.m)):
         sums = [sum(row[: graph.n]) for row in rows[1:]]
         sums += [sum(a * x for a, x in zip(values, rows[-1]))] if rows else []
         out.append((rows, newton_coefficients(sums, p)))
@@ -294,24 +242,16 @@ def _coefficients(graph: CompartmentGraph, values: Sequence[int], p: int):
 def numeric_coefficients(
     graph: CompartmentGraph, values: Sequence[int], mode: str = PRIME_MODE
 ) -> tuple[list, list]:
-    """Evaluate (c_1..c_n, d_1..d_{n-1}) at a point.
-
-    `values` holds one number per parameter in canonical order: diagonals
-    first, then edges. Prime-field mode reduces mod 2^61 - 1; rational mode
-    is exact in Z.
-    """
+    """(c_1..c_n, d_1..d_{n-1}) at `values`, one per parameter in the
+    order of `param_names`, mod 2^61 - 1 in prime-field mode."""
     (_, cs), (_, ds) = _coefficients(graph, values, exact.modulus(mode))
     return cs, ds
 
 
 def jacobian(graph: CompartmentGraph, point: Sequence[int], mode: str = PRIME_MODE):
-    """Exact (2n-1) x (n+m) Jacobian of the coefficient map at `point`.
-
-    Row k is the gradient of the k-th coordinate (c's then d's): with
-    c_0 = 1, d c_k / d A[r][c] = -sum_(j<k) c_j * (A^(k-1-j))[c][r], and
-    likewise for the d's on A_1. Rational mode stays in the integers;
-    prime-field mode reduces mod 2^61 - 1.
-    """
+    """Exact (2n-1) x (n+m) Jacobian of the coefficient map at `point`, mod
+    2^61 - 1 in prime-field mode: row k is the gradient of the k-th
+    coordinate, c's then d's (module docstring, rows)."""
     p = exact.modulus(mode)
     out = []
     for rows, coeffs in _coefficients(graph, point, p):
@@ -329,14 +269,11 @@ def _verdict_params(graph: CompartmentGraph, tree: SpanningTree) -> list[int]:
 
 
 def _dimension_bound(graph: CompartmentGraph, tree: SpanningTree, walk: tuple) -> int:
-    """The walk bound on the image dimension (module docstring): the least
-    over t of #{p : L_p < t} + (2n - t), p over the diagonals and the edges
-    outside `tree`, with L_p read off `walk`, the distances (d(1, v),
-    d(v, 1)) of the verdict record's walk. It is at most min(2n-1, m+1),
-    and at most 2n-2 when n >= 3 and vertex 1 has no exchange. The lengths
-    L_p - 1 = 0..2n-2 are counted, every edge's and then less each tree
-    edge's, so no non-tree list is built; the s-th prefix sum of the counts
-    is #{p : L_p < s + 2}, and t = 1, whose term 2n-1 the a11 term of
+    """The walk bound (module docstring) under `tree`, with L_p read off
+    `walk`, the distances (d(1, v), d(v, 1)) of the verdict record. The
+    lengths L_p - 1 = 0..2n-2 are counted, every edge's and then less each
+    tree edge's, so no non-tree list is built; the s-th prefix sum of the
+    counts is #{p : L_p < s + 2}, and t = 1, whose term 2n-1 the a11 term of
     t = 2 never undercuts, is left out."""
     down, up = walk
     n = graph.n
@@ -352,40 +289,27 @@ def _dimension_bound(graph: CompartmentGraph, tree: SpanningTree, walk: tuple) -
 
 
 class _VerdictKernel:
-    """M' of one graph at the verdict columns of one spanning tree, ranked
-    mod p by one kernel from the packed powers of diag(A, A_1) to the
-    pivot columns, and only mod p. `_sampled_dimension` builds it once
-    per report, and every trial shares its set-up.
+    """M' (module docstring) of one graph under one spanning tree, ranked
+    mod p from the packed powers of diag(A, A_1); built once per report for
+    every trial. It knows no ceiling: the caller passes a pivot count.
 
-    Row r of a power is one int of 2n-1 fixed-width slots (Kronecker
-    substitution; Harvey, J. Symbolic Comput. 44, 2009): row r of A^i in
-    slots 0..n-1, and row r of A_1^i in slots n..2n-2, column c at slot
-    n + c - 1. As A_1[r][k] = A[r][k] for r, k >= 1, row r of the next
-    power is sum_k a_rk * row_k over row r of A, one big-int multiply-add
+    Row r of a power is one int of 2n-1 slots of `exact.slot_width(n)` bits:
+    row r of A^i in slots 0..n-1, and row r of A_1^i in slots n..2n-2, column
+    c at slot n + c - 1. As A_1[r][k] = A[r][k] for r, k >= 1, row r of the
+    next power is sum_k a_rk * row_k over row r of A, one big-int multiply-add
     per nonzero of A for both blocks, once row 0's A_1 slots are cleared:
-    vertex 1 has no row in A_1. For the parameter at A[r][c], (A^i)[c][r]
-    sits in row c at slot r, and its A_1 entry at slot n + r - 1, or past
-    the last slot, which reads 0, when r or c is 0. An A slot takes n
-    products and an A_1 slot n - 1, as row 0's A_1 slots are 0: slots of
-    `exact.slot_width(n)` bits.
+    vertex 1 has no row in A_1. So an A slot takes n products and an A_1 slot
+    n - 1. For the parameter at A[r][c], (A^i)[c][r] sits in row c at slot r,
+    and its A_1 entry at slot n + r - 1, or past the last slot, which reads 0,
+    when r or c is 0.
 
-    M' (the module docstring) is taken at `_verdict_params`, with every
-    row, the repeated row of a graph with no exchange at vertex 1
-    included: its columns are a_vv - a22 for v >= 3, then the non-tree
-    edges. They are gathered one at a time, straight from the powers
-    A^1 .. A^(n-1): each row's cell is shifted out of its power row into
-    the row's slot, unreduced, and the column operation adds the column
-    2p - x, x the cells of a22, to each diagonal column, followed by one
-    fold.
-    A cell is a power's slot, and a diagonal column's slot takes 2p plus
-    one cell, below 2^63, which the fold brings to at most 2^61 + 2; both
-    are within `exact.slot_width(n)` (e >= 2 there, as diagonal columns
-    need n >= 3), so the columns are eliminated at the powers' width.
-    `exact._pivots_mod_p` reads them in one pass and stops at the caller's
-    pivot count: a wide M' whose rank reaches it is read only up to that
-    pivot's column, and each column once. The kernel knows no ceiling;
-    `_sampled_dimension` passes it.
-    """
+    The columns are gathered one at a time from A^1 .. A^(n-1): each row's
+    cell is shifted out of its power row into the row's slot, unreduced, and
+    the column operation adds the column 2p - x, x the cells of a22, to each
+    diagonal column, followed by one fold. A diagonal column's slot takes 2p
+    plus one cell, below 2^63, which the fold brings to at most 2^61 + 2;
+    both are within `exact.slot_width(n)` (e >= 2 there, as diagonal columns
+    need n >= 3), so the columns are eliminated at the powers' width."""
 
     def __init__(self, graph: CompartmentGraph, tree: SpanningTree):
         n = self.n = graph.n
@@ -409,16 +333,11 @@ class _VerdictKernel:
         ]
 
     def packed(self, values: Sequence[int]) -> list[list[int]]:
-        """The packed powers A^1 .. A^(n-1) of diag(A, A_1) mod p at
-        `values`, each a list of n rows; A_1 needs no power n-1, so the
-        last power's A_1 slots go unread.
-
-        Power 1 is A itself, packed from the values with no product, each
-        row r >= 1 repeated without its slot 0 in the A_1 slots. Every
-        entry of A is reduced to [0, p); an A slot of a product takes n
-        products of an entry and a slot, and an A_1 slot n - 1, folded
-        twice (`exact.slot_width(n)`). Slots are never reduced to [0, p).
-        """
+        """The packed powers A^1 .. A^(n-1) of diag(A, A_1) mod p at `values`,
+        each a list of n rows; A_1 needs no power n-1, so the last power's A_1
+        slots go unread. Power 1 is A itself, each entry reduced to [0, p) with
+        no product, each row r >= 1 repeated without its slot 0 in the A_1
+        slots. Each product is folded twice; slots are never reduced to [0, p)."""
         n, width, low, high, a_slots = self.n, self.width, self.low, self.high, self.a_slots
         values = [x % MERSENNE61 for x in values]
         rows = [(ks, list(map(values.__getitem__, params))) for ks, params in self.nonzeros]
@@ -494,12 +413,9 @@ def derived_rng(seed: int, n: int, trial: int) -> random.Random:
 
 
 def sample_point(rng: random.Random, count: int) -> list[int]:
-    """Uniform nonzero elements of GF(2^61 - 1), one per parameter.
-
-    Each is 1 + x for the first 61-bit draw x below p - 1: the values, and
-    the stream position, that `rng.randrange(1, p)` gives, without going
-    through it.
-    """
+    """Uniform nonzero elements of GF(2^61 - 1), one per parameter: 1 + x
+    for the first 61-bit draw x below p - 1, the values and the stream
+    position that `rng.randrange(1, p)` gives, without going through it."""
     draw = rng.getrandbits
     point = []
     for _ in range(count):
@@ -513,11 +429,11 @@ def sample_point(rng: random.Random, count: int) -> list[int]:
 def checked_arguments(trials: int, seed: int, mode: str) -> tuple[int, int]:
     """`trials` as an int of at least 1 and `seed` as an int (both through
     `operator.index`, so a float or a str raises TypeError and a bool
-    becomes an int), once `exact.modulus` has accepted `mode`: the
-    argument check of every verdict entry point, made before anything else
-    is decided. Unchecked, seed 1.0 would draw its points from "1.0" yet
-    meet seed 1's entry in the verdict memo, whose keys compare by value,
-    and seed "1" would draw seed 1's points but report "1"."""
+    becomes an int), once `exact.modulus` has accepted `mode`: every verdict
+    entry point's argument check, before anything else is decided.
+    Unchecked, seed 1.0 would draw its points from "1.0" yet meet seed 1's
+    entry in the verdict memo, whose keys compare by value, and seed "1"
+    would draw seed 1's points but report "1"."""
     exact.modulus(mode)
     trials, seed = index(trials), index(seed)
     if trials < 1:
@@ -532,9 +448,8 @@ _IMAGE_REFUSAL = "image dimension is defined for strongly connected graphs; redu
 
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _verdict_record(graph: CompartmentGraph) -> tuple[SpanningTree, int]:
-    """The verdict record of a strongly connected graph, (default spanning
-    tree, ceiling) (module docstring). Raises NotStronglyConnected on any
-    other graph."""
+    """The verdict record (default spanning tree, ceiling) of a strongly
+    connected graph (module docstring); NotStronglyConnected on any other."""
     walk = _require_strongly_connected(graph, _IMAGE_REFUSAL)
     tree = spanning_tree(graph)
     return tree, _dimension_bound(graph, tree, walk)
@@ -547,9 +462,8 @@ def _point_pool(seed: int, n: int, trial: int) -> tuple[int, ...]:
 
 
 def _verdict_points(graph: CompartmentGraph, seed: int, trials: int):
-    """The points of a verdict's trials, in order: each trial's pool
-    gathered at the positions of the graph's n+m parameters (module
-    docstring)."""
+    """The points of a verdict's trials, in order, gathered from the pools
+    (module docstring)."""
     n = graph.n
     positions = [*range(n), *[n + (j - 1) * (n - 1) + i - 1 - (i > j) for j, i in graph.edges]]
     for trial in range(trials):
@@ -560,8 +474,8 @@ def _verdict_ceiling(
     graph: CompartmentGraph, trials: int, seed: int, mode: str, refusal: str
 ) -> tuple[int, int, SpanningTree, int]:
     """(trials, seed, default tree, ceiling) of a verdict entry point: the
-    arguments through `checked_arguments`, then the graph's verdict record,
-    raising NotStronglyConnected(`refusal`) on a graph that is not strongly
+    arguments through `checked_arguments`, then the verdict record, raising
+    NotStronglyConnected(`refusal`) on a graph that is not strongly
     connected (module docstring)."""
     trials, seed = checked_arguments(trials, seed, mode)
     try:
@@ -576,16 +490,11 @@ def image_dimension(
     seed: int = 0,
     mode: str = PRIME_MODE,
 ) -> DimensionReport:
-    """Dimension of the image as the maximal Jacobian rank over random points.
-
-    Randomized rank can only under-report; two independent points (the
-    default) make a miss negligible, and more trials never decrease the
-    answer for a fixed seed. `d`, `verdict` and `trials` are what all
-    trials would give, though the trials stop at the first point that
-    reaches the ceiling. The report is `_sampled_dimension`'s, from its
-    memo when the same graph, trials, seed and mode were asked for
-    recently (module docstring).
-    """
+    """Dimension of the image as the maximal Jacobian rank over random
+    points. Randomized rank can only under-report; two independent points
+    (the default) make a miss negligible, and more trials never decrease the
+    answer for a fixed seed. `d`, `verdict` and `trials` are what all trials
+    would give, though the trials stop at the ceiling (module docstring)."""
     trials, seed, _tree, _ceiling = _verdict_ceiling(graph, trials, seed, mode, _IMAGE_REFUSAL)
     return _sampled_dimension(graph, trials, seed, mode)
 
@@ -593,19 +502,14 @@ def image_dimension(
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _sampled_dimension(graph: CompartmentGraph, trials: int, seed: int, mode: str) -> DimensionReport:
     """`image_dimension` of a graph that `_verdict_ceiling` has passed,
-    with the trials and seed it returned, as ints, and a mode of
-    `exact.MODES`, kept for the last GRAPH_MEMO_SIZE keys; equal graphs
-    built separately share an entry, and every caller gets the same frozen
-    report.
-
-    Prime-field mode ranks M' at each point by one kernel pass, up to the
-    record's ceiling, which no rank exceeds. Rational mode first reads the
-    prime-field report of the same key; when its d is the ceiling it is
-    exact and comes back with mode "rational". Otherwise every trial fell
-    short mod p, and each point, gathered again, is ranked over Z by
-    Bareiss on M, the identity rows first, in trial order until one reaches
-    the ceiling: Bareiss's rank at a point is at least its rank mod p.
-    """
+    with the trials and seed it returned and a mode of `exact.MODES`, kept
+    for the last GRAPH_MEMO_SIZE keys (module docstring). Prime-field mode
+    ranks M' by one kernel pass per point. Rational mode runs no pass of its
+    own: the prime-field report is exact when its d is the ceiling (`exact`'s
+    rank certification). Otherwise every trial fell short mod p, and each
+    point, gathered again, is ranked by Bareiss on M over Z, whose rank is
+    at least the rank mod p, the two identity rows first: their pivots are 1,
+    after which Bareiss works on M' itself."""
     tree, ceiling = _verdict_record(graph)
     if mode == RATIONAL_MODE:
         report = _sampled_dimension(graph, trials, seed, PRIME_MODE)
@@ -663,8 +567,6 @@ def io_equation_text(graph: CompartmentGraph) -> str:
     def side(base: str, top_order: int, polys: list[dict]) -> str:
         text = _derivative_name(base, top_order)
         for k, poly in enumerate(polys, start=1):
-            if not poly:
-                continue
             sign, body = signed_parts(poly, order)
             if len(poly) > 1:
                 body = f"({body})"

@@ -1,11 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: analyze, reparam, io-equation, census, conjectures.
 
-Subcommands: analyze, reparam, io-equation, census, conjectures. All output
-is deterministic for a fixed invocation; --json selects the stable
-machine-readable form. Exit codes: 0 success, 1 no reparametrization
-exists, 2 bad input or usage, 141 (128 + SIGPIPE) when the reader of
-stdout closes it early, as `| head` does, with no error line.
-"""
+All output is deterministic for a fixed invocation; --json selects the
+stable machine-readable form. Exit codes: 0 success, 1 no
+reparametrization exists, 2 bad input or usage, 141 (128 + SIGPIPE) when
+the reader of stdout closes it early, as `| head` does, with no error
+line."""
 
 from __future__ import annotations
 

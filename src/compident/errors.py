@@ -50,10 +50,8 @@ class LimitExceeded(CompidentError):
 
 
 class NoReparametrization(CompidentError):
-    """No identifiable scaling reparametrization exists for this graph.
-
-    Carries the dimension report that witnessed the failure.
-    """
+    """No identifiable scaling reparametrization exists for this graph;
+    carries the dimension report that witnessed the failure."""
 
     def __init__(self, report):
         self.report = report

@@ -3,9 +3,7 @@
 Vertices are labeled 1..n and vertex 1 is always the input-output
 compartment. An edge (j, i) means material flows j -> i and carries the rate
 parameter a_ij (target index first, matching the matrix convention). Every
-vertex additionally carries an implicit diagonal parameter a_ii, so a graph
-with n vertices and m edges has n+m model parameters.
-"""
+vertex also carries a diagonal parameter a_ii: n+m model parameters."""
 
 from __future__ import annotations
 
@@ -26,10 +24,8 @@ IscCertificate = tuple[int, ...]
 @dataclass(frozen=True)
 class CompartmentGraph:
     """A directed graph with a distinguished input-output vertex 1.
-
     `edges` is an ordered tuple of (source, target) pairs; the order fixes
-    the column order of derived matrices and the parameter order.
-    """
+    the column order of derived matrices and the parameter order."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -57,13 +53,9 @@ class CompartmentGraph:
 
     def edge_subgraph(self, mask: int) -> CompartmentGraph:
         """The graph on the same n vertices with the edges that `mask`
-        selects, edge k as bit m-1-k, kept in this graph's edge order.
-
-        The subgraph skips `__post_init__`: a subset of a validated edge
-        set cannot fail its range, self-loop or duplicate check, so the
-        only check is that `mask` selects among these m edges. It takes
-        one step per set bit, not per edge of this graph.
-        """
+        selects, edge k as bit m-1-k, in edge order, one step per set bit.
+        A subset of a validated edge set cannot fail `__post_init__`'s
+        checks, so the only check is that `mask` selects among the m edges."""
         edges = self.edges
         if not 0 <= mask < 1 << len(edges):
             raise InvalidEdge(f"selection {mask:#x} lies outside the {len(edges)} edges")
@@ -77,9 +69,8 @@ class CompartmentGraph:
 
     def rate_name(self, i: int, j: int) -> str:
         """Name of the rate a_ij: ``a<i><j>`` up to n = 10, where no label
-        starts with 0 and so the digits split one way only, and
-        ``a<i>_<j>`` from n = 11 on, where ``a111`` could be a_1,11 or
-        a_11,1."""
+        starts with 0 and so the digits split one way only, and ``a<i>_<j>``
+        from n = 11 on, where ``a111`` could be a_1,11 or a_11,1."""
         return f"a{i}{j}" if self.n <= 10 else f"a{i}_{j}"
 
     def edge_param_name(self, k: int) -> str:
@@ -150,8 +141,7 @@ def _adjacency(n: int, edges) -> tuple[list[int], list[int]]:
 
 def _reach(adj: Sequence[int]) -> int:
     """Bitmask (bit v for vertex v) of the vertices vertex 1 reaches along
-    the neighbour masks `adj`: take the lowest vertex of the frontier, add
-    its unvisited neighbours to the visited set and the frontier."""
+    the neighbour masks `adj`, one frontier vertex at a time."""
     seen = frontier = 2  # bit 1 set
     while frontier:
         low = frontier & -frontier
@@ -163,8 +153,7 @@ def _reach(adj: Sequence[int]) -> int:
 
 def _strongly_connected(out: Sequence[int], inn: Sequence[int]) -> bool:
     """True iff the adjacency masks `out`, `inn` of vertices 1..n (indexed
-    0..n) are strongly connected: vertex 1 reaches every vertex along the
-    edges and against them."""
+    0..n) are strongly connected: vertex 1 reaches every vertex both ways."""
     full = (1 << len(out)) - 2
     return _reach(out) == full and _reach(inn) == full
 
@@ -177,10 +166,9 @@ def is_strongly_connected(graph: CompartmentGraph) -> bool:
 def _distances(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """(`_reach(adj)`, the BFS distance of each vertex 0..n from vertex 1
     along the neighbour masks `adj`) by one level-synchronous walk: each
-    level ORs the neighbour masks of its whole frontier, as it pops it, and
-    the next frontier is what that adds. It makes the mask operations of
-    `_reach` and records each vertex's level as it pops it; a vertex not
-    reached, and the unused index 0, read 0."""
+    level ORs the neighbour masks of its whole frontier, recording each
+    vertex's level as it pops it; a vertex not reached, and the unused
+    index 0, read 0."""
     dist = [0] * len(adj)
     seen = frontier = 2  # bit 1 set
     level = 0
@@ -199,13 +187,11 @@ def _distances(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[tuple, tuple]:
-    """The walk (d(1, v), d(v, 1)), per vertex v, of `graph`, from its one
-    pair of adjacency masks and one `_distances` walk along and one
-    against the edges, which a verdict record reads the walk bound off
-    (`charpoly._dimension_bound`); raises
-    NotStronglyConnected(`message`) unless every vertex is reached both
-    ways: the input-output equation, and so its image dimension,
-    reparametrization and cycle basis, is defined only for such graphs."""
+    """The walk (d(1, v), d(v, 1)) per vertex v, from one `_distances` walk
+    each way over one pair of adjacency masks, which the verdict record
+    reads; raises NotStronglyConnected(`message`) unless every vertex is
+    reached both ways: the input-output equation, and so its image
+    dimension, reparametrization and cycle basis, needs such a graph."""
     out, inn = _adjacency(graph.n, graph.edges)
     (reached, down), (reaching, up) = _distances(out), _distances(inn)
     if reached & reaching != (1 << graph.n + 1) - 2:
@@ -214,11 +200,9 @@ def _require_strongly_connected(graph: CompartmentGraph, message: str) -> tuple[
 
 
 def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
-    """Induced subgraph on the strongly connected component of vertex 1.
-
-    Vertices are relabeled to 1..n' preserving relative order (vertex 1
-    stays fixed); edge order is inherited from the input.
-    """
+    """Induced subgraph on the strongly connected component of vertex 1,
+    relabeled to 1..n' in relative order (vertex 1 stays fixed), edges in
+    input order."""
     out, inn = _adjacency(graph.n, graph.edges)
     mask = _reach(out) & _reach(inn)
     comp = [v for v in range(1, graph.n + 1) if mask >> v & 1]
@@ -234,7 +218,7 @@ def io_strong_component(graph: CompartmentGraph) -> CompartmentGraph:
 def _exchange_mask(graph: CompartmentGraph) -> int:
     """Bit v set for each vertex v with both edges 1 -> v and v -> 1:
     `out[1] & inn[1]` on the `_adjacency` masks, the one definition of an
-    exchange, which the census leaf reads off the masks it holds."""
+    exchange, which the census leaf also reads off its masks."""
     out, inn = _adjacency(graph.n, graph.edges)
     return out[1] & inn[1]
 
@@ -261,15 +245,12 @@ def is_inductively_strongly_connected(
 
 def _isc_order(out: Sequence[int], inn: Sequence[int]) -> Optional[IscCertificate]:
     """The lexicographically smallest ISC certificate of the adjacency
-    masks `out`, `inn` of vertices 1..n (indexed 0..n), or None.
-
-    Greedy extension: append the smallest vertex whose addition keeps the
-    prefix strongly connected. If S (containing 1) is strongly connected,
-    S + {v} is exactly when v has an edge from S and an edge to S, so each
-    step is one bitmask test per remaining vertex and runs no connectivity
-    walk. The test only gets easier as S grows, so the search never
-    backtracks.
-    """
+    masks `out`, `inn` of vertices 1..n (indexed 0..n), or None, by greedy
+    extension: append the smallest vertex whose addition keeps the prefix
+    strongly connected. If S (containing 1) is strongly connected, S + {v}
+    is exactly when v has an edge from S and an edge to S, so each step is
+    one bitmask test per remaining vertex. The test only gets easier as S
+    grows, so the search never backtracks."""
     prefix = [1]
     inside = 2  # bit 1 set
     rest = list(range(2, len(out)))
@@ -288,13 +269,10 @@ def _isc_order(out: Sequence[int], inn: Sequence[int]) -> Optional[IscCertificat
 def collapse_exchange(
     graph: CompartmentGraph, at: Optional[int] = None
 ) -> CompartmentGraph:
-    """Identify vertex 1 with an exchange partner.
-
-    The merged vertex becomes the new vertex 1; remaining vertices are
-    relabeled preserving relative order. Self-loops created by the merge are
-    dropped and duplicate edges keep their first occurrence. By default the
-    smallest exchange vertex is collapsed; `at` selects another one.
-    """
+    """Identify vertex 1 with an exchange partner, by default the smallest,
+    `at` selecting another. The merged vertex becomes the new vertex 1, the
+    rest keep their relative order, self-loops of the merge are dropped and
+    duplicate edges keep their first occurrence."""
     exchanges = exchange_vertices(graph)
     if at is None:
         if not exchanges:
@@ -320,12 +298,9 @@ def collapse_exchange(
 
 
 def add_exchange_vertex(graph: CompartmentGraph) -> CompartmentGraph:
-    """Attach a fresh input-output vertex by a 2-cycle to the old vertex 1.
-
-    Old vertex labels shift up by one; the exchange edges come first in the
-    new edge order, so collapsing the new exchange recovers the original
-    graph with its original edge order.
-    """
+    """Attach a fresh input-output vertex by a 2-cycle to the old vertex 1,
+    old labels shifted up by one and the exchange edges first, so collapsing
+    the new exchange recovers the original graph and edge order."""
     shifted = tuple((j + 1, i + 1) for j, i in graph.edges)
     return CompartmentGraph(graph.n + 1, ((1, 2), (2, 1)) + shifted)
 
@@ -339,23 +314,20 @@ class SpanningTree:
 
 
 def _nontree_edges(graph: CompartmentGraph, tree: SpanningTree) -> tuple[int, ...]:
-    """Indices of the edges outside `tree`, ascending: the verdict
-    matrix's edge columns and the rows of a cycle basis's unimodular
-    block."""
+    """Indices of the edges outside `tree`, ascending: the verdict matrix's
+    edge columns and the rows of a cycle basis's unimodular block."""
     in_tree = set(tree.edge_indices)
     return tuple(k for k in range(graph.m) if k not in in_tree)
 
 
 def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Grow a tree from vertex 1 through the given edges, viewed as undirected.
-
-    Scans `edge_indices` in order, repeatedly, taking any edge that joins a
-    reached vertex to a new one, until every vertex is reached or a scan
-    reaches nothing new. Returns (child, parent, edge index) for each
-    vertex reached but 1, in the order reached, and raises nothing: the
-    walk is a spanning tree exactly when it has n-1 entries, and each
-    caller decides what a shorter walk means.
-    """
+    """Grow a tree from vertex 1 through the given edges, viewed as
+    undirected: scan `edge_indices` in order, repeatedly, taking any edge
+    that joins a reached vertex to a new one, until every vertex is reached
+    or a scan reaches nothing new. Returns (child, parent, edge index) for
+    each vertex reached but 1, in the order reached, and raises nothing: the
+    walk is a spanning tree exactly when it has n-1 entries, and each caller
+    decides what a shorter walk means."""
     reached = 2  # bit v for vertex v
     walk = []
     size = -1
@@ -372,9 +344,9 @@ def tree_walk(graph: CompartmentGraph, edge_indices: Sequence[int]) -> list[tupl
 
 def spanning_tree(graph: CompartmentGraph) -> SpanningTree:
     """Deterministic spanning tree grown from vertex 1 by `tree_walk` over
-    the whole edge list. The scan order makes the result reproducible and
-    matches the trees used in the worked fixtures. Raises Disconnected,
-    the only place that does, when the walk misses a vertex."""
+    the whole edge list, reproducible and matching the worked fixtures.
+    Raises Disconnected, the only place that does, when the walk misses a
+    vertex."""
     walk = tree_walk(graph, range(graph.m))
     if len(walk) < graph.n - 1:
         raise Disconnected("the edges do not connect every vertex to vertex 1")
@@ -384,11 +356,9 @@ def spanning_tree(graph: CompartmentGraph) -> SpanningTree:
 @dataclass(frozen=True)
 class Cycle:
     """An elementary directed cycle, including the length-1 diagonal cycles.
-
     `vertices` lists the traversal order rotated so the smallest vertex
     leads; `exponent_vector` marks the traversed edges (all zero for a
-    one-cycle, whose monomial is the diagonal parameter).
-    """
+    one-cycle, whose monomial is the diagonal parameter)."""
 
     vertices: tuple[int, ...]
     exponent_vector: tuple[int, ...]
@@ -419,18 +389,14 @@ def _make_cycle(
 
 
 def elementary_cycles(graph: CompartmentGraph) -> CycleSet:
-    """All elementary directed cycles plus the n one-cycles.
-
-    Order is deterministic: the one-cycles first, then `_long_cycles`.
-    """
+    """All elementary directed cycles: the n one-cycles, then `_long_cycles`."""
     zero = (0,) * graph.m
     return [Cycle((v,), zero, graph.rate_name(v, v)) for v in range(1, graph.n + 1)] + _long_cycles(graph)
 
 
 def _long_cycles(graph: CompartmentGraph) -> CycleSet:
-    """The elementary directed cycles of length >= 2, each reported once,
-    rotated so its smallest vertex leads, ordered by length, then by
-    lexicographic vertex sequence."""
+    """The elementary directed cycles of length >= 2, each once, rotated so
+    its smallest vertex leads, ordered by length, then by vertex sequence."""
     vertices = range(1, graph.n + 1)
     succ = [[w for w in vertices if mask >> w & 1] for mask in _adjacency(graph.n, graph.edges)[0]]
     found: list[tuple[int, ...]] = []
@@ -454,11 +420,9 @@ def _long_cycles(graph: CompartmentGraph) -> CycleSet:
 
 
 def canonical_form(graph: CompartmentGraph) -> bytes:
-    """Canonical byte encoding, equal iff graphs agree up to relabeling 2..n:
-    the lexicographically minimal sorted edge list over those relabelings.
-
-    Brute-forces the (n-1)! permutations fixing vertex 1; fine for n <= 6.
-    """
+    """Canonical byte encoding, equal iff graphs agree up to relabeling
+    2..n: the lexicographically minimal sorted edge list over the (n-1)!
+    relabelings fixing vertex 1, brute-forced; fine for n <= 6."""
     others = list(range(2, graph.n + 1))
     relabelings = ({1: 1, **dict(zip(others, perm))} for perm in permutations(others))
     edges = min(sorted((p[j], p[i]) for j, i in graph.edges) for p in relabelings)

@@ -5,11 +5,7 @@ rate parameters of a spanning tree to 1 by rescaling the state variables
 X_i = f_i(A) x_i (with f_1 = 1) produces an identifiable model whose
 surviving entries are integer monomials in the original rates, expressible
 as products of cycle monomials through the inverse of a unimodular block.
-Only the tree-independent half of a reparametrization, the dimension
-report and the candidate cycles, is kept between calls, for the last
-GRAPH_MEMO_SIZE graphs; everything that depends on the tree is computed
-per call.
-"""
+A cycle vector is fixed by its non-tree entries."""
 
 from __future__ import annotations
 
@@ -68,13 +64,9 @@ def _tree_of_pairs(graph: CompartmentGraph, positions: dict, edges: Sequence) ->
 def _checked_walk(graph: CompartmentGraph, indices: Sequence[int]) -> list[tuple[int, int, int]]:
     """`tree_walk` over edge indices that must form a spanning tree; a
     wrong edge count, an index outside range(m) or edges that contain a
-    cycle raise ValueError. `tree_walk` raises nothing; this check of its
-    length is the one that refuses.
-
-    n-1 distinct edges form a spanning tree of the underlying undirected
-    graph exactly when they reach every vertex from 1, which is when they
-    are acyclic; a repeated edge counts as a cycle.
-    """
+    cycle raise ValueError. n-1 distinct edges span the underlying
+    undirected graph exactly when they reach every vertex from 1, which is
+    when they are acyclic; a repeated edge counts as a cycle."""
     if len(set(indices)) != graph.n - 1:
         raise ValueError(f"a spanning tree needs {graph.n - 1} distinct edges")
     if not all(0 <= k < graph.m for k in indices):
@@ -89,11 +81,9 @@ def alternate_spanning_tree(
     graph: CompartmentGraph, first: SpanningTree
 ) -> Optional[SpanningTree]:
     """First spanning tree in lexicographic edge-subset order that differs
-    from `first`, or None when the tree is unique.
-
-    Each subset holds n-1 distinct indices in range(m), so the walk over
-    it reaching every vertex is the whole of `_checked_walk`'s test.
-    """
+    from `first`, or None when the tree is unique. Each subset holds n-1
+    distinct indices in range(m), so the walk over it reaching every vertex
+    is the whole of `_checked_walk`'s test."""
     for subset in combinations(range(graph.m), graph.n - 1):
         if subset != first.edge_indices and len(tree_walk(graph, subset)) == len(subset):
             return SpanningTree(subset)
@@ -101,15 +91,12 @@ def alternate_spanning_tree(
 
 
 def scaling_exponents(graph: CompartmentGraph, tree: SpanningTree) -> list[tuple[int, ...]]:
-    """Per-vertex monomial exponents of the scaling functions f_i.
-
-    f_1 is the empty monomial. Walking a tree edge j -> i with parameter
-    a_ij away from the root adds the edge's exponent when the child is the
-    source j, and subtracts it when the child is the target i; this realizes
-    the columns of the inverse of the tree block of the incidence matrix
-    without inverting anything. A `tree` that is no spanning tree of the
-    graph raises ValueError (`_checked_walk`).
-    """
+    """Per-vertex monomial exponents of the scaling functions f_i, f_1 the
+    empty monomial: walking a tree edge j -> i away from the root adds its
+    exponent when the child is the source j and subtracts it when the child
+    is the target i, which realizes the columns of the inverse of the tree
+    block of the incidence matrix without inverting anything. A `tree` that
+    is no spanning tree raises ValueError (`_checked_walk`)."""
     f: list[Optional[tuple[int, ...]]] = [None] * (graph.n + 1)
     f[1] = (0,) * graph.m
     for child, parent, k in _checked_walk(graph, tree.edge_indices):
@@ -160,18 +147,15 @@ def _unimodular_basis(
 
 def cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
     """Select independent cycles suitable for expressing the rescaling.
-
-    A cycle vector is fixed by its non-tree entries, so the greedy basis in
-    canonical cycle order (shortest first), each cycle kept when it raises
-    the rank, is the pivot columns of one fraction-free Gauss-Jordan pass
-    over the candidates' non-tree block, and the same pass decides
-    unimodularity and inverts the chosen block. If that block is not
-    unimodular for this tree, every subset of the right size is tried in
-    order until one has determinant +-1; a unimodular choice exists for
-    every strongly connected graph, but nothing singles one out. A `tree`
-    that is no spanning tree of the graph raises ValueError
-    (`_checked_walk`) before any search.
-    """
+    The greedy basis in canonical cycle order (shortest first), each cycle
+    kept when it raises the rank, is the pivot columns of one fraction-free
+    Gauss-Jordan pass over the candidates' non-tree block (module
+    docstring), which also decides unimodularity and inverts the chosen
+    block. If that block is not unimodular for this tree, every subset of
+    the right size is tried in order until one has determinant +-1; a
+    unimodular choice exists for every strongly connected graph, but
+    nothing singles one out. A `tree` that is no spanning tree of the graph
+    raises ValueError (`_checked_walk`) before any search."""
     _require_strongly_connected(graph, "cycle basis requires a strongly connected graph")
     _checked_walk(graph, tree.edge_indices)
     return _cycle_basis(graph, tree)
@@ -196,22 +180,18 @@ def _cycle_basis(graph: CompartmentGraph, tree: SpanningTree) -> CycleBasis:
 @lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def _cycle_candidates(graph: CompartmentGraph) -> tuple[Cycle, ...]:
     """The elementary cycles of length >= 2 in canonical order, from which
-    `_cycle_basis` picks under every spanning tree: no tree enters the
-    search, so the candidates of the last GRAPH_MEMO_SIZE graphs are kept,
-    as a tuple of frozen cycles that every caller shares."""
+    `_cycle_basis` picks under every spanning tree, kept for the last
+    GRAPH_MEMO_SIZE graphs (`charpoly` module docstring)."""
     return tuple(_long_cycles(graph))
 
 
 def express_in_cycles(basis: CycleBasis) -> dict[int, tuple[int, ...]]:
-    """Write each non-tree rescaled rate as an integer combination of basis
-    cycles.
-
-    The rescaled row of non-tree edge k = nontree_rows[t] is an integer cycle
-    vector that reads e_t on the non-tree edges, since every f_i lives on
-    the tree. A cycle vector is fixed by its non-tree entries, so the
-    combination is column t of the inverse non-tree block;
-    `reparametrization_failures` checks it against every row.
-    """
+    """Each non-tree rescaled rate as an integer combination of basis
+    cycles. The rescaled row of non-tree edge k = nontree_rows[t] is an
+    integer cycle vector that reads e_t on the non-tree edges, since every
+    f_i lives on the tree, so its combination is column t of the inverse
+    non-tree block (module docstring); `reparametrization_failures` checks
+    it on every row."""
     return dict(zip(basis.nontree_rows, zip(*basis.block_inverse)))
 
 
@@ -221,11 +201,9 @@ def identifiable_cycle_functions(
     seed: int = 0,
     mode: str = PRIME_MODE,
 ) -> list[Cycle]:
-    """m+1 algebraically independent identifiable cycle monomials.
-
-    The n diagonal one-cycles plus the m-n+1 basis cycles of the default
-    reparametrization. Only defined for graphs with the expected dimension.
-    """
+    """m+1 algebraically independent identifiable cycle monomials: the n
+    diagonal one-cycles plus the m-n+1 basis cycles of the default
+    reparametrization. Only defined for graphs with the expected dimension."""
     try:
         basis = reparametrize(graph, trials=trials, seed=seed, mode=mode).basis
     except (TooManyEdges, NoReparametrization) as exc:
@@ -262,8 +240,7 @@ class ScalingReparametrization:
 
     @cached_property
     def edge_order(self) -> list[tuple[int, str]]:
-        """The m edge rate names in `name_order`, built and sorted once per
-        result."""
+        """The m edge rate names in `name_order`, sorted once per result."""
         return name_order([self.graph.edge_param_name(e) for e in range(self.graph.m)])
 
     def matrix_strings(self) -> list[list[str]]:
@@ -299,20 +276,14 @@ def reparametrize(
     mode: str = PRIME_MODE,
     tree_edges: Optional[Sequence[tuple[int, int]]] = None,
 ) -> ScalingReparametrization:
-    """Construct an identifiable monomial scaling reparametrization.
-
-    Raises NoReparametrization (carrying the dimension report) when the
-    image dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules
-    one out up front. The arguments, then strong connectivity, are
-    checked first, and the default spanning tree, which the dimension
-    report and the cycle basis share, comes from the graph's verdict
-    record (`charpoly._verdict_ceiling`, whose module docstring has the
-    record and the memos). Neither the report nor the cycle candidates
-    depend on the requested tree, so both come from their memos when the
-    graph was reparametrized recently, under any tree; the tree, scaling
-    exponents, rescaled rows, basis and verification are computed on
-    every call.
-    """
+    """Construct an identifiable monomial scaling reparametrization. Raises
+    NoReparametrization (carrying the dimension report) when the image
+    dimension falls short of m+1, and TooManyEdges when m > 2n-2 rules one
+    out up front. The arguments and strong connectivity are checked first,
+    through the verdict record (`charpoly._verdict_ceiling`), whose default
+    tree the report and the default basis share. The report and the cycle
+    candidates depend on no tree and come from the per-graph memos
+    (`charpoly` module docstring); the rest is computed on every call."""
     refusal = "reparametrization requires a strongly connected graph"
     trials, seed, default, _ceiling = _verdict_ceiling(graph, trials, seed, mode, refusal)
     if graph.m > 2 * graph.n - 2:
@@ -347,20 +318,14 @@ def reparametrize(
 def reparametrization_failures(
     graph: CompartmentGraph, result: ScalingReparametrization
 ) -> list[str]:
-    """Names of the verification checks that fail (empty list when sound).
-
+    """Names of the exact, deterministic verification checks that fail:
     scaling-support: f_1 = 1 and every f_i is a monomial in tree rates.
     tree-rows: every tree entry is rescaled to 1.
     cycle-expressions: the expressions are keyed by exactly the non-tree
     edges, each has one entry per basis cycle, and each non-tree row is its
-    stated combination of the basis cycles. The basis matrix's columns are
-    read once per call, and a combination z adds z[t] times column t for
-    the nonzero z[t] only (`_combination`): m additions per nonzero, not a
-    product with the whole matrix per expression.
+    stated combination of the basis cycles (`_combination`).
     rescaled-rows: every rescaled entry is exactly a_ij * f_i / f_j, so the
-    new matrix is D A D^-1 with D = diag(f). All checks are exact and
-    deterministic.
-    """
+    new matrix is D A D^-1 with D = diag(f)."""
     failures = []
     off_tree = _nontree_edges(graph, result.tree)
 
@@ -395,9 +360,10 @@ def reparametrization_failures(
 
 def _combination(columns: Optional[list], m: int, z: Sequence[int]) -> tuple[int, ...]:
     """The m entries of the basis matrix times z, summed over the nonzero
-    z[t] as z[t] times column t. `columns` is None when a row of the matrix
-    has another length than z, which raises ValueError, as
-    `exact.matvec_int` does."""
+    z[t] as z[t] times column t, the columns read once per check: m
+    additions per nonzero, not a product with the whole matrix. `columns`
+    is None when a row of the matrix has another length than z, which
+    raises ValueError, as `exact.matvec_int` does."""
     if columns is None:
         raise ValueError("rows and vector of different lengths")
     total = (0,) * m
@@ -445,13 +411,11 @@ def reparametrization_from_json(
     graph: CompartmentGraph, doc: dict
 ) -> ScalingReparametrization:
     """Rebuild a reparametrization from its JSON form for re-verification.
-
     The document is read first: a missing key, a tree or expression edge
     that is not a pair, f entries other than one per vertex 1..n, a matrix
     that is not n x n, a diagonal or non-edge cell other than the rate name
     or "0" that `matrix_strings` writes there, or a monomial that is not a
-    string raises MalformedInput, as `graphs.parse_graph` does.
-    """
+    string raises MalformedInput, as `graphs.parse_graph` does."""
     n = graph.n
     positions = graph.edge_index()
     try:

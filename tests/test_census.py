@@ -291,6 +291,10 @@ class TestOrderlyCensus:
             assert canonical_form(graph) == canonical_form(rep)
         assert samples == census._spot_samples(n, m, 0, *grouping)
 
+    def test_no_vertices(self):
+        with pytest.raises(LimitExceeded, match="need at least one vertex"):
+            census_row(0, 0)
+
     def test_six_vertices_behind_the_limit(self):
         row = census_row(6, 6, limit=6)
         assert (row.A, row.C) == (120, 1)

@@ -25,6 +25,7 @@ from compident import (
 from compident import charpoly as cp
 from compident import census, exact, graphs, reparam
 from compident.exact import MERSENNE61, PRIME_MODE, RATIONAL_MODE
+from compident.monomial import name_order, signed_parts
 
 from conftest import (
     BAD_SEEDS,
@@ -209,6 +210,11 @@ class TestNumericCoefficients:
             sym_q = evaluate_symbolic(chain4, point, RATIONAL_MODE)
             num_q = numeric_coefficients(chain4, point, RATIONAL_MODE)
             assert sym_q == (num_q[0], num_q[1])
+
+    def test_point_of_the_wrong_length(self, chain4):
+        for point in ([1] * (chain4.n + chain4.m - 1), [1] * (chain4.n + chain4.m + 1)):
+            with pytest.raises(ValueError, match=f"expected {chain4.n + chain4.m} parameter values"):
+                numeric_coefficients(chain4, point)
 
     def test_zero_assignment(self, chain4):
         nparams = chain4.n + chain4.m
@@ -1755,6 +1761,15 @@ class TestIoEquation:
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(NotStronglyConnected):
             io_equation_text(CompartmentGraph(2, ((1, 2),)))
+
+    def test_signed_parts(self):
+        """A coefficient's overall sign is -1 exactly when every term is -1,
+        and its text is then that of the negated polynomial."""
+        order = name_order(["b", "a"])
+        assert signed_parts({(1, 0): -1, (0, 1): -1}, order) == (-1, "b + a")
+        assert signed_parts({(1, 0): 1, (0, 1): -1}, order) == (1, "b - a")
+        assert signed_parts({(1, 0): -1, (0, 1): 1}, order) == (1, "-b + a")
+        assert signed_parts({(1, 1): 1}, order) == (1, "a*b")
 
     def test_expansion_cap(self):
         """The bidirected path on 12 vertices expands below the cap; the

@@ -173,7 +173,7 @@ def test_fold_masks_built_once_per_shape_and_bounded(chain4):
         image_dimension(chain4, seed=seed)
     assert fold_masks.cache_info().misses == before.misses
     bound = fold_masks.cache_info().maxsize
-    assert bound is not None and slot_width.cache_info().maxsize is not None
+    assert bound is not None
     for height in range(1, 2 * bound):
         rank_mod_p([[1]] * height)
     assert fold_masks.cache_info().currsize <= bound
@@ -276,6 +276,10 @@ class TestDeterminant:
         pivot, 2, is negated."""
         assert det_int([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
         assert det_int([[2, 1, 0], [1, 3, 1], [0, 1, 4]]) == 18
+
+    def test_rejects_non_square(self):
+        with pytest.raises(NotSquare, match="determinant needs a square matrix"):
+            det_int([[1, 2]])
 
 
 class TestInverseUnimodular:

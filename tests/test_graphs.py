@@ -104,9 +104,16 @@ class TestParse:
         with pytest.raises(InvalidEdge):
             parse_graph('{"n":2,"edges":[[1,3]]}')
 
+    def test_zero_vertices_rejected(self):
+        with pytest.raises(InvalidEdge, match="vertex count must be positive"):
+            CompartmentGraph(0, ())
+
     @pytest.mark.parametrize(
         "text",
-        ["not json", "[1,2]", '{"n":"2","edges":[]}', '{"edges":[]}', '{"n":2,"edges":[[1]]}'],
+        [
+            "not json", "[1,2]", '{"n":"2","edges":[]}', '{"edges":[]}', '{"n":2,"edges":[[1]]}',
+            '{"n": 2, "edges": 5}',
+        ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(MalformedInput):

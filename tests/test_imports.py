@@ -278,7 +278,7 @@ def test_every_cache_is_bounded():
                 a = node.args
                 if bound is None and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
                     unbounded.append(f"{path.name}:{node.name}")
-    required = {"build_parser", "fold_masks", "slot_width", "_sampled_dimension", "_cycle_candidates"}
+    required = {"build_parser", "fold_masks", "_sampled_dimension", "_cycle_candidates"}
     required |= {"_verdict_record", "_point_pool"}
     assert required <= {name for _file, name in decorated}
     assert unbounded == []
@@ -351,11 +351,12 @@ def test_line_counts_rule():
     fixture's 24 lines, 10 are code: the import, `class`, `def area`, the
     two lines of `text` (a # inside a string is text), `return len(text)`,
     `def f`, `x = 1`, the bare string after it, which is no docstring, and
-    `return x`."""
+    `return x`. 6 are docstring lines: the module's two, the class's one,
+    the method's two and f's one."""
     counts = load_tool("line_counts").counts
-    assert counts(LINE_COUNT_FIXTURE) == (24, 10)
-    assert counts("") == (0, 0)
-    assert counts('"""Only a docstring."""\n\n# and a comment\n') == (3, 0)
+    assert counts(LINE_COUNT_FIXTURE) == (24, 10, 6)
+    assert counts("") == (0, 0, 0)
+    assert counts('"""Only a docstring."""\n\n# and a comment\n') == (3, 0, 1)
 
 
 MUTATE_FIXTURE = """def f(x, y):
@@ -420,6 +421,35 @@ def test_mutate_operators():
     ]
     with pytest.raises(ValueError, match="no definition named 'K.h'"):
         mutants(MUTATE_FIXTURE, "K.h")
+
+
+def test_equivalent_mutants_file():
+    """`tools/mutate.py`'s known equivalents: a mutant's key is its
+    innermost top-level definition or method, decorators included, the
+    operator, numbered #2, #3 .. when it recurs on one line of one scope,
+    and the line's text. The loader skips comments and blank lines, reads
+    four tab-separated fields and refuses a short line or a repeated key,
+    and reads tools/equivalent_mutants.tsv. Whether each entry still names
+    a mutant is the run's check (it prints the stale ones): here it would
+    kill every mutant of a listed line."""
+    mutate = load_tool("mutate")
+    source = "@cache(8)\ndef h(a):\n    return a + 1 + 1\n\n\nclass K:\n    def g(self, a):\n        return a - 4\n\n\nX = 2\n"
+    assert mutate.mutant_keys(source, "mod") == [
+        ("mod.h", "8 -> 9", "@cache(8)"),
+        ("mod.h", "+ -> -", "return a + 1 + 1"), ("mod.h", "+ -> - #2", "return a + 1 + 1"),
+        ("mod.h", "1 -> 2", "return a + 1 + 1"), ("mod.h", "1 -> 2 #2", "return a + 1 + 1"),
+        ("mod.K.g", "- -> +", "return a - 4"), ("mod.K.g", "4 -> 5", "return a - 4"),
+        ("mod", "2 -> 3", "X = 2"),
+    ]
+    assert len(mutate.mutant_keys(source, "mod", "K.g")) == 2
+    row = "mod.h\t1 -> 2 #2\treturn a + 1 + 1\tthe reason"
+    assert mutate.load_equivalents(f"# a comment\n\n{row}\n") == {
+        ("mod.h", "1 -> 2 #2", "return a + 1 + 1"): "the reason"
+    }
+    for text in ("mod.h\t1 -> 2\treturn a + 1 + 1\n", f"{row}\n{row}\n", "mod.h\t\treturn a\tr\n"):
+        with pytest.raises(ValueError, match="line [12]:"):
+            mutate.load_equivalents(text)
+    assert mutate.load_equivalents(mutate.EQUIVALENTS.read_text(encoding="utf-8"))
 
 
 def test_fuzz_generator_and_oracles(capsys, monkeypatch):

@@ -374,6 +374,30 @@ class TestCycleBasis:
             tuple(c.exponent_vector[r] for c in basis.cycles) for r in range(chain4.m)
         )
 
+    def test_search_past_a_greedy_block_that_is_not_unimodular(self, monkeypatch):
+        """When the greedy pass over the candidates picks a block whose
+        determinant is not +-1, `cycle_basis` tries the subsets of the
+        candidates in order. No real graph is known to need it, so the
+        candidate order is patched: on complete_digraph(4) (m = 12, 9 cycles
+        needed) the six 2-cycles and the 4-cycles (1,2,3,4), (1,2,4,3) and
+        (1,3,2,4) first give a non-tree block of determinant +-2."""
+        g = complete_digraph(4)
+        tree = spanning_tree(g)
+        nontree = graphs._nontree_edges(g, tree)
+        real = reparam._cycle_candidates(g)
+        first = [c.vertices for c in real if c.length == 2] + [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)]
+        prefix = tuple(c for v in first for c in real if c.vertices == v)
+        patched = prefix + tuple(c for c in real if c not in prefix)
+        assert len(prefix) == 9 == len(nontree) and sorted(map(id, patched)) == sorted(map(id, real))
+        block = [[c.exponent_vector[r] for c in prefix] for r in nontree]
+        assert exact.det_int(block) in (2, -2)
+        with pytest.raises(NotUnimodular, match="determinant is"):  # the greedy pass picks the prefix
+            reparam._unimodular_basis(patched, g.m, nontree)
+        monkeypatch.setattr(reparam, "_cycle_candidates", lambda graph: patched)
+        basis = cycle_basis(g, tree)
+        assert basis.cycles != prefix and len(basis.cycles) == 9
+        assert exact.det_int([[c.exponent_vector[r] for c in basis.cycles] for r in nontree]) in (1, -1)
+
     def test_candidates_build_no_one_cycle(self, monkeypatch, chain4, wheel5):
         """The candidates come from the search for cycles of length >= 2
         alone: no one-cycle is built to be dropped."""

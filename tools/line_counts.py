@@ -1,8 +1,10 @@
-"""Lines and code lines of each module of the compident package.
+"""Lines, code lines and docstring lines of each module of the compident
+package.
 
 A code line is a line that is not blank, not a comment alone, and not part
 of a module, class or function docstring; a line inside a string literal
-that starts with # is text, not a comment. Usage:
+that starts with # is text, not a comment. A docstring line is a line of a
+module, class or function docstring, by the syntax tree. Usage:
 
     python tools/line_counts.py [package directory]
 
@@ -46,8 +48,8 @@ def string_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def counts(source: str) -> tuple[int, int]:
-    """(lines, code lines) of one module's source."""
+def counts(source: str) -> tuple[int, int, int]:
+    """(lines, code lines, docstring lines) of one module's source."""
     tree = ast.parse(source)
     skipped, text = docstring_lines(tree), string_lines(tree)
     lines = source.splitlines()
@@ -58,19 +60,18 @@ def counts(source: str) -> tuple[int, int]:
         and number not in skipped
         and (number in text or not line.lstrip().startswith("#"))
     )
-    return len(lines), code
+    return len(lines), code, len(skipped)
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
-    total_lines = total_code = 0
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16}{'lines':>7}{'code':>7}{'doc':>7}")
     for path in sorted(package.glob("*.py")):
-        lines, code = counts(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{path.name:<16}{lines:>7}{code:>7}")
-    print(f"{'total':<16}{total_lines:>7}{total_code:>7}")
+        row = counts(path.read_text(encoding="utf-8"))
+        totals = [t + x for t, x in zip(totals, row)]
+        print(f"{path.name:<16}" + "".join(f"{x:>7}" for x in row))
+    print(f"{'total':<16}" + "".join(f"{x:>7}" for x in totals))
     return 0
 
 

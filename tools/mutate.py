@@ -32,9 +32,20 @@ repository root:
 MODULE is a path such as src/compident/exact.py; --scope NAME limits the
 mutants to one top-level function or class, or to Class.method; the tests
 are pytest arguments, such as tests/test_exact.py or a node id. The script
-prints one line per mutant, then the survivors. It is slow (one test run
-per mutant) and runs no mutant in parallel, so it is not part of the
-test suite.
+prints the known equivalents of the scope that name no mutant (stale),
+one line per mutant, then the survivors: first the new ones, then the
+known equivalents, each with its reason. It is slow (one test run per
+mutant) and runs no mutant in parallel, so it is not part of the test
+suite.
+
+A known equivalent is a mutant that no test can kill because it computes
+what the module computes, argued once in tools/equivalent_mutants.tsv.
+Each line of that file holds four tab-separated fields: the mutant's scope
+(module.function, module.Class or module.Class.method, the innermost
+top-level definition or method holding the mutated line), its operator as
+the run prints it (such as `0 -> 1` or `>= -> >`), the mutated line's
+source text without its indentation, and a one-line reason. Blank lines
+and lines that start with # are skipped.
 """
 
 from __future__ import annotations
@@ -48,9 +59,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.tsv"
 
 COMPARE_SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -90,13 +103,12 @@ def scope_nodes(tree: ast.Module, scope: str | None) -> list[ast.AST]:
     return found
 
 
-def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AST, int | None, str]]:
+def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AST, int | None, str, str]]:
     """Every mutation site in the scope, in source order: (node, index of
     the operator in a comparison, of the dropped operand of a boolean chain,
-    the constant that replaces a guard's test, or None, description
-    "line L: old -> new in `expression`", "line L: drop `operand` in
-    `expression`" or "line L: `test` -> True in `statement`", each cut to
-    60 characters)."""
+    the constant that replaces a guard's test, or None, operator "old ->
+    new", "drop `operand`" or "`test` -> True", description "line L:
+    operator in `expression`"; code is cut to 60 characters)."""
     out = []
     for root in scope_nodes(tree, scope):
         for node in ast.walk(root):
@@ -118,7 +130,7 @@ def sites(source: str, tree: ast.Module, scope: str | None) -> list[tuple[ast.AS
     out.sort(key=lambda site: (site[0].lineno, site[0].col_offset, isinstance(site[0], ast.Compare) and site[1]))
     described = []
     for node, i, text in out:
-        described.append((node, i, f"line {node.lineno}: {text} in `{segment(source, node)}`"))
+        described.append((node, i, text, f"line {node.lineno}: {text} in `{segment(source, node)}`"))
     return described
 
 
@@ -128,13 +140,62 @@ def segment(source: str, node: ast.AST) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def mutant_keys(source: str, module: str, scope: str | None = None) -> list[tuple[str, str, str]]:
+    """(scope, operator, line) of every mutant of `source`, in the order of
+    `mutants`: the innermost top-level definition or method holding the
+    mutated line, its decorators included, as module.name or
+    module.Class.method; the operator as the run prints it, numbered
+    `#2`, `#3` .. when it recurs on one line of one scope; and the line's
+    source text without its indentation."""
+    tree = ast.parse(source)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def span(node, name):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        return first, node.end_lineno, name
+
+    spans = []  # (first line, last line, scope); a method comes after its class
+    for node in tree.body:
+        if isinstance(node, definitions):
+            spans.append(span(node, f"{module}.{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                spans += [span(n, f"{module}.{node.name}.{n.name}") for n in node.body if isinstance(n, definitions)]
+    lines = source.splitlines()
+    seen = Counter()
+    keys = []
+    for node, _i, operator, _text in sites(source, tree, scope):
+        owner = [name for first, last, name in spans if first <= node.lineno <= last]
+        key = (owner[-1] if owner else module, operator, lines[node.lineno - 1].strip())
+        seen[key] += 1
+        keys.append(key if seen[key] == 1 else (key[0], f"{operator} #{seen[key]}", key[2]))
+    return keys
+
+
+def load_equivalents(text: str) -> dict[tuple[str, str, str], str]:
+    """{(scope, operator, line): reason} of an equivalent-mutants file (the
+    module docstring). A line that is not four nonempty tab-separated
+    fields, or a key given twice, raises ValueError naming its line."""
+    known = {}
+    for number, row in enumerate(text.splitlines(), start=1):
+        if not row.strip() or row.startswith("#"):
+            continue
+        fields = row.split("\t")
+        if len(fields) != 4 or not all(f.strip() for f in fields):
+            raise ValueError(f"line {number}: expected scope, operator, source line and reason, tab-separated")
+        key = tuple(fields[:3])
+        if key in known:
+            raise ValueError(f"line {number}: {key} is listed twice")
+        known[key] = fields[3]
+    return known
+
+
 def mutants(source: str, scope: str | None = None) -> list[tuple[str, str]]:
     """(description, mutated source) of every mutant of `source`: each site
     changed alone, the module rendered back by `ast.unparse`."""
     out = []
     for k in range(len(sites(source, ast.parse(source), scope))):
         tree = ast.parse(source)
-        node, i, text = sites(source, tree, scope)[k]
+        node, i, _operator, text = sites(source, tree, scope)[k]
         if isinstance(node, ast.Compare):
             node.ops[i] = COMPARE_SWAPS[type(node.ops[i])]()
         elif isinstance(node, ast.Constant):
@@ -177,6 +238,12 @@ def main(argv: list[str]) -> int:
     module = Path(args.module).resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
     candidates = mutants(source, args.scope)
+    keys = mutant_keys(source, module.stem, args.scope)
+    known = load_equivalents(EQUIVALENTS.read_text(encoding="utf-8"))
+    prefix = module.stem if args.scope is None else f"{module.stem}.{args.scope}"
+    for key in known:  # an entry of this scope that names no mutant: its line changed
+        if (key[0] == prefix or key[0].startswith(prefix + ".")) and key not in keys:
+            print(f"stale: {' | '.join(key)}")
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out")
     workdir = Path(tempfile.mkdtemp(prefix="compident-mutate-"))
     try:
@@ -187,17 +254,22 @@ def main(argv: list[str]) -> int:
             print("the tests fail on the unchanged copy; no mutant was run")
             return 1
         timeout = max(60.0, 10 * seconds)
-        survivors = []
-        for k, (text, mutated) in enumerate(candidates, start=1):
+        new, equivalent = [], []
+        for k, ((text, mutated), key) in enumerate(zip(candidates, keys), start=1):
             (copy / module).write_text(mutated, encoding="utf-8")
             passed, seconds = run_tests(copy, args.tests, timeout)
             status = "SURVIVED" if passed else ("stopped" if seconds >= timeout else "killed")
             print(f"[{k}/{len(candidates)}] {module} {text}: {status} ({seconds:.1f} s)", flush=True)
-            if passed:
-                survivors.append(f"[{k}] {module} {text}")
-        print(f"{len(survivors)} of {len(candidates)} mutants survived")
-        for text in survivors:
-            print(f"  {text}")
+            if passed and key in known:
+                equivalent.append(f"[{k}] {module} {text}: {known[key]}")
+            elif passed:
+                new.append(f"[{k}] {module} {text}")
+        print(f"{len(new) + len(equivalent)} of {len(candidates)} mutants survived: "
+              f"{len(new)} new, {len(equivalent)} known equivalent")
+        for text in new:
+            print(f"  new: {text}")
+        for text in equivalent:
+            print(f"  equivalent: {text}")
         return 0
     finally:
         shutil.rmtree(workdir)
